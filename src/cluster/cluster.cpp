@@ -1,7 +1,5 @@
 #include "cluster/cluster.hpp"
 
-#include "sim/domain_view.hpp"
-
 namespace grout::cluster {
 
 const char* to_string(WorkerState s) {
@@ -15,49 +13,8 @@ const char* to_string(WorkerState s) {
 
 Cluster::Cluster(ClusterConfig config) : config_{std::move(config)} {
   GROUT_REQUIRE(config_.workers >= 1, "a cluster needs at least one worker");
-  GROUT_REQUIRE(config_.sim_threads >= 1, "sim_threads must be >= 1");
+  GROUT_REQUIRE(config_.sim_threads == 1, "sim_threads must be 1 (the engine is serial)");
   tracer_.set_enabled(config_.trace);
-
-  if (config_.engine != nullptr) {
-    sim_ = config_.engine;
-    if (auto* view = dynamic_cast<sim::DomainView*>(config_.engine)) {
-      // One domain of a shared parallel engine: the controller keeps the
-      // view's domain; workers get fresh domains of the underlying engine
-      // (allocated in append_worker), linked to it. The view stays the
-      // controller-side engine so setup-time schedule_at lands in its
-      // domain; workers and the fabric talk to the underlying engine.
-      parallel_ = &view->engine();
-      base_domain_ = view->domain();
-      multi_domain_ = true;
-      model_sim_ = parallel_;
-    } else {
-      // Arbitrary external engine: collapse onto its main domain. Timing
-      // is unchanged — cross-domain deposits still pay the edge latency,
-      // they just land in the same domain.
-      base_domain_ = sim::kMainDomain;
-      multi_domain_ = false;
-      model_sim_ = sim_;
-    }
-  } else if (config_.sim_threads == 1) {
-    owned_sim_ = std::make_unique<sim::Simulator>();
-    sim_ = owned_sim_.get();
-    model_sim_ = sim_;
-    // The serial engine grows domains lazily; worker i still gets domain
-    // 1+i so serial and parallel runs allocate identical canonical keys.
-    multi_domain_ = true;
-  } else {
-    // Controller/fabric domain now; one domain per worker added in
-    // append_worker. Lookahead on each link is the minimum one-way fabric
-    // latency for that pair (NIC + NIC), the bound nothing crossing the
-    // fabric can beat.
-    auto par = std::make_unique<sim::ParallelSimulator>(
-        sim::ParallelSimulator::Config{config_.sim_threads, 1});
-    parallel_ = par.get();
-    owned_sim_ = std::move(par);
-    sim_ = owned_sim_.get();
-    model_sim_ = sim_;
-    multi_domain_ = true;
-  }
 
   std::vector<net::NicSpec> nics;
   nics.reserve(config_.workers + 1);
@@ -67,39 +24,12 @@ Cluster::Cluster(ClusterConfig config) : config_{std::move(config)} {
     nic.name = config_.worker_nic.name + std::to_string(i);
     nics.push_back(std::move(nic));
   }
-  fabric_ = std::make_unique<net::NetworkFabric>(*model_sim_, std::move(nics), &tracer_);
+  fabric_ = std::make_unique<net::NetworkFabric>(sim_, std::move(nics), &tracer_);
 
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     append_worker(i, WorkerSpec{});
   }
-
-  // Reservations for event-time joiners come after the initial workers so
-  // activation order matches domain-id order (worker i -> the i-th
-  // allocated domain, on every engine). Empty domains never become
-  // eligible, so spares are free until activated.
-  if (parallel_ != nullptr) {
-    for (std::size_t r = 0; r < config_.reserve_worker_domains; ++r) {
-      reserved_domains_.push_back(new_linked_domain(config_.worker_nic.latency));
-    }
-  }
-}
-
-sim::DomainId Cluster::new_linked_domain(SimTime nic_latency) {
-  const sim::DomainId d = parallel_->add_domain();
-  parallel_->add_link(base_domain_, d, config_.controller_nic.latency + nic_latency);
-  for (std::size_t j = 0; j < worker_domains_.size(); ++j) {
-    parallel_->add_link(d, worker_domains_[j], nic_latency + worker_nic_latencies_[j]);
-  }
-  for (const sim::DomainId r : reserved_domains_) {
-    parallel_->add_link(d, r, nic_latency + config_.worker_nic.latency);
-  }
-  return d;
-}
-
-sim::DomainId Cluster::worker_domain(std::size_t i) const {
-  GROUT_REQUIRE(i < worker_domains_.size(), "worker index out of range");
-  return worker_domains_[i];
 }
 
 SimTime Cluster::controller_edge(std::size_t i) const {
@@ -107,39 +37,10 @@ SimTime Cluster::controller_edge(std::size_t i) const {
 }
 
 void Cluster::append_worker(std::size_t i, const WorkerSpec& spec) {
-  const SimTime nic_lat = spec.nic.value_or(config_.worker_nic).latency;
-  sim::DomainId d = base_domain_;
-  if (multi_domain_) {
-    if (parallel_ == nullptr) {
-      // Serial engine: virtual domain ids, created lazily on first use.
-      d = static_cast<sim::DomainId>(1 + i);
-    } else if (!reserved_domains_.empty()) {
-      d = reserved_domains_.front();
-      reserved_domains_.pop_front();
-      if (nic_lat < config_.worker_nic.latency) {
-        // The reservation declared default-NIC lookahead; a faster joiner
-        // NIC must shrink the edges (only reachable outside rounds —
-        // event-time joiners use the default spec).
-        parallel_->add_link(base_domain_, d, config_.controller_nic.latency + nic_lat);
-        for (std::size_t j = 0; j < worker_domains_.size(); ++j) {
-          parallel_->add_link(d, worker_domains_[j], nic_lat + worker_nic_latencies_[j]);
-        }
-      }
-    } else {
-      d = new_linked_domain(nic_lat);
-      if (owned_sim_ != nullptr) {
-        GROUT_CHECK(d == static_cast<sim::DomainId>(1 + i),
-                    "engine domain / worker index skew");
-      }
-    }
-  }
-  worker_domains_.push_back(d);
-  worker_nic_latencies_.push_back(nic_lat);
-
   gpusim::GpuNodeConfig node_cfg = spec.node.value_or(config_.worker_node);
   node_cfg.name = "node" + std::to_string(i);
   node_cfg.seed = node_cfg.seed + i * 0x9e37ULL;
-  workers_.push_back(std::make_unique<Worker>(*model_sim_, std::move(node_cfg),
+  workers_.push_back(std::make_unique<Worker>(sim_, std::move(node_cfg),
                                               worker_fabric_id(i), config_.stream_policy,
                                               config_.streams_per_gpu,
                                               config_.trace ? &tracer_ : nullptr));

@@ -9,29 +9,15 @@
 // the membership state machine; the GroutRuntime owns the drain protocol
 // (stop placements, wait for in-flight CEs, migrate sole copies out).
 //
-// Event-domain layout. Worker model activity (kernel execution, the
-// fault/migration service, local eviction) runs on each worker's own engine
-// domain; the controller, fabric and all shared bookkeeping run on the
-// controller domain. The mapping is uniform across engines:
-//   - owned engines (serial or parallel): controller = domain 0, worker i =
-//     domain 1+i;
-//   - an external sim::DomainView over a shared ParallelSimulator: the
-//     controller keeps the view's domain and each worker gets a *fresh*
-//     domain of the underlying engine, linked to the controller domain —
-//     allocation order preserves the controller-before-workers origin-id
-//     order, so canonical event order (and hence results) match a
-//     dedicated run bit for bit;
-//   - any other external engine: everything collapses onto one domain
-//     (timing is unchanged — cross-domain deposits still pay edge latency).
+// Every worker, the fabric and the controller-side bookkeeping share one
+// serial sim::Simulator owned by the Cluster.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "cluster/worker.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
@@ -49,25 +35,10 @@ struct ClusterConfig {
   runtime::StreamPolicyKind stream_policy{runtime::StreamPolicyKind::LeastLoaded};
   std::size_t streams_per_gpu{2};
   bool trace{false};
-  /// Event-engine selection (--sim-threads): 1 = the serial engine, the
-  /// default every run had before the engine split; > 1 = a
-  /// ParallelSimulator with that many pool threads, one domain per worker
-  /// plus the controller/fabric domain, inter-domain lookahead derived
-  /// from the NIC latencies. Must be >= 1.
+  /// Event-engine thread count, kept so configs that set it still build.
+  /// The engine is serial: only 1 is accepted, any other value is rejected
+  /// at construction.
   std::size_t sim_threads{1};
-  /// Borrow an externally owned engine instead of building one (e.g. a
-  /// sim::DomainView placing this cluster into one domain of a shared
-  /// parallel engine). Non-owning — must outlive the cluster; overrides
-  /// sim_threads.
-  sim::Engine* engine{nullptr};
-  /// Engine domains pre-created at construction for workers that will
-  /// hot-join from *inside* event execution (elastic-plan joins, the
-  /// autoscaler): a parallel engine cannot grow its topology mid-round, so
-  /// event-time joiners activate a pre-reserved (empty, hence
-  /// never-eligible) domain instead. Joins made from outside the event
-  /// loop never need a reservation. The GroutRuntime sizes this from its
-  /// elastic plan and autoscale headroom.
-  std::size_t reserve_worker_domains{0};
 };
 
 /// Hardware description of a hot-joined worker; unset fields fall back to
@@ -95,33 +66,13 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// The engine the controller-side model drives (in DomainView mode this
-  /// is the view itself, so setup-time schedule_at lands in the view's
-  /// domain).
-  [[nodiscard]] sim::Engine& simulator() { return *sim_; }
-  /// The engine cross-domain model code schedules through: the underlying
-  /// ParallelSimulator in DomainView mode, otherwise the same engine as
-  /// simulator(). Workers and the fabric are bound to this one — their
-  /// schedule_in calls name worker domains the view would reject.
-  [[nodiscard]] sim::Engine& model_engine() { return *model_sim_; }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] net::NetworkFabric& fabric() { return *fabric_; }
   [[nodiscard]] sim::Tracer& tracer() { return tracer_; }
 
-  /// Engine domain the controller (fabric, directory, governor accounting,
-  /// serving, global DAG) lives in.
-  [[nodiscard]] sim::DomainId controller_domain() const { return base_domain_; }
-  /// Engine domain worker `i`'s model events (kernel execution, the
-  /// migration/fault service, local eviction) execute in. Equal to
-  /// controller_domain() when the cluster shares one domain (an external
-  /// non-view engine).
-  [[nodiscard]] sim::DomainId worker_domain(std::size_t i) const;
-  /// Whether workers have their own engine domains (cross-domain deposits
-  /// between controller and workers are real mailbox traffic).
-  [[nodiscard]] bool multi_domain() const { return multi_domain_; }
-  /// Minimum cross-domain delay between the controller and worker `i`:
-  /// exactly the fabric's one-way link latency for that pair, which is the
-  /// lookahead declared on the engine edge. Direct engine deposits between
-  /// the two domains must land no earlier than now() + this.
+  /// One-way fabric latency between the controller and worker `i`. State
+  /// updates that cross between the controller and a worker model (acks,
+  /// staged-copy landings) are scheduled this far apart.
   [[nodiscard]] SimTime controller_edge(std::size_t i) const;
 
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
@@ -129,10 +80,8 @@ class Cluster {
   [[nodiscard]] const Worker& worker(std::size_t i) const;
 
   /// Register a fresh worker (hot-join): a new fabric endpoint with the
-  /// next worker id, a new GpuNode, and an Active membership slot. Called
-  /// from inside event execution it consumes a pre-reserved domain (see
-  /// ClusterConfig::reserve_worker_domains). Returns the new worker's
-  /// cluster index.
+  /// next worker id, a new GpuNode, and an Active membership slot. Returns
+  /// the new worker's cluster index.
   std::size_t add_worker(const WorkerSpec& spec = {});
 
   /// Mark worker `i` as Draining (graceful decommission started). The
@@ -159,30 +108,12 @@ class Cluster {
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
  private:
-  /// Build worker `i`'s node config / NIC from the cluster defaults (or an
-  /// explicit spec), allocate its engine domain, and append it; shared by
-  /// the bootstrap and add_worker.
+  /// Build worker `i`'s node config from the cluster defaults (or an
+  /// explicit spec) and append it; shared by the bootstrap and add_worker.
   void append_worker(std::size_t i, const WorkerSpec& spec);
-  /// Allocate a fresh parallel-engine domain linked (with NIC-derived
-  /// lookahead) to the controller, every existing worker domain, and every
-  /// still-reserved domain.
-  sim::DomainId new_linked_domain(SimTime nic_latency);
 
   ClusterConfig config_;
-  std::unique_ptr<sim::Engine> owned_sim_;
-  sim::Engine* sim_{nullptr};
-  sim::Engine* model_sim_{nullptr};
-  /// Set when the engine is (or wraps) a ParallelSimulator: domain topology
-  /// lives there.
-  sim::ParallelSimulator* parallel_{nullptr};
-  sim::DomainId base_domain_{sim::kMainDomain};
-  bool multi_domain_{true};
-  std::vector<sim::DomainId> worker_domains_;
-  /// Per-worker NIC latency, mirrored from the fabric so new domains can
-  /// declare pairwise lookahead without probing fabric nodes.
-  std::vector<SimTime> worker_nic_latencies_;
-  /// Pre-created domains for event-time joiners, consumed FIFO.
-  std::deque<sim::DomainId> reserved_domains_;
+  sim::Simulator sim_;
   sim::Tracer tracer_;
   std::unique_ptr<net::NetworkFabric> fabric_;
   std::vector<std::unique_ptr<Worker>> workers_;

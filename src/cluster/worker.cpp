@@ -2,7 +2,7 @@
 
 namespace grout::cluster {
 
-Worker::Worker(sim::Engine& simulator, gpusim::GpuNodeConfig node_config,
+Worker::Worker(sim::Simulator& simulator, gpusim::GpuNodeConfig node_config,
                net::NodeId fabric_id, runtime::StreamPolicyKind stream_policy,
                std::size_t streams_per_gpu, sim::Tracer* tracer)
     : node_{simulator, std::move(node_config), tracer},

@@ -16,7 +16,7 @@ using GlobalArrayId = std::uint32_t;
 
 class Worker {
  public:
-  Worker(sim::Engine& simulator, gpusim::GpuNodeConfig node_config, net::NodeId fabric_id,
+  Worker(sim::Simulator& simulator, gpusim::GpuNodeConfig node_config, net::NodeId fabric_id,
          runtime::StreamPolicyKind stream_policy, std::size_t streams_per_gpu,
          sim::Tracer* tracer = nullptr);
 

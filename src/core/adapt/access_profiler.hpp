@@ -17,12 +17,11 @@
 // sequential prefetcher fetches garbage). The PolicyTuner consumes the
 // classes to retune prefetch, eviction and exploration policy live.
 //
-// Determinism: the profiler is plain controller-domain state. It is fed
+// Determinism: the profiler is plain controller-side state. It is fed
 // exclusively from controller-side events (dispatch decisions and the
-// completion acks that ship each worker's AccessReport back into the
-// controller domain), whose order is bit-identical between the serial and
-// parallel engines — so profiles, classes and every retune decision
-// derived from them replay bit-identically across --sim-threads.
+// completion acks that ship each worker's AccessReport back to the
+// controller), so profiles, classes and every retune decision derived
+// from them replay identically on every run of the same seed.
 #pragma once
 
 #include <cstdint>

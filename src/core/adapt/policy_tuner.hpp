@@ -22,7 +22,7 @@
 //
 // The tuner mutates nothing itself: sweep() returns the actions and the
 // runtime applies them (and emits `adapt:` trace spans), keeping all state
-// changes in the controller domain at sweep boundaries only.
+// changes on the controller side at sweep boundaries only.
 #pragma once
 
 #include <cstdint>

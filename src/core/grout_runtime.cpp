@@ -10,19 +10,6 @@ namespace grout::core {
 namespace {
 using WallClock = std::chrono::steady_clock;
 
-/// Workers that hot-join from *inside* event execution (elastic-plan joins,
-/// autoscale scale-out) need their engine domains pre-created: a parallel
-/// engine cannot grow its topology mid-round. Size the cluster's
-/// reservation from the membership plan before the cluster is built.
-cluster::ClusterConfig& with_domain_reservations(GroutConfig& cfg) {
-  std::size_t reserve = cfg.elastic_plan.total_joins();
-  if (cfg.autoscale && cfg.autoscale_max_workers > cfg.cluster.workers) {
-    reserve += cfg.autoscale_max_workers - cfg.cluster.workers;
-  }
-  cfg.cluster.reserve_worker_domains += reserve;
-  return cfg.cluster;
-}
-
 /// One array the CE bundle materializes on the worker at delivery time.
 struct EnsureOp {
   GlobalArrayId id{0};
@@ -35,7 +22,7 @@ struct EnsureOp {
 };
 
 /// One inbound copy the CE bundle adopts (Worker::accept_receive) at
-/// delivery time; `arrival` completes in the worker's own event domain.
+/// delivery time.
 struct AdoptOp {
   GlobalArrayId id{0};
   gpusim::EventPtr arrival;
@@ -54,7 +41,7 @@ const char* to_string(MembershipEvent::Kind k) {
 
 GroutRuntime::GroutRuntime(GroutConfig config)
     : config_{std::move(config)},
-      cluster_{std::make_unique<cluster::Cluster>(with_domain_reservations(config_))},
+      cluster_{std::make_unique<cluster::Cluster>(config_.cluster)},
       directory_{config_.cluster.workers} {
   const bool min_transfer = config_.policy == PolicyKind::MinTransferSize ||
                             config_.policy == PolicyKind::MinTransferTime;
@@ -96,7 +83,7 @@ GroutRuntime::GroutRuntime(GroutConfig config)
     injector_->arm([this](std::size_t w) { handle_worker_death(w); });
   }
   if (!config_.elastic_plan.empty()) {
-    sim::Engine& sim = cluster_->simulator();
+    sim::Simulator& sim = cluster_->simulator();
     for (const cluster::DrainEvent& d : config_.elastic_plan.drains) {
       GROUT_REQUIRE(d.worker < max_workers, "elastic plan drains an unknown worker");
     }
@@ -132,7 +119,7 @@ void GroutRuntime::autoscale_tick() {
   // since the last tick (from live workers only — the ack path drops a
   // dead node's reports, whose history says nothing about the surviving
   // cluster's pressure). The controller never reads worker-side kernel
-  // records mid-run: those live in the workers' own event domains.
+  // records mid-run: it learns what a worker did only from its acks.
   for (const uvm::AccessReport& r : autoscale_reports_) scaler_->observe(r);
   autoscale_reports_.clear();
 
@@ -166,8 +153,8 @@ void GroutRuntime::autoscale_tick() {
   scaler_->reset();
   // Quiescent cluster: disarm instead of keeping the event queue non-empty
   // forever (dispatch() re-arms on the next CE). The probe is the
-  // controller's own in-flight accounting — deterministic and local, unlike
-  // peeking at other domains' event queues mid-round.
+  // controller's own in-flight accounting, not the engine's event queue
+  // (which also holds worker-side housekeeping).
   std::uint64_t inflight = 0;
   for (const auto n : metrics_.inflight) inflight += n;
   if (inflight == 0) {
@@ -204,8 +191,8 @@ void GroutRuntime::adapt_tick() {
         what = "prefetch-default";
       }
       // Future fresh replicas pick the override up at ensure time (like
-      // advises_); existing replicas get it through a reliable command into
-      // each worker's own event domain, mirroring advise().
+      // advises_); existing replicas get it through a reliable command to
+      // each worker, mirroring advise().
       if (want.has_value()) {
         prefetch_overrides_[act.array] = *want;
       } else {
@@ -215,7 +202,6 @@ void GroutRuntime::adapt_tick() {
         cluster::Worker& worker = cluster_->worker(w);
         cluster_->fabric().send_command(
             cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
-            cluster_->worker_domain(w),
             [&worker, array = act.array, want] {
               if (worker.has_array(array)) {
                 worker.node().uvm().set_prefetch_override(worker.local_array(array), want);
@@ -331,16 +317,14 @@ void GroutRuntime::host_init(GlobalArrayId array) {
 void GroutRuntime::advise(GlobalArrayId array, uvm::Advise advise) {
   GROUT_REQUIRE(array < directory_.array_count(), "unknown global array");
   advises_[array] = advise;
-  // Existing replicas get the advise through a reliable command delivered
-  // into each worker's own event domain (the hold-check must run there —
-  // the controller cannot probe worker-local state across domains). Future
-  // replicas pick it up from advises_ when their CE bundle materializes
-  // them.
+  // Existing replicas get the advise through a reliable command to each
+  // worker (the hold-check runs on the worker when the command lands —
+  // the controller does not probe worker-local state). Future replicas
+  // pick it up from advises_ when their CE bundle materializes them.
   for (std::size_t w = 0; w < cluster_->worker_count(); ++w) {
     cluster::Worker& worker = cluster_->worker(w);
     cluster_->fabric().send_command(
         cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
-        cluster_->worker_domain(w),
         [&worker, array, advise] {
           if (worker.has_array(array)) {
             worker.node().uvm().advise(worker.local_array(array), advise);
@@ -398,7 +382,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   }
   // Profile this CE's accesses before placing it: the declared patterns are
   // the ground-truth sequentiality signal, and the reuse-distance sketch
-  // counts CEs between successive touches. Controller-domain only.
+  // counts CEs between successive touches. Controller-side state only.
   if (profiler_) {
     profiler_->begin_ce();
     for (const auto& p : spec.params) {
@@ -445,7 +429,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   //    allocations so the worker never overshoots its budget. The
   //    controller only updates its own accounting here; the worker-side
   //    allocations (and advises) are collected into the CE bundle and
-  //    materialize in the worker's event domain at delivery time.
+  //    materialize on the worker at delivery time.
   governor_->make_room(w, params, spec.tenant);
   cluster::Worker& worker = cluster_->worker(w);
   std::vector<EnsureOp> ensures;
@@ -481,7 +465,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   }
 
   // 3. Marshal the CE into one ordered command-lane bundle; its delivery
-  //    *is* the arrival gate. The bundle runs in the worker's event domain:
+  //    *is* the arrival gate. On delivery the bundle runs on the worker:
   //    it materializes the allocations, adopts the inbound copies and
   //    submits the kernel to the intra-node runtime (Algorithm 2). The lane
   //    retries dropped attempts with exponential backoff and abandons the
@@ -523,7 +507,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   }
 
   // The worker ships the kernel's UVM access report back in the completion
-  // ack (KernelLaunchSpec::on_record runs in the worker's domain); the
+  // ack (KernelLaunchSpec::on_record runs on the worker); the
   // stored rec.spec keeps on_record unset so replays re-bind their own.
   gpusim::KernelLaunchSpec wire_spec = spec;
   std::shared_ptr<uvm::AccessReport> report;
@@ -535,13 +519,11 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   std::vector<GlobalArrayId> report_arrays;
   if (profiler_) report_arrays = unique_arrays(spec);
 
-  sim::Engine& engine = cluster_->model_engine();
-  const sim::DomainId ctl = cluster_->controller_domain();
+  sim::Simulator& engine = cluster_->simulator();
   const SimTime edge = cluster_->controller_edge(w);
   cluster_->fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), message_bytes,
-      cluster_->worker_domain(w),
-      [this, &worker, &engine, ctl, edge, v, attempt, w, report,
+      [this, &worker, &engine, edge, v, attempt, w, report,
        report_arrays = std::move(report_arrays), wire_spec = std::move(wire_spec),
        ensures = std::move(ensures), adopts = std::move(adopts)]() mutable {
         for (const EnsureOp& e : ensures) {
@@ -553,11 +535,11 @@ void GroutRuntime::dispatch(dag::VertexId v) {
         }
         for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
         runtime::Submission sub = worker.execute_kernel(std::move(wire_spec));
-        // The completion acks back to the controller domain one fabric edge
-        // later; the DAG/pin/drain bookkeeping runs there.
-        sub.done->on_complete([this, &engine, ctl, edge, v, attempt, w, report,
+        // The completion acks back to the controller one fabric edge later;
+        // the DAG/pin/drain bookkeeping runs there.
+        sub.done->on_complete([this, &engine, edge, v, attempt, w, report,
                                report_arrays = std::move(report_arrays)] {
-          engine.schedule_in(ctl, engine.now() + edge,
+          engine.schedule_at(engine.now() + edge,
                              [this, v, attempt, w, report, report_arrays] {
             if (report && alive_[w]) {
               if (scaler_) autoscale_reports_.push_back(*report);
@@ -713,7 +695,6 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
   if (directory_.up_to_date_on_worker(id, worker)) return nullptr;
 
   const net::NodeId dst_fid = cluster::Cluster::worker_fabric_id(worker);
-  const sim::DomainId dst_domain = cluster_->worker_domain(worker);
   const SimTime dst_edge = cluster_->controller_edge(worker);
   const LocationSet& holders = directory_.holders(id);
   // Transfer labels exist only for the tracer; skip the string building on
@@ -726,10 +707,9 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
     // Controller holds a current copy and the route is up: direct send
     // (Algorithm 1's scheduledNode.send(param) branch). A copy the
     // controller holds only because of an in-flight spill is not readable
-    // until that spill lands. The last byte lands inside the destination's
-    // event domain — the CE bundle's adopt waits on it there.
+    // until that spill lands. The CE bundle's adopt waits on the last byte.
     arrival = cluster_->fabric().transfer_into(
-        cluster::Cluster::controller_id(), dst_fid, param.bytes, dst_domain, dst_edge,
+        cluster::Cluster::controller_id(), dst_fid, param.bytes, dst_edge,
         tracing ? "ctl->" + std::to_string(worker) + ":" + directory_.name_of(id)
                 : std::string{},
         governor_->acquire_controller_copy(id));
@@ -755,21 +735,20 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
     GROUT_CHECK(found,
                 "required array unreachable: every route from an up-to-date holder "
                 "has zero bandwidth");
-    // The source worker gathers the array to its host memory in its *own*
-    // event domain (its local DAG orders the staging after local writers):
-    // a reliable command reaches it one edge later, the staging completion
-    // acks back to the controller, and the controller then puts the bytes
-    // on the wire into the destination's domain. The source replica is
-    // pinned until the last byte lands (the unpin rides an ack deposit
-    // back to the controller domain) so the governor cannot free the
-    // allocation out from under the staged read.
+    // The source worker gathers the array to its host memory (its local
+    // DAG orders the staging after local writers): a reliable command
+    // reaches it one edge later, the staging completion acks back to the
+    // controller, and the controller then puts the bytes on the wire to
+    // the destination. The source replica is pinned until the last byte
+    // lands (the unpin rides an ack back to the controller, one edge
+    // later) so the governor cannot free the allocation out from under the
+    // staged read.
     governor_->pin(best, id);
     arrival = gpusim::make_event();
-    sim::Engine& engine = cluster_->model_engine();
+    sim::Simulator& engine = cluster_->simulator();
     net::NetworkFabric& fabric = cluster_->fabric();
     cluster::Worker& src = cluster_->worker(best);
     const net::NodeId src_fid = cluster::Cluster::worker_fabric_id(best);
-    const sim::DomainId ctl = cluster_->controller_domain();
     const SimTime src_edge = cluster_->controller_edge(best);
     const Bytes bytes = param.bytes;
     const std::string label = tracing ? "p2p" + std::to_string(best) + "->" +
@@ -777,21 +756,21 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
                                       : std::string{};
     MemoryGovernor* gov = governor_.get();
     fabric.send_command(
-        cluster::Cluster::controller_id(), src_fid, 0, cluster_->worker_domain(best),
-        [&src, &engine, &fabric, gov, ctl, src_edge, dst_edge, dst_domain, src_fid, dst_fid, id,
-         bytes, label, arrival, best] {
+        cluster::Cluster::controller_id(), src_fid, 0,
+        [&src, &engine, &fabric, gov, src_edge, dst_edge, src_fid, dst_fid, id, bytes, label,
+         arrival, best] {
           runtime::Submission staged = src.stage_send(id);
-          staged.done->on_complete([&engine, &fabric, gov, ctl, src_edge, dst_edge, dst_domain,
-                                    src_fid, dst_fid, id, bytes, label, arrival, best] {
-            engine.schedule_in(
-                ctl, engine.now() + src_edge,
-                [&engine, &fabric, gov, ctl, dst_edge, dst_domain, src_fid, dst_fid, id, bytes,
-                 label, arrival, best] {
+          staged.done->on_complete([&engine, &fabric, gov, src_edge, dst_edge, src_fid, dst_fid,
+                                    id, bytes, label, arrival, best] {
+            engine.schedule_at(
+                engine.now() + src_edge,
+                [&engine, &fabric, gov, dst_edge, src_fid, dst_fid, id, bytes, label, arrival,
+                 best] {
                   const gpusim::EventPtr wire =
-                      fabric.transfer_into(src_fid, dst_fid, bytes, dst_domain, dst_edge, label);
-                  wire->on_complete([&engine, gov, ctl, dst_edge, id, arrival, best] {
+                      fabric.transfer_into(src_fid, dst_fid, bytes, dst_edge, label);
+                  wire->on_complete([&engine, gov, dst_edge, id, arrival, best] {
                     arrival->complete(engine.now());
-                    engine.schedule_in(ctl, engine.now() + dst_edge,
+                    engine.schedule_at(engine.now() + dst_edge,
                                        [gov, id, best] { gov->unpin(best, id); });
                   });
                 });
@@ -847,32 +826,31 @@ bool GroutRuntime::host_fetch(GlobalArrayId array) {
               "array unreachable: every route from an up-to-date holder to the "
               "controller has zero bandwidth");
   // Pin the staging source so the governor cannot free the allocation out
-  // from under the host-side gather. The staging itself runs in the
-  // source's event domain (a reliable command reaches it one edge later),
-  // its completion acks back, and the controller then starts the wire
+  // from under the host-side gather. The staging itself runs on the
+  // source worker (a reliable command reaches it one edge later), its
+  // completion acks back, and the controller then starts the wire
   // transfer home — `landed` is the controller-side proxy the event loop
   // below waits on.
   governor_->pin(best, array);
   const gpusim::EventPtr landed = gpusim::make_event();
   {
-    sim::Engine& engine = cluster_->model_engine();
+    sim::Simulator& engine = cluster_->simulator();
     net::NetworkFabric& fabric = cluster_->fabric();
     cluster::Worker& src = cluster_->worker(best);
     const net::NodeId src_fid = cluster::Cluster::worker_fabric_id(best);
-    const sim::DomainId ctl = cluster_->controller_domain();
     const SimTime edge = cluster_->controller_edge(best);
     const Bytes bytes = directory_.bytes_of(array);
     const std::string label =
         cluster_->tracer().enabled() ? "fetch:" + directory_.name_of(array) : std::string{};
     MemoryGovernor* gov = governor_.get();
     fabric.send_command(
-        cluster::Cluster::controller_id(), src_fid, 0, cluster_->worker_domain(best),
-        [&src, &engine, &fabric, gov, ctl, edge, src_fid, array, bytes, label, landed, best] {
+        cluster::Cluster::controller_id(), src_fid, 0,
+        [&src, &engine, &fabric, gov, edge, src_fid, array, bytes, label, landed, best] {
           runtime::Submission staged = src.stage_send(array);
           staged.done->on_complete(
-              [&engine, &fabric, gov, ctl, edge, src_fid, array, bytes, label, landed, best] {
-                engine.schedule_in(
-                    ctl, engine.now() + edge,
+              [&engine, &fabric, gov, edge, src_fid, array, bytes, label, landed, best] {
+                engine.schedule_at(
+                    engine.now() + edge,
                     [&engine, &fabric, gov, src_fid, array, bytes, label, landed, best] {
                       const gpusim::EventPtr wire = fabric.transfer(
                           src_fid, cluster::Cluster::controller_id(), bytes, label);

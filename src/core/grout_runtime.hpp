@@ -215,12 +215,11 @@ class GroutRuntime {
   };
 
   /// Plan and wire the transfers needed so `worker` holds `param` (Alg. 1,
-  /// data-movement loop). Returns the network arrival event — it completes
-  /// inside the destination worker's event domain, and the CE bundle adopts
-  /// the copy (Worker::accept_receive) at delivery time — or nullptr if no
-  /// movement was needed. A P2P source stages the array from its own
-  /// domain: a reliable command reaches it one edge later, the staging
-  /// completion acks back, and the controller then starts the wire
+  /// data-movement loop). Returns the network arrival event — the CE
+  /// bundle adopts the copy (Worker::accept_receive) at delivery time — or
+  /// nullptr if no movement was needed. A P2P source stages the array on
+  /// its own worker: a reliable command reaches it one edge later, the
+  /// staging completion acks back, and the controller then starts the wire
   /// transfer.
   gpusim::EventPtr plan_movement(const PlacementParam& param, std::size_t worker);
 
@@ -249,14 +248,12 @@ class GroutRuntime {
   /// that CE completion acks carried back since the last tick to the
   /// KpiAutoscaler, apply its recommendation to the elastic membership, and
   /// re-arm the next tick. The controller never reads worker-side kernel
-  /// records mid-run — workers live in their own event domains.
+  /// records mid-run — it learns what a worker did only from its acks.
   void autoscale_tick();
   /// Periodic --adapt retune sweep: reclassify every observed array from
   /// its window, apply the tuner's prefetch/advise actions (propagated to
-  /// the workers' event domains like advise()), and re-arm while work is in
-  /// flight. Sweeps run from controller-domain events only, so every retune
-  /// lands at a sweep boundary and replays bit-identically across
-  /// --sim-threads.
+  /// the workers by reliable command like advise()), and re-arm while work
+  /// is in flight. Every retune lands at a sweep boundary.
   void adapt_tick();
   void record_membership(MembershipEvent::Kind kind, std::size_t w);
   /// The CE's global array ids, deduplicated (pin/unpin bookkeeping).

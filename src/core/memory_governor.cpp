@@ -169,13 +169,13 @@ void MemoryGovernor::enforce(std::size_t w) {
 
 void MemoryGovernor::drop_worker(std::size_t w) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  // Tear-down runs on the worker's own domain, ordered behind any commands
+  // Tear-down runs on the worker, ordered behind any commands
   // already in flight to it (stale CE bundles, releases). Reliable: the
   // node being dead is exactly why this must still be delivered.
   cluster::Worker& worker = cluster_.worker(w);
   cluster_.fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
-      cluster_.worker_domain(w), [&worker] { worker.release_all(); }, /*reliable=*/true);
+      [&worker] { worker.release_all(); }, /*reliable=*/true);
   for (const auto& [id, rep] : replicas_[w]) debit_tenant(id, rep.bytes);
   resident_[w] = 0;
   replicas_[w].clear();
@@ -388,16 +388,14 @@ void MemoryGovernor::post_worker_release(std::size_t w, GlobalArrayId id) {
   cluster::Worker& worker = cluster_.worker(w);
   cluster_.fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
-      cluster_.worker_domain(w), [&worker, id] { worker.release_array(id); },
-      /*reliable=*/true);
+      [&worker, id] { worker.release_array(id); }, /*reliable=*/true);
 }
 
 gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayId id,
                                                      Bytes bytes) {
   cluster::Worker& worker = cluster_.worker(w);
-  sim::Engine& engine = cluster_.model_engine();
+  sim::Simulator& engine = cluster_.simulator();
   net::NetworkFabric& fabric = cluster_.fabric();
-  const sim::DomainId ctl = cluster_.controller_domain();
   const SimTime edge = cluster_.controller_edge(w);
   const net::NodeId w_fid = cluster::Cluster::worker_fabric_id(w);
   const net::NodeId ctl_fid = cluster::Cluster::controller_id();
@@ -406,20 +404,19 @@ gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayI
   // `landed` stands in for the write-back arrival: the store admits against
   // it now, and it completes when the controller-started transfer does.
   const gpusim::EventPtr landed = gpusim::make_event();
-  // Worker side (its own domain): gather the copy to host memory, free the
-  // local allocation once the host copy is consistent, then ack the staging
-  // back to the controller domain one fabric edge later; the controller
-  // pulls the bytes from there. The fabric is never touched from the
-  // worker's domain.
+  // Worker side: gather the copy to host memory, free the local allocation
+  // once the host copy is consistent, then ack the staging back to the
+  // controller one fabric edge later; the controller starts the write-back
+  // transfer from there.
   fabric.send_command(
-      ctl_fid, w_fid, 0, cluster_.worker_domain(w),
-      [&worker, &engine, &fabric, ctl, edge, w_fid, ctl_fid, id, bytes, label, landed] {
+      ctl_fid, w_fid, 0,
+      [&worker, &engine, &fabric, edge, w_fid, ctl_fid, id, bytes, label, landed] {
         const runtime::Submission staged = worker.stage_send(id);
         worker.release_array(id, staged.done);
         staged.done->on_complete(
-            [&engine, &fabric, ctl, edge, w_fid, ctl_fid, bytes, label, landed] {
-              engine.schedule_in(ctl, engine.now() + edge, [&engine, &fabric, w_fid, ctl_fid,
-                                                            bytes, label, landed] {
+            [&engine, &fabric, edge, w_fid, ctl_fid, bytes, label, landed] {
+              engine.schedule_at(engine.now() + edge, [&engine, &fabric, w_fid, ctl_fid,
+                                                       bytes, label, landed] {
                 const gpusim::EventPtr wire = fabric.transfer(w_fid, ctl_fid, bytes, label);
                 wire->on_complete([&engine, landed] { landed->complete(engine.now()); });
               });
@@ -438,7 +435,7 @@ gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayI
   sim::Tracer& tracer = cluster_.tracer();
   if (tracer.enabled()) {
     sim::Tracer* tp = &tracer;
-    sim::Engine* simp = &cluster_.simulator();
+    sim::Simulator* simp = &cluster_.simulator();
     const SimTime begin = simp->now();
     const std::string name = "spill:" + directory_.name_of(id) + "(a" + std::to_string(id) +
                              "," + std::to_string(bytes) + "B)";

@@ -106,8 +106,9 @@ class MemoryGovernor {
   /// A local allocation for `id` now exists on `w` (after ensure_array).
   /// Returns true when this created the accounting entry (the worker did
   /// not hold a replica) — the dispatcher's "does the worker need a copy
-  /// shipped" signal, kept here so controller-side code never reads
-  /// worker-domain state across domains.
+  /// shipped" signal, kept here so controller-side code decides from its
+  /// own accounting, not from worker-side state a message has not yet
+  /// reported.
   bool note_ensure(std::size_t w, GlobalArrayId id);
 
   /// A CE on `w` uses `id` at the current sim time (LRU bookkeeping).
@@ -204,15 +205,15 @@ class MemoryGovernor {
   /// Adjust the owning tenant's cluster-wide resident accounting.
   void credit_tenant(GlobalArrayId id, Bytes bytes);
   void debit_tenant(GlobalArrayId id, Bytes bytes);
-  /// Post "release your replica of `id`" to worker `w`'s event domain via
-  /// the reliable command lane (ordered behind earlier commands, +edge
+  /// Post "release your replica of `id`" to worker `w` via the reliable
+  /// command lane (ordered behind earlier commands, +edge
   /// latency). The governor's accounting is updated now; the worker-side
   /// UVM free happens at delivery.
   void post_worker_release(std::size_t w, GlobalArrayId id);
   /// Spill `w`'s sole up-to-date copy of `id` to the controller: a reliable
   /// command makes the worker stage the copy to host memory (and free the
   /// local allocation once staged), the staging completion acks back to the
-  /// controller domain one fabric edge later, and the controller then
+  /// controller one fabric edge later, and the controller then
   /// starts the write-back transfer. Returns the proxy event that completes
   /// when the copy lands (what the spill store admits against).
   gpusim::EventPtr spill_to_controller(std::size_t w, GlobalArrayId id, Bytes bytes);

@@ -36,7 +36,7 @@ struct NvmeSpec {
 
 class NvmeModel {
  public:
-  NvmeModel(sim::Engine& sim, const NvmeSpec& spec) : sim_{sim}, spec_{spec} {
+  NvmeModel(sim::Simulator& sim, const NvmeSpec& spec) : sim_{sim}, spec_{spec} {
     GROUT_REQUIRE(spec.queue_depth > 0, "NVMe queue depth must be positive");
     GROUT_REQUIRE(spec.read_bw.valid(), "NVMe read bandwidth must be positive");
     GROUT_REQUIRE(spec.write_bw.valid(), "NVMe write bandwidth must be positive");
@@ -102,14 +102,14 @@ class NvmeModel {
       ++reads_;
       bytes_read_ += bytes;
     }
-    sim::Engine* simp = &sim_;
+    sim::Simulator* simp = &sim_;
     channel->submit_duration(duration, bytes, [this, done, simp] {
       --inflight_;
       done->complete(simp->now());
     });
   }
 
-  sim::Engine& sim_;
+  sim::Simulator& sim_;
   NvmeSpec spec_;
   std::vector<std::unique_ptr<sim::Resource>> channels_;
   std::uint64_t reads_{0};

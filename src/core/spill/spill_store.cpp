@@ -58,7 +58,7 @@ namespace {
 /// re-admit superseded.
 class TieredSpillStore final : public SpillStore {
  public:
-  TieredSpillStore(sim::Engine& sim, sim::Tracer& tracer, const SpillConfig& config,
+  TieredSpillStore(sim::Simulator& sim, sim::Tracer& tracer, const SpillConfig& config,
                    std::function<std::string(GlobalArrayId)> name_of,
                    std::function<TenantId(GlobalArrayId)> owner_of)
       : sim_{sim},
@@ -278,13 +278,13 @@ class TieredSpillStore final : public SpillStore {
     const std::string name = std::string(op) + ":" + name_of_(id) + "(a" +
                              std::to_string(id) + "," + std::to_string(bytes) + "B)";
     sim::Tracer* tp = &tracer_;
-    sim::Engine* simp = &sim_;
+    sim::Simulator* simp = &sim_;
     done->on_complete([tp, simp, begin, name] {
       tp->record(sim::TraceCategory::Eviction, name, "controller", begin, simp->now());
     });
   }
 
-  sim::Engine& sim_;
+  sim::Simulator& sim_;
   sim::Tracer& tracer_;
   SpillConfig config_;
   std::function<std::string(GlobalArrayId)> name_of_;
@@ -304,7 +304,7 @@ class TieredSpillStore final : public SpillStore {
 }  // namespace
 
 std::unique_ptr<SpillStore> make_spill_store(
-    sim::Engine& sim, sim::Tracer& tracer, const SpillConfig& config,
+    sim::Simulator& sim, sim::Tracer& tracer, const SpillConfig& config,
     std::function<std::string(GlobalArrayId)> name_of,
     std::function<TenantId(GlobalArrayId)> owner_of) {
   return std::make_unique<TieredSpillStore>(sim, tracer, config, std::move(name_of),

@@ -133,7 +133,7 @@ class SpillStore {
 /// array to its serving tenant (kNoTenant for shared work) for per-tenant
 /// tier accounting.
 std::unique_ptr<SpillStore> make_spill_store(
-    sim::Engine& sim, sim::Tracer& tracer, const SpillConfig& config,
+    sim::Simulator& sim, sim::Tracer& tracer, const SpillConfig& config,
     std::function<std::string(GlobalArrayId)> name_of,
     std::function<TenantId(GlobalArrayId)> owner_of);
 

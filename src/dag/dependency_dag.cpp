@@ -33,6 +33,8 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
   vertex.accesses = accesses;
   vertex.ancestors = ancestors;
   vertices_.push_back(std::move(vertex));
+  ancestor_pool_.insert(ancestor_pool_.end(), ancestors.begin(), ancestors.end());
+  ancestor_begin_.push_back(ancestor_pool_.size());
   visited_epoch_.push_back(0);
 
   for (const VertexId a : ancestors) {
@@ -92,7 +94,7 @@ bool DependencyDag::is_ancestor(VertexId ancestor, VertexId v) const {
   while (!dfs_stack_.empty()) {
     const VertexId cur = dfs_stack_.back();
     dfs_stack_.pop_back();
-    for (const VertexId a : vertices_[cur].ancestors) {
+    for (const VertexId a : packed_ancestors(cur)) {
       if (a == ancestor) return true;
       if (a > ancestor && visited_epoch_[a] != epoch) {
         visited_epoch_[a] = epoch;
@@ -146,7 +148,7 @@ std::vector<VertexId> DependencyDag::filter_redundant(std::vector<VertexId> cand
   const std::uint64_t epoch = ++epoch_;
   dfs_stack_.clear();
   for (const VertexId c : candidates) {
-    for (const VertexId a : vertices_[c].ancestors) {
+    for (const VertexId a : packed_ancestors(c)) {
       if (a >= floor && visited_epoch_[a] != epoch) {
         visited_epoch_[a] = epoch;
         dfs_stack_.push_back(a);
@@ -156,7 +158,7 @@ std::vector<VertexId> DependencyDag::filter_redundant(std::vector<VertexId> cand
   while (!dfs_stack_.empty()) {
     const VertexId cur = dfs_stack_.back();
     dfs_stack_.pop_back();
-    for (const VertexId a : vertices_[cur].ancestors) {
+    for (const VertexId a : packed_ancestors(cur)) {
       if (a >= floor && visited_epoch_[a] != epoch) {
         visited_epoch_[a] = epoch;
         dfs_stack_.push_back(a);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,6 +100,12 @@ class DependencyDag {
     return vertices_[v];
   }
 
+  /// Vertex `v`'s run of ancestor_pool_.
+  [[nodiscard]] std::span<const VertexId> packed_ancestors(VertexId v) const {
+    return {ancestor_pool_.data() + ancestor_begin_[v],
+            ancestor_begin_[v + 1] - ancestor_begin_[v]};
+  }
+
   /// Drop candidates (sorted ascending) that are reachable from another
   /// candidate. One multi-source reverse DFS over the shared scratch
   /// buffers — no per-call allocation, cost bounded by the edges between
@@ -115,6 +122,14 @@ class DependencyDag {
   mutable std::vector<std::uint64_t> visited_epoch_;
   mutable std::vector<VertexId> dfs_stack_;
   mutable std::uint64_t epoch_{0};
+
+  // Every vertex's ancestors again, packed back to back in insertion order
+  // (vertex v's run is [ancestor_begin_[v], ancestor_begin_[v + 1])). The
+  // reachability walks read this instead of Vertex::ancestors: one heap
+  // block per vertex scatters the walk over memory, and its cost then
+  // depends on how other allocations interleaved with the inserts.
+  std::vector<std::size_t> ancestor_begin_{0};
+  std::vector<VertexId> ancestor_pool_;
 };
 
 }  // namespace grout::dag

@@ -1,6 +1,5 @@
 #include "driver/driver.hpp"
 
-#include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
 
 namespace grout::driver {
@@ -15,18 +14,8 @@ const char* to_string(GrResult r) {
   return "?";
 }
 
-namespace {
-std::unique_ptr<sim::Engine> make_engine(std::size_t sim_threads) {
-  GROUT_REQUIRE(sim_threads >= 1, "sim_threads must be >= 1");
-  if (sim_threads == 1) return std::make_unique<sim::Simulator>();
-  return std::make_unique<sim::ParallelSimulator>(
-      sim::ParallelSimulator::Config{sim_threads, 1});
-}
-}  // namespace
-
-Context::Context(gpusim::GpuNodeConfig config, std::size_t sim_threads)
-    : sim_{make_engine(sim_threads)},
-      node_{std::make_unique<gpusim::GpuNode>(*sim_, std::move(config), &tracer_)} {}
+Context::Context(gpusim::GpuNodeConfig config)
+    : node_{std::make_unique<gpusim::GpuNode>(sim_, std::move(config), &tracer_)} {}
 
 // ---------------------------------------------------------------------------
 // Memory
@@ -70,9 +59,9 @@ GrResult Context::host_access(GrDeviceptr ptr, uvm::AccessMode mode, uvm::ByteRa
   ctx_synchronize();
   const uvm::HostAccessReport report = node_->uvm().host_access(array_of(ptr), mode, range);
   // Block the host for the migration duration.
-  const SimTime target = sim_->now() + report.duration;
-  sim_->schedule_at(target, [] {});
-  sim_->run_until(target);
+  const SimTime target = sim_.now() + report.duration;
+  sim_.schedule_at(target, [] {});
+  sim_.run_until(target);
   return GrResult::Success;
 }
 
@@ -133,7 +122,7 @@ GrResult Context::launch_kernel(GrStream stream, gpusim::KernelLaunchSpec spec,
 }
 
 GrResult Context::ctx_synchronize() {
-  sim_->run();
+  sim_.run();
   return GrResult::Success;
 }
 
@@ -141,7 +130,7 @@ GrResult Context::stream_synchronize(GrStream stream) {
   if (!valid_stream(stream)) return GrResult::InvalidHandle;
   gpusim::Stream* s = streams_[stream - 1].stream;
   while (!s->idle()) {
-    if (!sim_->step()) return GrResult::NotReady;
+    if (!sim_.step()) return GrResult::NotReady;
   }
   return GrResult::Success;
 }
@@ -150,7 +139,7 @@ GrResult Context::event_synchronize(GrEvent event) {
   if (!valid_event(event)) return GrResult::InvalidHandle;
   const gpusim::EventPtr& ev = events_[event - 1];
   while (!ev->completed()) {
-    if (!sim_->step()) return GrResult::NotReady;
+    if (!sim_.step()) return GrResult::NotReady;
   }
   return GrResult::Success;
 }

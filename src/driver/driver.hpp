@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "gpusim/gpu_node.hpp"
+#include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace grout::driver {
@@ -37,11 +38,7 @@ using GrEvent = std::uint64_t;
 /// One driver context == one node (host + GPUs + UVM space + simulator).
 class Context {
  public:
-  /// `sim_threads` selects the event engine (--sim-threads): 1 = the
-  /// serial engine; > 1 = a ParallelSimulator with that many pool threads
-  /// (a single-node context is one event domain, so execution order — and
-  /// every result — is bit-identical either way). Must be >= 1.
-  explicit Context(gpusim::GpuNodeConfig config = {}, std::size_t sim_threads = 1);
+  explicit Context(gpusim::GpuNodeConfig config = {});
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
@@ -104,8 +101,8 @@ class Context {
   /// Translate a handle to the underlying UVM array id (for launch specs).
   [[nodiscard]] uvm::ArrayId array_of(GrDeviceptr ptr) const;
 
-  [[nodiscard]] SimTime now() const { return sim_->now(); }
-  [[nodiscard]] sim::Engine& simulator() { return *sim_; }
+  [[nodiscard]] SimTime now() const { return sim_.now(); }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] gpusim::GpuNode& node() { return *node_; }
   [[nodiscard]] sim::Tracer& tracer() { return tracer_; }
 
@@ -119,7 +116,7 @@ class Context {
   [[nodiscard]] bool valid_stream(GrStream s) const;
   [[nodiscard]] bool valid_event(GrEvent e) const;
 
-  std::unique_ptr<sim::Engine> sim_;
+  sim::Simulator sim_;
   sim::Tracer tracer_;
   std::unique_ptr<gpusim::GpuNode> node_;
   std::vector<StreamInfo> streams_;

@@ -91,7 +91,7 @@ void Stream::pump() {
 // Gpu
 // ---------------------------------------------------------------------------
 
-Gpu::Gpu(sim::Engine& simulator, uvm::UvmSpace& uvm_space, uvm::DeviceId device_id,
+Gpu::Gpu(sim::Simulator& simulator, uvm::UvmSpace& uvm_space, uvm::DeviceId device_id,
          DeviceSpec spec, sim::Tracer* tracer, std::string location)
     : sim_{simulator},
       uvm_{uvm_space},

@@ -8,7 +8,7 @@
 #include "gpusim/kernel.hpp"
 #include "gpusim/stream.hpp"
 #include "sim/resource.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "uvm/uvm_space.hpp"
 
@@ -16,7 +16,7 @@ namespace grout::gpusim {
 
 class Gpu {
  public:
-  Gpu(sim::Engine& simulator, uvm::UvmSpace& uvm_space, uvm::DeviceId device_id,
+  Gpu(sim::Simulator& simulator, uvm::UvmSpace& uvm_space, uvm::DeviceId device_id,
       DeviceSpec spec, sim::Tracer* tracer = nullptr, std::string location = {});
 
   Gpu(const Gpu&) = delete;
@@ -24,7 +24,7 @@ class Gpu {
 
   [[nodiscard]] uvm::DeviceId device_id() const { return device_id_; }
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
-  [[nodiscard]] sim::Engine& simulator() { return sim_; }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] uvm::UvmSpace& uvm() { return uvm_; }
 
   /// Create a new stream; streams are never destroyed before the Gpu.
@@ -45,7 +45,7 @@ class Gpu {
   /// Returns the absolute completion time.
   SimTime execute_kernel(const KernelLaunchSpec& spec);
 
-  sim::Engine& sim_;
+  sim::Simulator& sim_;
   uvm::UvmSpace& uvm_;
   uvm::DeviceId device_id_;
   DeviceSpec spec_;

@@ -2,7 +2,7 @@
 
 namespace grout::gpusim {
 
-GpuNode::GpuNode(sim::Engine& simulator, GpuNodeConfig config, sim::Tracer* tracer)
+GpuNode::GpuNode(sim::Simulator& simulator, GpuNodeConfig config, sim::Tracer* tracer)
     : sim_{simulator}, config_{std::move(config)} {
   GROUT_REQUIRE(config_.gpu_count >= 1, "a node needs at least one GPU");
 

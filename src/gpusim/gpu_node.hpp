@@ -24,7 +24,7 @@ struct GpuNodeConfig {
 
 class GpuNode {
  public:
-  GpuNode(sim::Engine& simulator, GpuNodeConfig config, sim::Tracer* tracer = nullptr);
+  GpuNode(sim::Simulator& simulator, GpuNodeConfig config, sim::Tracer* tracer = nullptr);
 
   GpuNode(const GpuNode&) = delete;
   GpuNode& operator=(const GpuNode&) = delete;
@@ -34,13 +34,13 @@ class GpuNode {
   [[nodiscard]] const uvm::UvmSpace& uvm() const { return *uvm_; }
   [[nodiscard]] Gpu& gpu(std::size_t i);
   [[nodiscard]] std::size_t gpu_count() const { return gpus_.size(); }
-  [[nodiscard]] sim::Engine& simulator() { return sim_; }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Combined device memory (the paper's 1x oversubscription reference).
   [[nodiscard]] Bytes total_gpu_memory() const;
 
  private:
-  sim::Engine& sim_;
+  sim::Simulator& sim_;
   GpuNodeConfig config_;
   std::unique_ptr<uvm::UvmSpace> uvm_;
   std::vector<std::unique_ptr<Gpu>> gpus_;

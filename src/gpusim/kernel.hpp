@@ -35,10 +35,10 @@ struct KernelLaunchSpec {
   /// carried through the wire format so worker-side spans stay attributable.
   TenantId tenant{kNoTenant};
   /// Invoked (if set) right after the GPU computes this launch's outcome,
-  /// from the launching node's event domain. The controller attaches it to
-  /// CE bundles so the worker ships the access report back in the
-  /// completion ack instead of the controller reading worker-side records
-  /// across domains. Not part of the wire format.
+  /// on the launching node. The controller attaches it to CE bundles so the
+  /// worker ships the access report back in the completion ack instead of
+  /// the controller reading worker-side records. Not part of the wire
+  /// format.
   std::function<void(const KernelRecord&)> on_record;
 };
 

@@ -4,7 +4,7 @@
 
 namespace grout::net {
 
-NetworkFabric::NetworkFabric(sim::Engine& simulator, std::vector<NicSpec> nics,
+NetworkFabric::NetworkFabric(sim::Simulator& simulator, std::vector<NicSpec> nics,
                              sim::Tracer* tracer)
     : sim_{simulator}, tracer_{tracer} {
   GROUT_REQUIRE(nics.size() >= 2, "a fabric needs at least two nodes");
@@ -72,24 +72,6 @@ SimTime NetworkFabric::latency(NodeId from, NodeId to) const {
   return node_ref(from).nic.latency + node_ref(to).nic.latency;
 }
 
-SimTime NetworkFabric::min_link_latency() const {
-  // latency(a, b) = nic_a + nic_b, so the minimum over pairs is the sum of
-  // the two smallest NIC latencies.
-  SimTime lo1 = SimTime::max();
-  SimTime lo2 = SimTime::max();
-  for (const Node& node : nodes_) {
-    const SimTime l = node.nic.latency;
-    if (l < lo1) {
-      lo2 = lo1;
-      lo1 = l;
-    } else if (l < lo2) {
-      lo2 = l;
-    }
-  }
-  GROUT_REQUIRE(nodes_.size() >= 2, "min_link_latency needs at least two fabric nodes");
-  return lo1 + lo2;
-}
-
 void NetworkFabric::set_link_override(NodeId a, NodeId b, Bandwidth bw) {
   GROUT_REQUIRE(bw.bps() >= 0.0, "invalid override bandwidth");
   node_ref(a);
@@ -143,7 +125,6 @@ void NetworkFabric::start_transfer(NodeId from, NodeId to, Bytes size, const std
 }
 
 gpusim::EventPtr NetworkFabric::transfer_into(NodeId from, NodeId to, Bytes size,
-                                              sim::DomainId deliver_domain,
                                               SimTime min_deliver_delay, std::string label,
                                               gpusim::EventPtr ready) {
   node_ref(from);
@@ -152,26 +133,26 @@ gpusim::EventPtr NetworkFabric::transfer_into(NodeId from, NodeId to, Bytes size
   gpusim::EventPtr done = gpusim::make_event();
   if (ready) {
     ready->on_complete(
-        [this, from, to, size, deliver_domain, min_deliver_delay, label = std::move(label), done] {
-          start_transfer_into(from, to, size, label, done, deliver_domain, min_deliver_delay);
+        [this, from, to, size, min_deliver_delay, label = std::move(label), done] {
+          start_transfer_into(from, to, size, label, done, min_deliver_delay);
         });
   } else {
-    start_transfer_into(from, to, size, label, done, deliver_domain, min_deliver_delay);
+    start_transfer_into(from, to, size, label, done, min_deliver_delay);
   }
   return done;
 }
 
 void NetworkFabric::start_transfer_into(NodeId from, NodeId to, Bytes size,
                                         const std::string& label, const gpusim::EventPtr& done,
-                                        sim::DomainId deliver_domain, SimTime min_deliver_delay) {
+                                        SimTime min_deliver_delay) {
   GROUT_CHECK(bandwidth(from, to).valid(), "bulk transfer scheduled on a zero-bandwidth link");
   const SimTime begin = sim_.now();
   const SimTime duration = latency(from, to) + bandwidth(from, to).transfer_time(size);
   const SimTime tx_done = node_ref(from).tx->submit_duration(duration, size);
   const SimTime rx_done = node_ref(to).rx->submit_duration(duration, size);
-  // The wire time already dominates the cross-engine edge for any sane NIC
-  // layout; the clamp keeps the delivery legal for exotic configs where the
-  // source NIC undercuts the caller's own link latency.
+  // The wire time already dominates the controller edge for any sane NIC
+  // layout; the clamp only bites in exotic configs where the source NIC
+  // undercuts the controller's own link latency.
   const SimTime end = std::max(std::max(tx_done, rx_done), begin + min_deliver_delay);
   total_bytes_ += size;
   ++transfers_;
@@ -180,7 +161,7 @@ void NetworkFabric::start_transfer_into(NodeId from, NodeId to, Bytes size,
                     label.empty() ? "transfer" : label,
                     node_ref(from).nic.name + "->" + node_ref(to).nic.name, begin, end);
   }
-  sim_.schedule_in(deliver_domain, end, [done, end] { done->complete(end); });
+  sim_.schedule_at(end, [done, end] { done->complete(end); });
 }
 
 gpusim::EventPtr NetworkFabric::send_control(NodeId from, NodeId to, Bytes size) {
@@ -224,8 +205,7 @@ void NetworkFabric::attempt_control(NodeId from, NodeId to, Bytes size,
 }
 
 void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size,
-                                 sim::DomainId deliver_domain, std::function<void()> deliver,
-                                 bool reliable) {
+                                 std::function<void()> deliver, bool reliable) {
   node_ref(from);
   node_ref(to);
   GROUT_REQUIRE(from != to, "self command");
@@ -233,7 +213,6 @@ void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size,
   CommandLane& lane = lanes_[{from, to}];
   const std::uint64_t seq = lane.next_send++;
   CommandArrival arrival;
-  arrival.domain = deliver_domain;
   arrival.deliver = std::move(deliver);
   if (reliable) {
     // Internal cluster operation: never dropped, delivered even when an
@@ -294,13 +273,13 @@ void NetworkFabric::flush_lane(NodeId from, NodeId to) {
     ++lane.next_deliver;
     if (arrival.skipped) continue;
     // In-order delivery: never behind the previous command on this lane,
-    // and never below the cross-domain lookahead from the event doing the
+    // and never sooner than one link latency after the event doing the
     // flushing — an abandoned blocker can release queued older arrivals at
     // a later event time than when they landed on the wire.
     const SimTime t =
         std::max({arrival.end, lane.last_delivery, sim_.now() + latency(from, to)});
     lane.last_delivery = t;
-    sim_.schedule_in(arrival.domain, t, std::move(arrival.deliver));
+    sim_.schedule_at(t, std::move(arrival.deliver));
   }
 }
 

@@ -24,7 +24,7 @@
 #include "gpusim/event.hpp"
 #include "net/topology.hpp"
 #include "sim/resource.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace grout::net {
@@ -45,7 +45,7 @@ struct NicSpec {
 
 class NetworkFabric {
  public:
-  NetworkFabric(sim::Engine& simulator, std::vector<NicSpec> nics,
+  NetworkFabric(sim::Simulator& simulator, std::vector<NicSpec> nics,
                 sim::Tracer* tracer = nullptr);
 
   NetworkFabric(const NetworkFabric&) = delete;
@@ -78,30 +78,22 @@ class NetworkFabric {
   /// One-way latency between two nodes.
   [[nodiscard]] SimTime latency(NodeId from, NodeId to) const;
 
-  /// Smallest one-way latency between any two distinct nodes: the
-  /// conservative lookahead a parallel engine may assume for events that
-  /// cross the fabric (nothing travels between nodes faster than this).
-  [[nodiscard]] SimTime min_link_latency() const;
-
   /// Install a per-pair bandwidth override (both directions). Zero is
   /// allowed and means the link is down until a later override restores it.
   void set_link_override(NodeId a, NodeId b, Bandwidth bw);
 
   /// Start a transfer when `ready` completes (nullptr = immediately);
-  /// the returned event completes when the last byte lands, in the
-  /// caller's event domain.
+  /// the returned event completes when the last byte lands.
   gpusim::EventPtr transfer(NodeId from, NodeId to, Bytes size, std::string label = {},
                             gpusim::EventPtr ready = nullptr);
 
-  /// Like `transfer`, but the completion event fires *inside*
-  /// `deliver_domain` — the receiving model's event domain — so waiters
-  /// (e.g. a worker stream adopting the copy) resume on their own domain.
-  /// The delivery is clamped to at least `min_deliver_delay` past the
-  /// start-time (the caller passes the engine-edge lookahead between its
-  /// domain and `deliver_domain`; a transfer's duration already covers it
-  /// whenever the source NIC is no faster than the caller's own).
-  gpusim::EventPtr transfer_into(NodeId from, NodeId to, Bytes size,
-                                 sim::DomainId deliver_domain, SimTime min_deliver_delay,
+  /// Like `transfer`, but the completion is clamped to at least
+  /// `min_deliver_delay` past the start time. The controller passes its
+  /// one-way edge to the receiving worker, so a copy it starts is never
+  /// visible on the worker before a message it sends at the same moment
+  /// could be; the transfer's duration already covers the edge whenever
+  /// the source NIC is no faster than the controller's own.
+  gpusim::EventPtr transfer_into(NodeId from, NodeId to, Bytes size, SimTime min_deliver_delay,
                                  std::string label = {}, gpusim::EventPtr ready = nullptr);
 
   /// Small control message (CE descriptors, acks): rides a prioritized QoS
@@ -113,9 +105,8 @@ class NetworkFabric {
   gpusim::EventPtr send_control(NodeId from, NodeId to, Bytes size);
 
   /// Ordered command lane: commands from `from` to `to` deliver in send
-  /// order (a per-pair FIFO), each as an event scheduled into
-  /// `deliver_domain` — the receiving model's event domain — no earlier
-  /// than the link latency allows. Two flavors:
+  /// order (a per-pair FIFO), each as an event scheduled no earlier than
+  /// the link latency allows. Two flavors:
   ///   - droppable (`reliable = false`): CE bundles; shares the control
   ///     lane's fault hook, timeout/backoff retries and liveness semantics
   ///     (an abandoned command skips its slot so later commands still
@@ -124,11 +115,9 @@ class NetworkFabric {
   ///     (eviction, staging, releases); never dropped, delivered even when
   ///     an endpoint is dead — tear-down must reach the worker model
   ///     unconditionally.
-  /// Must be called from controller-side (domain 0) execution: the fabric's
-  /// state is owned by domain 0, and the in-order guarantee is per
-  /// (from, to) pair.
-  void send_command(NodeId from, NodeId to, Bytes size, sim::DomainId deliver_domain,
-                    std::function<void()> deliver, bool reliable);
+  /// The in-order guarantee is per (from, to) pair.
+  void send_command(NodeId from, NodeId to, Bytes size, std::function<void()> deliver,
+                    bool reliable);
 
   void set_control_retry(ControlRetryConfig config) { retry_ = config; }
 
@@ -171,7 +160,6 @@ class NetworkFabric {
     bool resolved{false};
     bool skipped{false};
     SimTime end{SimTime::zero()};
-    sim::DomainId domain{sim::kMainDomain};
     std::function<void()> deliver;
   };
   struct CommandLane {
@@ -184,8 +172,7 @@ class NetworkFabric {
   void start_transfer(NodeId from, NodeId to, Bytes size, const std::string& label,
                       const gpusim::EventPtr& done);
   void start_transfer_into(NodeId from, NodeId to, Bytes size, const std::string& label,
-                           const gpusim::EventPtr& done, sim::DomainId deliver_domain,
-                           SimTime min_deliver_delay);
+                           const gpusim::EventPtr& done, SimTime min_deliver_delay);
   void attempt_control(NodeId from, NodeId to, Bytes size, const gpusim::EventPtr& done,
                        SimTime timeout);
   void attempt_command(NodeId from, NodeId to, Bytes size, std::uint64_t seq, SimTime timeout);
@@ -194,7 +181,7 @@ class NetworkFabric {
   const Node& node_ref(NodeId id) const;
   Node& node_ref(NodeId id);
 
-  sim::Engine& sim_;
+  sim::Simulator& sim_;
   sim::Tracer* tracer_;
   std::vector<Node> nodes_;
   std::map<std::pair<NodeId, NodeId>, Bandwidth> overrides_;

@@ -91,7 +91,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
-FaultInjector::FaultInjector(sim::Engine& sim, NetworkFabric& fabric, FaultPlan plan)
+FaultInjector::FaultInjector(sim::Simulator& sim, NetworkFabric& fabric, FaultPlan plan)
     : sim_{sim},
       fabric_{fabric},
       plan_{std::move(plan)},

@@ -73,7 +73,7 @@ class FaultInjector {
  public:
   using KillHandler = std::function<void(std::size_t worker)>;
 
-  FaultInjector(sim::Engine& sim, NetworkFabric& fabric, FaultPlan plan);
+  FaultInjector(sim::Simulator& sim, NetworkFabric& fabric, FaultPlan plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -89,7 +89,7 @@ class FaultInjector {
  private:
   bool should_drop_control();
 
-  sim::Engine& sim_;
+  sim::Simulator& sim_;
   NetworkFabric& fabric_;
   FaultPlan plan_;
   Rng rng_;

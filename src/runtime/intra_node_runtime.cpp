@@ -53,7 +53,7 @@ Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessM
   const dag::VertexId v =
       dag_.add(std::move(label), {dag::AccessSummary{array, uvm::writes(mode)}});
   gpusim::EventPtr done = gpusim::make_event();
-  sim::Engine& sim = node_.simulator();
+  sim::Simulator& sim = node_.simulator();
   gpusim::when_all(ancestor_events(v), [this, &sim, array, mode, extra_duration, done] {
     const uvm::HostAccessReport report = node_.uvm().host_access(array, mode);
     const SimTime end = sim.now() + report.duration + extra_duration;
@@ -67,7 +67,7 @@ Submission IntraNodeRuntime::submit_fence(std::vector<dag::AccessSummary> access
                                           std::string label) {
   const dag::VertexId v = dag_.add(std::move(label), std::move(accesses));
   gpusim::EventPtr done = gpusim::make_event();
-  sim::Engine& sim = node_.simulator();
+  sim::Simulator& sim = node_.simulator();
   gpusim::when_all(ancestor_events(v),
                    [&sim, done] { done->complete(sim.now()); });
   track(v, done);
@@ -79,7 +79,7 @@ Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr e
   GROUT_REQUIRE(static_cast<bool>(external), "adopt requires an external event");
   const dag::VertexId v = dag_.add(std::move(label), {dag::AccessSummary{array, true}});
   gpusim::EventPtr done = gpusim::make_event();
-  sim::Engine& sim = node_.simulator();
+  sim::Simulator& sim = node_.simulator();
   std::vector<gpusim::EventPtr> waits = ancestor_events(v);
   waits.push_back(std::move(external));
   gpusim::when_all(waits, [this, &sim, array, done] {
@@ -92,7 +92,7 @@ Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr e
 
 gpusim::EventPtr IntraNodeRuntime::quiescent_event() {
   gpusim::EventPtr done = gpusim::make_event();
-  sim::Engine& sim = node_.simulator();
+  sim::Simulator& sim = node_.simulator();
   gpusim::when_all(vertex_events_, [&sim, done] { done->complete(sim.now()); });
   return done;
 }

@@ -98,7 +98,7 @@ ServeScheduler::ServeScheduler(core::GroutRuntime& runtime, ServeConfig config)
   }
 }
 
-sim::Engine& ServeScheduler::simulator() { return runtime_.cluster().simulator(); }
+sim::Simulator& ServeScheduler::simulator() { return runtime_.cluster().simulator(); }
 
 Bytes ServeScheduler::cluster_budget() const {
   const core::MemoryGovernor& governor = runtime_.governor();
@@ -327,12 +327,6 @@ void ServeScheduler::finish_program(Program* p) {
 }
 
 ServeReport ServeScheduler::run() {
-  start();
-  const bool queue_drained = simulator().run_until(config_.horizon);
-  return finalize(queue_drained);
-}
-
-void ServeScheduler::start() {
   max_outstanding_ = config_.max_outstanding_ces != 0
                          ? config_.max_outstanding_ces
                          : 4 * runtime_.cluster().worker_count();
@@ -346,9 +340,10 @@ void ServeScheduler::start() {
       schedule_next_arrival(k);
     }
   }
+  return make_report(simulator().run_until(config_.horizon));
 }
 
-ServeReport ServeScheduler::finalize(bool queue_drained) {
+ServeReport ServeScheduler::make_report(bool queue_drained) {
   ServeReport report;
   report.elapsed = last_progress_;
   std::size_t still_waiting = 0;

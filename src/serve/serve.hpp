@@ -138,18 +138,8 @@ class ServeScheduler {
 
   /// Drive the whole serving run: generate arrivals, admit, dispatch via
   /// WFQ, and collect per-tenant SLOs. Blocks (advances virtual time) until
-  /// every submitted program completed or the horizon expired. Equivalent
-  /// to start(); simulator().run_until(horizon); finalize().
+  /// every submitted program completed or the horizon expired.
   ServeReport run();
-
-  /// Seed the arrival processes without driving the engine: the caller
-  /// owns the drive (e.g. several schedulers on domains of one shared
-  /// parallel engine, advanced together with a single engine-wide run).
-  void start();
-
-  /// Collect the per-tenant SLO report after the caller's drive finished.
-  /// `queue_drained` is what that drive's run_until(horizon) returned.
-  ServeReport finalize(bool queue_drained);
 
  private:
   /// One submitted program instance: a shape stamped out into runtime
@@ -194,9 +184,12 @@ class ServeScheduler {
     Rng arrivals{0};
   };
 
-  [[nodiscard]] sim::Engine& simulator();
+  [[nodiscard]] sim::Simulator& simulator();
   /// Aggregate replica budget over live workers (0 = unbounded governor).
   [[nodiscard]] Bytes cluster_budget() const;
+  /// Collect the per-tenant SLO report once the drive finished;
+  /// `queue_drained` is what its run_until(horizon) returned.
+  ServeReport make_report(bool queue_drained);
 
   /// One program arrives for tenant `t` (scheduled by the arrival process).
   void submit(std::size_t t);
@@ -232,10 +225,9 @@ class ServeScheduler {
   std::size_t programs_in_flight_{0};
   bool pump_scheduled_{false};
   /// Time of the last serve-observable event (arrival or CE completion):
-  /// what ServeReport::elapsed reports. The engine clock at finalize is not
-  /// usable for this — with per-worker event domains the globally last
-  /// event may be worker-side housekeeping, and a shared-engine view's
-  /// clock reads differently from a dedicated run's.
+  /// what ServeReport::elapsed reports. The engine clock after the drive is
+  /// not usable for this: the last event may be worker-side housekeeping,
+  /// such as the ack of a staged copy that unpins its source.
   SimTime last_progress_{SimTime::zero()};
 };
 

@@ -9,26 +9,26 @@
 #include <string>
 
 #include "common/units.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace grout::sim {
 
 class Resource {
  public:
-  Resource(Engine& simulator, std::string name, Bandwidth bandwidth, SimTime latency)
+  Resource(Simulator& simulator, std::string name, Bandwidth bandwidth, SimTime latency)
       : sim_{simulator}, name_{std::move(name)}, bandwidth_{bandwidth}, latency_{latency} {
     GROUT_REQUIRE(bandwidth.valid(), "resource requires positive bandwidth");
   }
 
   /// Enqueue a transfer of `size` bytes; returns its completion time and,
   /// if `on_done` is non-null, schedules it at that time.
-  SimTime submit(Bytes size, Engine::Callback on_done = nullptr) {
+  SimTime submit(Bytes size, Simulator::Callback on_done = nullptr) {
     return submit_duration(latency_ + bandwidth_.transfer_time(size), size, std::move(on_done));
   }
 
   /// Enqueue an occupancy of a fixed duration (e.g. a fault-handling stall).
   SimTime submit_duration(SimTime duration, Bytes accounted_bytes = 0,
-                          Engine::Callback on_done = nullptr) {
+                          Simulator::Callback on_done = nullptr) {
     const SimTime start = busy_until_ > sim_.now() ? busy_until_ : sim_.now();
     busy_until_ = start + duration;
     busy_time_ += duration;
@@ -52,7 +52,7 @@ class Resource {
   [[nodiscard]] SimTime latency() const { return latency_; }
 
  private:
-  Engine& sim_;
+  Simulator& sim_;
   std::string name_;
   Bandwidth bandwidth_;
   SimTime latency_;

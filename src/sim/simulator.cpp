@@ -5,26 +5,10 @@
 
 namespace grout::sim {
 
-std::uint64_t& Simulator::seq_counter(DomainId d) {
-  if (next_seq_.size() <= d) next_seq_.resize(static_cast<std::size_t>(d) + 1, 0);
-  return next_seq_[d];
-}
-
 void Simulator::schedule_at(SimTime t, Callback fn) {
-  schedule_in(current_domain(), t, std::move(fn));
-}
-
-void Simulator::schedule_in(DomainId domain, SimTime t, Callback fn) {
   GROUT_REQUIRE(t >= now_, "cannot schedule an event in the past");
   GROUT_REQUIRE(static_cast<bool>(fn), "null event callback");
-  // Mirror the parallel engine's sequence-allocation rule exactly: inside
-  // execution the event is originated by the executing domain (whichever
-  // domain it targets); outside execution it is self-originated in its
-  // target domain. Per-domain counters are therefore bumped in the same
-  // order on both backends, which is what makes runs bit-identical.
-  const DomainId origin = executing_ ? exec_domain_ : domain;
-  seq_counter(domain);  // a fresh target domain must exist for domain_count()
-  heap_.push_back(Event{t, origin, seq_counter(origin)++, domain, std::move(fn)});
+  heap_.push_back(Event{t, next_seq_++, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -36,18 +20,6 @@ bool Simulator::step() {
   GROUT_CHECK(ev.time >= now_, "event queue time went backwards");
   now_ = ev.time;
   ++executed_;
-  // Exception-safe execution scope: a throwing model callback (loud model
-  // errors surface as exceptions in tests) must not leave the engine
-  // claiming to be inside event execution.
-  struct Scope {
-    Simulator* s;
-    ~Scope() {
-      s->executing_ = false;
-      s->exec_domain_ = kMainDomain;
-    }
-  } scope{this};
-  executing_ = true;
-  exec_domain_ = ev.target;
   ev.fn();
   return true;
 }

@@ -1,90 +1,102 @@
-// Serial discrete-event engine.
+// Discrete-event engine.
 //
-// Single-threaded and deterministic. Events carry the same canonical key
-// as the parallel engine — (time, origin domain, per-origin sequence
-// number) — and one global heap merges all domains in exactly that order.
-// Per-domain sequence counters are allocated by the same rule as
-// sim::ParallelSimulator (inside execution the event is originated by the
-// executing domain; outside execution it is self-originated in its target
-// domain), so any model that runs correctly on the parallel engine
-// executes bit-identically here, and a model whose events all live in
-// domain 0 degenerates to the historical (time, seq) submission order.
-// All simulated subsystems (GPUs, UVM, network, cluster nodes) hang off
-// one Engine instance; this is the default backend — see sim/engine.hpp
-// for the interface and sim/parallel_sim.hpp for the multi-threaded one.
+// Single-threaded and deterministic. Events are ordered by (time, seq):
+// `seq` is one global submission counter, so events stamped with the same
+// time fire in the order they were scheduled, whether they were scheduled
+// from inside an event callback or from outside execution. All simulated
+// subsystems (GPUs, UVM, network, cluster nodes) hang off one Simulator.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
-#include "sim/engine.hpp"
 
 namespace grout::sim {
 
-class Simulator final : public Engine {
+class Simulator {
  public:
+  using Callback = std::function<void()>;
+
   Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
-  [[nodiscard]] SimTime now() const override { return now_; }
+  /// Current virtual time. Inside an event callback this is the event's
+  /// timestamp; outside execution it is the timestamp of the last executed
+  /// event (zero before any event ran).
+  [[nodiscard]] SimTime now() const { return now_; }
 
-  void schedule_at(SimTime t, Callback fn) override;
-  void schedule_in(DomainId domain, SimTime t, Callback fn) override;
+  /// Schedule `fn` at absolute time `t` (must not be in the past).
+  void schedule_at(SimTime t, Callback fn);
 
-  bool step() override;
-  void run() override;
-  bool run_until(SimTime deadline) override;
+  /// Schedule `fn` after `delay` from now.
+  void schedule_after(SimTime delay, Callback fn) { schedule_at(now_ + delay, std::move(fn)); }
 
-  [[nodiscard]] std::size_t pending_events() const override { return heap_.size(); }
-  [[nodiscard]] std::uint64_t executed_events() const override { return executed_; }
+  /// Run a single event (the next one); returns false if the queue is
+  /// empty. Must not be called from inside an event callback.
+  bool step();
 
-  [[nodiscard]] SimTime next_event_time() const override {
+  /// Run until the event queue drains.
+  void run();
+
+  /// Run until the queue drains or virtual time would exceed `deadline`.
+  /// Events stamped exactly at the deadline still execute. Returns true if
+  /// it drained; false if it stopped at the deadline with events still
+  /// pending (the paper's 2.5 h per-run cap uses this).
+  bool run_until(SimTime deadline);
+
+  /// Drive the engine one event at a time until `done()` holds, never
+  /// executing an event stamped past `deadline`. This is the single
+  /// definition of the "wait for a condition under the run cap" loop the
+  /// runtime's host-side waits (spill landings, host fetches) share.
+  /// Returns true when `done()` held; false when the deadline cut the wait
+  /// short. Throws InternalError (tagged with `what`) if the queue drains
+  /// while `done()` is still false — that is a deadlock, not a timeout.
+  bool run_until_done(SimTime deadline, const std::function<bool()>& done,
+                      std::string_view what) {
+    while (!done()) {
+      GROUT_CHECK(pending_events() > 0, what);
+      if (next_event_time() > deadline) return false;
+      step();
+    }
+    return true;
+  }
+
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
+  [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
+
+  /// Timestamp of the next pending event (SimTime::max() when idle); lets
+  /// callers that drive step() themselves honor a deadline the way
+  /// run_until() does, without executing past it.
+  [[nodiscard]] SimTime next_event_time() const {
     return heap_.empty() ? SimTime::max() : heap_.front().time;
   }
-
-  /// Domain the currently executing event targets; kMainDomain outside
-  /// event execution — matching the parallel engine's ExecContext.
-  [[nodiscard]] DomainId current_domain() const override {
-    return executing_ ? exec_domain_ : kMainDomain;
-  }
-  /// Domains touched so far (as a scheduling origin or target). The serial
-  /// engine needs no topology declaration: scheduling into a fresh domain
-  /// id lazily creates its sequence counter.
-  [[nodiscard]] std::size_t domain_count() const override {
-    return next_seq_.empty() ? 1 : next_seq_.size();
-  }
-  [[nodiscard]] std::size_t threads() const override { return 1; }
 
  private:
   struct Event {
     SimTime time;
-    DomainId origin;
-    std::uint64_t origin_seq;
-    DomainId target;
+    std::uint64_t seq;
     Callback fn;
   };
   // std::push_heap/pop_heap build a max-heap, so "later fires last" means
-  // the comparator orders by *later* canonical key: the heap front is the
+  // the comparator orders by the *later* key: the heap front is the
   // earliest event. An explicit vector (instead of std::priority_queue)
   // lets pop_heap move the callback out of the element legitimately.
-  // Must stay identical to ParallelSimulator::LaterKey.
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      if (a.origin != b.origin) return a.origin > b.origin;
-      return a.origin_seq > b.origin_seq;
+      return a.seq > b.seq;
     }
   };
 
-  std::uint64_t& seq_counter(DomainId d);
-
   SimTime now_{SimTime::zero()};
-  bool executing_{false};
-  DomainId exec_domain_{kMainDomain};
   std::uint64_t executed_{0};
-  std::vector<std::uint64_t> next_seq_;  ///< per-domain sequence allocators
+  std::uint64_t next_seq_{0};
   std::vector<Event> heap_;
 };
 

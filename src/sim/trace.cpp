@@ -62,18 +62,14 @@ void Tracer::record(TraceCategory category, std::string name, std::string locati
                     SimTime begin, SimTime end, TenantId tenant) {
   if (!enabled_) return;
   GROUT_REQUIRE(end >= begin, "trace span ends before it begins");
-  const std::scoped_lock lock(mu_);
   spans_.push_back(
       TraceSpan{category, std::move(name), std::move(location), begin, end, tenant});
   sorted_ = false;
 }
 
 const std::vector<TraceSpan>& Tracer::spans() const {
-  const std::scoped_lock lock(mu_);
   if (!sorted_) {
-    // Canonical content order: full-field lexicographic sort. Two runs that
-    // record the same multiset of spans (serial vs parallel) present the
-    // identical vector regardless of recording interleaving.
+    // Canonical content order: full-field lexicographic sort.
     std::sort(spans_.begin(), spans_.end(), [](const TraceSpan& a, const TraceSpan& b) {
       if (a.begin != b.begin) return a.begin < b.begin;
       if (a.end != b.end) return a.end < b.end;
@@ -90,7 +86,6 @@ const std::vector<TraceSpan>& Tracer::spans() const {
 }
 
 void Tracer::clear() {
-  const std::scoped_lock lock(mu_);
   spans_.clear();
   sorted_ = true;
 }

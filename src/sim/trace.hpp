@@ -4,17 +4,13 @@
 // decision) can be recorded; benches aggregate per-category totals and tests
 // assert on ordering properties.
 //
-// Under the parallel engine spans are recorded concurrently from several
-// domains, so `record` is thread-safe and `spans()` presents a *canonical*
-// order: spans sorted by full content (begin, end, category, name,
-// location, tenant). Serial and parallel runs of the same model record the
-// same multiset of spans, hence identical canonical vectors — the ordering
-// half of the bit-identicality contract.
+// `spans()` presents a *canonical* order: spans sorted by full content
+// (begin, end, category, name, location, tenant), so the presented vector
+// does not depend on the order in which same-time events recorded them.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -50,7 +46,6 @@ class Tracer {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Thread-safe: domains executing concurrently may record interleaved.
   void record(TraceCategory category, std::string name, std::string location, SimTime begin,
               SimTime end);
   /// Tenant-tagged overload: span carries the submitting tenant's id so
@@ -59,7 +54,7 @@ class Tracer {
               SimTime end, TenantId tenant);
 
   /// Spans in canonical content order (sorted lazily, cached until the
-  /// next record/clear). Not safe to call while domains are executing.
+  /// next record/clear).
   [[nodiscard]] const std::vector<TraceSpan>& spans() const;
   void clear();
 
@@ -71,7 +66,6 @@ class Tracer {
 
  private:
   bool enabled_{false};
-  mutable std::mutex mu_;
   mutable bool sorted_{true};
   mutable std::vector<TraceSpan> spans_;
 };

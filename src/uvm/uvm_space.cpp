@@ -13,7 +13,7 @@ constexpr std::size_t kEvictionScanLimit = 64;
 
 }  // namespace
 
-UvmSpace::UvmSpace(sim::Engine& simulator, UvmTuning tuning,
+UvmSpace::UvmSpace(sim::Simulator& simulator, UvmTuning tuning,
                    std::vector<DeviceConfig> devices, EvictionPolicyKind eviction,
                    std::uint64_t seed)
     : sim_{simulator}, tuning_{tuning}, eviction_{eviction}, rng_{seed} {

@@ -26,7 +26,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/resource.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "uvm/access.hpp"
 #include "uvm/tuning.hpp"
 #include "uvm/types.hpp"
@@ -64,7 +64,7 @@ struct DeviceAccessResult {
 
 class UvmSpace {
  public:
-  UvmSpace(sim::Engine& simulator, UvmTuning tuning, std::vector<DeviceConfig> devices,
+  UvmSpace(sim::Simulator& simulator, UvmTuning tuning, std::vector<DeviceConfig> devices,
            EvictionPolicyKind eviction = EvictionPolicyKind::ClockLru,
            std::uint64_t seed = 0x5eedULL);
 
@@ -232,7 +232,7 @@ class UvmSpace {
   void for_each_page(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
                      PageFn&& fn);
 
-  sim::Engine& sim_;
+  sim::Simulator& sim_;
   UvmTuning tuning_;
   EvictionPolicyKind eviction_;
   Rng rng_;

@@ -1,7 +1,6 @@
 // Adaptive oversubscription management: AccessProfiler classification,
 // PolicyTuner retune/dead-prediction/auto-advise decisions, the validated
-// threshold table, and the end-to-end --adapt runtime path (including
-// serial-vs-parallel bit-identity of every adaptive counter).
+// threshold table, and the end-to-end --adapt runtime path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -261,13 +260,12 @@ TEST(PolicyTunerTest, AutoAdviseRequiresSharedAndReadDominant) {
 // End-to-end --adapt runtime path
 // ---------------------------------------------------------------------------
 
-GroutConfig adaptive_config(std::size_t sim_threads = 1) {
+GroutConfig adaptive_config() {
   GroutConfig cfg;
   cfg.cluster.workers = 2;
   cfg.cluster.worker_node.gpu_count = 2;
   cfg.cluster.worker_node.device.memory = 8_MiB;
   cfg.cluster.worker_node.tuning.page_size = 1_MiB;
-  cfg.cluster.sim_threads = sim_threads;
   cfg.policy = PolicyKind::MinTransferSize;
   cfg.adapt.enabled = true;
   cfg.adapt.window = 4;
@@ -296,8 +294,8 @@ struct AdaptiveOutcome {
 /// The canonical adaptive scenario: a large single-pass stream, a hot reuse
 /// vector, and a random-access table, iterated so retune sweeps interleave
 /// with dispatches; then the stream goes quiet so it can be predicted dead.
-AdaptiveOutcome run_adaptive_scenario(std::size_t sim_threads) {
-  GroutRuntime rt(adaptive_config(sim_threads));
+AdaptiveOutcome run_adaptive_scenario() {
+  GroutRuntime rt(adaptive_config());
   // 12 MiB streamed through an 8 MiB device: low hit rate, so the tight-
   // reuse upgrade does not fire and the array stays classed streaming.
   const GlobalArrayId s = rt.alloc(12_MiB, "stream");
@@ -332,7 +330,7 @@ AdaptiveOutcome run_adaptive_scenario(std::size_t sim_threads) {
 }
 
 TEST(AdaptiveRuntimeTest, ProfilesClassifyAndRetunesFire) {
-  const AdaptiveOutcome out = run_adaptive_scenario(1);
+  const AdaptiveOutcome out = run_adaptive_scenario();
   EXPECT_EQ(out.cls_s, AccessClass::Streaming);
   EXPECT_EQ(out.cls_h, AccessClass::Reuse);
   EXPECT_EQ(out.cls_r, AccessClass::Random);
@@ -355,7 +353,7 @@ TEST(AdaptiveRuntimeTest, ProfilesClassifyAndRetunesFire) {
 }
 
 TEST(AdaptiveRuntimeTest, DisabledAdaptLeavesNoTrace) {
-  GroutConfig cfg = adaptive_config(1);
+  GroutConfig cfg = adaptive_config();
   cfg.adapt.enabled = false;
   GroutRuntime rt(cfg);
   EXPECT_EQ(rt.profiler(), nullptr);
@@ -368,32 +366,6 @@ TEST(AdaptiveRuntimeTest, DisabledAdaptLeavesNoTrace) {
   EXPECT_EQ(m.adapt_sweeps, 0u);
   EXPECT_EQ(m.adapt_samples, 0u);
   EXPECT_EQ(m.adapt_retunes, 0u);
-}
-
-TEST(AdaptiveRuntimeTest, SerialAndParallelEnginesAgreeBitIdentically) {
-  const AdaptiveOutcome serial = run_adaptive_scenario(1);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const AdaptiveOutcome parallel = run_adaptive_scenario(threads);
-    EXPECT_EQ(serial.cls_s, parallel.cls_s) << threads << " threads";
-    EXPECT_EQ(serial.cls_h, parallel.cls_h);
-    EXPECT_EQ(serial.cls_r, parallel.cls_r);
-    EXPECT_EQ(serial.s_dead, parallel.s_dead);
-    EXPECT_EQ(serial.metrics.adapt_sweeps, parallel.metrics.adapt_sweeps);
-    EXPECT_EQ(serial.metrics.adapt_samples, parallel.metrics.adapt_samples);
-    EXPECT_EQ(serial.metrics.adapt_reclassifications,
-              parallel.metrics.adapt_reclassifications);
-    EXPECT_EQ(serial.metrics.adapt_retunes, parallel.metrics.adapt_retunes);
-    EXPECT_EQ(serial.metrics.adapt_prefetch_overrides,
-              parallel.metrics.adapt_prefetch_overrides);
-    EXPECT_EQ(serial.metrics.adapt_threshold_updates,
-              parallel.metrics.adapt_threshold_updates);
-    EXPECT_EQ(serial.metrics.adapt_auto_advises, parallel.metrics.adapt_auto_advises);
-    EXPECT_EQ(serial.metrics.predicted_dead_evictions,
-              parallel.metrics.predicted_dead_evictions);
-    EXPECT_EQ(serial.metrics.predicted_dead_bytes_evicted,
-              parallel.metrics.predicted_dead_bytes_evicted);
-    EXPECT_EQ(serial.metrics.ces_scheduled, parallel.metrics.ces_scheduled);
-  }
 }
 
 }  // namespace

@@ -53,10 +53,8 @@ struct ScenarioOutcome {
 
 /// Run the seed's scenario. With `check` on, the invariant checker runs
 /// after every step; with `trace` on, the tracer records spans for the
-/// determinism diff. `sim_threads` > 1 runs the same scenario on the
-/// parallel event engine (the serial-vs-parallel differential below).
-ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace,
-                             std::size_t sim_threads = 1) {
+/// determinism diff.
+ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace) {
   Rng rng(seed);
   GroutConfig cfg;
   cfg.cluster.workers = 2 + rng.next_below(3);  // 2..4
@@ -64,7 +62,6 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace,
   cfg.cluster.worker_node.device.memory = 8_MiB;
   cfg.cluster.worker_node.tuning.page_size = 1_MiB;
   cfg.cluster.trace = trace;
-  cfg.cluster.sim_threads = sim_threads;
   cfg.policy = kPolicies[seed % 6];
   if (cfg.policy == PolicyKind::VectorStep) {
     cfg.step_vector = {static_cast<std::uint32_t>(1 + rng.next_below(3))};
@@ -353,7 +350,7 @@ TEST(InvariantFuzzTest, JoinDrainAndDeathComposeInOneRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism golden tests (and the serial-vs-parallel differential)
+// Determinism golden tests
 // ---------------------------------------------------------------------------
 
 /// Assert two scenario outcomes are bit-identical: placements, trace-span
@@ -435,24 +432,18 @@ TEST(DeterminismTest, SameSeedTwiceIsBitIdentical) {
   expect_identical_outcomes(a, b);
 }
 
-TEST(DeterminismTest, AdaptiveSeedSerialVsParallelBitIdentical) {
+TEST(DeterminismTest, AdaptiveSeedRerunIsBitIdentical) {
   // Seed 7 composes --adapt (seed % 2 == 1) with MinTransferTime and
   // multi-tenant contention (7 % 3 == 1): profiles, classifications, retune
   // sweeps, tuned thresholds and predicted-dead evictions must replay
-  // bit-identically on the parallel engine — the profiler is fed only from
-  // controller-domain events, so the ack order (not thread timing) decides
-  // every profile.
-  const ScenarioOutcome serial =
-      run_scenario(7, /*check=*/false, /*trace=*/true, /*sim_threads=*/1);
-  const ScenarioOutcome parallel2 =
-      run_scenario(7, /*check=*/false, /*trace=*/true, /*sim_threads=*/2);
-  const ScenarioOutcome parallel4 =
-      run_scenario(7, /*check=*/false, /*trace=*/true, /*sim_threads=*/4);
-  expect_identical_outcomes(serial, parallel2);
-  expect_identical_outcomes(serial, parallel4);
+  // bit-identically on a rerun — the profiler is fed only from
+  // controller-side events, so the ack order decides every profile.
+  const ScenarioOutcome a = run_scenario(7, /*check=*/false, /*trace=*/true);
+  const ScenarioOutcome b = run_scenario(7, /*check=*/false, /*trace=*/true);
+  expect_identical_outcomes(a, b);
   // The adaptive machinery actually engaged on this seed.
-  EXPECT_GT(serial.metrics.adapt_samples, 0u);
-  EXPECT_GT(serial.metrics.adapt_sweeps, 0u);
+  EXPECT_GT(a.metrics.adapt_samples, 0u);
+  EXPECT_GT(a.metrics.adapt_sweeps, 0u);
 }
 
 TEST(DeterminismTest, SpillSeedIsBitIdentical) {
@@ -468,101 +459,6 @@ TEST(DeterminismTest, SpillSeedIsBitIdentical) {
   EXPECT_EQ(a.metrics.dispatch_stall_evictions, 0u);
   EXPECT_EQ(a.metrics.dispatch_stall_spills, 0u);
 }
-
-// ---------------------------------------------------------------------------
-// Serial-vs-parallel differential over a fuzz-seed slice
-// ---------------------------------------------------------------------------
-
-// The same seeded scenario run on the serial engine (sim_threads = 1) and
-// on the parallel engine (sim_threads = 4, one domain per worker plus the
-// controller) must be bit-identical: same placements, same trace-span
-// order, same membership log, same metrics. Twelve consecutive seeds cover
-// all six placement policies twice, the spill-tier seeds (2, 5, 8, 11),
-// the worker-kill seeds (0, 5, 10) and the multi-tenant seeds (1, 4, 7,
-// 10) — the full machinery the fuzz sweep exercises.
-TEST(ParallelDifferentialTest, FuzzSeedSliceSerialVsParallelBitIdentical) {
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const ScenarioOutcome serial =
-        run_scenario(seed, /*check=*/false, /*trace=*/true, /*sim_threads=*/1);
-    const ScenarioOutcome parallel =
-        run_scenario(seed, /*check=*/false, /*trace=*/true, /*sim_threads=*/4);
-    expect_identical_outcomes(serial, parallel);
-    if (::testing::Test::HasFailure()) break;  // one seed's diff is enough
-  }
-}
-
-// The invariant checker itself must hold step-by-step under the parallel
-// engine too, not just match the serial run's outcome.
-TEST(ParallelDifferentialTest, InvariantsHoldUnderParallelEngine) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    run_scenario(seed, /*check=*/true, /*trace=*/false, /*sim_threads=*/4);
-    if (::testing::Test::HasFailure()) break;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Policy x thread-count differential grid
-// ---------------------------------------------------------------------------
-
-// One scenario seed per placement policy (seed % 6 selects the policy),
-// chosen so the grid also covers every orthogonal machinery axis at least
-// once: tiered spill (seed % 3 == 2 -> 2, 5), worker death (seed % 5 == 0
-// -> 0, 15, 10, 5), and multi-tenant Zipf contention (seed % 3 == 1 -> 7,
-// 10). Elastic joins and drains roll inside every scenario's action mix
-// and land in the compared membership log.
-constexpr std::uint64_t kGridSeeds[6] = {0, 7, 2, 15, 10, 5};
-
-struct GridCell {
-  std::size_t policy;   ///< index into kPolicies / kGridSeeds
-  std::size_t threads;  ///< cluster sim_threads for the candidate run
-};
-
-std::string grid_label(const ::testing::TestParamInfo<GridCell>& info) {
-  static constexpr const char* kNames[6] = {"RoundRobin",      "VectorStep", "MinTransferSize",
-                                            "MinTransferTime", "Random",     "LeastOutstanding"};
-  return std::string(kNames[info.param.policy]) + "x" + std::to_string(info.param.threads) + "t";
-}
-
-std::vector<GridCell> grid_cells() {
-  std::vector<GridCell> cells;
-  for (std::size_t p = 0; p < 6; ++p) {
-    for (const std::size_t t : {1, 2, 3, 4}) cells.push_back({p, t});
-  }
-  return cells;
-}
-
-class ParallelDifferentialGrid : public ::testing::TestWithParam<GridCell> {};
-
-// Every cell runs its policy's scenario on the serial engine and on the
-// parallel engine at the cell's thread count, and the outcomes must be
-// bit-identical. Tier-1 runs the {2, 4}-thread cells on one seed each;
-// nightly (GROUT_FUZZ_SEEDS set, the same switch as the seed sweep) opens
-// the full {1, 2, 3, 4} thread grid and deepens each cell to four seeds
-// (stride 6 keeps the policy fixed while rolling the spill / kill /
-// contention axes underneath it).
-TEST_P(ParallelDifferentialGrid, MatchesSerialBaseline) {
-  const GridCell cell = GetParam();
-  const bool nightly = std::getenv("GROUT_FUZZ_SEEDS") != nullptr;
-  if (!nightly && cell.threads != 2 && cell.threads != 4) {
-    GTEST_SKIP() << "full-grid cell: nightly only (set GROUT_FUZZ_SEEDS)";
-  }
-  const std::size_t depth = nightly ? 4 : 1;
-  for (std::size_t i = 0; i < depth; ++i) {
-    const std::uint64_t seed = kGridSeeds[cell.policy] + 6 * i;
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " threads=" + std::to_string(cell.threads));
-    const ScenarioOutcome serial =
-        run_scenario(seed, /*check=*/false, /*trace=*/true, /*sim_threads=*/1);
-    const ScenarioOutcome parallel =
-        run_scenario(seed, /*check=*/false, /*trace=*/true, cell.threads);
-    expect_identical_outcomes(serial, parallel);
-    if (::testing::Test::HasFailure()) break;  // one seed's diff is enough
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PolicyByThreads, ParallelDifferentialGrid,
-                         ::testing::ValuesIn(grid_cells()), grid_label);
 
 }  // namespace
 }  // namespace grout

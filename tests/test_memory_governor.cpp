@@ -153,7 +153,7 @@ struct GovernorRig {
 
   /// Deliver posted worker-side commands. Governor accounting updates at
   /// enforce() time on the controller, but the release itself rides a
-  /// reliable fabric command into the worker's domain, so worker-visible
+  /// reliable fabric command to the worker, so worker-visible
   /// state (has_array, live UVM allocations) only changes once the engine
   /// delivers it.
   void settle() { cluster.simulator().run_until(SimTime::max()); }

@@ -40,6 +40,24 @@ TEST(Simulator, SameTimestampFifoOrder) {
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+
+  // Events are keyed by (time, seq) with one global submission counter:
+  // equal-time events scheduled from inside a callback interleave with
+  // events scheduled from outside strictly in submission order.
+  order.clear();
+  const SimTime u = SimTime::from_us(10.0);
+  sim.schedule_at(u, [&order] { order.push_back(0); });  // outside, first
+  sim.schedule_at(t + SimTime::from_us(1.0), [&] {
+    sim.schedule_at(u, [&] {  // inside, second
+      order.push_back(1);
+      sim.schedule_at(u, [&order] { order.push_back(4); });  // inside at now(), fifth
+    });
+    sim.schedule_at(u, [&order] { order.push_back(2); });  // inside, third
+  });
+  ASSERT_TRUE(sim.step());  // runs the t + 1us event only
+  sim.schedule_at(u, [&order] { order.push_back(3); });  // outside, fourth
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(Simulator, SchedulingInThePastThrows) {

@@ -48,7 +48,6 @@ struct Options {
   core::ExplorationLevel exploration = core::ExplorationLevel::Medium;
   std::size_t partitions = 8;
   std::size_t iterations = 0;  // 0 = workload default
-  std::size_t sim_threads = 1;  // 1 = serial engine
   bool shared_matrix = false;
   std::string eviction = "lru";
   std::optional<double> worker_mem_gib;  // per-worker replica budget; 0 = unbounded
@@ -78,9 +77,6 @@ struct Options {
                "  --sizes a,b,c                   (sweep; GiB list)\n"
                "  --backend grcuda|grout|both     (default grout)\n"
                "  --workers <n>                   (default 2)\n"
-               "  --sim-threads <n>               (event-engine threads; 1 = serial\n"
-               "                                   engine, the default; > 1 = parallel\n"
-               "                                   engine, bit-identical results)\n"
                "  --policy round-robin|vector-step|min-transfer-size|\n"
                "           min-transfer-time|random|least-outstanding\n"
                "  --step-vector a,b,c             (vector-step CE counts; default 1)\n"
@@ -256,14 +252,6 @@ Options parse_args(int argc, char** argv) {
       }
     } else if (flag == "--exploration") {
       opt.exploration = parse_exploration(next());
-    } else if (flag == "--sim-threads") {
-      const double n = parse_number(flag, next());
-      // 1 = serial engine; 0, negatives and non-integers must die at parse
-      // time (knob-hardening style) instead of misconfiguring the engine.
-      if (n < 1.0 || n != static_cast<double>(static_cast<std::size_t>(n))) {
-        usage("--sim-threads must be a positive integer");
-      }
-      opt.sim_threads = static_cast<std::size_t>(n);
     } else if (flag == "--partitions") {
       opt.partitions = std::stoul(next());
     } else if (flag == "--iterations") {
@@ -428,7 +416,6 @@ core::GroutConfig grout_config_of(const Options& opt) {
   cfg.cluster.worker_node = node_of(opt);
   cfg.cluster.stream_policy = runtime::StreamPolicyKind::DataLocal;
   cfg.cluster.trace = opt.trace_path.has_value();
-  cfg.cluster.sim_threads = opt.sim_threads;
   cfg.policy = opt.policy;
   cfg.step_vector = opt.step_vector;
   cfg.exploration = opt.exploration;
