@@ -16,9 +16,6 @@ struct EnsureOp {
   Bytes bytes{0};
   std::string name;
   std::optional<uvm::Advise> advise;
-  /// Adaptive per-array prefetch override to apply to a fresh replica
-  /// (nullopt = leave the global default).
-  std::optional<bool> prefetch;
 };
 
 /// One inbound copy the CE bundle adopts (Worker::accept_receive) at
@@ -102,27 +99,9 @@ GroutRuntime::GroutRuntime(GroutConfig config)
     scaler_ = std::make_unique<KpiAutoscaler>(config_.cluster.worker_node.tuning, 0.8,
                                               config_.autoscale_max_workers);
   }
-  if (config_.adapt.enabled) {
-    config_.adapt.validate();
-    profiler_ = std::make_unique<adapt::AccessProfiler>(config_.adapt);
-    tuner_ = std::make_unique<adapt::PolicyTuner>(config_.adapt);
-    // The governor's victim picker consults the tuner's predicted-dead set
-    // (stable between sweeps): replicas of arrays already streamed past are
-    // evicted ahead of every refetch-cost LRU victim.
-    governor_->set_dead_predictor(
-        [this](std::size_t, GlobalArrayId id) { return tuner_->predicted_dead(id); });
-  }
 }
 
-void GroutRuntime::autoscale_tick() {
-  // Feed the window: the UVM access reports completion acks shipped back
-  // since the last tick (from live workers only — the ack path drops a
-  // dead node's reports, whose history says nothing about the surviving
-  // cluster's pressure). The controller never reads worker-side kernel
-  // records mid-run: it learns what a worker did only from its acks.
-  for (const uvm::AccessReport& r : autoscale_reports_) scaler_->observe(r);
-  autoscale_reports_.clear();
-
+void GroutRuntime::autoscale_decide() {
   std::size_t current = 0;
   for (std::size_t w = 0; w < schedulable_.size(); ++w) {
     if (schedulable_[w]) ++current;
@@ -151,86 +130,7 @@ void GroutRuntime::autoscale_tick() {
     }
   }
   scaler_->reset();
-  // Quiescent cluster: disarm instead of keeping the event queue non-empty
-  // forever (dispatch() re-arms on the next CE). The probe is the
-  // controller's own in-flight accounting, not the engine's event queue
-  // (which also holds worker-side housekeeping).
-  std::uint64_t inflight = 0;
-  for (const auto n : metrics_.inflight) inflight += n;
-  if (inflight == 0) {
-    autoscale_armed_ = false;
-    return;
-  }
-  cluster_->simulator().schedule_after(config_.autoscale_interval,
-                                       [this] { autoscale_tick(); });
-}
-
-void GroutRuntime::adapt_tick() {
-  const SimTime at = cluster_->simulator().now();
-  // One retune sweep: reclassify from the windows, refresh the predicted-
-  // dead set, and get the prefetch/advise actions whose desired setting
-  // changed. Unowned (kNoTenant) arrays are the auto-ReadMostly candidates.
-  const std::vector<adapt::RetuneAction> actions = tuner_->sweep(
-      *profiler_, [this](GlobalArrayId a) { return governor_->array_owner(a) == kNoTenant; });
-  for (const adapt::RetuneAction& act : actions) {
-    const adapt::ArrayProfile* prof = profiler_->profile(act.array);
-    const TenantId tenant = prof != nullptr ? prof->tenant : kNoTenant;
-    const char* what = "?";
-    if (act.kind == adapt::RetuneAction::Kind::AdviseReadMostly) {
-      what = "advise-read-mostly";
-      advise(act.array, uvm::Advise::ReadMostly);
-    } else {
-      std::optional<bool> want;
-      if (act.kind == adapt::RetuneAction::Kind::PrefetchOn) {
-        want = true;
-        what = "prefetch-on";
-      } else if (act.kind == adapt::RetuneAction::Kind::PrefetchOff) {
-        want = false;
-        what = "prefetch-off";
-      } else {
-        what = "prefetch-default";
-      }
-      // Future fresh replicas pick the override up at ensure time (like
-      // advises_); existing replicas get it through a reliable command to
-      // each worker, mirroring advise().
-      if (want.has_value()) {
-        prefetch_overrides_[act.array] = *want;
-      } else {
-        prefetch_overrides_.erase(act.array);
-      }
-      for (std::size_t w = 0; w < cluster_->worker_count(); ++w) {
-        cluster::Worker& worker = cluster_->worker(w);
-        cluster_->fabric().send_command(
-            cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
-            [&worker, array = act.array, want] {
-              if (worker.has_array(array)) {
-                worker.node().uvm().set_prefetch_override(worker.local_array(array), want);
-              }
-            },
-            /*reliable=*/true);
-      }
-    }
-    if (cluster_->tracer().enabled()) {
-      // One span per applied retune, tenant-tagged and carrying the class
-      // that drove it, so adaptive decisions are attributable in the trace.
-      cluster_->tracer().record(sim::TraceCategory::Scheduling,
-                                std::string("adapt:") + what + ":" +
-                                    directory_.name_of(act.array) + "(a" +
-                                    std::to_string(act.array) + "," +
-                                    adapt::to_string(act.cls) + ")",
-                                "controller", at, at, tenant);
-    }
-  }
-  // Same disarm-when-quiescent latch as the autoscale tick: a perpetual
-  // sweep would keep the event queue non-empty and synchronize() could
-  // never drain it; dispatch() re-arms on the next CE.
-  std::uint64_t inflight = 0;
-  for (const auto n : metrics_.inflight) inflight += n;
-  if (inflight == 0) {
-    adapt_armed_ = false;
-    return;
-  }
-  cluster_->simulator().schedule_after(config_.adapt.interval, [this] { adapt_tick(); });
+  autoscale_decided_at_ = at;
 }
 
 std::size_t GroutRuntime::add_worker(const cluster::WorkerSpec& spec) {
@@ -359,15 +259,6 @@ CeTicket GroutRuntime::launch(gpusim::KernelLaunchSpec spec) {
 
 void GroutRuntime::dispatch(dag::VertexId v) {
   const auto t0 = WallClock::now();
-  if (scaler_ && !autoscale_armed_) {
-    autoscale_armed_ = true;
-    cluster_->simulator().schedule_after(config_.autoscale_interval,
-                                         [this] { autoscale_tick(); });
-  }
-  if (profiler_ && !adapt_armed_) {
-    adapt_armed_ = true;
-    cluster_->simulator().schedule_after(config_.adapt.interval, [this] { adapt_tick(); });
-  }
   dispatching_.insert(v);
   CeRecord& rec = records_.at(v);
   const gpusim::KernelLaunchSpec& spec = rec.spec;
@@ -379,16 +270,6 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     params.push_back(PlacementParam{static_cast<GlobalArrayId>(p.array),
                                     directory_.bytes_of(static_cast<GlobalArrayId>(p.array)),
                                     uvm::reads(p.mode)});
-  }
-  // Profile this CE's accesses before placing it: the declared patterns are
-  // the ground-truth sequentiality signal, and the reuse-distance sketch
-  // counts CEs between successive touches. Controller-side state only.
-  if (profiler_) {
-    profiler_->begin_ce();
-    for (const auto& p : spec.params) {
-      const auto id = static_cast<GlobalArrayId>(p.array);
-      profiler_->observe_dispatch(spec.tenant, id, directory_.name_of(id), p);
-    }
   }
   PlacementQuery query;
   query.params = &params;
@@ -407,13 +288,6 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   query.tenant_quota = governor_->tenant_quota(spec.tenant);
   bool explored = false;
   query.explored = &explored;
-  // Per-query exploration threshold from the majority class of the CE's
-  // classified inputs (streaming explores, reuse exploits); the policy
-  // keeps its configured threshold while nothing is classified yet.
-  if (tuner_) {
-    query.threshold_override = tuner_->query_threshold(*profiler_, unique_arrays(spec));
-    if (query.threshold_override.has_value()) ++metrics_.adapt_threshold_updates;
-  }
   const std::size_t w = policy_->assign(query);
   GROUT_CHECK(w < cluster_->worker_count() && schedulable_[w],
               "policy returned an invalid or unschedulable worker");
@@ -438,13 +312,9 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     const auto id = static_cast<GlobalArrayId>(p.array);
     const bool fresh = governor_->note_ensure(w, id);
     governor_->note_use(w, id);
-    EnsureOp op{id, directory_.bytes_of(id), directory_.name_of(id), std::nullopt,
-                std::nullopt};
+    EnsureOp op{id, directory_.bytes_of(id), directory_.name_of(id), std::nullopt};
     if (fresh) {
       if (const auto it = advises_.find(id); it != advises_.end()) op.advise = it->second;
-      if (const auto it = prefetch_overrides_.find(id); it != prefetch_overrides_.end()) {
-        op.prefetch = it->second;
-      }
     }
     ensures.push_back(std::move(op));
   }
@@ -511,41 +381,39 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   // stored rec.spec keeps on_record unset so replays re-bind their own.
   gpusim::KernelLaunchSpec wire_spec = spec;
   std::shared_ptr<uvm::AccessReport> report;
-  if (scaler_ || profiler_) {
+  if (scaler_) {
     report = std::make_shared<uvm::AccessReport>();
     wire_spec.on_record = [report](const gpusim::KernelRecord& r) { *report = r.memory; };
   }
-  // The profiler attributes the report to the CE's arrays (CE-granular).
-  std::vector<GlobalArrayId> report_arrays;
-  if (profiler_) report_arrays = unique_arrays(spec);
 
   sim::Simulator& engine = cluster_->simulator();
   const SimTime edge = cluster_->controller_edge(w);
   cluster_->fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), message_bytes,
-      [this, &worker, &engine, edge, v, attempt, w, report,
-       report_arrays = std::move(report_arrays), wire_spec = std::move(wire_spec),
+      [this, &worker, &engine, edge, v, attempt, w, report, wire_spec = std::move(wire_spec),
        ensures = std::move(ensures), adopts = std::move(adopts)]() mutable {
         for (const EnsureOp& e : ensures) {
           worker.ensure_array(e.id, e.bytes, e.name);
           if (e.advise) worker.node().uvm().advise(worker.local_array(e.id), *e.advise);
-          if (e.prefetch) {
-            worker.node().uvm().set_prefetch_override(worker.local_array(e.id), *e.prefetch);
-          }
         }
         for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
         runtime::Submission sub = worker.execute_kernel(std::move(wire_spec));
         // The completion acks back to the controller one fabric edge later;
         // the DAG/pin/drain bookkeeping runs there.
-        sub.done->on_complete([this, &engine, edge, v, attempt, w, report,
-                               report_arrays = std::move(report_arrays)] {
-          engine.schedule_at(engine.now() + edge,
-                             [this, v, attempt, w, report, report_arrays] {
-            if (report && alive_[w]) {
-              if (scaler_) autoscale_reports_.push_back(*report);
-              if (profiler_) profiler_->observe_report(report_arrays, *report);
-            }
+        sub.done->on_complete([this, &engine, edge, v, attempt, w, report] {
+          engine.schedule_at(engine.now() + edge, [this, &engine, v, attempt, w, report] {
+            // A dead node's report says nothing about the surviving
+            // cluster's pressure.
+            if (scaler_ && alive_[w]) scaler_->observe(*report);
             on_ce_complete(v, attempt);
+            // Decide only while work remains in flight: a decision on a
+            // quiescent cluster has nothing to act on, and its drains would
+            // outlive the last CE.
+            if (scaler_ && engine.now() - autoscale_decided_at_ >= config_.autoscale_interval &&
+                std::any_of(metrics_.inflight.begin(), metrics_.inflight.end(),
+                            [](std::uint64_t n) { return n > 0; })) {
+              autoscale_decide();
+            }
           });
         });
       },
@@ -918,23 +786,6 @@ SchedulerMetrics& GroutRuntime::metrics() {
   metrics_.coherence_refetches = directory_.coherence_refetches();
   metrics_.invalidated_bytes = directory_.invalidated_bytes();
   metrics_.refetched_bytes = directory_.refetched_bytes();
-  // Adaptive-management profile and retune counters (--adapt only; the
-  // predicted-dead pair is written by the governor at eviction time).
-  if (profiler_) {
-    metrics_.adapt_sweeps = profiler_->sweeps();
-    metrics_.adapt_samples = profiler_->total_samples();
-    metrics_.adapt_arrays_streaming = profiler_->class_count(adapt::AccessClass::Streaming);
-    metrics_.adapt_arrays_reuse = profiler_->class_count(adapt::AccessClass::Reuse);
-    metrics_.adapt_arrays_random = profiler_->class_count(adapt::AccessClass::Random);
-    std::uint64_t reclass = 0;
-    for (const GlobalArrayId a : profiler_->observed_arrays()) {
-      reclass += profiler_->profile(a)->reclassifications;
-    }
-    metrics_.adapt_reclassifications = reclass;
-    metrics_.adapt_retunes = tuner_->retunes();
-    metrics_.adapt_prefetch_overrides = tuner_->prefetch_overrides();
-    metrics_.adapt_auto_advises = tuner_->auto_advises();
-  }
   return metrics_;
 }
 

@@ -25,7 +25,6 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/elastic.hpp"
-#include "core/adapt/policy_tuner.hpp"
 #include "core/autoscaler.hpp"
 #include "core/directory.hpp"
 #include "core/memory_governor.hpp"
@@ -69,20 +68,16 @@ struct GroutConfig {
   /// background eviction watermarks (--watermarks). The default keeps the
   /// flat synchronous single-tier behaviour.
   spill::SpillConfig spill{};
-  /// KPI autoscaling (--autoscale): every `autoscale_interval` of sim time
-  /// the runtime feeds the window's kernel UVM reports to a KpiAutoscaler
-  /// and applies its decision — hot-joining workers on scale-out, draining
-  /// the highest-index schedulable worker on scale-in — up to
-  /// `autoscale_max_workers`. Decisions appear as Scheduling trace spans.
+  /// KPI autoscaling (--autoscale): CE completion acks feed their kernel
+  /// UVM reports to a KpiAutoscaler. The first ack at least
+  /// `autoscale_interval` of sim time after the previous decision, with
+  /// other CEs still in flight, applies the next one — hot-joining workers
+  /// on scale-out, draining the highest-index schedulable worker on
+  /// scale-in — up to `autoscale_max_workers`. Decisions appear as
+  /// Scheduling trace spans.
   bool autoscale{false};
   SimTime autoscale_interval = SimTime::from_ms(500.0);
   std::size_t autoscale_max_workers{16};
-  /// Adaptive oversubscription management (--adapt): an AccessProfiler
-  /// classifies every array online from the dispatch/completion stream and
-  /// a PolicyTuner retunes prefetch, eviction (dead-replica prediction) and
-  /// per-query exploration thresholds at periodic sweeps. Off by default:
-  /// disabled runs are bit-identical to a build without the subsystem.
-  adapt::AdaptConfig adapt{};
 };
 
 /// Handle to a launched CE.
@@ -197,10 +192,6 @@ class GroutRuntime {
   /// Aggregated UVM stats over all workers (storm counters etc.).
   [[nodiscard]] uvm::UvmStats aggregated_uvm_stats() const;
 
-  /// Adaptive-management introspection; nullptr unless --adapt is on.
-  [[nodiscard]] const adapt::AccessProfiler* profiler() const { return profiler_.get(); }
-  [[nodiscard]] const adapt::PolicyTuner* tuner() const { return tuner_.get(); }
-
  private:
   /// Bookkeeping for every CE the runtime has dispatched. `done` is the
   /// *logical* completion event handed out in the CeTicket: it survives
@@ -244,17 +235,11 @@ class GroutRuntime {
   /// last release fires the drain listener from a fresh sim event, so no
   /// polling and no re-entering the event loop from a callback.
   void try_finalize_drain(std::size_t w);
-  /// Periodic --autoscale observation window: feed the UVM access reports
-  /// that CE completion acks carried back since the last tick to the
-  /// KpiAutoscaler, apply its recommendation to the elastic membership, and
-  /// re-arm the next tick. The controller never reads worker-side kernel
-  /// records mid-run — it learns what a worker did only from its acks.
-  void autoscale_tick();
-  /// Periodic --adapt retune sweep: reclassify every observed array from
-  /// its window, apply the tuner's prefetch/advise actions (propagated to
-  /// the workers by reliable command like advise()), and re-arm while work
-  /// is in flight. Every retune lands at a sweep boundary.
-  void adapt_tick();
+  /// --autoscale decision: apply the KpiAutoscaler's recommendation for the
+  /// reports observed since the last decision to the elastic membership,
+  /// then start a new window. Called from a completion ack; there is no
+  /// timer.
+  void autoscale_decide();
   void record_membership(MembershipEvent::Kind kind, std::size_t w);
   /// The CE's global array ids, deduplicated (pin/unpin bookkeeping).
   static std::vector<GlobalArrayId> unique_arrays(const gpusim::KernelLaunchSpec& spec);
@@ -298,23 +283,11 @@ class GroutRuntime {
   /// input loop is what asked), which single-level replay cannot rebuild.
   std::unordered_set<dag::VertexId> dispatching_;
   std::unique_ptr<net::FaultInjector> injector_;
-  /// --autoscale state: the KPI heuristic plus the access reports shipped
-  /// back by CE completion acks since the last tick (drained each window).
+  /// --autoscale state: the KPI heuristic, fed the UVM access reports that
+  /// CE completion acks carry back (the controller never reads worker-side
+  /// kernel records), and the sim time of its last decision.
   std::unique_ptr<KpiAutoscaler> scaler_;
-  std::vector<uvm::AccessReport> autoscale_reports_;
-  /// Whether the next autoscale tick is scheduled. The tick disarms itself
-  /// when the cluster is quiescent (a perpetual tick would keep the event
-  /// queue non-empty and synchronize() could never drain it); dispatch()
-  /// re-arms it when new work arrives.
-  bool autoscale_armed_{false};
-  /// --adapt state: the profiler fed at dispatch + completion-ack time, the
-  /// tuner consulted per query and at sweeps, the active per-array prefetch
-  /// overrides (applied to future fresh replicas like advises_), and the
-  /// same disarm-when-quiescent latch the autoscale tick uses.
-  std::unique_ptr<adapt::AccessProfiler> profiler_;
-  std::unique_ptr<adapt::PolicyTuner> tuner_;
-  std::unordered_map<GlobalArrayId, bool> prefetch_overrides_;
-  bool adapt_armed_{false};
+  SimTime autoscale_decided_at_{SimTime::zero()};
 };
 
 }  // namespace grout::core

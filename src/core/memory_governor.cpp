@@ -280,7 +280,6 @@ bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArr
   double victim_cost = kInf;
   SimTime victim_use = SimTime::max();
   bool victim_sole = false;
-  bool victim_dead = false;
   for (const auto& [id, rep] : replicas_[w]) {
     if (rep.pins > 0 || keep.contains(id)) continue;
     const LocationSet& holders = directory_.holders(id);
@@ -319,30 +318,19 @@ bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArr
                  ? static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps)
                  : kInf;
     }
-    // Predicted-dead replicas (adaptive tuner: the array was streamed past
-    // and won't be touched again) rank ahead of every live candidate; the
-    // refetch-cost/LRU/array-id ranking is unchanged within each group.
-    const bool dead = dead_predictor_ && dead_predictor_(w, id);
     const bool better =
-        !found || (dead && !victim_dead) ||
-        (dead == victim_dead &&
-         (cost < victim_cost ||
-          (cost == victim_cost &&
-           (rep.last_use < victim_use || (rep.last_use == victim_use && id < victim)))));
+        !found || cost < victim_cost ||
+        (cost == victim_cost &&
+         (rep.last_use < victim_use || (rep.last_use == victim_use && id < victim)));
     if (better) {
       found = true;
       victim = id;
       victim_cost = cost;
       victim_use = rep.last_use;
       victim_sole = sole;
-      victim_dead = dead;
     }
   }
   if (!found) return false;
-  if (victim_dead) {
-    ++metrics_.predicted_dead_evictions;
-    metrics_.predicted_dead_bytes_evicted += replicas_[w].at(victim).bytes;
-  }
   evict(w, victim, victim_sole);
   return true;
 }

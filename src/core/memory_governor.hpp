@@ -177,17 +177,6 @@ class MemoryGovernor {
   /// Arm the unpin watch for worker `w` (drain blocked on pinned replicas).
   void watch_drain(std::size_t w);
 
-  // -- adaptive eviction (dead-replica prediction) ---------------------------
-
-  /// Predicate consulted during victim selection: true when the adaptive
-  /// tuner predicts `id`'s replica on `w` is dead (a streaming array already
-  /// streamed past — its replicas are sunk cost). Predicted-dead replicas
-  /// rank ahead of every refetch-cost LRU victim; within each group the
-  /// ranking is unchanged. Unset predicate = static ranking.
-  void set_dead_predictor(std::function<bool(std::size_t, GlobalArrayId)> predictor) {
-    dead_predictor_ = std::move(predictor);
-  }
-
  private:
   struct Replica {
     Bytes bytes{0};
@@ -252,7 +241,6 @@ class MemoryGovernor {
   /// drain listener via an immediate sim event.
   std::vector<bool> drain_watch_;
   std::function<void(std::size_t)> drain_listener_;
-  std::function<bool(std::size_t, GlobalArrayId)> dead_predictor_;
 };
 
 }  // namespace grout::core

@@ -117,26 +117,6 @@ struct SchedulerMetrics {
   // KPI autoscaler (--autoscale): decisions actually applied to membership.
   std::uint64_t autoscale_scale_outs{0};  ///< workers hot-joined by the autoscaler
   std::uint64_t autoscale_scale_ins{0};   ///< drains initiated by the autoscaler
-
-  // Adaptive oversubscription management (--adapt): online access-pattern
-  // profiling driving prefetch, eviction and exploration policy. Profile /
-  // retune counters are synced from the profiler + tuner by
-  // GroutRuntime::metrics(); the predicted-dead pair is written by the
-  // governor at eviction time.
-  std::uint64_t adapt_sweeps{0};            ///< retune sweeps run
-  std::uint64_t adapt_samples{0};           ///< dispatch observations profiled
-  std::uint64_t adapt_arrays_streaming{0};  ///< arrays currently classed streaming
-  std::uint64_t adapt_arrays_reuse{0};      ///< arrays currently classed reuse
-  std::uint64_t adapt_arrays_random{0};     ///< arrays currently classed random
-  std::uint64_t adapt_reclassifications{0};  ///< class changes across all arrays
-  std::uint64_t adapt_retunes{0};            ///< policy actions applied
-  std::uint64_t adapt_prefetch_overrides{0};  ///< per-array prefetch changes
-  std::uint64_t adapt_threshold_updates{0};   ///< CEs placed with a tuned threshold
-  std::uint64_t adapt_auto_advises{0};        ///< automatic ReadMostly advises
-  /// Evictions where the victim was a predicted-dead replica (chosen ahead
-  /// of refetch-cost LRU victims), and the bytes those evictions reclaimed.
-  std::uint64_t predicted_dead_evictions{0};
-  Bytes predicted_dead_bytes_evicted{0};
 };
 
 }  // namespace grout::core

@@ -1,7 +1,6 @@
 #include "core/policies.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "net/topology.hpp"
@@ -89,26 +88,13 @@ const char* to_string(ExplorationLevel e) {
   return "?";
 }
 
-ThresholdTable::ThresholdTable(double low, double medium, double high)
-    : values_{low, medium, high} {
-  for (const double v : values_) {
-    GROUT_REQUIRE(std::isfinite(v) && v >= 0.0 && v <= 1.0,
-                  "exploration threshold must be a finite fraction in [0, 1]");
-  }
-}
-
-const ThresholdTable& ThresholdTable::defaults() {
-  static const ThresholdTable table{0.25, 0.50, 0.75};
-  return table;
-}
-
-double ThresholdTable::threshold(ExplorationLevel e) const {
-  const auto i = static_cast<std::size_t>(e);
-  return i < 3 ? values_[i] : values_[static_cast<std::size_t>(ExplorationLevel::Medium)];
-}
-
 double exploration_threshold(ExplorationLevel e) {
-  return ThresholdTable::defaults().threshold(e);
+  switch (e) {
+    case ExplorationLevel::Low: return 0.25;
+    case ExplorationLevel::Medium: return 0.50;
+    case ExplorationLevel::High: return 0.75;
+  }
+  return 0.50;
 }
 
 // ---------------------------------------------------------------------------
@@ -181,10 +167,6 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
   if (by_time_) {
     GROUT_REQUIRE(q.fabric != nullptr, "min-transfer-time needs the bandwidth matrix");
   }
-  // Per-query override (the adaptive tuner); absent, exactly the configured
-  // threshold — the float comparisons below stay bit-identical.
-  const double threshold = q.threshold_override.value_or(threshold_);
-  GROUT_REQUIRE(threshold >= 0.0 && threshold <= 1.0, "threshold must be in [0, 1]");
 
   Bytes total_input = 0;
   for (const PlacementParam& p : *q.params) {
@@ -281,7 +263,7 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
       // inputs are viable for exploitation.
       const double avail_fraction =
           static_cast<double>(available) / static_cast<double>(total_input);
-      if (avail_fraction + 1e-12 < threshold) continue;
+      if (avail_fraction + 1e-12 < threshold_) continue;
       if (cost < best_cost) {
         best_cost = cost;
         best_node = w;
@@ -297,7 +279,7 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
     // first-minimum-wins equals maximizing avail with first-maximum-wins.
     const auto viable = [&](Bytes avail) {
       return !(static_cast<double>(avail) / static_cast<double>(total_input) + 1e-12 <
-               threshold);
+               threshold_);
     };
     Bytes lo = 0;
     Bytes hi = total_input;  // avail_fraction 1.0 is always viable
@@ -306,7 +288,7 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
     // +/-4-byte window first; when the window brackets the cutover the
     // search needs ~3 probes instead of ~log2(total). The window test uses
     // the exact predicate, so a miss just falls back to the full range.
-    const double guess = threshold * static_cast<double>(total_input);
+    const double guess = threshold_ * static_cast<double>(total_input);
     if (guess > 8.0 && guess + 8.0 < static_cast<double>(total_input)) {
       const Bytes g = static_cast<Bytes>(guess);
       if (!viable(g - 4) && viable(g + 4)) {

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -43,32 +42,8 @@ enum class ExplorationLevel : std::uint8_t { Low, Medium, High };
 
 const char* to_string(ExplorationLevel e);
 
-/// Source of the exploration-vs-exploitation viability thresholds. The
-/// default provider reproduces the paper's three levels; the adaptive
-/// PolicyTuner builds custom tables per observed access pattern and injects
-/// the chosen value per query (PlacementQuery::threshold_override), so the
-/// policies themselves never re-read a mutable global.
-class ThresholdProvider {
- public:
-  virtual ~ThresholdProvider() = default;
-  [[nodiscard]] virtual double threshold(ExplorationLevel e) const = 0;
-};
-
-/// Validated table-driven provider: one threshold per level, each required
-/// to be a finite fraction in [0, 1] at construction.
-class ThresholdTable final : public ThresholdProvider {
- public:
-  ThresholdTable(double low, double medium, double high);
-  /// The paper's defaults (0.25 / 0.50 / 0.75) — the values every policy
-  /// used before the provider existed, pinned by test_policy_differential.
-  static const ThresholdTable& defaults();
-  [[nodiscard]] double threshold(ExplorationLevel e) const override;
-
- private:
-  double values_[3];
-};
-
-/// Up-to-date-data threshold for each exploration level (the default table).
+/// Up-to-date-data threshold for each exploration level: the paper's
+/// 0.25 / 0.50 / 0.75.
 double exploration_threshold(ExplorationLevel e);
 
 /// One CE parameter as the node-level scheduler sees it.
@@ -107,10 +82,6 @@ struct PlacementQuery {
   /// how fresh joiners with no resident data attract their first CE. The
   /// runtime surfaces the count as SchedulerMetrics::exploration_placements.
   bool* explored{nullptr};
-  /// Per-query exploration-threshold override in [0, 1]; unset = the
-  /// policy's configured threshold. Set by the adaptive PolicyTuner from
-  /// the observed access pattern of the CE's arrays.
-  std::optional<double> threshold_override;
 };
 
 /// True when worker `w` is eligible for placement under `q`.

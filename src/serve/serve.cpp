@@ -350,7 +350,6 @@ ServeReport ServeScheduler::make_report(bool queue_drained) {
   for (Tenant& t : tenants_) still_waiting += t.waiting.size();
   report.drained = queue_drained && programs_in_flight_ == 0 && still_waiting == 0;
   const double elapsed_s = std::max(report.elapsed.seconds(), 1e-9);
-  const core::adapt::AccessProfiler* profiler = runtime_.profiler();
   for (std::size_t k = 0; k < tenants_.size(); ++k) {
     Tenant& t = tenants_[k];
     TenantReport r;
@@ -372,20 +371,6 @@ ServeReport ServeScheduler::make_report(bool queue_drained) {
     r.peak_resident = t.peak_resident;
     r.peak_spill_dram = t.peak_spill_dram;
     r.peak_spill_nvme = t.peak_spill_nvme;
-    if (profiler != nullptr) {
-      // Per-tenant view of the online classification (first-toucher
-      // attribution — matches how the profiler stamps ArrayProfile::tenant).
-      for (const core::GlobalArrayId a : profiler->observed_arrays()) {
-        const core::adapt::ArrayProfile* p = profiler->profile(a);
-        if (p == nullptr || p->tenant != static_cast<TenantId>(k)) continue;
-        switch (p->cls) {
-          case core::adapt::AccessClass::Streaming: ++r.adapt_streaming; break;
-          case core::adapt::AccessClass::Reuse: ++r.adapt_reuse; break;
-          case core::adapt::AccessClass::Random: ++r.adapt_random; break;
-          case core::adapt::AccessClass::Unknown: break;
-        }
-      }
-    }
     report.total_completed += t.completed;
     report.total_shed += r.shed;
     report.tenants.push_back(std::move(r));

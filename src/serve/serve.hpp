@@ -111,13 +111,6 @@ struct TenantReport {
   /// governor's tiered spill store accounting).
   Bytes peak_spill_dram{0};
   Bytes peak_spill_nvme{0};
-  /// Adaptive profiling (--adapt): this tenant's arrays by current class.
-  /// Arrays are attributed to the tenant whose CE first touched them, so
-  /// shared-pool arrays count toward their first toucher. All zero when
-  /// adaptive management is off.
-  std::size_t adapt_streaming{0};
-  std::size_t adapt_reuse{0};
-  std::size_t adapt_random{0};
 };
 
 struct ServeReport {

@@ -89,14 +89,6 @@ void UvmSpace::advise(ArrayId id, Advise advise, DeviceId device) {
   arr.advise_device = device;
 }
 
-void UvmSpace::set_prefetch_override(ArrayId id, std::optional<bool> enabled) {
-  array_ref(id).prefetch_override = enabled;
-}
-
-std::optional<bool> UvmSpace::prefetch_override(ArrayId id) const {
-  return array_ref(id).prefetch_override;
-}
-
 // ---------------------------------------------------------------------------
 // Device access (the fault engine)
 // ---------------------------------------------------------------------------
@@ -178,19 +170,16 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
         storm_bw.transfer_time(r.healthy_fetch + r.evict_fetch + r.populate_alloc);
   } else {
     if (r.healthy_fetch > 0) {
-      // Each array's *effective* prefetcher setting (per-array override or
-      // the global flag) decides which rate its healthy faults are served
-      // at: full PCIe with the sequential prefetcher coalescing, or the
-      // degraded no-prefetch rate plus per-batch fault latency.
-      const Bytes with_pf = r.healthy_fetch - c.healthy_fetch_nopf;
-      if (with_pf > 0) {
-        fault_time += pcie.transfer_time(with_pf);
-      }
-      if (c.healthy_fetch_nopf > 0) {
+      // The sequential prefetcher coalesces healthy faults at full PCIe;
+      // with it off they are served at the degraded rate plus per-batch
+      // fault latency.
+      if (tuning_.prefetcher_enabled) {
+        fault_time += pcie.transfer_time(r.healthy_fetch);
+      } else {
         const Bandwidth degraded =
             Bandwidth::bytes_per_sec(pcie.bps() * tuning_.no_prefetch_bw_factor);
-        fault_time += degraded.transfer_time(c.healthy_fetch_nopf);
-        const std::uint64_t pages = c.healthy_fetch_nopf / tuning_.page_size;
+        fault_time += degraded.transfer_time(r.healthy_fetch);
+        const std::uint64_t pages = r.healthy_fetch / tuning_.page_size;
         const std::uint64_t batches =
             (pages + tuning_.healthy_batch_pages - 1) / tuning_.healthy_batch_pages;
         fault_time += tuning_.fault_batch_latency * static_cast<std::int64_t>(batches);
@@ -299,7 +288,6 @@ void UvmSpace::touch_page(DeviceId device, ArrayId id, std::uint32_t page, Acces
       c.evict_fetch += pb;
     } else {
       c.healthy_fetch += pb;
-      if (!effective_prefetch(arr)) c.healthy_fetch_nopf += pb;
     }
   }
 

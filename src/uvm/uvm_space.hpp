@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,14 +84,6 @@ class UvmSpace {
 
   /// Apply a cudaMemAdvise-style hint.
   void advise(ArrayId id, Advise advise, DeviceId device = kHostDevice);
-
-  /// Per-array override of the global UvmTuning::prefetcher_enabled flag:
-  /// the driver-level sequential prefetcher can be forced on/off for one
-  /// allocation (the adaptive tuner's streaming-vs-random decision).
-  /// nullopt restores the global default. No override leaves the service
-  /// model bit-identical to the pre-override behaviour.
-  void set_prefetch_override(ArrayId id, std::optional<bool> enabled);
-  [[nodiscard]] std::optional<bool> prefetch_override(ArrayId id) const;
 
   // -- accesses ------------------------------------------------------------
 
@@ -163,8 +154,6 @@ class UvmSpace {
     std::vector<std::size_t> sticky_per_device;  ///< distinct pages faulted, per device
     Advise advise{Advise::None};
     DeviceId advise_device{kHostDevice};
-    /// Per-array prefetcher override; nullopt = UvmTuning::prefetcher_enabled.
-    std::optional<bool> prefetch_override;
     bool live{false};
   };
 
@@ -187,9 +176,6 @@ class UvmSpace {
 
   struct TouchCounters {
     Bytes healthy_fetch{0};
-    /// Subset of healthy_fetch faulted by arrays whose *effective* prefetch
-    /// is off — charged at the degraded no-prefetch rate + batch latency.
-    Bytes healthy_fetch_nopf{0};
     Bytes evict_fetch{0};
     Bytes populate_alloc{0};
     Bytes writeback{0};
@@ -207,9 +193,6 @@ class UvmSpace {
   ArrayInfo& array_ref(ArrayId id);
   const ArrayInfo& array_ref(ArrayId id) const;
 
-  [[nodiscard]] bool effective_prefetch(const ArrayInfo& arr) const {
-    return arr.prefetch_override.value_or(tuning_.prefetcher_enabled);
-  }
   DeviceState& device_ref(DeviceId id);
   const DeviceState& device_ref(DeviceId id) const;
 

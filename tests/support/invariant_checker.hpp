@@ -134,32 +134,6 @@ class InvariantChecker {
     last_invalidations_ = dir.invalidations();
     last_transfers_ = dir.ownership_transfers();
     last_refetches_ = dir.coherence_refetches();
-    // Adaptive management (--adapt runs): the profiler's counters are
-    // monotone — globally and per array — and policy retunes only ever land
-    // at sweep boundaries (a retune without a new sweep means the tuner
-    // mutated policy mid-dispatch, which would break serial/parallel
-    // bit-identity).
-    if (const core::adapt::AccessProfiler* prof = rt_.profiler()) {
-      EXPECT_GE(prof->total_samples(), last_adapt_samples_) << "profile samples went backwards";
-      EXPECT_GE(prof->sweeps(), last_adapt_sweeps_) << "sweep counter went backwards";
-      EXPECT_GE(prof->tick(), last_adapt_tick_) << "dispatch tick went backwards";
-      for (const core::GlobalArrayId id : prof->observed_arrays()) {
-        if (id >= last_array_samples_.size()) last_array_samples_.resize(id + 1, 0);
-        const core::adapt::ArrayProfile* p = prof->profile(id);
-        EXPECT_GE(p->samples, last_array_samples_[id])
-            << "per-array sample counter went backwards for " << p->name;
-        last_array_samples_[id] = p->samples;
-      }
-      const std::uint64_t retunes = rt_.tuner()->retunes();
-      EXPECT_GE(retunes, last_adapt_retunes_) << "retune counter went backwards";
-      if (prof->sweeps() == last_adapt_sweeps_) {
-        EXPECT_EQ(retunes, last_adapt_retunes_) << "policy retuned outside a sweep boundary";
-      }
-      last_adapt_samples_ = prof->total_samples();
-      last_adapt_sweeps_ = prof->sweeps();
-      last_adapt_tick_ = prof->tick();
-      last_adapt_retunes_ = retunes;
-    }
   }
 
   /// A CE was just launched: every parameter must be up-to-date on the
@@ -232,12 +206,6 @@ class InvariantChecker {
   std::uint64_t last_invalidations_{0};
   std::uint64_t last_transfers_{0};
   std::uint64_t last_refetches_{0};
-  /// --adapt monotonicity state (see check_always).
-  std::uint64_t last_adapt_samples_{0};
-  std::uint64_t last_adapt_sweeps_{0};
-  std::uint64_t last_adapt_tick_{0};
-  std::uint64_t last_adapt_retunes_{0};
-  std::vector<std::uint64_t> last_array_samples_;
 };
 
 }  // namespace grout::test

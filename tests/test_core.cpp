@@ -341,6 +341,14 @@ TEST(PolicyNamesTest, Strings) {
   EXPECT_DOUBLE_EQ(exploration_threshold(ExplorationLevel::High), 0.75);
 }
 
+TEST(ExplorationThresholdTest, DefaultsMatchThePaperLevels) {
+  // Section V-E's three levels, exact: every min-transfer placement and the
+  // policy differential oracles depend on these constants.
+  EXPECT_EQ(exploration_threshold(ExplorationLevel::Low), 0.25);
+  EXPECT_EQ(exploration_threshold(ExplorationLevel::Medium), 0.50);
+  EXPECT_EQ(exploration_threshold(ExplorationLevel::High), 0.75);
+}
+
 // ---------------------------------------------------------------------------
 // GroutRuntime (the hierarchical scheduler end-to-end, small scale)
 // ---------------------------------------------------------------------------
@@ -515,6 +523,36 @@ TEST(GroutRuntimeTest, AggregatedUvmStats) {
   const uvm::UvmStats stats = rt.aggregated_uvm_stats();
   EXPECT_EQ(stats.kernels, 1u);
   EXPECT_GT(stats.bytes_fetched, 0u);
+}
+
+TEST(GroutRuntimeTest, AutoscaleDecidesOnAcksAndEndsAtTheLastCompletion) {
+  // Decisions ride completion acks instead of a free-running timer, so the
+  // run ends when its last CE completes rather than at the next tick.
+  GroutConfig cfg = small_grout();
+  cfg.autoscale = true;
+  cfg.autoscale_interval = SimTime::from_ms(1.0);
+  GroutRuntime rt(cfg);
+  std::vector<CeTicket> tickets;
+  for (int i = 0; i < 8; ++i) {
+    const GlobalArrayId a = rt.alloc(2_MiB, "a" + std::to_string(i));
+    rt.host_init(a);
+    gpusim::KernelLaunchSpec spec = global_kernel(a, uvm::AccessMode::Read);
+    // Round-robin alternates workers: worker 1 (the one a scale-in drains)
+    // runs short kernels whose acks arrive while worker 0 is still busy,
+    // so the drain finishes well before the run does.
+    spec.flops = i % 2 == 0 ? 2e11 : 1e10;
+    tickets.push_back(rt.launch(std::move(spec)));
+  }
+  ASSERT_TRUE(rt.synchronize());
+  SimTime last = SimTime::zero();
+  for (const CeTicket& t : tickets) {
+    ASSERT_TRUE(t.done->completed());
+    last = std::max(last, t.done->when());
+  }
+  // Light pressure: the autoscaler scales in, draining worker 1.
+  EXPECT_EQ(rt.metrics().autoscale_scale_ins, 1u);
+  EXPECT_TRUE(rt.worker_drained(1));
+  EXPECT_EQ(rt.now().ns(), last.ns());
 }
 
 // ---------------------------------------------------------------------------

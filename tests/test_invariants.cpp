@@ -103,19 +103,6 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace) {
   if (with_kill) {
     cfg.fault_plan.kills.push_back(net::KillWorkerFault{0, SimTime::from_seconds(0.4)});
   }
-  // Every second seed runs with adaptive oversubscription management on: a
-  // small window and a fast sweep cadence make the profiler classify and
-  // the tuner retune (prefetch overrides, dead-replica predictions, tuned
-  // thresholds, auto advises) inside a 20-40-step scenario, composing with
-  // every other axis — spill tiers, kills, multi-tenancy, drains.
-  const bool adaptive = seed % 2 == 1;
-  if (adaptive) {
-    cfg.adapt.enabled = true;
-    cfg.adapt.window = 8;
-    cfg.adapt.min_samples = 2;
-    cfg.adapt.interval = SimTime::from_ms(5.0);
-  }
-
   GroutRuntime rt(cfg);
   test::InvariantChecker chk(rt);
   if (spill_tiers) chk.expect_no_dispatch_stalls();
@@ -197,8 +184,8 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace) {
                                      : m == 0  ? uvm::AccessMode::Read
                                      : m == 1  ? uvm::AccessMode::Write
                                                : uvm::AccessMode::ReadWrite;
-        // Roll the declared pattern too so the adaptive profiler sees all
-        // three classes (streaming / hot-reuse / random), not just one.
+        // Roll the declared pattern too so the UVM model sees all three
+        // access shapes (streaming / hot-reuse / random), not just one.
         const std::uint64_t pat = rng.next_below(4);
         const uvm::AccessPattern pattern =
             pat == 0 ? uvm::AccessPattern{uvm::HotReusePattern{}}
@@ -409,41 +396,15 @@ void expect_identical_outcomes(const ScenarioOutcome& a, const ScenarioOutcome& 
   EXPECT_EQ(a.metrics.spill_nvme_high_water, b.metrics.spill_nvme_high_water);
   EXPECT_EQ(a.metrics.writeback_queue_peak, b.metrics.writeback_queue_peak);
   EXPECT_EQ(a.metrics.spill_wait, b.metrics.spill_wait);
-  EXPECT_EQ(a.metrics.adapt_sweeps, b.metrics.adapt_sweeps);
-  EXPECT_EQ(a.metrics.adapt_samples, b.metrics.adapt_samples);
-  EXPECT_EQ(a.metrics.adapt_arrays_streaming, b.metrics.adapt_arrays_streaming);
-  EXPECT_EQ(a.metrics.adapt_arrays_reuse, b.metrics.adapt_arrays_reuse);
-  EXPECT_EQ(a.metrics.adapt_arrays_random, b.metrics.adapt_arrays_random);
-  EXPECT_EQ(a.metrics.adapt_reclassifications, b.metrics.adapt_reclassifications);
-  EXPECT_EQ(a.metrics.adapt_retunes, b.metrics.adapt_retunes);
-  EXPECT_EQ(a.metrics.adapt_prefetch_overrides, b.metrics.adapt_prefetch_overrides);
-  EXPECT_EQ(a.metrics.adapt_threshold_updates, b.metrics.adapt_threshold_updates);
-  EXPECT_EQ(a.metrics.adapt_auto_advises, b.metrics.adapt_auto_advises);
-  EXPECT_EQ(a.metrics.predicted_dead_evictions, b.metrics.predicted_dead_evictions);
-  EXPECT_EQ(a.metrics.predicted_dead_bytes_evicted, b.metrics.predicted_dead_bytes_evicted);
 }
 
 TEST(DeterminismTest, SameSeedTwiceIsBitIdentical) {
-  // Seed 7 draws MinTransferTime with a drain-heavy action mix (and, being
-  // odd, runs with adaptive management on); any seed must reproduce, this
-  // one just covers the richest machinery.
+  // Seed 7 draws MinTransferTime with a drain-heavy action mix and
+  // multi-tenant contention (7 % 3 == 1); any seed must reproduce, this one
+  // just covers the richest machinery.
   const ScenarioOutcome a = run_scenario(7, /*check=*/false, /*trace=*/true);
   const ScenarioOutcome b = run_scenario(7, /*check=*/false, /*trace=*/true);
   expect_identical_outcomes(a, b);
-}
-
-TEST(DeterminismTest, AdaptiveSeedRerunIsBitIdentical) {
-  // Seed 7 composes --adapt (seed % 2 == 1) with MinTransferTime and
-  // multi-tenant contention (7 % 3 == 1): profiles, classifications, retune
-  // sweeps, tuned thresholds and predicted-dead evictions must replay
-  // bit-identically on a rerun — the profiler is fed only from
-  // controller-side events, so the ack order decides every profile.
-  const ScenarioOutcome a = run_scenario(7, /*check=*/false, /*trace=*/true);
-  const ScenarioOutcome b = run_scenario(7, /*check=*/false, /*trace=*/true);
-  expect_identical_outcomes(a, b);
-  // The adaptive machinery actually engaged on this seed.
-  EXPECT_GT(a.metrics.adapt_samples, 0u);
-  EXPECT_GT(a.metrics.adapt_sweeps, 0u);
 }
 
 TEST(DeterminismTest, SpillSeedIsBitIdentical) {

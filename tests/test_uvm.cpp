@@ -426,7 +426,8 @@ TEST_F(UvmFixture, PrefetchEvictsWhenFull) {
 TEST_F(UvmFixture, PrefetchLargerThanDeviceCyclesThroughEviction) {
   // Oversubscribing prefetch: later pages evict the array's own earlier
   // pages via the normal victim path; residency never exceeds capacity and
-  // the call completes (the adaptive tuner issues prefetches like this).
+  // the call completes (a cudaMemPrefetchAsync-style op on an
+  // oversubscribed device does exactly this).
   rebuild(EvictionPolicyKind::ClockLru, 2_MiB, 2);
   const ArrayId a = alloc_populated(4_MiB, "a");
   const SimTime done = space->prefetch(a, 0);
@@ -437,7 +438,7 @@ TEST_F(UvmFixture, PrefetchLargerThanDeviceCyclesThroughEviction) {
 
 TEST_F(UvmFixture, RepeatedPrefetchOfFullDeviceNeverAborts) {
   // Regression for the former GROUT_CHECK(used_pages < capacity_pages)
-  // abort in prefetch(): the adaptive tuner issues prefetches under heavy
+  // abort in prefetch(): prefetch ops can be issued under heavy
   // oversubscription, where the device is persistently full and every new
   // page must displace a victim — including advice-pinned and hot pages
   // that the clock sweep second-chances. Hammering prefetches across

@@ -57,7 +57,6 @@ struct Options {
   net::FaultPlan fault_plan;
   cluster::ElasticPlan elastic_plan;
   bool autoscale = false;
-  core::adapt::AdaptConfig adapt;  // --adapt / --adapt-window / --adapt-interval
   // serve command
   std::size_t tenants = 2;
   std::string arrival = "closed:1";
@@ -119,19 +118,13 @@ struct Options {
                "       drain@t=<sec>:<worker>        gracefully decommission a worker\n"
                "     e.g. --elastic-plan \"join@t=2s:2,drain@t=5s:0\")\n"
                "  --autoscale                     (KPI-driven worker scale-out/in)\n"
-               "  --adapt                         (adaptive oversubscription management:\n"
-               "                                   online access profiling retunes\n"
-               "                                   prefetch, eviction and exploration)\n"
-               "  --adapt-window <n>              (profile sliding window in dispatches;\n"
-               "                                   default 32, min 2)\n"
-               "  --adapt-interval <ms>           (retune sweep cadence; default 50)\n"
                "serve options (multi-tenant frontend):\n"
                "  --tenants <n>                   (default 2)\n"
                "  --arrival closed[:depth]|poisson:<rate_hz>   (default closed:1)\n"
                "  --tenant-weights a,b,c          (WFQ weights, cycled; default 1)\n"
                "  --tenant-quota a,b,c            (GiB resident quota, cycled; 0 = none)\n"
                "  --programs <n>                  (programs per tenant; default 4)\n"
-               "  --max-outstanding <n>           (CEs in flight; 0 = 4 x workers)\n"
+               "  --max-outstanding <n>           (CEs in flight; default 4 x workers)\n"
                "  --contention theta=<t>,rw=<r>,shared=<s>\n"
                "                                  (YCSB-style Zipf traffic over a pool of\n"
                "                                   shared arrays instead of per-tenant\n"
@@ -191,6 +184,31 @@ double parse_number(const std::string& flag, const std::string& s) {
   return v;
 }
 
+/// Whole-number count flags (workers, partitions, tenants, ...): a strict
+/// parse_number that must also be an integer >= 1, so "-1", "0" and "1.5"
+/// die here instead of wrapping or truncating into a runaway run.
+std::size_t parse_count(const std::string& flag, const std::string& s) {
+  const double v = parse_number(flag, s);
+  if (v < 1.0 || v > 4294967295.0 || v != std::floor(v)) {
+    usage((flag + ": must be a whole number >= 1, got '" + s + "'").c_str());
+  }
+  return static_cast<std::size_t>(v);
+}
+
+/// A GiB amount: positive, or non-negative where 0 is a documented value
+/// ("unbounded", "no quota"), and small enough that its byte count fits
+/// in Bytes.
+double parse_gib(const std::string& flag, const std::string& s, bool allow_zero) {
+  const double v = parse_number(flag, s);
+  constexpr double kMaxGib = 8589934592.0;  // 2^33 GiB = 2^63 bytes
+  if (v < 0.0 || (v == 0.0 && !allow_zero) || v > kMaxGib) {
+    usage((flag + ": must be in " + (allow_zero ? "[0" : "(0") + ", 8589934592] GiB, got '" + s +
+           "'")
+              .c_str());
+  }
+  return v;
+}
+
 Bytes parse_bytes_flag(const std::string& flag, const std::string& s) {
   try {
     return parse_bytes(s);
@@ -229,11 +247,11 @@ Options parse_args(int argc, char** argv) {
     if (flag == "--workload") {
       opt.workload = parse_workload(next());
     } else if (flag == "--size-gib") {
-      opt.size_gib = std::stod(next());
+      opt.size_gib = parse_gib(flag, next(), /*allow_zero=*/false);
     } else if (flag == "--sizes") {
       opt.sizes.clear();
       for (const auto part : split(next(), ',')) {
-        opt.sizes.push_back(std::stod(std::string(part)));
+        opt.sizes.push_back(parse_gib(flag, std::string(part), /*allow_zero=*/false));
       }
     } else if (flag == "--backend") {
       opt.backend = next();
@@ -241,30 +259,27 @@ Options parse_args(int argc, char** argv) {
         usage("backend must be grcuda, grout or both");
       }
     } else if (flag == "--workers") {
-      opt.workers = std::stoul(next());
+      opt.workers = parse_count(flag, next());
     } else if (flag == "--policy") {
       opt.policy = parse_policy(next());
     } else if (flag == "--step-vector") {
       opt.step_vector.clear();
       for (const auto part : split(next(), ',')) {
         opt.step_vector.push_back(
-            static_cast<std::uint32_t>(std::stoul(std::string(part))));
+            static_cast<std::uint32_t>(parse_count(flag, std::string(part))));
       }
     } else if (flag == "--exploration") {
       opt.exploration = parse_exploration(next());
     } else if (flag == "--partitions") {
-      opt.partitions = std::stoul(next());
+      opt.partitions = parse_count(flag, next());
     } else if (flag == "--iterations") {
-      opt.iterations = std::stoul(next());
+      opt.iterations = parse_count(flag, next());
     } else if (flag == "--shared-matrix") {
       opt.shared_matrix = true;
     } else if (flag == "--eviction") {
       opt.eviction = next();
     } else if (flag == "--worker-mem") {
-      opt.worker_mem_gib = parse_number(flag, next());
-      // 0 is a documented value (unbounded); negatives, NaN and garbage
-      // must die here instead of misconfiguring the governor silently.
-      if (*opt.worker_mem_gib < 0.0) usage("--worker-mem must be >= 0 GiB");
+      opt.worker_mem_gib = parse_gib(flag, next(), /*allow_zero=*/true);
     } else if (flag == "--spill-tiers") {
       const double tiers = parse_number(flag, next());
       if (tiers != 1.0 && tiers != 2.0) usage("--spill-tiers must be 1 or 2");
@@ -297,11 +312,7 @@ Options parse_args(int argc, char** argv) {
       if (us < 0.0) usage("--nvme-lat must be >= 0 us");
       opt.spill.nvme.latency = SimTime::from_us(us);
     } else if (flag == "--nvme-qd") {
-      const double qd = parse_number(flag, next());
-      if (qd < 1.0 || qd != static_cast<double>(static_cast<std::size_t>(qd))) {
-        usage("--nvme-qd must be a positive integer");
-      }
-      opt.spill.nvme.queue_depth = static_cast<std::size_t>(qd);
+      opt.spill.nvme.queue_depth = parse_count(flag, next());
     } else if (flag == "--nvme-capacity") {
       opt.spill.nvme.capacity = parse_bytes_flag(flag, next());
     } else if (flag == "--format") {
@@ -317,39 +328,18 @@ Options parse_args(int argc, char** argv) {
       opt.elastic_plan = cluster::ElasticPlan::parse(next());
     } else if (flag == "--autoscale") {
       opt.autoscale = true;
-    } else if (flag == "--adapt") {
-      opt.adapt.enabled = true;
-    } else if (flag == "--adapt-window") {
-      const double n = parse_number(flag, next());
-      // Window 0/1 cannot hold a reuse signal; non-integers and negatives
-      // die at parse time (knob-hardening style).
-      if (n < 2.0 || n != static_cast<double>(static_cast<std::size_t>(n))) {
-        usage("--adapt-window must be an integer >= 2");
-      }
-      opt.adapt.window = static_cast<std::size_t>(n);
-    } else if (flag == "--adapt-interval") {
-      const double ms = parse_number(flag, next());
-      if (ms <= 0.0) usage("--adapt-interval must be positive milliseconds");
-      opt.adapt.interval = SimTime::from_ms(ms);
     } else if (flag == "--tenants") {
-      opt.tenants = std::stoul(next());
-      if (opt.tenants == 0) usage("--tenants must be >= 1");
+      opt.tenants = parse_count(flag, next());
     } else if (flag == "--arrival") {
       opt.arrival = next();
     } else if (flag == "--tenant-weights") {
       opt.tenant_weights.clear();
       for (const auto part : split(next(), ',')) {
-        double w = 0.0;
-        try {
-          w = std::stod(std::string(part));
-        } catch (const std::exception&) {
-          usage(("--tenant-weights: not a number: '" + std::string(part) + "'").c_str());
-        }
+        const double w = parse_number(flag, std::string(part));
         // Weight 0 would divide the WFQ vtime increment by zero; negative
-        // or non-finite weights corrupt the ordering — fail at parse time.
-        if (!std::isfinite(w) || w <= 0.0) {
-          usage(("--tenant-weights: weight must be positive and finite, got '" +
-                 std::string(part) + "'")
+        // weights corrupt the ordering — fail at parse time.
+        if (w <= 0.0) {
+          usage(("--tenant-weights: weight must be positive, got '" + std::string(part) + "'")
                     .c_str());
         }
         opt.tenant_weights.push_back(w);
@@ -357,12 +347,12 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--tenant-quota") {
       opt.tenant_quota_gib.clear();
       for (const auto part : split(next(), ',')) {
-        opt.tenant_quota_gib.push_back(std::stod(std::string(part)));
+        opt.tenant_quota_gib.push_back(parse_gib(flag, std::string(part), /*allow_zero=*/true));
       }
     } else if (flag == "--programs") {
-      opt.programs = std::stoul(next());
+      opt.programs = parse_count(flag, next());
     } else if (flag == "--max-outstanding") {
-      opt.max_outstanding = std::stoul(next());
+      opt.max_outstanding = parse_count(flag, next());
     } else if (flag == "--contention") {
       opt.contention = next();
     } else {
@@ -373,7 +363,6 @@ Options parse_args(int argc, char** argv) {
   // ordering, ...) dies at parse time too, not inside the governor.
   try {
     opt.spill.validate();
-    opt.adapt.validate();
   } catch (const grout::Error& e) {
     usage(e.what());
   }
@@ -423,7 +412,6 @@ core::GroutConfig grout_config_of(const Options& opt) {
   cfg.fault_plan = opt.fault_plan;
   cfg.elastic_plan = opt.elastic_plan;
   cfg.autoscale = opt.autoscale;
-  cfg.adapt = opt.adapt;
   if (opt.worker_mem_gib) {
     cfg.worker_mem = static_cast<Bytes>(*opt.worker_mem_gib * 1073741824.0);
   }
@@ -488,27 +476,6 @@ RunResult run_once(const Options& opt, const std::string& backend, double size_g
       std::printf("  %llu scale-outs, %llu scale-ins (KPI-driven)\n",
                   static_cast<unsigned long long>(m.autoscale_scale_outs),
                   static_cast<unsigned long long>(m.autoscale_scale_ins));
-    }
-    if (opt.adapt.enabled) {
-      std::printf("adaptive:\n");
-      std::printf("  profiles:        %llu samples over %llu sweeps; "
-                  "%zu streaming / %zu reuse / %zu random arrays, %llu reclassifications\n",
-                  static_cast<unsigned long long>(m.adapt_samples),
-                  static_cast<unsigned long long>(m.adapt_sweeps), m.adapt_arrays_streaming,
-                  m.adapt_arrays_reuse, m.adapt_arrays_random,
-                  static_cast<unsigned long long>(m.adapt_reclassifications));
-      std::printf("  retunes:         %llu total (%llu prefetch overrides, "
-                  "%llu auto advises), %llu tuned-threshold placements\n",
-                  static_cast<unsigned long long>(m.adapt_retunes),
-                  static_cast<unsigned long long>(m.adapt_prefetch_overrides),
-                  static_cast<unsigned long long>(m.adapt_auto_advises),
-                  static_cast<unsigned long long>(m.adapt_threshold_updates));
-      std::printf("  dead replicas:   %llu predicted-dead evictions (%s)\n",
-                  static_cast<unsigned long long>(m.predicted_dead_evictions),
-                  format_bytes(m.predicted_dead_bytes_evicted).c_str());
-      std::printf("  prefetch:        %s issued, %s useful\n",
-                  format_bytes(stats.prefetch_issued).c_str(),
-                  format_bytes(stats.prefetch_useful).c_str());
     }
     if (!rt.membership_log().empty()) {
       std::printf("membership:\n");
@@ -746,21 +713,6 @@ int cmd_serve(const Options& opt) {
     std::printf("autoscale: %llu scale-outs, %llu scale-ins\n",
                 static_cast<unsigned long long>(m.autoscale_scale_outs),
                 static_cast<unsigned long long>(m.autoscale_scale_ins));
-  }
-  if (opt.adapt.enabled) {
-    std::printf("adaptive: %llu samples, %llu sweeps, %llu retunes "
-                "(%llu prefetch, %llu advises), %llu predicted-dead evictions\n",
-                static_cast<unsigned long long>(m.adapt_samples),
-                static_cast<unsigned long long>(m.adapt_sweeps),
-                static_cast<unsigned long long>(m.adapt_retunes),
-                static_cast<unsigned long long>(m.adapt_prefetch_overrides),
-                static_cast<unsigned long long>(m.adapt_auto_advises),
-                static_cast<unsigned long long>(m.predicted_dead_evictions));
-    for (const serve::TenantReport& t : rep.tenants) {
-      if (t.adapt_streaming + t.adapt_reuse + t.adapt_random == 0) continue;
-      std::printf("  %s: %zu streaming / %zu reuse / %zu random arrays\n", t.name.c_str(),
-                  t.adapt_streaming, t.adapt_reuse, t.adapt_random);
-    }
   }
   if (opt.trace_path) {
     std::ofstream out(*opt.trace_path);
