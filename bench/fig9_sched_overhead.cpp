@@ -18,9 +18,10 @@
 //                        placement, movement planning, marshalling) with
 //                        the simulation drained off the timed path.
 //   bench_dag_*        — Global-DAG insertion cost alone under stress
-//                        shapes (long chains, wide fan-out, random mixed)
-//                        from 1k to >100k CEs; per-item time must stay
-//                        flat as the program grows.
+//                        shapes (long chains, wide fan-out, random mixed,
+//                        read-mostly inputs) from 1k to >100k CEs;
+//                        per-item time must stay flat as the program
+//                        grows.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -293,6 +294,26 @@ Stream mixed_stream(std::size_t n) {
   return s;
 }
 
+/// The CG / host_init shape: 16 inputs written once up front and read
+/// ever after, plus a rolling chain over 64 arrays. CE i reads input
+/// i % 16 and the previous chain array and writes the next, so every
+/// insert has a last writer from the start of the program as a candidate
+/// and a reader of that input at most 16 chain links back.
+Stream read_mostly_stream(std::size_t n) {
+  constexpr uvm::ArrayId kInputs = 16;
+  Stream s;
+  s.reserve(n);
+  for (uvm::ArrayId a = 0; a < kInputs && s.size() < n; ++a) {
+    s.push_back({dag::AccessSummary{a, true}});
+  }
+  for (std::size_t i = s.size(); i < n; ++i) {
+    s.push_back({dag::AccessSummary{static_cast<uvm::ArrayId>(i % kInputs), false},
+                 dag::AccessSummary{static_cast<uvm::ArrayId>(kInputs + (i - 1) % 64), false},
+                 dag::AccessSummary{static_cast<uvm::ArrayId>(kInputs + i % 64), true}});
+  }
+  return s;
+}
+
 void run_dag_bench(benchmark::State& state, Stream (*gen)(std::size_t)) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Stream stream = gen(n);
@@ -310,6 +331,7 @@ void run_dag_bench(benchmark::State& state, Stream (*gen)(std::size_t)) {
 void bench_dag_chain(benchmark::State& s) { run_dag_bench(s, chain_stream); }
 void bench_dag_fanout(benchmark::State& s) { run_dag_bench(s, fanout_stream); }
 void bench_dag_mixed(benchmark::State& s) { run_dag_bench(s, mixed_stream); }
+void bench_dag_read_mostly(benchmark::State& s) { run_dag_bench(s, read_mostly_stream); }
 
 /// Pre-fast-path DAG (pairwise filter_redundant, unbounded reader lists).
 /// Quadratic — only run at sizes where it terminates in reasonable time;
@@ -339,6 +361,7 @@ void dag_sizes(benchmark::internal::Benchmark* b) {
 BENCHMARK(bench_dag_chain)->Apply(dag_sizes);
 BENCHMARK(bench_dag_fanout)->Apply(dag_sizes);
 BENCHMARK(bench_dag_mixed)->Apply(dag_sizes);
+BENCHMARK(bench_dag_read_mostly)->Apply(dag_sizes);
 BENCHMARK(bench_dag_chain_prepr)->Arg(1 << 10)->Arg(1 << 12);
 BENCHMARK(bench_dag_mixed_prepr)->Arg(1 << 10)->Arg(1 << 12);
 

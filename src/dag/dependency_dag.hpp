@@ -8,6 +8,7 @@
 // dropped, mirroring the paper's filterRedundant step).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -36,7 +37,6 @@ class DependencyDag {
     std::string label;
     std::vector<AccessSummary> accesses;
     std::vector<VertexId> ancestors;   ///< filtered direct dependencies
-    std::vector<VertexId> successors;
     bool done{false};
   };
 
@@ -106,11 +106,41 @@ class DependencyDag {
             ancestor_begin_[v + 1] - ancestor_begin_[v]};
   }
 
+  /// A candidate that is the last writer W of an array X the new CE
+  /// accesses. Every later vertex that touches X only read it (a later
+  /// write would have replaced W), so it already reaches W: W is dominated
+  /// as soon as any candidate reaches such a vertex.
+  struct LastWriter {
+    VertexId writer;
+    uvm::ArrayId array;
+    /// The new CE writes X and a reader other than W itself read X since
+    /// W's write: that reader is a WAR candidate, so W is dominated outright.
+    bool dominated;
+  };
+
   /// Drop candidates (sorted ascending) that are reachable from another
-  /// candidate. One multi-source reverse DFS over the shared scratch
-  /// buffers — no per-call allocation, cost bounded by the edges between
-  /// the smallest candidate and the insertion point.
-  std::vector<VertexId> filter_redundant(std::vector<VertexId> candidates) const;
+  /// candidate; the result is exactly that of one multi-source reverse DFS
+  /// from every candidate. Edges point backward in insertion order, so
+  /// nothing below the floor — the lowest candidate not yet known to be
+  /// dominated — needs visiting. `writers` lists the candidates that are
+  /// last writers of arrays the new CE accesses; the WAR-dominated ones
+  /// raise the floor before any walk. If the floor is then an undominated
+  /// writer (an array written once and read ever since keeps it thousands
+  /// of vertices back), the walk pops vertices in descending id order,
+  /// marks each writer on the first reader of its array it reaches, raises
+  /// the floor past every marked candidate, and stops once it falls below
+  /// the floor: it costs the edges above the nearest reachable reader,
+  /// not the whole window down to the writer. Otherwise a plain DFS over
+  /// [floor, insertion point) runs. Neither allocates beyond the result.
+  std::vector<VertexId> filter_redundant(std::vector<VertexId> candidates,
+                                         std::span<const LastWriter> writers = {}) const;
+
+  /// True if `v` accesses `array`.
+  [[nodiscard]] bool touches(VertexId v, uvm::ArrayId array) const {
+    const std::vector<AccessSummary>& accesses = vertices_[v].accesses;
+    return std::any_of(accesses.begin(), accesses.end(),
+                       [&](const AccessSummary& a) { return a.array == array; });
+  }
 
   std::vector<Vertex> vertices_;
   std::unordered_map<uvm::ArrayId, ArrayTrack> per_array_;
@@ -121,6 +151,9 @@ class DependencyDag {
   // allocate; `mutable` because reachability queries are logically const.
   mutable std::vector<std::uint64_t> visited_epoch_;
   mutable std::vector<VertexId> dfs_stack_;
+  // One bit per vertex: the ordered walk's pending set (all clear between
+  // calls).
+  mutable std::vector<std::uint64_t> pending_;
   mutable std::uint64_t epoch_{0};
 
   // Every vertex's ancestors again, packed back to back in insertion order

@@ -172,6 +172,15 @@ TEST(Dag, DotAnnotationsAppended) {
   EXPECT_NE(dot.find("k\\nworker0"), std::string::npos);
 }
 
+TEST(Dag, DotEscapesQuotesAndBackslashes) {
+  // Labels carry user-supplied array names; a quote or backslash in one
+  // must not end the DOT string. The label/annotation separator stays \n.
+  DependencyDag dag;
+  dag.add("host-init:a\"b\\c", {w(0)});
+  const std::string dot = dag.to_dot([](VertexId) { return std::string("w\"0"); });
+  EXPECT_NE(dot.find("[label=\"host-init:a\\\"b\\\\c\\nw\\\"0\"];"), std::string::npos) << dot;
+}
+
 // ---------------------------------------------------------------------------
 // Properties over random CE streams
 // ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 // Differential tests: the reachability-indexed DependencyDag against the
 // naive pre-fast-path implementation (tests/support/naive_oracles.hpp).
 //
-// The fast path changed three things that must not change observable
-// behavior: filter_redundant runs one multi-source epoch-stamped DFS
-// instead of pairwise probes, is_ancestor reuses scratch buffers, and WAR
-// reader lists are compacted past a threshold. Edge sets and reachability
-// must match the oracle exactly on every stream shape.
+// The fast path changed four things that must not change observable
+// behavior: filter_redundant runs one multi-source epoch-stamped walk
+// instead of pairwise probes, is_ancestor reuses scratch buffers, WAR
+// reader lists are compacted past a threshold, and a last writer whose
+// array was read since is marked dominated early (outright when a WAR
+// reader is a candidate, else by an ordered walk that stops once it falls
+// below every unmarked candidate). Edge sets and reachability must match
+// the oracle exactly on every stream shape.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -37,10 +40,14 @@ void expect_equivalent(const std::vector<std::vector<AccessSummary>>& stream) {
   EXPECT_TRUE(fast.edges_respect_insertion_order());
 }
 
-/// Random mixed-access stream over `arrays` arrays.
+/// Random mixed-access stream over `arrays` arrays. With `repeat_pct` > 0,
+/// a CE may touch one of its arrays a second time in the other mode, after
+/// the first access: write-then-read (the CE is then the first reader since
+/// its own write) or read-then-write.
 std::vector<std::vector<AccessSummary>> random_stream(std::uint64_t seed, std::size_t vertices,
                                                       std::size_t arrays,
-                                                      std::uint32_t write_pct) {
+                                                      std::uint32_t write_pct,
+                                                      std::uint32_t repeat_pct = 0) {
   Rng rng(seed);
   std::vector<std::vector<AccessSummary>> stream;
   stream.reserve(vertices);
@@ -53,6 +60,10 @@ std::vector<std::vector<AccessSummary>> random_stream(std::uint64_t seed, std::s
       if (used.insert(a).second) {
         accesses.push_back(AccessSummary{a, rng.next_below(100) < write_pct});
       }
+    }
+    if (repeat_pct > 0 && rng.next_below(100) < repeat_pct) {
+      const AccessSummary first = accesses[rng.next_below(accesses.size())];
+      accesses.push_back(AccessSummary{first.array, !first.write});
     }
     stream.push_back(std::move(accesses));
   }
@@ -69,6 +80,15 @@ TEST_P(DagDifferential, ReadHeavyStream) {
   // Few writers, many readers: exercises reader-list compaction (the lists
   // pass the 64-entry threshold between writes) without changing edges.
   expect_equivalent(random_stream(GetParam() ^ 0xabcdef, 1500, 3, 4));
+}
+
+TEST_P(DagDifferential, RepeatedArrayWithinOneCe) {
+  // A third of the CEs touch an array twice (write-then-read or
+  // read-then-write). A CE that wrote then read X is both X's last writer
+  // and the first entry of X's reader list; it does not reach itself, so a
+  // later writer of X must not take that entry as proof that X's last
+  // writer is dominated.
+  expect_equivalent(random_stream(GetParam() ^ 0x5a5a, 1500, 5, 35, 33));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DagDifferential,
@@ -127,6 +147,45 @@ TEST(DagDifferential, FanOutWithCrossEdgesCompacts) {
   }
   stream.push_back({wr(0)});
   expect_equivalent(stream);
+}
+
+TEST(DagDifferential, ReadMostlyStream) {
+  // The CG / host_init shape: 8 inputs written once and read ever after,
+  // plus a rolling chain over 16 arrays. Every insert has a last writer
+  // from the start of the program among its candidates, which the early
+  // exit must mark dominated exactly when the full walk would.
+  constexpr uvm::ArrayId kInputs = 8;
+  std::vector<std::vector<AccessSummary>> stream;
+  for (uvm::ArrayId a = 0; a < kInputs; ++a) stream.push_back({wr(a)});
+  for (std::size_t i = 0; i < 10000; ++i) {
+    const auto in = static_cast<uvm::ArrayId>(i % kInputs);
+    const auto prev = static_cast<uvm::ArrayId>(kInputs + (i + 15) % 16);
+    const auto out = static_cast<uvm::ArrayId>(kInputs + i % 16);
+    if (i % 5 == 0) {
+      std::vector<AccessSummary> all;  // every input, like a CG matrix sweep
+      for (uvm::ArrayId a = 0; a < kInputs; ++a) all.push_back(rd(a));
+      all.push_back(wr(out));
+      stream.push_back(std::move(all));
+    } else {
+      stream.push_back({rd(in), rd(prev), wr(out)});
+    }
+  }
+  expect_equivalent(stream);
+}
+
+TEST(DagDifferential, LowerCandidateReachableOnlyThroughAMarkedWriter) {
+  // Arrays X = 0, Y = 1, Z = 2. v0 writes Z; v1 reads Z and writes X; v2
+  // reads X and writes Y. The new CE reads X, Z and Y: its candidates are
+  // v0, v1 and v2. v2 reads X, so the walk marks v1 (X's last writer)
+  // dominated on reaching v2, but v0 is reachable only through v1, so v1
+  // must still be expanded.
+  const std::vector<std::vector<AccessSummary>> stream = {
+      {wr(2)}, {rd(2), wr(0)}, {rd(0), wr(1)}, {rd(0), rd(2), rd(1)}};
+  expect_equivalent(stream);
+
+  DependencyDag dag;
+  for (const auto& accesses : stream) dag.add("ce", accesses);
+  EXPECT_EQ(dag.ancestors(3), std::vector<VertexId>{2});
 }
 
 TEST(DagDifferential, IsAncestorEquivalenceSweep) {
