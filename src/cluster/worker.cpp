@@ -32,6 +32,9 @@ void Worker::release_array(GlobalArrayId global, gpusim::EventPtr after) {
   if (it == local_ids_.end()) return;
   const uvm::ArrayId local = it->second;
   local_ids_.erase(it);
+  // Every submission names a local id through local_ids_, so none can name
+  // this one again; a re-ensure allocates a fresh id.
+  runtime_.forget_array(local);
   if (after == nullptr || after->completed()) {
     node_.uvm().free_array(local);
   } else {
@@ -48,6 +51,7 @@ void Worker::release_all() {
   locals.reserve(local_ids_.size());
   for (const auto& [global, local] : local_ids_) locals.push_back(local);
   local_ids_.clear();
+  for (const uvm::ArrayId local : locals) runtime_.forget_array(local);
   if (locals.empty()) return;
   const gpusim::EventPtr quiescent = runtime_.quiescent_event();
   if (quiescent == nullptr || quiescent->completed()) {

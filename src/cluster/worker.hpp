@@ -36,8 +36,9 @@ class Worker {
   }
   [[nodiscard]] uvm::ArrayId local_array(GlobalArrayId global) const;
 
-  /// Forget the global->local mapping and free the local allocation. When
-  /// `after` is set the UvmSpace free is deferred until it completes (an
+  /// Forget the global->local mapping (and the local runtime's state for
+  /// the allocation) and free the local allocation. When `after` is set
+  /// the UvmSpace free is deferred until it completes (an
   /// in-flight staged send may still read the allocation); the mapping is
   /// dropped immediately either way, so a re-ensure allocates afresh. A
   /// global id this worker does not hold is a no-op: a release command can

@@ -17,7 +17,6 @@ MemoryGovernor::MemoryGovernor(cluster::Cluster& cluster, CoherenceDirectory& di
   resident_.assign(cluster_.worker_count(), 0);
   high_water_.assign(cluster_.worker_count(), 0);
   replicas_.resize(cluster_.worker_count());
-  evicted_once_.resize(cluster_.worker_count());
   drain_watch_.assign(cluster_.worker_count(), false);
   sweep_armed_.assign(cluster_.worker_count(), false);
   if (spill_.background() && bounded()) {
@@ -91,16 +90,16 @@ void MemoryGovernor::make_room(std::size_t w, const std::vector<PlacementParam>&
   if (!bounded()) return;
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
   Bytes incoming = 0;
-  std::unordered_set<GlobalArrayId> needed;
-  for (const PlacementParam& p : params) {
-    if (!needed.insert(p.array).second) continue;
-    if (!replicas_[w].contains(p.array)) incoming += p.bytes;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const GlobalArrayId id = params[i].array;
+    const bool repeat = std::any_of(params.begin(), params.begin() + static_cast<std::ptrdiff_t>(i),
+                                    [id](const PlacementParam& p) { return p.array == id; });
+    if (!repeat && replicas_[w].find(id) == nullptr) incoming += params[i].bytes;
   }
   const std::uint64_t evictions_before = metrics_.evictions;
   const std::uint64_t spills_before = metrics_.spills;
-  while (resident_[w] + incoming > budget_) {
-    if (!evict_one(w, needed, tenant)) break;  // everything left is pinned or protected
-  }
+  // Best effort: stops when everything left is pinned or protected.
+  evict_while(w, params, tenant, [&] { return resident_[w] + incoming > budget_; });
   if (background_eviction()) {
     // With the background pipeline on, dispatch-path eviction is the
     // hard-budget backstop only; count what the watermarks failed to
@@ -112,45 +111,49 @@ void MemoryGovernor::make_room(std::size_t w, const std::vector<PlacementParam>&
 
 bool MemoryGovernor::note_ensure(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto [it, fresh] = replicas_[w].try_emplace(id);
-  if (!fresh) return false;
-  it->second.bytes = directory_.bytes_of(id);
-  it->second.last_use = cluster_.simulator().now();
-  resident_[w] += it->second.bytes;
+  WorkerReplicas& table = replicas_[w];
+  if (table.find(id) != nullptr) return false;
+  const Bytes bytes = directory_.bytes_of(id);
+  if (table.row_of.size() <= id) {
+    table.row_of.resize(id + 1, kNoRow);
+    table.evicted_once.resize(id + 1, false);
+  }
+  table.row_of[id] = static_cast<std::uint32_t>(table.rows.size());
+  table.rows.push_back(Replica{id, 0, bytes, cluster_.simulator().now()});
+  resident_[w] += bytes;
   high_water_[w] = std::max(high_water_[w], resident_[w]);
-  credit_tenant(id, it->second.bytes);
-  if (evicted_once_[w].contains(id)) ++metrics_.refetches;
+  credit_tenant(id, bytes);
+  if (table.evicted_once[id]) ++metrics_.refetches;
   maybe_arm_sweep(w);
   return true;
 }
 
 void MemoryGovernor::note_use(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto it = replicas_[w].find(id);
-  GROUT_REQUIRE(it != replicas_[w].end(), "use of an untracked replica");
-  it->second.last_use = cluster_.simulator().now();
+  Replica* rep = replicas_[w].find(id);
+  GROUT_REQUIRE(rep != nullptr, "use of an untracked replica");
+  rep->last_use = cluster_.simulator().now();
 }
 
 void MemoryGovernor::pin(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto it = replicas_[w].find(id);
-  GROUT_REQUIRE(it != replicas_[w].end(), "pin of an untracked replica");
-  ++it->second.pins;
+  Replica* rep = replicas_[w].find(id);
+  GROUT_REQUIRE(rep != nullptr, "pin of an untracked replica");
+  if (rep->pins++ == 0) ++replicas_[w].pinned;
 }
 
 void MemoryGovernor::unpin(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const auto it = replicas_[w].find(id);
-  if (it == replicas_[w].end()) return;  // dropped with a dead worker
-  GROUT_CHECK(it->second.pins > 0, "replica pin count underflow");
-  --it->second.pins;
-  if (it->second.pins > 0 || !drain_watch_[w]) return;
+  WorkerReplicas& table = replicas_[w];
+  Replica* rep = table.find(id);
+  if (rep == nullptr) return;  // dropped with a dead worker
+  GROUT_CHECK(rep->pins > 0, "replica pin count underflow");
+  if (--rep->pins > 0) return;
+  --table.pinned;
   // Drain-watched worker: if that was its last pin anywhere, notify the
   // drain listener from a fresh sim event (unpin may run inside another
   // completion callback, which must not re-enter the runtime inline).
-  for (const auto& [_, rep] : replicas_[w]) {
-    if (rep.pins > 0) return;
-  }
+  if (!drain_watch_[w] || table.pinned > 0) return;
   drain_watch_[w] = false;
   if (drain_listener_) {
     cluster_.simulator().schedule_after(SimTime::zero(),
@@ -161,10 +164,7 @@ void MemoryGovernor::unpin(std::size_t w, GlobalArrayId id) {
 void MemoryGovernor::enforce(std::size_t w) {
   if (!bounded()) return;
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  const std::unordered_set<GlobalArrayId> keep;
-  while (resident_[w] > budget_) {
-    if (!evict_one(w, keep)) break;
-  }
+  evict_while(w, {}, kNoTenant, [&] { return resident_[w] > budget_; });
 }
 
 void MemoryGovernor::drop_worker(std::size_t w) {
@@ -176,10 +176,9 @@ void MemoryGovernor::drop_worker(std::size_t w) {
   cluster_.fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
       [&worker] { worker.release_all(); }, /*reliable=*/true);
-  for (const auto& [id, rep] : replicas_[w]) debit_tenant(id, rep.bytes);
+  for (const Replica& rep : replicas_[w].rows) debit_tenant(rep.id, rep.bytes);
   resident_[w] = 0;
-  replicas_[w].clear();
-  evicted_once_[w].clear();
+  replicas_[w] = WorkerReplicas{};
   drain_watch_[w] = false;  // death supersedes a pending drain watch
 }
 
@@ -187,7 +186,6 @@ void MemoryGovernor::add_worker() {
   resident_.push_back(0);
   high_water_.push_back(0);
   replicas_.emplace_back();
-  evicted_once_.emplace_back();
   drain_watch_.push_back(false);
   sweep_armed_.push_back(false);
 }
@@ -200,16 +198,16 @@ void MemoryGovernor::watch_drain(std::size_t w) {
 std::size_t MemoryGovernor::drain_worker(std::size_t w) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
   std::vector<GlobalArrayId> victims;
-  victims.reserve(replicas_[w].size());
+  victims.reserve(replicas_[w].rows.size());
   std::size_t pinned = 0;
-  for (const auto& [id, rep] : replicas_[w]) {
+  for (const Replica& rep : replicas_[w].rows) {
     if (rep.pins > 0) {
       ++pinned;
       continue;
     }
-    victims.push_back(id);
+    victims.push_back(rep.id);
   }
-  // Deterministic migration order (unordered_map iteration is not).
+  // Deterministic migration order (table order depends on eviction history).
   std::sort(victims.begin(), victims.end());
   for (const GlobalArrayId id : victims) {
     const LocationSet& holders = directory_.holders(id);
@@ -220,7 +218,7 @@ std::size_t MemoryGovernor::drain_worker(std::size_t w) {
                                  cluster::Cluster::controller_id())
                       .bps() > 0.0,
                   "cannot drain: sole up-to-date copy has no route to the controller");
-      metrics_.drain_migrated_bytes += replicas_[w].at(id).bytes;
+      metrics_.drain_migrated_bytes += replicas_[w].find(id)->bytes;
     }
     evict(w, id, sole);
   }
@@ -251,14 +249,14 @@ void MemoryGovernor::background_sweep(std::size_t w) {
   // low mark — including across batch-cap yields.
   if (resident_[w] <= worker_low_mark_) return;  // pressure resolved meanwhile
   ++metrics_.bg_sweeps;
-  const std::unordered_set<GlobalArrayId> keep;
-  Bytes reclaimed = 0;
-  while (resident_[w] > worker_low_mark_ && reclaimed < spill_.sweep_batch) {
-    const Bytes before = resident_[w];
-    if (!evict_one(w, keep)) break;  // everything left is pinned
-    reclaimed += before - resident_[w];
-    ++metrics_.bg_evictions;
-  }
+  // Stops early when everything left is pinned.
+  const Bytes start = resident_[w];
+  const std::uint64_t evictions_before = metrics_.evictions;
+  evict_while(w, {}, kNoTenant, [&] {
+    return resident_[w] > worker_low_mark_ && start - resident_[w] < spill_.sweep_batch;
+  });
+  const Bytes reclaimed = start - resident_[w];
+  metrics_.bg_evictions += metrics_.evictions - evictions_before;
   metrics_.bg_bytes_evicted += reclaimed;
   // Batch cap hit with the drain unfinished: yield the event loop and
   // re-arm to continue. No progress means everything is pinned — the next
@@ -269,19 +267,71 @@ void MemoryGovernor::background_sweep(std::size_t w) {
   }
 }
 
-bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArrayId>& keep,
-                               TenantId requester) {
-  const net::NodeId dst = cluster::Cluster::worker_fabric_id(w);
+std::span<const MemoryGovernor::Replica> MemoryGovernor::replicas(std::size_t w) const {
+  GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
+  return replicas_[w].rows;
+}
+
+std::optional<GlobalArrayId> MemoryGovernor::next_victim(std::size_t w,
+                                                         std::span<const PlacementParam> keep,
+                                                         TenantId requester) const {
+  GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
+  rank_victims(w, keep, requester);
+  if (victims_.empty()) return std::nullopt;
+  return victims_[best_victim()].id;
+}
+
+std::size_t MemoryGovernor::best_victim() const {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < victims_.size(); ++i) {
+    const Victim& a = victims_[i];
+    const Victim& b = victims_[best];
+    const bool ranks_before =
+        a.cost < b.cost ||
+        (a.cost == b.cost &&
+         (a.last_use < b.last_use || (a.last_use == b.last_use && a.id < b.id)));
+    if (ranks_before) best = i;
+  }
+  return best;
+}
+
+template <typename More>
+void MemoryGovernor::evict_while(std::size_t w, std::span<const PlacementParam> keep,
+                                 TenantId requester, More&& more) {
+  if (!more()) return;
+  rank_victims(w, keep, requester);
+  do {
+    if (victims_.empty()) return;
+    const std::size_t i = best_victim();
+    const Victim victim = victims_[i];
+    victims_[i] = victims_.back();
+    victims_.pop_back();
+    evict(w, victim.id, victim.sole);
+  } while (more());
+}
+
+void MemoryGovernor::rank_victims(std::size_t w, std::span<const PlacementParam> keep,
+                                  TenantId requester) const {
+  // One pass over the worker's contiguous replica table. The bandwidth
+  // matrix is read in place (entry [from * n + to]); the uplink and
+  // downlink of `w` are fixed for the whole scan.
   const net::NetworkFabric& fabric = cluster_.fabric();
+  const double* bw = fabric.bandwidth_matrix().data();
+  const std::size_t n = fabric.node_count();
+  const std::size_t dst = cluster::Cluster::worker_fabric_id(w);
+  const std::size_t ctl = cluster::Cluster::controller_id();
+  const double uplink_bps = bw[dst * n + ctl];
+  const double downlink_bps = bw[ctl * n + dst];
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  bool found = false;
-  GlobalArrayId victim = 0;
-  double victim_cost = kInf;
-  SimTime victim_use = SimTime::max();
-  bool victim_sole = false;
-  for (const auto& [id, rep] : replicas_[w]) {
-    if (rep.pins > 0 || keep.contains(id)) continue;
+  victims_.clear();
+  for (const Replica& rep : replicas_[w].rows) {
+    if (rep.pins > 0) continue;
+    const GlobalArrayId id = rep.id;
+    if (std::any_of(keep.begin(), keep.end(),
+                    [id](const PlacementParam& p) { return p.array == id; })) {
+      continue;
+    }
     const LocationSet& holders = directory_.holders(id);
     const bool holder = holders.worker(w);
     const bool sole = holder && holders.holder_count() == 1;
@@ -302,41 +352,28 @@ bool MemoryGovernor::evict_one(std::size_t w, const std::unordered_set<GlobalArr
       if (sole) {
         // A sole copy must be spilled first; a dead uplink makes it
         // unevictable, not silently droppable.
-        if (fabric.bandwidth(dst, cluster::Cluster::controller_id()).bps() <= 0.0) continue;
-        best_bps = fabric.bandwidth(cluster::Cluster::controller_id(), dst).bps();
+        if (uplink_bps <= 0.0) continue;
+        best_bps = downlink_bps;
       } else {
-        if (holders.controller()) {
-          best_bps = fabric.bandwidth(cluster::Cluster::controller_id(), dst).bps();
-        }
-        for (const std::size_t s : holders.worker_holders()) {
-          if (s == w) continue;
-          best_bps = std::max(
-              best_bps, fabric.bandwidth(cluster::Cluster::worker_fabric_id(s), dst).bps());
-        }
+        if (holders.controller()) best_bps = downlink_bps;
+        holders.for_each_worker([&](std::size_t s) {
+          if (s == w) return;
+          best_bps = std::max(best_bps, bw[cluster::Cluster::worker_fabric_id(s) * n + dst]);
+        });
       }
       cost = best_bps > 0.0
                  ? static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps)
                  : kInf;
     }
-    const bool better =
-        !found || cost < victim_cost ||
-        (cost == victim_cost &&
-         (rep.last_use < victim_use || (rep.last_use == victim_use && id < victim)));
-    if (better) {
-      found = true;
-      victim = id;
-      victim_cost = cost;
-      victim_use = rep.last_use;
-      victim_sole = sole;
-    }
+    victims_.push_back(Victim{id, sole, cost, rep.last_use});
   }
-  if (!found) return false;
-  evict(w, victim, victim_sole);
-  return true;
 }
 
 void MemoryGovernor::evict(std::size_t w, GlobalArrayId id, bool sole_holder) {
-  const Replica rep = replicas_[w].at(id);
+  WorkerReplicas& table = replicas_[w];
+  const Replica* found = table.find(id);
+  GROUT_CHECK(found != nullptr, "eviction of an untracked replica");
+  const Replica rep = *found;
   const SimTime now = cluster_.simulator().now();
 
   if (sole_holder) {
@@ -358,8 +395,16 @@ void MemoryGovernor::evict(std::size_t w, GlobalArrayId id, bool sole_holder) {
 
   resident_[w] -= rep.bytes;
   debit_tenant(id, rep.bytes);
-  replicas_[w].erase(id);
-  evicted_once_[w].insert(id);
+  // Swap-remove the row: table order never decides a victim, the ranking
+  // is total (cost, then LRU, then id).
+  const std::uint32_t row = table.row_of[id];
+  if (row + 1 != table.rows.size()) {
+    table.rows[row] = table.rows.back();
+    table.row_of[table.rows[row].id] = row;
+  }
+  table.rows.pop_back();
+  table.row_of[id] = kNoRow;
+  table.evicted_once[id] = true;
   ++metrics_.evictions;
   metrics_.bytes_evicted += rep.bytes;
   if (cluster_.tracer().enabled()) {

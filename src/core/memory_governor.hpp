@@ -39,8 +39,8 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -177,19 +177,68 @@ class MemoryGovernor {
   /// Arm the unpin watch for worker `w` (drain blocked on pinned replicas).
   void watch_drain(std::size_t w);
 
- private:
+  // -- introspection ----------------------------------------------------------
+
+  /// One replica `w` accounts for (what the victim picker ranks).
   struct Replica {
+    GlobalArrayId id{0};
+    int pins{0};
     Bytes bytes{0};
     SimTime last_use{SimTime::zero()};
-    int pins{0};
   };
+  /// Every replica `w` accounts for, in no particular order.
+  [[nodiscard]] std::span<const Replica> replicas(std::size_t w) const;
 
-  /// Evict the cheapest-to-refetch cold replica on `w` (skipping `keep`).
-  /// When `requester` is a serving tenant, other tenants' up-to-date
-  /// replicas are off limits (stale ones are fair game — the worker would
-  /// refetch them anyway). Returns false when nothing is evictable.
-  bool evict_one(std::size_t w, const std::unordered_set<GlobalArrayId>& keep,
-                 TenantId requester = kNoTenant);
+  /// The replica `make_room`/`enforce` would evict from `w` next (nullopt
+  /// when nothing is evictable): the cheapest to refetch — 0 when stale,
+  /// else bytes x bytes over the best live source's bandwidth, where a sole
+  /// copy's source is the controller uplink — then least recently used,
+  /// then lowest id. Pinned replicas and `keep`'s arrays are skipped; so is
+  /// a sole copy whose uplink is down (it could not be spilled) and, when
+  /// `requester` is a serving tenant, another tenant's up-to-date copy
+  /// (stale ones are fair game: the worker would refetch them anyway).
+  [[nodiscard]] std::optional<GlobalArrayId> next_victim(
+      std::size_t w, std::span<const PlacementParam> keep = {},
+      TenantId requester = kNoTenant) const;
+
+ private:
+  /// Per-worker replica accounting: the replicas in one contiguous table,
+  /// so the victim scan walks memory in order, and a dense id -> row index.
+  struct WorkerReplicas {
+    std::vector<Replica> rows;
+    /// Row of each array id; kNoRow past the end or when not resident.
+    std::vector<std::uint32_t> row_of;
+    /// Arrays evicted here at least once: a later re-ensure is a refetch
+    /// (the cost the victim picker trades against).
+    std::vector<bool> evicted_once;
+    /// Rows with pins > 0 (the drain watch fires when this reaches zero).
+    std::size_t pinned{0};
+
+    [[nodiscard]] Replica* find(GlobalArrayId id) {
+      return id < row_of.size() && row_of[id] != kNoRow ? &rows[row_of[id]] : nullptr;
+    }
+  };
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+
+  /// An evictable replica with its rank key.
+  struct Victim {
+    GlobalArrayId id;
+    bool sole;
+    double cost;
+    SimTime last_use;
+  };
+  /// Write into victims_ every replica of `w` next_victim may pick, ranked.
+  void rank_victims(std::size_t w, std::span<const PlacementParam> keep,
+                    TenantId requester) const;
+  /// Index of the best-ranked entry of victims_ (which must be non-empty).
+  [[nodiscard]] std::size_t best_victim() const;
+  /// Evict from `w` in victim order while `more()` holds and something is
+  /// evictable. One scan ranks them all: evicting a replica changes only
+  /// its own array's holders, so the others keep their rank and each
+  /// further pick is the next one in that order.
+  template <typename More>
+  void evict_while(std::size_t w, std::span<const PlacementParam> keep, TenantId requester,
+                   More&& more);
   void evict(std::size_t w, GlobalArrayId id, bool sole_holder);
   /// Adjust the owning tenant's cluster-wide resident accounting.
   void credit_tenant(GlobalArrayId id, Bytes bytes);
@@ -228,10 +277,9 @@ class MemoryGovernor {
   std::vector<bool> sweep_armed_;
   std::vector<Bytes> resident_;
   std::vector<Bytes> high_water_;
-  std::vector<std::unordered_map<GlobalArrayId, Replica>> replicas_;
-  /// Arrays each worker evicted at least once: a later re-ensure there is a
-  /// refetch (the cost the victim picker trades against).
-  std::vector<std::unordered_set<GlobalArrayId>> evicted_once_;
+  std::vector<WorkerReplicas> replicas_;
+  /// Scratch for rank_victims (reused, never shrinks).
+  mutable std::vector<Victim> victims_;
   /// Owning tenant per array id (kNoTenant = shared); grown lazily.
   std::vector<TenantId> array_owner_;
   /// Cluster-wide resident replica bytes and quota per tenant.

@@ -12,48 +12,51 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
   // Collect conflict ancestors from the per-array frontier state:
   //   read  X -> depends on last writer of X            (RAW)
   //   write X -> depends on last writer (WAW) and on every reader since (WAR)
-  std::vector<VertexId> candidates;
-  std::vector<LastWriter> writers;
+  // A first access creates an empty track, so the frontier update below
+  // reuses the looked-up track (node-based map: the pointers stay valid).
+  candidates_.clear();
+  writers_.clear();
+  tracks_.clear();
   for (const AccessSummary& a : accesses) {
     GROUT_REQUIRE(a.array != uvm::kInvalidArray, "access to invalid array");
-    auto it = per_array_.find(a.array);
-    if (it == per_array_.end()) continue;
-    const ArrayTrack& track = it->second;
+    ArrayTrack& track = per_array_[a.array];
+    tracks_.push_back(&track);
     if (track.last_writer != kNoVertex) {
-      candidates.push_back(track.last_writer);
+      candidates_.push_back(track.last_writer);
       // The reader list is ascending, so its back is the latest reader; a
       // CE that wrote then read X is its own first reader and reaches
       // nothing through that entry.
       const bool war_dominated = a.write && !track.readers_since_write.empty() &&
                                  track.readers_since_write.back() != track.last_writer;
-      writers.push_back(LastWriter{track.last_writer, a.array, war_dominated});
+      writers_.push_back(LastWriter{track.last_writer, a.array, war_dominated});
     }
     if (a.write) {
-      candidates.insert(candidates.end(), track.readers_since_write.begin(),
-                        track.readers_since_write.end());
+      candidates_.insert(candidates_.end(), track.readers_since_write.begin(),
+                         track.readers_since_write.end());
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+  std::sort(candidates_.begin(), candidates_.end());
+  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
 
-  std::vector<VertexId> ancestors = filter_redundant(std::move(candidates), writers);
+  // v's slot last held vertex v - kReachWindow's set, which no candidate
+  // window reaches any more, so the union is built in place.
+  if (reach_ring_.size() < kReachWindow) reach_ring_.emplace_back();
+  ReachBits& reach = reach_ring_[v % kReachWindow];
+  filter_redundant(candidates_, writers_, v, reach, kept_);
+  for (const VertexId c : candidates_) {
+    if (v - c <= kReachWindow) reach[(v - c - 1) / 64] |= std::uint64_t{1} << ((v - c - 1) % 64);
+  }
 
-  Vertex vertex;
-  vertex.label = std::move(label);
-  vertex.accesses = accesses;
-  vertex.ancestors = ancestors;
-  vertices_.push_back(std::move(vertex));
-  ancestor_pool_.insert(ancestor_pool_.end(), ancestors.begin(), ancestors.end());
+  ancestor_pool_.insert(ancestor_pool_.end(), kept_.begin(), kept_.end());
   ancestor_begin_.push_back(ancestor_pool_.size());
   visited_epoch_.push_back(0);
   if (v % 64 == 0) pending_.push_back(0);
-
-  edges_ += ancestors.size();
+  edges_ += kept_.size();
 
   // Update the frontier state.
-  for (const AccessSummary& a : accesses) {
-    ArrayTrack& track = per_array_[a.array];
-    if (a.write) {
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    ArrayTrack& track = *tracks_[i];
+    if (accesses[i].write) {
       track.last_writer = v;
       track.readers_since_write.clear();
       track.reader_compact_at = kReaderCompactMin;
@@ -64,12 +67,20 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
         // WAR edge to them would be filtered as redundant anyway, so the
         // final edge set is unchanged. Keeps the list proportional to the
         // array's *concurrent* reader width instead of its full history.
-        track.readers_since_write = filter_redundant(std::move(track.readers_since_write));
+        filter_redundant(track.readers_since_write, {}, v + 1, reach_scratch_, kept_);
+        track.readers_since_write.assign(kept_.begin(), kept_.end());
         track.reader_compact_at =
             std::max(kReaderCompactMin, 2 * track.readers_since_write.size());
       }
     }
   }
+
+  Vertex vertex;
+  vertex.label = std::move(label);
+  vertex.accesses = std::move(accesses);
+  vertex.ancestors.assign(ancestor_pool_.begin() + static_cast<std::ptrdiff_t>(ancestor_begin_[v]),
+                          ancestor_pool_.end());
+  vertices_.push_back(std::move(vertex));
   return v;
 }
 
@@ -159,9 +170,36 @@ std::string DependencyDag::to_dot(
   return dot;
 }
 
-std::vector<VertexId> DependencyDag::filter_redundant(std::vector<VertexId> candidates,
-                                                      std::span<const LastWriter> writers) const {
-  if (candidates.size() <= 1) return candidates;
+void DependencyDag::filter_redundant(std::span<const VertexId> candidates,
+                                     std::span<const LastWriter> writers, VertexId base,
+                                     ReachBits& reach, std::vector<VertexId>& kept) const {
+  // Union of the candidates' reach sets, moved from each candidate's own
+  // frame to `base`'s (a shift by their distance; bits past the window
+  // drop off). A vertex x in the window is reachable from some candidate
+  // exactly when bit base - x - 1 is set: any path between two vertices
+  // in the window stays in it.
+  constexpr std::size_t kWords = kReachWindow / 64;
+  reach.fill(0);
+  for (const VertexId c : candidates) {
+    const VertexId shift = base - c;
+    if (shift >= kReachWindow) continue;
+    const ReachBits& from = reach_ring_[c % kReachWindow];
+    const std::size_t words = shift / 64;
+    const std::size_t bits = shift % 64;
+    for (std::size_t i = words; i < kWords; ++i) reach[i] |= from[i - words] << bits;
+    if (bits == 0) continue;
+    for (std::size_t i = words + 1; i < kWords; ++i) reach[i] |= from[i - words - 1] >> (64 - bits);
+  }
+  const auto in_reach = [&](VertexId x) {
+    const VertexId d = base - x;
+    return d <= kReachWindow && ((reach[(d - 1) / 64] >> ((d - 1) % 64)) & 1) != 0;
+  };
+
+  kept.clear();
+  if (candidates.size() <= 1) {
+    kept.assign(candidates.begin(), candidates.end());
+    return;
+  }
   // Marks: `source` tags a candidate still presumed kept; `reached` tags a
   // vertex reachable from some candidate via >= 1 edge (a reached
   // candidate is dominated: waiting on the one that reached it waits on
@@ -174,15 +212,21 @@ std::vector<VertexId> DependencyDag::filter_redundant(std::vector<VertexId> cand
   for (const LastWriter& w : writers) {
     if (w.dominated) visited_epoch_[w.writer] = reached;
   }
+  for (const VertexId c : candidates) {
+    if (in_reach(c)) visited_epoch_[c] = reached;
+  }
   // The floor is the lowest candidate not yet known dominated. The highest
   // candidate is never dominated (edges point backward), so it exists.
+  // With the floor in the window every candidate is decided: no walk.
   std::size_t lo = 0;
   while (visited_epoch_[candidates[lo]] == reached) ++lo;
-  const bool ordered = std::any_of(writers.begin(), writers.end(), [&](const LastWriter& w) {
-    return w.writer == candidates[lo] && !w.dominated;
-  });
+  const bool walk = base - candidates[lo] > kReachWindow;
+  const bool ordered =
+      walk && std::any_of(writers.begin(), writers.end(), [&](const LastWriter& w) {
+        return w.writer == candidates[lo] && !w.dominated;
+      });
 
-  if (!ordered) {
+  if (walk && !ordered) {
     // Plain multi-source reverse DFS over [floor, insertion point).
     const VertexId floor = candidates[lo];
     dfs_stack_.assign(candidates.begin() + static_cast<std::ptrdiff_t>(lo), candidates.end());
@@ -195,7 +239,7 @@ std::vector<VertexId> DependencyDag::filter_redundant(std::vector<VertexId> cand
         visited_epoch_[a] = reached;
       }
     }
-  } else {
+  } else if (ordered) {
     // Ordered walk: pending vertices are bits in pending_, and the scan
     // moves down word by word, so vertices pop in descending id order and
     // once the highest pending one falls to the floor nothing left can
@@ -232,12 +276,9 @@ std::vector<VertexId> DependencyDag::filter_redundant(std::vector<VertexId> cand
     for (const VertexId a : dfs_stack_) pending_[a >> 6] = 0;
   }
 
-  std::vector<VertexId> kept;
-  kept.reserve(candidates.size());
   for (const VertexId c : candidates) {
     if (visited_epoch_[c] != reached) kept.push_back(c);
   }
-  return kept;
 }
 
 }  // namespace grout::dag

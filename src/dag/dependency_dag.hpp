@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -42,6 +43,12 @@ class DependencyDag {
 
   /// Insert a CE; computes and returns its filtered direct ancestors.
   VertexId add(std::string label, std::vector<AccessSummary> accesses);
+
+  /// Drop `array`'s frontier state (its last writer and readers). Only for
+  /// an array no later CE will name: a Worker forgets a local allocation it
+  /// freed, whose id is never handed out again, so the per-array state stays
+  /// proportional to the live arrays instead of every allocation ever made.
+  void forget(uvm::ArrayId array) { per_array_.erase(array); }
 
   /// Mark a CE's execution finished (used by schedulers, not for edges).
   void mark_done(VertexId v);
@@ -95,6 +102,11 @@ class DependencyDag {
 
   static constexpr std::size_t kReaderCompactMin = 64;
 
+  /// Reachability of the last kReachWindow vertices, kept exactly: bit
+  /// d - 1 of a vertex's set says it reaches the vertex d ids below it.
+  static constexpr std::size_t kReachWindow = 1024;
+  using ReachBits = std::array<std::uint64_t, kReachWindow / 64>;
+
   const Vertex& vertex_ref(VertexId v) const {
     GROUT_REQUIRE(v < vertices_.size(), "unknown vertex");
     return vertices_[v];
@@ -118,22 +130,28 @@ class DependencyDag {
     bool dominated;
   };
 
-  /// Drop candidates (sorted ascending) that are reachable from another
-  /// candidate; the result is exactly that of one multi-source reverse DFS
-  /// from every candidate. Edges point backward in insertion order, so
-  /// nothing below the floor — the lowest candidate not yet known to be
-  /// dominated — needs visiting. `writers` lists the candidates that are
-  /// last writers of arrays the new CE accesses; the WAR-dominated ones
-  /// raise the floor before any walk. If the floor is then an undominated
-  /// writer (an array written once and read ever since keeps it thousands
-  /// of vertices back), the walk pops vertices in descending id order,
-  /// marks each writer on the first reader of its array it reaches, raises
-  /// the floor past every marked candidate, and stops once it falls below
-  /// the floor: it costs the edges above the nearest reachable reader,
-  /// not the whole window down to the writer. Otherwise a plain DFS over
-  /// [floor, insertion point) runs. Neither allocates beyond the result.
-  std::vector<VertexId> filter_redundant(std::vector<VertexId> candidates,
-                                         std::span<const LastWriter> writers = {}) const;
+  /// Write into `kept` the candidates (sorted ascending) that are not
+  /// reachable from another candidate; the result is exactly that of one
+  /// multi-source reverse DFS from every candidate. `base` is above every
+  /// candidate (the vertex being inserted): on return `reach` holds what
+  /// the candidates reach within kReachWindow of `base`, relative to it
+  /// (`reach` must not be a candidate's ring slot). A candidate in that
+  /// window is decided by one bit test; the walks below run only when the
+  /// floor — the lowest candidate not yet known to be dominated — lies
+  /// further down. Edges point backward in insertion order, so nothing
+  /// below the floor needs visiting. `writers` lists the candidates that
+  /// are last writers of arrays the new CE accesses; the WAR-dominated
+  /// ones raise the floor before any walk. If the floor is then an
+  /// undominated writer (an array written once and read ever since keeps
+  /// it thousands of vertices back), the walk pops vertices in descending
+  /// id order, marks each writer on the first reader of its array it
+  /// reaches, raises the floor past every marked candidate, and stops once
+  /// it falls below the floor: it costs the edges above the nearest
+  /// reachable reader, not the whole window down to the writer. Otherwise
+  /// a plain DFS over [floor, insertion point) runs. Neither allocates
+  /// beyond the result.
+  void filter_redundant(std::span<const VertexId> candidates, std::span<const LastWriter> writers,
+                        VertexId base, ReachBits& reach, std::vector<VertexId>& kept) const;
 
   /// True if `v` accesses `array`.
   [[nodiscard]] bool touches(VertexId v, uvm::ArrayId array) const {
@@ -163,6 +181,17 @@ class DependencyDag {
   // depends on how other allocations interleaved with the inserts.
   std::vector<std::size_t> ancestor_begin_{0};
   std::vector<VertexId> ancestor_pool_;
+  // Reach sets of the last kReachWindow vertices (vertex c's at
+  // c % kReachWindow), and the union a reader-list compaction builds.
+  std::vector<ReachBits> reach_ring_;
+  ReachBits reach_scratch_{};
+
+  // Scratch reused by add(): the candidate ancestors, the last writers among
+  // them, each access's track, and the filtered result.
+  std::vector<VertexId> candidates_;
+  std::vector<LastWriter> writers_;
+  std::vector<ArrayTrack*> tracks_;
+  std::vector<VertexId> kept_;
 };
 
 }  // namespace grout::dag

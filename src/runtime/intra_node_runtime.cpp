@@ -90,6 +90,11 @@ Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr e
   return Submission{v, std::move(done)};
 }
 
+void IntraNodeRuntime::forget_array(uvm::ArrayId array) {
+  dag_.forget(array);
+  affinity_.erase(array);
+}
+
 gpusim::EventPtr IntraNodeRuntime::quiescent_event() {
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();

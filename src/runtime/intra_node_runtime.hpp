@@ -57,6 +57,10 @@ class IntraNodeRuntime {
   Submission submit_adopt(uvm::ArrayId array, gpusim::EventPtr external,
                           std::string label = "adopt");
 
+  /// The node freed `array` and will never name it again (UvmSpace ids are
+  /// not reused): drop its Local-DAG track and stream affinity.
+  void forget_array(uvm::ArrayId array);
+
   [[nodiscard]] const dag::DependencyDag& local_dag() const { return dag_; }
   [[nodiscard]] gpusim::GpuNode& node() { return node_; }
   [[nodiscard]] StreamPolicyKind policy() const { return policy_; }

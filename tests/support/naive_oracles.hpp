@@ -9,6 +9,12 @@
 //                            O(workers x params x holders) inner loop and
 //                            per-pair bandwidth probes through the override
 //                            map (NetworkFabric::bandwidth_uncached).
+//   NaiveGovernor          — MemoryGovernor's replica accounting with the
+//                            original victim scan: a node-based map per
+//                            worker, a per-CE `needed` hash set, a
+//                            worker_holders() vector and checked
+//                            bandwidth() probes for every replica, and a
+//                            fresh scan for every eviction.
 //
 // The production implementations must agree with these exactly — same edge
 // sets, same placements — which the test_*_differential suites assert over
@@ -23,6 +29,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cluster/cluster.hpp"
+#include "core/directory.hpp"
 #include "core/policies.hpp"
 #include "dag/dependency_dag.hpp"
 #include "net/topology.hpp"
@@ -210,6 +218,154 @@ class OracleMinTransferPolicy {
   bool by_time_;
   double threshold_;
   std::size_t rr_cursor_{0};
+};
+
+/// Mirror of MemoryGovernor's victim choice. It keeps its own replica
+/// accounting and applies each eviction's directory effect (spill: the
+/// controller gains the copy; then the worker's copy is removed) to the
+/// directory it is given, so a test can run it beside the real governor
+/// on a second directory driven by the same operations. The fabric and
+/// the clock are read from the shared cluster. Every victim is logged.
+class NaiveGovernor {
+ public:
+  NaiveGovernor(cluster::Cluster& cluster, core::CoherenceDirectory& directory,
+                Bytes budget, std::size_t workers)
+      : cluster_{cluster}, directory_{directory}, budget_{budget},
+        resident_(workers, 0), replicas_(workers) {}
+
+  void set_array_owner(core::GlobalArrayId id, TenantId tenant) { owner_[id] = tenant; }
+  void note_ensure(std::size_t w, core::GlobalArrayId id) {
+    const auto [it, fresh] = replicas_[w].try_emplace(id);
+    if (!fresh) return;
+    it->second.bytes = directory_.bytes_of(id);
+    it->second.last_use = cluster_.simulator().now();
+    resident_[w] += it->second.bytes;
+  }
+  void note_use(std::size_t w, core::GlobalArrayId id) {
+    replicas_[w].at(id).last_use = cluster_.simulator().now();
+  }
+  void pin(std::size_t w, core::GlobalArrayId id) { ++replicas_[w].at(id).pins; }
+  void unpin(std::size_t w, core::GlobalArrayId id) { --replicas_[w].at(id).pins; }
+
+  void make_room(std::size_t w, const std::vector<core::PlacementParam>& params,
+                 TenantId tenant) {
+    Bytes incoming = 0;
+    std::unordered_set<core::GlobalArrayId> needed;
+    for (const core::PlacementParam& p : params) {
+      if (!needed.insert(p.array).second) continue;
+      if (!replicas_[w].contains(p.array)) incoming += p.bytes;
+    }
+    while (resident_[w] + incoming > budget_) {
+      if (!evict_one(w, needed, tenant)) break;
+    }
+  }
+  void enforce(std::size_t w) {
+    const std::unordered_set<core::GlobalArrayId> keep;
+    while (resident_[w] > budget_) {
+      if (!evict_one(w, keep)) break;
+    }
+  }
+  void drop_worker(std::size_t w) {
+    resident_[w] = 0;
+    replicas_[w].clear();
+  }
+  void add_worker() {
+    resident_.push_back(0);
+    replicas_.emplace_back();
+  }
+
+  [[nodiscard]] Bytes resident_bytes(std::size_t w) const { return resident_[w]; }
+  [[nodiscard]] std::vector<core::GlobalArrayId> replica_ids(std::size_t w) const {
+    std::vector<core::GlobalArrayId> ids;
+    for (const auto& [id, rep] : replicas_[w]) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+  /// Every (worker, array) evicted so far, in order.
+  [[nodiscard]] const std::vector<std::pair<std::size_t, core::GlobalArrayId>>& victims() const {
+    return victims_;
+  }
+
+ private:
+  struct Replica {
+    Bytes bytes{0};
+    SimTime last_use{SimTime::zero()};
+    int pins{0};
+  };
+
+  TenantId array_owner(core::GlobalArrayId id) const {
+    const auto it = owner_.find(id);
+    return it == owner_.end() ? kNoTenant : it->second;
+  }
+
+  bool evict_one(std::size_t w, const std::unordered_set<core::GlobalArrayId>& keep,
+                 TenantId requester = kNoTenant) {
+    const net::NodeId dst = cluster::Cluster::worker_fabric_id(w);
+    const net::NetworkFabric& fabric = cluster_.fabric();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    bool found = false;
+    core::GlobalArrayId victim = 0;
+    double victim_cost = kInf;
+    SimTime victim_use = SimTime::max();
+    bool victim_sole = false;
+    for (const auto& [id, rep] : replicas_[w]) {
+      if (rep.pins > 0 || keep.contains(id)) continue;
+      const core::LocationSet& holders = directory_.holders(id);
+      const bool holder = holders.worker(w);
+      const bool sole = holder && holders.holder_count() == 1;
+      if (requester != kNoTenant && holder) {
+        const TenantId owner = array_owner(id);
+        if (owner != kNoTenant && owner != requester) continue;
+      }
+      double cost = 0.0;
+      if (holder) {
+        double best_bps = 0.0;
+        if (sole) {
+          if (fabric.bandwidth(dst, cluster::Cluster::controller_id()).bps() <= 0.0) continue;
+          best_bps = fabric.bandwidth(cluster::Cluster::controller_id(), dst).bps();
+        } else {
+          if (holders.controller()) {
+            best_bps = fabric.bandwidth(cluster::Cluster::controller_id(), dst).bps();
+          }
+          for (const std::size_t s : holders.worker_holders()) {
+            if (s == w) continue;
+            best_bps = std::max(
+                best_bps, fabric.bandwidth(cluster::Cluster::worker_fabric_id(s), dst).bps());
+          }
+        }
+        cost = best_bps > 0.0
+                   ? static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps)
+                   : kInf;
+      }
+      const bool better =
+          !found || cost < victim_cost ||
+          (cost == victim_cost &&
+           (rep.last_use < victim_use || (rep.last_use == victim_use && id < victim)));
+      if (better) {
+        found = true;
+        victim = id;
+        victim_cost = cost;
+        victim_use = rep.last_use;
+        victim_sole = sole;
+      }
+    }
+    if (!found) return false;
+    if (victim_sole) directory_.add_controller_copy(victim);
+    if (directory_.holders(victim).worker(w)) directory_.remove_worker_copy(victim, w);
+    resident_[w] -= replicas_[w].at(victim).bytes;
+    replicas_[w].erase(victim);
+    victims_.emplace_back(w, victim);
+    return true;
+  }
+
+  cluster::Cluster& cluster_;
+  core::CoherenceDirectory& directory_;
+  Bytes budget_;
+  std::vector<Bytes> resident_;
+  std::vector<std::unordered_map<core::GlobalArrayId, Replica>> replicas_;
+  std::unordered_map<core::GlobalArrayId, TenantId> owner_;
+  std::vector<std::pair<std::size_t, core::GlobalArrayId>> victims_;
 };
 
 }  // namespace grout::oracle

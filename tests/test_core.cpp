@@ -43,6 +43,29 @@ TEST(LocationSetTest, WorkerHoldersSorted) {
   EXPECT_EQ(s.worker_holders(), (std::vector<std::size_t>{0, 3}));
 }
 
+TEST(LocationSetTest, WorkersPastTheInlineWord) {
+  // Workers 0-63 live in the inline word, the rest in heap words.
+  LocationSet s(130);
+  s.add_worker(129);
+  s.add_worker(3);
+  s.add_worker(64);
+  EXPECT_TRUE(s.worker(64));
+  EXPECT_FALSE(s.worker(63));
+  EXPECT_EQ(s.holder_count(), 3u);
+  EXPECT_EQ(s.worker_holders(), (std::vector<std::size_t>{3, 64, 129}));
+  s.grow(200);
+  s.add_worker(199);
+  EXPECT_EQ(s.worker_holders(), (std::vector<std::size_t>{3, 64, 129, 199}));
+  s.reset_to_worker(128);
+  EXPECT_EQ(s.worker_holders(), (std::vector<std::size_t>{128}));
+  EXPECT_FALSE(s.controller());
+  s.remove_worker(128);
+  EXPECT_FALSE(s.any());
+  s.add_worker(70);
+  s.reset_to_controller();
+  EXPECT_EQ(s.holder_count(), 1u);
+}
+
 TEST(LocationSetTest, BoundsChecked) {
   LocationSet s(2);
   EXPECT_THROW((void)s.worker(2), InvalidArgument);

@@ -1,14 +1,16 @@
 // Differential tests: the reachability-indexed DependencyDag against the
 // naive pre-fast-path implementation (tests/support/naive_oracles.hpp).
 //
-// The fast path changed four things that must not change observable
+// The fast path changed five things that must not change observable
 // behavior: filter_redundant runs one multi-source epoch-stamped walk
 // instead of pairwise probes, is_ancestor reuses scratch buffers, WAR
-// reader lists are compacted past a threshold, and a last writer whose
-// array was read since is marked dominated early (outright when a WAR
-// reader is a candidate, else by an ordered walk that stops once it falls
-// below every unmarked candidate). Edge sets and reachability must match
-// the oracle exactly on every stream shape.
+// reader lists are compacted past a threshold, a last writer whose array
+// was read since is marked dominated early (outright when a WAR reader is
+// a candidate, else by an ordered walk that stops once it falls below
+// every unmarked candidate), and candidates within the reach window of the
+// newest vertices are decided from exact reach bit sets with no walk at
+// all. Edge sets and reachability must match the oracle exactly on every
+// stream shape.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -169,6 +171,65 @@ TEST(DagDifferential, ReadMostlyStream) {
     } else {
       stream.push_back({rd(in), rd(prev), wr(out)});
     }
+  }
+  expect_equivalent(stream);
+}
+
+TEST(DagDifferential, ServeSharedPool) {
+  // The serving contention shape: concurrent programs, each two
+  // host-initialized locals and then 8 ops writing the program's scratch
+  // array (a WAW chain) and reading up to 3 keys, mostly from a Zipf 0.9
+  // pool of 24 shared arrays; 20% of ops read-modify-write their first
+  // pool key. Every fourth stretch of 400 CEs has no updates, so hot keys
+  // collect reader windows past the 64-entry compaction. Rarely updated
+  // keys keep their last writer further back than the reach window, so
+  // both the bit-set decisions and the walks run.
+  constexpr uvm::ArrayId kPool = 24;
+  constexpr std::size_t kPrograms = 16;
+  constexpr std::size_t kOps = 8;
+  constexpr std::size_t kCes = 12000;
+  Rng rng(0x5e7e);
+  const ZipfGenerator zipf(kPool, 0.9);
+  struct Program {
+    uvm::ArrayId locals[2];
+    uvm::ArrayId scratch;
+    std::size_t next_op;
+  };
+  uvm::ArrayId next_array = kPool;
+  std::vector<Program> running;
+  std::vector<std::vector<AccessSummary>> stream;
+  for (uvm::ArrayId k = 0; k < kPool; ++k) stream.push_back({wr(k)});
+  while (stream.size() < kCes) {
+    if (running.size() < kPrograms) {
+      Program p{{next_array, next_array + 1}, next_array + 2, 0};
+      next_array += 3;
+      stream.push_back({wr(p.locals[0])});
+      stream.push_back({wr(p.locals[1])});
+      running.push_back(p);
+      continue;
+    }
+    const std::size_t i = rng.next_below(running.size());
+    Program& p = running[i];
+    const bool quiet = (stream.size() / 400) % 4 == 3;
+    const bool update = !quiet && rng.next_double() < 0.2;
+    std::vector<AccessSummary> ce;
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (rng.next_double() < 0.9) {
+        const auto key = static_cast<uvm::ArrayId>(zipf.next(rng));
+        const bool seen = std::any_of(ce.begin(), ce.end(),
+                                      [&](const AccessSummary& a) { return a.array == key; });
+        if (seen) continue;
+        ce.push_back(AccessSummary{key, update && ce.empty()});
+      } else {
+        const uvm::ArrayId local = p.locals[rng.next_below(2)];
+        const bool seen = std::any_of(ce.begin(), ce.end(),
+                                      [&](const AccessSummary& a) { return a.array == local; });
+        if (!seen) ce.push_back(rd(local));
+      }
+    }
+    ce.push_back(wr(p.scratch));
+    stream.push_back(std::move(ce));
+    if (++p.next_op == kOps) running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
   }
   expect_equivalent(stream);
 }

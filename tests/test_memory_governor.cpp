@@ -125,6 +125,28 @@ TEST(WorkerAllocations, DeferredReleaseWaitsForTheEvent) {
   EXPECT_EQ(w.node().uvm().live_arrays(), 0u);
 }
 
+TEST(WorkerAllocations, ReleaseForgetsTheLocalState) {
+  // A released local id is never named again: the Local DAG drops its
+  // track, and a re-ensure allocates a fresh id.
+  cluster::Cluster c(small_cluster(1));
+  cluster::Worker& w = c.worker(0);
+  const uvm::ArrayId first = w.ensure_array(0, 2_MiB, "a");
+  const gpusim::EventPtr arrival = gpusim::make_event();
+  const runtime::Submission adopt = w.accept_receive(0, arrival);
+  ASSERT_EQ(w.runtime().local_dag().last_writer_of(first), adopt.vertex);
+
+  w.release_array(0, adopt.done);
+  EXPECT_EQ(w.runtime().local_dag().last_writer_of(first), dag::kNoVertex);
+  const uvm::ArrayId second = w.ensure_array(0, 2_MiB, "a");
+  EXPECT_NE(second, first);
+  EXPECT_EQ(w.runtime().local_dag().last_writer_of(second), dag::kNoVertex);
+
+  arrival->complete(SimTime::zero());
+  c.simulator().run_until(SimTime::max());
+  EXPECT_TRUE(adopt.done->completed());
+  EXPECT_EQ(w.node().uvm().live_arrays(), 1u);  // only the fresh allocation
+}
+
 TEST(WorkerAllocations, DoubleFreeRejectedByUvm) {
   cluster::Cluster c(small_cluster(1));
   cluster::Worker& w = c.worker(0);
