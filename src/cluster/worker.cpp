@@ -1,5 +1,7 @@
 #include "cluster/worker.hpp"
 
+#include <utility>
+
 namespace grout::cluster {
 
 Worker::Worker(sim::Simulator& simulator, gpusim::GpuNodeConfig node_config,
@@ -10,28 +12,25 @@ Worker::Worker(sim::Simulator& simulator, gpusim::GpuNodeConfig node_config,
       fabric_id_{fabric_id} {}
 
 uvm::ArrayId Worker::ensure_array(GlobalArrayId global, Bytes bytes, const std::string& name) {
-  const auto it = local_ids_.find(global);
-  if (it != local_ids_.end()) {
-    GROUT_REQUIRE(node_.uvm().array_bytes(it->second) == bytes,
+  if (global >= local_ids_.size()) local_ids_.resize(std::size_t{global} + 1, uvm::kInvalidArray);
+  uvm::ArrayId& local = local_ids_[global];
+  if (local != uvm::kInvalidArray) {
+    GROUT_REQUIRE(node_.uvm().array_bytes(local) == bytes,
                   "global array re-ensured with a different byte size");
-    return it->second;
+    return local;
   }
-  const uvm::ArrayId local = node_.uvm().alloc(bytes, name + "@" + node_.name());
-  local_ids_.emplace(global, local);
+  local = node_.uvm().alloc(bytes, name + "@" + node_.name());
   return local;
 }
 
 uvm::ArrayId Worker::local_array(GlobalArrayId global) const {
-  const auto it = local_ids_.find(global);
-  GROUT_REQUIRE(it != local_ids_.end(), "array not present on this worker");
-  return it->second;
+  GROUT_REQUIRE(has_array(global), "array not present on this worker");
+  return local_ids_[global];
 }
 
 void Worker::release_array(GlobalArrayId global, gpusim::EventPtr after) {
-  const auto it = local_ids_.find(global);
-  if (it == local_ids_.end()) return;
-  const uvm::ArrayId local = it->second;
-  local_ids_.erase(it);
+  if (!has_array(global)) return;
+  const uvm::ArrayId local = std::exchange(local_ids_[global], uvm::kInvalidArray);
   // Every submission names a local id through local_ids_, so none can name
   // this one again; a re-ensure allocates a fresh id.
   runtime_.forget_array(local);
@@ -48,8 +47,9 @@ void Worker::release_all() {
   // under those would trip "use of freed array". Defer the UVM frees until
   // everything submitted so far has drained.
   std::vector<uvm::ArrayId> locals;
-  locals.reserve(local_ids_.size());
-  for (const auto& [global, local] : local_ids_) locals.push_back(local);
+  for (const uvm::ArrayId local : local_ids_) {
+    if (local != uvm::kInvalidArray) locals.push_back(local);
+  }
   local_ids_.clear();
   for (const uvm::ArrayId local : locals) runtime_.forget_array(local);
   if (locals.empty()) return;

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "gpusim/gpu_node.hpp"
 #include "net/fabric.hpp"
@@ -32,7 +32,7 @@ class Worker {
   uvm::ArrayId ensure_array(GlobalArrayId global, Bytes bytes, const std::string& name);
 
   [[nodiscard]] bool has_array(GlobalArrayId global) const {
-    return local_ids_.contains(global);
+    return global < local_ids_.size() && local_ids_[global] != uvm::kInvalidArray;
   }
   [[nodiscard]] uvm::ArrayId local_array(GlobalArrayId global) const;
 
@@ -68,7 +68,10 @@ class Worker {
   gpusim::GpuNode node_;
   runtime::IntraNodeRuntime runtime_;
   net::NodeId fabric_id_;
-  std::unordered_map<GlobalArrayId, uvm::ArrayId> local_ids_;
+  /// Local allocation of each global array, indexed by GlobalArrayId
+  /// (kInvalidArray = not held). The controller hands global ids out
+  /// densely, so the table is as long as the highest id this worker held.
+  std::vector<uvm::ArrayId> local_ids_;
 };
 
 }  // namespace grout::cluster

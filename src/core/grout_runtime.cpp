@@ -216,6 +216,7 @@ void GroutRuntime::host_init(GlobalArrayId array) {
 
 void GroutRuntime::advise(GlobalArrayId array, uvm::Advise advise) {
   GROUT_REQUIRE(array < directory_.array_count(), "unknown global array");
+  if (array >= advises_.size()) advises_.resize(std::size_t{array} + 1);
   advises_[array] = advise;
   // Existing replicas get the advise through a reliable command to each
   // worker (the hold-check runs on the worker when the command lands —
@@ -242,25 +243,27 @@ CeTicket GroutRuntime::launch(gpusim::KernelLaunchSpec spec) {
     accesses.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
   }
   const dag::VertexId v = global_dag_.add(spec.name, std::move(accesses));
+  const CeRecord& rec = add_record(v, std::move(spec));
+  dispatch(v);
+  return CeTicket{v, rec.worker, rec.done};
+}
 
+GroutRuntime::CeRecord& GroutRuntime::add_record(dag::VertexId v, gpusim::KernelLaunchSpec spec) {
   // Record the CE so a fault can re-dispatch it; `done` is the logical
   // completion event and fires exactly once, however many attempts it takes.
-  CeRecord rec;
+  record_slot_.resize(v + 1, kNoRecord);
+  record_slot_[v] = records_.size();
+  CeRecord& rec = records_.emplace_back();
   rec.spec = std::move(spec);
   rec.done = gpusim::make_event();
-  records_.emplace(v, std::move(rec));
-  track_pending(records_.at(v).done);
-
-  dispatch(v);
-
-  const CeRecord& r = records_.at(v);
-  return CeTicket{v, r.worker, r.done};
+  track_pending(rec.done);
+  return rec;
 }
 
 void GroutRuntime::dispatch(dag::VertexId v) {
   const auto t0 = WallClock::now();
-  dispatching_.insert(v);
-  CeRecord& rec = records_.at(v);
+  CeRecord& rec = record(v);
+  rec.dispatching = true;
   const gpusim::KernelLaunchSpec& spec = rec.spec;
 
   // 1. Node-level policy decision (only live workers are eligible).
@@ -313,9 +316,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     const bool fresh = governor_->note_ensure(w, id);
     governor_->note_use(w, id);
     EnsureOp op{id, directory_.bytes_of(id), directory_.name_of(id), std::nullopt};
-    if (fresh) {
-      if (const auto it = advises_.find(id); it != advises_.end()) op.advise = it->second;
-    }
+    if (fresh && id < advises_.size()) op.advise = advises_[id];
     ensures.push_back(std::move(op));
   }
   for (const GlobalArrayId id : unique_arrays(spec)) governor_->pin(w, id);
@@ -393,8 +394,8 @@ void GroutRuntime::dispatch(dag::VertexId v) {
       [this, &worker, &engine, edge, v, attempt, w, report, wire_spec = std::move(wire_spec),
        ensures = std::move(ensures), adopts = std::move(adopts)]() mutable {
         for (const EnsureOp& e : ensures) {
-          worker.ensure_array(e.id, e.bytes, e.name);
-          if (e.advise) worker.node().uvm().advise(worker.local_array(e.id), *e.advise);
+          const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes, e.name);
+          if (e.advise) worker.node().uvm().advise(local, *e.advise);
         }
         for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
         runtime::Submission sub = worker.execute_kernel(std::move(wire_spec));
@@ -427,7 +428,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
                               "dispatch:" + spec.name + "->worker" + std::to_string(w),
                               "controller", at, at, spec.tenant);
   }
-  dispatching_.erase(v);
+  rec.dispatching = false;
 }
 
 void GroutRuntime::track_pending(gpusim::EventPtr event) {
@@ -440,7 +441,7 @@ void GroutRuntime::track_pending(gpusim::EventPtr event) {
 }
 
 void GroutRuntime::on_ce_complete(dag::VertexId v, std::uint32_t attempt) {
-  CeRecord& rec = records_.at(v);
+  CeRecord& rec = record(v);
   // A completion from a superseded attempt (the worker died and the CE was
   // re-dispatched) carries a stale attempt number: ignore it.
   if (rec.completed || attempt != rec.attempt) return;
@@ -488,12 +489,12 @@ void GroutRuntime::handle_worker_death(std::size_t w) {
   // through the active policy, oldest first so producers precede consumers.
   // (recover_array may already have moved some of them.)
   std::vector<dag::VertexId> stranded;
-  for (const auto& [vertex, rec] : records_) {
-    if (rec.worker == w && !rec.completed) stranded.push_back(vertex);
+  for (dag::VertexId v = 0; v < record_slot_.size(); ++v) {
+    const CeRecord* rec = find_record(v);
+    if (rec != nullptr && rec->worker == w && !rec->completed) stranded.push_back(v);
   }
-  std::sort(stranded.begin(), stranded.end());
   for (const dag::VertexId v : stranded) {
-    const CeRecord& rec = records_.at(v);
+    const CeRecord& rec = record(v);
     if (rec.worker != w || rec.completed) continue;
     GROUT_CHECK(metrics_.inflight[w] > 0, "in-flight counter underflow");
     --metrics_.inflight[w];
@@ -508,23 +509,23 @@ void GroutRuntime::recover_array(GlobalArrayId id) {
               "array is unrecoverable: its producer consumes the lost copy");
   const dag::VertexId v = global_dag_.last_writer_of(id);
   GROUT_CHECK(v != dag::kNoVertex, "lost array has no lineage to replay");
-  const auto it = records_.find(v);
-  if (it == records_.end()) {
+  CeRecord* producer = find_record(v);
+  if (producer == nullptr) {
     // The last writer was controller-side host code (host_init): the
     // controller still has the program that produced it.
     directory_.add_controller_copy(id);
-  } else if (!it->second.completed) {
+  } else if (!producer->completed) {
     // An in-flight producer that is *currently being dispatched* can only be
     // reached through its own input loop — the lost array is one the producer
     // both reads and writes (directly, or through a replay chain that cycles
     // back to it). That is the in-place-update case: no acyclic lineage
     // exists, so fail loudly rather than recurse into dispatch.
-    GROUT_CHECK(!dispatching_.contains(v),
+    GROUT_CHECK(!producer->dispatching,
                 "array is unrecoverable: its producer consumes the lost copy");
     // The producer was still in flight on the dead node; re-dispatching it
     // re-establishes ownership (eager directory update) and re-runs it.
-    GROUT_CHECK(metrics_.inflight[it->second.worker] > 0, "in-flight counter underflow");
-    --metrics_.inflight[it->second.worker];
+    GROUT_CHECK(metrics_.inflight[producer->worker] > 0, "in-flight counter underflow");
+    --metrics_.inflight[producer->worker];
     ++metrics_.ces_rescheduled;
     dispatch(v);
   } else {
@@ -539,7 +540,7 @@ void GroutRuntime::recover_array(GlobalArrayId id) {
 }
 
 void GroutRuntime::replay_vertex(dag::VertexId v) {
-  gpusim::KernelLaunchSpec spec = records_.at(v).spec;
+  gpusim::KernelLaunchSpec spec = record(v).spec;
   spec.name = "replay:" + spec.name;
   std::vector<dag::AccessSummary> accesses;
   accesses.reserve(spec.params.size());
@@ -549,11 +550,7 @@ void GroutRuntime::replay_vertex(dag::VertexId v) {
   // The replay is a new Global-DAG vertex, so later recoveries can trace
   // lineage through it like any other CE.
   const dag::VertexId rv = global_dag_.add(spec.name, std::move(accesses));
-  CeRecord rec;
-  rec.spec = std::move(spec);
-  rec.done = gpusim::make_event();
-  records_.emplace(rv, std::move(rec));
-  track_pending(records_.at(rv).done);
+  add_record(rv, std::move(spec));
   ++metrics_.ces_replayed;
   dispatch(rv);
 }

@@ -16,10 +16,10 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -202,8 +202,25 @@ class GroutRuntime {
     std::size_t worker{0};
     std::uint32_t attempt{0};
     bool completed{false};
+    /// This CE's dispatch is on the call stack. Lineage recovery reaching
+    /// it as a producer found an in-place cycle (the dispatch's own input
+    /// loop is what asked), which single-level replay cannot rebuild.
+    bool dispatching{false};
     gpusim::EventPtr done;
   };
+
+  /// Append the record of Global-DAG vertex `v` (just inserted) for `spec`.
+  CeRecord& add_record(dag::VertexId v, gpusim::KernelLaunchSpec spec);
+  /// The record of vertex `v`; nullptr for a host-init vertex.
+  [[nodiscard]] CeRecord* find_record(dag::VertexId v) {
+    return v < record_slot_.size() && record_slot_[v] != kNoRecord ? &records_[record_slot_[v]]
+                                                                   : nullptr;
+  }
+  [[nodiscard]] CeRecord& record(dag::VertexId v) {
+    CeRecord* rec = find_record(v);
+    GROUT_CHECK(rec != nullptr, "no dispatch record for vertex");
+    return *rec;
+  }
 
   /// Plan and wire the transfers needed so `worker` holds `param` (Alg. 1,
   /// data-movement loop). Returns the network arrival event — the CE
@@ -261,10 +278,16 @@ class GroutRuntime {
   std::size_t pending_sweep_at_{64};  ///< next pending_ size triggering a sweep
   /// CE wire buffer reused across dispatches (encode_ce resets it).
   std::vector<std::byte> wire_buffer_;
-  /// Device-agnostic advises to apply to worker-local allocations.
-  std::unordered_map<GlobalArrayId, uvm::Advise> advises_;
-  /// Dispatch records by Global-DAG vertex (reference-stable map).
-  std::unordered_map<dag::VertexId, CeRecord> records_;
+  /// Device-agnostic advises to apply to worker-local allocations, indexed
+  /// by GlobalArrayId (nullopt = none).
+  std::vector<std::optional<uvm::Advise>> advises_;
+  /// Dispatch records in launch order. A deque never moves its elements on
+  /// push_back, so a record reference dispatch() holds stays valid across
+  /// the replays that nested lineage recovery appends.
+  std::deque<CeRecord> records_;
+  /// records_ slot of each Global-DAG vertex; host-init vertices have none.
+  static constexpr std::size_t kNoRecord = ~std::size_t{0};
+  std::vector<std::size_t> record_slot_;
   /// Liveness per worker; draining/drained track graceful decommissions.
   std::vector<bool> alive_;
   std::vector<bool> draining_;
@@ -278,10 +301,6 @@ class GroutRuntime {
   /// Arrays whose recovery is on the call stack: re-entering for the same
   /// array means its producer consumes the lost copy — unrecoverable.
   std::unordered_set<GlobalArrayId> recovering_;
-  /// Vertices whose dispatch is on the call stack. Lineage recovery reaching
-  /// one of these as a producer found an in-place cycle (the dispatch's own
-  /// input loop is what asked), which single-level replay cannot rebuild.
-  std::unordered_set<dag::VertexId> dispatching_;
   std::unique_ptr<net::FaultInjector> injector_;
   /// --autoscale state: the KPI heuristic, fed the UVM access reports that
   /// CE completion acks carry back (the controller never reads worker-side

@@ -2,25 +2,26 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 namespace grout::dag {
 
 VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> accesses) {
   const VertexId v = vertices_.size();
 
+  // Grow the table over every accessed id first: the loops below hold
+  // references into it, which a resize would invalidate.
+  for (const AccessSummary& a : accesses) {
+    GROUT_REQUIRE(a.array != uvm::kInvalidArray, "access to invalid array");
+    if (a.array >= per_array_.size()) per_array_.resize(std::size_t{a.array} + 1);
+  }
+
   // Collect conflict ancestors from the per-array frontier state:
   //   read  X -> depends on last writer of X            (RAW)
   //   write X -> depends on last writer (WAW) and on every reader since (WAR)
-  // A first access creates an empty track, so the frontier update below
-  // reuses the looked-up track (node-based map: the pointers stay valid).
   candidates_.clear();
   writers_.clear();
-  tracks_.clear();
   for (const AccessSummary& a : accesses) {
-    GROUT_REQUIRE(a.array != uvm::kInvalidArray, "access to invalid array");
-    ArrayTrack& track = per_array_[a.array];
-    tracks_.push_back(&track);
+    const ArrayTrack& track = per_array_[a.array];
     if (track.last_writer != kNoVertex) {
       candidates_.push_back(track.last_writer);
       // The reader list is ascending, so its back is the latest reader; a
@@ -54,9 +55,9 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
   edges_ += kept_.size();
 
   // Update the frontier state.
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    ArrayTrack& track = *tracks_[i];
-    if (accesses[i].write) {
+  for (const AccessSummary& a : accesses) {
+    ArrayTrack& track = per_array_[a.array];
+    if (a.write) {
       track.last_writer = v;
       track.readers_since_write.clear();
       track.reader_compact_at = kReaderCompactMin;
@@ -90,14 +91,13 @@ void DependencyDag::mark_done(VertexId v) {
 }
 
 std::vector<VertexId> DependencyDag::frontier() const {
-  std::unordered_set<VertexId> members;
-  for (const auto& [array, track] : per_array_) {
-    (void)array;
-    if (track.last_writer != kNoVertex) members.insert(track.last_writer);
-    members.insert(track.readers_since_write.begin(), track.readers_since_write.end());
+  std::vector<VertexId> out;
+  for (const ArrayTrack& track : per_array_) {
+    if (track.last_writer != kNoVertex) out.push_back(track.last_writer);
+    out.insert(out.end(), track.readers_since_write.begin(), track.readers_since_write.end());
   }
-  std::vector<VertexId> out(members.begin(), members.end());
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

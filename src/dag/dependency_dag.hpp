@@ -15,7 +15,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -46,9 +45,11 @@ class DependencyDag {
 
   /// Drop `array`'s frontier state (its last writer and readers). Only for
   /// an array no later CE will name: a Worker forgets a local allocation it
-  /// freed, whose id is never handed out again, so the per-array state stays
-  /// proportional to the live arrays instead of every allocation ever made.
-  void forget(uvm::ArrayId array) { per_array_.erase(array); }
+  /// freed, whose id is never handed out again, so its reader list does not
+  /// outlive the allocation (the emptied slot stays in the table).
+  void forget(uvm::ArrayId array) {
+    if (array < per_array_.size()) per_array_[array] = ArrayTrack{};
+  }
 
   /// Mark a CE's execution finished (used by schedulers, not for edges).
   void mark_done(VertexId v);
@@ -69,8 +70,7 @@ class DependencyDag {
   /// recovery replays this producer to rebuild an array whose only
   /// up-to-date copy died with a worker.
   [[nodiscard]] VertexId last_writer_of(uvm::ArrayId array) const {
-    const auto it = per_array_.find(array);
-    return it == per_array_.end() ? kNoVertex : it->second.last_writer;
+    return array < per_array_.size() ? per_array_[array].last_writer : kNoVertex;
   }
 
   /// Frontier: vertices still owning the last write of, or actively reading,
@@ -161,7 +161,10 @@ class DependencyDag {
   }
 
   std::vector<Vertex> vertices_;
-  std::unordered_map<uvm::ArrayId, ArrayTrack> per_array_;
+  /// Frontier state indexed by array id. Ids are handed out densely (the
+  /// controller's GlobalArrayId, a UvmSpace's local id), so the table is
+  /// as long as the highest id any CE named; an untouched slot is empty.
+  std::vector<ArrayTrack> per_array_;
   std::size_t edges_{0};
 
   // Epoch-stamped scratch reused by is_ancestor/filter_redundant. Bumping
@@ -187,10 +190,9 @@ class DependencyDag {
   ReachBits reach_scratch_{};
 
   // Scratch reused by add(): the candidate ancestors, the last writers among
-  // them, each access's track, and the filtered result.
+  // them, and the filtered result.
   std::vector<VertexId> candidates_;
   std::vector<LastWriter> writers_;
-  std::vector<ArrayTrack*> tracks_;
   std::vector<VertexId> kept_;
 };
 

@@ -92,7 +92,7 @@ Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr e
 
 void IntraNodeRuntime::forget_array(uvm::ArrayId array) {
   dag_.forget(array);
-  affinity_.erase(array);
+  if (array < affinity_.size()) affinity_[array] = kNoGpu;
 }
 
 gpusim::EventPtr IntraNodeRuntime::quiescent_event() {
@@ -137,21 +137,20 @@ IntraNodeRuntime::StreamRef& IntraNodeRuntime::select_stream(
       // (schedule-time locality, like GrCUDA). A weak signal (< 25% of the
       // inputs) falls back to least-loaded, which also balances first
       // touches across GPUs.
-      std::vector<Bytes> located(node_.gpu_count(), 0);
+      located_.assign(node_.gpu_count(), 0);
       Bytes total = 0;
       for (const auto& p : spec.params) {
         const Bytes b = node_.uvm().array_bytes(p.array);
         total += b;
-        if (const auto it = affinity_.find(p.array); it != affinity_.end()) {
-          located[it->second] += b;
-        }
+        if (p.array >= affinity_.size()) affinity_.resize(std::size_t{p.array} + 1, kNoGpu);
+        if (affinity_[p.array] != kNoGpu) located_[affinity_[p.array]] += b;
       }
       const std::size_t best_gpu = static_cast<std::size_t>(
-          std::max_element(located.begin(), located.end()) - located.begin());
-      StreamRef& chosen = (total == 0 || located[best_gpu] * 4 < total)
+          std::max_element(located_.begin(), located_.end()) - located_.begin());
+      StreamRef& chosen = (total == 0 || located_[best_gpu] * 4 < total)
                               ? least_loaded_stream(SIZE_MAX)
                               : least_loaded_stream(best_gpu);
-      const auto gpu = static_cast<std::size_t>(chosen.gpu->device_id());
+      const auto gpu = static_cast<std::uint32_t>(chosen.gpu->device_id());
       for (const auto& p : spec.params) affinity_[p.array] = gpu;
       return chosen;
     }

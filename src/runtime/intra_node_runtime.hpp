@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dag/dependency_dag.hpp"
@@ -85,9 +84,13 @@ class IntraNodeRuntime {
   std::size_t rr_cursor_{0};
   dag::DependencyDag dag_;
   std::vector<gpusim::EventPtr> vertex_events_;  // indexed by VertexId
-  /// Schedule-time data-locality map: array -> GPU of its last placement
+  /// Schedule-time data locality (DataLocal only): the GPU of each local
+  /// array's last placement, indexed by UvmSpace id, kNoGpu if none yet
   /// (like GrCUDA, locality is tracked logically, not via residency).
-  std::unordered_map<uvm::ArrayId, std::size_t> affinity_;
+  static constexpr std::uint32_t kNoGpu = ~std::uint32_t{0};
+  std::vector<std::uint32_t> affinity_;
+  /// DataLocal scratch: input bytes last placed on each GPU.
+  std::vector<Bytes> located_;
 };
 
 }  // namespace grout::runtime

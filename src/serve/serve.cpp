@@ -133,14 +133,19 @@ void ServeScheduler::submit(std::size_t t) {
     const std::uint64_t shape_seed = (config_.seed * 0x9e3779b97f4a7c15ULL) ^
                                      ((t + 1) * 0xbf58476d1ce4e5b9ULL) ^
                                      ((p->seq + 1) * 0x94d049bb133111ebULL);
-    p->shape = workloads::make_contention_shape(*config_.contention, shape_seed);
+    p->shape = std::make_shared<const workloads::ProgramShape>(
+        workloads::make_contention_shape(*config_.contention, shape_seed));
   } else {
-    p->shape = workloads::make_program_shape(tenant.spec.workload, tenant.spec.params);
+    if (!tenant.shape) {
+      tenant.shape = std::make_shared<const workloads::ProgramShape>(
+          workloads::make_program_shape(tenant.spec.workload, tenant.spec.params));
+    }
+    p->shape = tenant.shape;
   }
   p->arrived = simulator().now();
   if (tenant.spec.arrival.kind == ArrivalSpec::Kind::Poisson) schedule_next_arrival(t);
 
-  const Bytes fp = p->shape.footprint();
+  const Bytes fp = p->shape->footprint();
   const Bytes budget = cluster_budget();
   // A program that can never fit sheds immediately instead of clogging the
   // admission queue forever.
@@ -162,7 +167,7 @@ void ServeScheduler::submit(std::size_t t) {
 
 bool ServeScheduler::try_admit(std::unique_ptr<Program>& p) {
   Tenant& tenant = tenants_[p->tenant];
-  const Bytes fp = p->shape.footprint();
+  const Bytes fp = p->shape->footprint();
   if (tenant.spec.quota != 0 && tenant.active_footprint + fp > tenant.spec.quota) {
     return false;
   }
@@ -171,8 +176,8 @@ bool ServeScheduler::try_admit(std::unique_ptr<Program>& p) {
 
   const auto tenant_id = static_cast<TenantId>(p->tenant);
   const std::string prefix = tenant.spec.name + "/p" + std::to_string(p->seq) + "/";
-  p->arrays.reserve(p->shape.arrays.size());
-  for (const workloads::ShapeArray& a : p->shape.arrays) {
+  p->arrays.reserve(p->shape->arrays.size());
+  for (const workloads::ShapeArray& a : p->shape->arrays) {
     const core::GlobalArrayId id = runtime_.alloc(a.bytes, prefix + a.name, tenant_id);
     if (a.host_init) runtime_.host_init(id);
     p->arrays.push_back(id);
@@ -247,8 +252,8 @@ void ServeScheduler::pump() {
 
 void ServeScheduler::launch_next_ce(Tenant& tenant) {
   Program* p = tenant.dispatchable.front();
-  const workloads::ShapeCe& ce = p->shape.ces[p->next_ce++];
-  if (p->next_ce == p->shape.ces.size()) tenant.dispatchable.pop_front();
+  const workloads::ShapeCe& ce = p->shape->ces[p->next_ce++];
+  if (p->next_ce == p->shape->ces.size()) tenant.dispatchable.pop_front();
 
   gpusim::KernelLaunchSpec spec;
   spec.name = ce.name;
@@ -292,7 +297,7 @@ void ServeScheduler::on_ce_complete(Program* p) {
   if (tid < spill_nvme.size()) {
     tenant.peak_spill_nvme = std::max(tenant.peak_spill_nvme, spill_nvme[tid]);
   }
-  if (++p->completed_ces == p->shape.ces.size()) finish_program(p);
+  if (++p->completed_ces == p->shape->ces.size()) finish_program(p);
   if (!pump_scheduled_) {
     pump_scheduled_ = true;
     // Completion callbacks fire mid-event; dispatch from a fresh sim event.
@@ -305,7 +310,7 @@ void ServeScheduler::finish_program(Program* p) {
   const SimTime now = simulator().now();
   tenant.latency_ms.add((now - p->arrived).seconds() * 1e3);
   ++tenant.completed;
-  const Bytes fp = p->shape.footprint();
+  const Bytes fp = p->shape->footprint();
   GROUT_CHECK(tenant.active_footprint >= fp && active_footprint_ >= fp,
               "footprint accounting underflow");
   tenant.active_footprint -= fp;

@@ -140,7 +140,8 @@ class ServeScheduler {
   struct Program {
     std::size_t tenant{0};
     std::size_t seq{0};
-    workloads::ProgramShape shape;
+    /// Read-only; a tenant's non-contention programs all share one.
+    std::shared_ptr<const workloads::ProgramShape> shape;
     std::vector<core::GlobalArrayId> arrays;  ///< filled at admission
     std::size_t next_ce{0};             ///< launch cursor
     std::size_t completed_ces{0};
@@ -156,6 +157,9 @@ class ServeScheduler {
     Tenant& operator=(Tenant&&) = default;
 
     TenantSpec spec;
+    /// The shape every program of a non-contention tenant runs, built on
+    /// its first submit (contention shapes are seeded per program).
+    std::shared_ptr<const workloads::ProgramShape> shape;
     double vtime{0.0};
     /// Admitted programs with CEs left to launch, FIFO.
     std::deque<Program*> dispatchable;

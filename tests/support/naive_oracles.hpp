@@ -2,9 +2,11 @@
 //
 // These are verbatim ports of the pre-fast-path controller code:
 //   NaiveDag               — DependencyDag whose filter_redundant runs the
-//                            original O(k^2) pairwise DFS with per-call
-//                            unordered_set allocation, and whose WAR reader
-//                            lists grow without compaction.
+//                            original O(k^2) pairwise ancestor test, and
+//                            whose WAR reader lists grow without
+//                            compaction. Each vertex keeps its full
+//                            transitive ancestor set as a bit set, so one
+//                            ancestor test is a bit lookup.
 //   OracleMinTransferPolicy — MinTransferPolicy::assign with the original
 //                            O(workers x params x holders) inner loop and
 //                            per-pair bandwidth probes through the override
@@ -23,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -59,7 +62,14 @@ class NaiveDag {
 
     std::vector<VertexId> ancestors = filter_redundant(candidates);
 
+    // v's reach set: every direct ancestor plus everything it reaches.
     Vertex vertex;
+    vertex.reach.assign(v / 64 + 1, 0);
+    for (const VertexId a : ancestors) {
+      const std::vector<std::uint64_t>& from = vertices_[a].reach;
+      for (std::size_t i = 0; i < from.size(); ++i) vertex.reach[i] |= from[i];
+      vertex.reach[a / 64] |= std::uint64_t{1} << (a % 64);
+    }
     vertex.ancestors = ancestors;
     vertices_.push_back(std::move(vertex));
     edges_ += ancestors.size();
@@ -84,22 +94,14 @@ class NaiveDag {
 
   [[nodiscard]] bool is_ancestor(VertexId ancestor, VertexId v) const {
     if (ancestor >= v) return false;
-    std::vector<VertexId> stack{v};
-    std::unordered_set<VertexId> visited;
-    while (!stack.empty()) {
-      const VertexId cur = stack.back();
-      stack.pop_back();
-      for (const VertexId a : vertices_[cur].ancestors) {
-        if (a == ancestor) return true;
-        if (a > ancestor && visited.insert(a).second) stack.push_back(a);
-      }
-    }
-    return false;
+    return ((vertices_[v].reach[ancestor / 64] >> (ancestor % 64)) & 1) != 0;
   }
 
  private:
   struct Vertex {
     std::vector<VertexId> ancestors;
+    /// Bit a set: vertex a reaches this one (a < this vertex's id).
+    std::vector<std::uint64_t> reach;
   };
   struct ArrayTrack {
     VertexId last_writer{dag::kNoVertex};

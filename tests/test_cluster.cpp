@@ -47,6 +47,40 @@ TEST(WorkerTest, EnsureArrayIsIdempotent) {
   EXPECT_THROW(w.local_array(8), InvalidArgument);
 }
 
+TEST(WorkerTest, IdsPastTheTableAreNotHeld) {
+  Cluster cluster(small_cluster());
+  Worker& w = cluster.worker(0);
+  w.ensure_array(3, 1_MiB, "x");
+  EXPECT_FALSE(w.has_array(2));  // inside the table, never ensured
+  EXPECT_FALSE(w.has_array(4));  // past the table
+  EXPECT_FALSE(w.has_array(100000));
+  EXPECT_THROW(w.local_array(4), InvalidArgument);
+  EXPECT_THROW(w.local_array(100000), InvalidArgument);
+  w.release_array(100000);  // not held: a no-op
+  EXPECT_TRUE(w.has_array(3));
+}
+
+TEST(WorkerTest, ReleaseAllFreesEveryAllocation) {
+  Cluster cluster(small_cluster());
+  Worker& w = cluster.worker(0);
+  const uvm::ArrayId a = w.ensure_array(5, 1_MiB, "a");
+  w.ensure_array(0, 1_MiB, "b");
+  w.ensure_array(9, 1_MiB, "c");
+  w.release_array(0);
+  EXPECT_EQ(w.node().uvm().live_arrays(), 2u);
+
+  w.release_all();
+  cluster.simulator().run();
+  EXPECT_EQ(w.node().uvm().live_arrays(), 0u);
+  EXPECT_FALSE(w.has_array(5));
+  EXPECT_FALSE(w.has_array(9));
+  // UvmSpace ids are never reused: a re-ensure maps a fresh allocation.
+  const uvm::ArrayId again = w.ensure_array(5, 1_MiB, "a");
+  EXPECT_NE(again, a);
+  EXPECT_EQ(w.local_array(5), again);
+  EXPECT_EQ(w.node().uvm().live_arrays(), 1u);
+}
+
 TEST(WorkerTest, ExecuteKernelTranslatesGlobalIds) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);

@@ -118,6 +118,45 @@ TEST(Dag, FrontierTracksLastWritersAndReaders) {
   EXPECT_EQ(frontier, std::vector<VertexId>{w2});
 }
 
+TEST(Dag, ForgetClearsTheArraysFrontierState) {
+  DependencyDag dag;
+  const VertexId w0 = dag.add("w0", {w(0)});
+  const VertexId r0 = dag.add("r0", {r(0)});
+  const VertexId w1 = dag.add("w1", {w(1)});
+  EXPECT_EQ(dag.last_writer_of(0), w0);
+  EXPECT_EQ(dag.frontier(), (std::vector<VertexId>{w0, r0, w1}));
+
+  dag.forget(0);
+  EXPECT_EQ(dag.last_writer_of(0), kNoVertex);
+  EXPECT_EQ(dag.frontier(), std::vector<VertexId>{w1});
+  EXPECT_EQ(dag.last_writer_of(1), w1);
+  // Ids past the table: nothing wrote them, and forgetting them is a no-op.
+  EXPECT_EQ(dag.last_writer_of(1000), kNoVertex);
+  dag.forget(1000);
+  EXPECT_EQ(dag.frontier(), std::vector<VertexId>{w1});
+}
+
+TEST(Dag, SparseArrayIdsGetTheSameEdgesAsAdjacentOnes) {
+  // A CE first touching id 100000 right after id 0 grows the per-array
+  // table in the middle of an insert; its edges must not depend on that.
+  const auto build = [](uvm::ArrayId far) {
+    DependencyDag dag;
+    dag.add("init", {w(0)});
+    dag.add("grow", {r(0), w(far)});
+    dag.add("both", {r(far), r(0), w(2)});
+    dag.add("again", {w(far), w(0)});
+    return dag;
+  };
+  const DependencyDag adjacent = build(1);
+  const DependencyDag sparse = build(100000);
+  ASSERT_EQ(adjacent.size(), sparse.size());
+  for (VertexId v = 0; v < adjacent.size(); ++v) {
+    EXPECT_EQ(adjacent.ancestors(v), sparse.ancestors(v)) << "vertex " << v;
+  }
+  EXPECT_EQ(adjacent.frontier(), sparse.frontier());
+  EXPECT_EQ(sparse.last_writer_of(100000), 3u);
+}
+
 TEST(Dag, MarkDone) {
   DependencyDag dag;
   const VertexId v = dag.add("v", {w(0)});

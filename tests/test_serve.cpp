@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -190,6 +191,53 @@ TEST(ServeTest, TenantTaggedTraceSpansRecorded) {
   }
   EXPECT_EQ(admits, 4u);
   EXPECT_EQ(dones, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Program shapes
+// ---------------------------------------------------------------------------
+
+TEST(ServeShapeTest, ProgramsOfOneTenantDispatchTheSameCes) {
+  // A tenant's programs share one shape; a tenant with other params gets
+  // its own. Group the Global DAG's kernel CEs by program (array names are
+  // "<tenant>/p<seq>/<array>") and compare each program's CE sequence:
+  // names, then every param's array, bytes and access mode.
+  core::GroutRuntime rt(small_cluster());
+  ServeConfig cfg;
+  cfg.tenants.push_back(bs_tenant("a", 1.0, 3, "closed:2"));
+  TenantSpec b = bs_tenant("b", 1.0, 3, "closed:2");
+  b.params.footprint = 9_MiB;
+  b.params.partitions = 3;
+  cfg.tenants.push_back(std::move(b));
+  ServeScheduler sched(rt, cfg);
+  ASSERT_TRUE(sched.run().drained);
+
+  std::map<std::string, std::vector<std::string>> ces_of;
+  const dag::DependencyDag& dag = rt.global_dag();
+  for (dag::VertexId v = 0; v < dag.size(); ++v) {
+    const dag::DependencyDag::Vertex& vertex = dag.vertex(v);
+    if (vertex.label.rfind("host-init:", 0) == 0) continue;
+    std::string program;
+    std::string ce = vertex.label;
+    for (const dag::AccessSummary& a : vertex.accesses) {
+      const std::string& name = rt.directory().name_of(a.array);
+      const std::size_t cut = name.find('/', name.find('/') + 1);
+      program = name.substr(0, cut);
+      ce += " " + name.substr(cut + 1) + "/" + std::to_string(rt.directory().bytes_of(a.array)) +
+            (a.write ? "/w" : "/r");
+    }
+    ces_of[program].push_back(ce);
+  }
+  ASSERT_EQ(ces_of.size(), 6u);
+  EXPECT_EQ(ces_of["a/p0"].size(), 2u);
+  EXPECT_EQ(ces_of["b/p0"].size(), 3u);
+  for (const char* tenant : {"a", "b"}) {
+    const std::string first = std::string(tenant) + "/p0";
+    for (const char* seq : {"/p1", "/p2"}) {
+      EXPECT_EQ(ces_of[std::string(tenant) + seq], ces_of[first]) << tenant << seq;
+    }
+  }
+  EXPECT_NE(ces_of["a/p0"], ces_of["b/p0"]);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -419,12 +420,17 @@ core::GroutConfig grout_config_of(const Options& opt) {
   return cfg;
 }
 
-polyglot::Context make_context(const Options& opt, const std::string& backend) {
+polyglot::Context make_context(const Options& opt, const std::string& backend,
+                               polyglot::ContextConfig config = {}) {
   if (backend == "grcuda") {
-    return polyglot::Context::grcuda(node_of(opt), runtime::StreamPolicyKind::DataLocal,
-                                     SimTime::from_seconds(9000.0));
+    return polyglot::Context(
+        std::make_unique<polyglot::GrCudaBackend>(node_of(opt),
+                                                  runtime::StreamPolicyKind::DataLocal, 2,
+                                                  SimTime::from_seconds(9000.0)),
+        config);
   }
-  return polyglot::Context::grout(grout_config_of(opt));
+  return polyglot::Context(std::make_unique<polyglot::GroutBackend>(grout_config_of(opt)),
+                           config);
 }
 
 struct RunResult {
@@ -435,7 +441,11 @@ struct RunResult {
 
 RunResult run_once(const Options& opt, const std::string& backend, double size_gib,
                    bool report = false) {
-  polyglot::Context ctx = make_context(opt, backend);
+  // run/sweep/policies report simulated time and never read array contents:
+  // no array gets host storage, so kernels are not emulated on the host.
+  polyglot::ContextConfig no_storage;
+  no_storage.materialize_limit = 0;
+  polyglot::Context ctx = make_context(opt, backend, no_storage);
   auto workload = workloads::make_workload(opt.workload, params_of(opt, size_gib));
   const workloads::WorkloadResult r = workloads::execute_workload(ctx, *workload);
 
