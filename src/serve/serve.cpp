@@ -1,6 +1,7 @@
 #include "serve/serve.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <utility>
 
@@ -17,31 +18,24 @@ ArrivalSpec parse_arrival(const std::string& text) {
   if (kind == "closed") {
     spec.kind = ArrivalSpec::Kind::Closed;
     if (!arg.empty()) {
-      // stoul accepts (and wraps) a leading minus sign; reject anything but
-      // plain digits before converting.
-      const bool digits = arg.find_first_not_of("0123456789") == std::string::npos;
-      GROUT_REQUIRE(digits, "closed-loop depth is not a number: '" + arg + "'");
-      try {
-        spec.depth = static_cast<std::size_t>(std::stoul(arg));
-      } catch (const std::exception&) {
-        GROUT_REQUIRE(false, "closed-loop depth is not a number: '" + arg + "'");
-      }
+      const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), spec.depth);
+      GROUT_REQUIRE(ec == std::errc{} && end == arg.data() + arg.size(),
+                    "closed-loop depth is not a number: '" + arg + "'");
     }
     GROUT_REQUIRE(spec.depth >= 1, "closed-loop depth must be >= 1");
   } else if (kind == "poisson") {
     spec.kind = ArrivalSpec::Kind::Poisson;
     GROUT_REQUIRE(!arg.empty(), "poisson arrival needs a rate: poisson:<rate_hz>");
-    try {
-      spec.rate_hz = std::stod(arg);
-    } catch (const std::exception&) {
-      GROUT_REQUIRE(false, "poisson rate is not a number: '" + arg + "'");
-    }
+    const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), spec.rate_hz);
+    GROUT_REQUIRE(ec == std::errc{} && end == arg.data() + arg.size(),
+                  "poisson rate is not a number: '" + arg + "'");
     // A zero/negative/non-finite rate would make the exponential
     // inter-arrival gap infinite or negative and hang the serve loop.
     GROUT_REQUIRE(std::isfinite(spec.rate_hz) && spec.rate_hz > 0.0,
                   "poisson rate must be positive and finite");
   } else {
-    GROUT_CHECK(false, "unknown arrival spec (want closed[:depth] or poisson:<rate>)");
+    GROUT_REQUIRE(false, "unknown arrival spec '" + text +
+                             "' (want closed[:depth] or poisson:<rate>)");
   }
   return spec;
 }

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -13,225 +14,78 @@ namespace grout::workloads {
 
 namespace {
 
-// The polyglot suite expresses compute cost as flops-per-thread on a native
-// kernel; a ShapeCe carries the total, so each builder multiplies by the
-// launch's thread count. The Black–Scholes CUDA kernel has no declared
-// per-thread cost — ~60 flops covers its log/exp/normcdf chain.
-constexpr double kBsFlopsPerElem = 60.0;
+/// A polyglot backend that runs nothing: it records the arrays a program
+/// allocates, which of them the host initializes, and every CE it launches
+/// in issue order. ArrayRefs are indices into ProgramShape::arrays.
+class ShapeRecorder final : public polyglot::Backend {
+ public:
+  explicit ShapeRecorder(ProgramShape& shape) : shape_{shape} {}
 
-std::string part_name(const char* base, std::size_t j) {
-  return base + std::to_string(j);
-}
-
-ProgramShape bs_shape(const WorkloadParams& p) {
-  ProgramShape shape;
-  const std::size_t elems_total = p.footprint / (3 * 4);
-  const std::size_t elems = std::max<std::size_t>(1, elems_total / p.partitions);
-  const Bytes bytes = elems * 4;
-
-  std::vector<std::size_t> spot(p.partitions), call(p.partitions), put(p.partitions);
-  for (std::size_t j = 0; j < p.partitions; ++j) {
-    spot[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("spot", j), bytes, /*host_init=*/true});
-    call[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("call", j), bytes, false});
-    put[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("put", j), bytes, false});
+  polyglot::ArrayRef alloc(Bytes bytes, std::string name) override {
+    shape_.arrays.push_back({std::move(name), bytes, /*host_init=*/false});
+    used_.push_back(false);
+    return static_cast<polyglot::ArrayRef>(shape_.arrays.size() - 1);
   }
-  for (std::size_t iter = 0; iter < p.iterations; ++iter) {
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      ShapeCe ce;
-      ce.name = "bs";
-      ce.flops = kBsFlopsPerElem * static_cast<double>(elems);
-      ce.parallelism = uvm::Parallelism::Massive;
-      ce.params = {{spot[j], uvm::AccessMode::Read, uvm::StreamingPattern{}, {}},
-                   {call[j], uvm::AccessMode::Write, uvm::StreamingPattern{}, {}},
-                   {put[j], uvm::AccessMode::Write, uvm::StreamingPattern{}, {}}};
-      shape.ces.push_back(std::move(ce));
-    }
+
+  void notify_host_write(polyglot::ArrayRef array) override {
+    GROUT_REQUIRE(!used_[array], "program shape: host write to '" + name_of(array) +
+                                     "' after a CE used it; a shape models only host "
+                                     "initialization before first use");
+    shape_.arrays[array].host_init = true;
   }
-  return shape;
-}
 
-ProgramShape mv_shape(const WorkloadParams& p) {
-  ProgramShape shape;
-  std::size_t n = static_cast<std::size_t>(
-      std::sqrt(static_cast<double>(p.footprint) / 4.0));
-  n = std::max<std::size_t>(n, p.partitions);
-  const std::size_t rows = n / p.partitions;
-
-  const std::size_t x = shape.arrays.size();
-  shape.arrays.push_back({"x", n * 4, true});
-  std::vector<std::size_t> a, y(p.partitions);
-  if (p.shared_matrix) {
-    a.push_back(shape.arrays.size());
-    shape.arrays.push_back({"A", rows * p.partitions * n * 4, true});
+  void advise(polyglot::ArrayRef array, uvm::Advise) override {
+    GROUT_REQUIRE(false, "program shape: cannot record a memory advise on '" +
+                             name_of(array) + "'; shapes carry no hints");
   }
-  for (std::size_t j = 0; j < p.partitions; ++j) {
-    if (!p.shared_matrix) {
-      a.push_back(shape.arrays.size());
-      shape.arrays.push_back({part_name("A", j), rows * n * 4, true});
-    }
-    y[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("y", j), rows * 4, false});
+
+  void ensure_host_readable(polyglot::ArrayRef array) override {
+    GROUT_REQUIRE(false, "program shape: cannot record a host read of '" + name_of(array) +
+                             "'; shapes carry no mid-program host reads");
   }
-  for (std::size_t iter = 0; iter < p.iterations; ++iter) {
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      ShapeCe ce;
-      ce.name = "mv";
-      ce.flops = 2.0 * static_cast<double>(n) * static_cast<double>(rows);
-      ce.parallelism = uvm::Parallelism::Massive;
-      uvm::ByteRange a_range{};
-      if (p.shared_matrix) {
-        const Bytes row_bytes = n * 4;
-        a_range = uvm::ByteRange{j * rows * row_bytes, (j + 1) * rows * row_bytes};
-      }
-      ce.params = {{a[p.shared_matrix ? 0 : j], uvm::AccessMode::Read,
-                    uvm::StreamingPattern{}, a_range},
-                   {x, uvm::AccessMode::Read, uvm::HotReusePattern{}, {}},
-                   {y[j], uvm::AccessMode::Write, uvm::StreamingPattern{}, {}}};
-      shape.ces.push_back(std::move(ce));
-    }
-  }
-  return shape;
-}
 
-ProgramShape cg_shape(const WorkloadParams& p) {
-  ProgramShape shape;
-  std::size_t n = static_cast<std::size_t>(
-      std::sqrt(static_cast<double>(p.footprint) / 4.0));
-  n = std::max<std::size_t>(n, p.partitions);
-  const std::size_t rows = n / p.partitions;
-
-  std::vector<std::size_t> a(p.partitions), t(p.partitions);
-  for (std::size_t j = 0; j < p.partitions; ++j) {
-    a[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("A", j), rows * n * 4, true});
-    t[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("t", j), rows * 4, false});
-  }
-  const std::size_t r = shape.arrays.size();
-  shape.arrays.push_back({"r", n * 4, true});
-  const std::size_t pv = shape.arrays.size();
-  shape.arrays.push_back({"p", n * 4, true});
-  const std::size_t x = shape.arrays.size();
-  shape.arrays.push_back({"x", n * 4, true});
-
-  for (std::size_t iter = 0; iter < p.iterations; ++iter) {
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      ShapeCe ce;
-      ce.name = "cg-spmv";
-      ce.flops = 2.0 * static_cast<double>(n) * static_cast<double>(rows);
-      ce.parallelism = uvm::Parallelism::High;
-      ce.params = {{a[j], uvm::AccessMode::Read, uvm::StreamingPattern{}, {}},
-                   {pv, uvm::AccessMode::Read, uvm::HotReusePattern{}, {}},
-                   {t[j], uvm::AccessMode::Write, uvm::StreamingPattern{}, {}}};
-      shape.ces.push_back(std::move(ce));
-    }
-    ShapeCe step;
-    step.name = "cg-step";
-    step.flops = 12.0 * static_cast<double>(n);
-    step.parallelism = uvm::Parallelism::Moderate;
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      step.params.push_back({t[j], uvm::AccessMode::Read, uvm::StreamingPattern{}, {}});
-    }
-    step.params.push_back({r, uvm::AccessMode::ReadWrite, uvm::StreamingPattern{}, {}});
-    step.params.push_back({pv, uvm::AccessMode::ReadWrite, uvm::StreamingPattern{}, {}});
-    step.params.push_back({x, uvm::AccessMode::ReadWrite, uvm::StreamingPattern{}, {}});
-    shape.ces.push_back(std::move(step));
-  }
-  return shape;
-}
-
-ProgramShape mle_shape(const WorkloadParams& p) {
-  ProgramShape shape;
-  constexpr std::size_t kFeaturesPerSample = 64;
-  const std::size_t elems_total = p.footprint / (4 * 4);
-  std::size_t elems =
-      std::max<std::size_t>(kFeaturesPerSample, elems_total / p.partitions);
-  elems -= elems % kFeaturesPerSample;
-  const Bytes bytes = elems * 4;
-
-  std::vector<std::size_t> x(p.partitions), u(p.partitions), v(p.partitions),
-      w(p.partitions);
-  for (std::size_t j = 0; j < p.partitions; ++j) {
-    x[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("X", j), bytes, true});
-    u[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("u", j), bytes, false});
-    v[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("v", j), bytes, false});
-    w[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("w", j), bytes, false});
-  }
-  const std::size_t samples = elems / kFeaturesPerSample * p.partitions;
-  const std::size_t res = shape.arrays.size();
-  shape.arrays.push_back({"res", samples * 4, false});
-
-  const auto stage = [&](const char* name, double per_thread, std::size_t in,
-                         std::size_t out) {
+  void launch(gpusim::KernelLaunchSpec spec) override {
     ShapeCe ce;
-    ce.name = name;
-    ce.flops = per_thread * static_cast<double>(elems);
-    ce.parallelism = uvm::Parallelism::High;
-    ce.params = {{in, uvm::AccessMode::Read, uvm::StreamingPattern{}, {}},
-                 {out, uvm::AccessMode::Write, uvm::StreamingPattern{}, {}}};
-    shape.ces.push_back(std::move(ce));
-  };
-  for (std::size_t iter = 0; iter < p.iterations; ++iter) {
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      // Pipeline A: X -> u -> v (heavy); pipeline B: X -> w (light).
-      stage("mle-a", 400.0, x[j], u[j]);
-      stage("mle-a2", 80.0, u[j], v[j]);
-      stage("mle-b", 30.0, x[j], w[j]);
+    ce.name = std::move(spec.name);
+    ce.flops = spec.flops;
+    ce.parallelism = spec.parallelism;
+    for (const uvm::ParamAccess& access : spec.params) {
+      used_[access.array] = true;
+      ce.params.push_back({access.array, access.mode, access.pattern, access.range});
     }
-    ShapeCe combine;
-    combine.name = "mle-combine";
-    combine.flops = 16.0 * static_cast<double>(samples);
-    combine.parallelism = uvm::Parallelism::Moderate;
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      combine.params.push_back({v[j], uvm::AccessMode::Read, uvm::StreamingPattern{}, {}});
-    }
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      combine.params.push_back({w[j], uvm::AccessMode::Read, uvm::StreamingPattern{}, {}});
-    }
-    combine.params.push_back({res, uvm::AccessMode::Write, uvm::StreamingPattern{}, {}});
-    shape.ces.push_back(std::move(combine));
+    shape_.ces.push_back(std::move(ce));
   }
-  return shape;
-}
 
-ProgramShape irr_shape(const WorkloadParams& p) {
-  ProgramShape shape;
-  const std::size_t table_len = std::max<std::size_t>(p.footprint / 4, 64);
-  const std::size_t lookups =
-      std::max<std::size_t>(table_len / (16 * p.partitions), 16);
+  bool synchronize() override { return true; }
+  [[nodiscard]] SimTime now() const override { return SimTime::zero(); }
+  [[nodiscard]] polyglot::BackendKind kind() const override {
+    return polyglot::BackendKind::GrOUT;
+  }
 
-  const std::size_t table = shape.arrays.size();
-  shape.arrays.push_back({"table", table_len * 4, true});
-  std::vector<std::size_t> idx(p.partitions), out(p.partitions);
-  for (std::size_t j = 0; j < p.partitions; ++j) {
-    idx[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("idx", j), lookups * 4, true});
-    out[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("out", j), lookups * 4, false});
+ private:
+  [[nodiscard]] const std::string& name_of(polyglot::ArrayRef array) const {
+    return shape_.arrays[array].name;
   }
-  for (std::size_t iter = 0; iter < p.iterations; ++iter) {
-    for (std::size_t j = 0; j < p.partitions; ++j) {
-      ShapeCe ce;
-      ce.name = "gather";
-      ce.flops = 4.0 * static_cast<double>(lookups);
-      ce.parallelism = uvm::Parallelism::High;
-      ce.params = {{table, uvm::AccessMode::Read, uvm::RandomPattern{0.25, p.seed}, {}},
-                   {idx[j], uvm::AccessMode::Read, uvm::StreamingPattern{}, {}},
-                   {out[j], uvm::AccessMode::Write, uvm::StreamingPattern{}, {}}};
-      shape.ces.push_back(std::move(ce));
-    }
-  }
-  return shape;
-}
+
+  ProgramShape& shape_;
+  std::vector<bool> used_;  ///< per array: some recorded CE touched it
+};
 
 }  // namespace
+
+ProgramShape record_program_shape(Workload& workload) {
+  ProgramShape shape;
+  polyglot::ContextConfig config;
+  config.materialize_limit = 0;
+  polyglot::Context ctx(std::make_unique<ShapeRecorder>(shape), config);
+  workload.build(ctx);
+  workload.run(ctx);
+  return shape;
+}
+
+ProgramShape make_program_shape(WorkloadKind kind, const WorkloadParams& params) {
+  return record_program_shape(*make_workload(kind, params));
+}
 
 Bytes ProgramShape::footprint() const {
   Bytes total = 0;
@@ -330,7 +184,7 @@ ProgramShape make_contention_shape(const ContentionSpec& spec, std::uint64_t see
   std::vector<std::size_t> locals(kLocals);
   for (std::size_t j = 0; j < kLocals; ++j) {
     locals[j] = shape.arrays.size();
-    shape.arrays.push_back({part_name("local", j), spec.array_bytes, /*host_init=*/true});
+    shape.arrays.push_back({"local" + std::to_string(j), spec.array_bytes, /*host_init=*/true});
   }
   const std::size_t scratch = shape.arrays.size();
   shape.arrays.push_back({"scratch", spec.array_bytes, /*host_init=*/false});
@@ -392,20 +246,6 @@ ProgramShape make_contention_shape(const ContentionSpec& spec, std::uint64_t see
     shape.ces.push_back(std::move(ce));
   }
   return shape;
-}
-
-ProgramShape make_program_shape(WorkloadKind kind, const WorkloadParams& params) {
-  GROUT_REQUIRE(params.partitions >= 1, "at least one partition");
-  GROUT_REQUIRE(params.iterations >= 1, "at least one iteration");
-  switch (kind) {
-    case WorkloadKind::BlackScholes: return bs_shape(params);
-    case WorkloadKind::Mle: return mle_shape(params);
-    case WorkloadKind::Cg: return cg_shape(params);
-    case WorkloadKind::Mv: return mv_shape(params);
-    case WorkloadKind::Irregular: return irr_shape(params);
-  }
-  GROUT_CHECK(false, "unhandled workload kind");
-  return {};
 }
 
 }  // namespace grout::workloads

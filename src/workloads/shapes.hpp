@@ -7,9 +7,11 @@
 // structure as plain data it can instantiate per program (with
 // tenant-prefixed array names and tenant-tagged CEs): a ProgramShape.
 //
-// Shapes mirror the real workloads partition-for-partition — same arrays,
-// same access modes/patterns, same CE ordering — so serving traffic
-// stresses the scheduler the way the Figure 5 suite does.
+// Shapes are recorded from the workloads themselves: record_program_shape
+// runs a Workload's build and run against a backend that executes nothing
+// and keeps every allocation, host initialization and kernel launch. A
+// serving tenant therefore issues exactly the CE stream the Figure 5 suite
+// does — same arrays, access modes/patterns, ranges, flops and CE order.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +63,16 @@ struct ProgramShape {
   [[nodiscard]] Bytes footprint() const;
 };
 
-/// Build the shape of one `kind` program under `params`.
+/// Record the shape of a freshly made `workload`: run its build and run
+/// over a recording backend (no array is materialized, no kernel runs).
+/// Throws a grout::Error naming the array when the program does something
+/// a shape cannot express: a memory advise, a mid-program host read, or a
+/// host write to an array that an earlier CE already used. The workload is
+/// spent afterwards: its arrays and kernels belong to the recording context.
+ProgramShape record_program_shape(Workload& workload);
+
+/// The shape of one `kind` program under `params`:
+/// record_program_shape(*make_workload(kind, params)).
 ProgramShape make_program_shape(WorkloadKind kind, const WorkloadParams& params);
 
 /// YCSB-style contention scenario: programs issue short read/update CEs

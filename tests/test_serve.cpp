@@ -76,6 +76,8 @@ TEST(ServeArrivalTest, RejectsMalformedSpecs) {
   EXPECT_THROW(serve::parse_arrival("closed:0"), std::exception);
   EXPECT_THROW(serve::parse_arrival("poisson"), std::exception);
   EXPECT_THROW(serve::parse_arrival("poisson:-1"), std::exception);
+  // An unknown kind is bad input, not a broken invariant.
+  EXPECT_THROW(serve::parse_arrival("uniform:2"), InvalidArgument);
 }
 
 TEST(ServeArrivalTest, RejectsNonNumericAndDegenerateRates) {
@@ -88,6 +90,12 @@ TEST(ServeArrivalTest, RejectsNonNumericAndDegenerateRates) {
   EXPECT_THROW(serve::parse_arrival("poisson:nan"), Error);
   EXPECT_THROW(serve::parse_arrival("closed:x"), Error);
   EXPECT_THROW(serve::parse_arrival("closed:-2"), Error);
+  // Regression: std::stod stopped at the first bad character, so these
+  // parsed as rates 1.5 and 2 and the run went ahead.
+  EXPECT_THROW(serve::parse_arrival("poisson:1.5x"), Error);
+  EXPECT_THROW(serve::parse_arrival("poisson:2hz"), Error);
+  EXPECT_THROW(serve::parse_arrival("closed:2x"), Error);
+  EXPECT_THROW(serve::parse_arrival("closed:99999999999999999999999"), Error);
 }
 
 // ---------------------------------------------------------------------------
