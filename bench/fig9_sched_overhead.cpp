@@ -22,8 +22,13 @@
 //                        read-mostly inputs) from 1k to >100k CEs;
 //                        per-item time must stay flat as the program
 //                        grows.
+//   bench_uvm_*        — UvmSpace::device_access replaying one streamed
+//                        parameter: every page a resident hit
+//                        (resident_stream) or every page a fault that
+//                        evicts (thrash). Reported as ns_per_page.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -38,6 +43,7 @@
 #include "net/message.hpp"
 #include "sim/simulator.hpp"
 #include "tests/support/naive_oracles.hpp"
+#include "uvm/uvm_space.hpp"
 
 namespace {
 
@@ -364,6 +370,67 @@ BENCHMARK(bench_dag_mixed)->Apply(dag_sizes);
 BENCHMARK(bench_dag_read_mostly)->Apply(dag_sizes);
 BENCHMARK(bench_dag_chain_prepr)->Arg(1 << 10)->Arg(1 << 12);
 BENCHMARK(bench_dag_mixed_prepr)->Arg(1 << 10)->Arg(1 << 12);
+
+// ---------------------------------------------------------------------------
+// UVM page replay: the simulator's per-page cost of device_access, at the
+// two extremes of its hit rate. Arg = pages streamed per access.
+// ---------------------------------------------------------------------------
+
+/// One 2 MiB-page device holding `capacity_pages` pages and one
+/// host-populated array of `array_pages` pages.
+struct UvmRig {
+  UvmRig(std::size_t capacity_pages, std::size_t array_pages) {
+    uvm::UvmTuning tuning;
+    uvm::DeviceConfig device;
+    device.name = "gpu0";
+    device.capacity = capacity_pages * tuning.page_size;
+    std::vector<uvm::DeviceConfig> devices{device};
+    space = std::make_unique<uvm::UvmSpace>(sim, tuning, std::move(devices));
+    access.array = space->alloc(array_pages * tuning.page_size, "a");
+    space->host_access(access.array, uvm::AccessMode::Write);
+  }
+
+  uvm::AccessReport replay() {
+    return space->device_access(0, std::span(&access, 1), uvm::Parallelism::High).report;
+  }
+
+  sim::Simulator sim;
+  std::unique_ptr<uvm::UvmSpace> space;
+  uvm::ParamAccess access;
+};
+
+void run_uvm_bench(benchmark::State& state, std::size_t capacity_pages, bool expect_hits) {
+  const auto pages = static_cast<std::size_t>(state.range(0));
+  UvmRig rig(capacity_pages, pages);
+  rig.replay();  // warm: the resident case is all hits from here on
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const uvm::AccessReport r = rig.replay();
+    if (r.faults != (expect_hits ? 0 : pages)) {
+      state.SkipWithError("unexpected hit/fault mix");
+      break;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_page"] =
+      elapsed.count() / static_cast<double>(pages * state.iterations());
+}
+
+/// Every page resident: the hit run alone.
+void bench_uvm_resident_stream(benchmark::State& s) {
+  run_uvm_bench(s, static_cast<std::size_t>(s.range(0)), true);
+}
+
+/// The array is twice the device: streaming it evicts the page needed next,
+/// so every touch faults and evicts one victim.
+void bench_uvm_thrash(benchmark::State& s) {
+  run_uvm_bench(s, static_cast<std::size_t>(s.range(0)) / 2, false);
+}
+
+BENCHMARK(bench_uvm_resident_stream)->Arg(1 << 10);
+BENCHMARK(bench_uvm_thrash)->Arg(1 << 10);
 
 }  // namespace
 

@@ -57,7 +57,8 @@ struct UvmTuning {
 
   /// Volta-style access counters: a remote-mapped page touched this many
   /// times is promoted (migrated) to the accessing device. 0 disables
-  /// promotion (pages stay remote forever).
+  /// promotion (pages stay remote forever). At most 255: the per-page
+  /// counter is 8 bits wide.
   std::uint32_t access_counter_threshold = 3;
 
   /// Sequential-prefetcher on: coalesces healthy faults so batch latency is

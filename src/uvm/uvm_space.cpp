@@ -1,9 +1,9 @@
 #include "uvm/uvm_space.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
-#include <unordered_set>
 
 namespace grout::uvm {
 
@@ -18,13 +18,18 @@ UvmSpace::UvmSpace(sim::Simulator& simulator, UvmTuning tuning,
                    std::uint64_t seed)
     : sim_{simulator}, tuning_{tuning}, eviction_{eviction}, rng_{seed} {
   GROUT_REQUIRE(!devices.empty(), "UvmSpace requires at least one device");
-  GROUT_REQUIRE(devices.size() <= 15, "at most 15 devices per node (residency mask width)");
+  GROUT_REQUIRE(devices.size() <= kMaxDevices,
+                "at most 15 devices per node (residency mask width)");
   GROUT_REQUIRE(tuning_.page_size > 0, "page size must be positive");
+  GROUT_REQUIRE(tuning_.access_counter_threshold <= 255,
+                "access_counter_threshold above 255 overflows the per-page access counter");
   devices_.reserve(devices.size());
   for (auto& cfg : devices) {
     DeviceState dev;
+    dev.bit = device_bit(static_cast<DeviceId>(devices_.size()));
     dev.capacity_pages = static_cast<std::size_t>(cfg.capacity / tuning_.page_size);
     GROUT_REQUIRE(dev.capacity_pages > 0, "device capacity smaller than one page");
+    dev.ring_limit = std::max<std::size_t>(4 * dev.capacity_pages, 1024);
     dev.h2d = std::make_unique<sim::Resource>(sim_, cfg.name + "/h2d", cfg.pcie_bw,
                                               cfg.pcie_latency);
     dev.d2h = std::make_unique<sim::Resource>(sim_, cfg.name + "/d2h", cfg.pcie_bw,
@@ -46,7 +51,6 @@ ArrayId UvmSpace::alloc(Bytes bytes, std::string name) {
   info.bytes = bytes;
   const auto pages = static_cast<std::uint32_t>((bytes + tuning_.page_size - 1) / tuning_.page_size);
   info.pages.assign(pages, PageState{});
-  info.sticky_per_device.assign(devices_.size(), 0);
   info.live = true;
   arrays_.push_back(std::move(info));
   ++live_arrays_;
@@ -57,17 +61,11 @@ ArrayId UvmSpace::alloc(Bytes bytes, std::string name) {
 void UvmSpace::free_array(ArrayId id) {
   ArrayInfo& arr = array_ref(id);
   GROUT_REQUIRE(arr.live, "double free of managed array");
-  for (std::uint32_t p = 0; p < arr.pages.size(); ++p) {
-    PageState& st = arr.pages[p];
-    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-      if (st.mask & device_bit(d)) {
-        --devices_[d].used_pages;
-      }
+  for (const PageState& st : arr.pages) {
+    release_device_copies(st, 0);
+    for (unsigned ever = st.ever_mask; ever != 0; ever &= ever - 1) {
+      --devices_[device_index(ever)].sticky_pages;
     }
-    st.mask = host_bit();
-  }
-  for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-    devices_[d].sticky_pages -= arr.sticky_per_device[d];
   }
   arr.live = false;
   arr.pages.clear();
@@ -105,31 +103,34 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
     ArrayInfo& arr = array_ref(pa.array);
     const ByteRange range = normalize_range(arr, pa.range);
     if (range.empty()) continue;
+    const PageRun run{dev, arr, pa.array, pa.mode};
 
     // AccessedBy mapping for this device: pages are served remotely until
     // the access counter promotes them (Volta-style hot-page migration).
     if (arr.advise == Advise::AccessedBy && arr.advise_device == device) {
       const std::uint32_t promote_at = tuning_.access_counter_threshold;
-      for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
-        PageState& st = arr.pages[page];
-        if (st.mask & device_bit(device)) {
-          // Already promoted: a plain local touch.
-          touch_page(device, pa.array, page, pa.mode, hot, c);
-          return;
-        }
-        if (promote_at > 0 && ++st.remote_hits >= promote_at) {
-          st.remote_hits = 0;
-          touch_page(device, pa.array, page, pa.mode, hot, c);  // migrate
-        } else {
-          remote_bytes += page_bytes(arr, page);
+      for_each_run(arr, range, pa.pattern, [&](std::uint32_t first, std::uint32_t last,
+                                                std::uint32_t stride, bool hot) {
+        for (std::uint32_t page = first; page < last; page += stride) {
+          PageState& st = arr.pages[page];
+          if (st.mask & dev.bit) {
+            // Already promoted: a plain local touch.
+            touch_page(run, page, hot, c);
+          } else if (promote_at > 0 && ++st.remote_hits >= promote_at) {
+            st.remote_hits = 0;
+            touch_page(run, page, hot, c);  // migrate
+          } else {
+            remote_bytes += page_bytes(arr, page);
+          }
         }
       });
       continue;
     }
 
-    for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
-      touch_page(device, pa.array, page, pa.mode, hot, c);
-    });
+    for_each_run(arr, range, pa.pattern,
+                 [&](std::uint32_t first, std::uint32_t last, std::uint32_t stride, bool hot) {
+                   replay_run(run, first, last, stride, hot, c);
+                 });
   }
 
   AccessReport r;
@@ -221,13 +222,50 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
   return result;
 }
 
-void UvmSpace::touch_page(DeviceId device, ArrayId id, std::uint32_t page, AccessMode mode,
-                          bool hot, TouchCounters& c) {
-  ArrayInfo& arr = array_ref(id);
-  DeviceState& dev = device_ref(device);
-  PageState& st = arr.pages[page];
-  const Bytes pb = page_bytes(arr, page);
-  const std::uint16_t bit = device_bit(device);
+void UvmSpace::replay_run(const PageRun& run, std::uint32_t first, std::uint32_t last,
+                          std::uint32_t stride, bool hot, TouchCounters& c) {
+  // A plain hit -- resident here, no pending prefetch and, for a write,
+  // already this device's populated sole copy -- changes nothing but the
+  // page's heat, so it is resolved here. Every other touch goes to
+  // touch_page, in run order, exactly as if all pages went through it.
+  const bool write = writes(run.mode);
+  const std::uint16_t bit = run.dev.bit;
+  const std::uint16_t must_match = write ? std::uint16_t{0xffff} : bit;
+  const std::uint32_t hot_epoch = hot ? run.dev.current_epoch : 0;
+  const std::uint32_t tail_page = static_cast<std::uint32_t>(run.arr.pages.size() - 1);
+  PageState* const pages = run.arr.pages.data();
+  std::uint64_t hit_pages = 0;
+  Bytes tail_short = 0;  // the tail page's shortfall from a full page, if hit
+  std::uint32_t page = first;
+  while (page < last) {
+    const std::uint32_t run_start = page;
+    for (; page < last; page += stride) {
+      PageState& st = pages[page];
+      if ((st.mask & must_match) != bit || st.prefetched || (write && !st.populated)) break;
+      st.hot_epoch = hot_epoch;
+    }
+    if (page != run_start) {
+      hit_pages += (page - run_start - 1) / stride + 1;
+      // The tail page, possibly partial, is the last page of any run it is in.
+      if (page - stride == tail_page) {
+        tail_short = tuning_.page_size - page_bytes(run.arr, tail_page);
+      }
+    }
+    if (page < last) {
+      touch_page(run, page, hot, c);
+      page += stride;
+    }
+  }
+  const Bytes hit_bytes = hit_pages * tuning_.page_size - tail_short;
+  c.touched += hit_bytes;
+  c.hit += hit_bytes;
+}
+
+void UvmSpace::touch_page(const PageRun& run, std::uint32_t page, bool hot, TouchCounters& c) {
+  DeviceState& dev = run.dev;
+  PageState& st = run.arr.pages[page];
+  const Bytes pb = page_bytes(run.arr, page);
+  const std::uint16_t bit = dev.bit;
 
   c.touched += pb;
   if (st.mask & bit) {
@@ -242,44 +280,27 @@ void UvmSpace::touch_page(DeviceId device, ArrayId id, std::uint32_t page, Acces
     // path (the classification below depends on whether that happened).
     const std::uint64_t evictions_before = c.evictions;
     while (dev.used_pages >= dev.capacity_pages) {
-      if (!evict_one(device, c)) break;
+      if (!evict_one(dev, c)) break;
     }
     const bool evicted_now = c.evictions != evictions_before;
     GROUT_CHECK(dev.used_pages < dev.capacity_pages, "device full and nothing evictable");
     const bool needs_copy = st.populated;
 
-    // Migration vs read-duplication.
-    if (writes(mode)) {
-      // Exclusive ownership: every other copy is superseded.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (d != device && (st.mask & device_bit(d))) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
-      st.mask = bit;
-    } else if (arr.advise == Advise::ReadMostly) {
-      st.mask |= bit;  // duplicate
+    if (!writes(run.mode) && run.arr.advise == Advise::ReadMostly) {
+      st.mask |= bit;  // read-duplicate
     } else {
-      // Plain migration: the page moves; previous holders lose it.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (d != device && (st.mask & device_bit(d))) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
+      // A write takes exclusive ownership and a plain read migrates the
+      // page: either way every other holder loses it.
+      release_device_copies(st, bit);
       st.mask = bit;
     }
     ++dev.used_pages;
     if (!(st.ever_mask & bit)) {
       st.ever_mask |= bit;
       ++dev.sticky_pages;
-      ++arr.sticky_per_device[device];
     }
-    dev.ring.push_back(RingEntry{id, page});
-    if (dev.ring.size() > std::max<std::size_t>(4 * dev.capacity_pages, 1024)) {
-      compact_ring(dev);
-    }
+    dev.ring.push_back(RingEntry{run.id, page});
+    if (dev.ring.size() > dev.ring_limit) compact_ring(dev);
 
     st.prefetched = false;  // migrated on a fault: any prior prefetch was wasted
     if (!needs_copy) {
@@ -291,26 +312,21 @@ void UvmSpace::touch_page(DeviceId device, ArrayId id, std::uint32_t page, Acces
     }
   }
 
-  if (writes(mode)) st.populated = true;
-
-  if (writes(mode) && (st.mask & ~bit) != 0) {
-    // A hit that writes also invalidates the other copies.
-    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-      if (d != device && (st.mask & device_bit(d))) {
-        st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-        --devices_[d].used_pages;
-      }
+  if (writes(run.mode)) {
+    st.populated = true;
+    if ((st.mask & ~bit) != 0) {
+      // A hit that writes also invalidates the other copies.
+      release_device_copies(st, bit);
+      st.mask = bit;
     }
-    st.mask = bit;
   }
 
-  st.touch_epoch = dev.current_epoch;
-  st.hot = hot;
+  st.hot_epoch = hot ? dev.current_epoch : 0;
 }
 
-bool UvmSpace::evict_one(DeviceId device, TouchCounters& c) {
-  DeviceState& dev = device_ref(device);
-  const std::uint16_t bit = device_bit(device);
+bool UvmSpace::evict_one(DeviceState& dev, TouchCounters& c) {
+  const DeviceId device = static_cast<DeviceId>(&dev - devices_.data());
+  const std::uint16_t bit = dev.bit;
   std::size_t second_chances = 0;
 
   if (eviction_ == EvictionPolicyKind::Random) {
@@ -323,7 +339,7 @@ bool UvmSpace::evict_one(DeviceId device, TouchCounters& c) {
       ArrayInfo& arr = arrays_[entry.array];
       if (!arr.live || entry.page >= arr.pages.size()) continue;
       if (!(arr.pages[entry.page].mask & bit)) continue;
-      drop_residency(entry.array, entry.page, device, c);
+      drop_residency(arr, entry.page, dev, c);
       ++c.evictions;
       return true;
     }
@@ -339,7 +355,7 @@ bool UvmSpace::evict_one(DeviceId device, TouchCounters& c) {
     if (!(st.mask & bit)) continue;  // stale entry
 
     if (eviction_ == EvictionPolicyKind::ClockLru && second_chances < kEvictionScanLimit) {
-      const bool protected_hot = st.hot && st.touch_epoch == dev.current_epoch;
+      const bool protected_hot = st.hot_epoch != 0 && st.hot_epoch == dev.current_epoch;
       const bool preferred_here =
           arr.advise == Advise::PreferredLocation && arr.advise_device == device;
       if (protected_hot || preferred_here) {
@@ -349,22 +365,20 @@ bool UvmSpace::evict_one(DeviceId device, TouchCounters& c) {
       }
     }
 
-    drop_residency(entry.array, entry.page, device, c);
+    drop_residency(arr, entry.page, dev, c);
     ++c.evictions;
     return true;
   }
   return false;
 }
 
-void UvmSpace::drop_residency(ArrayId id, std::uint32_t page, DeviceId device,
+void UvmSpace::drop_residency(ArrayInfo& arr, std::uint32_t page, DeviceState& dev,
                               TouchCounters& c) {
-  ArrayInfo& arr = arrays_[id];
   PageState& st = arr.pages[page];
-  const std::uint16_t bit = device_bit(device);
-  GROUT_CHECK((st.mask & bit) != 0, "dropping a page that is not resident here");
-  st.mask &= static_cast<std::uint8_t>(~bit);
+  GROUT_CHECK((st.mask & dev.bit) != 0, "dropping a page that is not resident here");
+  st.mask &= static_cast<std::uint16_t>(~dev.bit);
   st.prefetched = false;  // evicted before a touch: the prefetch was wasted
-  --devices_[device].used_pages;
+  --dev.used_pages;
   if (st.mask == 0) {
     // Only copy: eviction migrates it back to host memory (unless the page
     // never held real data, in which case it is simply dropped).
@@ -373,19 +387,38 @@ void UvmSpace::drop_residency(ArrayId id, std::uint32_t page, DeviceId device,
   }
 }
 
-void UvmSpace::compact_ring(DeviceState& dev) {
-  const std::uint16_t bit =
-      device_bit(static_cast<DeviceId>(&dev - devices_.data()));
-  std::unordered_set<std::uint64_t> seen;
-  std::deque<RingEntry> fresh;
-  for (const RingEntry& entry : dev.ring) {
-    const ArrayInfo& arr = arrays_[entry.array];
-    if (!arr.live || entry.page >= arr.pages.size()) continue;
-    if (!(arr.pages[entry.page].mask & bit)) continue;
-    const std::uint64_t key = (static_cast<std::uint64_t>(entry.array) << 32) | entry.page;
-    if (seen.insert(key).second) fresh.push_back(entry);
+void UvmSpace::release_device_copies(const PageState& st, std::uint16_t keep) {
+  for (unsigned held = st.mask & ~(keep | host_bit()); held != 0; held &= held - 1) {
+    --devices_[device_index(held)].used_pages;
   }
-  dev.ring = std::move(fresh);
+}
+
+void UvmSpace::compact_ring(DeviceState& dev) {
+  // Keep the first entry of every page still resident here, in order. The
+  // kept entries' pages are marked while scanning and unmarked after.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < dev.ring.size(); ++i) {
+    const RingEntry entry = dev.ring[i];
+    ArrayInfo& arr = arrays_[entry.array];
+    if (!arr.live || entry.page >= arr.pages.size()) continue;
+    PageState& st = arr.pages[entry.page];
+    if (!(st.mask & dev.bit) || st.ring_mark) continue;
+    st.ring_mark = true;
+    dev.ring[kept++] = entry;
+  }
+  dev.ring.truncate(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    arrays_[dev.ring[i].array].pages[dev.ring[i].page].ring_mark = false;
+  }
+}
+
+void UvmSpace::Ring::grow() {
+  const std::size_t slots = std::max<std::size_t>(2 * (mask_ + 1), 16);
+  auto fresh = std::make_unique_for_overwrite<RingEntry[]>(slots);
+  for (std::size_t i = 0; i < size_; ++i) fresh[i] = (*this)[i];
+  slots_ = std::move(fresh);
+  mask_ = slots - 1;
+  head_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -399,38 +432,35 @@ HostAccessReport UvmSpace::host_access(ArrayId id, AccessMode mode, ByteRange ra
   const std::uint32_t last =
       static_cast<std::uint32_t>((range.end + tuning_.page_size - 1) / tuning_.page_size);
 
-  std::vector<Bytes> d2h_traffic(devices_.size(), 0);
+  std::array<Bytes, kMaxDevices> d2h_traffic{};
   Bytes migrated = 0;
   for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
     PageState& st = arr.pages[p];
+    if (st.mask == host_bit()) {
+      // Host-only already: nothing moves.
+      if (writes(mode)) st.populated = true;
+      continue;
+    }
     if (!(st.mask & host_bit())) {
-      // Page lives on some device; CPU touch migrates it home.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (st.mask & device_bit(d)) {
-          if (st.populated) d2h_traffic[d] += page_bytes(arr, p);
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-          break;  // one source is enough
-        }
-      }
+      // Page lives on some device; CPU touch migrates it home from the
+      // lowest-numbered holder (one source is enough).
+      const std::size_t d = device_index(st.mask);
+      if (st.populated) d2h_traffic[d] += page_bytes(arr, p);
+      st.mask &= static_cast<std::uint16_t>(~devices_[d].bit);
+      --devices_[d].used_pages;
       migrated += page_bytes(arr, p);
       st.mask |= host_bit();
     }
     if (writes(mode)) {
       st.populated = true;
       // Host write supersedes any remaining device copies.
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (st.mask & device_bit(d)) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
+      release_device_copies(st, 0);
       st.mask = host_bit();
     }
   }
 
   SimTime done = sim_.now();
-  for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
     if (d2h_traffic[d] > 0) {
       const SimTime t = devices_[d].d2h->submit(d2h_traffic[d]);
       done = std::max(done, t);
@@ -460,10 +490,10 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
   Bytes fetch = 0;
   for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
     PageState& st = arr.pages[p];
-    const std::uint16_t bit = device_bit(device);
+    const std::uint16_t bit = dev.bit;
     if (st.mask & bit) continue;
     while (dev.used_pages >= dev.capacity_pages) {
-      if (!evict_one(device, c)) break;
+      if (!evict_one(dev, c)) break;
     }
     // Prefetch is a hint: when the device is full and nothing is evictable
     // (every resident page pinned by advice/heat), truncate the prefetch
@@ -472,19 +502,13 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
     if (arr.advise == Advise::ReadMostly) {
       st.mask |= bit;
     } else {
-      for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-        if (d != device && (st.mask & device_bit(d))) {
-          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-          --devices_[d].used_pages;
-        }
-      }
+      release_device_copies(st, bit);
       st.mask = bit;
     }
     ++dev.used_pages;
     if (!(st.ever_mask & bit)) {
       st.ever_mask |= bit;
       ++dev.sticky_pages;
-      ++arr.sticky_per_device[device];
     }
     dev.ring.push_back(RingEntry{id, p});
     st.prefetched = true;
@@ -505,13 +529,10 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
 void UvmSpace::adopt_host_copy(ArrayId id) {
   ArrayInfo& arr = array_ref(id);
   for (PageState& st : arr.pages) {
-    for (DeviceId d = 0; d < static_cast<DeviceId>(devices_.size()); ++d) {
-      if (st.mask & device_bit(d)) {
-        st.mask &= static_cast<std::uint16_t>(~device_bit(d));
-        --devices_[d].used_pages;
-      }
+    if (st.mask != host_bit()) {
+      release_device_copies(st, 0);
+      st.mask = host_bit();
     }
-    st.mask = host_bit();
     st.populated = true;
   }
 }
@@ -610,9 +631,9 @@ ByteRange UvmSpace::normalize_range(const ArrayInfo& arr, ByteRange range) const
   return range;
 }
 
-template <typename PageFn>
-void UvmSpace::for_each_page(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
-                             PageFn&& fn) {
+template <typename RunFn>
+void UvmSpace::for_each_run(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
+                            RunFn&& fn) {
   const auto first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
   const auto last = static_cast<std::uint32_t>(
       std::min<Bytes>((range.end + tuning_.page_size - 1) / tuning_.page_size, arr.pages.size()));
@@ -620,20 +641,19 @@ void UvmSpace::for_each_page(const ArrayInfo& arr, ByteRange range, const Access
   const std::uint32_t n = last - first;
 
   if (const auto* s = std::get_if<StreamingPattern>(&pattern)) {
-    for (std::uint32_t pass = 0; pass < s->passes; ++pass) {
-      for (std::uint32_t p = first; p < last; ++p) fn(p, false);
-    }
+    for (std::uint32_t pass = 0; pass < s->passes; ++pass) fn(first, last, 1u, false);
   } else if (std::get_if<HotReusePattern>(&pattern)) {
-    for (std::uint32_t p = first; p < last; ++p) fn(p, true);
+    fn(first, last, 1u, true);
   } else if (const auto* r = std::get_if<RandomPattern>(&pattern)) {
     Rng rng(r->seed ^ (static_cast<std::uint64_t>(epoch_counter_) << 17));
     const auto touches = static_cast<std::uint64_t>(std::llround(r->fraction * n));
     for (std::uint64_t i = 0; i < touches; ++i) {
-      fn(first + static_cast<std::uint32_t>(rng.next_below(n)), false);
+      const std::uint32_t page = first + static_cast<std::uint32_t>(rng.next_below(n));
+      fn(page, page + 1, 1u, false);
     }
   } else if (const auto* st = std::get_if<StridedPattern>(&pattern)) {
     GROUT_REQUIRE(st->stride > 0, "zero stride");
-    for (std::uint32_t p = first; p < last; p += st->stride) fn(p, false);
+    fn(first, last, st->stride, false);
   }
 }
 

@@ -15,8 +15,8 @@
 // cliff (Figs 1/6a); its constants live in UvmTuning.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -134,9 +134,11 @@ class UvmSpace {
   struct PageState {
     std::uint16_t mask{1};  ///< residency bits: bit0 = host, bit (d+1) = device d
     std::uint16_t ever_mask{0};  ///< devices that ever faulted this page
+    /// Epoch of the last touch if it was a hot one (HotReusePattern), else
+    /// 0. A hot page is protected from second-chance eviction while that
+    /// epoch is its device's current one.
+    std::uint32_t hot_epoch{0};
     std::uint8_t remote_hits{0};  ///< access-counter value for AccessedBy pages
-    std::uint32_t touch_epoch{0};
-    bool hot{false};  ///< protected from second-chance eviction this epoch
     /// False until the page holds real data (host init, device write, or a
     /// network arrival). First-touch of an unpopulated page allocates
     /// device-side directly — no host->device copy, like cudaMallocManaged
@@ -145,13 +147,14 @@ class UvmSpace {
     /// Set by prefetch(); cleared (and counted useful) on the next touch
     /// hit, or silently on eviction/migration (a wasted prefetch).
     bool prefetched{false};
+    /// Scratch for compact_ring: set on the page's first kept ring entry.
+    bool ring_mark{false};
   };
 
   struct ArrayInfo {
     std::string name;
     Bytes bytes{0};
     std::vector<PageState> pages;
-    std::vector<std::size_t> sticky_per_device;  ///< distinct pages faulted, per device
     Advise advise{Advise::None};
     DeviceId advise_device{kHostDevice};
     bool live{false};
@@ -162,13 +165,48 @@ class UvmSpace {
     std::uint32_t page;
   };
 
+  /// The eviction candidates of one device in insertion order: a
+  /// contiguous circular buffer (power-of-two slots, doubled when full).
+  /// Index 0 is the oldest entry.
+  class Ring {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    RingEntry& operator[](std::size_t i) { return slots_[(head_ + i) & mask_]; }
+    RingEntry& front() { return slots_[head_]; }
+    RingEntry& back() { return (*this)[size_ - 1]; }
+    void push_back(RingEntry entry) {
+      if (!slots_ || size_ > mask_) grow();
+      ++size_;
+      back() = entry;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & mask_;
+      --size_;
+    }
+    void pop_back() { --size_; }
+    /// Keep only the `n` oldest entries.
+    void truncate(std::size_t n) { size_ = n; }
+
+   private:
+    void grow();
+
+    std::unique_ptr<RingEntry[]> slots_;
+    std::size_t mask_{0};  ///< slot count - 1
+    std::size_t head_{0};
+    std::size_t size_{0};
+  };
+
   struct DeviceState {
     DeviceConfig config;
+    std::uint16_t bit{0};  ///< this device's residency bit
     std::size_t capacity_pages{0};
     std::size_t used_pages{0};
     /// Distinct pages ever faulted here (the driver's working-set pressure).
     std::size_t sticky_pages{0};
-    std::deque<RingEntry> ring;
+    Ring ring;
+    /// A fault that grows the ring past this many entries compacts it.
+    std::size_t ring_limit{0};
     std::uint32_t current_epoch{0};
     std::unique_ptr<sim::Resource> h2d;
     std::unique_ptr<sim::Resource> d2h;
@@ -185,9 +223,24 @@ class UvmSpace {
     std::uint64_t evictions{0};
   };
 
+  /// One parameter's access on one device, resolved once for its range.
+  struct PageRun {
+    DeviceState& dev;
+    ArrayInfo& arr;
+    ArrayId id;
+    AccessMode mode;
+  };
+
+  /// Residency mask width: the host bit plus one bit per device.
+  static constexpr std::size_t kMaxDevices = 15;
+
   static constexpr std::uint16_t host_bit() { return 1u; }
   static constexpr std::uint16_t device_bit(DeviceId d) {
     return static_cast<std::uint16_t>(1u << (d + 1));
+  }
+  /// Index of the lowest device whose bit is set in `bits` (host bit clear).
+  static std::size_t device_index(unsigned bits) {
+    return static_cast<std::size_t>(std::countr_zero(bits) - 1);
   }
 
   ArrayInfo& array_ref(ArrayId id);
@@ -199,21 +252,30 @@ class UvmSpace {
   [[nodiscard]] Bytes page_bytes(const ArrayInfo& arr, std::uint32_t page) const;
   [[nodiscard]] ByteRange normalize_range(const ArrayInfo& arr, ByteRange range) const;
 
-  /// Touch one page from `device`; classifies hit/miss, evicts if needed.
-  void touch_page(DeviceId device, ArrayId id, std::uint32_t page, AccessMode mode, bool hot,
-                  TouchCounters& c);
+  /// Touch pages first, first + stride, ... below last, in order.
+  void replay_run(const PageRun& run, std::uint32_t first, std::uint32_t last,
+                  std::uint32_t stride, bool hot, TouchCounters& c);
 
-  /// Evict one page from `device`; returns false if nothing evictable.
-  bool evict_one(DeviceId device, TouchCounters& c);
+  /// Touch one page; classifies hit/miss, evicts if needed.
+  void touch_page(const PageRun& run, std::uint32_t page, bool hot, TouchCounters& c);
 
-  /// Remove `device`'s residency bit; write back if it held the only copy.
-  void drop_residency(ArrayId id, std::uint32_t page, DeviceId device, TouchCounters& c);
+  /// Evict one page from `dev`; returns false if nothing evictable.
+  bool evict_one(DeviceState& dev, TouchCounters& c);
+
+  /// Remove `dev`'s residency bit; write back if it held the only copy.
+  void drop_residency(ArrayInfo& arr, std::uint32_t page, DeviceState& dev, TouchCounters& c);
+
+  /// Free the device slot of every copy of `st` but `keep`'s (a device
+  /// bit, or 0 for none). The caller then rewrites `st.mask`.
+  void release_device_copies(const PageState& st, std::uint16_t keep);
 
   void compact_ring(DeviceState& dev);
 
-  template <typename PageFn>
-  void for_each_page(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
-                     PageFn&& fn);
+  /// Call fn(first, last, stride, hot) for each run of pages `pattern`
+  /// touches, in touch order (a random pattern is a run per touch).
+  template <typename RunFn>
+  void for_each_run(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,
+                    RunFn&& fn);
 
   sim::Simulator& sim_;
   UvmTuning tuning_;

@@ -1,6 +1,6 @@
 // Naive reference implementations pinned as differential-test oracles.
 //
-// These are verbatim ports of the pre-fast-path controller code:
+// These are verbatim ports of the pre-fast-path controller and UVM code:
 //   NaiveDag               — DependencyDag whose filter_redundant runs the
 //                            original O(k^2) pairwise ancestor test, and
 //                            whose WAR reader lists grow without
@@ -17,6 +17,10 @@
 //                            worker_holders() vector and checked
 //                            bandwidth() probes for every replica, and a
 //                            fresh scan for every eviction.
+//   NaiveUvm               — UvmSpace's page engine replaying every touch
+//                            through the per-page fault path, with a
+//                            std::deque eviction ring and hash-set ring
+//                            compaction.
 //
 // The production implementations must agree with these exactly — same edge
 // sets, same placements — which the test_*_differential suites assert over
@@ -25,18 +29,26 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/rng.hpp"
 #include "core/directory.hpp"
 #include "core/policies.hpp"
 #include "dag/dependency_dag.hpp"
 #include "net/topology.hpp"
+#include "sim/resource.hpp"
+#include "uvm/uvm_space.hpp"
 
 namespace grout::oracle {
 
@@ -368,6 +380,558 @@ class NaiveGovernor {
   std::vector<std::unordered_map<core::GlobalArrayId, Replica>> replicas_;
   std::unordered_map<core::GlobalArrayId, TenantId> owner_;
   std::vector<std::pair<std::size_t, core::GlobalArrayId>> victims_;
+};
+
+/// UvmSpace's per-page fault engine as it was before range replay: every
+/// touched page goes through touch_page (array and device looked up per
+/// page), the eviction ring is a std::deque and compact_ring dedups through
+/// a hash set. Only the drop_residency mask is widened to 16 bits (the old
+/// 8-bit mask dropped devices 7+ from read-duplicated pages). It runs
+/// beside a UvmSpace on the same simulator; the differential test compares
+/// reports, statistics and residency call by call.
+class NaiveUvm {
+ public:
+  using ArrayId = uvm::ArrayId;
+  using DeviceId = uvm::DeviceId;
+
+  NaiveUvm(sim::Simulator& simulator, uvm::UvmTuning tuning,
+           std::vector<uvm::DeviceConfig> devices,
+           uvm::EvictionPolicyKind eviction = uvm::EvictionPolicyKind::ClockLru,
+           std::uint64_t seed = 0x5eedULL)
+      : sim_{simulator}, tuning_{tuning}, eviction_{eviction}, rng_{seed} {
+    for (auto& cfg : devices) {
+      DeviceState dev;
+      dev.capacity_pages = static_cast<std::size_t>(cfg.capacity / tuning_.page_size);
+      dev.h2d = std::make_unique<sim::Resource>(sim_, cfg.name + "/h2d", cfg.pcie_bw,
+                                                cfg.pcie_latency);
+      dev.d2h = std::make_unique<sim::Resource>(sim_, cfg.name + "/d2h", cfg.pcie_bw,
+                                                cfg.pcie_latency);
+      dev.config = std::move(cfg);
+      devices_.push_back(std::move(dev));
+    }
+  }
+
+  ArrayId alloc(Bytes bytes, std::string name) {
+    ArrayInfo info;
+    info.name = std::move(name);
+    info.bytes = bytes;
+    const auto pages =
+        static_cast<std::uint32_t>((bytes + tuning_.page_size - 1) / tuning_.page_size);
+    info.pages.assign(pages, PageState{});
+    info.sticky_per_device.assign(devices_.size(), 0);
+    info.live = true;
+    arrays_.push_back(std::move(info));
+    return static_cast<ArrayId>(arrays_.size() - 1);
+  }
+
+  void free_array(ArrayId id) {
+    ArrayInfo& arr = arrays_[id];
+    for (std::uint32_t p = 0; p < arr.pages.size(); ++p) {
+      PageState& st = arr.pages[p];
+      for (DeviceId d = 0; d < device_count(); ++d) {
+        if (st.mask & device_bit(d)) --devices_[d].used_pages;
+      }
+      st.mask = host_bit();
+    }
+    for (DeviceId d = 0; d < device_count(); ++d) {
+      devices_[d].sticky_pages -= arr.sticky_per_device[d];
+    }
+    arr.live = false;
+    arr.pages.clear();
+    arr.pages.shrink_to_fit();
+  }
+
+  void advise(ArrayId id, uvm::Advise advise, DeviceId device = uvm::kHostDevice) {
+    arrays_[id].advise = advise;
+    arrays_[id].advise_device = device;
+  }
+
+  uvm::DeviceAccessResult device_access(DeviceId device,
+                                        std::span<const uvm::ParamAccess> params,
+                                        uvm::Parallelism parallelism) {
+    DeviceState& dev = devices_[device];
+    dev.current_epoch = ++epoch_counter_;
+
+    TouchCounters c;
+    Bytes remote_bytes = 0;
+    for (const uvm::ParamAccess& pa : params) {
+      ArrayInfo& arr = arrays_[pa.array];
+      const uvm::ByteRange range = pa.range.empty() ? uvm::ByteRange{0, arr.bytes} : pa.range;
+      if (range.empty()) continue;
+      if (arr.advise == uvm::Advise::AccessedBy && arr.advise_device == device) {
+        const std::uint32_t promote_at = tuning_.access_counter_threshold;
+        for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
+          PageState& st = arr.pages[page];
+          if (st.mask & device_bit(device)) {
+            touch_page(device, pa.array, page, pa.mode, hot, c);
+            return;
+          }
+          if (promote_at > 0 && ++st.remote_hits >= promote_at) {
+            st.remote_hits = 0;
+            touch_page(device, pa.array, page, pa.mode, hot, c);
+          } else {
+            remote_bytes += page_bytes(arr, page);
+          }
+        });
+        continue;
+      }
+      for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
+        touch_page(device, pa.array, page, pa.mode, hot, c);
+      });
+    }
+
+    uvm::AccessReport r;
+    r.bytes_touched = c.touched + remote_bytes;
+    r.bytes_hit = c.hit;
+    r.healthy_fetch = c.healthy_fetch;
+    r.evict_fetch = c.evict_fetch;
+    r.populate_alloc = c.populate_alloc;
+    r.writeback = c.writeback;
+    r.remote_access = remote_bytes;
+    r.faults = c.faults;
+    r.evictions = c.evictions;
+    const auto capacity_bytes =
+        static_cast<double>(dev.capacity_pages) * static_cast<double>(tuning_.page_size);
+    r.eviction_intensity = capacity_bytes > 0 ? static_cast<double>(c.evictions) *
+                                                    static_cast<double>(tuning_.page_size) /
+                                                    capacity_bytes
+                                              : 0.0;
+    r.oversubscription = working_set_pressure();
+    r.storm = r.oversubscription >= tuning_.storm_oversubscription_threshold && c.evictions > 0;
+
+    const Bandwidth pcie = dev.config.pcie_bw;
+    SimTime fault_time = SimTime::zero();
+    if (r.storm) {
+      const double extra = r.oversubscription - tuning_.storm_oversubscription_threshold;
+      const double slowdown = 1.0 + tuning_.storm_compound * extra * extra;
+      const Bandwidth storm_bw =
+          Bandwidth::bytes_per_sec(tuning_.storm_bandwidth(parallelism).bps() / slowdown);
+      fault_time += storm_bw.transfer_time(r.healthy_fetch + r.evict_fetch + r.populate_alloc);
+    } else {
+      if (r.healthy_fetch > 0) {
+        if (tuning_.prefetcher_enabled) {
+          fault_time += pcie.transfer_time(r.healthy_fetch);
+        } else {
+          const Bandwidth degraded =
+              Bandwidth::bytes_per_sec(pcie.bps() * tuning_.no_prefetch_bw_factor);
+          fault_time += degraded.transfer_time(r.healthy_fetch);
+          const std::uint64_t pages = r.healthy_fetch / tuning_.page_size;
+          const std::uint64_t batches =
+              (pages + tuning_.healthy_batch_pages - 1) / tuning_.healthy_batch_pages;
+          fault_time += tuning_.fault_batch_latency * static_cast<std::int64_t>(batches);
+        }
+      }
+      if (r.evict_fetch > 0) {
+        const Bandwidth degraded =
+            Bandwidth::bytes_per_sec(pcie.bps() * tuning_.eviction_efficiency);
+        fault_time += degraded.transfer_time(r.evict_fetch);
+        fault_time +=
+            tuning_.eviction_overhead_per_page * static_cast<std::int64_t>(r.evictions);
+      }
+    }
+    if (remote_bytes > 0) {
+      const Bandwidth remote_bw =
+          Bandwidth::bytes_per_sec(pcie.bps() * tuning_.remote_access_efficiency);
+      fault_time += remote_bw.transfer_time(remote_bytes);
+    }
+    r.fault_time = fault_time;
+    r.writeback_time = r.writeback > 0 ? pcie.transfer_time(r.writeback) : SimTime::zero();
+
+    uvm::DeviceAccessResult result;
+    result.h2d_done = fault_time > SimTime::zero()
+                          ? dev.h2d->submit_duration(fault_time, r.healthy_fetch + r.evict_fetch)
+                          : sim_.now();
+    result.d2h_done = r.writeback_time > SimTime::zero()
+                          ? dev.d2h->submit_duration(r.writeback_time, r.writeback)
+                          : sim_.now();
+
+    stats_.bytes_fetched += r.healthy_fetch + r.evict_fetch;
+    stats_.bytes_written_back += r.writeback;
+    stats_.faults += r.faults;
+    stats_.evictions += r.evictions;
+    ++stats_.kernels;
+    if (r.storm) ++stats_.storm_kernels;
+    result.report = r;
+    return result;
+  }
+
+  uvm::HostAccessReport host_access(ArrayId id, uvm::AccessMode mode, uvm::ByteRange range = {}) {
+    ArrayInfo& arr = arrays_[id];
+    if (range.empty()) range = uvm::ByteRange{0, arr.bytes};
+    const auto first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
+    const auto last =
+        static_cast<std::uint32_t>((range.end + tuning_.page_size - 1) / tuning_.page_size);
+
+    std::vector<Bytes> d2h_traffic(devices_.size(), 0);
+    Bytes migrated = 0;
+    for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
+      PageState& st = arr.pages[p];
+      if (!(st.mask & host_bit())) {
+        for (DeviceId d = 0; d < device_count(); ++d) {
+          if (st.mask & device_bit(d)) {
+            if (st.populated) d2h_traffic[d] += page_bytes(arr, p);
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+            break;
+          }
+        }
+        migrated += page_bytes(arr, p);
+        st.mask |= host_bit();
+      }
+      if (uvm::writes(mode)) {
+        st.populated = true;
+        for (DeviceId d = 0; d < device_count(); ++d) {
+          if (st.mask & device_bit(d)) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = host_bit();
+      }
+    }
+
+    SimTime done = sim_.now();
+    for (DeviceId d = 0; d < device_count(); ++d) {
+      if (d2h_traffic[d] > 0) done = std::max(done, devices_[d].d2h->submit(d2h_traffic[d]));
+    }
+    uvm::HostAccessReport r;
+    r.bytes_migrated = migrated;
+    r.duration = done - sim_.now();
+    return r;
+  }
+
+  SimTime prefetch(ArrayId id, DeviceId device, uvm::ByteRange range = {}) {
+    ArrayInfo& arr = arrays_[id];
+    if (range.empty()) range = uvm::ByteRange{0, arr.bytes};
+    const auto first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
+    const auto last =
+        static_cast<std::uint32_t>((range.end + tuning_.page_size - 1) / tuning_.page_size);
+    if (device == uvm::kHostDevice) {
+      const uvm::HostAccessReport r = host_access(id, uvm::AccessMode::Read, range);
+      return sim_.now() + r.duration;
+    }
+
+    DeviceState& dev = devices_[device];
+    TouchCounters c;
+    Bytes fetch = 0;
+    for (std::uint32_t p = first; p < last && p < arr.pages.size(); ++p) {
+      PageState& st = arr.pages[p];
+      const std::uint16_t bit = device_bit(device);
+      if (st.mask & bit) continue;
+      while (dev.used_pages >= dev.capacity_pages) {
+        if (!evict_one(device, c)) break;
+      }
+      if (dev.used_pages >= dev.capacity_pages) break;
+      if (arr.advise == uvm::Advise::ReadMostly) {
+        st.mask |= bit;
+      } else {
+        for (DeviceId d = 0; d < device_count(); ++d) {
+          if (d != device && (st.mask & device_bit(d))) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = bit;
+      }
+      ++dev.used_pages;
+      if (!(st.ever_mask & bit)) {
+        st.ever_mask |= bit;
+        ++dev.sticky_pages;
+        ++arr.sticky_per_device[device];
+      }
+      dev.ring.push_back(RingEntry{id, p});
+      st.prefetched = true;
+      if (st.populated) fetch += page_bytes(arr, p);
+    }
+
+    stats_.bytes_fetched += fetch;
+    stats_.prefetch_issued += fetch;
+    stats_.bytes_written_back += c.writeback;
+    stats_.evictions += c.evictions;
+
+    SimTime done = sim_.now();
+    if (fetch > 0) done = dev.h2d->submit(fetch);
+    if (c.writeback > 0) done = std::max(done, dev.d2h->submit(c.writeback));
+    return done;
+  }
+
+  void adopt_host_copy(ArrayId id) {
+    for (PageState& st : arrays_[id].pages) {
+      for (DeviceId d = 0; d < device_count(); ++d) {
+        if (st.mask & device_bit(d)) {
+          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+          --devices_[d].used_pages;
+        }
+      }
+      st.mask = host_bit();
+      st.populated = true;
+    }
+  }
+
+  [[nodiscard]] Bytes resident_bytes(DeviceId device) const {
+    return static_cast<Bytes>(devices_[device].used_pages) * tuning_.page_size;
+  }
+  [[nodiscard]] Bytes sticky_bytes(DeviceId device) const {
+    return static_cast<Bytes>(devices_[device].sticky_pages) * tuning_.page_size;
+  }
+  [[nodiscard]] bool page_resident(ArrayId id, std::uint32_t page, DeviceId device) const {
+    const std::uint16_t bit = device == uvm::kHostDevice ? host_bit() : device_bit(device);
+    return (arrays_[id].pages[page].mask & bit) != 0;
+  }
+  [[nodiscard]] const uvm::UvmStats& stats() const { return stats_; }
+  /// Times any device's eviction ring was compacted.
+  [[nodiscard]] std::size_t compactions() const { return compactions_; }
+
+ private:
+  struct PageState {
+    std::uint16_t mask{1};
+    std::uint16_t ever_mask{0};
+    std::uint8_t remote_hits{0};
+    std::uint32_t touch_epoch{0};
+    bool hot{false};
+    bool populated{false};
+    bool prefetched{false};
+  };
+  struct ArrayInfo {
+    std::string name;
+    Bytes bytes{0};
+    std::vector<PageState> pages;
+    std::vector<std::size_t> sticky_per_device;
+    uvm::Advise advise{uvm::Advise::None};
+    DeviceId advise_device{uvm::kHostDevice};
+    bool live{false};
+  };
+  struct RingEntry {
+    ArrayId array;
+    std::uint32_t page;
+  };
+  struct DeviceState {
+    uvm::DeviceConfig config;
+    std::size_t capacity_pages{0};
+    std::size_t used_pages{0};
+    std::size_t sticky_pages{0};
+    std::deque<RingEntry> ring;
+    std::uint32_t current_epoch{0};
+    std::unique_ptr<sim::Resource> h2d;
+    std::unique_ptr<sim::Resource> d2h;
+  };
+  struct TouchCounters {
+    Bytes healthy_fetch{0};
+    Bytes evict_fetch{0};
+    Bytes populate_alloc{0};
+    Bytes writeback{0};
+    Bytes hit{0};
+    Bytes touched{0};
+    std::uint64_t faults{0};
+    std::uint64_t evictions{0};
+  };
+
+  static constexpr std::size_t kEvictionScanLimit = 64;
+  static constexpr std::uint16_t host_bit() { return 1u; }
+  static constexpr std::uint16_t device_bit(DeviceId d) {
+    return static_cast<std::uint16_t>(1u << (d + 1));
+  }
+  [[nodiscard]] DeviceId device_count() const { return static_cast<DeviceId>(devices_.size()); }
+
+  [[nodiscard]] Bytes page_bytes(const ArrayInfo& arr, std::uint32_t page) const {
+    const Bytes begin = static_cast<Bytes>(page) * tuning_.page_size;
+    return std::min(tuning_.page_size, arr.bytes - begin);
+  }
+
+  [[nodiscard]] double working_set_pressure() const {
+    std::size_t sticky = 0;
+    std::size_t capacity = 0;
+    for (const DeviceState& dev : devices_) {
+      sticky += dev.sticky_pages;
+      capacity += dev.capacity_pages;
+    }
+    return static_cast<double>(sticky) / static_cast<double>(capacity);
+  }
+
+  void touch_page(DeviceId device, ArrayId id, std::uint32_t page, uvm::AccessMode mode,
+                  bool hot, TouchCounters& c) {
+    ArrayInfo& arr = arrays_[id];
+    DeviceState& dev = devices_[device];
+    PageState& st = arr.pages[page];
+    const Bytes pb = page_bytes(arr, page);
+    const std::uint16_t bit = device_bit(device);
+
+    c.touched += pb;
+    if (st.mask & bit) {
+      c.hit += pb;
+      if (st.prefetched) {
+        st.prefetched = false;
+        stats_.prefetch_useful += pb;
+      }
+    } else {
+      ++c.faults;
+      const std::uint64_t evictions_before = c.evictions;
+      while (dev.used_pages >= dev.capacity_pages) {
+        if (!evict_one(device, c)) break;
+      }
+      const bool evicted_now = c.evictions != evictions_before;
+      GROUT_CHECK(dev.used_pages < dev.capacity_pages, "device full and nothing evictable");
+      const bool needs_copy = st.populated;
+      if (uvm::writes(mode)) {
+        for (DeviceId d = 0; d < device_count(); ++d) {
+          if (d != device && (st.mask & device_bit(d))) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = bit;
+      } else if (arr.advise == uvm::Advise::ReadMostly) {
+        st.mask |= bit;
+      } else {
+        for (DeviceId d = 0; d < device_count(); ++d) {
+          if (d != device && (st.mask & device_bit(d))) {
+            st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+            --devices_[d].used_pages;
+          }
+        }
+        st.mask = bit;
+      }
+      ++dev.used_pages;
+      if (!(st.ever_mask & bit)) {
+        st.ever_mask |= bit;
+        ++dev.sticky_pages;
+        ++arr.sticky_per_device[device];
+      }
+      dev.ring.push_back(RingEntry{id, page});
+      if (dev.ring.size() > std::max<std::size_t>(4 * dev.capacity_pages, 1024)) {
+        compact_ring(dev);
+      }
+      st.prefetched = false;
+      if (!needs_copy) {
+        c.populate_alloc += pb;
+      } else if (evicted_now) {
+        c.evict_fetch += pb;
+      } else {
+        c.healthy_fetch += pb;
+      }
+    }
+
+    if (uvm::writes(mode)) st.populated = true;
+    if (uvm::writes(mode) && (st.mask & ~bit) != 0) {
+      for (DeviceId d = 0; d < device_count(); ++d) {
+        if (d != device && (st.mask & device_bit(d))) {
+          st.mask &= static_cast<std::uint16_t>(~device_bit(d));
+          --devices_[d].used_pages;
+        }
+      }
+      st.mask = bit;
+    }
+    st.touch_epoch = dev.current_epoch;
+    st.hot = hot;
+  }
+
+  bool evict_one(DeviceId device, TouchCounters& c) {
+    DeviceState& dev = devices_[device];
+    const std::uint16_t bit = device_bit(device);
+    std::size_t second_chances = 0;
+
+    if (eviction_ == uvm::EvictionPolicyKind::Random) {
+      for (int attempt = 0; attempt < 16 && !dev.ring.empty(); ++attempt) {
+        const auto idx = static_cast<std::size_t>(rng_.next_below(dev.ring.size()));
+        const RingEntry entry = dev.ring[idx];
+        dev.ring[idx] = dev.ring.back();
+        dev.ring.pop_back();
+        ArrayInfo& arr = arrays_[entry.array];
+        if (!arr.live || entry.page >= arr.pages.size()) continue;
+        if (!(arr.pages[entry.page].mask & bit)) continue;
+        drop_residency(entry.array, entry.page, device, c);
+        ++c.evictions;
+        return true;
+      }
+    }
+
+    std::size_t iterations = dev.ring.size() + kEvictionScanLimit;
+    while (iterations-- > 0 && !dev.ring.empty()) {
+      const RingEntry entry = dev.ring.front();
+      dev.ring.pop_front();
+      ArrayInfo& arr = arrays_[entry.array];
+      if (!arr.live || entry.page >= arr.pages.size()) continue;
+      PageState& st = arr.pages[entry.page];
+      if (!(st.mask & bit)) continue;
+      if (eviction_ == uvm::EvictionPolicyKind::ClockLru &&
+          second_chances < kEvictionScanLimit) {
+        const bool protected_hot = st.hot && st.touch_epoch == dev.current_epoch;
+        const bool preferred_here =
+            arr.advise == uvm::Advise::PreferredLocation && arr.advise_device == device;
+        if (protected_hot || preferred_here) {
+          dev.ring.push_back(entry);
+          ++second_chances;
+          continue;
+        }
+      }
+      drop_residency(entry.array, entry.page, device, c);
+      ++c.evictions;
+      return true;
+    }
+    return false;
+  }
+
+  void drop_residency(ArrayId id, std::uint32_t page, DeviceId device, TouchCounters& c) {
+    ArrayInfo& arr = arrays_[id];
+    PageState& st = arr.pages[page];
+    st.mask &= static_cast<std::uint16_t>(~device_bit(device));
+    st.prefetched = false;
+    --devices_[device].used_pages;
+    if (st.mask == 0) {
+      st.mask = host_bit();
+      if (st.populated) c.writeback += page_bytes(arr, page);
+    }
+  }
+
+  void compact_ring(DeviceState& dev) {
+    const std::uint16_t bit = device_bit(static_cast<DeviceId>(&dev - devices_.data()));
+    std::unordered_set<std::uint64_t> seen;
+    std::deque<RingEntry> fresh;
+    for (const RingEntry& entry : dev.ring) {
+      const ArrayInfo& arr = arrays_[entry.array];
+      if (!arr.live || entry.page >= arr.pages.size()) continue;
+      if (!(arr.pages[entry.page].mask & bit)) continue;
+      const std::uint64_t key = (static_cast<std::uint64_t>(entry.array) << 32) | entry.page;
+      if (seen.insert(key).second) fresh.push_back(entry);
+    }
+    dev.ring = std::move(fresh);
+    ++compactions_;
+  }
+
+  template <typename PageFn>
+  void for_each_page(const ArrayInfo& arr, uvm::ByteRange range,
+                     const uvm::AccessPattern& pattern, PageFn&& fn) {
+    const auto first = static_cast<std::uint32_t>(range.begin / tuning_.page_size);
+    const auto last = static_cast<std::uint32_t>(std::min<Bytes>(
+        (range.end + tuning_.page_size - 1) / tuning_.page_size, arr.pages.size()));
+    if (first >= last) return;
+    const std::uint32_t n = last - first;
+    if (const auto* s = std::get_if<uvm::StreamingPattern>(&pattern)) {
+      for (std::uint32_t pass = 0; pass < s->passes; ++pass) {
+        for (std::uint32_t p = first; p < last; ++p) fn(p, false);
+      }
+    } else if (std::get_if<uvm::HotReusePattern>(&pattern)) {
+      for (std::uint32_t p = first; p < last; ++p) fn(p, true);
+    } else if (const auto* r = std::get_if<uvm::RandomPattern>(&pattern)) {
+      Rng rng(r->seed ^ (static_cast<std::uint64_t>(epoch_counter_) << 17));
+      const auto touches = static_cast<std::uint64_t>(std::llround(r->fraction * n));
+      for (std::uint64_t i = 0; i < touches; ++i) {
+        fn(first + static_cast<std::uint32_t>(rng.next_below(n)), false);
+      }
+    } else if (const auto* st = std::get_if<uvm::StridedPattern>(&pattern)) {
+      for (std::uint32_t p = first; p < last; p += st->stride) fn(p, false);
+    }
+  }
+
+  sim::Simulator& sim_;
+  uvm::UvmTuning tuning_;
+  uvm::EvictionPolicyKind eviction_;
+  Rng rng_;
+  std::vector<ArrayInfo> arrays_;
+  std::vector<DeviceState> devices_;
+  std::uint32_t epoch_counter_{0};
+  uvm::UvmStats stats_;
+  std::size_t compactions_{0};
 };
 
 }  // namespace grout::oracle

@@ -388,6 +388,40 @@ TEST_F(UvmFixture, AccessCounterPromotionDisabled) {
   EXPECT_FALSE(space->page_resident(id, 0, 0));
 }
 
+TEST_F(UvmFixture, AccessCounterThresholdAtCounterWidth) {
+  // The per-page counter is 8 bits: 255 still promotes, 256 would wrap
+  // before reaching the threshold and is rejected up front.
+  UvmTuning t = small_tuning();
+  t.access_counter_threshold = 256;
+  EXPECT_THROW(rebuild(EvictionPolicyKind::ClockLru, 8_MiB, 2, t), InvalidArgument);
+  t.access_counter_threshold = 255;
+  rebuild(EvictionPolicyKind::ClockLru, 8_MiB, 2, t);
+  const ArrayId id = alloc_populated(1_MiB, "a");
+  space->advise(id, Advise::AccessedBy, 0);
+  for (int i = 0; i < 254; ++i) EXPECT_EQ(stream(0, id).remote_access, 1_MiB);
+  EXPECT_EQ(stream(0, id).healthy_fetch, 1_MiB);
+  EXPECT_TRUE(space->page_resident(id, 0, 0));
+}
+
+TEST_F(UvmFixture, EvictionKeepsHighDeviceDuplicates) {
+  // Eight one-page devices: device 7's residency bit is bit 8. Device 0
+  // evicting its read-duplicate must leave device 7's copy alone.
+  rebuild(EvictionPolicyKind::ClockLru, 1_MiB, 8);
+  const ArrayId a = alloc_populated(1_MiB, "a");
+  const ArrayId b = alloc_populated(1_MiB, "b");
+  space->advise(a, Advise::ReadMostly);
+  stream(7, a);
+  stream(0, a);
+  ASSERT_TRUE(space->page_resident(a, 0, 7));
+  ASSERT_TRUE(space->page_resident(a, 0, 0));
+  EXPECT_EQ(stream(0, b).evictions, 1u);
+  EXPECT_FALSE(space->page_resident(a, 0, 0));
+  EXPECT_TRUE(space->page_resident(a, 0, 7));
+  EXPECT_TRUE(space->page_resident(a, 0, kHostDevice));
+  EXPECT_EQ(space->resident_bytes(7), 1_MiB);
+  EXPECT_EQ(space->resident_bytes_of(a, 7), 1_MiB);
+}
+
 TEST_F(UvmFixture, AdviseValidatesDevice) {
   const ArrayId id = space->alloc(1_MiB, "a");
   EXPECT_THROW(space->advise(id, Advise::PreferredLocation, 9), InvalidArgument);
