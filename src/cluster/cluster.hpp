@@ -3,18 +3,15 @@
 // Fabric node 0 is the Controller (the paper's Intel Xeon 6354 head node
 // with an 8 Gbit/s NIC); nodes 1..N are workers (two V100s, 4 Gbit/s NIC).
 //
-// Membership is elastic: add_worker() registers a fresh Worker (and its
-// fabric endpoint) at runtime, and drain_worker()/retire_worker() walk a
-// worker through the graceful-decommission states. The Cluster only tracks
-// the membership state machine; the GroutRuntime owns the drain protocol
-// (stop placements, wait for in-flight CEs, migrate sole copies out).
+// Membership is fixed at construction. Only a fault-plan death changes it,
+// and the GroutRuntime tracks that (its liveness vector); the Cluster
+// itself never adds or removes a worker.
 //
 // Every worker, the fabric and the controller-side bookkeeping share one
 // serial sim::Simulator owned by the Cluster.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/worker.hpp"
@@ -41,24 +38,6 @@ struct ClusterConfig {
   std::size_t sim_threads{1};
 };
 
-/// Hardware description of a hot-joined worker; unset fields fall back to
-/// the cluster-wide defaults in ClusterConfig.
-struct WorkerSpec {
-  std::optional<gpusim::GpuNodeConfig> node{};
-  std::optional<net::NicSpec> nic{};
-};
-
-/// Lifecycle of a worker slot. Indices are stable for the life of the
-/// cluster: a drained worker keeps its slot (and fabric id) but never
-/// receives new placements again.
-enum class WorkerState : std::uint8_t {
-  Active,    ///< schedulable member
-  Draining,  ///< decommissioning: in-flight work finishing, data migrating
-  Drained,   ///< fully decommissioned: holds no replicas, gets no CEs
-};
-
-const char* to_string(WorkerState s);
-
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
@@ -79,22 +58,6 @@ class Cluster {
   [[nodiscard]] Worker& worker(std::size_t i);
   [[nodiscard]] const Worker& worker(std::size_t i) const;
 
-  /// Register a fresh worker (hot-join): a new fabric endpoint with the
-  /// next worker id, a new GpuNode, and an Active membership slot. Returns
-  /// the new worker's cluster index.
-  std::size_t add_worker(const WorkerSpec& spec = {});
-
-  /// Mark worker `i` as Draining (graceful decommission started). The
-  /// runtime keeps the protocol: no new placements, in-flight CEs finish,
-  /// sole up-to-date copies migrate out before retire_worker().
-  void drain_worker(std::size_t i);
-
-  /// Finish a drain: worker `i` holds no replicas anymore and leaves the
-  /// schedulable set for good.
-  void retire_worker(std::size_t i);
-
-  [[nodiscard]] WorkerState worker_state(std::size_t i) const;
-
   /// Fabric id of the controller endpoint (delegates to net/topology.hpp,
   /// the single source of truth for the node layout).
   [[nodiscard]] static constexpr net::NodeId controller_id() {
@@ -108,16 +71,11 @@ class Cluster {
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
  private:
-  /// Build worker `i`'s node config from the cluster defaults (or an
-  /// explicit spec) and append it; shared by the bootstrap and add_worker.
-  void append_worker(std::size_t i, const WorkerSpec& spec);
-
   ClusterConfig config_;
   sim::Simulator sim_;
   sim::Tracer tracer_;
   std::unique_ptr<net::NetworkFabric> fabric_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<WorkerState> states_;
 };
 
 }  // namespace grout::cluster

@@ -5,7 +5,9 @@
 // more nodes once the steep region is reached. This component implements
 // that suggestion: it watches per-kernel UVM reports and recommends the
 // smallest worker count that would keep every node's eviction intensity
-// under the storm threshold.
+// under the storm threshold. It is an offline heuristic: a caller feeds it
+// one run's reports, then reruns on the recommended size (cluster
+// membership is fixed for the life of a run).
 #pragma once
 
 #include <algorithm>
@@ -21,10 +23,6 @@ namespace grout::core {
 
 struct AutoscaleDecision {
   bool scale_out{false};
-  /// The observed pressure would still clear the KPI on fewer nodes:
-  /// recommend shrinking (one worker per observation window — scale-in is
-  /// deliberately conservative, a drain migrates data).
-  bool scale_in{false};
   std::size_t recommended_workers{1};
   std::string reason;
 };
@@ -58,20 +56,6 @@ class KpiAutoscaler {
     AutoscaleDecision d;
     d.recommended_workers = current_workers;
     if (kernels_ == 0 || peak_intensity_ <= intensity_kpi_) {
-      // Within KPI. If the pressure would stay within KPI even after losing
-      // a node — each node's intensity scales by current/(current-1) when a
-      // row-partitioned working set is re-split — the cluster is oversized.
-      if (kernels_ > 0 && current_workers > 1) {
-        const double shrunk = peak_intensity_ * static_cast<double>(current_workers) /
-                              static_cast<double>(current_workers - 1);
-        if (shrunk <= intensity_kpi_) {
-          d.scale_in = true;
-          d.recommended_workers = current_workers - 1;
-          d.reason = "peak device oversubscription " + std::to_string(peak_intensity_) +
-                     " clears KPI " + std::to_string(intensity_kpi_) + " on fewer nodes";
-          return d;
-        }
-      }
       d.reason = "eviction intensity within KPI";
       return d;
     }
@@ -86,12 +70,6 @@ class KpiAutoscaler {
     d.reason = "peak device oversubscription " + std::to_string(peak_intensity_) +
                " exceeds KPI " + std::to_string(intensity_kpi_);
     return d;
-  }
-
-  void reset() {
-    peak_intensity_ = 0.0;
-    storms_ = 0;
-    kernels_ = 0;
   }
 
  private:

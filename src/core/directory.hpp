@@ -99,18 +99,6 @@ class CoherenceDirectory {
     return orphaned;
   }
 
-  /// A worker hot-joined the cluster: widen every holder set so the new
-  /// index is representable. The joiner starts holding nothing — online
-  /// policies can only reach it through their exploration path until data
-  /// lands there.
-  void add_worker() {
-    ++workers_;
-    for (Entry& e : entries_) {
-      e.holders.grow(workers_);
-      e.invalidated.grow(workers_);
-    }
-  }
-
   /// A CE wrote the array on `worker`: exclusive ownership. Every other
   /// worker's replica is invalidated (it will refetch on next use); the
   /// returned effect reports how much the write cost the rest of the

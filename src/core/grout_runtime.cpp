@@ -26,16 +26,6 @@ struct AdoptOp {
 };
 }  // namespace
 
-const char* to_string(MembershipEvent::Kind k) {
-  switch (k) {
-    case MembershipEvent::Kind::Join: return "join";
-    case MembershipEvent::Kind::DrainStart: return "drain-start";
-    case MembershipEvent::Kind::DrainDone: return "drain-done";
-    case MembershipEvent::Kind::Death: return "death";
-  }
-  return "?";
-}
-
 GroutRuntime::GroutRuntime(GroutConfig config)
     : config_{std::move(config)},
       cluster_{std::make_unique<cluster::Cluster>(config_.cluster)},
@@ -52,9 +42,6 @@ GroutRuntime::GroutRuntime(GroutConfig config)
   metrics_.assignments.assign(config_.cluster.workers, 0);
   metrics_.inflight.assign(config_.cluster.workers, 0);
   alive_.assign(config_.cluster.workers, true);
-  draining_.assign(config_.cluster.workers, false);
-  drained_.assign(config_.cluster.workers, false);
-  schedulable_.assign(config_.cluster.workers, true);
   GROUT_REQUIRE(config_.worker_mem_headroom > 0.0, "worker_mem_headroom must be positive");
   const Bytes node_gpu_mem =
       config_.cluster.worker_node.gpu_count * config_.cluster.worker_node.device.memory;
@@ -62,135 +49,21 @@ GroutRuntime::GroutRuntime(GroutConfig config)
       config_.worker_mem_headroom * static_cast<double>(node_gpu_mem)));
   governor_ = std::make_unique<MemoryGovernor>(*cluster_, directory_, metrics_, budget,
                                                config_.spill);
-  // Drain finalization is event-driven: when the last pinned replica on a
-  // drain-watched worker is released, the governor fires this from a fresh
-  // sim event (no fixed-interval retry poll).
-  governor_->set_drain_listener([this](std::size_t w) { try_finalize_drain(w); });
   cluster_->fabric().set_control_retry(config_.control_retry);
-  // Workers that hot-join through the elastic plan are legal fault targets:
-  // a kill scheduled after the join sees a real node.
-  const std::size_t max_workers =
-      config_.cluster.workers + config_.elastic_plan.total_joins();
   if (!config_.fault_plan.empty()) {
     for (const net::KillWorkerFault& k : config_.fault_plan.kills) {
-      GROUT_REQUIRE(k.worker < max_workers, "fault plan kills an unknown worker");
+      GROUT_REQUIRE(k.worker < config_.cluster.workers, "fault plan kills an unknown worker");
+    }
+    // Degrade endpoints are fabric ids: the controller plus one per worker.
+    const std::size_t nodes = cluster_->fabric().node_count();
+    for (const net::DegradeLinkFault& d : config_.fault_plan.degrades) {
+      GROUT_REQUIRE(static_cast<std::size_t>(d.a) < nodes && static_cast<std::size_t>(d.b) < nodes,
+                    "fault plan degrades a link to an unknown node");
     }
     injector_ = std::make_unique<net::FaultInjector>(cluster_->simulator(), cluster_->fabric(),
                                                      config_.fault_plan);
     injector_->arm([this](std::size_t w) { handle_worker_death(w); });
   }
-  if (!config_.elastic_plan.empty()) {
-    sim::Simulator& sim = cluster_->simulator();
-    for (const cluster::DrainEvent& d : config_.elastic_plan.drains) {
-      GROUT_REQUIRE(d.worker < max_workers, "elastic plan drains an unknown worker");
-    }
-    for (const cluster::JoinEvent& j : config_.elastic_plan.joins) {
-      sim.schedule_at(j.at, [this, count = j.count] {
-        for (std::size_t i = 0; i < count; ++i) add_worker();
-      });
-    }
-    for (const cluster::DrainEvent& d : config_.elastic_plan.drains) {
-      sim.schedule_at(d.at, [this, w = d.worker] { drain_worker(w); });
-    }
-  }
-  if (config_.autoscale) {
-    GROUT_REQUIRE(config_.autoscale_interval > SimTime::zero(),
-                  "autoscale interval must be positive");
-    scaler_ = std::make_unique<KpiAutoscaler>(config_.cluster.worker_node.tuning, 0.8,
-                                              config_.autoscale_max_workers);
-  }
-}
-
-void GroutRuntime::autoscale_decide() {
-  std::size_t current = 0;
-  for (std::size_t w = 0; w < schedulable_.size(); ++w) {
-    if (schedulable_[w]) ++current;
-  }
-  const AutoscaleDecision d = scaler_->recommend(current);
-  const SimTime at = cluster_->simulator().now();
-  if (d.scale_out && current < config_.autoscale_max_workers) {
-    const std::size_t target = std::min(d.recommended_workers, config_.autoscale_max_workers);
-    for (std::size_t n = current; n < target; ++n) add_worker();
-    ++metrics_.autoscale_scale_outs;
-    cluster_->tracer().record(sim::TraceCategory::Scheduling,
-                              "autoscale-out:" + std::to_string(target) + ":" + d.reason,
-                              "controller", at, at);
-  } else if (d.scale_in && current > 1) {
-    // Drain the highest-index schedulable worker: joiners leave first, so
-    // repeated scale-in unwinds earlier scale-out instead of churning the
-    // long-lived seed workers.
-    for (std::size_t w = schedulable_.size(); w-- > 0;) {
-      if (!schedulable_[w]) continue;
-      drain_worker(w);
-      ++metrics_.autoscale_scale_ins;
-      cluster_->tracer().record(sim::TraceCategory::Scheduling,
-                                "autoscale-in:worker" + std::to_string(w) + ":" + d.reason,
-                                "controller", at, at);
-      break;
-    }
-  }
-  scaler_->reset();
-  autoscale_decided_at_ = at;
-}
-
-std::size_t GroutRuntime::add_worker(const cluster::WorkerSpec& spec) {
-  const std::size_t w = cluster_->add_worker(spec);
-  directory_.add_worker();
-  governor_->add_worker();
-  metrics_.assignments.push_back(0);
-  metrics_.inflight.push_back(0);
-  alive_.push_back(true);
-  draining_.push_back(false);
-  drained_.push_back(false);
-  schedulable_.push_back(true);
-  ++metrics_.worker_joins;
-  record_membership(MembershipEvent::Kind::Join, w);
-  return w;
-}
-
-void GroutRuntime::drain_worker(std::size_t w) {
-  GROUT_REQUIRE(w < alive_.size(), "worker index out of range");
-  GROUT_REQUIRE(alive_[w], "cannot drain a dead worker");
-  GROUT_REQUIRE(!draining_[w] && !drained_[w], "worker is already draining or drained");
-  bool other_schedulable = false;
-  for (std::size_t i = 0; i < schedulable_.size(); ++i) {
-    if (i != w && schedulable_[i]) {
-      other_schedulable = true;
-      break;
-    }
-  }
-  GROUT_REQUIRE(other_schedulable, "cannot drain the last schedulable worker");
-  cluster_->drain_worker(w);
-  draining_[w] = true;
-  schedulable_[w] = false;
-  ++metrics_.worker_drains;
-  record_membership(MembershipEvent::Kind::DrainStart, w);
-  try_finalize_drain(w);
-}
-
-void GroutRuntime::try_finalize_drain(std::size_t w) {
-  if (!draining_[w] || drained_[w] || !alive_[w]) return;
-  if (metrics_.inflight[w] > 0) return;  // on_ce_complete re-triggers
-  const std::size_t pinned = governor_->drain_worker(w);
-  if (pinned > 0) {
-    // Pinned replicas are staged outbound transfers (P2P sources, spills,
-    // host fetches) still draining; their completion events release the
-    // pins. Arm the governor's unpin watch: the last release schedules a
-    // fresh sim event that re-enters here — event-driven, no retry poll.
-    governor_->watch_drain(w);
-    return;
-  }
-  cluster_->retire_worker(w);
-  drained_[w] = true;
-  record_membership(MembershipEvent::Kind::DrainDone, w);
-}
-
-void GroutRuntime::record_membership(MembershipEvent::Kind kind, std::size_t w) {
-  const SimTime at = cluster_->simulator().now();
-  membership_.push_back(MembershipEvent{kind, w, at});
-  cluster_->tracer().record(sim::TraceCategory::Scheduling,
-                            std::string(to_string(kind)) + ":worker" + std::to_string(w),
-                            "controller", at, at);
 }
 
 GlobalArrayId GroutRuntime::alloc(Bytes bytes, std::string name, TenantId tenant) {
@@ -280,10 +153,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   query.fabric = &cluster_->fabric();
   query.workers = cluster_->worker_count();
   query.outstanding = &metrics_.inflight;
-  // Draining workers take no new CEs but keep serving as P2P sources until
-  // their replicas migrate out, so the policy sees schedulability, not
-  // liveness.
-  query.alive = &schedulable_;
+  query.alive = &alive_;
   query.resident = &governor_->resident_by_worker();
   query.mem_budget = governor_->budget();
   query.tenant = spec.tenant;
@@ -292,8 +162,8 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   bool explored = false;
   query.explored = &explored;
   const std::size_t w = policy_->assign(query);
-  GROUT_CHECK(w < cluster_->worker_count() && schedulable_[w],
-              "policy returned an invalid or unschedulable worker");
+  GROUT_CHECK(w < cluster_->worker_count() && alive_[w],
+              "policy returned an invalid or dead worker");
   if (explored) ++metrics_.exploration_placements;
   if (query.tenant_quota != 0 && !placement_admissible(query, w)) {
     // No quota-admissible worker existed and the CE fell through to a live
@@ -377,21 +247,14 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     }
   }
 
-  // The worker ships the kernel's UVM access report back in the completion
-  // ack (KernelLaunchSpec::on_record runs on the worker); the
-  // stored rec.spec keeps on_record unset so replays re-bind their own.
+  // The stored rec.spec stays put: a fault may re-dispatch or replay it.
   gpusim::KernelLaunchSpec wire_spec = spec;
-  std::shared_ptr<uvm::AccessReport> report;
-  if (scaler_) {
-    report = std::make_shared<uvm::AccessReport>();
-    wire_spec.on_record = [report](const gpusim::KernelRecord& r) { *report = r.memory; };
-  }
 
   sim::Simulator& engine = cluster_->simulator();
   const SimTime edge = cluster_->controller_edge(w);
   cluster_->fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), message_bytes,
-      [this, &worker, &engine, edge, v, attempt, w, report, wire_spec = std::move(wire_spec),
+      [this, &worker, &engine, edge, v, attempt, wire_spec = std::move(wire_spec),
        ensures = std::move(ensures), adopts = std::move(adopts)]() mutable {
         for (const EnsureOp& e : ensures) {
           const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes, e.name);
@@ -400,22 +263,10 @@ void GroutRuntime::dispatch(dag::VertexId v) {
         for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
         runtime::Submission sub = worker.execute_kernel(std::move(wire_spec));
         // The completion acks back to the controller one fabric edge later;
-        // the DAG/pin/drain bookkeeping runs there.
-        sub.done->on_complete([this, &engine, edge, v, attempt, w, report] {
-          engine.schedule_at(engine.now() + edge, [this, &engine, v, attempt, w, report] {
-            // A dead node's report says nothing about the surviving
-            // cluster's pressure.
-            if (scaler_ && alive_[w]) scaler_->observe(*report);
-            on_ce_complete(v, attempt);
-            // Decide only while work remains in flight: a decision on a
-            // quiescent cluster has nothing to act on, and its drains would
-            // outlive the last CE.
-            if (scaler_ && engine.now() - autoscale_decided_at_ >= config_.autoscale_interval &&
-                std::any_of(metrics_.inflight.begin(), metrics_.inflight.end(),
-                            [](std::uint64_t n) { return n > 0; })) {
-              autoscale_decide();
-            }
-          });
+        // the DAG/pin bookkeeping runs there.
+        sub.done->on_complete([this, &engine, edge, v, attempt] {
+          engine.schedule_at(engine.now() + edge,
+                             [this, v, attempt] { on_ce_complete(v, attempt); });
         });
       },
       /*reliable=*/false);
@@ -453,7 +304,6 @@ void GroutRuntime::on_ce_complete(dag::VertexId v, std::uint32_t attempt) {
   // replicas are evictable again.
   for (const GlobalArrayId id : unique_arrays(rec.spec)) governor_->unpin(rec.worker, id);
   governor_->enforce(rec.worker);
-  if (draining_[rec.worker] && !drained_[rec.worker]) try_finalize_drain(rec.worker);
   rec.done->complete(cluster_->simulator().now());
 }
 
@@ -471,10 +321,10 @@ void GroutRuntime::handle_worker_death(std::size_t w) {
   GROUT_REQUIRE(w < alive_.size(), "worker index out of range");
   if (!alive_[w]) return;
   alive_[w] = false;
-  schedulable_[w] = false;
-  draining_[w] = false;  // death supersedes an in-progress drain
   ++metrics_.worker_deaths;
-  record_membership(MembershipEvent::Kind::Death, w);
+  const SimTime at = cluster_->simulator().now();
+  cluster_->tracer().record(sim::TraceCategory::Scheduling, "death:worker" + std::to_string(w),
+                            "controller", at, at);
 
   // Forget every copy the dead worker held; arrays left holderless need a
   // rebuilt copy before anyone can read them again. The governor frees the

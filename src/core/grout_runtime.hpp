@@ -24,8 +24,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/elastic.hpp"
-#include "core/autoscaler.hpp"
 #include "core/directory.hpp"
 #include "core/memory_governor.hpp"
 #include "core/metrics.hpp"
@@ -45,12 +43,10 @@ struct GroutConfig {
   std::optional<double> exploration_threshold_override{};
   /// Per-run execution cap (the paper caps single runs at 2.5 hours).
   SimTime run_cap = SimTime::from_seconds(9000.0);
-  /// Deterministic fault schedule (empty = fault-free run).
+  /// Deterministic fault schedule (empty = fault-free run). Its kills are
+  /// the only membership changes a run sees: the worker set is otherwise
+  /// fixed at construction.
   net::FaultPlan fault_plan{};
-  /// Deterministic membership schedule: hot-joins and graceful drains at
-  /// fixed sim times (empty = static membership). A fault plan may kill
-  /// planned joiners: worker indices up to workers + total_joins are legal.
-  cluster::ElasticPlan elastic_plan{};
   /// Control-lane retry behaviour (timeout + exponential backoff).
   net::ControlRetryConfig control_retry{};
   /// Rebuild arrays whose only copy died by replaying their producer CEs
@@ -68,16 +64,6 @@ struct GroutConfig {
   /// background eviction watermarks (--watermarks). The default keeps the
   /// flat synchronous single-tier behaviour.
   spill::SpillConfig spill{};
-  /// KPI autoscaling (--autoscale): CE completion acks feed their kernel
-  /// UVM reports to a KpiAutoscaler. The first ack at least
-  /// `autoscale_interval` of sim time after the previous decision, with
-  /// other CEs still in flight, applies the next one — hot-joining workers
-  /// on scale-out, draining the highest-index schedulable worker on
-  /// scale-in — up to `autoscale_max_workers`. Decisions appear as
-  /// Scheduling trace spans.
-  bool autoscale{false};
-  SimTime autoscale_interval = SimTime::from_ms(500.0);
-  std::size_t autoscale_max_workers{16};
 };
 
 /// Handle to a launched CE.
@@ -86,17 +72,6 @@ struct CeTicket {
   std::size_t worker{0};
   gpusim::EventPtr done;
 };
-
-/// One entry in the runtime's membership timeline: every join, drain
-/// start/finish and death, stamped with the sim time it happened at.
-struct MembershipEvent {
-  enum class Kind : std::uint8_t { Join, DrainStart, DrainDone, Death };
-  Kind kind{Kind::Join};
-  std::size_t worker{0};
-  SimTime at{SimTime::zero()};
-};
-
-const char* to_string(MembershipEvent::Kind k);
 
 class GroutRuntime {
  public:
@@ -140,39 +115,6 @@ class GroutRuntime {
   bool synchronize();
 
   [[nodiscard]] SimTime now() const { return cluster_->simulator().now(); }
-
-  // -- elastic membership ----------------------------------------------------
-
-  /// Hot-join a new worker: register a fabric endpoint (re-probing the
-  /// bandwidth matrix row), grow the directory / governor / metrics, and
-  /// make the node eligible for placement immediately. Returns the new
-  /// worker index. Note that a fresh joiner holds 0% of every CE's inputs,
-  /// so under a min-transfer policy its first CE arrives through the
-  /// exploration fallback (surfaced as metrics().exploration_placements).
-  std::size_t add_worker(const cluster::WorkerSpec& spec = {});
-
-  /// Start a graceful decommission of worker `w`: no new CEs are placed on
-  /// it, in-flight CEs finish where they are, and every replica it holds is
-  /// evicted — sole up-to-date copies are migrated out via the directory
-  /// (spilled to the controller) so no array is lost. The drain finalizes
-  /// asynchronously once the worker's in-flight count reaches zero and its
-  /// last pinned replica is released; observe completion via
-  /// worker_drained() or the membership log.
-  void drain_worker(std::size_t w);
-
-  [[nodiscard]] bool worker_draining(std::size_t w) const {
-    GROUT_REQUIRE(w < draining_.size(), "worker index out of range");
-    return draining_[w] && !drained_[w];
-  }
-  [[nodiscard]] bool worker_drained(std::size_t w) const {
-    GROUT_REQUIRE(w < drained_.size(), "worker index out of range");
-    return drained_[w];
-  }
-
-  /// Every membership change so far, in the order it happened.
-  [[nodiscard]] const std::vector<MembershipEvent>& membership_log() const {
-    return membership_;
-  }
 
   // -- introspection ---------------------------------------------------------
 
@@ -246,18 +188,6 @@ class GroutRuntime {
   /// Drive the event loop (never past the run cap) until a pending spill
   /// backing the controller's copy of `array` has landed, if any.
   bool wait_controller_copy(GlobalArrayId array);
-  /// Finish a drain if worker `w` is quiescent: zero in-flight CEs and no
-  /// pinned replicas left. Pinned replicas (outbound staged sends still
-  /// draining) arm the governor's unpin watch instead of blocking — the
-  /// last release fires the drain listener from a fresh sim event, so no
-  /// polling and no re-entering the event loop from a callback.
-  void try_finalize_drain(std::size_t w);
-  /// --autoscale decision: apply the KpiAutoscaler's recommendation for the
-  /// reports observed since the last decision to the elastic membership,
-  /// then start a new window. Called from a completion ack; there is no
-  /// timer.
-  void autoscale_decide();
-  void record_membership(MembershipEvent::Kind kind, std::size_t w);
   /// The CE's global array ids, deduplicated (pin/unpin bookkeeping).
   static std::vector<GlobalArrayId> unique_arrays(const gpusim::KernelLaunchSpec& spec);
   /// Record a completion event in `pending_`, sweeping out already-completed
@@ -288,25 +218,13 @@ class GroutRuntime {
   /// records_ slot of each Global-DAG vertex; host-init vertices have none.
   static constexpr std::size_t kNoRecord = ~std::size_t{0};
   std::vector<std::size_t> record_slot_;
-  /// Liveness per worker; draining/drained track graceful decommissions.
+  /// Liveness per worker: what PlacementQuery::alive sees. Only a
+  /// fault-plan death clears an entry.
   std::vector<bool> alive_;
-  std::vector<bool> draining_;
-  std::vector<bool> drained_;
-  /// alive && not draining/drained — what PlacementQuery::alive sees, so
-  /// policies never place a new CE on a decommissioning node (it can still
-  /// serve as a P2P source until its replicas are migrated out).
-  std::vector<bool> schedulable_;
-  /// Membership timeline: joins, drain starts/finishes, deaths.
-  std::vector<MembershipEvent> membership_;
   /// Arrays whose recovery is on the call stack: re-entering for the same
   /// array means its producer consumes the lost copy — unrecoverable.
   std::unordered_set<GlobalArrayId> recovering_;
   std::unique_ptr<net::FaultInjector> injector_;
-  /// --autoscale state: the KPI heuristic, fed the UVM access reports that
-  /// CE completion acks carry back (the controller never reads worker-side
-  /// kernel records), and the sim time of its last decision.
-  std::unique_ptr<KpiAutoscaler> scaler_;
-  SimTime autoscale_decided_at_{SimTime::zero()};
 };
 
 }  // namespace grout::core

@@ -32,16 +32,6 @@ class LocationSet {
     return (word(i) >> (i & 63)) & 1;
   }
 
-  /// Widen the set to `workers` slots (elastic hot-join: every directory
-  /// entry gains capacity for the new worker ids). Existing membership is
-  /// preserved; shrinking is not supported — a drained worker keeps its
-  /// slot so indices stay stable.
-  void grow(std::size_t workers) {
-    GROUT_REQUIRE(workers >= slots_, "LocationSet cannot shrink");
-    slots_ = workers;
-    rest_.resize(extra_words(workers), 0);
-  }
-
   void add_controller() { controller_ = true; }
   void add_worker(std::size_t i) {
     GROUT_REQUIRE(i < slots_, "worker index out of range");

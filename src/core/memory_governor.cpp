@@ -17,7 +17,6 @@ MemoryGovernor::MemoryGovernor(cluster::Cluster& cluster, CoherenceDirectory& di
   resident_.assign(cluster_.worker_count(), 0);
   high_water_.assign(cluster_.worker_count(), 0);
   replicas_.resize(cluster_.worker_count());
-  drain_watch_.assign(cluster_.worker_count(), false);
   sweep_armed_.assign(cluster_.worker_count(), false);
   if (spill_.background() && bounded()) {
     worker_high_mark_ =
@@ -139,26 +138,15 @@ void MemoryGovernor::pin(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
   Replica* rep = replicas_[w].find(id);
   GROUT_REQUIRE(rep != nullptr, "pin of an untracked replica");
-  if (rep->pins++ == 0) ++replicas_[w].pinned;
+  ++rep->pins;
 }
 
 void MemoryGovernor::unpin(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  WorkerReplicas& table = replicas_[w];
-  Replica* rep = table.find(id);
+  Replica* rep = replicas_[w].find(id);
   if (rep == nullptr) return;  // dropped with a dead worker
   GROUT_CHECK(rep->pins > 0, "replica pin count underflow");
-  if (--rep->pins > 0) return;
-  --table.pinned;
-  // Drain-watched worker: if that was its last pin anywhere, notify the
-  // drain listener from a fresh sim event (unpin may run inside another
-  // completion callback, which must not re-enter the runtime inline).
-  if (!drain_watch_[w] || table.pinned > 0) return;
-  drain_watch_[w] = false;
-  if (drain_listener_) {
-    cluster_.simulator().schedule_after(SimTime::zero(),
-                                        [this, w] { drain_listener_(w); });
-  }
+  --rep->pins;
 }
 
 void MemoryGovernor::enforce(std::size_t w) {
@@ -179,50 +167,6 @@ void MemoryGovernor::drop_worker(std::size_t w) {
   for (const Replica& rep : replicas_[w].rows) debit_tenant(rep.id, rep.bytes);
   resident_[w] = 0;
   replicas_[w] = WorkerReplicas{};
-  drain_watch_[w] = false;  // death supersedes a pending drain watch
-}
-
-void MemoryGovernor::add_worker() {
-  resident_.push_back(0);
-  high_water_.push_back(0);
-  replicas_.emplace_back();
-  drain_watch_.push_back(false);
-  sweep_armed_.push_back(false);
-}
-
-void MemoryGovernor::watch_drain(std::size_t w) {
-  GROUT_REQUIRE(w < drain_watch_.size(), "worker index out of range");
-  drain_watch_[w] = true;
-}
-
-std::size_t MemoryGovernor::drain_worker(std::size_t w) {
-  GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  std::vector<GlobalArrayId> victims;
-  victims.reserve(replicas_[w].rows.size());
-  std::size_t pinned = 0;
-  for (const Replica& rep : replicas_[w].rows) {
-    if (rep.pins > 0) {
-      ++pinned;
-      continue;
-    }
-    victims.push_back(rep.id);
-  }
-  // Deterministic migration order (table order depends on eviction history).
-  std::sort(victims.begin(), victims.end());
-  for (const GlobalArrayId id : victims) {
-    const LocationSet& holders = directory_.holders(id);
-    const bool sole = holders.worker(w) && holders.holder_count() == 1;
-    if (sole) {
-      GROUT_CHECK(cluster_.fabric()
-                      .bandwidth(cluster::Cluster::worker_fabric_id(w),
-                                 cluster::Cluster::controller_id())
-                      .bps() > 0.0,
-                  "cannot drain: sole up-to-date copy has no route to the controller");
-      metrics_.drain_migrated_bytes += replicas_[w].find(id)->bytes;
-    }
-    evict(w, id, sole);
-  }
-  return pinned;
 }
 
 gpusim::EventPtr MemoryGovernor::controller_ready(GlobalArrayId id) const {

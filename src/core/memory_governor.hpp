@@ -37,7 +37,6 @@
 // SchedulerMetrics counters; demotions/promotions trace on "controller".
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -126,20 +125,6 @@ class MemoryGovernor {
   /// Worker `w` died: free every replica it held and forget its accounting.
   void drop_worker(std::size_t w);
 
-  /// A worker hot-joined the cluster: start accounting for it (empty
-  /// replica cache, zero resident bytes).
-  void add_worker();
-
-  /// Graceful decommission of `w`: evict every unpinned replica it still
-  /// holds — sole up-to-date copies are spilled to the controller first, so
-  /// no array is ever lost — and return the number of replicas that remain
-  /// pinned (outbound staged sends still draining). The caller retries
-  /// until this returns 0. Unlike eviction under pressure, a drain *must*
-  /// converge: a sole copy whose uplink is down fails loudly instead of
-  /// being skipped. Spilled bytes are additionally counted as
-  /// drain_migrated_bytes.
-  std::size_t drain_worker(std::size_t w);
-
   /// Arrival event of an in-flight spill (or NVMe operation) backing the
   /// controller's copy of `id`, or nullptr. A consumer reading the
   /// controller copy must be ordered after it. Pure peek — never starts a
@@ -163,19 +148,6 @@ class MemoryGovernor {
   [[nodiscard]] bool background_eviction() const { return bounded() && spill_.background(); }
   [[nodiscard]] Bytes worker_high_mark() const { return worker_high_mark_; }
   [[nodiscard]] Bytes worker_low_mark() const { return worker_low_mark_; }
-
-  // -- drain completion (event-driven) ---------------------------------------
-
-  /// Callback fired (from a fresh sim event, never inline) when the last
-  /// pinned replica on a drain-watched worker is released. Replaces the
-  /// runtime's fixed-interval retry poll: drain finalization now reacts to
-  /// the unpin that unblocked it instead of busy-waiting.
-  void set_drain_listener(std::function<void(std::size_t)> listener) {
-    drain_listener_ = std::move(listener);
-  }
-
-  /// Arm the unpin watch for worker `w` (drain blocked on pinned replicas).
-  void watch_drain(std::size_t w);
 
   // -- introspection ----------------------------------------------------------
 
@@ -211,8 +183,6 @@ class MemoryGovernor {
     /// Arrays evicted here at least once: a later re-ensure is a refetch
     /// (the cost the victim picker trades against).
     std::vector<bool> evicted_once;
-    /// Rows with pins > 0 (the drain watch fires when this reaches zero).
-    std::size_t pinned{0};
 
     [[nodiscard]] Replica* find(GlobalArrayId id) {
       return id < row_of.size() && row_of[id] != kNoRow ? &rows[row_of[id]] : nullptr;
@@ -285,10 +255,6 @@ class MemoryGovernor {
   /// Cluster-wide resident replica bytes and quota per tenant.
   std::vector<Bytes> tenant_resident_;
   std::vector<Bytes> tenant_quota_;
-  /// Workers whose drain waits on pinned replicas; unpin-to-zero fires the
-  /// drain listener via an immediate sim event.
-  std::vector<bool> drain_watch_;
-  std::function<void(std::size_t)> drain_listener_;
 };
 
 }  // namespace grout::core

@@ -80,15 +80,8 @@ struct SchedulerMetrics {
   std::vector<Bytes> tenant_spill_dram;
   std::vector<Bytes> tenant_spill_nvme;
 
-  // Elastic membership (hot-join / graceful drain).
-  std::uint64_t worker_joins{0};   ///< workers added at runtime
-  std::uint64_t worker_drains{0};  ///< drains started (graceful decommission)
-  /// Sole up-to-date copies migrated off draining workers via the directory.
-  Bytes drain_migrated_bytes{0};
   /// Placements decided by a min-transfer policy's exploration fallback
-  /// (round-robin over data-less nodes) rather than exploitation — the only
-  /// path by which a fresh joiner, holding 0% of any CE's inputs, can
-  /// attract its first CE.
+  /// (round-robin over data-less nodes) rather than exploitation.
   std::uint64_t exploration_placements{0};
 
   // Shared-state coherence traffic (synced from the directory). Writes to a
@@ -113,10 +106,6 @@ struct SchedulerMetrics {
   /// CEs whose placement had no quota-admissible worker and fell back to a
   /// live one anyway (the quota pressure signal admission control watches).
   std::uint64_t quota_overflows{0};
-
-  // KPI autoscaler (--autoscale): decisions actually applied to membership.
-  std::uint64_t autoscale_scale_outs{0};  ///< workers hot-joined by the autoscaler
-  std::uint64_t autoscale_scale_ins{0};   ///< drains initiated by the autoscaler
 };
 
 }  // namespace grout::core

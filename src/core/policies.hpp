@@ -79,7 +79,7 @@ struct PlacementQuery {
   Bytes tenant_quota{0};
   /// Out-param (may be null): a min-transfer policy sets it when the
   /// placement came from the exploration fallback instead of exploitation —
-  /// how fresh joiners with no resident data attract their first CE. The
+  /// how a worker with no resident data attracts its first CE. The
   /// runtime surfaces the count as SchedulerMetrics::exploration_placements.
   bool* explored{nullptr};
 };

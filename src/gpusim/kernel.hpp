@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,12 +33,6 @@ struct KernelLaunchSpec {
   /// Serving tenant that submitted this CE (kNoTenant outside serve runs);
   /// carried through the wire format so worker-side spans stay attributable.
   TenantId tenant{kNoTenant};
-  /// Invoked (if set) right after the GPU computes this launch's outcome,
-  /// on the launching node. The controller attaches it to CE bundles so the
-  /// worker ships the access report back in the completion ack instead of
-  /// the controller reading worker-side records. Not part of the wire
-  /// format.
-  std::function<void(const KernelRecord&)> on_record;
 };
 
 }  // namespace grout::gpusim

@@ -18,16 +18,6 @@ NetworkFabric::NetworkFabric(sim::Simulator& simulator, std::vector<NicSpec> nic
   }
 }
 
-NodeId NetworkFabric::add_node(NicSpec nic) {
-  Node n;
-  n.tx = std::make_unique<sim::Resource>(sim_, nic.name + "/tx", nic.bw, SimTime::zero());
-  n.rx = std::make_unique<sim::Resource>(sim_, nic.name + "/rx", nic.bw, SimTime::zero());
-  n.nic = std::move(nic);
-  nodes_.push_back(std::move(n));
-  matrix_dirty_ = true;  // the dense cache no longer covers the joiner's row
-  return static_cast<NodeId>(nodes_.size() - 1);
-}
-
 Bandwidth NetworkFabric::bandwidth(NodeId from, NodeId to) const {
   node_ref(from);
   node_ref(to);

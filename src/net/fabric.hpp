@@ -53,12 +53,6 @@ class NetworkFabric {
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
-  /// Register a new endpoint at runtime (elastic hot-join). The dense
-  /// bandwidth-matrix cache is invalidated so the next query re-probes the
-  /// joiner's row against every existing node, exactly like the startup
-  /// probe did for the initial set. Returns the new node's fabric id.
-  NodeId add_node(NicSpec nic);
-
   /// Effective bandwidth between two nodes (the interconnection matrix).
   /// O(1): served from the dense matrix cache.
   [[nodiscard]] Bandwidth bandwidth(NodeId from, NodeId to) const;

@@ -1,6 +1,7 @@
 #include "net/fault.hpp"
 
 #include <charconv>
+#include <cmath>
 
 #include "common/strings.hpp"
 #include "net/topology.hpp"
@@ -9,15 +10,22 @@ namespace grout::net {
 
 namespace {
 
+/// A finite number spelled by the whole of `s`: no unit suffix ("5ms"), no
+/// trailing text, no nan/inf.
 double parse_double(std::string_view s, std::string_view what) {
-  GROUT_REQUIRE(!s.empty(), "fault plan: missing number");
-  try {
-    return std::stod(std::string(s));
-  } catch (const std::exception&) {
-    GROUT_REQUIRE(false, std::string("fault plan: bad ") + std::string(what) + ": '" +
-                             std::string(s) + "'");
-  }
-  return 0.0;  // unreachable
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  GROUT_REQUIRE(ec == std::errc{} && ptr == s.data() + s.size() && std::isfinite(value),
+                std::string("fault plan: bad ") + std::string(what) + ": '" + std::string(s) +
+                    "'");
+  return value;
+}
+
+/// A sim time in seconds: a finite number >= 0.
+SimTime parse_time(std::string_view s, std::string_view what) {
+  const double sec = parse_double(s, what);
+  GROUT_REQUIRE(sec >= 0.0, std::string("fault plan: ") + std::string(what) + " must be >= 0");
+  return SimTime::from_seconds(sec);
 }
 
 std::uint64_t parse_uint(std::string_view s, std::string_view what) {
@@ -60,7 +68,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       GROUT_REQUIRE(!at.empty(), "fault plan: kill needs '@<sec>'");
       plan.kills.push_back(KillWorkerFault{
           static_cast<std::size_t>(parse_uint(worker, "kill worker")),
-          SimTime::from_seconds(parse_double(at, "kill time"))});
+          parse_time(at, "kill time")});
     } else if (kind == "degrade") {
       const auto [link, at_bw] = split_at(rest, '@');
       const auto [a, b] = split_at(link, '-');
@@ -69,11 +77,12 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                     "fault plan: degrade needs '<a>-<b>@<sec>=<mbit>'");
       const double rate = parse_double(mbit, "degrade bandwidth");
       GROUT_REQUIRE(rate >= 0.0, "fault plan: degrade bandwidth must be >= 0");
-      plan.degrades.push_back(DegradeLinkFault{
-          static_cast<NodeId>(parse_uint(a, "degrade endpoint")),
-          static_cast<NodeId>(parse_uint(b, "degrade endpoint")),
-          SimTime::from_seconds(parse_double(at, "degrade time")),
-          Bandwidth::mbit_per_sec(rate)});
+      const DegradeLinkFault degrade{static_cast<NodeId>(parse_uint(a, "degrade endpoint")),
+                                     static_cast<NodeId>(parse_uint(b, "degrade endpoint")),
+                                     parse_time(at, "degrade time"),
+                                     Bandwidth::mbit_per_sec(rate)};
+      GROUT_REQUIRE(degrade.a != degrade.b, "fault plan: degrade needs two distinct endpoints");
+      plan.degrades.push_back(degrade);
     } else if (kind == "drop") {
       plan.drop_next_controls += static_cast<std::uint32_t>(parse_uint(rest, "drop count"));
     } else if (kind == "droprate") {
@@ -83,7 +92,9 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                     "fault plan: droprate must be in [0, 1)");
       if (!seed.empty()) plan.seed = parse_uint(seed, "droprate seed");
     } else if (kind == "delay") {
-      plan.control_delay = SimTime::from_us(parse_double(rest, "delay"));
+      const double us = parse_double(rest, "delay");
+      GROUT_REQUIRE(us >= 0.0, "fault plan: delay must be >= 0");
+      plan.control_delay = SimTime::from_us(us);
     } else {
       GROUT_REQUIRE(false, "fault plan: unknown directive '" + std::string(kind) + "'");
     }

@@ -61,7 +61,9 @@ struct FaultPlan {
   ///   drop:<n>                      drop the next n control messages
   ///   droprate:<p>[@<seed>]         drop each control message with prob. p
   ///   delay:<us>                    extra control-lane delay per message
-  /// e.g. "kill:0@0.5,drop:2,delay:100". Throws InvalidArgument on errors.
+  /// e.g. "kill:0@0.5,drop:2,delay:100". Every number is the whole of its
+  /// field (no unit suffix such as "5ms") and finite; times are >= 0, and a
+  /// degrade names two distinct endpoints. Throws InvalidArgument on errors.
   static FaultPlan parse(const std::string& spec);
 };
 

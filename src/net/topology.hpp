@@ -3,12 +3,6 @@
 // owns node i + 1. Keeping the mapping in one place means a future fabric
 // topology change (e.g. multiple NICs per node) cannot silently skew the
 // min-transfer-time cost model against the cluster wiring.
-//
-// The mapping is append-only: a worker hot-joined at runtime
-// (Cluster::add_worker) takes the next worker index and therefore the next
-// fabric id, so these constexpr functions stay valid for elastic clusters —
-// ids registered after startup (NetworkFabric::add_node) follow the same
-// worker i <-> node i + 1 law.
 #pragma once
 
 #include <cstddef>

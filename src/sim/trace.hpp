@@ -37,7 +37,7 @@ struct TraceSpan {
   SimTime begin;
   SimTime end;
   /// Serving tenant this span belongs to; kNoTenant for single-program runs
-  /// and cluster-internal work (evictions, membership changes).
+  /// and cluster-internal work (evictions, worker deaths).
   TenantId tenant{kNoTenant};
 };
 

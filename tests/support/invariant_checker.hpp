@@ -1,9 +1,8 @@
 // Runtime invariants the seeded fuzz harness asserts after every step.
 //
 // The checks are written against GroutRuntime's public introspection
-// surface only, so they hold for any interleaving of launches, membership
-// changes (hot-joins, drains), faults and synchronization the generator
-// produces:
+// surface only, so they hold for any interleaving of launches, faults
+// (worker deaths included) and synchronization the generator produces:
 //
 //   * coherence:   no array ever loses its last up-to-date holder (lineage
 //                  recovery restores one before control returns);
@@ -14,8 +13,8 @@
 //   * placement:   a freshly launched CE's parameters are all up-to-date on
 //                  the worker it was placed on (the directory is updated
 //                  eagerly at dispatch);
-//   * decommission: a drained worker holds zero replicas — no resident
-//                  bytes and no holder bit in any directory entry;
+//   * death:       a dead worker holds zero replicas — no resident bytes
+//                  and no holder bit in any directory entry;
 //   * tenancy:     per-tenant resident accounting never exceeds what the
 //                  workers actually hold, a tenant-tagged CE only touches
 //                  its own (or shared) arrays, and quotas hold whenever
@@ -63,14 +62,14 @@ class InvariantChecker {
     }
     // The Global DAG must stay acyclic.
     EXPECT_TRUE(rt_.global_dag().edges_respect_insertion_order());
-    // Drained workers hold nothing.
+    // Dead workers hold nothing.
     const core::MemoryGovernor& gov = rt_.governor();
     for (std::size_t w = 0; w < rt_.cluster().worker_count(); ++w) {
-      if (!rt_.worker_drained(w)) continue;
-      EXPECT_EQ(gov.resident_bytes(w), 0u) << "drained worker " << w << " still holds replicas";
+      if (rt_.worker_alive(w)) continue;
+      EXPECT_EQ(gov.resident_bytes(w), 0u) << "dead worker " << w << " still holds replicas";
       for (core::GlobalArrayId id = 0; id < dir.array_count(); ++id) {
         EXPECT_FALSE(dir.holders(id).worker(w))
-            << "drained worker " << w << " still a holder of " << dir.name_of(id);
+            << "dead worker " << w << " still a holder of " << dir.name_of(id);
       }
     }
     // Tenant accounting consistency: owned replicas are a subset of all
@@ -138,12 +137,9 @@ class InvariantChecker {
 
   /// A CE was just launched: every parameter must be up-to-date on the
   /// worker the policy placed it on (reads through planned movement, writes
-  /// through eager ownership), and the placement must target a live,
-  /// non-draining worker.
+  /// through eager ownership), and the placement must target a live worker.
   void after_launch(const core::CeTicket& ticket, const gpusim::KernelLaunchSpec& spec) {
     EXPECT_TRUE(rt_.worker_alive(ticket.worker));
-    EXPECT_FALSE(rt_.worker_draining(ticket.worker));
-    EXPECT_FALSE(rt_.worker_drained(ticket.worker));
     for (const uvm::ParamAccess& p : spec.params) {
       EXPECT_TRUE(rt_.directory().up_to_date_on_worker(static_cast<core::GlobalArrayId>(p.array),
                                                        ticket.worker))

@@ -283,10 +283,6 @@ class NaiveGovernor {
     resident_[w] = 0;
     replicas_[w].clear();
   }
-  void add_worker() {
-    resident_.push_back(0);
-    replicas_.emplace_back();
-  }
 
   [[nodiscard]] Bytes resident_bytes(std::size_t w) const { return resident_[w]; }
   [[nodiscard]] std::vector<core::GlobalArrayId> replica_ids(std::size_t w) const {

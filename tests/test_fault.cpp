@@ -6,6 +6,7 @@
 #include "sim/simulator.hpp"
 #include "core/grout_runtime.hpp"
 #include "net/fault.hpp"
+#include "tests/support/invariant_checker.hpp"
 
 namespace grout {
 namespace {
@@ -46,6 +47,17 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(net::FaultPlan::parse("droprate:1.5"), InvalidArgument);
   EXPECT_THROW(net::FaultPlan::parse("bogus:1@2"), InvalidArgument);
   EXPECT_THROW(net::FaultPlan::parse("drop"), InvalidArgument);
+  // Numbers span their whole field: no unit suffix, no trailing text.
+  EXPECT_THROW(net::FaultPlan::parse("delay:5ms"), InvalidArgument);
+  EXPECT_THROW(net::FaultPlan::parse("kill:0@0.5s"), InvalidArgument);
+  EXPECT_THROW(net::FaultPlan::parse("droprate:0.1x"), InvalidArgument);
+  EXPECT_THROW(net::FaultPlan::parse("degrade:1-2@0.1=100mbit"), InvalidArgument);
+  // Times are finite and >= 0.
+  EXPECT_THROW(net::FaultPlan::parse("kill:0@-1"), InvalidArgument);
+  EXPECT_THROW(net::FaultPlan::parse("kill:0@nan"), InvalidArgument);
+  EXPECT_THROW(net::FaultPlan::parse("kill:0@inf"), InvalidArgument);
+  // A self-link would silently do nothing.
+  EXPECT_THROW(net::FaultPlan::parse("degrade:1-1@0.1=100"), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,6 +207,18 @@ TEST(FaultRecoveryTest, KilledSoleHolderIsRebuiltFromLineage) {
   EXPECT_EQ(m.control_retries, 2u);
 }
 
+TEST(FaultRecoveryTest, UnknownKillOrDegradeTargetIsRejectedAtConstruction) {
+  // Three fabric nodes: the controller (0) and two workers (1, 2).
+  GroutConfig kill = fault_config();
+  kill.fault_plan = net::FaultPlan::parse("kill:2@1");
+  EXPECT_THROW({ GroutRuntime rt(kill); }, InvalidArgument);
+  GroutConfig degrade = fault_config();
+  degrade.fault_plan = net::FaultPlan::parse("degrade:1-9@0.1=100");
+  EXPECT_THROW({ GroutRuntime rt(degrade); }, InvalidArgument);
+  degrade.fault_plan = net::FaultPlan::parse("degrade:0-2@0.1=100");
+  EXPECT_NO_THROW({ GroutRuntime rt(degrade); });
+}
+
 TEST(FaultRecoveryTest, WithoutRecoveryTheCopyIsLost) {
   // Same scenario with lineage recovery disabled: the kill leaves `a` with
   // zero up-to-date copies and a later fetch fails loudly.
@@ -251,6 +275,42 @@ TEST(FaultRecoveryTest, DeadWorkerIsSkippedByPlacement) {
   }
   ASSERT_TRUE(rt.synchronize());
   EXPECT_EQ(rt.metrics().assignments[0], 0u);
+}
+
+// A worker death while CE bundles and completion acks are in flight must
+// neither lose nor duplicate a CE: every ticket completes, every dispatch
+// is accounted for by a launch, a reschedule or a lineage replay, and the
+// runtime invariants hold afterwards.
+TEST(MidDriveMembershipTest, KillWithInFlightAcksLosesNoCe) {
+  GroutConfig cfg = fault_config(PolicyKind::RoundRobin, 3);
+  // ~0.4 s of CE work per launch is in flight when the kill fires.
+  cfg.fault_plan.kills.push_back(net::KillWorkerFault{0, SimTime::from_seconds(0.3)});
+  GroutRuntime rt(cfg);
+  test::InvariantChecker chk(rt);
+  std::vector<GlobalArrayId> arrays;
+  for (int i = 0; i < 4; ++i) {
+    arrays.push_back(rt.alloc(2_MiB, "a" + std::to_string(i)));
+    rt.host_init(arrays.back());
+  }
+  // Write-only producers: the lineage-recoverable set (a kill may take a
+  // sole copy with it, and replay must rebuild it exactly once).
+  std::vector<CeTicket> tickets;
+  for (int i = 0; i < 8; ++i) {
+    tickets.push_back(rt.launch(
+        kernel("w" + std::to_string(i), {{arrays[i % 4], uvm::AccessMode::Write}}, 5e12)));
+  }
+  EXPECT_TRUE(rt.synchronize());
+  EXPECT_FALSE(rt.worker_alive(0));
+  for (const CeTicket& t : tickets) EXPECT_TRUE(t.done->completed());
+  for (const GlobalArrayId id : arrays) EXPECT_TRUE(rt.host_fetch(id));
+  chk.check_always();
+  chk.check_quiescent();
+
+  const core::SchedulerMetrics& m = rt.metrics();
+  EXPECT_EQ(m.worker_deaths, 1u);
+  EXPECT_GT(m.ces_rescheduled + m.ces_replayed, 0u);  // the kill forced re-dispatches
+  EXPECT_EQ(m.ces_scheduled, tickets.size() + m.ces_rescheduled + m.ces_replayed);
+  for (const auto n : m.inflight) EXPECT_EQ(n, 0u);
 }
 
 // ---------------------------------------------------------------------------

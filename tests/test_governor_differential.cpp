@@ -6,8 +6,8 @@
 // evicts a whole make_room/enforce round from one ranking. None of that may
 // change a victim. Both implementations run side by side on one cluster
 // (shared clock and fabric) with one directory each, driven by the same
-// randomized ensure/use/pin/unpin, shared-write, host-write, drop_worker,
-// add_worker and link-override sequence over tenant-owned arrays. Single
+// randomized ensure/use/pin/unpin, shared-write, host-write, drop_worker
+// and link-override sequence over tenant-owned arrays. Single
 // evictions are compared victim by victim; multi-eviction rounds by the
 // set they evicted, and every state by the replicas each worker holds.
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@ namespace {
 
 constexpr Bytes kBudget = 8_MiB;
 constexpr std::size_t kArrays = 24;
-constexpr std::size_t kMaxWorkers = 8;
 
 cluster::ClusterConfig small_cluster(std::size_t workers) {
   cluster::ClusterConfig cfg;
@@ -104,12 +103,11 @@ class DifferentialRig {
         flip_link();
       } else if (op < 96) {
         if (alive_count() > 1) drop(w);
-      } else if (op < 98) {
-        if (alive_.size() < kMaxWorkers) add_worker();
-      } else {
+      } else if (op >= 98) {
         governor_.enforce(w);
         naive_.enforce(w);
       }
+      // Ops 96-97 are idle steps: both sides only settle and compare.
       settle();
       ASSERT_NO_FATAL_FAILURE(expect_same_state()) << "after step " << step << " (op " << op
                                                    << ")";
@@ -278,15 +276,6 @@ class DifferentialRig {
     naive_.drop_worker(w);
     naive_dir_.drop_worker(w);
     alive_[w] = false;
-  }
-
-  void add_worker() {
-    cluster_.add_worker();
-    real_dir_.add_worker();
-    governor_.add_worker();
-    naive_dir_.add_worker();
-    naive_.add_worker();
-    alive_.push_back(true);
   }
 
   void settle() { cluster_.simulator().run_until(SimTime::max()); }

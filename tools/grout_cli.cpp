@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/elastic.hpp"
 #include "common/strings.hpp"
 #include "net/fault.hpp"
 #include "report/table.hpp"
@@ -56,16 +55,14 @@ struct Options {
   std::string format = "text";  // text | markdown | csv
   std::optional<std::string> trace_path;
   net::FaultPlan fault_plan;
-  cluster::ElasticPlan elastic_plan;
-  bool autoscale = false;
   // serve command
   std::size_t tenants = 2;
-  std::string arrival = "closed:1";
+  serve::ArrivalSpec arrival;            // closed:1
   std::vector<double> tenant_weights;    // cycled; empty = all 1.0
   std::vector<double> tenant_quota_gib;  // cycled; empty/0 = unlimited
   std::size_t programs = 4;              // per tenant
   std::size_t max_outstanding = 0;       // 0 = 4 x workers
-  std::optional<std::string> contention; // shared-state contention scenario
+  std::optional<workloads::ContentionSpec> contention;  // shared-state scenario
 };
 
 [[noreturn]] void usage(const char* why) {
@@ -114,11 +111,6 @@ struct Options {
                "       droprate:<p>[@<seed>]         drop each control msg with prob p\n"
                "       delay:<us>                    extra control-lane delay\n"
                "     e.g. --fault-plan kill:0@0.5,drop:2)\n"
-               "  --elastic-plan <spec>           (grout backend; ','/';'-separated:\n"
-               "       join@t=<sec>:<count>          hot-join <count> workers at a sim time\n"
-               "       drain@t=<sec>:<worker>        gracefully decommission a worker\n"
-               "     e.g. --elastic-plan \"join@t=2s:2,drain@t=5s:0\")\n"
-               "  --autoscale                     (KPI-driven worker scale-out/in)\n"
                "serve options (multi-tenant frontend):\n"
                "  --tenants <n>                   (default 2)\n"
                "  --arrival closed[:depth]|poisson:<rate_hz>   (default closed:1)\n"
@@ -210,9 +202,13 @@ double parse_gib(const std::string& flag, const std::string& s, bool allow_zero)
   return v;
 }
 
-Bytes parse_bytes_flag(const std::string& flag, const std::string& s) {
+/// A structured flag value (byte size, fault plan, arrival, contention):
+/// the parser's own error becomes a usage error, so every malformed flag
+/// exits 2 from argument parsing.
+template <typename Parse>
+auto parse_flag(const std::string& flag, const std::string& s, Parse parse) {
   try {
-    return parse_bytes(s);
+    return parse(s);
   } catch (const grout::Error& e) {
     usage((flag + ": " + e.what()).c_str());
   }
@@ -286,7 +282,7 @@ Options parse_args(int argc, char** argv) {
       if (tiers != 1.0 && tiers != 2.0) usage("--spill-tiers must be 1 or 2");
       opt.spill.tiers = static_cast<std::size_t>(tiers);
     } else if (flag == "--controller-mem") {
-      opt.spill.controller_mem = parse_bytes_flag(flag, next());
+      opt.spill.controller_mem = parse_flag(flag, next(), parse_bytes);
     } else if (flag == "--watermarks") {
       const auto [lo, hi] = parse_watermark_pair(flag, next());
       opt.spill.worker_low = lo;
@@ -296,7 +292,7 @@ Options parse_args(int argc, char** argv) {
       opt.spill.demote_low = lo;
       opt.spill.demote_high = hi;
     } else if (flag == "--spill-batch") {
-      opt.spill.sweep_batch = parse_bytes_flag(flag, next());
+      opt.spill.sweep_batch = parse_flag(flag, next(), parse_bytes);
       if (opt.spill.sweep_batch == 0) usage("--spill-batch must be positive bytes");
     } else if (flag == "--nvme-bw") {
       const std::string value = next();
@@ -315,7 +311,7 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--nvme-qd") {
       opt.spill.nvme.queue_depth = parse_count(flag, next());
     } else if (flag == "--nvme-capacity") {
-      opt.spill.nvme.capacity = parse_bytes_flag(flag, next());
+      opt.spill.nvme.capacity = parse_flag(flag, next(), parse_bytes);
     } else if (flag == "--format") {
       opt.format = next();
       if (opt.format != "text" && opt.format != "markdown" && opt.format != "csv") {
@@ -324,15 +320,11 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--trace") {
       opt.trace_path = next();
     } else if (flag == "--fault-plan") {
-      opt.fault_plan = net::FaultPlan::parse(next());
-    } else if (flag == "--elastic-plan") {
-      opt.elastic_plan = cluster::ElasticPlan::parse(next());
-    } else if (flag == "--autoscale") {
-      opt.autoscale = true;
+      opt.fault_plan = parse_flag(flag, next(), net::FaultPlan::parse);
     } else if (flag == "--tenants") {
       opt.tenants = parse_count(flag, next());
     } else if (flag == "--arrival") {
-      opt.arrival = next();
+      opt.arrival = parse_flag(flag, next(), serve::parse_arrival);
     } else if (flag == "--tenant-weights") {
       opt.tenant_weights.clear();
       for (const auto part : split(next(), ',')) {
@@ -355,7 +347,7 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--max-outstanding") {
       opt.max_outstanding = parse_count(flag, next());
     } else if (flag == "--contention") {
-      opt.contention = next();
+      opt.contention = parse_flag(flag, next(), workloads::parse_contention);
     } else {
       usage(("unknown flag: " + flag).c_str());
     }
@@ -411,8 +403,6 @@ core::GroutConfig grout_config_of(const Options& opt) {
   cfg.exploration = opt.exploration;
   cfg.run_cap = SimTime::from_seconds(9000.0);
   cfg.fault_plan = opt.fault_plan;
-  cfg.elastic_plan = opt.elastic_plan;
-  cfg.autoscale = opt.autoscale;
   if (opt.worker_mem_gib) {
     cfg.worker_mem = static_cast<Bytes>(*opt.worker_mem_gib * 1073741824.0);
   }
@@ -480,25 +470,6 @@ RunResult run_once(const Options& opt, const std::string& backend, double size_g
                   static_cast<unsigned long long>(m.control_drops),
                   static_cast<unsigned long long>(m.control_timeouts),
                   static_cast<unsigned long long>(m.control_retries));
-    }
-    if (opt.autoscale) {
-      std::printf("autoscale:\n");
-      std::printf("  %llu scale-outs, %llu scale-ins (KPI-driven)\n",
-                  static_cast<unsigned long long>(m.autoscale_scale_outs),
-                  static_cast<unsigned long long>(m.autoscale_scale_ins));
-    }
-    if (!rt.membership_log().empty()) {
-      std::printf("membership:\n");
-      for (const auto& e : rt.membership_log()) {
-        std::printf("  %8.3f s  %-11s worker %zu\n", e.at.seconds(), core::to_string(e.kind),
-                    e.worker);
-      }
-      std::printf("  %llu joins, %llu drains, %s migrated off draining workers\n",
-                  static_cast<unsigned long long>(m.worker_joins),
-                  static_cast<unsigned long long>(m.worker_drains),
-                  format_bytes(m.drain_migrated_bytes).c_str());
-      std::printf("  %llu exploration placements (how joiners attract their first CEs)\n",
-                  static_cast<unsigned long long>(m.exploration_placements));
     }
     std::printf("memory governor:\n");
     std::printf("  budget/worker:   %s\n", m.worker_mem_budget == 0
@@ -652,7 +623,7 @@ int cmd_serve(const Options& opt) {
 
   serve::ServeConfig cfg;
   cfg.max_outstanding_ces = opt.max_outstanding;
-  const serve::ArrivalSpec arrival = serve::parse_arrival(opt.arrival);
+  const serve::ArrivalSpec& arrival = opt.arrival;
   for (std::size_t k = 0; k < opt.tenants; ++k) {
     serve::TenantSpec t;
     t.name = "t" + std::to_string(k);
@@ -669,7 +640,7 @@ int cmd_serve(const Options& opt) {
     t.programs = opt.programs;
     cfg.tenants.push_back(std::move(t));
   }
-  if (opt.contention) cfg.contention = workloads::parse_contention(*opt.contention);
+  cfg.contention = opt.contention;
 
   if (cfg.contention) {
     std::printf("serving %zu tenants of shared-state contention (%s), arrival %s, "
@@ -718,11 +689,6 @@ int cmd_serve(const Options& opt) {
                 static_cast<unsigned long long>(m.coherence_refetches),
                 format_bytes(m.refetched_bytes).c_str(),
                 static_cast<unsigned long long>(m.stale_evictions));
-  }
-  if (opt.autoscale) {
-    std::printf("autoscale: %llu scale-outs, %llu scale-ins\n",
-                static_cast<unsigned long long>(m.autoscale_scale_outs),
-                static_cast<unsigned long long>(m.autoscale_scale_ins));
   }
   if (opt.trace_path) {
     std::ofstream out(*opt.trace_path);
