@@ -1,31 +1,24 @@
-// Ablation: tiered spill store + background eviction pipeline.
+// Ablation: synchronous eviction and spilling under oversubscription.
 //
-// The governor's synchronous mode evicts and spills inside the CE dispatch
-// path; the background pipeline moves that work into watermark-triggered
-// sweeps that run off the event loop while the cluster computes. This
+// The governor evicts on the CE dispatch path (make_room) and when pins
+// lapse (enforce); a sole up-to-date copy is first spilled to controller
+// host memory, and its consumers are ordered after the write-back. This
 // sweep raises the array footprint from 1x to 10x the aggregate worker
-// replica budget and runs each point twice — synchronous dispatch-path
-// eviction vs the background pipeline — over the same two-tier store
-// (bounded controller DRAM over an NVMe-class device), reporting:
+// replica budget and reports, per point:
 //
 //   * completion + makespan: 10x oversubscription must finish with the
-//     per-worker budget and the controller-DRAM budget both honoured
-//     (copies cascade worker -> controller DRAM -> NVMe and read back);
-//   * CE dispatch latency (real wall-clock of the dispatch path, the
-//     SchedulerMetrics::decision_ns samples): the background mode must
-//     match the synchronous baseline because eviction left the hot path;
-//   * where the eviction work went: dispatch-path evictions/spills vs
-//     background sweep rounds, and the dispatch stalls (synchronous
-//     fallbacks) the watermarks failed to absorb — zero when the paced
-//     launch window fits the configured headroom, which this bench's
-//     geometry guarantees and asserts.
+//     per-worker budget honoured;
+//   * the eviction bill: evictions, spills, refetches, the peak of
+//     spilled bytes held by the controller, the write-back queue peak and
+//     the simulated time consumers waited on in-flight write-backs;
+//   * CE dispatch latency on stdout only (real wall-clock of the dispatch
+//     path, the SchedulerMetrics::decision_ns p99), so the JSON stays a
+//     fully simulated golden.
 //
 // The workload ping-pongs between two array families (pass p reads the
 // arrays pass p-1 wrote), so every pass consumes sole copies the previous
-// pass pushed down the tiers — NVMe read-backs (promotions) are on the
-// critical path, not just write-downs. Launches are paced in small waves
-// with a synchronize between waves: pins lapse there, which is when the
-// watermark sweeps get to reclaim.
+// pass spilled. Launches are paced in small waves with a synchronize
+// between waves, where pins lapse.
 //
 // Writes the sweep as JSON (default BENCH_spill.json, argv[1] overrides)
 // and exits non-zero if any run fails its bounds.
@@ -42,19 +35,15 @@ using namespace grout;
 using namespace grout::bench;
 
 constexpr std::size_t kWorkers = 2;
-constexpr Bytes kWorkerMem = 256_MiB;      // per-worker replica budget
-constexpr Bytes kControllerMem = 256_MiB;  // spilled-bytes budget in controller DRAM
-constexpr Bytes kPart = 16_MiB;            // one array; a CE touches two (in + out)
-constexpr std::size_t kWave = 3;           // CEs in flight between synchronizes
+constexpr Bytes kWorkerMem = 256_MiB;  // per-worker replica budget
+constexpr Bytes kPart = 16_MiB;        // one array; a CE touches two (in + out)
+constexpr std::size_t kWave = 3;       // CEs in flight between synchronizes
 constexpr std::size_t kPasses = 3;
 
 struct PointOutcome {
   bool completed{true};
   double seconds{0.0};
-  double dispatch_p50_us{0.0};
-  double dispatch_p95_us{0.0};
   double dispatch_p99_us{0.0};
-  std::size_t dispatch_samples{0};
   core::SchedulerMetrics metrics;
   Bytes worker_high_water{0};  ///< max over workers
 };
@@ -71,9 +60,8 @@ gpusim::KernelLaunchSpec pingpong_kernel(std::string name, core::GlobalArrayId i
   return spec;
 }
 
-/// One sweep point: `ratio` x the aggregate worker budget of array bytes,
-/// with (`background` ? watermark pipeline : synchronous) eviction.
-PointOutcome run_point(double ratio, bool background) {
+/// One sweep point: `ratio` x the aggregate worker budget of array bytes.
+PointOutcome run_point(double ratio) {
   core::GroutConfig cfg;
   cfg.cluster.workers = kWorkers;
   cfg.cluster.worker_node = paper_node();
@@ -81,21 +69,6 @@ PointOutcome run_point(double ratio, bool background) {
   cfg.policy = core::PolicyKind::MinTransferSize;
   cfg.run_cap = run_cap();
   cfg.worker_mem = kWorkerMem;
-  cfg.spill.tiers = 2;
-  cfg.spill.controller_mem = kControllerMem;
-  // DRAM-tier accounting moves at spill *submission* but demotion can only
-  // pick landed entries, so in-flight write-back bursts overshoot the
-  // demote-high mark by up to a sweep batch + a wave of spills (~112 MiB).
-  // Marks at 0.35/0.5 leave 128 MiB above the high mark: the budget holds.
-  cfg.spill.demote_high = 0.5;
-  cfg.spill.demote_low = 0.35;
-  if (background) {
-    // Headroom law: (1 - worker_high) x budget = 128 MiB must cover a full
-    // wave's worst-case incoming burst (kWave x 2 x kPart = 96 MiB), so the
-    // dispatch path never has to evict synchronously — asserted below.
-    cfg.spill.worker_high = 0.5;
-    cfg.spill.worker_low = 0.3;
-  }
   core::GroutRuntime rt(cfg);
 
   // footprint = ratio x aggregate budget, split evenly between the two
@@ -117,9 +90,8 @@ PointOutcome run_point(double ratio, bool background) {
     for (std::size_t j = 0; j < pairs && o.completed; ++j) {
       rt.launch(pingpong_kernel("p" + std::to_string(pass) + ":" + std::to_string(j),
                                 in[j], out[j]));
-      // Paced launching: pins lapse at the wave boundary, which is where
-      // the watermark sweeps reclaim (and where synchronous mode pays its
-      // eviction bill on the *next* wave's dispatches instead).
+      // Paced launching: pins lapse at the wave boundary, and the next
+      // wave's dispatches pay the eviction bill.
       if ((j + 1) % kWave == 0) o.completed = rt.synchronize();
     }
     if (o.completed) o.completed = rt.synchronize();
@@ -127,55 +99,35 @@ PointOutcome run_point(double ratio, bool background) {
 
   o.seconds = rt.now().seconds();
   o.metrics = rt.metrics();
-  o.dispatch_samples = o.metrics.decision_ns.count();
-  if (o.dispatch_samples > 0) {
-    o.dispatch_p50_us = o.metrics.decision_ns.percentile(50.0) / 1000.0;
-    o.dispatch_p95_us = o.metrics.decision_ns.percentile(95.0) / 1000.0;
+  if (o.metrics.decision_ns.count() > 0) {
     o.dispatch_p99_us = o.metrics.decision_ns.percentile(99.0) / 1000.0;
   }
-  for (const Bytes hw : o.metrics.worker_high_water) {
+  for (const Bytes hw : o.metrics.worker_resident_peak) {
     o.worker_high_water = std::max(o.worker_high_water, hw);
   }
   return o;
 }
 
-int fail(const char* why, double ratio, const char* mode) {
-  std::fprintf(stderr, "FAIL at %.0fx/%s: %s\n", ratio, mode, why);
+int fail(const char* why, double ratio) {
+  std::fprintf(stderr, "FAIL at %.0fx: %s\n", ratio, why);
   return 1;
 }
 
-void emit_json_point(std::FILE* out, double ratio, bool background,
-                     const PointOutcome& o, bool last) {
+void emit_json_point(std::FILE* out, double ratio, const PointOutcome& o, bool last) {
   const core::SchedulerMetrics& m = o.metrics;
   std::fprintf(
       out,
-      "    {\"oversubscription\": %.1f, \"mode\": \"%s\", \"completed\": %s, "
-      "\"elapsed_s\": %.6f,\n"
-      "     \"dispatch_p50_us\": %.3f, \"dispatch_p95_us\": %.3f, "
-      "\"dispatch_p99_us\": %.3f, \"dispatch_samples\": %zu,\n"
-      "     \"evictions\": %llu, \"spills\": %llu, \"refetches\": %llu, "
-      "\"bg_sweeps\": %llu, \"bg_evictions\": %llu, "
-      "\"dispatch_stall_evictions\": %llu, \"dispatch_stall_spills\": %llu,\n"
-      "     \"worker_high_water_bytes\": %llu, \"spill_dram_high_water_bytes\": %llu, "
-      "\"spill_nvme_high_water_bytes\": %llu,\n"
-      "     \"demotions\": %llu, \"promotions\": %llu, "
-      "\"writeback_queue_peak\": %llu, \"spill_wait_s\": %.6f}%s\n",
-      ratio, background ? "background" : "sync", o.completed ? "true" : "false",
-      o.seconds, o.dispatch_p50_us, o.dispatch_p95_us, o.dispatch_p99_us,
-      o.dispatch_samples, static_cast<unsigned long long>(m.evictions),
-      static_cast<unsigned long long>(m.spills),
+      "    {\"oversubscription\": %.1f, \"completed\": %s, \"elapsed_s\": %.6f,\n"
+      "     \"evictions\": %llu, \"spills\": %llu, \"refetches\": %llu,\n"
+      "     \"worker_high_water_bytes\": %llu, \"spill_dram_high_water_bytes\": %llu,\n"
+      "     \"writeback_queue_peak\": %llu, \"spill_wait_s\": %.6f}%s\n",
+      ratio, o.completed ? "true" : "false", o.seconds,
+      static_cast<unsigned long long>(m.evictions), static_cast<unsigned long long>(m.spills),
       static_cast<unsigned long long>(m.refetches),
-      static_cast<unsigned long long>(m.bg_sweeps),
-      static_cast<unsigned long long>(m.bg_evictions),
-      static_cast<unsigned long long>(m.dispatch_stall_evictions),
-      static_cast<unsigned long long>(m.dispatch_stall_spills),
       static_cast<unsigned long long>(o.worker_high_water),
       static_cast<unsigned long long>(m.spill_dram_high_water),
-      static_cast<unsigned long long>(m.spill_nvme_high_water),
-      static_cast<unsigned long long>(m.demotions),
-      static_cast<unsigned long long>(m.promotions),
-      static_cast<unsigned long long>(m.writeback_queue_peak),
-      m.spill_wait.seconds(), last ? "" : ",");
+      static_cast<unsigned long long>(m.writeback_queue_peak), m.spill_wait.seconds(),
+      last ? "" : ",");
 }
 
 }  // namespace
@@ -184,13 +136,12 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_spill.json";
   const double ratios[] = {1.0, 2.0, 5.0, 10.0};
 
-  std::printf("# Ablation — tiered spill store + background eviction pipeline\n");
-  std::printf("# 2 workers x %s budget, controller DRAM tier %s, NVMe below;\n",
-              format_bytes(kWorkerMem).c_str(), format_bytes(kControllerMem).c_str());
+  std::printf("# Ablation — synchronous eviction and spilling under oversubscription\n");
+  std::printf("# 2 workers x %s budget, sole copies spilled to controller memory;\n",
+              format_bytes(kWorkerMem).c_str());
   std::printf("# ping-pong passes, waves of %zu CEs; '>' = capped at 2.5 h\n", kWave);
-  std::printf("%-6s | %-10s | %9s | %11s | %9s | %6s | %6s | %13s | %9s | %9s\n",
-              "ratio", "mode", "time [s]", "disp p99 us", "evictions", "stalls",
-              "demote", "peak resident", "peak DRAM", "peak NVMe");
+  std::printf("%-6s | %9s | %11s | %9s | %6s | %13s | %15s\n", "ratio", "time [s]",
+              "disp p99 us", "evictions", "spills", "peak resident", "peak ctl copies");
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -199,44 +150,24 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "{\n  \"bench\": \"abl_spill_tiers\",\n  \"workers\": %zu,\n"
-               "  \"worker_mem_bytes\": %llu,\n  \"controller_mem_bytes\": %llu,\n"
-               "  \"sweeps\": [\n",
-               kWorkers, static_cast<unsigned long long>(kWorkerMem),
-               static_cast<unsigned long long>(kControllerMem));
+               "  \"worker_mem_bytes\": %llu,\n  \"sweeps\": [\n",
+               kWorkers, static_cast<unsigned long long>(kWorkerMem));
 
   int rc = 0;
   for (std::size_t i = 0; i < std::size(ratios); ++i) {
     const double ratio = ratios[i];
-    for (const bool background : {false, true}) {
-      const char* mode = background ? "background" : "sync";
-      const PointOutcome o = run_point(ratio, background);
-      emit_json_point(out, ratio, background, o, i + 1 == std::size(ratios) && background);
-      std::printf("%-6.0f | %-10s | %s%8.2f | %11.2f | %9llu | %6llu | %6llu | %13s | %9s | %9s\n",
-                  ratio, mode, o.completed ? " " : ">", o.seconds, o.dispatch_p99_us,
-                  static_cast<unsigned long long>(o.metrics.evictions),
-                  static_cast<unsigned long long>(o.metrics.dispatch_stall_evictions +
-                                                  o.metrics.dispatch_stall_spills),
-                  static_cast<unsigned long long>(o.metrics.demotions),
-                  format_bytes(o.worker_high_water).c_str(),
-                  format_bytes(o.metrics.spill_dram_high_water).c_str(),
-                  format_bytes(o.metrics.spill_nvme_high_water).c_str());
+    const PointOutcome o = run_point(ratio);
+    emit_json_point(out, ratio, o, i + 1 == std::size(ratios));
+    std::printf("%-6.0f | %s%8.2f | %11.2f | %9llu | %6llu | %13s | %15s\n", ratio,
+                o.completed ? " " : ">", o.seconds, o.dispatch_p99_us,
+                static_cast<unsigned long long>(o.metrics.evictions),
+                static_cast<unsigned long long>(o.metrics.spills),
+                format_bytes(o.worker_high_water).c_str(),
+                format_bytes(o.metrics.spill_dram_high_water).c_str());
 
-      // The guarantees the committed JSON stands for.
-      if (!o.completed) rc = fail("run did not complete under the cap", ratio, mode);
-      if (o.worker_high_water > kWorkerMem) {
-        rc = fail("worker replica budget exceeded", ratio, mode);
-      }
-      if (o.metrics.spill_dram_high_water > kControllerMem) {
-        rc = fail("controller spill-DRAM budget exceeded", ratio, mode);
-      }
-      if (background && (o.metrics.dispatch_stall_evictions > 0 ||
-                         o.metrics.dispatch_stall_spills > 0)) {
-        rc = fail("dispatch stalled despite guaranteed watermark headroom", ratio, mode);
-      }
-      if (ratio >= 10.0 && (o.metrics.demotions == 0 || o.metrics.promotions == 0)) {
-        rc = fail("10x point exercised no NVMe demotion/read-back", ratio, mode);
-      }
-    }
+    // The guarantees the committed JSON stands for.
+    if (!o.completed) rc = fail("run did not complete under the cap", ratio);
+    if (o.worker_high_water > kWorkerMem) rc = fail("worker replica budget exceeded", ratio);
   }
 
   std::fprintf(out, "  ]\n}\n");

@@ -80,7 +80,7 @@ GovernedOutcome run_with_budget(Bytes budget) {
   o.evictions = m.evictions;
   o.spills = m.spills;
   o.refetches = m.refetches;
-  for (const Bytes hw : m.worker_high_water) o.high_water = std::max(o.high_water, hw);
+  for (const Bytes hw : m.worker_resident_peak) o.high_water = std::max(o.high_water, hw);
   return o;
 }
 

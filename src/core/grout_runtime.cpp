@@ -47,8 +47,7 @@ GroutRuntime::GroutRuntime(GroutConfig config)
       config_.cluster.worker_node.gpu_count * config_.cluster.worker_node.device.memory;
   const Bytes budget = config_.worker_mem.value_or(static_cast<Bytes>(
       config_.worker_mem_headroom * static_cast<double>(node_gpu_mem)));
-  governor_ = std::make_unique<MemoryGovernor>(*cluster_, directory_, metrics_, budget,
-                                               config_.spill);
+  governor_ = std::make_unique<MemoryGovernor>(*cluster_, directory_, metrics_, budget);
   cluster_->fabric().set_control_retry(config_.control_retry);
   if (!config_.fault_plan.empty()) {
     for (const net::KillWorkerFault& k : config_.fault_plan.kills) {
@@ -83,7 +82,7 @@ void GroutRuntime::host_init(GlobalArrayId array) {
   global_dag_.add("host-init:" + directory_.name_of(array),
                   {dag::AccessSummary{array, true}});
   directory_.written_on_controller(array);
-  // The host write supersedes any spilled copy: its tier bytes are free.
+  // The host write supersedes any spilled copy: its bytes are free.
   governor_->release_spilled(array);
 }
 
@@ -232,7 +231,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     const auto id = static_cast<GlobalArrayId>(p.array);
     const WriteEffect effect = directory_.written_on_worker(id, w);
     // The controller is no longer a holder: a spilled copy is stale now
-    // and its spill-tier bytes come back.
+    // and its bytes come back.
     governor_->release_spilled(id);
     if (effect.invalidations > 0 && cluster_->tracer().enabled()) {
       // Invalidation storm visibility: one span per shared write that
@@ -585,8 +584,8 @@ bool GroutRuntime::host_fetch(GlobalArrayId array) {
     return false;
   }
   directory_.add_controller_copy(array);
-  // The gather materialized a real controller copy; any stale spill-store
-  // entry (already superseded by a worker write) is redundant now.
+  // The gather materialized a real controller copy; any stale spill record
+  // (already superseded by a worker write) is redundant now.
   governor_->release_spilled(array);
   return true;
 }
@@ -604,27 +603,13 @@ SchedulerMetrics& GroutRuntime::metrics() {
   metrics_.control_drops = fabric.control_drops();
   // Snapshot the governor's per-worker replica accounting.
   metrics_.worker_resident = governor_->resident_by_worker();
-  metrics_.worker_high_water.resize(cluster_->worker_count());
+  metrics_.worker_resident_peak.resize(cluster_->worker_count());
   for (std::size_t w = 0; w < cluster_->worker_count(); ++w) {
-    metrics_.worker_high_water[w] = governor_->high_water(w);
+    metrics_.worker_resident_peak[w] = governor_->high_water(w);
   }
   // Per-tenant accounting (empty outside serve runs).
   metrics_.tenant_resident = governor_->resident_by_tenant();
   metrics_.tenant_quota = governor_->quota_by_tenant();
-  // Tiered spill store occupancy and pipeline counters.
-  const spill::SpillStats& ss = governor_->spill_store().stats();
-  metrics_.spill_dram_resident = ss.dram_resident;
-  metrics_.spill_dram_high_water = ss.dram_high_water;
-  metrics_.spill_nvme_resident = ss.nvme_resident;
-  metrics_.spill_nvme_high_water = ss.nvme_high_water;
-  metrics_.demotions = ss.demotions;
-  metrics_.promotions = ss.promotions;
-  metrics_.bytes_demoted = ss.bytes_demoted;
-  metrics_.bytes_promoted = ss.bytes_promoted;
-  metrics_.writeback_queue_peak = ss.writeback_queue_peak;
-  metrics_.spill_wait = ss.spill_wait;
-  metrics_.tenant_spill_dram = governor_->spill_store().tenant_dram();
-  metrics_.tenant_spill_nvme = governor_->spill_store().tenant_nvme();
   // Directory-traffic totals (shared-state contention visibility).
   metrics_.invalidations = directory_.invalidations();
   metrics_.ownership_transfers = directory_.ownership_transfers();

@@ -60,10 +60,6 @@ struct GroutConfig {
   /// staged through host DRAM, which the evaluation nodes provision at
   /// several times the GPU capacity.
   double worker_mem_headroom{8.0};
-  /// Tiered spill store (--spill-tiers/--controller-mem/--nvme-*) and the
-  /// background eviction watermarks (--watermarks). The default keeps the
-  /// flat synchronous single-tier behaviour.
-  spill::SpillConfig spill{};
 };
 
 /// Handle to a launched CE.

@@ -6,30 +6,12 @@
 namespace grout::core {
 
 MemoryGovernor::MemoryGovernor(cluster::Cluster& cluster, CoherenceDirectory& directory,
-                               SchedulerMetrics& metrics, Bytes budget,
-                               const spill::SpillConfig& spill)
-    : cluster_{cluster},
-      directory_{directory},
-      metrics_{metrics},
-      budget_{budget},
-      spill_{spill} {
-  spill_.validate();
+                               SchedulerMetrics& metrics, Bytes budget)
+    : cluster_{cluster}, directory_{directory}, metrics_{metrics}, budget_{budget} {
   resident_.assign(cluster_.worker_count(), 0);
   high_water_.assign(cluster_.worker_count(), 0);
   replicas_.resize(cluster_.worker_count());
-  sweep_armed_.assign(cluster_.worker_count(), false);
-  if (spill_.background() && bounded()) {
-    worker_high_mark_ =
-        static_cast<Bytes>(spill_.worker_high * static_cast<double>(budget_));
-    worker_low_mark_ = static_cast<Bytes>(spill_.worker_low * static_cast<double>(budget_));
-  }
-  store_ = spill::make_spill_store(
-      cluster_.simulator(), cluster_.tracer(), spill_,
-      [this](GlobalArrayId id) { return directory_.name_of(id); },
-      [this](GlobalArrayId id) { return array_owner(id); });
   metrics_.worker_mem_budget = budget_;
-  metrics_.spill_tiers = spill_.tiers;
-  metrics_.controller_spill_budget = spill_.controller_mem;
 }
 
 void MemoryGovernor::set_array_owner(GlobalArrayId id, TenantId tenant) {
@@ -95,17 +77,8 @@ void MemoryGovernor::make_room(std::size_t w, const std::vector<PlacementParam>&
                                     [id](const PlacementParam& p) { return p.array == id; });
     if (!repeat && replicas_[w].find(id) == nullptr) incoming += params[i].bytes;
   }
-  const std::uint64_t evictions_before = metrics_.evictions;
-  const std::uint64_t spills_before = metrics_.spills;
   // Best effort: stops when everything left is pinned or protected.
   evict_while(w, params, tenant, [&] { return resident_[w] + incoming > budget_; });
-  if (background_eviction()) {
-    // With the background pipeline on, dispatch-path eviction is the
-    // hard-budget backstop only; count what the watermarks failed to
-    // absorb (it should be zero when headroom covers the incoming burst).
-    metrics_.dispatch_stall_evictions += metrics_.evictions - evictions_before;
-    metrics_.dispatch_stall_spills += metrics_.spills - spills_before;
-  }
 }
 
 bool MemoryGovernor::note_ensure(std::size_t w, GlobalArrayId id) {
@@ -123,7 +96,6 @@ bool MemoryGovernor::note_ensure(std::size_t w, GlobalArrayId id) {
   high_water_[w] = std::max(high_water_[w], resident_[w]);
   credit_tenant(id, bytes);
   if (table.evicted_once[id]) ++metrics_.refetches;
-  maybe_arm_sweep(w);
   return true;
 }
 
@@ -170,45 +142,44 @@ void MemoryGovernor::drop_worker(std::size_t w) {
 }
 
 gpusim::EventPtr MemoryGovernor::controller_ready(GlobalArrayId id) const {
-  return store_->pending(id);
+  if (!spilled(id)) return nullptr;
+  const gpusim::EventPtr& ready = spilled_[id].ready;
+  return ready != nullptr && !ready->completed() ? ready : nullptr;
 }
 
 gpusim::EventPtr MemoryGovernor::acquire_controller_copy(GlobalArrayId id) {
-  return store_->acquire(id);
-}
-
-void MemoryGovernor::release_spilled(GlobalArrayId id) { store_->release(id); }
-
-void MemoryGovernor::maybe_arm_sweep(std::size_t w) {
-  if (!background_eviction()) return;
-  if (resident_[w] <= worker_high_mark_ || sweep_armed_[w]) return;
-  sweep_armed_[w] = true;
-  cluster_.simulator().schedule_after(SimTime::zero(), [this, w] { background_sweep(w); });
-}
-
-void MemoryGovernor::background_sweep(std::size_t w) {
-  sweep_armed_[w] = false;
-  // Hysteresis: the sweep only ever *starts* above the high mark (the
-  // maybe_arm_sweep guard), but once started it owns the drain down to the
-  // low mark — including across batch-cap yields.
-  if (resident_[w] <= worker_low_mark_) return;  // pressure resolved meanwhile
-  ++metrics_.bg_sweeps;
-  // Stops early when everything left is pinned.
-  const Bytes start = resident_[w];
-  const std::uint64_t evictions_before = metrics_.evictions;
-  evict_while(w, {}, kNoTenant, [&] {
-    return resident_[w] > worker_low_mark_ && start - resident_[w] < spill_.sweep_batch;
-  });
-  const Bytes reclaimed = start - resident_[w];
-  metrics_.bg_evictions += metrics_.evictions - evictions_before;
-  metrics_.bg_bytes_evicted += reclaimed;
-  // Batch cap hit with the drain unfinished: yield the event loop and
-  // re-arm to continue. No progress means everything is pinned — the next
-  // note_ensure growth (or enforce at CE completion) re-establishes budget.
-  if (reclaimed > 0 && resident_[w] > worker_low_mark_ && !sweep_armed_[w]) {
-    sweep_armed_[w] = true;
-    cluster_.simulator().schedule_after(SimTime::zero(), [this, w] { background_sweep(w); });
+  gpusim::EventPtr ready = controller_ready(id);
+  if (ready != nullptr) {
+    const SimTime t0 = cluster_.simulator().now();
+    ready->on_complete(
+        [this, t0] { metrics_.spill_wait += cluster_.simulator().now() - t0; });
   }
+  return ready;
+}
+
+void MemoryGovernor::release_spilled(GlobalArrayId id) {
+  if (!spilled(id)) return;
+  GROUT_CHECK(metrics_.spill_dram_resident >= spilled_[id].bytes,
+              "spilled-bytes accounting underflow");
+  metrics_.spill_dram_resident -= spilled_[id].bytes;
+  spilled_[id] = SpillEntry{};  // epoch 0: stale write-back callbacks do nothing
+}
+
+void MemoryGovernor::admit_spill(GlobalArrayId id, Bytes bytes,
+                                 const gpusim::EventPtr& landed) {
+  release_spilled(id);  // a fresh spill supersedes
+  if (spilled_.size() <= id) spilled_.resize(id + 1);
+  const std::uint64_t epoch = ++spill_epochs_;
+  spilled_[id] = SpillEntry{bytes, landed, epoch};
+  metrics_.spill_dram_resident += bytes;
+  metrics_.spill_dram_high_water =
+      std::max(metrics_.spill_dram_high_water, metrics_.spill_dram_resident);
+  ++writebacks_inflight_;
+  metrics_.writeback_queue_peak = std::max(metrics_.writeback_queue_peak, writebacks_inflight_);
+  landed->on_complete([this, id, epoch] {
+    --writebacks_inflight_;
+    if (spilled_[id].epoch == epoch) spilled_[id].ready = nullptr;
+  });
 }
 
 std::span<const MemoryGovernor::Replica> MemoryGovernor::replicas(std::size_t w) const {
@@ -368,8 +339,7 @@ void MemoryGovernor::post_worker_release(std::size_t w, GlobalArrayId id) {
       [&worker, id] { worker.release_array(id); }, /*reliable=*/true);
 }
 
-gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayId id,
-                                                     Bytes bytes) {
+void MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayId id, Bytes bytes) {
   cluster::Worker& worker = cluster_.worker(w);
   sim::Simulator& engine = cluster_.simulator();
   net::NetworkFabric& fabric = cluster_.fabric();
@@ -378,7 +348,7 @@ gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayI
   const net::NodeId ctl_fid = cluster::Cluster::controller_id();
   const std::string label = "spill:" + directory_.name_of(id);
 
-  // `landed` stands in for the write-back arrival: the store admits against
+  // `landed` stands in for the write-back arrival: the spill record keeps
   // it now, and it completes when the controller-started transfer does.
   const gpusim::EventPtr landed = gpusim::make_event();
   // Worker side: gather the copy to host memory, free the local allocation
@@ -402,10 +372,10 @@ gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayI
       /*reliable=*/true);
 
   // Eager directory update (like plan_movement); consumers of the
-  // controller copy are ordered after whatever the spill store has in
-  // flight for it via acquire_controller_copy().
+  // controller copy are ordered after the write-back via
+  // acquire_controller_copy().
   directory_.add_controller_copy(id);
-  store_->admit(id, bytes, landed);
+  admit_spill(id, bytes, landed);
   ++metrics_.spills;
   metrics_.bytes_spilled += bytes;
 
@@ -422,7 +392,6 @@ gpusim::EventPtr MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayI
           tp->record(sim::TraceCategory::Eviction, name, loc, begin, simp->now());
         });
   }
-  return landed;
 }
 
 }  // namespace grout::core

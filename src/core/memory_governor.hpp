@@ -19,25 +19,23 @@
 //
 // Coherence safety: a sole up-to-date copy is never dropped. It is spilled
 // to the controller first (Worker::stage_send + a fabric transfer), the
-// directory gains the controller copy eagerly, and any consumer of that
-// controller copy is ordered after whatever the tiered spill store has in
-// flight for it via `acquire_controller_copy` — the write-back itself, or
-// an NVMe read-back when the copy was demoted. Replicas pinned by in-flight
-// CEs — or staging an outbound transfer — are not evictable. Freed replicas
-// release their worker-side allocation through UvmSpace::free_array.
+// directory gains the controller copy eagerly, and the governor's spill
+// record keeps the write-back's arrival event: any consumer of that
+// controller copy is ordered after it via `acquire_controller_copy`.
+// Replicas pinned by in-flight CEs — or staging an outbound transfer — are
+// not evictable. Freed replicas release their worker-side allocation
+// through UvmSpace::free_array.
 //
-// Eviction runs as a background pipeline when the spill config enables
-// worker watermarks: crossing `worker_high x budget` arms a batched sweep
-// (a fresh sim event) that reclaims cold replicas down to `worker_low x
-// budget`, so the CE dispatch path only ever evicts as a hard-budget
-// backstop — counted separately as dispatch stalls.
+// Eviction is synchronous and has one path: `make_room` evicts on the CE
+// dispatch path when the incoming arrays would overflow the budget, and
+// `enforce` re-establishes the budget when pins lapse. Spilled copies live
+// in controller host memory, which has no budget of its own.
 //
 // Evictions and spills are visible as TraceCategory::Eviction spans
 // (location "workerN", named evict:/spill:NAME(aID,BYTESB)) and as
-// SchedulerMetrics counters; demotions/promotions trace on "controller".
+// SchedulerMetrics counters.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -46,18 +44,15 @@
 #include "core/directory.hpp"
 #include "core/metrics.hpp"
 #include "core/policies.hpp"
-#include "core/spill/spill_store.hpp"
+#include "gpusim/event.hpp"
 
 namespace grout::core {
 
 class MemoryGovernor {
  public:
   /// `budget` bytes per worker; 0 = unbounded (the pre-governor behavior).
-  /// `spill` configures the tiered spill store and the background eviction
-  /// watermarks; the default keeps the flat synchronous behaviour.
   MemoryGovernor(cluster::Cluster& cluster, CoherenceDirectory& directory,
-                 SchedulerMetrics& metrics, Bytes budget,
-                 const spill::SpillConfig& spill = {});
+                 SchedulerMetrics& metrics, Bytes budget);
 
   MemoryGovernor(const MemoryGovernor&) = delete;
   MemoryGovernor& operator=(const MemoryGovernor&) = delete;
@@ -125,29 +120,26 @@ class MemoryGovernor {
   /// Worker `w` died: free every replica it held and forget its accounting.
   void drop_worker(std::size_t w);
 
-  /// Arrival event of an in-flight spill (or NVMe operation) backing the
-  /// controller's copy of `id`, or nullptr. A consumer reading the
-  /// controller copy must be ordered after it. Pure peek — never starts a
-  /// read-back; consumers use acquire_controller_copy.
+  /// Arrival event of the in-flight write-back backing the controller's
+  /// copy of `id`, or nullptr once it has landed (or nothing was spilled).
+  /// A consumer reading the controller copy must be ordered after it. Pure
+  /// peek; consumers use acquire_controller_copy.
   [[nodiscard]] gpusim::EventPtr controller_ready(GlobalArrayId id) const;
 
   /// Event a reader of the controller copy of `id` must be ordered after
-  /// (nullptr = readable now). Unlike controller_ready this *acquires* the
-  /// copy: a demoted one starts its NVMe read-back here.
+  /// (nullptr = readable now). Unlike controller_ready this counts the
+  /// reader's wait into SchedulerMetrics::spill_wait.
   gpusim::EventPtr acquire_controller_copy(GlobalArrayId id);
 
-  /// The array gained an authoritative copy outside the spill store (host
-  /// write, worker write, host-side gather): drop any spilled copy's tier
-  /// accounting. No-op for untracked arrays.
+  /// The array gained an authoritative copy outside the spill record (host
+  /// write, worker write, host-side gather): forget the spilled copy and
+  /// free its bytes. No-op for arrays that are not spilled.
   void release_spilled(GlobalArrayId id);
 
-  /// The tiered spill store (per-tier occupancy, demotion/promotion stats).
-  [[nodiscard]] const spill::SpillStore& spill_store() const { return *store_; }
-  [[nodiscard]] const spill::SpillConfig& spill_config() const { return spill_; }
-  /// True when watermark-triggered background eviction is active.
-  [[nodiscard]] bool background_eviction() const { return bounded() && spill_.background(); }
-  [[nodiscard]] Bytes worker_high_mark() const { return worker_high_mark_; }
-  [[nodiscard]] Bytes worker_low_mark() const { return worker_low_mark_; }
+  /// True while the controller holds a spilled copy of `id`.
+  [[nodiscard]] bool spilled(GlobalArrayId id) const {
+    return id < spilled_.size() && spilled_[id].epoch != 0;
+  }
 
   // -- introspection ----------------------------------------------------------
 
@@ -222,29 +214,17 @@ class MemoryGovernor {
   /// command makes the worker stage the copy to host memory (and free the
   /// local allocation once staged), the staging completion acks back to the
   /// controller one fabric edge later, and the controller then
-  /// starts the write-back transfer. Returns the proxy event that completes
-  /// when the copy lands (what the spill store admits against).
-  gpusim::EventPtr spill_to_controller(std::size_t w, GlobalArrayId id, Bytes bytes);
-  /// Arm the background sweep for `w` (once) when its residency crossed the
-  /// high watermark; the sweep runs from a fresh sim event.
-  void maybe_arm_sweep(std::size_t w);
-  /// One batched background round: evict down to the low watermark, at most
-  /// sweep_batch bytes per round, re-arming until the drain it started
-  /// reaches the low mark (hysteresis: arming needs the high mark crossed,
-  /// finishing only needs the low mark).
-  void background_sweep(std::size_t w);
+  /// starts the write-back transfer. The spill record keeps the proxy event
+  /// that completes when the copy lands.
+  void spill_to_controller(std::size_t w, GlobalArrayId id, Bytes bytes);
+  /// Record a spill of `id` whose write-back lands when `landed` fires. A
+  /// fresh spill of a spilled array supersedes the old one.
+  void admit_spill(GlobalArrayId id, Bytes bytes, const gpusim::EventPtr& landed);
 
   cluster::Cluster& cluster_;
   CoherenceDirectory& directory_;
   SchedulerMetrics& metrics_;
   Bytes budget_;
-  spill::SpillConfig spill_;
-  std::unique_ptr<spill::SpillStore> store_;
-  /// Background-eviction watermarks in bytes (0 when disabled).
-  Bytes worker_high_mark_{0};
-  Bytes worker_low_mark_{0};
-  /// Per-worker "sweep already scheduled" latch.
-  std::vector<bool> sweep_armed_;
   std::vector<Bytes> resident_;
   std::vector<Bytes> high_water_;
   std::vector<WorkerReplicas> replicas_;
@@ -255,6 +235,21 @@ class MemoryGovernor {
   /// Cluster-wide resident replica bytes and quota per tenant.
   std::vector<Bytes> tenant_resident_;
   std::vector<Bytes> tenant_quota_;
+
+  /// One spilled controller copy. epoch 0 = not spilled; a release or a
+  /// superseding spill changes it, so a stale write-back callback finds a
+  /// different epoch and does nothing.
+  struct SpillEntry {
+    Bytes bytes{0};
+    /// The write-back still in flight; nullptr once it has landed.
+    gpusim::EventPtr ready;
+    std::uint64_t epoch{0};
+  };
+  /// Spill record per array id; grown lazily.
+  std::vector<SpillEntry> spilled_;
+  std::uint64_t spill_epochs_{0};
+  /// Write-backs in flight (their peak is SchedulerMetrics::writeback_queue_peak).
+  std::uint64_t writebacks_inflight_{0};
 };
 
 }  // namespace grout::core

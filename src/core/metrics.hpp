@@ -47,38 +47,21 @@ struct SchedulerMetrics {
   /// Current and peak replica bytes per worker (synced by
   /// GroutRuntime::metrics() from the governor's accounting).
   std::vector<Bytes> worker_resident;
-  std::vector<Bytes> worker_high_water;
+  std::vector<Bytes> worker_resident_peak;
 
-  // Tiered spill store + background eviction pipeline (synced from the
-  // governor's spill store).
-  std::size_t spill_tiers{1};           ///< 1 = controller DRAM, 2 = + NVMe
-  Bytes controller_spill_budget{0};     ///< DRAM-tier budget; 0 = unbounded
-  Bytes spill_dram_resident{0};         ///< spilled bytes in controller DRAM
+  // Spilled controller copies (written by the governor's spill record).
+  Bytes spill_dram_resident{0};  ///< spilled bytes held in controller DRAM
   Bytes spill_dram_high_water{0};
-  Bytes spill_nvme_resident{0};         ///< spilled bytes demoted to NVMe
-  Bytes spill_nvme_high_water{0};
-  std::uint64_t demotions{0};           ///< DRAM -> NVMe write-downs
-  std::uint64_t promotions{0};          ///< NVMe -> DRAM read-backs
-  Bytes bytes_demoted{0};
-  Bytes bytes_promoted{0};
   /// Peak worker->controller write-backs in flight at once.
   std::uint64_t writeback_queue_peak{0};
-  /// Simulated time consumers spent ordered after not-yet-readable spilled
-  /// data (write-backs awaited + NVMe read-backs).
+  /// Simulated time consumers spent ordered after a spilled copy whose
+  /// write-back had not yet landed.
   SimTime spill_wait{SimTime::zero()};
-  /// Background eviction pipeline: watermark-triggered sweep rounds, the
-  /// replicas they reclaimed off the dispatch path, and bytes thereof.
-  std::uint64_t bg_sweeps{0};
-  std::uint64_t bg_evictions{0};
-  Bytes bg_bytes_evicted{0};
-  /// Evictions/spills the dispatch path still had to do synchronously while
-  /// background eviction was on — work the watermarks failed to absorb.
+  /// Always 0: eviction runs only on the dispatch path (make_room) and at
+  /// CE completion (enforce), so no eviction is a stall behind a
+  /// background sweep. Kept because perfbench's digest reads them.
   std::uint64_t dispatch_stall_evictions{0};
   std::uint64_t dispatch_stall_spills{0};
-  /// Per-tenant spilled bytes by tier, indexed by TenantId (empty outside
-  /// serve runs).
-  std::vector<Bytes> tenant_spill_dram;
-  std::vector<Bytes> tenant_spill_nvme;
 
   /// Placements decided by a min-transfer policy's exploration fallback
   /// (round-robin over data-less nodes) rather than exploitation.

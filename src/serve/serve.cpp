@@ -281,16 +281,6 @@ void ServeScheduler::on_ce_complete(Program* p) {
   Tenant& tenant = tenants_[p->tenant];
   const auto tid = static_cast<TenantId>(p->tenant);
   tenant.peak_resident = std::max(tenant.peak_resident, runtime_.governor().tenant_resident(tid));
-  // Per-tier spilled bytes, sampled at the same cadence as peak_resident.
-  const core::spill::SpillStore& store = runtime_.governor().spill_store();
-  const std::vector<Bytes>& spill_dram = store.tenant_dram();
-  const std::vector<Bytes>& spill_nvme = store.tenant_nvme();
-  if (tid < spill_dram.size()) {
-    tenant.peak_spill_dram = std::max(tenant.peak_spill_dram, spill_dram[tid]);
-  }
-  if (tid < spill_nvme.size()) {
-    tenant.peak_spill_nvme = std::max(tenant.peak_spill_nvme, spill_nvme[tid]);
-  }
   if (++p->completed_ces == p->shape->ces.size()) finish_program(p);
   if (!pump_scheduled_) {
     pump_scheduled_ = true;
@@ -368,8 +358,6 @@ ServeReport ServeScheduler::make_report(bool queue_drained) {
     r.throughput_per_s = static_cast<double>(t.completed) / elapsed_s;
     r.starvation_max = t.starvation_max;
     r.peak_resident = t.peak_resident;
-    r.peak_spill_dram = t.peak_spill_dram;
-    r.peak_spill_nvme = t.peak_spill_nvme;
     report.total_completed += t.completed;
     report.total_shed += r.shed;
     report.tenants.push_back(std::move(r));

@@ -107,10 +107,6 @@ struct TenantReport {
   std::uint64_t starvation_max{0};
   /// Peak cluster-wide resident replica bytes (governor accounting).
   Bytes peak_resident{0};
-  /// Peak spilled bytes attributed to this tenant, by spill tier (the
-  /// governor's tiered spill store accounting).
-  Bytes peak_spill_dram{0};
-  Bytes peak_spill_nvme{0};
 };
 
 struct ServeReport {
@@ -174,8 +170,6 @@ class ServeScheduler {
     std::uint64_t skips{0};
     std::uint64_t starvation_max{0};
     Bytes peak_resident{0};
-    Bytes peak_spill_dram{0};
-    Bytes peak_spill_nvme{0};
     SampleSet latency_ms;
     RunningStats queue_wait_ms;
     Rng arrivals{0};

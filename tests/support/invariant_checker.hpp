@@ -19,14 +19,9 @@
 //                  workers actually hold, a tenant-tagged CE only touches
 //                  its own (or shared) arrays, and quotas hold whenever
 //                  placement never had to overflow one;
-//   * spill tiers: every spilled sole copy is accounted in exactly one
-//                  tier, tier occupancy matches the store's per-entry sum,
-//                  an NVMe-resident copy still has its controller holder
-//                  bit (the directory is tier-blind by design), per-tier
-//                  bytes respect the configured capacities at quiescent
-//                  points, and — when the scenario promises headroom via
-//                  expect_no_dispatch_stalls — CE dispatch never blocked on
-//                  a write-back the watermarks should have absorbed.
+//   * spill record: the bytes of the spilled copies sum to the governor's
+//                  spilled-bytes count, and every spilled array still has
+//                  the controller as an up-to-date holder.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -45,12 +40,6 @@ class InvariantChecker {
   /// must stay unowned forever: ownership appearing later would turn every
   /// prior cross-tenant access into a retroactive isolation violation.
   void note_shared(core::GlobalArrayId id) { shared_.push_back(id); }
-
-  /// Promise that the scenario's watermark headroom covers its worst-case
-  /// launch burst, so background eviction must absorb every write-back and
-  /// CE dispatch never stalls on one. Only set this when the generator
-  /// guarantees budget - worker_high x budget >= total array bytes.
-  void expect_no_dispatch_stalls() { expect_no_dispatch_stalls_ = true; }
 
   /// Invariants that hold at every observable point.
   void check_always() {
@@ -96,36 +85,20 @@ class InvariantChecker {
             << "worker " << w << " both holds and has invalidated " << dir.name_of(id);
       }
     }
-    // Spill tiers: the store's aggregate occupancy must equal the sum over
-    // tracked entries (each entry is in exactly one tier), and an entry the
-    // store demoted to NVMe must still show the controller as an up-to-date
-    // holder in the directory — the directory is tier-blind, so losing the
-    // bit would make the refetch path skip the read-back entirely.
+    // Spill record: a spilled copy is one the controller holds, so losing
+    // the controller's holder bit while the record keeps it would make the
+    // refetch path skip the write-back gate; and the spilled-bytes count is
+    // exactly the sum over the record.
     {
-      const core::spill::SpillStore& store = gov.spill_store();
-      Bytes dram_sum = 0;
-      Bytes nvme_sum = 0;
+      Bytes spilled = 0;
       for (core::GlobalArrayId id = 0; id < dir.array_count(); ++id) {
-        if (!store.tracks(id)) continue;
-        if (store.tier_of(id) == core::spill::SpillTier::Nvme) {
-          nvme_sum += dir.bytes_of(id);
-          EXPECT_TRUE(dir.up_to_date_on_controller(id))
-              << "NVMe-resident " << dir.name_of(id) << " lost its controller holder bit";
-        } else {
-          dram_sum += dir.bytes_of(id);
-        }
+        if (!gov.spilled(id)) continue;
+        spilled += dir.bytes_of(id);
+        EXPECT_TRUE(dir.up_to_date_on_controller(id))
+            << "spilled " << dir.name_of(id) << " lost its controller holder bit";
       }
-      EXPECT_EQ(dram_sum, store.stats().dram_resident) << "spill DRAM accounting out of sync";
-      EXPECT_EQ(nvme_sum, store.stats().nvme_resident) << "spill NVMe accounting out of sync";
-    }
-    // When the scenario guarantees watermark headroom covers its bursts, the
-    // background pipeline must absorb every write-back: CE dispatch never
-    // falls back to synchronous eviction or spill inside make_room.
-    if (expect_no_dispatch_stalls_) {
-      EXPECT_EQ(rt_.metrics().dispatch_stall_evictions, 0u)
-          << "CE dispatch evicted synchronously despite guaranteed headroom";
-      EXPECT_EQ(rt_.metrics().dispatch_stall_spills, 0u)
-          << "CE dispatch stalled on a write-back the watermarks should have absorbed";
+      EXPECT_EQ(spilled, rt_.metrics().spill_dram_resident)
+          << "spilled-bytes accounting out of sync";
     }
     EXPECT_GE(dir.invalidations(), last_invalidations_) << "invalidation counter went backwards";
     EXPECT_GE(dir.ownership_transfers(), last_transfers_) << "transfer counter went backwards";
@@ -168,21 +141,6 @@ class InvariantChecker {
             << "worker " << w << " over budget at a quiescent point";
       }
     }
-    // Per-tier capacities: once the cluster is quiescent every in-flight
-    // write-back and demotion has landed, so controller DRAM must have been
-    // drained to (at most) its budget — provided NVMe below it is unbounded
-    // and can absorb the demotions — and a bounded NVMe tier never exceeds
-    // its capacity (the demoter skips victims that would not fit).
-    const core::spill::SpillConfig& sc = gov.spill_config();
-    const core::spill::SpillStats& ss = gov.spill_store().stats();
-    if (sc.tiers >= 2 && sc.controller_mem > 0 && sc.nvme.capacity == 0) {
-      EXPECT_LE(ss.dram_resident, sc.controller_mem)
-          << "controller spill DRAM over budget at a quiescent point";
-    }
-    if (sc.nvme.capacity > 0) {
-      EXPECT_LE(ss.nvme_resident, sc.nvme.capacity)
-          << "NVMe tier over capacity at a quiescent point";
-    }
     // Tenant quotas hold exactly when placement never had to overflow one
     // (an overflow falls back to a live worker by design and is counted).
     if (rt_.metrics().quota_overflows == 0) {
@@ -198,7 +156,6 @@ class InvariantChecker {
  private:
   core::GroutRuntime& rt_;
   std::vector<core::GlobalArrayId> shared_;
-  bool expect_no_dispatch_stalls_{false};
   std::uint64_t last_invalidations_{0};
   std::uint64_t last_transfers_{0};
   std::uint64_t last_refetches_{0};

@@ -2,12 +2,11 @@
 //
 // Each seed deterministically generates a scenario — random DAG shapes,
 // all six placement policies, optional worker-death fault plans, bounded or
-// unbounded memory budgets and (every third seed) the tiered spill pipeline
-// with guaranteed watermark headroom — and
-// asserts the runtime invariants in tests/support/invariant_checker.hpp
-// after every step. The default seed count (200) is a tier-1 smoke sweep; nightly runs
-// raise it via the GROUT_FUZZ_SEEDS environment variable (the tests carry
-// the "fuzz" ctest label for exactly that).
+// unbounded memory budgets — and asserts the runtime invariants in
+// tests/support/invariant_checker.hpp after every step. The default seed
+// count (200) is a tier-1 smoke sweep; nightly runs raise it via the
+// GROUT_FUZZ_SEEDS environment variable (the tests carry the "fuzz" ctest
+// label for exactly that).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,32 +68,10 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace) {
     case 1: cfg.worker_mem = 20_MiB; break;
     default: cfg.worker_mem = 32_MiB; break;
   }
-  // Array sizes are drawn up front so spill seeds can size their budgets
-  // against the total footprint before the runtime is constructed.
   const std::size_t n_arrays = 3 + rng.next_below(6);
   std::vector<Bytes> sizes;
   sizes.reserve(n_arrays);
-  Bytes total_bytes = 0;
-  for (std::size_t i = 0; i < n_arrays; ++i) {
-    sizes.push_back((1 + rng.next_below(4)) * 1_MiB);
-    total_bytes += sizes.back();
-  }
-  // Every third seed (offset 2) runs the tiered spill pipeline: watermark
-  // background eviction on the workers over a bounded controller-DRAM tier
-  // with an unbounded NVMe tier below it. Budget = 2x the footprint with
-  // worker_high = 0.4 puts the high mark at 0.8x the footprint (sweeps must
-  // fire) while leaving 1.2x the footprint of headroom above it — so
-  // resident + incoming can never exceed the budget and synchronous
-  // dispatch-path eviction is structurally impossible, which the checker
-  // then asserts as a hard invariant.
-  const bool spill_tiers = seed % 3 == 2;
-  if (spill_tiers) {
-    cfg.worker_mem = 2 * total_bytes;
-    cfg.spill.tiers = 2;
-    cfg.spill.controller_mem = total_bytes / 2;
-    cfg.spill.worker_high = 0.4;
-    cfg.spill.worker_low = 0.3;
-  }
+  for (std::size_t i = 0; i < n_arrays; ++i) sizes.push_back((1 + rng.next_below(4)) * 1_MiB);
   // Every fifth seed (with enough workers to survive it) kills worker 0
   // mid-run, so death recovery composes with the rest of the scenario.
   const bool with_kill = seed % 5 == 0 && cfg.cluster.workers >= 3;
@@ -103,7 +80,6 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace) {
   }
   GroutRuntime rt(cfg);
   test::InvariantChecker chk(rt);
-  if (spill_tiers) chk.expect_no_dispatch_stalls();
   ScenarioOutcome out;
 
   // Every third seed serves two tenants through the same runtime: arrays
@@ -273,7 +249,7 @@ void expect_identical_outcomes(const ScenarioOutcome& a, const ScenarioOutcome& 
   EXPECT_EQ(a.metrics.bytes_evicted, b.metrics.bytes_evicted);
   EXPECT_EQ(a.metrics.bytes_spilled, b.metrics.bytes_spilled);
   EXPECT_EQ(a.metrics.worker_resident, b.metrics.worker_resident);
-  EXPECT_EQ(a.metrics.worker_high_water, b.metrics.worker_high_water);
+  EXPECT_EQ(a.metrics.worker_resident_peak, b.metrics.worker_resident_peak);
   EXPECT_EQ(a.metrics.exploration_placements, b.metrics.exploration_placements);
   EXPECT_EQ(a.metrics.invalidations, b.metrics.invalidations);
   EXPECT_EQ(a.metrics.ownership_transfers, b.metrics.ownership_transfers);
@@ -282,15 +258,7 @@ void expect_identical_outcomes(const ScenarioOutcome& a, const ScenarioOutcome& 
   EXPECT_EQ(a.metrics.refetched_bytes, b.metrics.refetched_bytes);
   EXPECT_EQ(a.metrics.stale_evictions, b.metrics.stale_evictions);
   EXPECT_EQ(a.metrics.bytes_stale_evicted, b.metrics.bytes_stale_evicted);
-  EXPECT_EQ(a.metrics.bg_sweeps, b.metrics.bg_sweeps);
-  EXPECT_EQ(a.metrics.bg_evictions, b.metrics.bg_evictions);
-  EXPECT_EQ(a.metrics.bg_bytes_evicted, b.metrics.bg_bytes_evicted);
-  EXPECT_EQ(a.metrics.demotions, b.metrics.demotions);
-  EXPECT_EQ(a.metrics.promotions, b.metrics.promotions);
-  EXPECT_EQ(a.metrics.bytes_demoted, b.metrics.bytes_demoted);
-  EXPECT_EQ(a.metrics.bytes_promoted, b.metrics.bytes_promoted);
   EXPECT_EQ(a.metrics.spill_dram_high_water, b.metrics.spill_dram_high_water);
-  EXPECT_EQ(a.metrics.spill_nvme_high_water, b.metrics.spill_nvme_high_water);
   EXPECT_EQ(a.metrics.writeback_queue_peak, b.metrics.writeback_queue_peak);
   EXPECT_EQ(a.metrics.spill_wait, b.metrics.spill_wait);
 }
@@ -305,17 +273,13 @@ TEST(DeterminismTest, SameSeedTwiceIsBitIdentical) {
 }
 
 TEST(DeterminismTest, SpillSeedIsBitIdentical) {
-  // Seed 8 runs the tiered spill pipeline (seed % 3 == 2): background
-  // sweeps, demotions, NVMe read-backs and their trace spans must all
-  // replay bit-identically.
-  const ScenarioOutcome a = run_scenario(8, /*check=*/false, /*trace=*/true);
-  const ScenarioOutcome b = run_scenario(8, /*check=*/false, /*trace=*/true);
+  // Seed 230 draws a 20 MiB budget that its footprint overflows: sole
+  // copies are spilled, consumers wait on in-flight write-backs, and all of
+  // it, trace spans included, must replay bit-identically.
+  const ScenarioOutcome a = run_scenario(230, /*check=*/false, /*trace=*/true);
+  const ScenarioOutcome b = run_scenario(230, /*check=*/false, /*trace=*/true);
   expect_identical_outcomes(a, b);
-
-  // And the headroom guarantee held on both runs: the dispatch path never
-  // fell back to synchronous eviction.
-  EXPECT_EQ(a.metrics.dispatch_stall_evictions, 0u);
-  EXPECT_EQ(a.metrics.dispatch_stall_spills, 0u);
+  EXPECT_GT(a.metrics.spills, 0u);
 }
 
 }  // namespace

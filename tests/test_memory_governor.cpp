@@ -317,6 +317,107 @@ TEST(GovernorVictims, UnboundedBudgetNeverEvicts) {
 }
 
 // ---------------------------------------------------------------------------
+// Spill record: spilled sole copies held by the controller
+// ---------------------------------------------------------------------------
+
+/// Make `id` the sole up-to-date copy on `w` and evict it: a spill.
+void spill_sole_copy(GovernorRig& rig, std::size_t w, GlobalArrayId id) {
+  rig.directory.written_on_worker(id, w);
+  rig.governor.enforce(w);
+}
+
+TEST(GovernorSpillRecord, InflightWritebackGatesConsumersAndCountsTheQueuePeak) {
+  GovernorRig rig(1_MiB);
+  const GlobalArrayId a = rig.add(0, 2_MiB, "a");
+  const GlobalArrayId b = rig.add(0, 2_MiB, "b");
+  rig.directory.written_on_worker(a, 0);
+  spill_sole_copy(rig, 0, b);  // both sole copies go in one enforce
+
+  EXPECT_TRUE(rig.governor.spilled(a));
+  EXPECT_TRUE(rig.governor.spilled(b));
+  EXPECT_EQ(rig.metrics.spill_dram_resident, 4_MiB);
+  EXPECT_EQ(rig.metrics.writeback_queue_peak, 2u);
+  EXPECT_NE(rig.governor.controller_ready(a), nullptr);
+  EXPECT_NE(rig.governor.acquire_controller_copy(b), nullptr);
+
+  rig.settle();
+  // Landed: readable now, still held by the controller.
+  EXPECT_EQ(rig.governor.controller_ready(a), nullptr);
+  EXPECT_EQ(rig.governor.acquire_controller_copy(b), nullptr);
+  EXPECT_TRUE(rig.governor.spilled(a));
+  EXPECT_EQ(rig.metrics.spill_dram_resident, 4_MiB);
+  EXPECT_EQ(rig.metrics.spill_dram_high_water, 4_MiB);
+  EXPECT_EQ(rig.metrics.writeback_queue_peak, 2u);
+}
+
+TEST(GovernorSpillRecord, ReSpillSupersedesAndIgnoresTheStaleWriteback) {
+  GovernorRig rig(1_MiB, /*workers=*/2);
+  // Worker 1's uplink is slow, so its write-back lands long after worker 0's.
+  rig.cluster.fabric().set_link_override(cluster::Cluster::worker_fabric_id(1),
+                                         cluster::Cluster::controller_id(),
+                                         Bandwidth::mbit_per_sec(1.0));
+  const GlobalArrayId a = rig.add(0, 2_MiB, "a");
+  spill_sole_copy(rig, 0, a);
+  const gpusim::EventPtr first = rig.governor.controller_ready(a);
+  ASSERT_NE(first, nullptr);
+
+  // A fresher sole copy on worker 1 spills again while the first
+  // write-back is still in flight.
+  rig.cluster.worker(1).ensure_array(a, 2_MiB, "a");
+  rig.governor.note_ensure(1, a);
+  spill_sole_copy(rig, 1, a);
+  const gpusim::EventPtr second = rig.governor.controller_ready(a);
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(rig.metrics.spill_dram_resident, 2_MiB);  // counted once
+
+  while (!first->completed()) ASSERT_TRUE(rig.cluster.simulator().step());
+  // The stale landing must not mark the fresher copy readable.
+  EXPECT_FALSE(second->completed());
+  EXPECT_EQ(rig.governor.controller_ready(a), second);
+
+  rig.settle();
+  EXPECT_EQ(rig.governor.controller_ready(a), nullptr);
+  EXPECT_EQ(rig.metrics.writeback_queue_peak, 2u);
+}
+
+TEST(GovernorSpillRecord, ReleaseFreesTheBytes) {
+  GovernorRig rig(1_MiB);
+  const GlobalArrayId a = rig.add(0, 2_MiB, "a");
+  spill_sole_copy(rig, 0, a);
+  ASSERT_EQ(rig.metrics.spill_dram_resident, 2_MiB);
+
+  rig.governor.release_spilled(a);  // e.g. a host write superseded it
+  EXPECT_FALSE(rig.governor.spilled(a));
+  EXPECT_EQ(rig.metrics.spill_dram_resident, 0u);
+  EXPECT_EQ(rig.governor.controller_ready(a), nullptr);
+  rig.governor.release_spilled(a);  // untracked: a no-op
+
+  rig.settle();  // the released spill's landing changes nothing
+  EXPECT_FALSE(rig.governor.spilled(a));
+  EXPECT_EQ(rig.metrics.spill_dram_resident, 0u);
+  EXPECT_EQ(rig.metrics.spill_dram_high_water, 2_MiB);
+}
+
+TEST(GovernorSpillRecord, ConsumerWaitIsCounted) {
+  GovernorRig rig(1_MiB);
+  const GlobalArrayId a = rig.add(0, 2_MiB, "a");
+  spill_sole_copy(rig, 0, a);
+  const SimTime t0 = rig.cluster.simulator().now();
+  const gpusim::EventPtr ready = rig.governor.acquire_controller_copy(a);
+  ASSERT_NE(ready, nullptr);
+  EXPECT_EQ(rig.metrics.spill_wait, SimTime::zero());  // counted when it lands
+
+  rig.settle();
+  ASSERT_TRUE(ready->completed());
+  EXPECT_GT(ready->when(), t0);
+  EXPECT_EQ(rig.metrics.spill_wait, ready->when() - t0);
+  // A reader after the landing waits for nothing.
+  EXPECT_EQ(rig.governor.acquire_controller_copy(a), nullptr);
+  EXPECT_EQ(rig.metrics.spill_wait, ready->when() - t0);
+}
+
+// ---------------------------------------------------------------------------
 // Placement admission
 // ---------------------------------------------------------------------------
 
@@ -431,10 +532,10 @@ TEST(OversubscriptionScenario, CompletesUnderBudgetViaEvictSpillRefetch) {
   EXPECT_GT(m.bytes_spilled, 0u);
   EXPECT_EQ(m.worker_mem_budget, budget);
   ASSERT_EQ(m.worker_resident.size(), 1u);
-  ASSERT_EQ(m.worker_high_water.size(), 1u);
+  ASSERT_EQ(m.worker_resident_peak.size(), 1u);
   EXPECT_LE(m.worker_resident[0], budget);
-  EXPECT_LE(m.worker_high_water[0], budget);
-  EXPECT_GT(m.worker_high_water[0], 0u);
+  EXPECT_LE(m.worker_resident_peak[0], budget);
+  EXPECT_GT(m.worker_resident_peak[0], 0u);
 
   // Nothing was lost: every array still has a holder and the controller can
   // read all of them back (spilled copies included).

@@ -51,7 +51,6 @@ struct Options {
   bool shared_matrix = false;
   std::string eviction = "lru";
   std::optional<double> worker_mem_gib;  // per-worker replica budget; 0 = unbounded
-  core::spill::SpillConfig spill;        // tiered spill store + watermarks
   std::string format = "text";  // text | markdown | csv
   std::optional<std::string> trace_path;
   net::FaultPlan fault_plan;
@@ -85,23 +84,6 @@ struct Options {
                "  --worker-mem <gib>              (per-worker replica-cache budget;\n"
                "                                   0 = unbounded; default: node GPU\n"
                "                                   memory x headroom)\n"
-               "  --spill-tiers 1|2               (1 = controller DRAM only; 2 = + NVMe;\n"
-               "                                   default 1)\n"
-               "  --controller-mem <bytes>        (spilled-bytes budget in controller DRAM,\n"
-               "                                   byte suffixes OK e.g. 512MiB; 0 =\n"
-               "                                   unbounded; required for --spill-tiers 2)\n"
-               "  --watermarks <low,high>         (worker-budget fractions; crossing high\n"
-               "                                   wakes background eviction down to low;\n"
-               "                                   high=1 disables, the default)\n"
-               "  --demote-watermarks <low,high>  (DRAM-tier fractions driving demotion\n"
-               "                                   to NVMe; default 0.70,0.85)\n"
-               "  --spill-batch <bytes>           (max bytes per background sweep round;\n"
-               "                                   default 64MiB)\n"
-               "  --nvme-bw <gibs>|<r>,<w>        (NVMe read[,write] GiB/s; default 3.2,1.4)\n"
-               "  --nvme-lat <us>                 (NVMe per-op latency; default 80)\n"
-               "  --nvme-qd <n>                   (NVMe queue depth / parallel channels;\n"
-               "                                   default 8)\n"
-               "  --nvme-capacity <bytes>         (NVMe tier capacity; 0 = unbounded)\n"
                "  --format text|markdown|csv      (sweep/policies output)\n"
                "  --trace <file.json>             (chrome://tracing output)\n"
                "  --fault-plan <spec>             (grout backend; ','/';'-separated:\n"
@@ -202,7 +184,7 @@ double parse_gib(const std::string& flag, const std::string& s, bool allow_zero)
   return v;
 }
 
-/// A structured flag value (byte size, fault plan, arrival, contention):
+/// A structured flag value (fault plan, arrival, contention):
 /// the parser's own error becomes a usage error, so every malformed flag
 /// exits 2 from argument parsing.
 template <typename Parse>
@@ -212,17 +194,6 @@ auto parse_flag(const std::string& flag, const std::string& s, Parse parse) {
   } catch (const grout::Error& e) {
     usage((flag + ": " + e.what()).c_str());
   }
-}
-
-std::pair<double, double> parse_watermark_pair(const std::string& flag, const std::string& s) {
-  const auto parts = split(s, ',');
-  if (parts.size() != 2) usage((flag + ": expected low,high fractions").c_str());
-  const double lo = parse_number(flag, std::string(parts[0]));
-  const double hi = parse_number(flag, std::string(parts[1]));
-  if (!(lo > 0.0) || lo > hi || hi > 1.0) {
-    usage((flag + ": need 0 < low <= high <= 1, got '" + s + "'").c_str());
-  }
-  return {lo, hi};
 }
 
 Options parse_args(int argc, char** argv) {
@@ -277,41 +248,6 @@ Options parse_args(int argc, char** argv) {
       opt.eviction = next();
     } else if (flag == "--worker-mem") {
       opt.worker_mem_gib = parse_gib(flag, next(), /*allow_zero=*/true);
-    } else if (flag == "--spill-tiers") {
-      const double tiers = parse_number(flag, next());
-      if (tiers != 1.0 && tiers != 2.0) usage("--spill-tiers must be 1 or 2");
-      opt.spill.tiers = static_cast<std::size_t>(tiers);
-    } else if (flag == "--controller-mem") {
-      opt.spill.controller_mem = parse_flag(flag, next(), parse_bytes);
-    } else if (flag == "--watermarks") {
-      const auto [lo, hi] = parse_watermark_pair(flag, next());
-      opt.spill.worker_low = lo;
-      opt.spill.worker_high = hi;
-    } else if (flag == "--demote-watermarks") {
-      const auto [lo, hi] = parse_watermark_pair(flag, next());
-      opt.spill.demote_low = lo;
-      opt.spill.demote_high = hi;
-    } else if (flag == "--spill-batch") {
-      opt.spill.sweep_batch = parse_flag(flag, next(), parse_bytes);
-      if (opt.spill.sweep_batch == 0) usage("--spill-batch must be positive bytes");
-    } else if (flag == "--nvme-bw") {
-      const std::string value = next();
-      const auto parts = split(value, ',');
-      if (parts.empty() || parts.size() > 2) usage("--nvme-bw: expected <gibs> or <r>,<w>");
-      const double read = parse_number(flag, std::string(parts[0]));
-      const double write =
-          parts.size() == 2 ? parse_number(flag, std::string(parts[1])) : read;
-      if (read <= 0.0 || write <= 0.0) usage("--nvme-bw must be positive GiB/s");
-      opt.spill.nvme.read_bw = Bandwidth::gib_per_sec(read);
-      opt.spill.nvme.write_bw = Bandwidth::gib_per_sec(write);
-    } else if (flag == "--nvme-lat") {
-      const double us = parse_number(flag, next());
-      if (us < 0.0) usage("--nvme-lat must be >= 0 us");
-      opt.spill.nvme.latency = SimTime::from_us(us);
-    } else if (flag == "--nvme-qd") {
-      opt.spill.nvme.queue_depth = parse_count(flag, next());
-    } else if (flag == "--nvme-capacity") {
-      opt.spill.nvme.capacity = parse_flag(flag, next(), parse_bytes);
     } else if (flag == "--format") {
       opt.format = next();
       if (opt.format != "text" && opt.format != "markdown" && opt.format != "csv") {
@@ -351,13 +287,6 @@ Options parse_args(int argc, char** argv) {
     } else {
       usage(("unknown flag: " + flag).c_str());
     }
-  }
-  // Cross-knob consistency (NVMe tier without a DRAM budget, watermark
-  // ordering, ...) dies at parse time too, not inside the governor.
-  try {
-    opt.spill.validate();
-  } catch (const grout::Error& e) {
-    usage(e.what());
   }
   return opt;
 }
@@ -406,7 +335,6 @@ core::GroutConfig grout_config_of(const Options& opt) {
   if (opt.worker_mem_gib) {
     cfg.worker_mem = static_cast<Bytes>(*opt.worker_mem_gib * 1073741824.0);
   }
-  cfg.spill = opt.spill;
   return cfg;
 }
 
@@ -484,32 +412,15 @@ RunResult run_once(const Options& opt, const std::string& backend, double size_g
     std::printf("  resident:       ");
     for (std::size_t w = 0; w < m.worker_resident.size(); ++w) {
       std::printf(" w%zu=%s (peak %s)", w, format_bytes(m.worker_resident[w]).c_str(),
-                  format_bytes(m.worker_high_water[w]).c_str());
+                  format_bytes(m.worker_resident_peak[w]).c_str());
     }
     std::printf("\n");
-    if (m.spill_tiers > 1 || m.spill_dram_high_water > 0) {
-      std::printf("  spill tiers:     %zu; DRAM budget %s, peak DRAM %s, peak NVMe %s\n",
-                  m.spill_tiers,
-                  m.controller_spill_budget == 0
-                      ? "unbounded"
-                      : format_bytes(m.controller_spill_budget).c_str(),
+    if (m.spill_dram_high_water > 0) {
+      std::printf("  spill pressure:  peak controller copies %s, writeback queue peak %llu, "
+                  "consumer wait %s\n",
                   format_bytes(m.spill_dram_high_water).c_str(),
-                  format_bytes(m.spill_nvme_high_water).c_str());
-      std::printf("  spill pipeline:  %llu bg sweeps, %llu bg evictions (%s); "
-                  "%llu demotions (%s), %llu promotions (%s)\n",
-                  static_cast<unsigned long long>(m.bg_sweeps),
-                  static_cast<unsigned long long>(m.bg_evictions),
-                  format_bytes(m.bg_bytes_evicted).c_str(),
-                  static_cast<unsigned long long>(m.demotions),
-                  format_bytes(m.bytes_demoted).c_str(),
-                  static_cast<unsigned long long>(m.promotions),
-                  format_bytes(m.bytes_promoted).c_str());
-      std::printf("  spill pressure:  writeback queue peak %llu, consumer wait %s, "
-                  "dispatch stalls %llu evictions / %llu spills\n",
                   static_cast<unsigned long long>(m.writeback_queue_peak),
-                  format_time(m.spill_wait).c_str(),
-                  static_cast<unsigned long long>(m.dispatch_stall_evictions),
-                  static_cast<unsigned long long>(m.dispatch_stall_spills));
+                  format_time(m.spill_wait).c_str());
     }
     std::printf("uvm:\n");
     std::printf("  fetched %s, written back %s, %llu evictions, %llu/%llu storm kernels\n",
