@@ -483,8 +483,10 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
                       fabric.transfer_into(src_fid, dst_fid, bytes, dst_edge, label);
                   wire->on_complete([&engine, gov, dst_edge, id, arrival, best] {
                     arrival->complete(engine.now());
-                    engine.schedule_at(engine.now() + dst_edge,
-                                       [gov, id, best] { gov->unpin(best, id); });
+                    engine.schedule_at(engine.now() + dst_edge, [gov, id, best] {
+                      gov->unpin(best, id);
+                      gov->enforce(best);
+                    });
                   });
                 });
           });
@@ -568,6 +570,7 @@ bool GroutRuntime::host_fetch(GlobalArrayId array) {
                           src_fid, cluster::Cluster::controller_id(), bytes, label);
                       wire->on_complete([&engine, gov, array, landed, best] {
                         gov->unpin(best, array);
+                        gov->enforce(best);
                         landed->complete(engine.now());
                       });
                     });

@@ -114,7 +114,8 @@ class MemoryGovernor {
   void pin(std::size_t w, GlobalArrayId id);
   void unpin(std::size_t w, GlobalArrayId id);
 
-  /// Re-establish the budget on `w` after pins lapse (CE completions).
+  /// Re-establish the budget on `w` after pins lapse (CE completions and
+  /// the end of staged sends).
   void enforce(std::size_t w);
 
   /// Worker `w` died: free every replica it held and forget its accounting.
