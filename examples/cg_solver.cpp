@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "polyglot/context.hpp"
-#include "polyglot/interpreter.hpp"
+#include "polyglot/kernel_args.hpp"
 
 namespace {
 

@@ -1,14 +1,11 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <mutex>
 
 namespace grout {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::Warn};
-std::mutex g_io_mutex;
+LogLevel g_level{LogLevel::Warn};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -23,12 +20,11 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
+LogLevel log_level() { return g_level; }
+void set_log_level(LogLevel level) { g_level = level; }
 
 namespace detail {
 void log_write(LogLevel level, std::string_view component, const std::string& message) {
-  const std::scoped_lock lock(g_io_mutex);
   std::fprintf(stderr, "[%-5s] %.*s: %s\n", level_name(level),
                static_cast<int>(component.size()), component.data(), message.c_str());
 }

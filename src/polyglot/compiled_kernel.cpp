@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace grout::polyglot {
 
@@ -404,20 +403,22 @@ void CompiledKernel::execute(const KernelArgs& args, std::size_t grid_dim,
   GROUT_REQUIRE(args.arrays.size() >= array_params_, "missing array argument");
   GROUT_REQUIRE(args.scalars.size() >= scalar_params_, "missing scalar argument");
 
-  global_pool().parallel_for(grid_dim, [&](std::size_t block) {
-    std::vector<double> regs(registers_, 0.0);
-    for (std::size_t i = 0; i < scalar_params_; ++i) {
-      regs[static_cast<std::size_t>(impl_->scalar_slots[i])] = args.scalars[i];
-    }
-    regs[kBlockDim] = static_cast<double>(block_dim);
-    regs[kGridDim] = static_cast<double>(grid_dim);
+  std::vector<double> regs(registers_, 0.0);
+  regs[kBlockDim] = static_cast<double>(block_dim);
+  regs[kGridDim] = static_cast<double>(grid_dim);
+  ExecState st{regs, args.arrays};
+  for (std::size_t block = 0; block < grid_dim; ++block) {
     regs[kBlockIdx] = static_cast<double>(block);
-    ExecState st{regs, args.arrays};
     for (std::size_t t = 0; t < block_dim; ++t) {
       regs[kThreadIdx] = static_cast<double>(t);
+      // Scalar parameters are per-thread copies: a thread that assigns one
+      // must not leak the value to the next.
+      for (std::size_t i = 0; i < scalar_params_; ++i) {
+        regs[static_cast<std::size_t>(impl_->scalar_slots[i])] = args.scalars[i];
+      }
       exec(impl_->body, st);
     }
-  });
+  }
 }
 
 }  // namespace grout::polyglot

@@ -1,11 +1,12 @@
-// Slot-compiled kernel executor.
+// Slot-compiled kernel executor, the one functional executor for kernels
+// built from source.
 //
-// The tree-walking interpreter in interpreter.cpp resolves every identifier
-// through hash maps — fine for tests, slow for million-element launches.
 // CompiledKernel lowers the AST once: identifiers become register slots,
 // array names become binding indices, and builtin calls become enum
-// dispatch. Execution then runs on a flat double register file per thread.
-// Context::launch uses this path for functional execution.
+// dispatch. Execution then runs every block and thread in order on one
+// flat double register file. Context::launch uses it for functional
+// execution; tests diff it against a tree-walking interpreter kept in
+// tests/support/kernel_oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "polyglot/ast.hpp"
-#include "polyglot/interpreter.hpp"
+#include "polyglot/kernel_args.hpp"
 
 namespace grout::polyglot {
 
@@ -28,9 +29,9 @@ class CompiledKernel {
   CompiledKernel& operator=(CompiledKernel&&) noexcept;
   ~CompiledKernel();
 
-  /// Run the kernel over grid_dim x block_dim threads (blocks in parallel).
-  /// `args` layout matches execute_kernel(): arrays in pointer-parameter
-  /// order, scalars in scalar-parameter order.
+  /// Run the kernel over grid_dim x block_dim threads, block by block.
+  /// `args` holds the arrays in pointer-parameter order and the scalars in
+  /// scalar-parameter order.
   void execute(const KernelArgs& args, std::size_t grid_dim, std::size_t block_dim) const;
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -215,25 +215,25 @@ Value Context::eval(std::string_view code) {
 }
 
 Value Context::build_kernel(std::string_view source, std::string_view signature) {
-  auto kernel_ast = std::make_shared<ast::KernelAst>(parse_kernel_source(source));
+  const ast::KernelAst kernel_ast = parse_kernel_source(source);
 
   std::vector<KernelParamInfo> params;
   if (!signature.empty()) {
     const KernelSignature sig = parse_signature(signature);
-    GROUT_REQUIRE(sig.params.size() == kernel_ast->params.size(),
+    GROUT_REQUIRE(sig.params.size() == kernel_ast.params.size(),
                   "signature arity differs from kernel source");
     for (std::size_t i = 0; i < sig.params.size(); ++i) {
-      GROUT_REQUIRE(sig.params[i].pointer == kernel_ast->params[i].pointer,
+      GROUT_REQUIRE(sig.params[i].pointer == kernel_ast.params[i].pointer,
                     "signature pointer-ness differs from kernel source");
       KernelParamInfo info;
-      info.name = kernel_ast->params[i].name;  // interpreter binds by source name
+      info.name = kernel_ast.params[i].name;  // kernels bind by source name
       info.pointer = sig.params[i].pointer;
       info.type = sig.params[i].type;
       info.mode = sig.params[i].mode;
       params.push_back(std::move(info));
     }
   } else {
-    for (const ast::Param& p : kernel_ast->params) {
+    for (const ast::Param& p : kernel_ast.params) {
       KernelParamInfo info;
       info.name = p.name;
       info.pointer = p.pointer;
@@ -246,9 +246,9 @@ Value Context::build_kernel(std::string_view source, std::string_view signature)
     }
   }
 
-  auto kernel = std::make_shared<KernelObject>(*this, kernel_ast->name, std::move(params));
-  kernel->set_flops_per_thread(std::max(1.0, ast::count_flops(*kernel_ast)));
-  kernel->set_ast(std::move(kernel_ast));
+  auto kernel = std::make_shared<KernelObject>(*this, kernel_ast.name, std::move(params));
+  kernel->set_flops_per_thread(std::max(1.0, ast::count_flops(kernel_ast)));
+  kernel->compile(kernel_ast);
   return Value(std::move(kernel));
 }
 

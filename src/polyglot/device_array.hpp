@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "polyglot/backend.hpp"
-#include "polyglot/interpreter.hpp"
+#include "polyglot/kernel_args.hpp"
 #include "polyglot/types.hpp"
 
 namespace grout::polyglot {
@@ -68,7 +68,7 @@ class DeviceArray {
   /// Apply a device-agnostic memory advise (cudaMemAdvise ReadMostly).
   void advise(uvm::Advise advise);
 
-  /// Interpreter view; requires materialization.
+  /// Host view for functional kernel execution; requires materialization.
   [[nodiscard]] ArrayBinding binding();
 
  private:

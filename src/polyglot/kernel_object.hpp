@@ -8,7 +8,7 @@
 
 #include "polyglot/ast.hpp"
 #include "polyglot/compiled_kernel.hpp"
-#include "polyglot/interpreter.hpp"
+#include "polyglot/kernel_args.hpp"
 #include "polyglot/signature.hpp"
 #include "uvm/access.hpp"
 
@@ -55,14 +55,12 @@ class KernelObject {
 
   // -- implementations -------------------------------------------------------
 
-  /// Installs the AST and immediately lowers it to the slot-compiled form
-  /// used for functional execution.
-  void set_ast(std::shared_ptr<ast::KernelAst> kernel_ast) {
-    compiled_ = std::make_shared<CompiledKernel>(*kernel_ast);
-    ast_ = std::move(kernel_ast);
+  /// Lowers a parsed kernel to the slot-compiled form that functional
+  /// execution runs; the AST itself is not kept.
+  void compile(const ast::KernelAst& kernel_ast) {
+    compiled_ = std::make_shared<CompiledKernel>(kernel_ast);
   }
   void set_native(NativeFn fn) { native_ = std::move(fn); }
-  [[nodiscard]] const ast::KernelAst* ast() const { return ast_.get(); }
   [[nodiscard]] const CompiledKernel* compiled() const { return compiled_.get(); }
   [[nodiscard]] const NativeFn& native() const { return native_; }
   [[nodiscard]] bool has_functional_impl() const {
@@ -75,7 +73,6 @@ class KernelObject {
   std::vector<KernelParamInfo> params_;
   double flops_per_thread_{1.0};
   uvm::Parallelism parallelism_{uvm::Parallelism::High};
-  std::shared_ptr<ast::KernelAst> ast_;
   std::shared_ptr<CompiledKernel> compiled_;
   NativeFn native_;
 };

@@ -1,5 +1,5 @@
 // Tests for the slot-compiled kernel executor, including differential
-// checks against the tree-walking interpreter.
+// checks against the tree-walking interpreter (tests/support/kernel_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "polyglot/compiled_kernel.hpp"
 #include "polyglot/kernel_lang.hpp"
+#include "tests/support/kernel_oracle.hpp"
 
 namespace grout::polyglot {
 namespace {
@@ -122,6 +123,20 @@ TEST(CompiledKernel, BuiltinsMatchStdlib) {
   EXPECT_NEAR(out[4], std::tanh(0.5), 1e-6);
 }
 
+TEST(CompiledKernel, ScalarParameterWritesStayInTheirThread) {
+  // CUDA passes scalars by value: a thread that assigns one must not leak
+  // it to the threads that run after it, in its block or the next one.
+  const auto out = run_compiled(R"(
+    __global__ void bump(float* o, int n) {
+      int i = blockIdx.x * blockDim.x + threadIdx.x;
+      n = n + 1;
+      if (i < 8) { o[i] = n; }
+    }
+  )",
+                                std::vector<float>(8, 0.0f), {8.0}, 2, 4);
+  for (const float v : out) EXPECT_FLOAT_EQ(v, 9.0f);
+}
+
 // ---------------------------------------------------------------------------
 // Differential testing: compiled executor vs tree-walking interpreter.
 // ---------------------------------------------------------------------------
@@ -167,7 +182,7 @@ TEST_P(CompiledVsInterpreter, IdenticalResults) {
   interp_args.scalars = scalars;
   compiled_args.scalars = scalars;
 
-  execute_kernel(k, interp_args, 2, 48);
+  oracle::execute_kernel(k, interp_args, 2, 48);
   compiled.execute(compiled_args, 2, 48);
 
   for (std::size_t a = 0; a < arrays; ++a) {

@@ -6,6 +6,7 @@
 
 #include "polyglot/context.hpp"
 #include "polyglot/kernel_lang.hpp"
+#include "tests/support/kernel_oracle.hpp"
 
 namespace grout::polyglot {
 namespace {
@@ -206,7 +207,7 @@ TEST(InterpreterTest, DotProductKernelWithForLoop) {
                  ArrayBinding{ElemType::F32, y.data(), 8},
                  ArrayBinding{ElemType::F32, out.data(), 1}};
   args.scalars = {8.0};
-  execute_kernel(k, args, 1, 32);
+  oracle::execute_kernel(k, args, 1, 32);
   EXPECT_FLOAT_EQ(out[0], 2.0f * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
 }
 
@@ -226,7 +227,7 @@ TEST(InterpreterTest, PrefixAndPostfixIncrementDecrement) {
   std::vector<float> o(2, 0.0f);
   KernelArgs args;
   args.arrays = {ArrayBinding{ElemType::F32, o.data(), 2}};
-  execute_kernel(k, args, 1, 1);
+  oracle::execute_kernel(k, args, 1, 1);
   EXPECT_FLOAT_EQ(o[0], 2.0f);
   EXPECT_FLOAT_EQ(o[1], 8.0f);
 }
@@ -247,7 +248,7 @@ TEST(InterpreterTest, NestedForLoops) {
   KernelArgs args;
   args.arrays = {ArrayBinding{ElemType::F32, o.data(), 1}};
   args.scalars = {5.0};
-  execute_kernel(k, args, 1, 1);
+  oracle::execute_kernel(k, args, 1, 1);
   EXPECT_FLOAT_EQ(o[0], 25.0f);
 }
 
@@ -267,7 +268,7 @@ TEST(InterpreterTest, SaxpyComputesCorrectly) {
   args.arrays = {ArrayBinding{ElemType::F32, x.data(), x.size()},
                  ArrayBinding{ElemType::F32, y.data(), y.size()}};
   args.scalars = {2.0, 100.0};
-  execute_kernel(k, args, /*grid=*/4, /*block=*/32);
+  oracle::execute_kernel(k, args, /*grid=*/4, /*block=*/32);
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_FLOAT_EQ(y[i], 2.0f * static_cast<float>(i) + 1.0f);
   }
@@ -282,7 +283,7 @@ TEST(InterpreterTest, GuardSkipsOutOfRangeThreads) {
                  ArrayBinding{ElemType::F32, y.data(), y.size()}};
   args.scalars = {1.0, 10.0};
   // 128 threads over 10 elements: the guard keeps accesses in range.
-  EXPECT_NO_THROW(execute_kernel(k, args, 1, 128));
+  EXPECT_NO_THROW(oracle::execute_kernel(k, args, 1, 128));
 }
 
 TEST(InterpreterTest, MathBuiltins) {
@@ -298,7 +299,7 @@ TEST(InterpreterTest, MathBuiltins) {
   KernelArgs args;
   args.arrays = {ArrayBinding{ElemType::F32, o.data(), 1}};
   args.scalars = {1.0};
-  execute_kernel(k, args, 1, 1);
+  oracle::execute_kernel(k, args, 1, 1);
   EXPECT_NEAR(o[0], 2.0 + 0.5, 1e-6);
 }
 
@@ -315,7 +316,7 @@ TEST(InterpreterTest, TernaryAndLogicalOps) {
   KernelArgs args;
   args.arrays = {ArrayBinding{ElemType::F32, o.data(), 4}};
   args.scalars = {4.0};
-  execute_kernel(k, args, 1, 4);
+  oracle::execute_kernel(k, args, 1, 4);
   EXPECT_FLOAT_EQ(o[0], 1.0f);
   EXPECT_FLOAT_EQ(o[1], -1.0f);
   EXPECT_FLOAT_EQ(o[2], 1.0f);
@@ -330,7 +331,7 @@ TEST(InterpreterTest, OutOfBoundsWriteThrows) {
   std::vector<float> o(4, 0.0f);
   KernelArgs args;
   args.arrays = {ArrayBinding{ElemType::F32, o.data(), 4}};
-  EXPECT_THROW(execute_kernel(k, args, 1, 1), InvalidArgument);
+  EXPECT_THROW(oracle::execute_kernel(k, args, 1, 1), InvalidArgument);
 }
 
 TEST(InterpreterTest, UnknownFunctionThrows) {
@@ -342,7 +343,7 @@ TEST(InterpreterTest, UnknownFunctionThrows) {
   std::vector<float> o(1);
   KernelArgs args;
   args.arrays = {ArrayBinding{ElemType::F32, o.data(), 1}};
-  EXPECT_THROW(execute_kernel(k, args, 1, 1), ParseError);
+  EXPECT_THROW(oracle::execute_kernel(k, args, 1, 1), ParseError);
 }
 
 TEST(InterpreterTest, IntArrayBindings) {
@@ -356,7 +357,7 @@ TEST(InterpreterTest, IntArrayBindings) {
   KernelArgs args;
   args.arrays = {ArrayBinding{ElemType::I32, o.data(), 5}};
   args.scalars = {5.0};
-  execute_kernel(k, args, 1, 8);
+  oracle::execute_kernel(k, args, 1, 8);
   EXPECT_EQ(o[4], 12);
 }
 
