@@ -3,11 +3,7 @@
 #include "common/error.hpp"
 
 #include <array>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace grout {
 
@@ -26,57 +22,6 @@ std::string format_bytes(Bytes b) {
     std::snprintf(buf, sizeof buf, "%.2f %s", v, kSuffix[s]);
   }
   return buf;
-}
-
-Bytes parse_bytes(const std::string& s) {
-  const auto fail = [&s](const char* why) -> Bytes {
-    throw InvalidArgument("cannot parse byte count '" + s + "': " + why);
-  };
-  std::size_t begin = 0;
-  while (begin < s.size() && std::isspace(static_cast<unsigned char>(s[begin])) != 0) ++begin;
-  if (begin == s.size()) return fail("empty");
-  // Reject signs and strtod's hex/inf/nan spellings up front: a byte count
-  // is a plain non-negative decimal.
-  if (std::isdigit(static_cast<unsigned char>(s[begin])) == 0 && s[begin] != '.') {
-    return fail("not a number");
-  }
-  if (s.find('x') != std::string::npos || s.find('X') != std::string::npos) {
-    return fail("not a number");  // strtod would accept "0x10"
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(s.c_str() + begin, &end);
-  if (end == s.c_str() + begin) return fail("not a number");
-  if (errno == ERANGE || !std::isfinite(value)) return fail("out of range");
-  if (value < 0.0) return fail("negative");
-
-  std::string suffix(end);
-  while (!suffix.empty() && std::isspace(static_cast<unsigned char>(suffix.front())) != 0) {
-    suffix.erase(suffix.begin());
-  }
-  while (!suffix.empty() && std::isspace(static_cast<unsigned char>(suffix.back())) != 0) {
-    suffix.pop_back();
-  }
-  for (char& c : suffix) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-
-  double multiplier = 1.0;
-  if (suffix.empty() || suffix == "b") {
-    multiplier = 1.0;
-  } else if (suffix == "k" || suffix == "kb" || suffix == "kib") {
-    multiplier = 1024.0;
-  } else if (suffix == "m" || suffix == "mb" || suffix == "mib") {
-    multiplier = 1048576.0;
-  } else if (suffix == "g" || suffix == "gb" || suffix == "gib") {
-    multiplier = 1073741824.0;
-  } else if (suffix == "t" || suffix == "tb" || suffix == "tib") {
-    multiplier = 1099511627776.0;
-  } else {
-    return fail("unknown suffix");
-  }
-  const double total = value * multiplier;
-  // 2^64 exactly; any double >= this overflows Bytes.
-  if (total >= 18446744073709551616.0) return fail("overflow");
-  return static_cast<Bytes>(total + 0.5);
 }
 
 std::string format_time(SimTime t) {

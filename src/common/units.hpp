@@ -37,13 +37,6 @@ inline constexpr Bytes operator""_GiB(unsigned long long v) { return Bytes{v} <<
 /// Human readable byte count, e.g. "1.50 GiB".
 std::string format_bytes(Bytes b);
 
-/// Parse a byte count with an optional binary suffix: "4096", "64KiB",
-/// "1.5GiB", "2TiB" (suffixes case-insensitive, "K"/"KB" accepted for
-/// "KiB" and so on; optional whitespace before the suffix). Fractions
-/// round to the nearest byte. Throws InvalidArgument on garbage, negative
-/// or non-finite values, unknown suffixes, or overflow past 2^64-1 bytes.
-Bytes parse_bytes(const std::string& s);
-
 // ---------------------------------------------------------------------------
 // SimTime: integer nanoseconds since simulation start.
 // ---------------------------------------------------------------------------
