@@ -2,7 +2,7 @@
 //
 // Runs the massively parallel MV workload on one node at deep
 // oversubscription, lets the autoscaler diagnose the UVM pressure from the
-// kernels' fault reports, then re-runs on the recommended cluster size and
+// node's UVM counters, then re-runs on the recommended cluster size and
 // reports the improvement.
 #include <cstdio>
 
@@ -42,18 +42,14 @@ double run_on_workers(std::size_t workers) {
 }  // namespace
 
 int main() {
-  // Phase 1: single-node run; collect per-kernel UVM reports.
+  // Phase 1: single-node run; collect the node's UVM counters.
   Context single = Context::grcuda(scaled_node(), runtime::StreamPolicyKind::DataLocal);
   auto workload = workloads::make_workload(workloads::WorkloadKind::Mv, workload_params());
   const workloads::WorkloadResult baseline = workloads::execute_workload(single, *workload);
 
   auto& backend = dynamic_cast<polyglot::GrCudaBackend&>(single.backend());
   core::KpiAutoscaler scaler(backend.node().uvm().tuning());
-  for (std::size_t g = 0; g < backend.node().gpu_count(); ++g) {
-    for (const auto& record : backend.node().gpu(g).records()) {
-      scaler.observe(record.memory);
-    }
-  }
+  scaler.observe(backend.node().uvm().stats());
 
   std::printf("single node: %.2f s simulated, peak oversubscription %.2fx, %zu storms\n",
               baseline.elapsed.seconds(), scaler.peak_intensity(),

@@ -2,6 +2,7 @@
 // introspection: shows the Global DAG the controller builds and how the
 // online min-transfer-time policy places the imbalanced pipelines.
 #include <cstdio>
+#include <span>
 
 #include "workloads/workloads.hpp"
 
@@ -45,12 +46,11 @@ int main() {
   // Show a few CE placements from the DAG.
   std::printf("\nfirst CEs in the Global DAG:\n");
   for (dag::VertexId v = 0; v < std::min<std::size_t>(8, rt.global_dag().size()); ++v) {
-    const auto& vertex = rt.global_dag().vertex(v);
     std::printf("  [%llu] %-12s deps={", static_cast<unsigned long long>(v),
-                vertex.label.c_str());
-    for (std::size_t i = 0; i < vertex.ancestors.size(); ++i) {
-      std::printf("%s%llu", i ? "," : "",
-                  static_cast<unsigned long long>(vertex.ancestors[i]));
+                rt.global_dag().vertex(v).label.c_str());
+    const std::span<const dag::VertexId> deps = rt.global_dag().ancestors(v);
+    for (std::size_t i = 0; i < deps.size(); ++i) {
+      std::printf("%s%llu", i ? "," : "", static_cast<unsigned long long>(deps[i]));
     }
     std::printf("}\n");
   }

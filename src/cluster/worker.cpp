@@ -11,7 +11,7 @@ Worker::Worker(sim::Simulator& simulator, gpusim::GpuNodeConfig node_config,
       runtime_{node_, stream_policy, streams_per_gpu},
       fabric_id_{fabric_id} {}
 
-uvm::ArrayId Worker::ensure_array(GlobalArrayId global, Bytes bytes, const std::string& name) {
+uvm::ArrayId Worker::ensure_array(GlobalArrayId global, Bytes bytes) {
   if (global >= local_ids_.size()) local_ids_.resize(std::size_t{global} + 1, uvm::kInvalidArray);
   uvm::ArrayId& local = local_ids_[global];
   if (local != uvm::kInvalidArray) {
@@ -19,7 +19,7 @@ uvm::ArrayId Worker::ensure_array(GlobalArrayId global, Bytes bytes, const std::
                   "global array re-ensured with a different byte size");
     return local;
   }
-  local = node_.uvm().alloc(bytes, name + "@" + node_.name());
+  local = node_.uvm().alloc(bytes, {});
   return local;
 }
 
@@ -73,14 +73,12 @@ runtime::Submission Worker::execute_kernel(gpusim::KernelLaunchSpec spec,
 
 runtime::Submission Worker::stage_send(GlobalArrayId global) {
   const uvm::ArrayId local = local_array(global);
-  return runtime_.submit_host_access(local, uvm::AccessMode::Read, SimTime::zero(),
-                                     "stage-send:" + node_.uvm().array_name(local));
+  return runtime_.submit_host_access(local, uvm::AccessMode::Read);
 }
 
 runtime::Submission Worker::accept_receive(GlobalArrayId global, gpusim::EventPtr arrival) {
   const uvm::ArrayId local = local_array(global);
-  return runtime_.submit_adopt(local, std::move(arrival),
-                               "receive:" + node_.uvm().array_name(local));
+  return runtime_.submit_adopt(local, std::move(arrival));
 }
 
 }  // namespace grout::cluster

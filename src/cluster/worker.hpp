@@ -2,7 +2,6 @@
 // runtime, receiving CEs and array copies from the Controller.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "gpusim/gpu_node.hpp"
@@ -29,7 +28,7 @@ class Worker {
   [[nodiscard]] runtime::IntraNodeRuntime& runtime() { return runtime_; }
 
   /// Map a global array to this node's local allocation (lazily created).
-  uvm::ArrayId ensure_array(GlobalArrayId global, Bytes bytes, const std::string& name);
+  uvm::ArrayId ensure_array(GlobalArrayId global, Bytes bytes);
 
   [[nodiscard]] bool has_array(GlobalArrayId global) const {
     return global < local_ids_.size() && local_ids_[global] != uvm::kInvalidArray;

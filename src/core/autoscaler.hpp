@@ -3,10 +3,10 @@
 // The paper observes a direct link between execution time and the
 // oversubscription factor and suggests a heuristic model that allocates
 // more nodes once the steep region is reached. This component implements
-// that suggestion: it watches per-kernel UVM reports and recommends the
+// that suggestion: it watches each node's UVM counters and recommends the
 // smallest worker count that would keep every node's eviction intensity
 // under the storm threshold. It is an offline heuristic: a caller feeds it
-// one run's reports, then reruns on the recommended size (cluster
+// one run's counters, then reruns on the recommended size (cluster
 // membership is fixed for the life of a run).
 #pragma once
 
@@ -16,8 +16,8 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "uvm/access.hpp"
 #include "uvm/tuning.hpp"
+#include "uvm/uvm_space.hpp"
 
 namespace grout::core {
 
@@ -38,11 +38,11 @@ class KpiAutoscaler {
     GROUT_REQUIRE(margin > 0.0 && margin <= 1.0, "margin must be in (0, 1]");
   }
 
-  /// Feed every finished kernel's report.
-  void observe(const uvm::AccessReport& report) {
-    peak_intensity_ = std::max(peak_intensity_, report.oversubscription);
-    if (report.storm) ++storms_;
-    ++kernels_;
+  /// Feed one node's counters (once per node of the run).
+  void observe(const uvm::UvmStats& stats) {
+    peak_intensity_ = std::max(peak_intensity_, stats.peak_oversubscription);
+    storms_ += stats.storm_kernels;
+    kernels_ += stats.kernels;
   }
 
   [[nodiscard]] double peak_intensity() const { return peak_intensity_; }

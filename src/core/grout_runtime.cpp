@@ -14,7 +14,6 @@ using WallClock = std::chrono::steady_clock;
 struct EnsureOp {
   GlobalArrayId id{0};
   Bytes bytes{0};
-  std::string name;
   std::optional<uvm::Advise> advise;
 };
 
@@ -184,7 +183,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     const auto id = static_cast<GlobalArrayId>(p.array);
     const bool fresh = governor_->note_ensure(w, id);
     governor_->note_use(w, id);
-    EnsureOp op{id, directory_.bytes_of(id), directory_.name_of(id), std::nullopt};
+    EnsureOp op{id, directory_.bytes_of(id), std::nullopt};
     if (fresh && id < advises_.size()) op.advise = advises_[id];
     ensures.push_back(std::move(op));
   }
@@ -256,7 +255,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
       [this, &worker, &engine, edge, v, attempt, wire_spec = std::move(wire_spec),
        ensures = std::move(ensures), adopts = std::move(adopts)]() mutable {
         for (const EnsureOp& e : ensures) {
-          const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes, e.name);
+          const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes);
           if (e.advise) worker.node().uvm().advise(local, *e.advise);
         }
         for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
@@ -632,6 +631,7 @@ uvm::UvmStats GroutRuntime::aggregated_uvm_stats() const {
     total.evictions += s.evictions;
     total.storm_kernels += s.storm_kernels;
     total.kernels += s.kernels;
+    total.peak_oversubscription = std::max(total.peak_oversubscription, s.peak_oversubscription);
     total.prefetch_issued += s.prefetch_issued;
     total.prefetch_useful += s.prefetch_useful;
   }

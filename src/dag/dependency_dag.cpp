@@ -79,8 +79,6 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
   Vertex vertex;
   vertex.label = std::move(label);
   vertex.accesses = std::move(accesses);
-  vertex.ancestors.assign(ancestor_pool_.begin() + static_cast<std::ptrdiff_t>(ancestor_begin_[v]),
-                          ancestor_pool_.end());
   vertices_.push_back(std::move(vertex));
   return v;
 }
@@ -126,7 +124,7 @@ bool DependencyDag::is_ancestor(VertexId ancestor, VertexId v) const {
 
 bool DependencyDag::edges_respect_insertion_order() const {
   for (VertexId v = 0; v < vertices_.size(); ++v) {
-    for (const VertexId a : vertices_[v].ancestors) {
+    for (const VertexId a : packed_ancestors(v)) {
       if (a >= v) return false;
     }
   }
@@ -162,7 +160,7 @@ std::string DependencyDag::to_dot(
     dot += "\"];\n";
   }
   for (VertexId v = 0; v < vertices_.size(); ++v) {
-    for (const VertexId a : vertices_[v].ancestors) {
+    for (const VertexId a : packed_ancestors(v)) {
       dot += "  n" + std::to_string(a) + " -> n" + std::to_string(v) + ";\n";
     }
   }

@@ -36,7 +36,6 @@ class DependencyDag {
   struct Vertex {
     std::string label;
     std::vector<AccessSummary> accesses;
-    std::vector<VertexId> ancestors;   ///< filtered direct dependencies
     bool done{false};
   };
 
@@ -61,9 +60,12 @@ class DependencyDag {
   [[nodiscard]] std::size_t size() const { return vertices_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_; }
 
-  /// The ancestors computed for vertex `v` at insertion time.
-  [[nodiscard]] const std::vector<VertexId>& ancestors(VertexId v) const {
-    return vertex_ref(v).ancestors;
+  /// The filtered direct ancestors computed for vertex `v` at insertion
+  /// time, ascending. A view into the packed pool: the next add() may
+  /// invalidate it.
+  [[nodiscard]] std::span<const VertexId> ancestors(VertexId v) const {
+    GROUT_REQUIRE(v < vertices_.size(), "unknown vertex");
+    return packed_ancestors(v);
   }
 
   /// Last CE that wrote `array` (kNoVertex if no CE ever wrote it). Fault
@@ -106,11 +108,6 @@ class DependencyDag {
   /// d - 1 of a vertex's set says it reaches the vertex d ids below it.
   static constexpr std::size_t kReachWindow = 1024;
   using ReachBits = std::array<std::uint64_t, kReachWindow / 64>;
-
-  const Vertex& vertex_ref(VertexId v) const {
-    GROUT_REQUIRE(v < vertices_.size(), "unknown vertex");
-    return vertices_[v];
-  }
 
   /// Vertex `v`'s run of ancestor_pool_.
   [[nodiscard]] std::span<const VertexId> packed_ancestors(VertexId v) const {
@@ -177,11 +174,11 @@ class DependencyDag {
   mutable std::vector<std::uint64_t> pending_;
   mutable std::uint64_t epoch_{0};
 
-  // Every vertex's ancestors again, packed back to back in insertion order
-  // (vertex v's run is [ancestor_begin_[v], ancestor_begin_[v + 1])). The
-  // reachability walks read this instead of Vertex::ancestors: one heap
-  // block per vertex scatters the walk over memory, and its cost then
-  // depends on how other allocations interleaved with the inserts.
+  // Every vertex's ancestors, packed back to back in insertion order
+  // (vertex v's run is [ancestor_begin_[v], ancestor_begin_[v + 1])). One
+  // pool rather than a vector per vertex: a heap block per vertex would
+  // scatter the reachability walks over memory, and their cost would then
+  // depend on how other allocations interleaved with the inserts.
   std::vector<std::size_t> ancestor_begin_{0};
   std::vector<VertexId> ancestor_pool_;
   // Reach sets of the last kReachWindow vertices (vertex c's at

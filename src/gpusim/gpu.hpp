@@ -35,8 +35,9 @@ class Gpu {
   /// Compute-roofline duration for `flops` of work over `bytes` of data.
   [[nodiscard]] SimTime compute_time(double flops, Bytes bytes_touched) const;
 
-  /// Completed-kernel log (chronological by completion).
-  [[nodiscard]] const std::vector<KernelRecord>& records() const { return records_; }
+  /// Kernels this GPU has executed. Per-kernel timing is in the tracer's
+  /// Kernel spans; per-kernel UVM outcomes are summed in UvmStats.
+  [[nodiscard]] std::uint64_t kernel_count() const { return kernels_; }
 
  private:
   friend class Stream;
@@ -52,7 +53,7 @@ class Gpu {
   sim::Tracer* tracer_;
   std::string location_;
   std::vector<std::unique_ptr<Stream>> streams_;
-  std::vector<KernelRecord> records_;
+  std::uint64_t kernels_{0};
   /// The SM array: concurrent kernels from different streams of the same
   /// GPU serialize their compute occupancy here (transfers still overlap).
   std::unique_ptr<sim::Resource> sm_;

@@ -16,15 +16,6 @@
 
 namespace grout::gpusim {
 
-/// Outcome of a finished kernel, for traces and tests.
-struct KernelRecord {
-  std::string name;
-  SimTime start;
-  SimTime end;
-  SimTime compute_time;
-  uvm::AccessReport memory;
-};
-
 struct KernelLaunchSpec {
   std::string name;
   double flops{0.0};

@@ -29,7 +29,7 @@ ArrayRef GrCudaBackend::alloc(Bytes bytes, std::string name) {
 }
 
 void GrCudaBackend::notify_host_write(ArrayRef array) {
-  runtime_->submit_host_access(array, uvm::AccessMode::Write, SimTime::zero(), "host-write");
+  runtime_->submit_host_access(array, uvm::AccessMode::Write);
 }
 
 void GrCudaBackend::advise(ArrayRef array, uvm::Advise advise) {
@@ -40,7 +40,7 @@ void GrCudaBackend::advise(ArrayRef array, uvm::Advise advise) {
 
 void GrCudaBackend::ensure_host_readable(ArrayRef array) {
   const runtime::Submission sub =
-      runtime_->submit_host_access(array, uvm::AccessMode::Read, SimTime::zero(), "host-read");
+      runtime_->submit_host_access(array, uvm::AccessMode::Read);
   while (!sub.done->completed()) {
     GROUT_CHECK(sim_->step(), "deadlock waiting for a host read");
   }

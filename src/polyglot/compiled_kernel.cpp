@@ -216,13 +216,14 @@ namespace {
 class Compiler {
  public:
   explicit Compiler(const ast::KernelAst& kernel) : kernel_{kernel} {
+    // Scalar parameters and the body's top-level locals share the
+    // function's scope, as in C.
+    open_scope();
     for (const ast::Param& p : kernel.params) {
       if (p.pointer) {
         arrays_.emplace(p.name, static_cast<int>(arrays_.size()));
       } else {
-        const int slot = next_slot_++;
-        slots_.emplace(p.name, slot);
-        scalar_slots_.push_back(slot);
+        scalar_slots_.push_back(slot_for(p.name, /*declare=*/true));
       }
     }
   }
@@ -234,10 +235,21 @@ class Compiler {
   [[nodiscard]] std::size_t register_count() const { return static_cast<std::size_t>(next_slot_); }
 
  private:
+  void open_scope() { scopes_.emplace_back(); }
+  void close_scope() { scopes_.pop_back(); }
+
   std::vector<CStmt> compile_stmts(const std::vector<ast::StmtPtr>& stmts) {
     std::vector<CStmt> out;
     out.reserve(stmts.size());
     for (const auto& s : stmts) out.push_back(compile_stmt(*s));
+    return out;
+  }
+
+  /// Compile a braced body: what it declares is invisible after it.
+  std::vector<CStmt> compile_block(const std::vector<ast::StmtPtr>& stmts) {
+    open_scope();
+    std::vector<CStmt> out = compile_stmts(stmts);
+    close_scope();
     return out;
   }
 
@@ -269,17 +281,19 @@ class Compiler {
         CStmt s;
         s.kind = CStmt::Kind::If;
         s.value = c.compile_expr(*i.cond);
-        s.body = c.compile_stmts(i.then_body);
-        s.else_body = c.compile_stmts(i.else_body);
+        s.body = c.compile_block(i.then_body);
+        s.else_body = c.compile_block(i.else_body);
         return s;
       }
       CStmt operator()(const ast::For& l) const {
         CStmt s;
         s.kind = CStmt::Kind::For;
+        c.open_scope();  // a declaration in the init lives until the loop ends
         s.prologue.push_back(c.compile_stmt(*l.init));
         s.value = c.compile_expr(*l.cond);
         s.prologue.push_back(c.compile_stmt(*l.update));
-        s.body = c.compile_stmts(l.body);
+        s.body = c.compile_block(l.body);
+        c.close_scope();
         return s;
       }
     };
@@ -359,13 +373,22 @@ class Compiler {
     return std::visit(Visitor{*this}, expr.node);
   }
 
+  /// Declare `name` in the innermost scope, or resolve it from the
+  /// innermost scope outward. A declaration may shadow an outer name but
+  /// not repeat one in its own scope.
   int slot_for(const std::string& name, bool declare) {
-    const auto it = slots_.find(name);
-    if (it != slots_.end()) return it->second;
-    if (!declare) throw ParseError("unknown identifier in kernel: " + name);
-    const int slot = next_slot_++;
-    slots_.emplace(name, slot);
-    return slot;
+    if (declare) {
+      const int slot = next_slot_++;
+      if (!scopes_.back().emplace(name, slot).second) {
+        throw ParseError("redeclared identifier in kernel: " + name);
+      }
+      return slot;
+    }
+    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
+      const auto it = scope->find(name);
+      if (it != scope->end()) return it->second;
+    }
+    throw ParseError("unknown identifier in kernel: " + name);
   }
 
   int array_for(const std::string& name) const {
@@ -375,7 +398,9 @@ class Compiler {
   }
 
   const ast::KernelAst& kernel_;
-  std::unordered_map<std::string, int> slots_;
+  /// Visible locals and scalar parameters by name, one map per C block
+  /// scope, innermost last. Every declaration gets its own register slot.
+  std::vector<std::unordered_map<std::string, int>> scopes_;
   std::unordered_map<std::string, int> arrays_;
   std::vector<int> scalar_slots_;
   int next_slot_{kFirstFreeSlot};

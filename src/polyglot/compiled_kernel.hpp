@@ -2,7 +2,9 @@
 // built from source.
 //
 // CompiledKernel lowers the AST once: identifiers become register slots,
-// array names become binding indices, and builtin calls become enum
+// resolved with C block scope (a local declared in an if/for body is
+// unknown after it), array
+// names become binding indices, and builtin calls become enum
 // dispatch. Execution then runs every block and thread in order on one
 // flat double register file. Context::launch uses it for functional
 // execution; tests diff it against a tree-walking interpreter kept in
@@ -21,8 +23,9 @@ namespace grout::polyglot {
 
 class CompiledKernel {
  public:
-  /// Lower a parsed kernel; throws ParseError on unknown identifiers or
-  /// unsupported device functions (caught at compile time, not mid-launch).
+  /// Lower a parsed kernel; throws ParseError on unknown or out-of-scope
+  /// identifiers, a name declared twice in one scope, or unsupported device
+  /// functions (caught at compile time, not mid-launch).
   explicit CompiledKernel(const ast::KernelAst& kernel);
 
   CompiledKernel(CompiledKernel&&) noexcept;

@@ -34,7 +34,7 @@ Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec,
   for (const auto& p : spec.params) {
     accesses.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
   }
-  const dag::VertexId v = dag_.add(spec.name, std::move(accesses));
+  const dag::VertexId v = dag_.add({}, std::move(accesses));
 
   StreamRef& ref = select_stream(spec);
   // Algorithm 2: async waits on every ancestor's end event, then execute.
@@ -49,9 +49,8 @@ Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec,
 }
 
 Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessMode mode,
-                                                SimTime extra_duration, std::string label) {
-  const dag::VertexId v =
-      dag_.add(std::move(label), {dag::AccessSummary{array, uvm::writes(mode)}});
+                                                SimTime extra_duration) {
+  const dag::VertexId v = dag_.add({}, {dag::AccessSummary{array, uvm::writes(mode)}});
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
   gpusim::when_all(ancestor_events(v), [this, &sim, array, mode, extra_duration, done] {
@@ -63,9 +62,8 @@ Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessM
   return Submission{v, std::move(done)};
 }
 
-Submission IntraNodeRuntime::submit_fence(std::vector<dag::AccessSummary> accesses,
-                                          std::string label) {
-  const dag::VertexId v = dag_.add(std::move(label), std::move(accesses));
+Submission IntraNodeRuntime::submit_fence(std::vector<dag::AccessSummary> accesses) {
+  const dag::VertexId v = dag_.add({}, std::move(accesses));
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
   gpusim::when_all(ancestor_events(v),
@@ -74,10 +72,9 @@ Submission IntraNodeRuntime::submit_fence(std::vector<dag::AccessSummary> access
   return Submission{v, std::move(done)};
 }
 
-Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr external,
-                                          std::string label) {
+Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr external) {
   GROUT_REQUIRE(static_cast<bool>(external), "adopt requires an external event");
-  const dag::VertexId v = dag_.add(std::move(label), {dag::AccessSummary{array, true}});
+  const dag::VertexId v = dag_.add({}, {dag::AccessSummary{array, true}});
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
   std::vector<gpusim::EventPtr> waits = ancestor_events(v);
@@ -96,9 +93,13 @@ void IntraNodeRuntime::forget_array(uvm::ArrayId array) {
 }
 
 gpusim::EventPtr IntraNodeRuntime::quiescent_event() {
+  std::vector<gpusim::EventPtr> pending;
+  for (const gpusim::EventPtr& ev : vertex_events_) {
+    if (ev) pending.push_back(ev);
+  }
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
-  gpusim::when_all(vertex_events_, [&sim, done] { done->complete(sim.now()); });
+  gpusim::when_all(pending, [&sim, done] { done->complete(sim.now()); });
   return done;
 }
 
@@ -163,15 +164,21 @@ std::vector<gpusim::EventPtr> IntraNodeRuntime::ancestor_events(dag::VertexId v)
   std::vector<gpusim::EventPtr> events;
   for (const dag::VertexId a : dag_.ancestors(v)) {
     GROUT_CHECK(a < vertex_events_.size(), "ancestor without a tracked event");
-    events.push_back(vertex_events_[a]);
+    // A released slot is a finished ancestor: waiting on it is a no-op.
+    if (vertex_events_[a]) events.push_back(vertex_events_[a]);
   }
   return events;
 }
 
 void IntraNodeRuntime::track(dag::VertexId v, gpusim::EventPtr done) {
   GROUT_CHECK(v == vertex_events_.size(), "vertex events out of sync with DAG");
-  done->on_complete([this, v] { dag_.mark_done(v); });
-  vertex_events_.push_back(std::move(done));
+  vertex_events_.push_back(done);
+  // The completion releases the slot; whoever completes the event holds
+  // its own reference, so this never destroys the event mid-completion.
+  done->on_complete([this, v] {
+    dag_.mark_done(v);
+    vertex_events_[v] = nullptr;
+  });
 }
 
 }  // namespace grout::runtime

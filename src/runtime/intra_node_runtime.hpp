@@ -3,9 +3,10 @@
 //
 // Each submitted Computational Element is inserted into the Local DAG, a
 // CUDA stream is selected by the active policy, asynchronous waits on the
-// ancestors' end events are pushed into that stream, and the kernel is
-// enqueued. Host read/write CEs go through the same DAG so that
-// transfer/compute overlap never violates correctness.
+// still-pending ancestors' end events are pushed into that stream, and the
+// kernel is enqueued. Host read/write CEs go through the same DAG so that
+// transfer/compute overlap never violates correctness. A vertex's end
+// event is held only until it completes.
 #pragma once
 
 #include <cstdint>
@@ -43,18 +44,16 @@ class IntraNodeRuntime {
   /// ancestor finished; `extra_duration` models work beyond the migration
   /// itself (e.g. the host-side loop body or a network serialization cost).
   Submission submit_host_access(uvm::ArrayId array, uvm::AccessMode mode,
-                                SimTime extra_duration = SimTime::zero(),
-                                std::string label = "host-access");
+                                SimTime extra_duration = SimTime::zero());
 
   /// Submit a host-side barrier CE over explicit arrays without touching
   /// memory (used by the distributed layer to order sends).
-  Submission submit_fence(std::vector<dag::AccessSummary> accesses, std::string label = "fence");
+  Submission submit_fence(std::vector<dag::AccessSummary> accesses);
 
   /// Submit a CE that waits for the local DAG ancestors AND an external
   /// event (e.g. a network arrival), then installs the received bytes as
   /// this node's current host copy of `array`.
-  Submission submit_adopt(uvm::ArrayId array, gpusim::EventPtr external,
-                          std::string label = "adopt");
+  Submission submit_adopt(uvm::ArrayId array, gpusim::EventPtr external);
 
   /// The node freed `array` and will never name it again (UvmSpace ids are
   /// not reused): drop its Local-DAG track and stream affinity.
@@ -66,6 +65,13 @@ class IntraNodeRuntime {
 
   /// Event that completes when all CEs submitted so far have finished.
   [[nodiscard]] gpusim::EventPtr quiescent_event();
+
+  /// End event of Local-DAG vertex `v` while it is pending; null once it
+  /// completed.
+  [[nodiscard]] const gpusim::EventPtr& pending_event(dag::VertexId v) const {
+    GROUT_REQUIRE(v < vertex_events_.size(), "unknown vertex");
+    return vertex_events_[v];
+  }
 
  private:
   struct StreamRef {
@@ -83,7 +89,9 @@ class IntraNodeRuntime {
   std::vector<StreamRef> streams_;
   std::size_t rr_cursor_{0};
   dag::DependencyDag dag_;
-  std::vector<gpusim::EventPtr> vertex_events_;  // indexed by VertexId
+  /// End event of each Local-DAG vertex while it is pending, indexed by
+  /// VertexId; null once it completed (nothing waits on a finished CE).
+  std::vector<gpusim::EventPtr> vertex_events_;
   /// Schedule-time data locality (DataLocal only): the GPU of each local
   /// array's last placement, indexed by UvmSpace id, kNoGpu if none yet
   /// (like GrCUDA, locality is tracked logically, not via residency).

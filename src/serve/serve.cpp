@@ -194,6 +194,7 @@ bool ServeScheduler::try_admit(std::unique_ptr<Program>& p) {
                   "admit:" + tenant.spec.name + "/p" + std::to_string(p->seq), "serve",
                   p->arrived, p->admitted_at, tenant_id);
   }
+  p->slot = admitted_.size();
   admitted_.push_back(std::move(p));
   if (!pump_scheduled_) {
     pump_scheduled_ = true;
@@ -307,10 +308,16 @@ void ServeScheduler::finish_program(Program* p) {
                   "program-done:" + tenant.spec.name + "/p" + std::to_string(p->seq),
                   "serve", p->admitted_at, now, static_cast<TenantId>(p->tenant));
   }
+  const std::size_t t = p->tenant;
+  // Release the program: nothing reads it after its last CE completed.
+  const std::size_t slot = p->slot;
+  std::swap(admitted_[slot], admitted_.back());
+  admitted_[slot]->slot = slot;
+  admitted_.pop_back();
   // Closed loop: the finished program's slot submits the next one.
   if (tenant.spec.arrival.kind == ArrivalSpec::Kind::Closed &&
       tenant.submitted < tenant.spec.programs) {
-    submit(p->tenant);
+    submit(t);
   }
   retry_admissions();
 }

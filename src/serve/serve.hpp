@@ -130,6 +130,9 @@ class ServeScheduler {
   /// every submitted program completed or the horizon expired.
   ServeReport run();
 
+  /// Admitted programs not yet finished (a finished one is released).
+  [[nodiscard]] std::size_t live_programs() const { return admitted_.size(); }
+
  private:
   /// One submitted program instance: a shape stamped out into runtime
   /// arrays at admission, then drained CE by CE through the WFQ.
@@ -143,6 +146,7 @@ class ServeScheduler {
     std::size_t completed_ces{0};
     SimTime arrived{SimTime::zero()};
     SimTime admitted_at{SimTime::zero()};
+    std::size_t slot{0};  ///< index in admitted_
   };
 
   struct Tenant {
@@ -204,7 +208,8 @@ class ServeScheduler {
   /// runtime ids of the pool arrays, indexed by key. Owned by no tenant, so
   /// every tenant's CEs may legally touch them.
   std::vector<core::GlobalArrayId> shared_pool_;
-  /// Owning store of admitted programs (stable addresses for callbacks).
+  /// Owning store of admitted, unfinished programs (stable addresses for
+  /// callbacks). finish_program swap-removes a program through its slot.
   std::vector<std::unique_ptr<Program>> admitted_;
   std::size_t outstanding_ces_{0};
   std::size_t max_outstanding_{0};

@@ -217,6 +217,7 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
   stats_.evictions += r.evictions;
   ++stats_.kernels;
   if (r.storm) ++stats_.storm_kernels;
+  stats_.peak_oversubscription = std::max(stats_.peak_oversubscription, r.oversubscription);
 
   result.report = r;
   return result;

@@ -48,6 +48,8 @@ struct UvmStats {
   std::uint64_t evictions{0};
   std::uint64_t storm_kernels{0};
   std::uint64_t kernels{0};
+  /// Largest AccessReport::oversubscription any kernel saw.
+  double peak_oversubscription{0.0};
   /// Bytes brought in by explicit prefetch() calls, and the subset whose
   /// pages were later hit by a device touch before being evicted.
   Bytes prefetch_issued{0};

@@ -38,8 +38,8 @@ TEST(ClusterTest, WorkerIndexValidated) {
 TEST(WorkerTest, EnsureArrayIsIdempotent) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);
-  const uvm::ArrayId a = w.ensure_array(7, 2_MiB, "x");
-  const uvm::ArrayId b = w.ensure_array(7, 2_MiB, "x");
+  const uvm::ArrayId a = w.ensure_array(7, 2_MiB);
+  const uvm::ArrayId b = w.ensure_array(7, 2_MiB);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(w.has_array(7));
   EXPECT_FALSE(w.has_array(8));
@@ -50,7 +50,7 @@ TEST(WorkerTest, EnsureArrayIsIdempotent) {
 TEST(WorkerTest, IdsPastTheTableAreNotHeld) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);
-  w.ensure_array(3, 1_MiB, "x");
+  w.ensure_array(3, 1_MiB);
   EXPECT_FALSE(w.has_array(2));  // inside the table, never ensured
   EXPECT_FALSE(w.has_array(4));  // past the table
   EXPECT_FALSE(w.has_array(100000));
@@ -63,9 +63,9 @@ TEST(WorkerTest, IdsPastTheTableAreNotHeld) {
 TEST(WorkerTest, ReleaseAllFreesEveryAllocation) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);
-  const uvm::ArrayId a = w.ensure_array(5, 1_MiB, "a");
-  w.ensure_array(0, 1_MiB, "b");
-  w.ensure_array(9, 1_MiB, "c");
+  const uvm::ArrayId a = w.ensure_array(5, 1_MiB);
+  w.ensure_array(0, 1_MiB);
+  w.ensure_array(9, 1_MiB);
   w.release_array(0);
   EXPECT_EQ(w.node().uvm().live_arrays(), 2u);
 
@@ -75,7 +75,7 @@ TEST(WorkerTest, ReleaseAllFreesEveryAllocation) {
   EXPECT_FALSE(w.has_array(5));
   EXPECT_FALSE(w.has_array(9));
   // UvmSpace ids are never reused: a re-ensure maps a fresh allocation.
-  const uvm::ArrayId again = w.ensure_array(5, 1_MiB, "a");
+  const uvm::ArrayId again = w.ensure_array(5, 1_MiB);
   EXPECT_NE(again, a);
   EXPECT_EQ(w.local_array(5), again);
   EXPECT_EQ(w.node().uvm().live_arrays(), 1u);
@@ -85,7 +85,7 @@ TEST(WorkerTest, ExecuteKernelTranslatesGlobalIds) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);
   const GlobalArrayId global = 42;
-  w.ensure_array(global, 2_MiB, "x");
+  w.ensure_array(global, 2_MiB);
   w.node().uvm().host_access(w.local_array(global), uvm::AccessMode::Write);
 
   gpusim::KernelLaunchSpec spec;
@@ -104,7 +104,7 @@ TEST(WorkerTest, StageSendGathersToHost) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);
   const GlobalArrayId global = 1;
-  const uvm::ArrayId local = w.ensure_array(global, 2_MiB, "x");
+  const uvm::ArrayId local = w.ensure_array(global, 2_MiB);
   w.node().uvm().host_access(local, uvm::AccessMode::Write);
 
   // Kernel writes the array on a GPU, then the staged send must wait for
@@ -125,7 +125,7 @@ TEST(WorkerTest, AcceptReceiveWaitsForArrival) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(1);
   const GlobalArrayId global = 5;
-  const uvm::ArrayId local = w.ensure_array(global, 2_MiB, "x");
+  const uvm::ArrayId local = w.ensure_array(global, 2_MiB);
 
   auto arrival = cluster.fabric().transfer(Cluster::controller_id(),
                                            w.fabric_id(), 2_MiB, "send");
@@ -140,7 +140,7 @@ TEST(WorkerTest, ReceiveOrdersAgainstLocalReaders) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);
   const GlobalArrayId global = 9;
-  const uvm::ArrayId local = w.ensure_array(global, 2_MiB, "x");
+  const uvm::ArrayId local = w.ensure_array(global, 2_MiB);
   w.node().uvm().host_access(local, uvm::AccessMode::Write);
 
   gpusim::KernelLaunchSpec spec;

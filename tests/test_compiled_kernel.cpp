@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -75,6 +76,72 @@ TEST(CompiledKernel, WrongBuiltinArityFailsAtCompileTime) {
     }
   )");
   EXPECT_THROW(CompiledKernel{k}, ParseError);
+}
+
+/// The ParseError message compiling `source` throws ("" if it compiles).
+std::string compile_error(const char* source) {
+  const ast::KernelAst k = parse_kernel_source(source);
+  try {
+    const CompiledKernel compiled(k);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CompiledKernel, BlockLocalsEndWithTheirBlock) {
+  // C block scope: a local declared in an if/for body, or in a for's init,
+  // is unknown after it, on the path that skipped it and in later threads.
+  EXPECT_EQ(compile_error(R"(
+    __global__ void f(float* o) {
+      int i = threadIdx.x;
+      if (i == 0) { float t = 5.0; }
+      o[i] = t;
+    }
+  )"),
+            "unknown identifier in kernel: t");
+  EXPECT_EQ(compile_error(R"(
+    __global__ void f(float* o) {
+      for (int k = 0; k < 2; k++) { float t = k; }
+      o[0] = k;
+    }
+  )"),
+            "unknown identifier in kernel: k");
+  EXPECT_EQ(compile_error(R"(
+    __global__ void f(float* o) {
+      if (threadIdx.x == 0) { float t = 1.0; } else { o[0] = t; }
+    }
+  )"),
+            "unknown identifier in kernel: t");
+}
+
+TEST(CompiledKernel, RedeclarationInOneScopeFails) {
+  EXPECT_EQ(compile_error(R"(
+    __global__ void f(float* o, int n) {
+      float n = 1.0;
+      o[0] = n;
+    }
+  )"),
+            "redeclared identifier in kernel: n");
+}
+
+TEST(CompiledKernel, InnerDeclarationShadowsOuter) {
+  // The inner `x` is a new local: the outer one keeps its value. Sibling
+  // loops may each declare `j`.
+  const auto out = run_compiled(R"(
+    __global__ void f(float* o) {
+      int i = threadIdx.x;
+      float x = 1.0;
+      if (i == 0) { float x = 7.0; o[2] = x; }
+      for (int j = 0; j < 2; j++) { x += 1.0; }
+      for (int j = 0; j < 3; j++) { x += 10.0; }
+      o[i] = x;
+    }
+  )",
+                                {0, 0, 0}, {}, 1, 2);
+  EXPECT_FLOAT_EQ(out[0], 33.0f);
+  EXPECT_FLOAT_EQ(out[1], 33.0f);
+  EXPECT_FLOAT_EQ(out[2], 7.0f);
 }
 
 TEST(CompiledKernel, MissingArgumentsRejectedAtLaunch) {

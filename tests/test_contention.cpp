@@ -339,6 +339,7 @@ TEST(ContentionServeTest, GeneratesDirectoryTrafficAndDrains) {
 
   EXPECT_TRUE(rep.drained);
   EXPECT_EQ(rep.total_completed, 12u);
+  EXPECT_EQ(sched.live_programs(), 0u);  // per-program shapes released
   for (const serve::TenantReport& t : rep.tenants) {
     EXPECT_EQ(t.completed, 6u);
     EXPECT_GT(t.latency_p99_ms, 0.0);

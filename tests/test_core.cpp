@@ -570,9 +570,10 @@ TEST(GroutRuntimeTest, AggregatedUvmStats) {
 TEST(AutoscalerTest, QuietWithinKpi) {
   const uvm::UvmTuning tuning;
   KpiAutoscaler scaler(tuning);
-  uvm::AccessReport report;
-  report.oversubscription = 0.5;
-  scaler.observe(report);
+  uvm::UvmStats stats;
+  stats.kernels = 1;
+  stats.peak_oversubscription = 0.5;
+  scaler.observe(stats);
   // Far below the KPI: keep the current size.
   const AutoscaleDecision d = scaler.recommend(2);
   EXPECT_FALSE(d.scale_out);
@@ -582,10 +583,11 @@ TEST(AutoscalerTest, QuietWithinKpi) {
 TEST(AutoscalerTest, RecommendsScaleOutBeyondKpi) {
   const uvm::UvmTuning tuning;
   KpiAutoscaler scaler(tuning, 0.8);
-  uvm::AccessReport report;
-  report.oversubscription = 5.0;  // 5x: single node deep in the cliff
-  report.storm = true;
-  scaler.observe(report);
+  uvm::UvmStats stats;
+  stats.kernels = 1;
+  stats.peak_oversubscription = 5.0;  // 5x: single node deep in the cliff
+  stats.storm_kernels = 1;
+  scaler.observe(stats);
   const AutoscaleDecision d = scaler.recommend(1);
   EXPECT_TRUE(d.scale_out);
   // 5.0 / (2.6 * 0.8) = 2.4 -> 3 workers keep each node below the KPI.
@@ -596,9 +598,10 @@ TEST(AutoscalerTest, RecommendsScaleOutBeyondKpi) {
 TEST(AutoscalerTest, RespectsMaxWorkers) {
   const uvm::UvmTuning tuning;
   KpiAutoscaler scaler(tuning, 0.5, 4);
-  uvm::AccessReport report;
-  report.oversubscription = 50.0;
-  scaler.observe(report);
+  uvm::UvmStats stats;
+  stats.kernels = 1;
+  stats.peak_oversubscription = 50.0;
+  scaler.observe(stats);
   EXPECT_EQ(scaler.recommend(2).recommended_workers, 4u);
 }
 

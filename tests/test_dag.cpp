@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dag/dependency_dag.hpp"
@@ -13,6 +15,12 @@ namespace {
 
 AccessSummary r(uvm::ArrayId a) { return AccessSummary{a, false}; }
 AccessSummary w(uvm::ArrayId a) { return AccessSummary{a, true}; }
+
+/// `v`'s ancestors as a vector, so gtest can compare and print them.
+std::vector<VertexId> ancestors_of(const DependencyDag& dag, VertexId v) {
+  const std::span<const VertexId> anc = dag.ancestors(v);
+  return {anc.begin(), anc.end()};
+}
 
 bool has_ancestor(const DependencyDag& dag, VertexId v, VertexId a) {
   const auto& anc = dag.ancestors(v);
@@ -151,7 +159,7 @@ TEST(Dag, SparseArrayIdsGetTheSameEdgesAsAdjacentOnes) {
   const DependencyDag sparse = build(100000);
   ASSERT_EQ(adjacent.size(), sparse.size());
   for (VertexId v = 0; v < adjacent.size(); ++v) {
-    EXPECT_EQ(adjacent.ancestors(v), sparse.ancestors(v)) << "vertex " << v;
+    EXPECT_EQ(ancestors_of(adjacent, v), ancestors_of(sparse, v)) << "vertex " << v;
   }
   EXPECT_EQ(adjacent.frontier(), sparse.frontier());
   EXPECT_EQ(sparse.last_writer_of(100000), 3u);

@@ -92,6 +92,7 @@ TEST(Driver, EventSynchronizeWithoutRecordIsNotReady) {
 
 TEST(Driver, StreamWaitEventOrders) {
   Context ctx(small_node());
+  ctx.tracer().set_enabled(true);
   GrDeviceptr a = 0;
   GrDeviceptr b = 0;
   ctx.mem_alloc_managed(&a, 2_MiB);
@@ -108,11 +109,16 @@ TEST(Driver, StreamWaitEventOrders) {
   ctx.stream_wait_event(s2, e);
   ctx.launch_kernel(s2, read_kernel(ctx, b, 1.25e12));
   ctx.ctx_synchronize();
-  const auto& recs0 = ctx.node().gpu(0).records();
-  const auto& recs1 = ctx.node().gpu(1).records();
-  ASSERT_EQ(recs0.size(), 1u);
-  ASSERT_EQ(recs1.size(), 1u);
-  EXPECT_GE(recs1[0].start, recs0[0].end);
+  std::vector<sim::TraceSpan> gpu0;
+  std::vector<sim::TraceSpan> gpu1;
+  for (const sim::TraceSpan& span : ctx.tracer().spans()) {
+    if (span.category != sim::TraceCategory::Kernel) continue;
+    if (span.location == "node/gpu0") gpu0.push_back(span);
+    if (span.location == "node/gpu1") gpu1.push_back(span);
+  }
+  ASSERT_EQ(gpu0.size(), 1u);
+  ASSERT_EQ(gpu1.size(), 1u);
+  EXPECT_GE(gpu1[0].begin, gpu0[0].end);
 }
 
 TEST(Driver, StreamSynchronizeWaitsOnlyThatStream) {
@@ -124,7 +130,7 @@ TEST(Driver, StreamSynchronizeWaitsOnlyThatStream) {
   ctx.stream_create(&s, 0);
   ctx.launch_kernel(s, read_kernel(ctx, a));
   EXPECT_EQ(ctx.stream_synchronize(s), GrResult::Success);
-  EXPECT_EQ(ctx.node().gpu(0).records().size(), 1u);
+  EXPECT_EQ(ctx.node().gpu(0).kernel_count(), 1u);
 }
 
 TEST(Driver, MemAdvise) {
@@ -168,7 +174,7 @@ TEST(Driver, HostAccessDrainsPendingWork) {
   ctx.launch_kernel(s, spec);
   // Reading on the host must observe the kernel's completion first.
   EXPECT_EQ(ctx.host_access(a, uvm::AccessMode::Read), GrResult::Success);
-  EXPECT_EQ(ctx.node().gpu(0).records().size(), 1u);
+  EXPECT_EQ(ctx.node().gpu(0).kernel_count(), 1u);
   EXPECT_TRUE(ctx.node().uvm().page_resident(ctx.array_of(a), 0, uvm::kHostDevice));
 }
 

@@ -30,6 +30,7 @@ TEST(DriverExtra, DeepPipelineAcrossStreamsAndGpus) {
   // A four-stage pipeline bouncing between two GPUs via events; every
   // stage must observe the previous one's completion.
   Context ctx(small_node());
+  ctx.tracer().set_enabled(true);
   GrDeviceptr buf = 0;
   ctx.mem_alloc_managed(&buf, 2_MiB);
   ctx.host_access(buf, uvm::AccessMode::Write);
@@ -53,17 +54,17 @@ TEST(DriverExtra, DeepPipelineAcrossStreamsAndGpus) {
   SimTime last = SimTime::zero();
   for (const GrEvent e : events) {
     ASSERT_TRUE(ctx.event_query(e));
-    // Event timestamps are not directly exposed; use per-GPU records.
+    // Event timestamps are not directly exposed; use the kernel spans.
   }
-  std::vector<gpusim::KernelRecord> all;
-  for (std::size_t g = 0; g < 2; ++g) {
-    for (const auto& r : ctx.node().gpu(g).records()) all.push_back(r);
+  std::vector<sim::TraceSpan> all;
+  for (const sim::TraceSpan& span : ctx.tracer().spans()) {
+    if (span.category == sim::TraceCategory::Kernel) all.push_back(span);
   }
   ASSERT_EQ(all.size(), 4u);
   std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.start < b.start; });
+            [](const auto& a, const auto& b) { return a.begin < b.begin; });
   for (const auto& r : all) {
-    EXPECT_GE(r.start, last);
+    EXPECT_GE(r.begin, last);
     last = r.end;
   }
 }
@@ -105,11 +106,14 @@ TEST(DriverExtra, PrefetchThenAdviseThenLaunch) {
   EXPECT_TRUE(ctx.node().uvm().page_resident(ctx.array_of(v), 0, 0));
   EXPECT_TRUE(ctx.node().uvm().page_resident(ctx.array_of(v), 0, 1));
 
+  const std::uint64_t faults_before = ctx.node().uvm().stats().faults;
   ctx.launch_kernel(s0, kernel(ctx, v, uvm::AccessMode::Read));
   ctx.launch_kernel(s1, kernel(ctx, v, uvm::AccessMode::Read));
   ctx.ctx_synchronize();
-  EXPECT_EQ(ctx.node().gpu(0).records()[0].memory.faults, 0u);
-  EXPECT_EQ(ctx.node().gpu(1).records()[0].memory.faults, 0u);
+  // One kernel per GPU, and neither faulted.
+  EXPECT_EQ(ctx.node().gpu(0).kernel_count(), 1u);
+  EXPECT_EQ(ctx.node().gpu(1).kernel_count(), 1u);
+  EXPECT_EQ(ctx.node().uvm().stats().faults, faults_before);
 }
 
 TEST(DriverExtra, EventsAreReusableAcrossQueries) {
@@ -140,7 +144,7 @@ TEST(DriverExtra, InterleavedHostDeviceOwnership) {
     ctx.host_access(p, uvm::AccessMode::Read);
     EXPECT_TRUE(ctx.node().uvm().page_resident(ctx.array_of(p), 0, uvm::kHostDevice));
   }
-  EXPECT_EQ(ctx.node().gpu(0).records().size(), 5u);
+  EXPECT_EQ(ctx.node().gpu(0).kernel_count(), 5u);
 }
 
 TEST(DriverExtra, SixtyFourStreamsRoundRobin) {
@@ -157,7 +161,7 @@ TEST(DriverExtra, SixtyFourStreamsRoundRobin) {
               GrResult::Success);
   }
   EXPECT_EQ(ctx.ctx_synchronize(), GrResult::Success);
-  EXPECT_EQ(ctx.node().gpu(0).records().size() + ctx.node().gpu(1).records().size(), 64u);
+  EXPECT_EQ(ctx.node().gpu(0).kernel_count() + ctx.node().gpu(1).kernel_count(), 64u);
 }
 
 }  // namespace

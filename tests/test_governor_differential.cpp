@@ -140,7 +140,7 @@ class DifferentialRig {
 
   void ensure(std::size_t w, GlobalArrayId id) {
     if (governor_.note_ensure(w, id)) {
-      cluster_.worker(w).ensure_array(id, real_dir_.bytes_of(id), real_dir_.name_of(id));
+      cluster_.worker(w).ensure_array(id, real_dir_.bytes_of(id));
     }
     naive_.note_ensure(w, id);
     governor_.note_use(w, id);

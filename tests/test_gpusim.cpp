@@ -16,7 +16,20 @@ struct GpuFixture : ::testing::Test {
     cfg.gpu_count = 2;
     cfg.device.memory = 8_MiB;
     cfg.tuning.page_size = 1_MiB;
-    node = std::make_unique<GpuNode>(sim, cfg);
+    tracer.set_enabled(true);
+    node = std::make_unique<GpuNode>(sim, cfg, &tracer);
+  }
+
+  /// Kernel spans recorded on `gpu`, in start order.
+  std::vector<sim::TraceSpan> kernel_spans(std::size_t gpu) const {
+    const std::string location = "test-node/gpu" + std::to_string(gpu);
+    std::vector<sim::TraceSpan> out;
+    for (const sim::TraceSpan& span : tracer.spans()) {
+      if (span.category == sim::TraceCategory::Kernel && span.location == location) {
+        out.push_back(span);
+      }
+    }
+    return out;
   }
 
   KernelLaunchSpec simple_kernel(uvm::ArrayId array, double flops = 1e9,
@@ -37,6 +50,7 @@ struct GpuFixture : ::testing::Test {
   }
 
   sim::Simulator sim;
+  sim::Tracer tracer;
   std::unique_ptr<GpuNode> node;
 };
 
@@ -118,8 +132,9 @@ TEST_F(GpuFixture, KernelsOnOneStreamSerialize) {
   s.enqueue_kernel(simple_kernel(a, 1.25e12), make_event());
   s.enqueue_kernel(simple_kernel(a, 1.25e12), make_event());
   sim.run();
-  ASSERT_EQ(gpu.records().size(), 2u);
-  EXPECT_GE(gpu.records()[1].start, gpu.records()[0].end);
+  const std::vector<sim::TraceSpan> spans = kernel_spans(0);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_GE(spans[1].begin, spans[0].end);
 }
 
 TEST_F(GpuFixture, SameGpuStreamsShareTheSms) {
@@ -171,9 +186,10 @@ TEST_F(GpuFixture, IndependentStreamsOverlap) {
   s1.enqueue_kernel(simple_kernel(a, 1.25e12), make_event());
   s2.enqueue_kernel(simple_kernel(b, 1.25e12), make_event());
   sim.run();
-  ASSERT_EQ(gpu.records().size(), 2u);
+  const std::vector<sim::TraceSpan> spans = kernel_spans(0);
+  ASSERT_EQ(spans.size(), 2u);
   // Both started at the same virtual time: full overlap.
-  EXPECT_EQ(gpu.records()[0].start, gpu.records()[1].start);
+  EXPECT_EQ(spans[0].begin, spans[1].begin);
 }
 
 TEST_F(GpuFixture, StreamWaitEventOrdersAcrossStreams) {
@@ -187,8 +203,9 @@ TEST_F(GpuFixture, StreamWaitEventOrdersAcrossStreams) {
   s2.enqueue_wait(first_done);
   s2.enqueue_kernel(simple_kernel(b, 1.25e12), make_event());
   sim.run();
-  ASSERT_EQ(gpu.records().size(), 2u);
-  EXPECT_GE(gpu.records()[1].start, gpu.records()[0].end);
+  const std::vector<sim::TraceSpan> spans = kernel_spans(0);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_GE(spans[1].begin, spans[0].end);
 }
 
 TEST_F(GpuFixture, RecordEventCompletesInFifoPosition) {
@@ -257,11 +274,15 @@ TEST_F(GpuFixture, KernelTimeIncludesMigration) {
   const uvm::ArrayId a = alloc_populated(8_MiB);
   s.enqueue_kernel(simple_kernel(a, /*flops=*/1.0), make_event());
   sim.run();
-  ASSERT_EQ(gpu.records().size(), 1u);
-  const KernelRecord& rec = gpu.records()[0];
+  const std::vector<sim::TraceSpan> spans = kernel_spans(0);
+  ASSERT_EQ(spans.size(), 1u);
   const double pcie_time = static_cast<double>(8_MiB) / gpu.spec().pcie_bw.bps();
-  EXPECT_GE((rec.end - rec.start).seconds(), pcie_time);
-  EXPECT_EQ(rec.memory.healthy_fetch, 8_MiB);
+  EXPECT_GE((spans[0].end - spans[0].begin).seconds(), pcie_time);
+  // With no eviction every fetched byte is a healthy fetch.
+  const uvm::UvmStats& stats = node->uvm().stats();
+  EXPECT_EQ(stats.kernels, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.bytes_fetched, 8_MiB);
 }
 
 TEST_F(GpuFixture, LaunchOverheadAlwaysCharged) {
@@ -272,8 +293,9 @@ TEST_F(GpuFixture, LaunchOverheadAlwaysCharged) {
   sim.run();
   s.enqueue_kernel(simple_kernel(a, 1.0), make_event());
   sim.run();
-  const KernelRecord& rec = gpu.records()[0];
-  EXPECT_GE(rec.end - rec.start, gpu.spec().launch_overhead);
+  const std::vector<sim::TraceSpan> spans = kernel_spans(0);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_GE(spans[0].end - spans[0].begin, gpu.spec().launch_overhead);
 }
 
 TEST_F(GpuFixture, TwoGpusShareTheUvmSpace) {

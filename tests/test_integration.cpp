@@ -132,9 +132,7 @@ TEST(StormIntegration, AutoscalerDiagnosesTheSingleNode) {
   auto& backend = dynamic_cast<polyglot::GrCudaBackend&>(single.backend());
 
   core::KpiAutoscaler scaler(backend.node().uvm().tuning());
-  for (std::size_t g = 0; g < backend.node().gpu_count(); ++g) {
-    for (const auto& rec : backend.node().gpu(g).records()) scaler.observe(rec.memory);
-  }
+  scaler.observe(backend.node().uvm().stats());
   const core::AutoscaleDecision d = scaler.recommend(1);
   EXPECT_TRUE(d.scale_out);
   EXPECT_GE(d.recommended_workers, 2u);

@@ -91,15 +91,15 @@ cluster::ClusterConfig small_cluster(std::size_t workers) {
 TEST(WorkerAllocations, ReEnsureWithDifferentSizeRejected) {
   cluster::Cluster c(small_cluster(1));
   cluster::Worker& w = c.worker(0);
-  w.ensure_array(0, 2_MiB, "a");
-  EXPECT_NO_THROW(w.ensure_array(0, 2_MiB, "a"));  // idempotent re-ensure
-  EXPECT_THROW(w.ensure_array(0, 1_MiB, "a"), InvalidArgument);
+  w.ensure_array(0, 2_MiB);
+  EXPECT_NO_THROW(w.ensure_array(0, 2_MiB));  // idempotent re-ensure
+  EXPECT_THROW(w.ensure_array(0, 1_MiB), InvalidArgument);
 }
 
 TEST(WorkerAllocations, ReleaseFreesAndAllowsFreshEnsure) {
   cluster::Cluster c(small_cluster(1));
   cluster::Worker& w = c.worker(0);
-  w.ensure_array(0, 2_MiB, "a");
+  w.ensure_array(0, 2_MiB);
   ASSERT_EQ(w.node().uvm().live_arrays(), 1u);
 
   w.release_array(0);
@@ -107,14 +107,14 @@ TEST(WorkerAllocations, ReleaseFreesAndAllowsFreshEnsure) {
   EXPECT_EQ(w.node().uvm().live_arrays(), 0u);
 
   // A re-ensure after release is a fresh allocation, any size.
-  w.ensure_array(0, 1_MiB, "a");
+  w.ensure_array(0, 1_MiB);
   EXPECT_EQ(w.node().uvm().live_arrays(), 1u);
 }
 
 TEST(WorkerAllocations, DeferredReleaseWaitsForTheEvent) {
   cluster::Cluster c(small_cluster(1));
   cluster::Worker& w = c.worker(0);
-  w.ensure_array(0, 2_MiB, "a");
+  w.ensure_array(0, 2_MiB);
 
   const gpusim::EventPtr gate = gpusim::make_event();
   w.release_array(0, gate);
@@ -130,14 +130,14 @@ TEST(WorkerAllocations, ReleaseForgetsTheLocalState) {
   // track, and a re-ensure allocates a fresh id.
   cluster::Cluster c(small_cluster(1));
   cluster::Worker& w = c.worker(0);
-  const uvm::ArrayId first = w.ensure_array(0, 2_MiB, "a");
+  const uvm::ArrayId first = w.ensure_array(0, 2_MiB);
   const gpusim::EventPtr arrival = gpusim::make_event();
   const runtime::Submission adopt = w.accept_receive(0, arrival);
   ASSERT_EQ(w.runtime().local_dag().last_writer_of(first), adopt.vertex);
 
   w.release_array(0, adopt.done);
   EXPECT_EQ(w.runtime().local_dag().last_writer_of(first), dag::kNoVertex);
-  const uvm::ArrayId second = w.ensure_array(0, 2_MiB, "a");
+  const uvm::ArrayId second = w.ensure_array(0, 2_MiB);
   EXPECT_NE(second, first);
   EXPECT_EQ(w.runtime().local_dag().last_writer_of(second), dag::kNoVertex);
 
@@ -150,7 +150,7 @@ TEST(WorkerAllocations, ReleaseForgetsTheLocalState) {
 TEST(WorkerAllocations, DoubleFreeRejectedByUvm) {
   cluster::Cluster c(small_cluster(1));
   cluster::Worker& w = c.worker(0);
-  const uvm::ArrayId local = w.ensure_array(0, 2_MiB, "a");
+  const uvm::ArrayId local = w.ensure_array(0, 2_MiB);
   w.node().uvm().free_array(local);
   EXPECT_THROW(w.node().uvm().free_array(local), InvalidArgument);
 }
@@ -168,7 +168,7 @@ struct GovernorRig {
   /// Register + ensure + account an array on worker `w`.
   GlobalArrayId add(std::size_t w, Bytes bytes, const std::string& name) {
     const GlobalArrayId id = directory.register_array(bytes, name);
-    cluster.worker(w).ensure_array(id, bytes, name);
+    cluster.worker(w).ensure_array(id, bytes);
     governor.note_ensure(w, id);
     return id;
   }
@@ -291,7 +291,7 @@ TEST(GovernorVictims, RefetchAfterEvictionIsCounted) {
   rig.settle();
   ASSERT_FALSE(rig.cluster.worker(0).has_array(a));
 
-  rig.cluster.worker(0).ensure_array(a, 2_MiB, "a");
+  rig.cluster.worker(0).ensure_array(a, 2_MiB);
   rig.governor.note_ensure(0, a);
   EXPECT_EQ(rig.metrics.refetches, 1u);
 }
@@ -363,7 +363,7 @@ TEST(GovernorSpillRecord, ReSpillSupersedesAndIgnoresTheStaleWriteback) {
 
   // A fresher sole copy on worker 1 spills again while the first
   // write-back is still in flight.
-  rig.cluster.worker(1).ensure_array(a, 2_MiB, "a");
+  rig.cluster.worker(1).ensure_array(a, 2_MiB);
   rig.governor.note_ensure(1, a);
   spill_sole_copy(rig, 1, a);
   const gpusim::EventPtr second = rig.governor.controller_ready(a);
@@ -623,6 +623,34 @@ TEST(OversubscriptionScenario, WorkerDeathFreesItsReplicas) {
   EXPECT_EQ(rt.governor().resident_bytes(0), 0u);
   EXPECT_TRUE(rt.host_fetch(a));
   EXPECT_TRUE(rt.host_fetch(b));
+}
+
+TEST(OversubscriptionScenario, FetchUnpinReenforcesTheBudget) {
+  // host_fetch pins its source replica. Worker 1 dies while `a` is being
+  // fetched from worker 0, and its in-flight CE is re-dispatched there: the
+  // pin leaves make_room nothing to evict, so worker 0 goes over budget.
+  // Only the enforce after the fetch's unpin restores the budget before
+  // that CE completes.
+  const Bytes budget = 3_MiB;
+  GroutConfig cfg = governed_config(budget, 2);
+  cfg.fault_plan.kills.push_back(net::KillWorkerFault{1, SimTime::from_ms(1.0)});
+  GroutRuntime rt(cfg);
+  const GlobalArrayId a = rt.alloc(2_MiB, "a");
+  const GlobalArrayId c = rt.alloc(2_MiB, "c");
+  const CeTicket wa = rt.launch(kernel("wa", {{a, uvm::AccessMode::Write}}));
+  const CeTicket wc = rt.launch(kernel("wc", {{c, uvm::AccessMode::Write}}, 1e13));
+  ASSERT_EQ(wa.worker, 0u);
+  ASSERT_EQ(wc.worker, 1u);
+
+  EXPECT_TRUE(rt.host_fetch(a));
+  ASSERT_FALSE(rt.worker_alive(1));
+  ASSERT_EQ(rt.metrics().ces_rescheduled, 1u);
+  ASSERT_FALSE(wc.done->completed());  // its completion has not enforced yet
+  EXPECT_LE(rt.governor().resident_bytes(0), budget);
+
+  ASSERT_TRUE(rt.synchronize());
+  EXPECT_LE(rt.governor().resident_bytes(0), budget);
+  EXPECT_TRUE(rt.host_fetch(c));
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Tests for the GrCUDA-style intra-node runtime (Algorithm 2).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "sim/simulator.hpp"
 #include "runtime/intra_node_runtime.hpp"
 
@@ -31,6 +34,11 @@ struct RuntimeFixture : ::testing::Test {
     spec.params.push_back(
         uvm::ParamAccess{array, uvm::ByteRange{}, mode, uvm::StreamingPattern{}});
     return spec;
+  }
+
+  std::vector<dag::VertexId> ancestors_of(dag::VertexId v) const {
+    const std::span<const dag::VertexId> anc = rt->local_dag().ancestors(v);
+    return {anc.begin(), anc.end()};
   }
 
   SimTime end_of(const Submission& sub) {
@@ -88,7 +96,7 @@ TEST_F(RuntimeFixture, HostAccessWaitsForWriter) {
 TEST_F(RuntimeFixture, HostAccessExtraDurationCharged) {
   const uvm::ArrayId a = alloc_populated(2_MiB);
   const Submission s =
-      rt->submit_host_access(a, uvm::AccessMode::Write, SimTime::from_ms(5.0), "init");
+      rt->submit_host_access(a, uvm::AccessMode::Write, SimTime::from_ms(5.0));
   sim.run();
   EXPECT_GE(s.done->when(), SimTime::from_ms(5.0));
 }
@@ -125,6 +133,48 @@ TEST_F(RuntimeFixture, QuiescentEventCoversAllSubmissions) {
   EXPECT_GE(quiescent->when(), std::max(s1.done->when(), s2.done->when()));
 }
 
+TEST_F(RuntimeFixture, FinishedAncestorEnqueuesNoWait) {
+  // Only pending vertices keep their end event: a kernel whose sole
+  // Local-DAG ancestor already finished pushes no wait into its stream.
+  const auto queued = [&] {
+    std::size_t ops = 0;
+    for (std::size_t g = 0; g < node->gpu_count(); ++g) {
+      for (std::uint32_t s = 0; s < node->gpu(g).stream_count(); ++s) {
+        ops += node->gpu(g).stream(s).queued_ops();
+      }
+    }
+    return ops;
+  };
+  const uvm::ArrayId a = alloc_populated(2_MiB, "a");
+  const Submission writer = rt->submit_kernel(kernel(a, uvm::AccessMode::Write));
+  EXPECT_EQ(rt->pending_event(writer.vertex), writer.done);
+  sim.run();
+  EXPECT_EQ(rt->pending_event(writer.vertex), nullptr);
+
+  // Occupy every stream, so whatever the next CE enqueues stays queued.
+  for (int i = 0; i < 4; ++i) {
+    rt->submit_kernel(kernel(alloc_populated(1_MiB, "busy"), uvm::AccessMode::Read));
+  }
+  ASSERT_EQ(queued(), 0u);
+  const Submission reader = rt->submit_kernel(kernel(a, uvm::AccessMode::Read));
+  ASSERT_EQ(ancestors_of(reader.vertex), std::vector<dag::VertexId>{writer.vertex});
+  EXPECT_EQ(queued(), 1u);  // the kernel alone
+  // A pending ancestor still gets its wait: the reader is queued, not done.
+  rt->submit_kernel(kernel(a, uvm::AccessMode::Write));
+  EXPECT_EQ(queued(), 3u);
+  sim.run();
+}
+
+TEST_F(RuntimeFixture, DrainedRuntimeIsQuiescentAndHoldsNoEvents) {
+  const uvm::ArrayId a = alloc_populated(2_MiB);
+  const Submission s1 = rt->submit_kernel(kernel(a, uvm::AccessMode::ReadWrite));
+  const Submission s2 = rt->submit_host_access(a, uvm::AccessMode::Read);
+  sim.run();
+  EXPECT_TRUE(rt->quiescent_event()->completed());
+  EXPECT_EQ(rt->pending_event(s1.vertex), nullptr);
+  EXPECT_EQ(rt->pending_event(s2.vertex), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Stream policies
 // ---------------------------------------------------------------------------
@@ -141,8 +191,8 @@ TEST_F(RoundRobinFixture, SpreadsKernelsOverAllStreams) {
     rt->submit_kernel(kernel(arrays.back(), uvm::AccessMode::Read));
   }
   sim.run();
-  EXPECT_EQ(node->gpu(0).records().size(), 2u);
-  EXPECT_EQ(node->gpu(1).records().size(), 2u);
+  EXPECT_EQ(node->gpu(0).kernel_count(), 2u);
+  EXPECT_EQ(node->gpu(1).kernel_count(), 2u);
 }
 
 struct DataLocalFixture : RuntimeFixture {
@@ -159,8 +209,8 @@ TEST_F(DataLocalFixture, RepeatKernelsStickToTheirGpu) {
   sim.run();
   // Affinity keeps each array on one GPU for all iterations, and the two
   // arrays land on different GPUs (first placements are least-loaded).
-  EXPECT_EQ(node->gpu(0).records().size(), 3u);
-  EXPECT_EQ(node->gpu(1).records().size(), 3u);
+  EXPECT_EQ(node->gpu(0).kernel_count(), 3u);
+  EXPECT_EQ(node->gpu(1).kernel_count(), 3u);
 }
 
 TEST_F(RuntimeFixture, PolicyNames) {

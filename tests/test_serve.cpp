@@ -149,6 +149,7 @@ TEST(ServeTest, ClosedLoopDrainsAndFillsSloLedger) {
   EXPECT_TRUE(rep.drained);
   EXPECT_EQ(rep.total_completed, 8u);
   EXPECT_EQ(rep.total_shed, 0u);
+  EXPECT_EQ(sched.live_programs(), 0u);  // every finished program released
   for (const TenantReport& t : rep.tenants) {
     EXPECT_EQ(t.submitted, 4u);
     EXPECT_EQ(t.admitted, 4u);
@@ -173,6 +174,7 @@ TEST(ServeTest, PoissonOpenLoopDrains) {
   EXPECT_TRUE(rep.drained);
   EXPECT_EQ(rep.total_completed, 10u);
   EXPECT_EQ(rep.total_shed, 0u);
+  EXPECT_EQ(sched.live_programs(), 0u);
   // Open loop: tenants arrive on their own clocks, both finish everything.
   for (const TenantReport& t : rep.tenants) EXPECT_EQ(t.completed, 5u);
 }

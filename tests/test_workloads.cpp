@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <set>
 #include <string>
 #include <vector>
@@ -197,15 +198,16 @@ TEST(WorkloadDag, MlePipelinesChainAndJoin) {
   std::size_t a2_with_single_dep = 0;
   for (dag::VertexId v = 0; v < dag.size(); ++v) {
     const auto& vertex = dag.vertex(v);
+    const std::span<const dag::VertexId> ancestors = dag.ancestors(v);
     if (vertex.label == "mle-a2") {
       // Stage 2 of pipeline A depends exactly on stage 1 (u is its input).
-      EXPECT_EQ(vertex.ancestors.size(), 1u);
-      EXPECT_EQ(dag.vertex(vertex.ancestors[0]).label, "mle-a");
+      ASSERT_EQ(ancestors.size(), 1u);
+      EXPECT_EQ(dag.vertex(ancestors[0]).label, "mle-a");
       ++a2_with_single_dep;
     }
     if (vertex.label == "mle-combine") {
       // Fan-in from both pipelines of both partitions: v0, v1, w0, w1.
-      EXPECT_EQ(vertex.ancestors.size(), 4u);
+      EXPECT_EQ(ancestors.size(), 4u);
     }
   }
   EXPECT_EQ(a2_with_single_dep, 2u);

@@ -218,7 +218,8 @@ Options parse_args(int argc, char** argv) {
       opt.size_gib = parse_gib(flag, next(), /*allow_zero=*/false);
     } else if (flag == "--sizes") {
       opt.sizes.clear();
-      for (const auto part : split(next(), ',')) {
+      const std::string list = next();  // split() views into it
+      for (const auto part : split(list, ',')) {
         opt.sizes.push_back(parse_gib(flag, std::string(part), /*allow_zero=*/false));
       }
     } else if (flag == "--backend") {
@@ -232,7 +233,8 @@ Options parse_args(int argc, char** argv) {
       opt.policy = parse_policy(next());
     } else if (flag == "--step-vector") {
       opt.step_vector.clear();
-      for (const auto part : split(next(), ',')) {
+      const std::string list = next();  // split() views into it
+      for (const auto part : split(list, ',')) {
         opt.step_vector.push_back(
             static_cast<std::uint32_t>(parse_count(flag, std::string(part))));
       }
@@ -263,7 +265,8 @@ Options parse_args(int argc, char** argv) {
       opt.arrival = parse_flag(flag, next(), serve::parse_arrival);
     } else if (flag == "--tenant-weights") {
       opt.tenant_weights.clear();
-      for (const auto part : split(next(), ',')) {
+      const std::string list = next();  // split() views into it
+      for (const auto part : split(list, ',')) {
         const double w = parse_number(flag, std::string(part));
         // Weight 0 would divide the WFQ vtime increment by zero; negative
         // weights corrupt the ordering — fail at parse time.
@@ -275,7 +278,8 @@ Options parse_args(int argc, char** argv) {
       }
     } else if (flag == "--tenant-quota") {
       opt.tenant_quota_gib.clear();
-      for (const auto part : split(next(), ',')) {
+      const std::string list = next();  // split() views into it
+      for (const auto part : split(list, ',')) {
         opt.tenant_quota_gib.push_back(parse_gib(flag, std::string(part), /*allow_zero=*/true));
       }
     } else if (flag == "--programs") {
