@@ -33,6 +33,36 @@ SimTime Cluster::controller_edge(std::size_t i) const {
   return fabric_->latency(controller_id(), worker_fabric_id(i));
 }
 
+void Cluster::send_staged(std::size_t src, GlobalArrayId id, Bytes bytes, net::NodeId dst,
+                          std::string label, bool free_source,
+                          std::function<void()> on_landed) {
+  Worker& source = worker(src);
+  const net::NodeId src_fid = worker_fabric_id(src);
+  const SimTime src_edge = controller_edge(src);
+  const SimTime dst_edge =
+      dst == controller_id() ? SimTime::zero() : fabric_->latency(controller_id(), dst);
+  // Each stage runs once, so it hands its captures on by move.
+  fabric_->send_command(
+      controller_id(), src_fid, 0,
+      [this, &source, src_fid, src_edge, dst, dst_edge, id, bytes, free_source,
+       label = std::move(label), on_landed = std::move(on_landed)]() mutable {
+        const runtime::Submission staged = source.stage_send(id);
+        if (free_source) source.release_array(id, staged.done);
+        staged.done->on_complete([this, src_fid, src_edge, dst, dst_edge, bytes,
+                                  label = std::move(label),
+                                  on_landed = std::move(on_landed)]() mutable {
+          sim_.schedule_at(sim_.now() + src_edge,
+                           [this, src_fid, dst, dst_edge, bytes, label = std::move(label),
+                            on_landed = std::move(on_landed)]() mutable {
+                             fabric_->transfer(src_fid, dst, bytes, std::move(label), nullptr,
+                                               dst_edge)
+                                 ->on_complete(std::move(on_landed));
+                           });
+        });
+      },
+      /*reliable=*/true);
+}
+
 Worker& Cluster::worker(std::size_t i) {
   GROUT_REQUIRE(i < workers_.size(), "worker index out of range");
   return *workers_[i];

@@ -11,7 +11,9 @@
 // serial sim::Simulator owned by the Cluster.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/worker.hpp"
@@ -53,6 +55,19 @@ class Cluster {
   /// updates that cross between the controller and a worker model (acks,
   /// staged-copy landings) are scheduled this far apart.
   [[nodiscard]] SimTime controller_edge(std::size_t i) const;
+
+  /// The staged-copy protocol: move worker `src`'s copy of `id` (`bytes`
+  /// long) to fabric node `dst`, another worker or the controller. A
+  /// reliable command reaches the source one edge later; the source stages
+  /// the copy to host memory behind its local writers (Worker::stage_send)
+  /// and, with `free_source`, releases its allocation once the staging
+  /// completes. The staging acks back one edge later, and the controller
+  /// then starts the wire transfer to `dst`. A worker destination never
+  /// sees the copy sooner than one controller edge after that start.
+  /// `on_landed` runs when the last byte lands. Pins and directory updates
+  /// are the caller's: this only moves bytes.
+  void send_staged(std::size_t src, GlobalArrayId id, Bytes bytes, net::NodeId dst,
+                   std::string label, bool free_source, std::function<void()> on_landed);
 
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] Worker& worker(std::size_t i);

@@ -10,6 +10,10 @@ namespace grout::core {
 namespace {
 using WallClock = std::chrono::steady_clock;
 
+/// Default per-worker budget as a multiple of the node's GPU memory (see
+/// GroutConfig::worker_mem).
+constexpr double kWorkerMemHeadroom = 8.0;
+
 /// One array the CE bundle materializes on the worker at delivery time.
 struct EnsureOp {
   GlobalArrayId id{0};
@@ -41,13 +45,11 @@ GroutRuntime::GroutRuntime(GroutConfig config)
   metrics_.assignments.assign(config_.cluster.workers, 0);
   metrics_.inflight.assign(config_.cluster.workers, 0);
   alive_.assign(config_.cluster.workers, true);
-  GROUT_REQUIRE(config_.worker_mem_headroom > 0.0, "worker_mem_headroom must be positive");
   const Bytes node_gpu_mem =
       config_.cluster.worker_node.gpu_count * config_.cluster.worker_node.device.memory;
   const Bytes budget = config_.worker_mem.value_or(static_cast<Bytes>(
-      config_.worker_mem_headroom * static_cast<double>(node_gpu_mem)));
+      kWorkerMemHeadroom * static_cast<double>(node_gpu_mem)));
   governor_ = std::make_unique<MemoryGovernor>(*cluster_, directory_, metrics_, budget);
-  cluster_->fabric().set_control_retry(config_.control_retry);
   if (!config_.fault_plan.empty()) {
     for (const net::KillWorkerFault& k : config_.fault_plan.kills) {
       GROUT_REQUIRE(k.worker < config_.cluster.workers, "fault plan kills an unknown worker");
@@ -297,7 +299,6 @@ void GroutRuntime::on_ce_complete(dag::VertexId v, std::uint32_t attempt) {
   rec.completed = true;
   GROUT_CHECK(metrics_.inflight[rec.worker] > 0, "in-flight counter underflow");
   --metrics_.inflight[rec.worker];
-  global_dag_.mark_done(v);
   // The CE's pins lapse: re-establish the worker's budget now that its
   // replicas are evictable again.
   for (const GlobalArrayId id : unique_arrays(rec.spec)) governor_->unpin(rec.worker, id);
@@ -421,81 +422,60 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
     // (Algorithm 1's scheduledNode.send(param) branch). A copy the
     // controller holds only because of an in-flight spill is not readable
     // until that spill lands. The CE bundle's adopt waits on the last byte.
-    arrival = cluster_->fabric().transfer_into(
-        cluster::Cluster::controller_id(), dst_fid, param.bytes, dst_edge,
+    arrival = cluster_->fabric().transfer(
+        cluster::Cluster::controller_id(), dst_fid, param.bytes,
         tracing ? "ctl->" + std::to_string(worker) + ":" + directory_.name_of(id)
                 : std::string{},
-        governor_->acquire_controller_copy(id));
+        governor_->acquire_controller_copy(id), dst_edge);
     ++metrics_.controller_sends;
   } else {
-    // P2P branch: pick the up-to-date worker with the fastest *live* route.
-    // A zero-bandwidth (degraded/down) link disqualifies a source — it must
-    // never be silently picked as a fallback.
-    GROUT_CHECK(holders.any(), "no source for a required parameter");
-    std::size_t best = 0;
-    double best_bps = 0.0;
-    bool found = false;
-    holders.for_each_worker([&](std::size_t s) {
-      const double bps =
-          cluster_->fabric().bandwidth(cluster::Cluster::worker_fabric_id(s), dst_fid).bps();
-      if (bps > best_bps) {
-        best_bps = bps;
-        best = s;
-        found = true;
-      }
-    });
-    GROUT_CHECK(found,
-                "required array unreachable: every route from an up-to-date holder "
-                "has zero bandwidth");
-    // The source worker gathers the array to its host memory (its local
-    // DAG orders the staging after local writers): a reliable command
-    // reaches it one edge later, the staging completion acks back to the
-    // controller, and the controller then puts the bytes on the wire to
-    // the destination. The source replica is pinned until the last byte
-    // lands (the unpin rides an ack back to the controller, one edge
-    // later) so the governor cannot free the allocation out from under the
-    // staged read.
-    governor_->pin(best, id);
+    // P2P branch (Algorithm 1's peer send): the fastest live up-to-date
+    // holder stages its copy and the controller puts it on the wire. The
+    // source replica is pinned until the last byte lands; the unpin rides
+    // an ack back to the controller, one destination edge later, so the
+    // governor cannot free the allocation out from under the staged read.
+    const std::size_t src = fastest_holder(id, dst_fid);
+    governor_->pin(src, id);
     arrival = gpusim::make_event();
     sim::Simulator& engine = cluster_->simulator();
-    net::NetworkFabric& fabric = cluster_->fabric();
-    cluster::Worker& src = cluster_->worker(best);
-    const net::NodeId src_fid = cluster::Cluster::worker_fabric_id(best);
-    const SimTime src_edge = cluster_->controller_edge(best);
-    const Bytes bytes = param.bytes;
-    const std::string label = tracing ? "p2p" + std::to_string(best) + "->" +
-                                            std::to_string(worker) + ":" + directory_.name_of(id)
-                                      : std::string{};
     MemoryGovernor* gov = governor_.get();
-    fabric.send_command(
-        cluster::Cluster::controller_id(), src_fid, 0,
-        [&src, &engine, &fabric, gov, src_edge, dst_edge, src_fid, dst_fid, id, bytes, label,
-         arrival, best] {
-          runtime::Submission staged = src.stage_send(id);
-          staged.done->on_complete([&engine, &fabric, gov, src_edge, dst_edge, src_fid, dst_fid,
-                                    id, bytes, label, arrival, best] {
-            engine.schedule_at(
-                engine.now() + src_edge,
-                [&engine, &fabric, gov, dst_edge, src_fid, dst_fid, id, bytes, label, arrival,
-                 best] {
-                  const gpusim::EventPtr wire =
-                      fabric.transfer_into(src_fid, dst_fid, bytes, dst_edge, label);
-                  wire->on_complete([&engine, gov, dst_edge, id, arrival, best] {
-                    arrival->complete(engine.now());
-                    engine.schedule_at(engine.now() + dst_edge, [gov, id, best] {
-                      gov->unpin(best, id);
-                      gov->enforce(best);
-                    });
-                  });
-                });
+    cluster_->send_staged(
+        src, id, param.bytes, dst_fid,
+        tracing ? "p2p" + std::to_string(src) + "->" + std::to_string(worker) + ":" +
+                      directory_.name_of(id)
+                : std::string{},
+        /*free_source=*/false, [&engine, gov, dst_edge, id, arrival, src] {
+          arrival->complete(engine.now());
+          engine.schedule_at(engine.now() + dst_edge, [gov, id, src] {
+            gov->unpin(src, id);
+            gov->enforce(src);
           });
-        },
-        /*reliable=*/true);
+        });
     ++metrics_.p2p_sends;
   }
   metrics_.bytes_planned += param.bytes;
   directory_.add_worker_copy(id, worker);
   return arrival;
+}
+
+std::size_t GroutRuntime::fastest_holder(GlobalArrayId id, net::NodeId dst_fid) const {
+  // A zero-bandwidth (degraded/down) link disqualifies a source: it must
+  // never be silently picked as a fallback.
+  const LocationSet& holders = directory_.holders(id);
+  GROUT_CHECK(holders.any(), "no up-to-date holder for array");
+  std::size_t best = 0;
+  double best_bps = 0.0;
+  holders.for_each_worker([&](std::size_t s) {
+    const double bps =
+        cluster_->fabric().bandwidth(cluster::Cluster::worker_fabric_id(s), dst_fid).bps();
+    if (bps > best_bps) {
+      best_bps = bps;
+      best = s;
+    }
+  });
+  GROUT_CHECK(best_bps > 0.0,
+              "array unreachable: every route from an up-to-date holder has zero bandwidth");
+  return best;
 }
 
 bool GroutRuntime::wait_controller_copy(GlobalArrayId array) {
@@ -517,66 +497,22 @@ bool GroutRuntime::host_fetch(GlobalArrayId array) {
     recover_array(array);
     if (directory_.up_to_date_on_controller(array)) return wait_controller_copy(array);
   }
-  const LocationSet& holders = directory_.holders(array);
-  GROUT_CHECK(holders.any(), "no holder for array");
-  // Fastest live route to the controller; zero-bandwidth routes disqualify
-  // a source rather than being silently picked as the first holder.
-  std::size_t best = 0;
-  double best_bps = 0.0;
-  bool found = false;
-  holders.for_each_worker([&](std::size_t s) {
-    const double bps = cluster_->fabric()
-                           .bandwidth(cluster::Cluster::worker_fabric_id(s),
-                                      cluster::Cluster::controller_id())
-                           .bps();
-    if (bps > best_bps) {
-      best_bps = bps;
-      best = s;
-      found = true;
-    }
-  });
-  GROUT_CHECK(found,
-              "array unreachable: every route from an up-to-date holder to the "
-              "controller has zero bandwidth");
   // Pin the staging source so the governor cannot free the allocation out
-  // from under the host-side gather. The staging itself runs on the
-  // source worker (a reliable command reaches it one edge later), its
-  // completion acks back, and the controller then starts the wire
-  // transfer home — `landed` is the controller-side proxy the event loop
-  // below waits on.
-  governor_->pin(best, array);
+  // from under the host-side gather. `landed` is the controller-side proxy
+  // the event loop below waits on.
+  const std::size_t src = fastest_holder(array, cluster::Cluster::controller_id());
+  governor_->pin(src, array);
   const gpusim::EventPtr landed = gpusim::make_event();
-  {
-    sim::Simulator& engine = cluster_->simulator();
-    net::NetworkFabric& fabric = cluster_->fabric();
-    cluster::Worker& src = cluster_->worker(best);
-    const net::NodeId src_fid = cluster::Cluster::worker_fabric_id(best);
-    const SimTime edge = cluster_->controller_edge(best);
-    const Bytes bytes = directory_.bytes_of(array);
-    const std::string label =
-        cluster_->tracer().enabled() ? "fetch:" + directory_.name_of(array) : std::string{};
-    MemoryGovernor* gov = governor_.get();
-    fabric.send_command(
-        cluster::Cluster::controller_id(), src_fid, 0,
-        [&src, &engine, &fabric, gov, edge, src_fid, array, bytes, label, landed, best] {
-          runtime::Submission staged = src.stage_send(array);
-          staged.done->on_complete(
-              [&engine, &fabric, gov, edge, src_fid, array, bytes, label, landed, best] {
-                engine.schedule_at(
-                    engine.now() + edge,
-                    [&engine, &fabric, gov, src_fid, array, bytes, label, landed, best] {
-                      const gpusim::EventPtr wire = fabric.transfer(
-                          src_fid, cluster::Cluster::controller_id(), bytes, label);
-                      wire->on_complete([&engine, gov, array, landed, best] {
-                        gov->unpin(best, array);
-                        gov->enforce(best);
-                        landed->complete(engine.now());
-                      });
-                    });
-              });
-        },
-        /*reliable=*/true);
-  }
+  sim::Simulator& engine = cluster_->simulator();
+  MemoryGovernor* gov = governor_.get();
+  cluster_->send_staged(
+      src, array, directory_.bytes_of(array), cluster::Cluster::controller_id(),
+      cluster_->tracer().enabled() ? "fetch:" + directory_.name_of(array) : std::string{},
+      /*free_source=*/false, [&engine, gov, array, landed, src] {
+        gov->unpin(src, array);
+        gov->enforce(src);
+        landed->complete(engine.now());
+      });
 
   // Drive the event loop, but never past the run cap: an unbounded wait
   // here could spin a stalled run forever instead of reporting out-of-time.

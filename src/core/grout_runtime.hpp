@@ -47,19 +47,15 @@ struct GroutConfig {
   /// the only membership changes a run sees: the worker set is otherwise
   /// fixed at construction.
   net::FaultPlan fault_plan{};
-  /// Control-lane retry behaviour (timeout + exponential backoff).
-  net::ControlRetryConfig control_retry{};
   /// Rebuild arrays whose only copy died by replaying their producer CEs
   /// from the Global DAG. Disable to observe the unrecovered failure mode.
   bool lineage_recovery{true};
   /// Per-worker replica-cache budget in bytes (--worker-mem). nullopt =
-  /// derive from the node's combined GPU memory x worker_mem_headroom; an
-  /// explicit 0 = unbounded (the pre-governor behavior).
+  /// derive from the node's combined GPU memory x 8 (replicas are staged
+  /// through host DRAM, which the evaluation nodes provision at several
+  /// times the GPU capacity); an explicit 0 = unbounded (the pre-governor
+  /// behavior).
   std::optional<Bytes> worker_mem{};
-  /// Headroom multiplier for the derived default budget. Replicas are
-  /// staged through host DRAM, which the evaluation nodes provision at
-  /// several times the GPU capacity.
-  double worker_mem_headroom{8.0};
 };
 
 /// Handle to a launched CE.
@@ -163,11 +159,12 @@ class GroutRuntime {
   /// Plan and wire the transfers needed so `worker` holds `param` (Alg. 1,
   /// data-movement loop). Returns the network arrival event — the CE
   /// bundle adopts the copy (Worker::accept_receive) at delivery time — or
-  /// nullptr if no movement was needed. A P2P source stages the array on
-  /// its own worker: a reliable command reaches it one edge later, the
-  /// staging completion acks back, and the controller then starts the wire
-  /// transfer.
+  /// nullptr if no movement was needed. A P2P copy takes the staged-copy
+  /// protocol (Cluster::send_staged).
   gpusim::EventPtr plan_movement(const PlacementParam& param, std::size_t worker);
+  /// The up-to-date worker holding `id` with the fastest live route to
+  /// fabric node `dst_fid`; fails loudly when every such route is down.
+  [[nodiscard]] std::size_t fastest_holder(GlobalArrayId id, net::NodeId dst_fid) const;
 
   /// Place, stage data for, and send the recorded CE `v` to a live worker.
   void dispatch(dag::VertexId v);

@@ -340,36 +340,15 @@ void MemoryGovernor::post_worker_release(std::size_t w, GlobalArrayId id) {
 }
 
 void MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayId id, Bytes bytes) {
-  cluster::Worker& worker = cluster_.worker(w);
   sim::Simulator& engine = cluster_.simulator();
-  net::NetworkFabric& fabric = cluster_.fabric();
-  const SimTime edge = cluster_.controller_edge(w);
-  const net::NodeId w_fid = cluster::Cluster::worker_fabric_id(w);
-  const net::NodeId ctl_fid = cluster::Cluster::controller_id();
-  const std::string label = "spill:" + directory_.name_of(id);
-
   // `landed` stands in for the write-back arrival: the spill record keeps
   // it now, and it completes when the controller-started transfer does.
+  // The worker frees its allocation once the host copy is consistent.
   const gpusim::EventPtr landed = gpusim::make_event();
-  // Worker side: gather the copy to host memory, free the local allocation
-  // once the host copy is consistent, then ack the staging back to the
-  // controller one fabric edge later; the controller starts the write-back
-  // transfer from there.
-  fabric.send_command(
-      ctl_fid, w_fid, 0,
-      [&worker, &engine, &fabric, edge, w_fid, ctl_fid, id, bytes, label, landed] {
-        const runtime::Submission staged = worker.stage_send(id);
-        worker.release_array(id, staged.done);
-        staged.done->on_complete(
-            [&engine, &fabric, edge, w_fid, ctl_fid, bytes, label, landed] {
-              engine.schedule_at(engine.now() + edge, [&engine, &fabric, w_fid, ctl_fid,
-                                                       bytes, label, landed] {
-                const gpusim::EventPtr wire = fabric.transfer(w_fid, ctl_fid, bytes, label);
-                wire->on_complete([&engine, landed] { landed->complete(engine.now()); });
-              });
-            });
-      },
-      /*reliable=*/true);
+  cluster_.send_staged(
+      w, id, bytes, cluster::Cluster::controller_id(),
+      cluster_.tracer().enabled() ? "spill:" + directory_.name_of(id) : std::string{},
+      /*free_source=*/true, [&engine, landed] { landed->complete(engine.now()); });
 
   // Eager directory update (like plan_movement); consumers of the
   // controller copy are ordered after the write-back via
@@ -382,7 +361,7 @@ void MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayId id, Bytes 
   sim::Tracer& tracer = cluster_.tracer();
   if (tracer.enabled()) {
     sim::Tracer* tp = &tracer;
-    sim::Simulator* simp = &cluster_.simulator();
+    sim::Simulator* simp = &engine;
     const SimTime begin = simp->now();
     const std::string name = "spill:" + directory_.name_of(id) + "(a" + std::to_string(id) +
                              "," + std::to_string(bytes) + "B)";

@@ -18,7 +18,7 @@
 //     to "refetch" and go first.
 //
 // Coherence safety: a sole up-to-date copy is never dropped. It is spilled
-// to the controller first (Worker::stage_send + a fabric transfer), the
+// to the controller first (the staged-copy protocol, Cluster::send_staged), the
 // directory gains the controller copy eagerly, and the governor's spill
 // record keeps the write-back's arrival event: any consumer of that
 // controller copy is ordered after it via `acquire_controller_copy`.

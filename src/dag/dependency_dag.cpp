@@ -83,11 +83,6 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
   return v;
 }
 
-void DependencyDag::mark_done(VertexId v) {
-  GROUT_REQUIRE(v < vertices_.size(), "unknown vertex");
-  vertices_[v].done = true;
-}
-
 std::vector<VertexId> DependencyDag::frontier() const {
   std::vector<VertexId> out;
   for (const ArrayTrack& track : per_array_) {

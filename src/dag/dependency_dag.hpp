@@ -36,7 +36,6 @@ class DependencyDag {
   struct Vertex {
     std::string label;
     std::vector<AccessSummary> accesses;
-    bool done{false};
   };
 
   /// Insert a CE; computes and returns its filtered direct ancestors.
@@ -49,9 +48,6 @@ class DependencyDag {
   void forget(uvm::ArrayId array) {
     if (array < per_array_.size()) per_array_[array] = ArrayTrack{};
   }
-
-  /// Mark a CE's execution finished (used by schedulers, not for edges).
-  void mark_done(VertexId v);
 
   [[nodiscard]] const Vertex& vertex(VertexId v) const {
     GROUT_REQUIRE(v < vertices_.size(), "unknown vertex");

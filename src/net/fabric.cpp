@@ -4,6 +4,14 @@
 
 namespace grout::net {
 
+namespace {
+// Droppable-command retries: the first retransmission timeout, the
+// multiplier applied per retry and the cap it grows to.
+constexpr SimTime kRetryTimeout = SimTime::from_us(200.0);
+constexpr double kRetryBackoff = 2.0;
+constexpr SimTime kRetryMaxTimeout = SimTime::from_ms(10.0);
+}  // namespace
+
 NetworkFabric::NetworkFabric(sim::Simulator& simulator, std::vector<NicSpec> nics,
                              sim::Tracer* tracer)
     : sim_{simulator}, tracer_{tracer} {
@@ -76,32 +84,36 @@ void NetworkFabric::kill_node(NodeId id) {
 }
 
 gpusim::EventPtr NetworkFabric::transfer(NodeId from, NodeId to, Bytes size, std::string label,
-                                         gpusim::EventPtr ready) {
+                                         gpusim::EventPtr ready, SimTime min_deliver_delay) {
   node_ref(from);
   node_ref(to);
   GROUT_REQUIRE(from != to, "self transfer");
   gpusim::EventPtr done = gpusim::make_event();
   if (ready) {
-    ready->on_complete([this, from, to, size, label = std::move(label), done] {
-      start_transfer(from, to, size, label, done);
-    });
+    ready->on_complete(
+        [this, from, to, size, min_deliver_delay, label = std::move(label), done] {
+          start_transfer(from, to, size, label, done, min_deliver_delay);
+        });
   } else {
-    start_transfer(from, to, size, label, done);
+    start_transfer(from, to, size, label, done, min_deliver_delay);
   }
   return done;
 }
 
 void NetworkFabric::start_transfer(NodeId from, NodeId to, Bytes size, const std::string& label,
-                                   const gpusim::EventPtr& done) {
+                                   const gpusim::EventPtr& done, SimTime min_deliver_delay) {
   // The data-movement planner skips zero-bandwidth routes; reaching this
   // point on a dead link is a scheduling bug, not a slow transfer.
   GROUT_CHECK(bandwidth(from, to).valid(), "bulk transfer scheduled on a zero-bandwidth link");
   const SimTime begin = sim_.now();
   const SimTime duration = latency(from, to) + bandwidth(from, to).transfer_time(size);
-  // Occupy both endpoints; completion is whichever queue drains last.
+  // Occupy both endpoints; completion is whichever queue drains last. The
+  // wire time already dominates a controller edge for any sane NIC layout;
+  // the clamp only bites in exotic configs where the source NIC undercuts
+  // the controller's own link latency.
   const SimTime tx_done = node_ref(from).tx->submit_duration(duration, size);
   const SimTime rx_done = node_ref(to).rx->submit_duration(duration, size);
-  const SimTime end = std::max(tx_done, rx_done);
+  const SimTime end = std::max(std::max(tx_done, rx_done), begin + min_deliver_delay);
   total_bytes_ += size;
   ++transfers_;
   // Guard on enabled() so the name/location strings are never built for a
@@ -111,86 +123,6 @@ void NetworkFabric::start_transfer(NodeId from, NodeId to, Bytes size, const std
                     label.empty() ? "transfer" : label,
                     node_ref(from).nic.name + "->" + node_ref(to).nic.name, begin, end);
   }
-  sim_.schedule_at(end, [done, end] { done->complete(end); });
-}
-
-gpusim::EventPtr NetworkFabric::transfer_into(NodeId from, NodeId to, Bytes size,
-                                              SimTime min_deliver_delay, std::string label,
-                                              gpusim::EventPtr ready) {
-  node_ref(from);
-  node_ref(to);
-  GROUT_REQUIRE(from != to, "self transfer");
-  gpusim::EventPtr done = gpusim::make_event();
-  if (ready) {
-    ready->on_complete(
-        [this, from, to, size, min_deliver_delay, label = std::move(label), done] {
-          start_transfer_into(from, to, size, label, done, min_deliver_delay);
-        });
-  } else {
-    start_transfer_into(from, to, size, label, done, min_deliver_delay);
-  }
-  return done;
-}
-
-void NetworkFabric::start_transfer_into(NodeId from, NodeId to, Bytes size,
-                                        const std::string& label, const gpusim::EventPtr& done,
-                                        SimTime min_deliver_delay) {
-  GROUT_CHECK(bandwidth(from, to).valid(), "bulk transfer scheduled on a zero-bandwidth link");
-  const SimTime begin = sim_.now();
-  const SimTime duration = latency(from, to) + bandwidth(from, to).transfer_time(size);
-  const SimTime tx_done = node_ref(from).tx->submit_duration(duration, size);
-  const SimTime rx_done = node_ref(to).rx->submit_duration(duration, size);
-  // The wire time already dominates the controller edge for any sane NIC
-  // layout; the clamp only bites in exotic configs where the source NIC
-  // undercuts the controller's own link latency.
-  const SimTime end = std::max(std::max(tx_done, rx_done), begin + min_deliver_delay);
-  total_bytes_ += size;
-  ++transfers_;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->record(sim::TraceCategory::NetworkTransfer,
-                    label.empty() ? "transfer" : label,
-                    node_ref(from).nic.name + "->" + node_ref(to).nic.name, begin, end);
-  }
-  sim_.schedule_at(end, [done, end] { done->complete(end); });
-}
-
-gpusim::EventPtr NetworkFabric::send_control(NodeId from, NodeId to, Bytes size) {
-  node_ref(from);
-  node_ref(to);
-  GROUT_REQUIRE(from != to, "self transfer");
-  gpusim::EventPtr done = gpusim::make_event();
-  ++control_sends_;
-  attempt_control(from, to, size, done, retry_.timeout);
-  return done;
-}
-
-void NetworkFabric::attempt_control(NodeId from, NodeId to, Bytes size,
-                                    const gpusim::EventPtr& done, SimTime timeout) {
-  if (!node_ref(from).alive || !node_ref(to).alive) {
-    // An endpoint died: there is nobody left to deliver to (or from).
-    // Whoever depended on this message has been superseded by recovery.
-    ++control_abandoned_;
-    return;
-  }
-  const Bandwidth bw = bandwidth(from, to);
-  const bool dropped = (control_fault_hook_ && control_fault_hook_(from, to)) || !bw.valid();
-  if (dropped) {
-    // Lost on the wire: the sender notices via timeout and retransmits
-    // with exponential backoff (capped).
-    ++control_drops_;
-    sim_.schedule_after(timeout, [this, from, to, size, done, timeout] {
-      ++control_timeouts_;
-      ++control_retries_;
-      const auto next_ns = static_cast<std::int64_t>(
-          static_cast<double>(timeout.ns()) * retry_.backoff);
-      attempt_control(from, to, size, done,
-                      std::min(SimTime::from_ns(next_ns), retry_.max_timeout));
-    });
-    return;
-  }
-  total_bytes_ += size;
-  const SimTime end =
-      sim_.now() + latency(from, to) + control_extra_delay_ + bw.transfer_time(size);
   sim_.schedule_at(end, [done, end] { done->complete(end); });
 }
 
@@ -216,7 +148,7 @@ void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size,
   }
   ++control_sends_;
   lane.arrivals.emplace(seq, std::move(arrival));
-  attempt_command(from, to, size, seq, retry_.timeout);
+  attempt_command(from, to, size, seq, kRetryTimeout);
 }
 
 void NetworkFabric::attempt_command(NodeId from, NodeId to, Bytes size, std::uint64_t seq,
@@ -241,9 +173,8 @@ void NetworkFabric::attempt_command(NodeId from, NodeId to, Bytes size, std::uin
       ++control_timeouts_;
       ++control_retries_;
       const auto next_ns =
-          static_cast<std::int64_t>(static_cast<double>(timeout.ns()) * retry_.backoff);
-      attempt_command(from, to, size, seq,
-                      std::min(SimTime::from_ns(next_ns), retry_.max_timeout));
+          static_cast<std::int64_t>(static_cast<double>(timeout.ns()) * kRetryBackoff);
+      attempt_command(from, to, size, seq, std::min(SimTime::from_ns(next_ns), kRetryMaxTimeout));
     });
     return;
   }

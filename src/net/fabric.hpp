@@ -7,11 +7,11 @@
 // interconnection matrix the min-transfer-time policy uses is exactly what
 // `bandwidth()` exposes, mirroring the probe GrOUT performs at startup.
 //
-// Control-lane messages are delivered reliably: a fault hook (installed by
-// the FaultInjector) may drop an attempt, in which case the sender times
-// out and resends with exponential backoff until the message lands or an
-// endpoint dies. Bulk `transfer`s are not subject to drops — see the fault
-// model note in net/fault.hpp.
+// Droppable commands on the control lane are retried: a fault hook
+// (installed by the FaultInjector) may drop an attempt, in which case the
+// sender times out and resends with exponential backoff until the command
+// lands or an endpoint dies. Bulk `transfer`s are not subject to drops —
+// see the fault model note in net/fault.hpp.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +28,6 @@
 #include "sim/trace.hpp"
 
 namespace grout::net {
-
-/// Timeout/backoff parameters for the reliable control lane.
-struct ControlRetryConfig {
-  SimTime timeout = SimTime::from_us(200.0);  ///< first retransmission timeout
-  double backoff = 2.0;                       ///< timeout multiplier per retry
-  SimTime max_timeout = SimTime::from_ms(10.0);
-};
 
 struct NicSpec {
   std::string name;
@@ -77,33 +70,25 @@ class NetworkFabric {
   void set_link_override(NodeId a, NodeId b, Bandwidth bw);
 
   /// Start a transfer when `ready` completes (nullptr = immediately);
-  /// the returned event completes when the last byte lands.
-  gpusim::EventPtr transfer(NodeId from, NodeId to, Bytes size, std::string label = {},
-                            gpusim::EventPtr ready = nullptr);
-
-  /// Like `transfer`, but the completion is clamped to at least
-  /// `min_deliver_delay` past the start time. The controller passes its
-  /// one-way edge to the receiving worker, so a copy it starts is never
+  /// the returned event completes when the last byte lands, and never
+  /// sooner than `min_deliver_delay` past the start. The controller passes
+  /// its one-way edge to a receiving worker, so a copy it starts is never
   /// visible on the worker before a message it sends at the same moment
   /// could be; the transfer's duration already covers the edge whenever
   /// the source NIC is no faster than the controller's own.
-  gpusim::EventPtr transfer_into(NodeId from, NodeId to, Bytes size, SimTime min_deliver_delay,
-                                 std::string label = {}, gpusim::EventPtr ready = nullptr);
-
-  /// Small control message (CE descriptors, acks): rides a prioritized QoS
-  /// lane, so it pays latency + serialization but does not queue behind
-  /// bulk transfers. Delivery is reliable: a dropped attempt (fault hook,
-  /// or a link degraded to zero bandwidth) is retried after a timeout with
-  /// exponential backoff. Returns the arrival event; it never fires when an
-  /// endpoint dies first (the runtime's recovery supersedes the CE then).
-  gpusim::EventPtr send_control(NodeId from, NodeId to, Bytes size);
+  gpusim::EventPtr transfer(NodeId from, NodeId to, Bytes size, std::string label = {},
+                            gpusim::EventPtr ready = nullptr,
+                            SimTime min_deliver_delay = SimTime::zero());
 
   /// Ordered command lane: commands from `from` to `to` deliver in send
   /// order (a per-pair FIFO), each as an event scheduled no earlier than
-  /// the link latency allows. Two flavors:
-  ///   - droppable (`reliable = false`): CE bundles; shares the control
-  ///     lane's fault hook, timeout/backoff retries and liveness semantics
-  ///     (an abandoned command skips its slot so later commands still
+  /// the link latency allows. The lane rides a prioritized QoS class, so a
+  /// command pays latency + serialization but does not queue behind bulk
+  /// transfers. Two flavors:
+  ///   - droppable (`reliable = false`): CE bundles; an attempt the fault
+  ///     hook drops (or a link degraded to zero bandwidth loses) is resent
+  ///     after a timeout with exponential backoff, and an endpoint's death
+  ///     abandons the command (its slot is skipped so later commands still
   ///     deliver, in order);
   ///   - reliable (`reliable = true`): internal cluster operations
   ///     (eviction, staging, releases); never dropped, delivered even when
@@ -112,8 +97,6 @@ class NetworkFabric {
   /// The in-order guarantee is per (from, to) pair.
   void send_command(NodeId from, NodeId to, Bytes size, std::function<void()> deliver,
                     bool reliable);
-
-  void set_control_retry(ControlRetryConfig config) { retry_ = config; }
 
   /// Fault-injection surface (see net/fault.hpp). The hook is consulted
   /// once per control-lane attempt; returning true loses that attempt.
@@ -164,11 +147,7 @@ class NetworkFabric {
   };
 
   void start_transfer(NodeId from, NodeId to, Bytes size, const std::string& label,
-                      const gpusim::EventPtr& done);
-  void start_transfer_into(NodeId from, NodeId to, Bytes size, const std::string& label,
-                           const gpusim::EventPtr& done, SimTime min_deliver_delay);
-  void attempt_control(NodeId from, NodeId to, Bytes size, const gpusim::EventPtr& done,
-                       SimTime timeout);
+                      const gpusim::EventPtr& done, SimTime min_deliver_delay);
   void attempt_command(NodeId from, NodeId to, Bytes size, std::uint64_t seq, SimTime timeout);
   void flush_lane(NodeId from, NodeId to);
   void rebuild_matrix() const;
@@ -184,7 +163,6 @@ class NetworkFabric {
   mutable std::vector<double> bps_matrix_;
   mutable bool matrix_dirty_{true};
   std::map<std::pair<NodeId, NodeId>, CommandLane> lanes_;
-  ControlRetryConfig retry_;
   std::function<bool(NodeId, NodeId)> control_fault_hook_;
   SimTime control_extra_delay_{SimTime::zero()};
   Bytes total_bytes_{0};

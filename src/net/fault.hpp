@@ -7,10 +7,10 @@
 // library's fixed xoshiro256** stream, and timed faults ride the ordinary
 // event queue.
 //
-// Scope of the model: control-lane messages can be lost (the fabric
-// retries them, see NetworkFabric::send_control); bulk transfers that were
-// already planned before a failure are assumed recoverable from the
-// source's host-side staging buffer and complete normally. A worker death
+// Scope of the model: droppable control-lane commands can be lost (the
+// fabric retries them, see NetworkFabric::send_command); bulk transfers
+// that were already planned before a failure are assumed recoverable from
+// the source's host-side staging buffer and complete normally. A worker death
 // therefore affects the coherence directory, future placements and the
 // CEs resident on the dead node — which the runtime replays from DAG
 // lineage — but never un-delivers bytes already on the wire.

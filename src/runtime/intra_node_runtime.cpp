@@ -175,10 +175,7 @@ void IntraNodeRuntime::track(dag::VertexId v, gpusim::EventPtr done) {
   vertex_events_.push_back(done);
   // The completion releases the slot; whoever completes the event holds
   // its own reference, so this never destroys the event mid-completion.
-  done->on_complete([this, v] {
-    dag_.mark_done(v);
-    vertex_events_[v] = nullptr;
-  });
+  done->on_complete([this, v] { vertex_events_[v] = nullptr; });
 }
 
 }  // namespace grout::runtime

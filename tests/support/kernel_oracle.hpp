@@ -3,7 +3,9 @@
 //
 // This is the executor the polyglot layer ran before kernels were lowered
 // to register slots: it resolves every identifier through hash maps and
-// keeps each thread's locals in a fresh map, so it is slow but obviously
+// keeps each thread's locals in a fresh stack of C block scopes (the
+// function scope holding the scalar parameters, one per if/else body, per
+// for statement and per for-body pass), so it is slow but obviously
 // faithful to the kernel source. test_compiled_kernel diffs CompiledKernel
 // against it over randomized kernels, and the InterpreterTest cases in
 // test_polyglot pin its semantics.
@@ -52,22 +54,36 @@ inline double call_builtin(const std::string& fn, const std::vector<double>& a) 
 
 /// Per-thread evaluation environment.
 struct ThreadEnv {
+  using Scope = std::unordered_map<std::string, double>;
+
   const std::unordered_map<std::string, const ArrayBinding*>* arrays;
-  const std::unordered_map<std::string, double>* scalars;
-  std::unordered_map<std::string, double> locals;
+  /// Block scopes, innermost last; the first is the function scope.
+  std::vector<Scope> scopes;
   double thread_idx{0.0};
   double block_idx{0.0};
   double block_dim{0.0};
   double grid_dim{0.0};
 
-  [[nodiscard]] double lookup(const std::string& name) const {
+  void declare(const std::string& name, double value) {
+    if (!scopes.back().emplace(name, value).second) {
+      throw ParseError("redeclared identifier in kernel: " + name);
+    }
+  }
+
+  /// The innermost declaration of `name`.
+  [[nodiscard]] double& variable(const std::string& name) {
+    for (auto scope = scopes.rbegin(); scope != scopes.rend(); ++scope) {
+      if (const auto it = scope->find(name); it != scope->end()) return it->second;
+    }
+    throw ParseError("unknown identifier in kernel: " + name);
+  }
+
+  [[nodiscard]] double lookup(const std::string& name) {
     if (name == "threadIdx.x") return thread_idx;
     if (name == "blockIdx.x") return block_idx;
     if (name == "blockDim.x") return block_dim;
     if (name == "gridDim.x") return grid_dim;
-    if (const auto it = locals.find(name); it != locals.end()) return it->second;
-    if (const auto it = scalars->find(name); it != scalars->end()) return it->second;
-    throw ParseError("unknown identifier in kernel: " + name);
+    return variable(name);
   }
 
   [[nodiscard]] const ArrayBinding& array(const std::string& name) const {
@@ -80,11 +96,18 @@ struct ThreadEnv {
 inline double eval_expr(const ast::Expr& e, ThreadEnv& env);
 inline void exec_stmts(const std::vector<ast::StmtPtr>& body, ThreadEnv& env);
 
+/// Run a braced body in a scope of its own.
+inline void exec_block(const std::vector<ast::StmtPtr>& body, ThreadEnv& env) {
+  env.scopes.emplace_back();
+  exec_stmts(body, env);
+  env.scopes.pop_back();
+}
+
 inline void exec_one(const ast::Stmt& stmt, ThreadEnv& env_ref) {
   {
     struct Visitor {
       ThreadEnv& env;
-      void operator()(const ast::Decl& d) const { env.locals[d.name] = eval_expr(*d.init, env); }
+      void operator()(const ast::Decl& d) const { env.declare(d.name, eval_expr(*d.init, env)); }
       void operator()(const ast::Assign& a) const {
         const double value = eval_expr(*a.value, env);
         if (a.index) {
@@ -100,7 +123,7 @@ inline void exec_one(const ast::Stmt& stmt, ThreadEnv& env_ref) {
           }
           arr.set(i, result);
         } else {
-          double& slot = env.locals[a.target];
+          double& slot = env.variable(a.target);
           if (a.op == 0) {
             slot = value;
           } else {
@@ -113,24 +136,26 @@ inline void exec_one(const ast::Stmt& stmt, ThreadEnv& env_ref) {
       }
       void operator()(const ast::If& i) const {
         if (eval_expr(*i.cond, env) != 0.0) {
-          exec_stmts(i.then_body, env);
+          exec_block(i.then_body, env);
         } else {
-          exec_stmts(i.else_body, env);
+          exec_block(i.else_body, env);
         }
       }
       void operator()(const ast::For& l) const {
+        env.scopes.emplace_back();  // a declaration in the init lives until the loop ends
         exec_one(*l.init, env);
         // Guard against runaway device loops: the subset has no breaks, so
         // anything past this bound is a bug in the kernel source.
         constexpr std::uint64_t kMaxTrips = 1u << 28;
         std::uint64_t trips = 0;
         while (eval_expr(*l.cond, env) != 0.0) {
-          exec_stmts(l.body, env);
+          exec_block(l.body, env);
           exec_one(*l.update, env);
           if (++trips > kMaxTrips) {
             throw ParseError("kernel for-loop exceeded the iteration bound");
           }
         }
+        env.scopes.pop_back();
       }
     };
     std::visit(Visitor{env_ref}, stmt.node);
@@ -202,9 +227,10 @@ inline void execute_kernel(const ast::KernelAst& kernel, const KernelArgs& args,
   using namespace kernel_detail;
   GROUT_REQUIRE(grid_dim > 0 && block_dim > 0, "empty launch configuration");
 
-  // Bind parameters by position.
+  // Bind parameters by position. Scalar parameters live in the function
+  // scope, which each thread starts from afresh.
   std::unordered_map<std::string, const ArrayBinding*> arrays;
-  std::unordered_map<std::string, double> scalars;
+  ThreadEnv::Scope scalars;
   std::size_t array_cursor = 0;
   std::size_t scalar_cursor = 0;
   for (const ast::Param& p : kernel.params) {
@@ -220,13 +246,12 @@ inline void execute_kernel(const ast::KernelAst& kernel, const KernelArgs& args,
   for (std::size_t block = 0; block < grid_dim; ++block) {
     ThreadEnv env;
     env.arrays = &arrays;
-    env.scalars = &scalars;
     env.block_dim = static_cast<double>(block_dim);
     env.grid_dim = static_cast<double>(grid_dim);
     env.block_idx = static_cast<double>(block);
     for (std::size_t t = 0; t < block_dim; ++t) {
       env.thread_idx = static_cast<double>(t);
-      env.locals.clear();
+      env.scopes.assign(1, scalars);
       exec_stmts(kernel.body, env);
     }
   }

@@ -303,8 +303,20 @@ constexpr const char* kTranscendental = R"(
   }
 )";
 
+// The inner `x` ends with its block: every thread, thread 0 included,
+// writes the outer 1.0.
+constexpr const char* kShadowing = R"(
+  __global__ void shadow(float* o, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    float x = 1.0;
+    if (i == 0) { float x = 7.0; }
+    if (i < n) { o[i] = x; }
+  }
+)";
+
 INSTANTIATE_TEST_SUITE_P(Kernels, CompiledVsInterpreter,
-                         ::testing::Values(kSaxpyLike, kBranchy, kLoopy, kTranscendental));
+                         ::testing::Values(kSaxpyLike, kBranchy, kLoopy, kTranscendental,
+                                           kShadowing));
 
 }  // namespace
 }  // namespace grout::polyglot

@@ -165,18 +165,9 @@ TEST(Dag, SparseArrayIdsGetTheSameEdgesAsAdjacentOnes) {
   EXPECT_EQ(sparse.last_writer_of(100000), 3u);
 }
 
-TEST(Dag, MarkDone) {
-  DependencyDag dag;
-  const VertexId v = dag.add("v", {w(0)});
-  EXPECT_FALSE(dag.vertex(v).done);
-  dag.mark_done(v);
-  EXPECT_TRUE(dag.vertex(v).done);
-}
-
 TEST(Dag, InvalidVertexThrows) {
   DependencyDag dag;
   EXPECT_THROW(dag.vertex(3), InvalidArgument);
-  EXPECT_THROW(dag.mark_done(0), InvalidArgument);
 }
 
 TEST(Dag, InvalidArrayThrows) {

@@ -1,7 +1,9 @@
-// Fault-tolerance layer: fault-plan parsing, the reliable control lane
+// Fault-tolerance layer: fault-plan parsing, the droppable control lane
 // (drop -> timeout -> exponential-backoff retry), worker-death recovery via
 // DAG lineage replay, and the degraded-link handling in the data movers.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "sim/simulator.hpp"
 #include "core/grout_runtime.hpp"
@@ -61,7 +63,7 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
 }
 
 // ---------------------------------------------------------------------------
-// Reliable control lane (fabric level)
+// Droppable control lane (fabric level)
 // ---------------------------------------------------------------------------
 
 struct ControlLaneFixture : ::testing::Test {
@@ -72,30 +74,37 @@ struct ControlLaneFixture : ::testing::Test {
     fabric = std::make_unique<net::NetworkFabric>(sim, std::move(nics));
   }
 
+  /// Send one droppable command from node 0 to node 1; `delivered` takes
+  /// the sim time at which it lands.
+  void send_command() {
+    fabric->send_command(0, 1, 256, [this] { delivered = sim.now(); }, /*reliable=*/false);
+  }
+
   sim::Simulator sim;
   std::unique_ptr<net::NetworkFabric> fabric;
+  std::optional<SimTime> delivered;
 };
 
 TEST_F(ControlLaneFixture, DroppedSendsRetryWithBackoffUntilDelivered) {
   int drops = 2;
   fabric->set_control_fault_hook([&](net::NodeId, net::NodeId) { return drops-- > 0; });
-  const gpusim::EventPtr done = fabric->send_control(0, 1, 256);
+  send_command();
   sim.run();
-  ASSERT_TRUE(done->completed());
+  ASSERT_TRUE(delivered.has_value());
   EXPECT_EQ(fabric->control_sends(), 1u);
   EXPECT_EQ(fabric->control_drops(), 2u);
   EXPECT_EQ(fabric->control_timeouts(), 2u);
   EXPECT_EQ(fabric->control_retries(), 2u);
   // Two timeouts with exponential backoff: 200 us + 400 us before the
   // delivered attempt even starts.
-  EXPECT_GE(done->when(), SimTime::from_us(600.0));
+  EXPECT_GE(*delivered, SimTime::from_us(600.0));
 }
 
 TEST_F(ControlLaneFixture, SendToDeadNodeIsAbandoned) {
   fabric->kill_node(1);
-  const gpusim::EventPtr done = fabric->send_control(0, 1, 256);
+  send_command();
   sim.run();  // the queue must drain: no retry loop against a dead node
-  EXPECT_FALSE(done->completed());
+  EXPECT_FALSE(delivered.has_value());
   EXPECT_EQ(fabric->control_abandoned(), 1u);
   EXPECT_FALSE(fabric->node_alive(1));
   EXPECT_TRUE(fabric->node_alive(0));
@@ -105,34 +114,34 @@ TEST_F(ControlLaneFixture, MidRetryDeathBreaksTheRetryLoop) {
   // Every attempt is dropped; without the liveness check the retry chain
   // would re-arm forever and sim.run() would never return.
   fabric->set_control_fault_hook([](net::NodeId, net::NodeId) { return true; });
-  const gpusim::EventPtr done = fabric->send_control(0, 1, 256);
+  send_command();
   sim.schedule_at(SimTime::from_ms(5.0), [&] { fabric->kill_node(1); });
   sim.run();
-  EXPECT_FALSE(done->completed());
+  EXPECT_FALSE(delivered.has_value());
   EXPECT_GE(fabric->control_retries(), 1u);
   EXPECT_EQ(fabric->control_abandoned(), 1u);
 }
 
 TEST_F(ControlLaneFixture, ZeroBandwidthLinkCountsAsDropUntilRestored) {
   fabric->set_link_override(0, 1, Bandwidth{});  // link down
-  const gpusim::EventPtr done = fabric->send_control(0, 1, 256);
+  send_command();
   sim.schedule_at(SimTime::from_ms(2.0),
                   [&] { fabric->set_link_override(0, 1, Bandwidth::mbit_per_sec(1000.0)); });
   sim.run();
-  ASSERT_TRUE(done->completed());
+  ASSERT_TRUE(delivered.has_value());
   EXPECT_GE(fabric->control_drops(), 1u);
-  EXPECT_GE(done->when(), SimTime::from_ms(2.0));
+  EXPECT_GE(*delivered, SimTime::from_ms(2.0));
 }
 
 TEST_F(ControlLaneFixture, InjectorAppliesDelayAndDegrade) {
   net::FaultPlan plan = net::FaultPlan::parse("delay:100,degrade:0-1@0.001=100");
   net::FaultInjector injector(sim, *fabric, std::move(plan));
   injector.arm(nullptr);
-  const gpusim::EventPtr done = fabric->send_control(0, 1, 256);
+  send_command();
   sim.run();
-  ASSERT_TRUE(done->completed());
+  ASSERT_TRUE(delivered.has_value());
   // latency (50 us) + injected delay (100 us) + serialization.
-  EXPECT_GE(done->when(), SimTime::from_us(150.0));
+  EXPECT_GE(*delivered, SimTime::from_us(150.0));
   EXPECT_EQ(injector.injected_degrades(), 1u);
   EXPECT_DOUBLE_EQ(fabric->bandwidth(0, 1).bps(), Bandwidth::mbit_per_sec(100.0).bps());
 }

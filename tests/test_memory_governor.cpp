@@ -595,10 +595,9 @@ TEST(OversubscriptionScenario, EvictionSpansAreTraced) {
 
 TEST(OversubscriptionScenario, DefaultBudgetComesFromNodeCapacity) {
   GroutConfig cfg = governed_config(0);
-  cfg.worker_mem.reset();          // derive from the node
-  cfg.worker_mem_headroom = 2.0;   // 2 GPUs x 8 MiB x 2.0
+  cfg.worker_mem.reset();  // derive from the node: 2 GPUs x 8 MiB x 8
   GroutRuntime rt(cfg);
-  EXPECT_EQ(rt.governor().budget(), 32_MiB);
+  EXPECT_EQ(rt.governor().budget(), 128_MiB);
 
   GroutConfig unbounded = governed_config(0);  // explicit 0 = unbounded
   GroutRuntime rt2(unbounded);

@@ -1,6 +1,8 @@
 // Tests for the CE wire codec and the control lane.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "sim/simulator.hpp"
 #include "common/rng.hpp"
 #include "net/fabric.hpp"
@@ -127,10 +129,11 @@ TEST(ControlLane, DoesNotQueueBehindBulkTransfers) {
   NetworkFabric fabric(sim, std::move(nics));
   // A 5 GB bulk transfer occupies the TX queue for ~10 s.
   fabric.transfer(0, 1, Bytes{5000000000});
-  auto ctl = fabric.send_control(0, 1, Bytes{128});
+  std::optional<SimTime> delivered;
+  fabric.send_command(0, 1, Bytes{128}, [&] { delivered = sim.now(); }, /*reliable=*/false);
   sim.run();
-  ASSERT_TRUE(ctl->completed());
-  EXPECT_LT(ctl->when().seconds(), 0.01);  // latency-bound, not queued
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_LT(delivered->seconds(), 0.01);  // latency-bound, not queued
 }
 
 TEST(ControlLane, PaysLatencyAndSerialization) {
@@ -139,9 +142,12 @@ TEST(ControlLane, PaysLatencyAndSerialization) {
       NicSpec{"ctl", Bandwidth::mbit_per_sec(8000.0), SimTime::from_us(50.0)},
       NicSpec{"w0", Bandwidth::mbit_per_sec(4000.0), SimTime::from_us(50.0)}};
   NetworkFabric fabric(sim, std::move(nics));
-  auto ctl = fabric.send_control(0, 1, Bytes{500000});  // 1 ms at 500 MB/s
+  std::optional<SimTime> delivered;
+  fabric.send_command(0, 1, Bytes{500000}, [&] { delivered = sim.now(); },  // 1 ms at 500 MB/s
+                      /*reliable=*/false);
   sim.run();
-  EXPECT_NEAR(ctl->when().seconds(), 100e-6 + 1e-3, 1e-6);
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_NEAR(delivered->seconds(), 100e-6 + 1e-3, 1e-6);
 }
 
 }  // namespace
