@@ -10,10 +10,10 @@
 //     per-worker budget honoured;
 //   * the eviction bill: evictions, spills, refetches, the peak of
 //     spilled bytes held by the controller, the write-back queue peak and
-//     the simulated time consumers waited on in-flight write-backs;
-//   * CE dispatch latency on stdout only (real wall-clock of the dispatch
-//     path, the SchedulerMetrics::decision_ns p99), so the JSON stays a
-//     fully simulated golden.
+//     the simulated time consumers waited on in-flight write-backs.
+//
+// Both stdout and the JSON are fully simulated, so both are goldens
+// (bench/expected/abl_spill_tiers.txt and BENCH_spill.json).
 //
 // The workload ping-pongs between two array families (pass p reads the
 // arrays pass p-1 wrote), so every pass consumes sole copies the previous
@@ -43,7 +43,6 @@ constexpr std::size_t kPasses = 3;
 struct PointOutcome {
   bool completed{true};
   double seconds{0.0};
-  double dispatch_p99_us{0.0};
   core::SchedulerMetrics metrics;
   Bytes worker_high_water{0};  ///< max over workers
 };
@@ -99,9 +98,6 @@ PointOutcome run_point(double ratio) {
 
   o.seconds = rt.now().seconds();
   o.metrics = rt.metrics();
-  if (o.metrics.decision_ns.count() > 0) {
-    o.dispatch_p99_us = o.metrics.decision_ns.percentile(99.0) / 1000.0;
-  }
   for (const Bytes hw : o.metrics.worker_resident_peak) {
     o.worker_high_water = std::max(o.worker_high_water, hw);
   }
@@ -140,8 +136,8 @@ int main(int argc, char** argv) {
   std::printf("# 2 workers x %s budget, sole copies spilled to controller memory;\n",
               format_bytes(kWorkerMem).c_str());
   std::printf("# ping-pong passes, waves of %zu CEs; '>' = capped at 2.5 h\n", kWave);
-  std::printf("%-6s | %9s | %11s | %9s | %6s | %13s | %15s\n", "ratio", "time [s]",
-              "disp p99 us", "evictions", "spills", "peak resident", "peak ctl copies");
+  std::printf("%-6s | %9s | %9s | %6s | %13s | %15s\n", "ratio", "time [s]", "evictions",
+              "spills", "peak resident", "peak ctl copies");
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -158,8 +154,8 @@ int main(int argc, char** argv) {
     const double ratio = ratios[i];
     const PointOutcome o = run_point(ratio);
     emit_json_point(out, ratio, o, i + 1 == std::size(ratios));
-    std::printf("%-6.0f | %s%8.2f | %11.2f | %9llu | %6llu | %13s | %15s\n", ratio,
-                o.completed ? " " : ">", o.seconds, o.dispatch_p99_us,
+    std::printf("%-6.0f | %s%8.2f | %9llu | %6llu | %13s | %15s\n", ratio,
+                o.completed ? " " : ">", o.seconds,
                 static_cast<unsigned long long>(o.metrics.evictions),
                 static_cast<unsigned long long>(o.metrics.spills),
                 format_bytes(o.worker_high_water).c_str(),

@@ -60,7 +60,7 @@ void Cluster::send_staged(std::size_t src, GlobalArrayId id, Bytes bytes, net::N
                            });
         });
       },
-      /*reliable=*/true);
+      /*ce_bundle=*/false);
 }
 
 Worker& Cluster::worker(std::size_t i) {

@@ -3,9 +3,7 @@
 // Fabric node 0 is the Controller (the paper's Intel Xeon 6354 head node
 // with an 8 Gbit/s NIC); nodes 1..N are workers (two V100s, 4 Gbit/s NIC).
 //
-// Membership is fixed at construction. Only a fault-plan death changes it,
-// and the GroutRuntime tracks that (its liveness vector); the Cluster
-// itself never adds or removes a worker.
+// Membership is fixed at construction: no worker joins or leaves a run.
 //
 // Every worker, the fabric and the controller-side bookkeeping share one
 // serial sim::Simulator owned by the Cluster.
@@ -58,7 +56,7 @@ class Cluster {
 
   /// The staged-copy protocol: move worker `src`'s copy of `id` (`bytes`
   /// long) to fabric node `dst`, another worker or the controller. A
-  /// reliable command reaches the source one edge later; the source stages
+  /// command reaches the source one edge later; the source stages
   /// the copy to host memory behind its local writers (Worker::stage_send)
   /// and, with `free_source`, releases its allocation once the staging
   /// completes. The staging acks back one edge later, and the controller

@@ -41,28 +41,6 @@ void Worker::release_array(GlobalArrayId global, gpusim::EventPtr after) {
   }
 }
 
-void Worker::release_all() {
-  // The mapping is gone immediately, but the node may still be simulating
-  // work submitted before it died (stale kernels, staged sends); freeing
-  // under those would trip "use of freed array". Defer the UVM frees until
-  // everything submitted so far has drained.
-  std::vector<uvm::ArrayId> locals;
-  for (const uvm::ArrayId local : local_ids_) {
-    if (local != uvm::kInvalidArray) locals.push_back(local);
-  }
-  local_ids_.clear();
-  for (const uvm::ArrayId local : locals) runtime_.forget_array(local);
-  if (locals.empty()) return;
-  const gpusim::EventPtr quiescent = runtime_.quiescent_event();
-  if (quiescent == nullptr || quiescent->completed()) {
-    for (const uvm::ArrayId local : locals) node_.uvm().free_array(local);
-  } else {
-    quiescent->on_complete([this, locals = std::move(locals)] {
-      for (const uvm::ArrayId local : locals) node_.uvm().free_array(local);
-    });
-  }
-}
-
 runtime::Submission Worker::execute_kernel(gpusim::KernelLaunchSpec spec,
                                            gpusim::EventPtr ready) {
   for (auto& p : spec.params) {

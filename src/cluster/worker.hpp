@@ -40,13 +40,8 @@ class Worker {
   /// the UvmSpace free is deferred until it completes (an
   /// in-flight staged send may still read the allocation); the mapping is
   /// dropped immediately either way, so a re-ensure allocates afresh. A
-  /// global id this worker does not hold is a no-op: a release command can
-  /// arrive after death recovery already tore the replica down.
+  /// global id this worker does not hold is a no-op.
   void release_array(GlobalArrayId global, gpusim::EventPtr after = nullptr);
-
-  /// Free every local allocation and clear the mapping (worker death:
-  /// dead replicas must not linger in `local_ids_`).
-  void release_all();
 
   /// Execute a kernel CE whose params refer to *global* array ids; they are
   /// translated to this node's local allocations. When `ready` is set the

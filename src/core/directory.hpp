@@ -81,24 +81,6 @@ class CoherenceDirectory {
     check_invariant(id);
   }
 
-  /// A worker died: remove it from every holder set. Arrays left with zero
-  /// holders are returned so the runtime can rebuild a copy from DAG
-  /// lineage — the "at least one holder" invariant is suspended for exactly
-  /// those arrays until recovery re-executes their producer CEs (or, with
-  /// recovery disabled, they stay lost and later lookups fail loudly).
-  std::vector<GlobalArrayId> drop_worker(std::size_t worker) {
-    GROUT_REQUIRE(worker < workers_, "worker index out of range");
-    std::vector<GlobalArrayId> orphaned;
-    for (GlobalArrayId id = 0; id < entries_.size(); ++id) {
-      entries_[id].invalidated.remove_worker(worker);
-      LocationSet& h = entries_[id].holders;
-      if (!h.worker(worker)) continue;
-      h.remove_worker(worker);
-      if (!h.any()) orphaned.push_back(id);
-    }
-    return orphaned;
-  }
-
   /// A CE wrote the array on `worker`: exclusive ownership. Every other
   /// worker's replica is invalidated (it will refetch on next use); the
   /// returned effect reports how much the write cost the rest of the

@@ -44,26 +44,11 @@ GroutRuntime::GroutRuntime(GroutConfig config)
   }
   metrics_.assignments.assign(config_.cluster.workers, 0);
   metrics_.inflight.assign(config_.cluster.workers, 0);
-  alive_.assign(config_.cluster.workers, true);
   const Bytes node_gpu_mem =
       config_.cluster.worker_node.gpu_count * config_.cluster.worker_node.device.memory;
   const Bytes budget = config_.worker_mem.value_or(static_cast<Bytes>(
       kWorkerMemHeadroom * static_cast<double>(node_gpu_mem)));
   governor_ = std::make_unique<MemoryGovernor>(*cluster_, directory_, metrics_, budget);
-  if (!config_.fault_plan.empty()) {
-    for (const net::KillWorkerFault& k : config_.fault_plan.kills) {
-      GROUT_REQUIRE(k.worker < config_.cluster.workers, "fault plan kills an unknown worker");
-    }
-    // Degrade endpoints are fabric ids: the controller plus one per worker.
-    const std::size_t nodes = cluster_->fabric().node_count();
-    for (const net::DegradeLinkFault& d : config_.fault_plan.degrades) {
-      GROUT_REQUIRE(static_cast<std::size_t>(d.a) < nodes && static_cast<std::size_t>(d.b) < nodes,
-                    "fault plan degrades a link to an unknown node");
-    }
-    injector_ = std::make_unique<net::FaultInjector>(cluster_->simulator(), cluster_->fabric(),
-                                                     config_.fault_plan);
-    injector_->arm([this](std::size_t w) { handle_worker_death(w); });
-  }
 }
 
 GlobalArrayId GroutRuntime::alloc(Bytes bytes, std::string name, TenantId tenant) {
@@ -91,7 +76,7 @@ void GroutRuntime::advise(GlobalArrayId array, uvm::Advise advise) {
   GROUT_REQUIRE(array < directory_.array_count(), "unknown global array");
   if (array >= advises_.size()) advises_.resize(std::size_t{array} + 1);
   advises_[array] = advise;
-  // Existing replicas get the advise through a reliable command to each
+  // Existing replicas get the advise through a command to each
   // worker (the hold-check runs on the worker when the command lands —
   // the controller does not probe worker-local state). Future replicas
   // pick it up from advises_ when their CE bundle materializes them.
@@ -104,7 +89,7 @@ void GroutRuntime::advise(GlobalArrayId array, uvm::Advise advise) {
             worker.node().uvm().advise(worker.local_array(array), advise);
           }
         },
-        /*reliable=*/true);
+        /*ce_bundle=*/false);
   }
 }
 
@@ -116,30 +101,13 @@ CeTicket GroutRuntime::launch(gpusim::KernelLaunchSpec spec) {
     accesses.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
   }
   const dag::VertexId v = global_dag_.add(spec.name, std::move(accesses));
-  const CeRecord& rec = add_record(v, std::move(spec));
-  dispatch(v);
-  return CeTicket{v, rec.worker, rec.done};
+  return dispatch(v, std::move(spec));
 }
 
-GroutRuntime::CeRecord& GroutRuntime::add_record(dag::VertexId v, gpusim::KernelLaunchSpec spec) {
-  // Record the CE so a fault can re-dispatch it; `done` is the logical
-  // completion event and fires exactly once, however many attempts it takes.
-  record_slot_.resize(v + 1, kNoRecord);
-  record_slot_[v] = records_.size();
-  CeRecord& rec = records_.emplace_back();
-  rec.spec = std::move(spec);
-  rec.done = gpusim::make_event();
-  track_pending(rec.done);
-  return rec;
-}
-
-void GroutRuntime::dispatch(dag::VertexId v) {
+CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) {
   const auto t0 = WallClock::now();
-  CeRecord& rec = record(v);
-  rec.dispatching = true;
-  const gpusim::KernelLaunchSpec& spec = rec.spec;
 
-  // 1. Node-level policy decision (only live workers are eligible).
+  // 1. Node-level policy decision.
   std::vector<PlacementParam> params;
   params.reserve(spec.params.size());
   for (const auto& p : spec.params) {
@@ -153,7 +121,6 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   query.fabric = &cluster_->fabric();
   query.workers = cluster_->worker_count();
   query.outstanding = &metrics_.inflight;
-  query.alive = &alive_;
   query.resident = &governor_->resident_by_worker();
   query.mem_budget = governor_->budget();
   query.tenant = spec.tenant;
@@ -162,12 +129,11 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   bool explored = false;
   query.explored = &explored;
   const std::size_t w = policy_->assign(query);
-  GROUT_CHECK(w < cluster_->worker_count() && alive_[w],
-              "policy returned an invalid or dead worker");
+  GROUT_CHECK(w < cluster_->worker_count(), "policy returned an invalid worker");
   if (explored) ++metrics_.exploration_placements;
   if (query.tenant_quota != 0 && !placement_admissible(query, w)) {
-    // No quota-admissible worker existed and the CE fell through to a live
-    // one: the pressure signal the serving admission controller watches.
+    // No quota-admissible worker existed and the CE fell through to
+    // another: the pressure signal the serving admission controller watches.
     ++metrics_.quota_overflows;
   }
 
@@ -189,17 +155,11 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     if (fresh && id < advises_.size()) op.advise = advises_[id];
     ensures.push_back(std::move(op));
   }
-  for (const GlobalArrayId id : unique_arrays(spec)) governor_->pin(w, id);
+  std::vector<GlobalArrayId> pins = unique_arrays(spec);
+  for (const GlobalArrayId id : pins) governor_->pin(w, id);
   std::vector<AdoptOp> adopts;
   for (const PlacementParam& p : params) {
     if (!p.needs_data) continue;
-    if (!directory_.holders(p.array).any()) {
-      // Every copy died with its worker; rebuild one from DAG lineage
-      // before planning the inbound transfer.
-      GROUT_CHECK(config_.lineage_recovery,
-                  "input array has no up-to-date copy and lineage recovery is disabled");
-      recover_array(p.array);
-    }
     if (gpusim::EventPtr arrival = plan_movement(p, w)) {
       adopts.push_back(AdoptOp{p.array, std::move(arrival)});
     }
@@ -208,15 +168,10 @@ void GroutRuntime::dispatch(dag::VertexId v) {
   // 3. Marshal the CE into one ordered command-lane bundle; its delivery
   //    *is* the arrival gate. On delivery the bundle runs on the worker:
   //    it materializes the allocations, adopts the inbound copies and
-  //    submits the kernel to the intra-node runtime (Algorithm 2). The lane
-  //    retries dropped attempts with exponential backoff and abandons the
-  //    bundle if the worker dies first (recovery supersedes it). The wire
-  //    buffer is a member reused across dispatches (encode_ce resets it; no
-  //    nested dispatch survives to this point, so reuse is safe).
+  //    submits the kernel to the intra-node runtime (Algorithm 2). The wire
+  //    buffer is a member reused across dispatches (encode_ce resets it;
+  //    dispatch never re-enters itself, so reuse is safe).
   const Bytes message_bytes = net::encode_ce(spec, wire_buffer_);
-
-  rec.worker = w;
-  const std::uint32_t attempt = ++rec.attempt;
 
   const auto t1 = WallClock::now();
   metrics_.decision_ns.add(
@@ -236,7 +191,7 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     governor_->release_spilled(id);
     if (effect.invalidations > 0 && cluster_->tracer().enabled()) {
       // Invalidation storm visibility: one span per shared write that
-      // dropped replicas, tenant-tagged like the dispatch span above.
+      // dropped replicas, tenant-tagged like the dispatch span below.
       const SimTime at = cluster_->simulator().now();
       cluster_->tracer().record(
           sim::TraceCategory::Scheduling,
@@ -247,30 +202,6 @@ void GroutRuntime::dispatch(dag::VertexId v) {
     }
   }
 
-  // The stored rec.spec stays put: a fault may re-dispatch or replay it.
-  gpusim::KernelLaunchSpec wire_spec = spec;
-
-  sim::Simulator& engine = cluster_->simulator();
-  const SimTime edge = cluster_->controller_edge(w);
-  cluster_->fabric().send_command(
-      cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), message_bytes,
-      [this, &worker, &engine, edge, v, attempt, wire_spec = std::move(wire_spec),
-       ensures = std::move(ensures), adopts = std::move(adopts)]() mutable {
-        for (const EnsureOp& e : ensures) {
-          const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes);
-          if (e.advise) worker.node().uvm().advise(local, *e.advise);
-        }
-        for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
-        runtime::Submission sub = worker.execute_kernel(std::move(wire_spec));
-        // The completion acks back to the controller one fabric edge later;
-        // the DAG/pin bookkeeping runs there.
-        sub.done->on_complete([this, &engine, edge, v, attempt] {
-          engine.schedule_at(engine.now() + edge,
-                             [this, v, attempt] { on_ce_complete(v, attempt); });
-        });
-      },
-      /*reliable=*/false);
-
   if (spec.tenant != kNoTenant && cluster_->tracer().enabled()) {
     // Serving dispatch decision, tenant-tagged so one shared-cluster trace
     // can be filtered into per-tenant timelines.
@@ -279,31 +210,47 @@ void GroutRuntime::dispatch(dag::VertexId v) {
                               "dispatch:" + spec.name + "->worker" + std::to_string(w),
                               "controller", at, at, spec.tenant);
   }
-  rec.dispatching = false;
+
+  // The spec moves into the bundle; the completion ack carries the rest of
+  // the CE's controller state (its worker, pins and `done`), so nothing of
+  // the CE outlives its completion.
+  gpusim::EventPtr done = gpusim::make_event();
+  CeTicket ticket{v, w, done};
+  sim::Simulator& engine = cluster_->simulator();
+  const SimTime edge = cluster_->controller_edge(w);
+  cluster_->fabric().send_command(
+      cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), message_bytes,
+      [this, &worker, &engine, edge, w, spec = std::move(spec), ensures = std::move(ensures),
+       adopts = std::move(adopts), pins = std::move(pins), done = std::move(done)]() mutable {
+        for (const EnsureOp& e : ensures) {
+          const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes);
+          if (e.advise) worker.node().uvm().advise(local, *e.advise);
+        }
+        for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
+        runtime::Submission sub = worker.execute_kernel(std::move(spec));
+        // The completion acks back to the controller one fabric edge later;
+        // the pin bookkeeping runs there.
+        sub.done->on_complete([this, &engine, edge, w, pins = std::move(pins),
+                               done = std::move(done)]() mutable {
+          engine.schedule_at(engine.now() + edge,
+                             [this, w, pins = std::move(pins), done = std::move(done)] {
+                               on_ce_complete(w, pins, done);
+                             });
+        });
+      },
+      /*ce_bundle=*/true);
+  return ticket;
 }
 
-void GroutRuntime::track_pending(gpusim::EventPtr event) {
-  pending_.push_back(std::move(event));
-  if (pending_.size() < pending_sweep_at_) return;
-  std::erase_if(pending_, [](const gpusim::EventPtr& e) { return e->completed(); });
-  // Double the trigger from the surviving size so the amortized sweep cost
-  // per tracked event stays O(1) even when nothing ever completes.
-  pending_sweep_at_ = std::max<std::size_t>(64, pending_.size() * 2);
-}
-
-void GroutRuntime::on_ce_complete(dag::VertexId v, std::uint32_t attempt) {
-  CeRecord& rec = record(v);
-  // A completion from a superseded attempt (the worker died and the CE was
-  // re-dispatched) carries a stale attempt number: ignore it.
-  if (rec.completed || attempt != rec.attempt) return;
-  rec.completed = true;
-  GROUT_CHECK(metrics_.inflight[rec.worker] > 0, "in-flight counter underflow");
-  --metrics_.inflight[rec.worker];
+void GroutRuntime::on_ce_complete(std::size_t w, const std::vector<GlobalArrayId>& pins,
+                                  const gpusim::EventPtr& done) {
+  GROUT_CHECK(metrics_.inflight[w] > 0, "in-flight counter underflow");
+  --metrics_.inflight[w];
   // The CE's pins lapse: re-establish the worker's budget now that its
   // replicas are evictable again.
-  for (const GlobalArrayId id : unique_arrays(rec.spec)) governor_->unpin(rec.worker, id);
-  governor_->enforce(rec.worker);
-  rec.done->complete(cluster_->simulator().now());
+  for (const GlobalArrayId id : pins) governor_->unpin(w, id);
+  governor_->enforce(w);
+  done->complete(cluster_->simulator().now());
 }
 
 std::vector<GlobalArrayId> GroutRuntime::unique_arrays(const gpusim::KernelLaunchSpec& spec) {
@@ -314,94 +261,6 @@ std::vector<GlobalArrayId> GroutRuntime::unique_arrays(const gpusim::KernelLaunc
     if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
   }
   return ids;
-}
-
-void GroutRuntime::handle_worker_death(std::size_t w) {
-  GROUT_REQUIRE(w < alive_.size(), "worker index out of range");
-  if (!alive_[w]) return;
-  alive_[w] = false;
-  ++metrics_.worker_deaths;
-  const SimTime at = cluster_->simulator().now();
-  cluster_->tracer().record(sim::TraceCategory::Scheduling, "death:worker" + std::to_string(w),
-                            "controller", at, at);
-
-  // Forget every copy the dead worker held; arrays left holderless need a
-  // rebuilt copy before anyone can read them again. The governor frees the
-  // dead node's local allocations so its replicas don't linger.
-  const std::vector<GlobalArrayId> orphaned = directory_.drop_worker(w);
-  governor_->drop_worker(w);
-  if (!config_.lineage_recovery) return;  // leave the orphans lost (baseline)
-
-  for (const GlobalArrayId id : orphaned) recover_array(id);
-
-  // CEs dispatched to the dead worker that never completed: reschedule
-  // through the active policy, oldest first so producers precede consumers.
-  // (recover_array may already have moved some of them.)
-  std::vector<dag::VertexId> stranded;
-  for (dag::VertexId v = 0; v < record_slot_.size(); ++v) {
-    const CeRecord* rec = find_record(v);
-    if (rec != nullptr && rec->worker == w && !rec->completed) stranded.push_back(v);
-  }
-  for (const dag::VertexId v : stranded) {
-    const CeRecord& rec = record(v);
-    if (rec.worker != w || rec.completed) continue;
-    GROUT_CHECK(metrics_.inflight[w] > 0, "in-flight counter underflow");
-    --metrics_.inflight[w];
-    ++metrics_.ces_rescheduled;
-    dispatch(v);
-  }
-}
-
-void GroutRuntime::recover_array(GlobalArrayId id) {
-  if (directory_.holders(id).any()) return;
-  GROUT_CHECK(recovering_.insert(id).second,
-              "array is unrecoverable: its producer consumes the lost copy");
-  const dag::VertexId v = global_dag_.last_writer_of(id);
-  GROUT_CHECK(v != dag::kNoVertex, "lost array has no lineage to replay");
-  CeRecord* producer = find_record(v);
-  if (producer == nullptr) {
-    // The last writer was controller-side host code (host_init): the
-    // controller still has the program that produced it.
-    directory_.add_controller_copy(id);
-  } else if (!producer->completed) {
-    // An in-flight producer that is *currently being dispatched* can only be
-    // reached through its own input loop — the lost array is one the producer
-    // both reads and writes (directly, or through a replay chain that cycles
-    // back to it). That is the in-place-update case: no acyclic lineage
-    // exists, so fail loudly rather than recurse into dispatch.
-    GROUT_CHECK(!producer->dispatching,
-                "array is unrecoverable: its producer consumes the lost copy");
-    // The producer was still in flight on the dead node; re-dispatching it
-    // re-establishes ownership (eager directory update) and re-runs it.
-    GROUT_CHECK(metrics_.inflight[producer->worker] > 0, "in-flight counter underflow");
-    --metrics_.inflight[producer->worker];
-    ++metrics_.ces_rescheduled;
-    dispatch(v);
-  } else {
-    // Completed producer: replay it as a fresh CE on a survivor
-    // (Spark-RDD-style lineage recovery; its own lost inputs recover
-    // recursively through dispatch).
-    replay_vertex(v);
-  }
-  ++metrics_.arrays_recovered;
-  recovering_.erase(id);
-  GROUT_CHECK(directory_.holders(id).any(), "lineage recovery failed to restore a holder");
-}
-
-void GroutRuntime::replay_vertex(dag::VertexId v) {
-  gpusim::KernelLaunchSpec spec = record(v).spec;
-  spec.name = "replay:" + spec.name;
-  std::vector<dag::AccessSummary> accesses;
-  accesses.reserve(spec.params.size());
-  for (const auto& p : spec.params) {
-    accesses.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
-  }
-  // The replay is a new Global-DAG vertex, so later recoveries can trace
-  // lineage through it like any other CE.
-  const dag::VertexId rv = global_dag_.add(spec.name, std::move(accesses));
-  add_record(rv, std::move(spec));
-  ++metrics_.ces_replayed;
-  dispatch(rv);
 }
 
 gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::size_t worker) {
@@ -490,13 +349,6 @@ bool GroutRuntime::wait_controller_copy(GlobalArrayId array) {
 
 bool GroutRuntime::host_fetch(GlobalArrayId array) {
   if (directory_.up_to_date_on_controller(array)) return wait_controller_copy(array);
-  if (!directory_.holders(array).any()) {
-    // Every copy died with its worker(s): rebuild one from DAG lineage.
-    GROUT_CHECK(config_.lineage_recovery,
-                "no holder for array (and lineage recovery is disabled)");
-    recover_array(array);
-    if (directory_.up_to_date_on_controller(array)) return wait_controller_copy(array);
-  }
   // Pin the staging source so the governor cannot free the allocation out
   // from under the host-side gather. `landed` is the controller-side proxy
   // the event loop below waits on.
@@ -533,12 +385,6 @@ bool GroutRuntime::synchronize() {
 }
 
 SchedulerMetrics& GroutRuntime::metrics() {
-  // Mirror the fabric's control-lane reliability counters so callers see a
-  // single coherent metrics block.
-  const net::NetworkFabric& fabric = cluster_->fabric();
-  metrics_.control_retries = fabric.control_retries();
-  metrics_.control_timeouts = fabric.control_timeouts();
-  metrics_.control_drops = fabric.control_drops();
   // Snapshot the governor's per-worker replica accounting.
   metrics_.worker_resident = governor_->resident_by_worker();
   metrics_.worker_resident_peak.resize(cluster_->worker_count());

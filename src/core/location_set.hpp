@@ -37,7 +37,7 @@ class LocationSet {
     GROUT_REQUIRE(i < slots_, "worker index out of range");
     word(i) |= std::uint64_t{1} << (i & 63);
   }
-  /// Forget a worker's copy (e.g. the worker died). May leave the set
+  /// Forget a worker's copy (eviction, invalidation). May leave the set
   /// empty; the caller is responsible for restoring the holder invariant.
   void remove_worker(std::size_t i) {
     GROUT_REQUIRE(i < slots_, "worker index out of range");

@@ -116,7 +116,7 @@ void MemoryGovernor::pin(std::size_t w, GlobalArrayId id) {
 void MemoryGovernor::unpin(std::size_t w, GlobalArrayId id) {
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
   Replica* rep = replicas_[w].find(id);
-  if (rep == nullptr) return;  // dropped with a dead worker
+  GROUT_REQUIRE(rep != nullptr, "unpin of an untracked replica");
   GROUT_CHECK(rep->pins > 0, "replica pin count underflow");
   --rep->pins;
 }
@@ -125,20 +125,6 @@ void MemoryGovernor::enforce(std::size_t w) {
   if (!bounded()) return;
   GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
   evict_while(w, {}, kNoTenant, [&] { return resident_[w] > budget_; });
-}
-
-void MemoryGovernor::drop_worker(std::size_t w) {
-  GROUT_REQUIRE(w < replicas_.size(), "worker index out of range");
-  // Tear-down runs on the worker, ordered behind any commands
-  // already in flight to it (stale CE bundles, releases). Reliable: the
-  // node being dead is exactly why this must still be delivered.
-  cluster::Worker& worker = cluster_.worker(w);
-  cluster_.fabric().send_command(
-      cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
-      [&worker] { worker.release_all(); }, /*reliable=*/true);
-  for (const Replica& rep : replicas_[w].rows) debit_tenant(rep.id, rep.bytes);
-  resident_[w] = 0;
-  replicas_[w] = WorkerReplicas{};
 }
 
 gpusim::EventPtr MemoryGovernor::controller_ready(GlobalArrayId id) const {
@@ -336,7 +322,7 @@ void MemoryGovernor::post_worker_release(std::size_t w, GlobalArrayId id) {
   cluster::Worker& worker = cluster_.worker(w);
   cluster_.fabric().send_command(
       cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), 0,
-      [&worker, id] { worker.release_array(id); }, /*reliable=*/true);
+      [&worker, id] { worker.release_array(id); }, /*ce_bundle=*/false);
 }
 
 void MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayId id, Bytes bytes) {

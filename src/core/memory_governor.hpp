@@ -109,17 +109,14 @@ class MemoryGovernor {
   void note_use(std::size_t w, GlobalArrayId id);
 
   /// Pin/unpin a replica against eviction (in-flight CE params, staged
-  /// sends). Unpinning an already-dropped replica is a no-op: a worker
-  /// death may clear the accounting before the completion callback runs.
+  /// sends). Both fail loudly on a replica the governor does not track:
+  /// only eviction removes a replica row, and it skips pinned ones.
   void pin(std::size_t w, GlobalArrayId id);
   void unpin(std::size_t w, GlobalArrayId id);
 
   /// Re-establish the budget on `w` after pins lapse (CE completions and
   /// the end of staged sends).
   void enforce(std::size_t w);
-
-  /// Worker `w` died: free every replica it held and forget its accounting.
-  void drop_worker(std::size_t w);
 
   /// Arrival event of the in-flight write-back backing the controller's
   /// copy of `id`, or nullptr once it has landed (or nothing was spilled).
@@ -206,12 +203,12 @@ class MemoryGovernor {
   /// Adjust the owning tenant's cluster-wide resident accounting.
   void credit_tenant(GlobalArrayId id, Bytes bytes);
   void debit_tenant(GlobalArrayId id, Bytes bytes);
-  /// Post "release your replica of `id`" to worker `w` via the reliable
+  /// Post "release your replica of `id`" to worker `w` via the
   /// command lane (ordered behind earlier commands, +edge
   /// latency). The governor's accounting is updated now; the worker-side
   /// UVM free happens at delivery.
   void post_worker_release(std::size_t w, GlobalArrayId id);
-  /// Spill `w`'s sole up-to-date copy of `id` to the controller: a reliable
+  /// Spill `w`'s sole up-to-date copy of `id` to the controller: a
   /// command makes the worker stage the copy to host memory (and free the
   /// local allocation once staged), the staging completion acks back to the
   /// controller one fabric edge later, and the controller then

@@ -27,16 +27,6 @@ struct SchedulerMetrics {
   Bytes bytes_planned{0};
   std::uint64_t ces_scheduled{0};
 
-  // Fault-tolerance accounting (mirrors of the fabric's control-lane
-  // counters plus runtime-level recovery events).
-  std::uint64_t control_retries{0};
-  std::uint64_t control_timeouts{0};
-  std::uint64_t control_drops{0};
-  std::uint64_t worker_deaths{0};
-  std::uint64_t ces_replayed{0};
-  std::uint64_t ces_rescheduled{0};
-  std::uint64_t arrays_recovered{0};
-
   // Cluster memory governor (bounded worker replica caches).
   Bytes worker_mem_budget{0};  ///< per-worker budget; 0 = unbounded
   std::uint64_t evictions{0};  ///< replicas dropped under pressure

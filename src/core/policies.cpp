@@ -9,38 +9,20 @@ namespace grout::core {
 
 namespace {
 
-/// Number of workers in `q` that are eligible for placement.
-std::size_t alive_count(const PlacementQuery& q) {
-  std::size_t n = 0;
-  for (std::size_t w = 0; w < q.workers; ++w) {
-    if (placement_alive(q, w)) ++n;
-  }
-  return n;
-}
-
-/// Advance a round-robin cursor, skipping dead workers.
-std::size_t next_alive_rr(const PlacementQuery& q, std::size_t& cursor) {
-  for (std::size_t tried = 0; tried < q.workers; ++tried) {
-    const std::size_t node = cursor;
-    cursor = (cursor + 1) % q.workers;
-    if (placement_alive(q, node)) return node;
-  }
-  GROUT_CHECK(false, "no live worker to schedule on");
-  return 0;
-}
-
-/// Round-robin preferring admissible workers; falls back to any live worker
-/// when the budget would be exceeded everywhere (the CE must run somewhere —
-/// the governor evicts to make room after placement).
+/// Round-robin preferring admissible workers; falls back to the cursor's
+/// worker when the budget would be exceeded everywhere (the CE must run
+/// somewhere — the governor evicts to make room after placement).
 std::size_t next_placement_rr(const PlacementQuery& q, std::size_t& cursor) {
   for (std::size_t tried = 0; tried < q.workers; ++tried) {
     const std::size_t node = (cursor + tried) % q.workers;
-    if (placement_alive(q, node) && placement_admissible(q, node)) {
+    if (placement_admissible(q, node)) {
       cursor = (node + 1) % q.workers;
       return node;
     }
   }
-  return next_alive_rr(q, cursor);
+  const std::size_t node = cursor;
+  cursor = (cursor + 1) % q.workers;
+  return node;
 }
 
 }  // namespace
@@ -119,20 +101,19 @@ VectorStepPolicy::VectorStepPolicy(std::vector<std::uint32_t> steps) : steps_{st
 
 std::size_t VectorStepPolicy::assign(const PlacementQuery& q) {
   GROUT_REQUIRE(q.workers > 0, "no workers to schedule on");
-  // A dead node forfeits the remainder of its step budget: skip to the next
-  // vector entry and node until a live one comes up. An over-budget node is
-  // skipped the same way, but only while some live node passes the
+  // An over-budget node forfeits the remainder of its step budget: skip to
+  // the next vector entry and node, but only while some node passes the
   // admission check — the CE must land somewhere.
   bool any_admissible = false;
   for (std::size_t w = 0; w < q.workers; ++w) {
-    if (placement_alive(q, w) && placement_admissible(q, w)) {
+    if (placement_admissible(q, w)) {
       any_admissible = true;
       break;
     }
   }
-  for (std::size_t skipped = 0; skipped <= q.workers; ++skipped) {
+  for (;;) {
     const std::size_t node = node_cursor_ % q.workers;
-    if (placement_alive(q, node) && (!any_admissible || placement_admissible(q, node))) {
+    if (!any_admissible || placement_admissible(q, node)) {
       if (++step_count_ >= steps_[step_index_]) {
         step_count_ = 0;
         step_index_ = (step_index_ + 1) % steps_.size();
@@ -144,8 +125,6 @@ std::size_t VectorStepPolicy::assign(const PlacementQuery& q) {
     step_index_ = (step_index_ + 1) % steps_.size();
     ++node_cursor_;
   }
-  GROUT_CHECK(false, "no live worker to schedule on");
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -235,7 +214,6 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
   if (by_time_) {
     double best_cost = std::numeric_limits<double>::infinity();
     for (std::size_t w = 0; w < q.workers; ++w) {
-      if (!placement_alive(q, w)) continue;
       // Capacity admission: a worker whose post-placement footprint
       // exceeds budget is not viable for exploitation (the fallback still
       // reaches it when every node is over budget).
@@ -307,7 +285,6 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
     const Bytes min_avail = lo;
     Bytes best_avail = 0;
     for (std::size_t w = 0; w < q.workers; ++w) {
-      if (!placement_alive(q, w)) continue;
       if (!placement_admissible(q, w)) continue;
       const Bytes available = avail_bytes_[w];
       if (available < min_avail) continue;
@@ -332,24 +309,13 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
 
 std::size_t RandomPolicy::assign(const PlacementQuery& q) {
   GROUT_REQUIRE(q.workers > 0, "no workers to schedule on");
-  // Rejection-sample to stay uniform over survivors — preferring workers
-  // that pass the capacity admission check; fall back to a linear scan when
-  // the live fraction is tiny.
+  // Rejection-sample to stay uniform over the workers that pass the
+  // capacity admission check; when none turns up, any worker will do.
   for (int tries = 0; tries < 64; ++tries) {
     const std::size_t node = rng_.next_below(q.workers);
-    if (placement_alive(q, node) && placement_admissible(q, node)) return node;
+    if (placement_admissible(q, node)) return node;
   }
-  for (int tries = 0; tries < 64; ++tries) {
-    const std::size_t node = rng_.next_below(q.workers);
-    if (placement_alive(q, node)) return node;
-  }
-  const std::size_t start = rng_.next_below(q.workers);
-  for (std::size_t i = 0; i < q.workers; ++i) {
-    const std::size_t node = (start + i) % q.workers;
-    if (placement_alive(q, node)) return node;
-  }
-  GROUT_CHECK(false, "no live worker to schedule on");
-  return 0;
+  return rng_.next_below(q.workers);
 }
 
 std::size_t LeastOutstandingPolicy::assign(const PlacementQuery& q) {
@@ -357,20 +323,17 @@ std::size_t LeastOutstandingPolicy::assign(const PlacementQuery& q) {
   if (q.outstanding == nullptr || q.outstanding->size() != q.workers) {
     return next_placement_rr(q, rr_cursor_);
   }
-  GROUT_CHECK(alive_count(q) > 0, "no live worker to schedule on");
-  // Two passes: lightest admissible worker first, lightest live worker when
+  // Two passes: lightest admissible worker first, lightest worker when
   // every node is over budget.
+  std::size_t best = q.workers;
   for (const bool require_admissible : {true, false}) {
-    std::size_t best = q.workers;
     for (std::size_t w = 0; w < q.workers; ++w) {
-      if (!placement_alive(q, w)) continue;
       if (require_admissible && !placement_admissible(q, w)) continue;
       if (best == q.workers || (*q.outstanding)[w] < (*q.outstanding)[best]) best = w;
     }
-    if (best != q.workers) return best;
+    if (best != q.workers) break;
   }
-  GROUT_CHECK(false, "no live worker to schedule on");
-  return 0;
+  return best;
 }
 
 // ---------------------------------------------------------------------------

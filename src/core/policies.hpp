@@ -62,9 +62,6 @@ struct PlacementQuery {
   /// In-flight (dispatched, not yet completed) CEs per worker (null when the
   /// caller does not track it); consumed by LeastOutstanding.
   const std::vector<std::uint64_t>* outstanding{nullptr};
-  /// Liveness per worker (null = everyone alive). Policies must never place
-  /// a CE on a dead worker.
-  const std::vector<bool>* alive{nullptr};
   /// Resident replica bytes per worker (the memory governor's accounting;
   /// null = untracked) and the per-worker budget (0 = unbounded). Together
   /// they drive the capacity admission check.
@@ -83,11 +80,6 @@ struct PlacementQuery {
   /// runtime surfaces the count as SchedulerMetrics::exploration_placements.
   bool* explored{nullptr};
 };
-
-/// True when worker `w` is eligible for placement under `q`.
-inline bool placement_alive(const PlacementQuery& q, std::size_t w) {
-  return q.alive == nullptr || w >= q.alive->size() || (*q.alive)[w];
-}
 
 /// Capacity admission check: true when placing the CE on `w` keeps its
 /// replica cache within budget (estimated from the directory: every param

@@ -64,9 +64,7 @@ class DependencyDag {
     return packed_ancestors(v);
   }
 
-  /// Last CE that wrote `array` (kNoVertex if no CE ever wrote it). Fault
-  /// recovery replays this producer to rebuild an array whose only
-  /// up-to-date copy died with a worker.
+  /// Last CE that wrote `array` (kNoVertex if no CE ever wrote it).
   [[nodiscard]] VertexId last_writer_of(uvm::ArrayId array) const {
     return array < per_array_.size() ? per_array_[array].last_writer : kNoVertex;
   }

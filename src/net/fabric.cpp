@@ -4,14 +4,6 @@
 
 namespace grout::net {
 
-namespace {
-// Droppable-command retries: the first retransmission timeout, the
-// multiplier applied per retry and the cap it grows to.
-constexpr SimTime kRetryTimeout = SimTime::from_us(200.0);
-constexpr double kRetryBackoff = 2.0;
-constexpr SimTime kRetryMaxTimeout = SimTime::from_ms(10.0);
-}  // namespace
-
 NetworkFabric::NetworkFabric(sim::Simulator& simulator, std::vector<NicSpec> nics,
                              sim::Tracer* tracer)
     : sim_{simulator}, tracer_{tracer} {
@@ -78,11 +70,6 @@ void NetworkFabric::set_link_override(NodeId a, NodeId b, Bandwidth bw) {
   matrix_dirty_ = true;
 }
 
-void NetworkFabric::kill_node(NodeId id) {
-  node_ref(id).alive = false;
-  matrix_dirty_ = true;
-}
-
 gpusim::EventPtr NetworkFabric::transfer(NodeId from, NodeId to, Bytes size, std::string label,
                                          gpusim::EventPtr ready, SimTime min_deliver_delay) {
   node_ref(from);
@@ -127,81 +114,23 @@ void NetworkFabric::start_transfer(NodeId from, NodeId to, Bytes size, const std
 }
 
 void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size,
-                                 std::function<void()> deliver, bool reliable) {
+                                 std::function<void()> deliver, bool ce_bundle) {
   node_ref(from);
   node_ref(to);
   GROUT_REQUIRE(from != to, "self command");
   GROUT_REQUIRE(static_cast<bool>(deliver), "null command callback");
-  CommandLane& lane = lanes_[{from, to}];
-  const std::uint64_t seq = lane.next_send++;
-  CommandArrival arrival;
-  arrival.deliver = std::move(deliver);
-  if (reliable) {
-    // Internal cluster operation: never dropped, delivered even when an
-    // endpoint is dead (tear-down must reach the worker model), pays the
-    // raw link latency.
-    arrival.resolved = true;
-    arrival.end = sim_.now() + latency(from, to);
-    lane.arrivals.emplace(seq, std::move(arrival));
-    flush_lane(from, to);
-    return;
+  SimTime end = sim_.now() + latency(from, to);
+  if (ce_bundle) {
+    const Bandwidth bw = bandwidth(from, to);
+    GROUT_CHECK(bw.valid(), "CE bundle sent on a zero-bandwidth link");
+    ++control_sends_;
+    total_bytes_ += size;
+    end += bw.transfer_time(size);
   }
-  ++control_sends_;
-  lane.arrivals.emplace(seq, std::move(arrival));
-  attempt_command(from, to, size, seq, kRetryTimeout);
-}
-
-void NetworkFabric::attempt_command(NodeId from, NodeId to, Bytes size, std::uint64_t seq,
-                                    SimTime timeout) {
-  CommandLane& lane = lanes_[{from, to}];
-  CommandArrival& arrival = lane.arrivals.at(seq);
-  if (!node_ref(from).alive || !node_ref(to).alive) {
-    // An endpoint died: abandon the command but free its lane slot so
-    // later commands still deliver in order.
-    ++control_abandoned_;
-    arrival.resolved = true;
-    arrival.skipped = true;
-    arrival.deliver = nullptr;
-    flush_lane(from, to);
-    return;
-  }
-  const Bandwidth bw = bandwidth(from, to);
-  const bool dropped = (control_fault_hook_ && control_fault_hook_(from, to)) || !bw.valid();
-  if (dropped) {
-    ++control_drops_;
-    sim_.schedule_after(timeout, [this, from, to, size, seq, timeout] {
-      ++control_timeouts_;
-      ++control_retries_;
-      const auto next_ns =
-          static_cast<std::int64_t>(static_cast<double>(timeout.ns()) * kRetryBackoff);
-      attempt_command(from, to, size, seq, std::min(SimTime::from_ns(next_ns), kRetryMaxTimeout));
-    });
-    return;
-  }
-  total_bytes_ += size;
-  arrival.resolved = true;
-  arrival.end = sim_.now() + latency(from, to) + control_extra_delay_ + bw.transfer_time(size);
-  flush_lane(from, to);
-}
-
-void NetworkFabric::flush_lane(NodeId from, NodeId to) {
-  CommandLane& lane = lanes_[{from, to}];
-  while (true) {
-    const auto it = lane.arrivals.find(lane.next_deliver);
-    if (it == lane.arrivals.end() || !it->second.resolved) return;
-    CommandArrival arrival = std::move(it->second);
-    lane.arrivals.erase(it);
-    ++lane.next_deliver;
-    if (arrival.skipped) continue;
-    // In-order delivery: never behind the previous command on this lane,
-    // and never sooner than one link latency after the event doing the
-    // flushing — an abandoned blocker can release queued older arrivals at
-    // a later event time than when they landed on the wire.
-    const SimTime t =
-        std::max({arrival.end, lane.last_delivery, sim_.now() + latency(from, to)});
-    lane.last_delivery = t;
-    sim_.schedule_at(t, std::move(arrival.deliver));
-  }
+  // In-order delivery: never behind the previous command on this lane.
+  SimTime& last = lane_last_delivery_[{from, to}];
+  last = std::max(end, last);
+  sim_.schedule_at(last, std::move(deliver));
 }
 
 Bytes NetworkFabric::bytes_sent_by(NodeId node) const { return node_ref(node).tx->bytes_moved(); }

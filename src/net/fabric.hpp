@@ -6,12 +6,6 @@
 // installed (heterogeneous links / VNIC SLAs, Section IV-D). The measured
 // interconnection matrix the min-transfer-time policy uses is exactly what
 // `bandwidth()` exposes, mirroring the probe GrOUT performs at startup.
-//
-// Droppable commands on the control lane are retried: a fault hook
-// (installed by the FaultInjector) may drop an attempt, in which case the
-// sender times out and resends with exponential backoff until the command
-// lands or an endpoint dies. Bulk `transfer`s are not subject to drops —
-// see the fault model note in net/fault.hpp.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +52,7 @@ class NetworkFabric {
 
   /// Dense row-major bps matrix over all fabric nodes (entry [from *
   /// node_count() + to]; diagonal entries are 0). Rebuilt lazily after
-  /// `set_link_override`/`kill_node` invalidate it. The min-transfer-time
+  /// `set_link_override` invalidates it. The min-transfer-time
   /// policy reads rows of this directly instead of probing per pair.
   [[nodiscard]] const std::vector<double>& bandwidth_matrix() const;
 
@@ -83,73 +77,31 @@ class NetworkFabric {
   /// Ordered command lane: commands from `from` to `to` deliver in send
   /// order (a per-pair FIFO), each as an event scheduled no earlier than
   /// the link latency allows. The lane rides a prioritized QoS class, so a
-  /// command pays latency + serialization but does not queue behind bulk
-  /// transfers. Two flavors:
-  ///   - droppable (`reliable = false`): CE bundles; an attempt the fault
-  ///     hook drops (or a link degraded to zero bandwidth loses) is resent
-  ///     after a timeout with exponential backoff, and an endpoint's death
-  ///     abandons the command (its slot is skipped so later commands still
-  ///     deliver, in order);
-  ///   - reliable (`reliable = true`): internal cluster operations
-  ///     (eviction, staging, releases); never dropped, delivered even when
-  ///     an endpoint is dead — tear-down must reach the worker model
-  ///     unconditionally.
+  /// command does not queue behind bulk transfers. Two cost classes:
+  ///   - CE bundles (`ce_bundle = true`): counted in `control_sends` and
+  ///     pay latency + serialization. A bundle on a zero-bandwidth link is
+  ///     a scheduling bug and fails loudly, as a bulk transfer does;
+  ///   - internal cluster operations (eviction, staging, releases): pay the
+  ///     raw link latency only.
   /// The in-order guarantee is per (from, to) pair.
   void send_command(NodeId from, NodeId to, Bytes size, std::function<void()> deliver,
-                    bool reliable);
-
-  /// Fault-injection surface (see net/fault.hpp). The hook is consulted
-  /// once per control-lane attempt; returning true loses that attempt.
-  void set_control_fault_hook(std::function<bool(NodeId from, NodeId to)> hook) {
-    control_fault_hook_ = std::move(hook);
-  }
-  void set_control_extra_delay(SimTime delay) { control_extra_delay_ = delay; }
-
-  /// Mark a node as dead: control sends touching it are abandoned. The
-  /// bandwidth matrix is left untouched — recovery never routes through a
-  /// dead node because the coherence directory drops it as a holder.
-  void kill_node(NodeId id);
-  [[nodiscard]] bool node_alive(NodeId id) const { return node_ref(id).alive; }
+                    bool ce_bundle);
 
   [[nodiscard]] Bytes total_bytes() const { return total_bytes_; }
   [[nodiscard]] Bytes bytes_sent_by(NodeId node) const;
   [[nodiscard]] std::uint64_t transfer_count() const { return transfers_; }
-
-  // -- control-lane reliability counters -------------------------------------
+  /// CE bundles sent on the command lane.
   [[nodiscard]] std::uint64_t control_sends() const { return control_sends_; }
-  [[nodiscard]] std::uint64_t control_drops() const { return control_drops_; }
-  [[nodiscard]] std::uint64_t control_timeouts() const { return control_timeouts_; }
-  [[nodiscard]] std::uint64_t control_retries() const { return control_retries_; }
-  [[nodiscard]] std::uint64_t control_abandoned() const { return control_abandoned_; }
 
  private:
   struct Node {
     NicSpec nic;
     std::unique_ptr<sim::Resource> tx;
     std::unique_ptr<sim::Resource> rx;
-    bool alive{true};
-  };
-
-  /// One in-flight (or resolved) slot of a command lane. A droppable
-  /// command occupies its slot unresolved until the retry loop either lands
-  /// it (`end` set) or abandons it (`skipped`); later slots queue behind.
-  struct CommandArrival {
-    bool resolved{false};
-    bool skipped{false};
-    SimTime end{SimTime::zero()};
-    std::function<void()> deliver;
-  };
-  struct CommandLane {
-    std::uint64_t next_send{0};
-    std::uint64_t next_deliver{0};
-    SimTime last_delivery{SimTime::zero()};
-    std::map<std::uint64_t, CommandArrival> arrivals;
   };
 
   void start_transfer(NodeId from, NodeId to, Bytes size, const std::string& label,
                       const gpusim::EventPtr& done, SimTime min_deliver_delay);
-  void attempt_command(NodeId from, NodeId to, Bytes size, std::uint64_t seq, SimTime timeout);
-  void flush_lane(NodeId from, NodeId to);
   void rebuild_matrix() const;
   const Node& node_ref(NodeId id) const;
   Node& node_ref(NodeId id);
@@ -158,20 +110,16 @@ class NetworkFabric {
   sim::Tracer* tracer_;
   std::vector<Node> nodes_;
   std::map<std::pair<NodeId, NodeId>, Bandwidth> overrides_;
-  /// Dense bps cache over (from, to); invalidated by set_link_override and
-  /// kill_node, rebuilt on the next query (`mutable`: queries are const).
+  /// Dense bps cache over (from, to); invalidated by set_link_override,
+  /// rebuilt on the next query (`mutable`: queries are const).
   mutable std::vector<double> bps_matrix_;
   mutable bool matrix_dirty_{true};
-  std::map<std::pair<NodeId, NodeId>, CommandLane> lanes_;
-  std::function<bool(NodeId, NodeId)> control_fault_hook_;
-  SimTime control_extra_delay_{SimTime::zero()};
+  /// Last delivery time per command lane: the next command on the lane
+  /// never lands before it.
+  std::map<std::pair<NodeId, NodeId>, SimTime> lane_last_delivery_;
   Bytes total_bytes_{0};
   std::uint64_t transfers_{0};
   std::uint64_t control_sends_{0};
-  std::uint64_t control_drops_{0};
-  std::uint64_t control_timeouts_{0};
-  std::uint64_t control_retries_{0};
-  std::uint64_t control_abandoned_{0};
 };
 
 }  // namespace grout::net

@@ -1,5 +1,5 @@
-// Fabric endpoint layout shared by the cluster bootstrap, the inter-node
-// policies and the fault injector: node 0 is the Controller's NIC, worker i
+// Fabric endpoint layout shared by the cluster bootstrap and the inter-node
+// policies: node 0 is the Controller's NIC, worker i
 // owns node i + 1. Keeping the mapping in one place means a future fabric
 // topology change (e.g. multiple NICs per node) cannot silently skew the
 // min-transfer-time cost model against the cluster wiring.

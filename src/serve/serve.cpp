@@ -97,12 +97,7 @@ sim::Simulator& ServeScheduler::simulator() { return runtime_.cluster().simulato
 Bytes ServeScheduler::cluster_budget() const {
   const core::MemoryGovernor& governor = runtime_.governor();
   if (!governor.bounded()) return 0;
-  std::size_t live = 0;
-  const std::size_t workers = runtime_.cluster().worker_count();
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (runtime_.worker_alive(w)) ++live;
-  }
-  return governor.budget() * live;
+  return governor.budget() * runtime_.cluster().worker_count();
 }
 
 void ServeScheduler::schedule_next_arrival(std::size_t t) {

@@ -180,7 +180,7 @@ class ServeScheduler {
   };
 
   [[nodiscard]] sim::Simulator& simulator();
-  /// Aggregate replica budget over live workers (0 = unbounded governor).
+  /// Aggregate replica budget over all workers (0 = unbounded governor).
   [[nodiscard]] Bytes cluster_budget() const;
   /// Collect the per-tenant SLO report once the drive finished;
   /// `queue_drained` is what its run_until(horizon) returned.

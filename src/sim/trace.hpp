@@ -37,7 +37,7 @@ struct TraceSpan {
   SimTime begin;
   SimTime end;
   /// Serving tenant this span belongs to; kNoTenant for single-program runs
-  /// and cluster-internal work (evictions, worker deaths).
+  /// and cluster-internal work (evictions, spills).
   TenantId tenant{kNoTenant};
 };
 

@@ -166,7 +166,6 @@ class OracleMinTransferPolicy {
     double best_cost = std::numeric_limits<double>::infinity();
     std::size_t best_node = q.workers;
     for (std::size_t w = 0; w < q.workers; ++w) {
-      if (!core::placement_alive(q, w)) continue;
       if (!core::placement_admissible(q, w)) continue;
       Bytes available = 0;
       double cost = 0.0;
@@ -215,18 +214,14 @@ class OracleMinTransferPolicy {
   std::size_t next_placement_rr(const core::PlacementQuery& q) {
     for (std::size_t tried = 0; tried < q.workers; ++tried) {
       const std::size_t node = (rr_cursor_ + tried) % q.workers;
-      if (core::placement_alive(q, node) && core::placement_admissible(q, node)) {
+      if (core::placement_admissible(q, node)) {
         rr_cursor_ = (node + 1) % q.workers;
         return node;
       }
     }
-    for (std::size_t tried = 0; tried < q.workers; ++tried) {
-      const std::size_t node = rr_cursor_;
-      rr_cursor_ = (rr_cursor_ + 1) % q.workers;
-      if (core::placement_alive(q, node)) return node;
-    }
-    GROUT_CHECK(false, "no live worker to schedule on");
-    return 0;
+    const std::size_t node = rr_cursor_;
+    rr_cursor_ = (rr_cursor_ + 1) % q.workers;
+    return node;
   }
 
   bool by_time_;
@@ -278,10 +273,6 @@ class NaiveGovernor {
     while (resident_[w] > budget_) {
       if (!evict_one(w, keep)) break;
     }
-  }
-  void drop_worker(std::size_t w) {
-    resident_[w] = 0;
-    replicas_[w].clear();
   }
 
   [[nodiscard]] Bytes resident_bytes(std::size_t w) const { return resident_[w]; }

@@ -60,27 +60,6 @@ TEST(WorkerTest, IdsPastTheTableAreNotHeld) {
   EXPECT_TRUE(w.has_array(3));
 }
 
-TEST(WorkerTest, ReleaseAllFreesEveryAllocation) {
-  Cluster cluster(small_cluster());
-  Worker& w = cluster.worker(0);
-  const uvm::ArrayId a = w.ensure_array(5, 1_MiB);
-  w.ensure_array(0, 1_MiB);
-  w.ensure_array(9, 1_MiB);
-  w.release_array(0);
-  EXPECT_EQ(w.node().uvm().live_arrays(), 2u);
-
-  w.release_all();
-  cluster.simulator().run();
-  EXPECT_EQ(w.node().uvm().live_arrays(), 0u);
-  EXPECT_FALSE(w.has_array(5));
-  EXPECT_FALSE(w.has_array(9));
-  // UvmSpace ids are never reused: a re-ensure maps a fresh allocation.
-  const uvm::ArrayId again = w.ensure_array(5, 1_MiB);
-  EXPECT_NE(again, a);
-  EXPECT_EQ(w.local_array(5), again);
-  EXPECT_EQ(w.node().uvm().live_arrays(), 1u);
-}
-
 TEST(WorkerTest, ExecuteKernelTranslatesGlobalIds) {
   Cluster cluster(small_cluster());
   Worker& w = cluster.worker(0);

@@ -281,23 +281,6 @@ TEST(DirectoryWriteTest, RemoveWorkerCopyRefusesSoleHolder) {
   EXPECT_TRUE(dir.up_to_date_on_worker(id, 0)) << "failed removal must not mutate";
 }
 
-TEST(DirectoryWriteTest, DropWorkerClearsInvalidationState) {
-  CoherenceDirectory dir(2);
-  const core::GlobalArrayId id = dir.register_array(1_MiB, "x");
-  dir.add_worker_copy(id, 0);
-  dir.add_worker_copy(id, 1);
-  (void)dir.written_on_worker(id, 0);  // invalidates worker 1
-  ASSERT_TRUE(dir.invalidated_on_worker(id, 1));
-
-  const std::vector<core::GlobalArrayId> orphaned = dir.drop_worker(1);
-  EXPECT_TRUE(orphaned.empty());  // worker 0 still holds it
-  EXPECT_FALSE(dir.invalidated_on_worker(id, 1));
-  // A later re-add by a fresh worker at the same index is plain placement,
-  // not a coherence refetch of the dead worker's ghost.
-  dir.add_worker_copy(id, 1);
-  EXPECT_EQ(dir.coherence_refetches(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end contention serving
 // ---------------------------------------------------------------------------

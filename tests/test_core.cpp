@@ -319,43 +319,6 @@ TEST(LeastOutstandingPolicyTest, FallsBackToRoundRobinWithoutCounts) {
   EXPECT_EQ(p.assign(q), 0u);
 }
 
-TEST(PolicyLivenessTest, RoundRobinSkipsDeadWorkers) {
-  RoundRobinPolicy p;
-  CoherenceDirectory dir(3);
-  const std::vector<PlacementParam> none;
-  PlacementQuery q = query_of(none, dir, nullptr, 3);
-  const std::vector<bool> alive{true, false, true};
-  q.alive = &alive;
-  EXPECT_EQ(p.assign(q), 0u);
-  EXPECT_EQ(p.assign(q), 2u);
-  EXPECT_EQ(p.assign(q), 0u);
-  EXPECT_EQ(p.assign(q), 2u);
-}
-
-TEST(PolicyLivenessTest, LeastOutstandingIgnoresDeadWorkers) {
-  LeastOutstandingPolicy p;
-  CoherenceDirectory dir(3);
-  const std::vector<PlacementParam> none;
-  PlacementQuery q = query_of(none, dir, nullptr, 3);
-  const std::vector<std::uint64_t> outstanding{0, 5, 3};
-  const std::vector<bool> alive{false, true, true};
-  q.outstanding = &outstanding;
-  q.alive = &alive;
-  // Worker 0 is idle but dead: the lighter of the two survivors wins.
-  EXPECT_EQ(p.assign(q), 2u);
-}
-
-TEST(PolicyLivenessTest, AllDeadFailsLoudly) {
-  RoundRobinPolicy p;
-  CoherenceDirectory dir(2);
-  const std::vector<PlacementParam> none;
-  PlacementQuery q = query_of(none, dir, nullptr, 2);
-  const std::vector<bool> alive{false, false};
-  q.alive = &alive;
-  EXPECT_THROW(p.assign(q), InternalError);
-}
-
-
 TEST(PolicyNamesTest, Strings) {
   EXPECT_STREQ(to_string(PolicyKind::RoundRobin), "round-robin");
   EXPECT_STREQ(to_string(PolicyKind::MinTransferTime), "min-transfer-time");

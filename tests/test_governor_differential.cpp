@@ -6,8 +6,8 @@
 // evicts a whole make_room/enforce round from one ranking. None of that may
 // change a victim. Both implementations run side by side on one cluster
 // (shared clock and fabric) with one directory each, driven by the same
-// randomized ensure/use/pin/unpin, shared-write, host-write, drop_worker
-// and link-override sequence over tenant-owned arrays. Single
+// randomized ensure/use/pin/unpin, shared-write, host-write and
+// link-override sequence over tenant-owned arrays. Single
 // evictions are compared victim by victim; multi-eviction rounds by the
 // set they evicted, and every state by the replicas each worker holds.
 #include <gtest/gtest.h>
@@ -55,7 +55,7 @@ class DifferentialRig {
         naive_dir_{workers},
         governor_{cluster_, real_dir_, metrics_, kBudget},
         naive_{cluster_, naive_dir_, kBudget, workers},
-        alive_(workers, true) {
+        workers_{workers} {
     for (std::size_t i = 0; i < kArrays; ++i) {
       const Bytes bytes = (1 + rng_.next_below(3)) * 1_MiB;
       const std::string name = "a" + std::to_string(i);
@@ -75,7 +75,7 @@ class DifferentialRig {
   void run(std::size_t steps, Coverage& cov) {
     for (std::size_t step = 0; step < steps; ++step) {
       const std::uint64_t op = rng_.next_below(100);
-      const std::size_t w = pick_alive();
+      const std::size_t w = rng_.next_below(workers_);
       if (op < 30) {
         ensure(w, random_array());
       } else if (op < 38) {
@@ -101,13 +101,11 @@ class DifferentialRig {
         multi_round(w, cov);
       } else if (op < 94) {
         flip_link();
-      } else if (op < 96) {
-        if (alive_count() > 1) drop(w);
       } else if (op >= 98) {
         governor_.enforce(w);
         naive_.enforce(w);
       }
-      // Ops 96-97 are idle steps: both sides only settle and compare.
+      // Ops 94-97 are idle steps: both sides only settle and compare.
       settle();
       ASSERT_NO_FATAL_FAILURE(expect_same_state()) << "after step " << step << " (op " << op
                                                    << ")";
@@ -115,15 +113,6 @@ class DifferentialRig {
   }
 
  private:
-  std::size_t pick_alive() {
-    for (;;) {
-      const std::size_t w = rng_.next_below(alive_.size());
-      if (alive_[w]) return w;
-    }
-  }
-  std::size_t alive_count() const {
-    return static_cast<std::size_t>(std::count(alive_.begin(), alive_.end(), true));
-  }
   GlobalArrayId random_array() { return static_cast<GlobalArrayId>(rng_.next_below(kArrays)); }
 
   std::vector<GlobalArrayId> resident(std::size_t w) const {
@@ -162,7 +151,6 @@ class DifferentialRig {
     const std::size_t i = rng_.next_below(pins_.size());
     const auto [w, id] = pins_[i];
     pins_.erase(pins_.begin() + static_cast<std::ptrdiff_t>(i));
-    if (!alive_[w]) return;  // dropped with the worker
     governor_.unpin(w, id);
     naive_.unpin(w, id);
   }
@@ -258,7 +246,7 @@ class DifferentialRig {
   void flip_link() {
     // Any pair among the controller and the workers; zero takes the link
     // down (a dead uplink makes a sole copy unevictable).
-    const std::size_t nodes = alive_.size() + 1;
+    const std::size_t nodes = workers_ + 1;
     const std::size_t a = rng_.next_below(nodes);
     std::size_t b = rng_.next_below(nodes - 1);
     if (b >= a) ++b;
@@ -270,18 +258,10 @@ class DifferentialRig {
                                         Bandwidth::mbit_per_sec(mbit[rng_.next_below(5)]));
   }
 
-  void drop(std::size_t w) {
-    governor_.drop_worker(w);
-    real_dir_.drop_worker(w);
-    naive_.drop_worker(w);
-    naive_dir_.drop_worker(w);
-    alive_[w] = false;
-  }
-
   void settle() { cluster_.simulator().run_until(SimTime::max()); }
 
   void expect_same_state() {
-    for (std::size_t w = 0; w < alive_.size(); ++w) {
+    for (std::size_t w = 0; w < workers_; ++w) {
       ASSERT_EQ(resident(w), naive_.replica_ids(w)) << "replicas diverge on worker " << w;
       ASSERT_EQ(governor_.resident_bytes(w), naive_.resident_bytes(w)) << "worker " << w;
     }
@@ -299,7 +279,7 @@ class DifferentialRig {
   SchedulerMetrics metrics_;
   MemoryGovernor governor_;
   oracle::NaiveGovernor naive_;
-  std::vector<bool> alive_;
+  std::size_t workers_;
   std::vector<std::pair<std::size_t, GlobalArrayId>> pins_;
 };
 

@@ -3,6 +3,7 @@
 // the coherence directory itself.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "core/grout_runtime.hpp"
@@ -175,7 +176,7 @@ struct GovernorRig {
 
   /// Deliver posted worker-side commands. Governor accounting updates at
   /// enforce() time on the controller, but the release itself rides a
-  /// reliable fabric command to the worker, so worker-visible
+  /// fabric command to the worker, so worker-visible
   /// state (has_array, live UVM allocations) only changes once the engine
   /// delivers it.
   void settle() { cluster.simulator().run_until(SimTime::max()); }
@@ -248,6 +249,16 @@ TEST(GovernorVictims, PinnedReplicasAreUntouchable) {
   EXPECT_EQ(rig.metrics.evictions, 1u);
 }
 
+TEST(GovernorVictims, UnpinOfAnUntrackedReplicaFailsLoudly) {
+  GovernorRig rig(1_MiB, 2);
+  const GlobalArrayId a = rig.add(0, 2_MiB, "a");
+  EXPECT_THROW(rig.governor.unpin(1, a), InvalidArgument);  // never on worker 1
+  rig.governor.enforce(0);                                   // evicts `a` from worker 0
+  rig.settle();
+  ASSERT_FALSE(rig.cluster.worker(0).has_array(a));
+  EXPECT_THROW(rig.governor.unpin(0, a), InvalidArgument);
+}
+
 TEST(GovernorVictims, SoleHolderIsSpilledNotDropped) {
   GovernorRig rig(1_MiB);
   const GlobalArrayId a = rig.add(0, 2_MiB, "a");
@@ -297,12 +308,13 @@ TEST(GovernorVictims, RefetchAfterEvictionIsCounted) {
 }
 
 TEST(GovernorVictims, HighWaterTracksThePeak) {
-  GovernorRig rig(16_MiB);
+  GovernorRig rig(3_MiB);
   rig.add(0, 2_MiB, "a");
   rig.add(0, 2_MiB, "b");
   EXPECT_EQ(rig.governor.high_water(0), 4_MiB);
-  rig.governor.drop_worker(0);
-  EXPECT_EQ(rig.governor.resident_bytes(0), 0u);
+  rig.governor.enforce(0);  // evicts one of the two
+  rig.settle();
+  EXPECT_EQ(rig.governor.resident_bytes(0), 2_MiB);
   EXPECT_EQ(rig.governor.high_water(0), 4_MiB);  // the peak is sticky
 }
 
@@ -604,52 +616,34 @@ TEST(OversubscriptionScenario, DefaultBudgetComesFromNodeCapacity) {
   EXPECT_FALSE(rt2.governor().bounded());
 }
 
-TEST(OversubscriptionScenario, WorkerDeathFreesItsReplicas) {
-  // Two workers, round-robin, then worker 0 dies: its local allocations
-  // must be freed (not linger in local_ids_) and the governor's accounting
-  // for it must drop to zero, while the run completes via recovery.
-  GroutConfig cfg = governed_config(64_MiB, 2);
-  cfg.fault_plan.kills.push_back(net::KillWorkerFault{0, SimTime::from_seconds(1.0)});
-  GroutRuntime rt(cfg);
-  const GlobalArrayId a = rt.alloc(2_MiB, "a");
-  const GlobalArrayId b = rt.alloc(2_MiB, "b");
-  rt.launch(kernel("ka", {{a, uvm::AccessMode::Write}}));
-  rt.launch(kernel("kb", {{b, uvm::AccessMode::Write}}));
-  ASSERT_TRUE(rt.synchronize());
-  ASSERT_FALSE(rt.worker_alive(0));
-
-  EXPECT_EQ(rt.cluster().worker(0).node().uvm().live_arrays(), 0u);
-  EXPECT_EQ(rt.governor().resident_bytes(0), 0u);
-  EXPECT_TRUE(rt.host_fetch(a));
-  EXPECT_TRUE(rt.host_fetch(b));
-}
-
 TEST(OversubscriptionScenario, FetchUnpinReenforcesTheBudget) {
-  // host_fetch pins its source replica. Worker 1 dies while `a` is being
-  // fetched from worker 0, and its in-flight CE is re-dispatched there: the
-  // pin leaves make_room nothing to evict, so worker 0 goes over budget.
-  // Only the enforce after the fetch's unpin restores the budget before
-  // that CE completes.
+  // host_fetch pins its source replica. A CE launched from an engine
+  // callback while `a` is being fetched from worker 0 is placed there too:
+  // the pin leaves make_room nothing to evict, so worker 0 goes over
+  // budget. Only the enforce after the fetch's unpin restores the budget
+  // before that CE completes.
   const Bytes budget = 3_MiB;
-  GroutConfig cfg = governed_config(budget, 2);
-  cfg.fault_plan.kills.push_back(net::KillWorkerFault{1, SimTime::from_ms(1.0)});
-  GroutRuntime rt(cfg);
+  GroutRuntime rt(governed_config(budget));
   const GlobalArrayId a = rt.alloc(2_MiB, "a");
-  const GlobalArrayId c = rt.alloc(2_MiB, "c");
+  const GlobalArrayId d = rt.alloc(2_MiB, "d");
   const CeTicket wa = rt.launch(kernel("wa", {{a, uvm::AccessMode::Write}}));
-  const CeTicket wc = rt.launch(kernel("wc", {{c, uvm::AccessMode::Write}}, 1e13));
   ASSERT_EQ(wa.worker, 0u);
-  ASSERT_EQ(wc.worker, 1u);
+  std::optional<CeTicket> wd;
+  bool over_budget = false;
+  rt.cluster().simulator().schedule_at(SimTime::from_ms(1.0), [&] {
+    wd = rt.launch(kernel("wd", {{d, uvm::AccessMode::Write}}, 1e13));
+    over_budget = rt.governor().resident_bytes(0) > budget;
+  });
 
   EXPECT_TRUE(rt.host_fetch(a));
-  ASSERT_FALSE(rt.worker_alive(1));
-  ASSERT_EQ(rt.metrics().ces_rescheduled, 1u);
-  ASSERT_FALSE(wc.done->completed());  // its completion has not enforced yet
+  ASSERT_TRUE(wd.has_value());  // dispatched inside the fetch's event loop
+  ASSERT_TRUE(over_budget);     // the fetch pin blocked make_room
+  ASSERT_FALSE(wd->done->completed());  // its completion has not enforced yet
   EXPECT_LE(rt.governor().resident_bytes(0), budget);
 
   ASSERT_TRUE(rt.synchronize());
   EXPECT_LE(rt.governor().resident_bytes(0), budget);
-  EXPECT_TRUE(rt.host_fetch(c));
+  EXPECT_TRUE(rt.host_fetch(d));
 }
 
 }  // namespace

@@ -130,7 +130,7 @@ TEST(ControlLane, DoesNotQueueBehindBulkTransfers) {
   // A 5 GB bulk transfer occupies the TX queue for ~10 s.
   fabric.transfer(0, 1, Bytes{5000000000});
   std::optional<SimTime> delivered;
-  fabric.send_command(0, 1, Bytes{128}, [&] { delivered = sim.now(); }, /*reliable=*/false);
+  fabric.send_command(0, 1, Bytes{128}, [&] { delivered = sim.now(); }, /*ce_bundle=*/true);
   sim.run();
   ASSERT_TRUE(delivered.has_value());
   EXPECT_LT(delivered->seconds(), 0.01);  // latency-bound, not queued
@@ -144,7 +144,7 @@ TEST(ControlLane, PaysLatencyAndSerialization) {
   NetworkFabric fabric(sim, std::move(nics));
   std::optional<SimTime> delivered;
   fabric.send_command(0, 1, Bytes{500000}, [&] { delivered = sim.now(); },  // 1 ms at 500 MB/s
-                      /*reliable=*/false);
+                      /*ce_bundle=*/true);
   sim.run();
   ASSERT_TRUE(delivered.has_value());
   EXPECT_NEAR(delivered->seconds(), 100e-6 + 1e-3, 1e-6);

@@ -47,8 +47,6 @@ struct Scenario {
         directory.written_on_worker(id, rng.next_below(workers));
       }
     }
-
-    alive.assign(workers, true);
   }
 
   /// Degrade or kill random links, including some zero-bandwidth ones.
@@ -64,14 +62,10 @@ struct Scenario {
     }
   }
 
-  /// Kill random workers, always leaving at least one alive.
-  void kill_some() {
-    for (std::size_t w = 0; w < workers_count; ++w) {
-      if (rng.next_below(4) == 0) alive[w] = false;
-    }
-    bool any = false;
-    for (const bool a : alive) any = any || a;
-    if (!any) alive[rng.next_below(workers_count)] = true;
+  /// An idle step taking one draw per worker: it keeps each seed's later
+  /// link scrambles and queries fixed.
+  void idle_roll() {
+    for (std::size_t w = 0; w < workers_count; ++w) (void)rng.next_below(4);
   }
 
   std::vector<PlacementParam> random_params() {
@@ -91,7 +85,6 @@ struct Scenario {
     q.directory = &directory;
     q.fabric = fabric.get();
     q.workers = workers_count;
-    q.alive = &alive;
     if (!resident.empty()) {
       q.resident = &resident;
       q.mem_budget = mem_budget;
@@ -103,7 +96,6 @@ struct Scenario {
   sim::Simulator sim;
   CoherenceDirectory directory;
   std::unique_ptr<net::NetworkFabric> fabric;
-  std::vector<bool> alive;
   std::vector<Bytes> resident;
   Bytes mem_budget{0};
   std::size_t workers_count;
@@ -124,7 +116,7 @@ void run_differential(std::uint64_t seed, std::size_t workers, bool by_time, dou
   Scenario s(seed, workers);
   if (with_faults) {
     s.scramble_links(workers);
-    s.kill_some();
+    s.idle_roll();
   }
   if (with_budget) {
     s.resident.assign(workers, 0);
@@ -162,6 +154,8 @@ TEST_P(PolicyDifferential, CleanCluster) {
   run_differential(0xc0ffee ^ workers, workers, by_time, threshold, false, false);
 }
 
+// Workers no longer die, so this case degrades links only; its name stays so
+// the test ids stay stable.
 TEST_P(PolicyDifferential, WithDeadWorkersAndZeroBandwidthLinks) {
   const auto [workers, by_time, threshold] = GetParam();
   run_differential(0xdead ^ workers, workers, by_time, threshold, true, false);
@@ -200,7 +194,7 @@ TEST(PolicyDifferential, PureOutputCeFallsBackIdentically) {
 }
 
 // The dense bandwidth matrix must agree with the uncached per-pair probe
-// across overrides, zero-bandwidth degradations and node kills (the cache
+// across overrides and zero-bandwidth degradations (the cache
 // invalidation rules the policies now depend on).
 TEST(BandwidthMatrix, MatchesUncachedProbeThroughInvalidation) {
   Scenario s(0xfab, 12);
@@ -223,8 +217,6 @@ TEST(BandwidthMatrix, MatchesUncachedProbeThroughInvalidation) {
   s.scramble_links(20);
   sweep();
   s.fabric->set_link_override(0, 3, Bandwidth::bytes_per_sec(0.0));
-  sweep();
-  s.fabric->kill_node(2);
   sweep();
   s.fabric->set_link_override(0, 3, Bandwidth::mbit_per_sec(4000.0));
   sweep();

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/grout_runtime.hpp"
 #include "sim/simulator.hpp"
 #include "runtime/intra_node_runtime.hpp"
 
@@ -246,3 +249,88 @@ TEST_F(RuntimeFixture, ChainedPipelineEndToEnd) {
 
 }  // namespace
 }  // namespace grout::runtime
+
+// ---------------------------------------------------------------------------
+// The controller's data movers on degraded links, and the host_fetch run cap
+// ---------------------------------------------------------------------------
+
+namespace grout::core {
+namespace {
+
+GroutConfig two_worker_config() {
+  GroutConfig cfg;
+  cfg.cluster.workers = 2;
+  cfg.cluster.worker_node.gpu_count = 2;
+  cfg.cluster.worker_node.device.memory = 8_MiB;
+  cfg.cluster.worker_node.tuning.page_size = 1_MiB;
+  cfg.policy = PolicyKind::RoundRobin;
+  return cfg;
+}
+
+gpusim::KernelLaunchSpec kernel(std::string name,
+                                std::vector<std::pair<GlobalArrayId, uvm::AccessMode>> params) {
+  gpusim::KernelLaunchSpec spec;
+  spec.name = std::move(name);
+  spec.flops = 1e9;
+  for (const auto& [array, mode] : params) {
+    spec.params.push_back(uvm::ParamAccess{array, {}, mode, uvm::StreamingPattern{}});
+  }
+  return spec;
+}
+
+TEST(DegradedLinkTest, HostFetchRefusesUnreachableSoleSource) {
+  GroutRuntime rt(two_worker_config());
+  const GlobalArrayId in = rt.alloc(1_MiB, "in");
+  const GlobalArrayId a = rt.alloc(1_MiB, "a");
+  rt.host_init(in);
+  rt.launch(kernel("writer", {{in, uvm::AccessMode::Read}, {a, uvm::AccessMode::Write}}));
+  ASSERT_TRUE(rt.synchronize());
+  // Sole holder is worker 0; cut its route to the controller.
+  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
+                                          cluster::Cluster::worker_fabric_id(0), Bandwidth{});
+  EXPECT_THROW((void)rt.host_fetch(a), InternalError);
+}
+
+TEST(DegradedLinkTest, HostFetchPicksTheReachableHolder) {
+  GroutRuntime rt(two_worker_config());
+  const GlobalArrayId in = rt.alloc(1_MiB, "in");
+  const GlobalArrayId a = rt.alloc(1_MiB, "a");
+  rt.host_init(in);
+  rt.launch(kernel("writer", {{in, uvm::AccessMode::Read}, {a, uvm::AccessMode::Write}}));
+  rt.launch(kernel("reader", {{a, uvm::AccessMode::Read}}));  // copies a to worker 1
+  ASSERT_TRUE(rt.synchronize());
+  ASSERT_TRUE(rt.directory().up_to_date_on_worker(a, 1));
+  // Worker 0's controller route is down, worker 1's is fine: the fetch must
+  // route around the dead link instead of defaulting to the first source.
+  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
+                                          cluster::Cluster::worker_fabric_id(0), Bandwidth{});
+  EXPECT_TRUE(rt.host_fetch(a));
+  EXPECT_TRUE(rt.directory().up_to_date_on_controller(a));
+}
+
+TEST(DegradedLinkTest, PlanMovementFailsLoudlyWhenAllRoutesAreDown) {
+  GroutRuntime rt(two_worker_config());
+  const GlobalArrayId a = rt.alloc(1_MiB, "a");
+  rt.host_init(a);
+  // Controller holds the only copy, but its links to both workers are down.
+  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
+                                          cluster::Cluster::worker_fabric_id(0), Bandwidth{});
+  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
+                                          cluster::Cluster::worker_fabric_id(1), Bandwidth{});
+  EXPECT_THROW((void)rt.launch(kernel("k", {{a, uvm::AccessMode::Read}})), InternalError);
+}
+
+TEST(HostFetchCapTest, ReportsOutOfTimeInsteadOfSpinning) {
+  GroutConfig cfg = two_worker_config();
+  cfg.run_cap = SimTime::from_ms(1.0);  // far less than the transfer takes
+  GroutRuntime rt(cfg);
+  const GlobalArrayId in = rt.alloc(2_MiB, "in");
+  const GlobalArrayId a = rt.alloc(2_MiB, "a");
+  rt.host_init(in);
+  rt.launch(kernel("writer", {{in, uvm::AccessMode::Read}, {a, uvm::AccessMode::Write}}));
+  EXPECT_FALSE(rt.host_fetch(a));
+  EXPECT_FALSE(rt.directory().up_to_date_on_controller(a));
+}
+
+}  // namespace
+}  // namespace grout::core

@@ -4,6 +4,8 @@
 # With -DEXPECTED_STDOUT=<golden>, the command's stdout must also equal the
 # golden file. Lines that report real wall-clock time ("real wall clock")
 # vary from run to run, so they are dropped from both sides first.
+# With -DOUTPUT_FILE=<file> -DEXPECTED_FILE=<golden>, the file the command
+# wrote must equal the golden byte for byte.
 set(cmd "")
 set(collect FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -17,6 +19,9 @@ endforeach()
 if(NOT cmd)
   message(FATAL_ERROR "expect_exit.cmake: no command after --")
 endif()
+if(DEFINED OUTPUT_FILE)
+  file(REMOVE "${OUTPUT_FILE}")  # a stale copy must not pass for this run's
+endif()
 execute_process(COMMAND ${cmd} RESULT_VARIABLE status OUTPUT_VARIABLE actual)
 if(NOT "${status}" STREQUAL "${EXPECT_EXIT}")
   message(FATAL_ERROR "exit status '${status}', expected ${EXPECT_EXIT}\n${actual}")
@@ -29,5 +34,12 @@ if(DEFINED EXPECTED_STDOUT)
   if(NOT "${actual}" STREQUAL "${expected}")
     message(FATAL_ERROR "stdout differs from ${EXPECTED_STDOUT}\n"
                         "--- expected\n${expected}--- actual\n${actual}")
+  endif()
+endif()
+if(DEFINED OUTPUT_FILE)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${OUTPUT_FILE}" "${EXPECTED_FILE}"
+                  RESULT_VARIABLE differs)
+  if(differs)
+    message(FATAL_ERROR "${OUTPUT_FILE} differs from ${EXPECTED_FILE}")
   endif()
 endif()

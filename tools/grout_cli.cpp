@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/strings.hpp"
-#include "net/fault.hpp"
 #include "report/table.hpp"
 #include "script/script.hpp"
 #include "serve/serve.hpp"
@@ -53,7 +52,6 @@ struct Options {
   std::optional<double> worker_mem_gib;  // per-worker replica budget; 0 = unbounded
   std::string format = "text";  // text | markdown | csv
   std::optional<std::string> trace_path;
-  net::FaultPlan fault_plan;
   // serve command
   std::size_t tenants = 2;
   serve::ArrivalSpec arrival;            // closed:1
@@ -86,13 +84,6 @@ struct Options {
                "                                   memory x headroom)\n"
                "  --format text|markdown|csv      (sweep/policies output)\n"
                "  --trace <file.json>             (chrome://tracing output)\n"
-               "  --fault-plan <spec>             (grout backend; ','/';'-separated:\n"
-               "       kill:<worker>@<sec>           kill a worker at a sim time\n"
-               "       degrade:<a>-<b>@<sec>=<mbit>  link a<->b to <mbit> Mbit/s (0=down)\n"
-               "       drop:<n>                      drop next n control messages\n"
-               "       droprate:<p>[@<seed>]         drop each control msg with prob p\n"
-               "       delay:<us>                    extra control-lane delay\n"
-               "     e.g. --fault-plan kill:0@0.5,drop:2)\n"
                "serve options (multi-tenant frontend):\n"
                "  --tenants <n>                   (default 2)\n"
                "  --arrival closed[:depth]|poisson:<rate_hz>   (default closed:1)\n"
@@ -184,7 +175,7 @@ double parse_gib(const std::string& flag, const std::string& s, bool allow_zero)
   return v;
 }
 
-/// A structured flag value (fault plan, arrival, contention):
+/// A structured flag value (arrival, contention):
 /// the parser's own error becomes a usage error, so every malformed flag
 /// exits 2 from argument parsing.
 template <typename Parse>
@@ -257,8 +248,6 @@ Options parse_args(int argc, char** argv) {
       }
     } else if (flag == "--trace") {
       opt.trace_path = next();
-    } else if (flag == "--fault-plan") {
-      opt.fault_plan = parse_flag(flag, next(), net::FaultPlan::parse);
     } else if (flag == "--tenants") {
       opt.tenants = parse_count(flag, next());
     } else if (flag == "--arrival") {
@@ -335,7 +324,6 @@ core::GroutConfig grout_config_of(const Options& opt) {
   cfg.step_vector = opt.step_vector;
   cfg.exploration = opt.exploration;
   cfg.run_cap = SimTime::from_seconds(9000.0);
-  cfg.fault_plan = opt.fault_plan;
   if (opt.worker_mem_gib) {
     cfg.worker_mem = static_cast<Bytes>(*opt.worker_mem_gib * 1073741824.0);
   }
@@ -389,19 +377,6 @@ RunResult run_once(const Options& opt, const std::string& backend, double size_g
     if (m.decision_ns.count() > 0) {
       std::printf("  decision median: %.1f us (real wall clock)\n",
                   rt.metrics().decision_ns.median() / 1000.0);
-    }
-    if (!opt.fault_plan.empty()) {
-      std::printf("faults:\n");
-      std::printf("  %llu worker deaths, %llu CEs rescheduled, %llu replayed, "
-                  "%llu arrays recovered\n",
-                  static_cast<unsigned long long>(m.worker_deaths),
-                  static_cast<unsigned long long>(m.ces_rescheduled),
-                  static_cast<unsigned long long>(m.ces_replayed),
-                  static_cast<unsigned long long>(m.arrays_recovered));
-      std::printf("  control lane: %llu drops, %llu timeouts, %llu retries\n",
-                  static_cast<unsigned long long>(m.control_drops),
-                  static_cast<unsigned long long>(m.control_timeouts),
-                  static_cast<unsigned long long>(m.control_retries));
     }
     std::printf("memory governor:\n");
     std::printf("  budget/worker:   %s\n", m.worker_mem_budget == 0
