@@ -26,7 +26,7 @@ double run_with_threshold(workloads::WorkloadKind kind, double threshold, bool s
   cfg.cluster.worker_node = paper_node();
   cfg.cluster.stream_policy = runtime::StreamPolicyKind::DataLocal;
   cfg.policy = core::PolicyKind::MinTransferSize;
-  cfg.exploration_threshold_override = threshold;
+  cfg.exploration_threshold = threshold;
   cfg.run_cap = run_cap();
   polyglot::Context ctx = polyglot::Context::grout(std::move(cfg));
 

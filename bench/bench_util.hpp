@@ -49,7 +49,7 @@ inline polyglot::Context grout_context(std::size_t workers, core::PolicyKind pol
   cfg.cluster.stream_policy = runtime::StreamPolicyKind::DataLocal;
   cfg.policy = policy;
   cfg.step_vector = std::move(step_vector);
-  cfg.exploration = exploration;
+  cfg.exploration_threshold = core::exploration_threshold(exploration);
   cfg.run_cap = run_cap();
   return polyglot::Context::grout(std::move(cfg));
 }

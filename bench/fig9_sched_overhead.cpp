@@ -118,7 +118,7 @@ struct Fixture {
 void run_policy_bench(benchmark::State& state, core::PolicyKind kind) {
   const auto workers = static_cast<std::size_t>(state.range(0));
   Fixture fixture(workers);
-  auto policy = core::make_policy(kind, {1, 2, 3}, core::ExplorationLevel::Medium);
+  auto policy = core::make_policy(kind, {1, 2, 3});
   std::vector<std::byte> wire;
   std::size_t ce = 0;
   for (auto _ : state) {
@@ -145,7 +145,8 @@ void bench_min_time(benchmark::State& s) {
 void run_oracle_policy_bench(benchmark::State& state, bool by_time) {
   const auto workers = static_cast<std::size_t>(state.range(0));
   Fixture fixture(workers);
-  oracle::OracleMinTransferPolicy policy(by_time, core::ExplorationLevel::Medium);
+  oracle::OracleMinTransferPolicy policy(
+      by_time, core::exploration_threshold(core::ExplorationLevel::Medium));
   std::vector<std::byte> wire;
   std::size_t ce = 0;
   for (auto _ : state) {

@@ -13,7 +13,7 @@ int main() {
   core::GroutConfig config;
   config.cluster.workers = 2;
   config.policy = core::PolicyKind::MinTransferTime;
-  config.exploration = core::ExplorationLevel::Medium;
+  config.exploration_threshold = core::exploration_threshold(core::ExplorationLevel::Medium);
   Context ctx = Context::grout(std::move(config));
 
   workloads::WorkloadParams params;

@@ -32,18 +32,9 @@ struct AdoptOp {
 GroutRuntime::GroutRuntime(GroutConfig config)
     : config_{std::move(config)},
       cluster_{std::make_unique<cluster::Cluster>(config_.cluster)},
-      directory_{config_.cluster.workers} {
-  const bool min_transfer = config_.policy == PolicyKind::MinTransferSize ||
-                            config_.policy == PolicyKind::MinTransferTime;
-  if (min_transfer && config_.exploration_threshold_override.has_value()) {
-    policy_ = std::make_unique<MinTransferPolicy>(
-        config_.policy == PolicyKind::MinTransferTime,
-        *config_.exploration_threshold_override);
-  } else {
-    policy_ = make_policy(config_.policy, config_.step_vector, config_.exploration);
-  }
+      directory_{config_.cluster.workers},
+      policy_{make_policy(config_.policy, config_.step_vector, config_.exploration_threshold)} {
   metrics_.assignments.assign(config_.cluster.workers, 0);
-  metrics_.inflight.assign(config_.cluster.workers, 0);
   const Bytes node_gpu_mem =
       config_.cluster.worker_node.gpu_count * config_.cluster.worker_node.device.memory;
   const Bytes budget = config_.worker_mem.value_or(static_cast<Bytes>(
@@ -55,10 +46,6 @@ GlobalArrayId GroutRuntime::alloc(Bytes bytes, std::string name, TenantId tenant
   const GlobalArrayId id = directory_.register_array(bytes, std::move(name));
   if (tenant != kNoTenant) governor_->set_array_owner(id, tenant);
   return id;
-}
-
-void GroutRuntime::set_tenant_quota(TenantId tenant, Bytes quota) {
-  governor_->set_tenant_quota(tenant, quota);
 }
 
 void GroutRuntime::host_init(GlobalArrayId array) {
@@ -120,22 +107,13 @@ CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) 
   query.directory = &directory_;
   query.fabric = &cluster_->fabric();
   query.workers = cluster_->worker_count();
-  query.outstanding = &metrics_.inflight;
   query.resident = &governor_->resident_by_worker();
   query.mem_budget = governor_->budget();
-  query.tenant = spec.tenant;
-  query.tenant_resident = &governor_->resident_by_tenant();
-  query.tenant_quota = governor_->tenant_quota(spec.tenant);
   bool explored = false;
   query.explored = &explored;
   const std::size_t w = policy_->assign(query);
   GROUT_CHECK(w < cluster_->worker_count(), "policy returned an invalid worker");
   if (explored) ++metrics_.exploration_placements;
-  if (query.tenant_quota != 0 && !placement_admissible(query, w)) {
-    // No quota-admissible worker existed and the CE fell through to
-    // another: the pressure signal the serving admission controller watches.
-    ++metrics_.quota_overflows;
-  }
 
   // 2. Memory governance, then the data movements implied by the placement
   //    (Algorithm 1, last loop). Cold replicas are evicted *before* the
@@ -178,7 +156,6 @@ CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) 
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
   ++metrics_.ces_scheduled;
   ++metrics_.assignments[w];
-  ++metrics_.inflight[w];
 
   // 4. Eager directory update so later CEs see this placement before the
   //    bundle lands.
@@ -244,8 +221,6 @@ CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) 
 
 void GroutRuntime::on_ce_complete(std::size_t w, const std::vector<GlobalArrayId>& pins,
                                   const gpusim::EventPtr& done) {
-  GROUT_CHECK(metrics_.inflight[w] > 0, "in-flight counter underflow");
-  --metrics_.inflight[w];
   // The CE's pins lapse: re-establish the worker's budget now that its
   // replicas are evictable again.
   for (const GlobalArrayId id : pins) governor_->unpin(w, id);
@@ -391,9 +366,6 @@ SchedulerMetrics& GroutRuntime::metrics() {
   for (std::size_t w = 0; w < cluster_->worker_count(); ++w) {
     metrics_.worker_resident_peak[w] = governor_->high_water(w);
   }
-  // Per-tenant accounting (empty outside serve runs).
-  metrics_.tenant_resident = governor_->resident_by_tenant();
-  metrics_.tenant_quota = governor_->quota_by_tenant();
   // Directory-traffic totals (shared-state contention visibility).
   metrics_.invalidations = directory_.invalidations();
   metrics_.ownership_transfers = directory_.ownership_transfers();

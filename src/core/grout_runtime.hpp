@@ -34,10 +34,9 @@ struct GroutConfig {
   cluster::ClusterConfig cluster{};
   PolicyKind policy{PolicyKind::VectorStep};
   std::vector<std::uint32_t> step_vector{1};
-  ExplorationLevel exploration{ExplorationLevel::Medium};
-  /// When set, overrides the exploration level with a raw viability
-  /// threshold in [0, 1] for the min-transfer policies (ablation sweeps).
-  std::optional<double> exploration_threshold_override{};
+  /// Viability threshold in [0, 1] of the min-transfer policies (Section
+  /// V-E); exploration_threshold() names the paper's three levels.
+  double exploration_threshold{core::exploration_threshold(ExplorationLevel::Medium)};
   /// Per-run execution cap (the paper caps single runs at 2.5 hours).
   SimTime run_cap = SimTime::from_seconds(9000.0);
   /// Per-worker replica-cache budget in bytes (--worker-mem). nullopt =
@@ -66,13 +65,8 @@ class GroutRuntime {
 
   /// Allocate a logical array; the controller holds the initial copy.
   /// `tenant` attributes the array to a serving tenant: its replicas count
-  /// against that tenant's cluster-wide resident bytes and quota.
+  /// toward that tenant's cluster-wide resident bytes.
   GlobalArrayId alloc(Bytes bytes, std::string name, TenantId tenant = kNoTenant);
-
-  /// Cap a serving tenant's cluster-wide resident replica bytes
-  /// (0 = unlimited). Enforced at placement admission; the serving
-  /// frontend's admission controller consults the same accounting.
-  void set_tenant_quota(TenantId tenant, Bytes quota);
 
   /// Controller-side initialization (Listing 1's host writes): the
   /// controller copy becomes the single authoritative one.

@@ -17,25 +17,10 @@ MemoryGovernor::MemoryGovernor(cluster::Cluster& cluster, CoherenceDirectory& di
 void MemoryGovernor::set_array_owner(GlobalArrayId id, TenantId tenant) {
   if (array_owner_.size() <= id) array_owner_.resize(id + 1, kNoTenant);
   array_owner_[id] = tenant;
-  if (tenant != kNoTenant && tenant_resident_.size() <= tenant) {
-    tenant_resident_.resize(tenant + 1, 0);
-    if (tenant_quota_.size() <= tenant) tenant_quota_.resize(tenant + 1, 0);
-  }
 }
 
 TenantId MemoryGovernor::array_owner(GlobalArrayId id) const {
   return id < array_owner_.size() ? array_owner_[id] : kNoTenant;
-}
-
-void MemoryGovernor::set_tenant_quota(TenantId tenant, Bytes quota) {
-  GROUT_REQUIRE(tenant != kNoTenant, "cannot set a quota for the no-tenant id");
-  if (tenant_quota_.size() <= tenant) tenant_quota_.resize(tenant + 1, 0);
-  if (tenant_resident_.size() <= tenant) tenant_resident_.resize(tenant + 1, 0);
-  tenant_quota_[tenant] = quota;
-}
-
-Bytes MemoryGovernor::tenant_quota(TenantId tenant) const {
-  return tenant < tenant_quota_.size() ? tenant_quota_[tenant] : 0;
 }
 
 Bytes MemoryGovernor::tenant_resident(TenantId tenant) const {
@@ -160,10 +145,10 @@ void MemoryGovernor::admit_spill(GlobalArrayId id, Bytes bytes,
   metrics_.spill_dram_resident += bytes;
   metrics_.spill_dram_high_water =
       std::max(metrics_.spill_dram_high_water, metrics_.spill_dram_resident);
-  ++writebacks_inflight_;
-  metrics_.writeback_queue_peak = std::max(metrics_.writeback_queue_peak, writebacks_inflight_);
+  ++writebacks_pending_;
+  metrics_.writeback_queue_peak = std::max(metrics_.writeback_queue_peak, writebacks_pending_);
   landed->on_complete([this, id, epoch] {
-    --writebacks_inflight_;
+    --writebacks_pending_;
     if (spilled_[id].epoch == epoch) spilled_[id].ready = nullptr;
   });
 }

@@ -67,24 +67,13 @@ class MemoryGovernor {
   // -- multi-tenant accounting ----------------------------------------------
 
   /// Record which serving tenant owns array `id` (kNoTenant = shared /
-  /// single-program work). Replicas of the array count against the owner's
-  /// cluster-wide resident bytes and its quota, and other tenants' memory
-  /// pressure cannot evict its up-to-date copies.
+  /// single-program work). Replicas of the array count toward the owner's
+  /// cluster-wide resident bytes, and other tenants' memory pressure cannot
+  /// evict its up-to-date copies.
   void set_array_owner(GlobalArrayId id, TenantId tenant);
   [[nodiscard]] TenantId array_owner(GlobalArrayId id) const;
-
-  /// Cap tenant `t`'s cluster-wide resident replica bytes (0 = unlimited).
-  /// The quota is enforced at admission (placement_admissible) and by the
-  /// serving frontend; the governor's accounting is what both consult.
-  void set_tenant_quota(TenantId tenant, Bytes quota);
-  [[nodiscard]] Bytes tenant_quota(TenantId tenant) const;
+  /// Tenant `t`'s cluster-wide resident replica bytes.
   [[nodiscard]] Bytes tenant_resident(TenantId tenant) const;
-  /// Cluster-wide resident bytes per tenant, indexed by TenantId (for
-  /// PlacementQuery::tenant_resident).
-  [[nodiscard]] const std::vector<Bytes>& resident_by_tenant() const {
-    return tenant_resident_;
-  }
-  [[nodiscard]] const std::vector<Bytes>& quota_by_tenant() const { return tenant_quota_; }
 
   // -- dispatch-time hooks ---------------------------------------------------
 
@@ -230,9 +219,8 @@ class MemoryGovernor {
   mutable std::vector<Victim> victims_;
   /// Owning tenant per array id (kNoTenant = shared); grown lazily.
   std::vector<TenantId> array_owner_;
-  /// Cluster-wide resident replica bytes and quota per tenant.
+  /// Cluster-wide resident replica bytes per tenant.
   std::vector<Bytes> tenant_resident_;
-  std::vector<Bytes> tenant_quota_;
 
   /// One spilled controller copy. epoch 0 = not spilled; a release or a
   /// superseding spill changes it, so a stale write-back callback finds a
@@ -247,7 +235,7 @@ class MemoryGovernor {
   std::vector<SpillEntry> spilled_;
   std::uint64_t spill_epochs_{0};
   /// Write-backs in flight (their peak is SchedulerMetrics::writeback_queue_peak).
-  std::uint64_t writebacks_inflight_{0};
+  std::uint64_t writebacks_pending_{0};
 };
 
 }  // namespace grout::core

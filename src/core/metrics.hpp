@@ -18,9 +18,6 @@ struct SchedulerMetrics {
   SampleSet decision_ns;
   /// CE placements per worker (cumulative, never decremented).
   std::vector<std::uint64_t> assignments;
-  /// CEs dispatched but not yet completed, per worker. This — not the
-  /// cumulative `assignments` — is what load-aware policies consult.
-  std::vector<std::uint64_t> inflight;
   /// Inbound transfers issued by the data-movement planner.
   std::uint64_t controller_sends{0};
   std::uint64_t p2p_sends{0};
@@ -69,16 +66,6 @@ struct SchedulerMetrics {
   /// reclaiming stale copies rather than live ones).
   std::uint64_t stale_evictions{0};
   Bytes bytes_stale_evicted{0};
-
-  // Multi-tenant serving (synced from the governor's per-tenant accounting;
-  // empty outside serve runs).
-  /// Cluster-wide resident replica bytes per tenant, indexed by TenantId.
-  std::vector<Bytes> tenant_resident;
-  /// Configured per-tenant memory quota (0 = unlimited).
-  std::vector<Bytes> tenant_quota;
-  /// CEs whose placement had no quota-admissible worker and fell back to a
-  /// live one anyway (the quota pressure signal admission control watches).
-  std::uint64_t quota_overflows{0};
 };
 
 }  // namespace grout::core

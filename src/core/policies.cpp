@@ -29,12 +29,7 @@ std::size_t next_placement_rr(const PlacementQuery& q, std::size_t& cursor) {
 
 bool placement_admissible(const PlacementQuery& q, std::size_t w) {
   if (q.params == nullptr || q.directory == nullptr) return true;
-  const bool check_worker =
-      q.mem_budget != 0 && q.resident != nullptr && w < q.resident->size();
-  const bool check_tenant = q.tenant_quota != 0 && q.tenant != kNoTenant &&
-                            q.tenant_resident != nullptr &&
-                            q.tenant < q.tenant_resident->size();
-  if (!check_worker && !check_tenant) return true;
+  if (q.mem_budget == 0 || q.resident == nullptr || w >= q.resident->size()) return true;
   Bytes incoming = 0;
   for (const PlacementParam& p : *q.params) {
     // Outputs allocate on the worker too, so needs_data does not matter;
@@ -42,11 +37,7 @@ bool placement_admissible(const PlacementQuery& q, std::size_t w) {
     // allocated there".
     if (!q.directory->holders(p.array).worker(w)) incoming += p.bytes;
   }
-  if (check_worker && (*q.resident)[w] + incoming > q.mem_budget) return false;
-  // Tenant quota caps the tenant's *cluster-wide* replica footprint: new
-  // copies materialized by this placement count against it on any worker.
-  if (check_tenant && (*q.tenant_resident)[q.tenant] + incoming > q.tenant_quota) return false;
-  return true;
+  return (*q.resident)[w] + incoming <= q.mem_budget;
 }
 
 const char* to_string(PolicyKind k) {
@@ -55,8 +46,6 @@ const char* to_string(PolicyKind k) {
     case PolicyKind::VectorStep: return "vector-step";
     case PolicyKind::MinTransferSize: return "min-transfer-size";
     case PolicyKind::MinTransferTime: return "min-transfer-time";
-    case PolicyKind::Random: return "random";
-    case PolicyKind::LeastOutstanding: return "least-outstanding";
   }
   return "?";
 }
@@ -130,9 +119,6 @@ std::size_t VectorStepPolicy::assign(const PlacementQuery& q) {
 // ---------------------------------------------------------------------------
 // Min-transfer-{size,time}
 // ---------------------------------------------------------------------------
-
-MinTransferPolicy::MinTransferPolicy(bool by_time, ExplorationLevel exploration)
-    : by_time_{by_time}, threshold_{exploration_threshold(exploration)} {}
 
 MinTransferPolicy::MinTransferPolicy(bool by_time, double threshold)
     : by_time_{by_time}, threshold_{threshold} {
@@ -304,55 +290,20 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
 }
 
 // ---------------------------------------------------------------------------
-// Extension policies
-// ---------------------------------------------------------------------------
-
-std::size_t RandomPolicy::assign(const PlacementQuery& q) {
-  GROUT_REQUIRE(q.workers > 0, "no workers to schedule on");
-  // Rejection-sample to stay uniform over the workers that pass the
-  // capacity admission check; when none turns up, any worker will do.
-  for (int tries = 0; tries < 64; ++tries) {
-    const std::size_t node = rng_.next_below(q.workers);
-    if (placement_admissible(q, node)) return node;
-  }
-  return rng_.next_below(q.workers);
-}
-
-std::size_t LeastOutstandingPolicy::assign(const PlacementQuery& q) {
-  GROUT_REQUIRE(q.workers > 0, "no workers to schedule on");
-  if (q.outstanding == nullptr || q.outstanding->size() != q.workers) {
-    return next_placement_rr(q, rr_cursor_);
-  }
-  // Two passes: lightest admissible worker first, lightest worker when
-  // every node is over budget.
-  std::size_t best = q.workers;
-  for (const bool require_admissible : {true, false}) {
-    for (std::size_t w = 0; w < q.workers; ++w) {
-      if (require_admissible && !placement_admissible(q, w)) continue;
-      if (best == q.workers || (*q.outstanding)[w] < (*q.outstanding)[best]) best = w;
-    }
-    if (best != q.workers) break;
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------------
 // Factory
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<InterNodePolicy> make_policy(PolicyKind kind,
                                              std::vector<std::uint32_t> step_vector,
-                                             ExplorationLevel exploration) {
+                                             double threshold) {
   switch (kind) {
     case PolicyKind::RoundRobin: return std::make_unique<RoundRobinPolicy>();
     case PolicyKind::VectorStep:
       return std::make_unique<VectorStepPolicy>(std::move(step_vector));
     case PolicyKind::MinTransferSize:
-      return std::make_unique<MinTransferPolicy>(false, exploration);
+      return std::make_unique<MinTransferPolicy>(false, threshold);
     case PolicyKind::MinTransferTime:
-      return std::make_unique<MinTransferPolicy>(true, exploration);
-    case PolicyKind::Random: return std::make_unique<RandomPolicy>();
-    case PolicyKind::LeastOutstanding: return std::make_unique<LeastOutstandingPolicy>();
+      return std::make_unique<MinTransferPolicy>(true, threshold);
   }
   GROUT_CHECK(false, "unhandled policy kind");
   return nullptr;

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/directory.hpp"
 #include "net/fabric.hpp"
@@ -30,10 +29,6 @@ enum class PolicyKind : std::uint8_t {
   VectorStep,
   MinTransferSize,
   MinTransferTime,
-  // Extensions beyond the paper's four (Section IV-D: "policies can be
-  // easily implemented into the framework"):
-  Random,            ///< uniform random node — a second exploration baseline
-  LeastOutstanding,  ///< node with the fewest CEs assigned so far
 };
 
 const char* to_string(PolicyKind k);
@@ -59,21 +54,11 @@ struct PlacementQuery {
   const CoherenceDirectory* directory{nullptr};
   const net::NetworkFabric* fabric{nullptr};  ///< may be null for static policies
   std::size_t workers{0};
-  /// In-flight (dispatched, not yet completed) CEs per worker (null when the
-  /// caller does not track it); consumed by LeastOutstanding.
-  const std::vector<std::uint64_t>* outstanding{nullptr};
   /// Resident replica bytes per worker (the memory governor's accounting;
   /// null = untracked) and the per-worker budget (0 = unbounded). Together
   /// they drive the capacity admission check.
   const std::vector<Bytes>* resident{nullptr};
   Bytes mem_budget{0};
-  /// Serving tenant submitting the CE, with its cluster-wide resident bytes
-  /// and memory quota (null/0 = no quota accounting; single-program runs).
-  /// Admissibility additionally requires the tenant's projected residency to
-  /// stay within its quota, so one tenant cannot expand onto every worker.
-  TenantId tenant{kNoTenant};
-  const std::vector<Bytes>* tenant_resident{nullptr};
-  Bytes tenant_quota{0};
   /// Out-param (may be null): a min-transfer policy sets it when the
   /// placement came from the exploration fallback instead of exploitation —
   /// how a worker with no resident data attracts its first CE. The
@@ -125,8 +110,7 @@ class VectorStepPolicy final : public InterNodePolicy {
 class MinTransferPolicy final : public InterNodePolicy {
  public:
   /// `by_time` selects min-transfer-time; otherwise min-transfer-size.
-  MinTransferPolicy(bool by_time, ExplorationLevel exploration);
-  /// Raw viability threshold in [0, 1] (ablation studies sweep this).
+  /// `threshold` is the viability threshold in [0, 1].
   MinTransferPolicy(bool by_time, double threshold);
   std::size_t assign(const PlacementQuery& q) override;
   [[nodiscard]] PolicyKind kind() const override {
@@ -147,28 +131,10 @@ class MinTransferPolicy final : public InterNodePolicy {
   std::vector<Bytes> avail_bytes_;
 };
 
-class RandomPolicy final : public InterNodePolicy {
- public:
-  explicit RandomPolicy(std::uint64_t seed = 0x9e3779b9ULL) : rng_{seed} {}
-  std::size_t assign(const PlacementQuery& q) override;
-  [[nodiscard]] PolicyKind kind() const override { return PolicyKind::Random; }
-
- private:
-  Rng rng_;
-};
-
-class LeastOutstandingPolicy final : public InterNodePolicy {
- public:
-  std::size_t assign(const PlacementQuery& q) override;
-  [[nodiscard]] PolicyKind kind() const override { return PolicyKind::LeastOutstanding; }
-
- private:
-  std::size_t rr_cursor_{0};  ///< fallback when no outstanding counts exist
-};
-
 /// Factory covering every policy.
-std::unique_ptr<InterNodePolicy> make_policy(PolicyKind kind,
-                                             std::vector<std::uint32_t> step_vector = {1},
-                                             ExplorationLevel exploration = ExplorationLevel::Medium);
+/// `threshold` is the min-transfer policies' viability threshold.
+std::unique_ptr<InterNodePolicy> make_policy(
+    PolicyKind kind, std::vector<std::uint32_t> step_vector = {1},
+    double threshold = exploration_threshold(ExplorationLevel::Medium));
 
 }  // namespace grout::core

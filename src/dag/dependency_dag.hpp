@@ -64,11 +64,6 @@ class DependencyDag {
     return packed_ancestors(v);
   }
 
-  /// Last CE that wrote `array` (kNoVertex if no CE ever wrote it).
-  [[nodiscard]] VertexId last_writer_of(uvm::ArrayId array) const {
-    return array < per_array_.size() ? per_array_[array].last_writer : kNoVertex;
-  }
-
   /// Frontier: vertices still owning the last write of, or actively reading,
   /// at least one array. New CEs can only conflict with frontier members.
   [[nodiscard]] std::vector<VertexId> frontier() const;

@@ -92,17 +92,6 @@ void IntraNodeRuntime::forget_array(uvm::ArrayId array) {
   if (array < affinity_.size()) affinity_[array] = kNoGpu;
 }
 
-gpusim::EventPtr IntraNodeRuntime::quiescent_event() {
-  std::vector<gpusim::EventPtr> pending;
-  for (const gpusim::EventPtr& ev : vertex_events_) {
-    if (ev) pending.push_back(ev);
-  }
-  gpusim::EventPtr done = gpusim::make_event();
-  sim::Simulator& sim = node_.simulator();
-  gpusim::when_all(pending, [&sim, done] { done->complete(sim.now()); });
-  return done;
-}
-
 IntraNodeRuntime::StreamRef& IntraNodeRuntime::least_loaded_stream(std::size_t gpu_filter) {
   // Cyclic scan starting after the last pick so that ties between equally
   // idle streams rotate over the GPUs instead of always winning at index 0.

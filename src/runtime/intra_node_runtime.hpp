@@ -63,9 +63,6 @@ class IntraNodeRuntime {
   [[nodiscard]] gpusim::GpuNode& node() { return node_; }
   [[nodiscard]] StreamPolicyKind policy() const { return policy_; }
 
-  /// Event that completes when all CEs submitted so far have finished.
-  [[nodiscard]] gpusim::EventPtr quiescent_event();
-
   /// End event of Local-DAG vertex `v` while it is pending; null once it
   /// completed.
   [[nodiscard]] const gpusim::EventPtr& pending_event(dag::VertexId v) const {

@@ -71,11 +71,8 @@ ServeScheduler::ServeScheduler(core::GroutRuntime& runtime, ServeConfig config)
     if (t.spec.name.empty()) t.spec.name = "tenant" + std::to_string(k);
     // Distinct deterministic arrival streams per tenant.
     t.arrivals.reseed(config_.seed ^ ((k + 1) * 0x9e3779b97f4a7c15ULL));
-    if (config_.latency_sample_cap != 0) {
-      t.latency_ms = SampleSet(config_.latency_sample_cap,
-                               config_.seed ^ ((k + 1) * 0xd1342543de82ef95ULL));
-    }
-    runtime_.set_tenant_quota(static_cast<TenantId>(k), t.spec.quota);
+    t.latency_ms =
+        SampleSet(kLatencySampleCap, config_.seed ^ ((k + 1) * 0xd1342543de82ef95ULL));
   }
   if (config_.contention) {
     const workloads::ContentionSpec& c = *config_.contention;
@@ -138,10 +135,9 @@ void ServeScheduler::submit(std::size_t t) {
   const Bytes budget = cluster_budget();
   // A program that can never fit sheds immediately instead of clogging the
   // admission queue forever.
-  const bool hopeless = (tenant.spec.quota != 0 && fp > tenant.spec.quota) ||
-                        (budget != 0 && fp > budget);
+  const bool hopeless = budget != 0 && fp > budget;
   if (!hopeless && try_admit(p)) return;
-  if (hopeless || tenant.waiting.size() >= config_.max_queued_programs) {
+  if (hopeless || tenant.waiting.size() >= kMaxQueuedPrograms) {
     ++tenant.shed;
     sim::Tracer& tracer = runtime_.cluster().tracer();
     if (tracer.enabled()) {
@@ -157,9 +153,6 @@ void ServeScheduler::submit(std::size_t t) {
 bool ServeScheduler::try_admit(std::unique_ptr<Program>& p) {
   Tenant& tenant = tenants_[p->tenant];
   const Bytes fp = p->shape->footprint();
-  if (tenant.spec.quota != 0 && tenant.active_footprint + fp > tenant.spec.quota) {
-    return false;
-  }
   const Bytes budget = cluster_budget();
   if (budget != 0 && active_footprint_ + fp > budget) return false;
 
@@ -173,7 +166,6 @@ bool ServeScheduler::try_admit(std::unique_ptr<Program>& p) {
   }
   p->admitted_at = simulator().now();
   tenant.queue_wait_ms.add((p->admitted_at - p->arrived).seconds() * 1e3);
-  tenant.active_footprint += fp;
   active_footprint_ += fp;
   ++tenant.admitted;
   ++programs_in_flight_;
@@ -291,9 +283,7 @@ void ServeScheduler::finish_program(Program* p) {
   tenant.latency_ms.add((now - p->arrived).seconds() * 1e3);
   ++tenant.completed;
   const Bytes fp = p->shape->footprint();
-  GROUT_CHECK(tenant.active_footprint >= fp && active_footprint_ >= fp,
-              "footprint accounting underflow");
-  tenant.active_footprint -= fp;
+  GROUT_CHECK(active_footprint_ >= fp, "footprint accounting underflow");
   active_footprint_ -= fp;
   GROUT_CHECK(programs_in_flight_ > 0, "program completion with none in flight");
   --programs_in_flight_;

@@ -7,9 +7,9 @@
 // shared GroutRuntime:
 //
 //   * admission control: a program is admitted only when its array
-//     footprint fits both the tenant's memory quota and the cluster's
-//     aggregate worker budget; otherwise it waits in the tenant's
-//     admission queue (bounded — arrivals beyond the bound are shed);
+//     footprint fits the cluster's aggregate worker budget; otherwise it
+//     waits in the tenant's admission queue (bounded — arrivals beyond the
+//     bound are shed);
 //   * weighted fair queuing: ready CEs are dispatched tenant-by-tenant in
 //     virtual-time order (vtime += 1/weight per CE), so a tenant with
 //     weight 2 gets twice the dispatch slots of a weight-1 tenant under
@@ -19,8 +19,7 @@
 //     written against.
 //
 // The frontend owns arrival generation and program bookkeeping; placement,
-// data movement and memory governance stay in the runtime (tenant quotas
-// are enforced there too, via MemoryGovernor's per-tenant accounting).
+// data movement and memory governance stay in the runtime.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +49,12 @@ struct ArrivalSpec {
   std::size_t depth{1};
 };
 
+/// Per-tenant admission-queue bound; arrivals beyond it are shed.
+inline constexpr std::size_t kMaxQueuedPrograms = 8;
+/// Reservoir capacity for per-tenant latency percentiles, so long open-loop
+/// runs keep O(1) samples per tenant.
+inline constexpr std::size_t kLatencySampleCap = 4096;
+
 /// Parse "closed", "closed:<depth>", "poisson:<rate_hz>".
 ArrivalSpec parse_arrival(const std::string& text);
 std::string to_string(const ArrivalSpec& a);
@@ -57,9 +62,6 @@ std::string to_string(const ArrivalSpec& a);
 struct TenantSpec {
   std::string name;
   double weight{1.0};
-  /// Cluster-wide resident-byte quota (0 = unlimited). Enforced twice: at
-  /// program admission here, and at placement/eviction in the runtime.
-  Bytes quota{0};
   workloads::WorkloadKind workload{workloads::WorkloadKind::BlackScholes};
   workloads::WorkloadParams params{};
   ArrivalSpec arrival{};
@@ -72,8 +74,6 @@ struct ServeConfig {
   /// Cap on CEs in flight across all tenants (0 = 4 x worker count): the
   /// backpressure that makes WFQ ordering matter.
   std::size_t max_outstanding_ces{0};
-  /// Per-tenant admission-queue bound; arrivals beyond it are shed.
-  std::size_t max_queued_programs{8};
   /// Wall-clock (sim) horizon for the whole serving run.
   SimTime horizon = SimTime::from_seconds(9000.0);
   std::uint64_t seed{42};
@@ -83,9 +83,6 @@ struct ServeConfig {
   /// configured workload. Program key sequences are pinned by
   /// (seed, tenant, seq), so a run is bit-identical for a fixed config.
   std::optional<workloads::ContentionSpec> contention;
-  /// Reservoir capacity for per-tenant latency percentiles (0 = keep every
-  /// sample). Bounded by default so long open-loop runs stay O(1) memory.
-  std::size_t latency_sample_cap{4096};
 };
 
 /// Per-tenant serving outcome — the SLO ledger.
@@ -165,7 +162,6 @@ class ServeScheduler {
     std::deque<Program*> dispatchable;
     /// Programs waiting for admission (footprint did not fit), FIFO.
     std::deque<std::unique_ptr<Program>> waiting;
-    Bytes active_footprint{0};
     std::size_t submitted{0};
     std::size_t admitted{0};
     std::size_t completed{0};
@@ -189,7 +185,7 @@ class ServeScheduler {
   /// One program arrives for tenant `t` (scheduled by the arrival process).
   void submit(std::size_t t);
   void schedule_next_arrival(std::size_t t);
-  /// Admit `p` if its footprint fits quota + cluster budget; returns false
+  /// Admit `p` if its footprint fits the cluster budget; returns false
   /// (leaving `p` untouched) when it must wait.
   bool try_admit(std::unique_ptr<Program>& p);
   /// Re-run admission over every tenant's waiting queue (after a program

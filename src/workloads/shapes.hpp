@@ -59,7 +59,7 @@ struct ProgramShape {
   std::vector<ShapeCe> ces;
 
   /// Total bytes across all arrays — what admission control charges a
-  /// program against worker budgets and the tenant quota.
+  /// program against the cluster's worker budgets.
   [[nodiscard]] Bytes footprint() const;
 };
 

@@ -12,10 +12,9 @@
 //   * placement:   a freshly launched CE's parameters are all up-to-date on
 //                  the worker it was placed on (the directory is updated
 //                  eagerly at dispatch);
-//   * tenancy:     per-tenant resident accounting never exceeds what the
-//                  workers actually hold, a tenant-tagged CE only touches
-//                  its own (or shared) arrays, and quotas hold whenever
-//                  placement never had to overflow one;
+//   * tenancy:     per-tenant resident accounting equals the bytes of the
+//                  tenant's replicas the workers hold, and a tenant-tagged
+//                  CE only touches its own (or shared) arrays;
 //   * spill record: the bytes of the spilled copies sum to the governor's
 //                  spilled-bytes count, and every spilled array still has
 //                  the controller as an up-to-date holder.
@@ -48,16 +47,23 @@ class InvariantChecker {
     // The Global DAG must stay acyclic.
     EXPECT_TRUE(rt_.global_dag().edges_respect_insertion_order());
     const core::MemoryGovernor& gov = rt_.governor();
-    // Tenant accounting consistency: owned replicas are a subset of all
-    // replicas, so the per-tenant resident sum can never exceed the
-    // per-worker resident sum.
-    Bytes owned = 0;
-    for (const Bytes b : gov.resident_by_tenant()) owned += b;
-    Bytes held = 0;
-    for (std::size_t w = 0; w < rt_.cluster().worker_count(); ++w) {
-      held += gov.resident_bytes(w);
+    // Tenant accounting consistency: a tenant's resident bytes are exactly
+    // the bytes of the replicas of its arrays, summed over the workers.
+    std::vector<Bytes> owned;  // indexed by every tenant that owns an array
+    for (core::GlobalArrayId id = 0; id < dir.array_count(); ++id) {
+      const TenantId owner = gov.array_owner(id);
+      if (owner != kNoTenant && owned.size() <= owner) owned.resize(std::size_t{owner} + 1, 0);
     }
-    EXPECT_LE(owned, held) << "tenant resident accounting exceeds worker residency";
+    for (std::size_t w = 0; w < rt_.cluster().worker_count(); ++w) {
+      for (const core::MemoryGovernor::Replica& rep : gov.replicas(w)) {
+        const TenantId owner = gov.array_owner(rep.id);
+        if (owner != kNoTenant) owned[owner] += rep.bytes;
+      }
+    }
+    for (std::size_t t = 0; t < owned.size(); ++t) {
+      EXPECT_EQ(gov.tenant_resident(static_cast<TenantId>(t)), owned[t])
+          << "tenant " << t << " resident accounting out of sync with its replicas";
+    }
     // Shared-array tenancy: pool arrays stay unowned, so any tenant's CE may
     // touch them (after_launch enforces the converse for owned arrays).
     for (const core::GlobalArrayId id : shared_) {
@@ -126,16 +132,6 @@ class InvariantChecker {
       for (std::size_t w = 0; w < rt_.cluster().worker_count(); ++w) {
         EXPECT_LE(gov.resident_bytes(w), gov.budget())
             << "worker " << w << " over budget at a quiescent point";
-      }
-    }
-    // Tenant quotas hold exactly when placement never had to overflow one
-    // (an overflow falls back to a live worker by design and is counted).
-    if (rt_.metrics().quota_overflows == 0) {
-      const std::vector<Bytes>& quotas = gov.quota_by_tenant();
-      for (std::size_t t = 0; t < quotas.size(); ++t) {
-        if (quotas[t] == 0) continue;
-        EXPECT_LE(gov.tenant_resident(static_cast<TenantId>(t)), quotas[t])
-            << "tenant " << t << " over quota at a quiescent point";
       }
     }
   }

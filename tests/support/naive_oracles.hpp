@@ -146,8 +146,6 @@ class OracleMinTransferPolicy {
  public:
   OracleMinTransferPolicy(bool by_time, double threshold)
       : by_time_{by_time}, threshold_{threshold} {}
-  OracleMinTransferPolicy(bool by_time, core::ExplorationLevel exploration)
-      : OracleMinTransferPolicy(by_time, core::exploration_threshold(exploration)) {}
 
   std::size_t assign(const core::PlacementQuery& q) {
     GROUT_REQUIRE(q.workers > 0, "no workers to schedule on");

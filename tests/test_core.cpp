@@ -222,14 +222,14 @@ struct MinTransferFixture : ::testing::Test {
 
 TEST_F(MinTransferFixture, PicksNodeHoldingTheData) {
   dir.add_worker_copy(big, 2);
-  MinTransferPolicy p(false, ExplorationLevel::Medium);
+  MinTransferPolicy p(false, exploration_threshold(ExplorationLevel::Medium));
   const std::vector<PlacementParam> params{{big, 8_GiB, true}, {small, 1_GiB, true}};
   EXPECT_EQ(p.assign(query_of(params, dir, fabric.get(), 3)), 2u);
 }
 
 TEST_F(MinTransferFixture, FallsBackToRoundRobinWhenNothingViable) {
   // No worker holds anything: exploration round-robin.
-  MinTransferPolicy p(false, ExplorationLevel::Medium);
+  MinTransferPolicy p(false, exploration_threshold(ExplorationLevel::Medium));
   const std::vector<PlacementParam> params{{big, 8_GiB, true}};
   EXPECT_EQ(p.assign(query_of(params, dir, fabric.get(), 3)), 0u);
   EXPECT_EQ(p.assign(query_of(params, dir, fabric.get(), 3)), 1u);
@@ -240,17 +240,18 @@ TEST_F(MinTransferFixture, ViabilityThresholdGates) {
   // Worker 1 holds only the small array: 1/9 of the input bytes.
   dir.add_worker_copy(small, 1);
   const std::vector<PlacementParam> params{{big, 8_GiB, true}, {small, 1_GiB, true}};
-  MinTransferPolicy low(false, ExplorationLevel::Low);  // threshold 0.25 > 1/9
+  // Threshold 0.25 > 1/9.
+  MinTransferPolicy low(false, exploration_threshold(ExplorationLevel::Low));
   EXPECT_EQ(low.assign(query_of(params, dir, fabric.get(), 3)), 0u);  // explores
 
   // Holding the big array passes every threshold.
   dir.add_worker_copy(big, 1);
-  MinTransferPolicy high(false, ExplorationLevel::High);
+  MinTransferPolicy high(false, exploration_threshold(ExplorationLevel::High));
   EXPECT_EQ(high.assign(query_of(params, dir, fabric.get(), 3)), 1u);
 }
 
 TEST_F(MinTransferFixture, PureOutputCEsExplore) {
-  MinTransferPolicy p(false, ExplorationLevel::Medium);
+  MinTransferPolicy p(false, exploration_threshold(ExplorationLevel::Medium));
   const std::vector<PlacementParam> params{{big, 8_GiB, false}};  // write-only
   EXPECT_EQ(p.assign(query_of(params, dir, fabric.get(), 3)), 0u);
   EXPECT_EQ(p.assign(query_of(params, dir, fabric.get(), 3)), 1u);
@@ -263,13 +264,13 @@ TEST_F(MinTransferFixture, MinTimePrefersFasterRoutes) {
   dir.add_worker_copy(big, 0);
   dir.add_worker_copy(big, 1);
   fabric->set_link_override(0, 1, Bandwidth::mbit_per_sec(100.0));  // ctl<->w0
-  MinTransferPolicy p(true, ExplorationLevel::Medium);
+  MinTransferPolicy p(true, exploration_threshold(ExplorationLevel::Medium));
   const std::vector<PlacementParam> params{{big, 8_GiB, true}, {small, 1_GiB, true}};
   EXPECT_EQ(p.assign(query_of(params, dir, fabric.get(), 3)), 1u);
 }
 
 TEST_F(MinTransferFixture, MinTimeRequiresFabric) {
-  MinTransferPolicy p(true, ExplorationLevel::Medium);
+  MinTransferPolicy p(true, exploration_threshold(ExplorationLevel::Medium));
   const std::vector<PlacementParam> params{{big, 8_GiB, true}};
   EXPECT_THROW(p.assign(query_of(params, dir, nullptr, 3)), InvalidArgument);
 }
@@ -279,44 +280,6 @@ TEST(PolicyFactoryTest, MakesAllKinds) {
   EXPECT_EQ(make_policy(PolicyKind::VectorStep, {2})->kind(), PolicyKind::VectorStep);
   EXPECT_EQ(make_policy(PolicyKind::MinTransferSize)->kind(), PolicyKind::MinTransferSize);
   EXPECT_EQ(make_policy(PolicyKind::MinTransferTime)->kind(), PolicyKind::MinTransferTime);
-  EXPECT_EQ(make_policy(PolicyKind::Random)->kind(), PolicyKind::Random);
-  EXPECT_EQ(make_policy(PolicyKind::LeastOutstanding)->kind(), PolicyKind::LeastOutstanding);
-}
-
-TEST(RandomPolicyTest, UniformInRangeAndDeterministic) {
-  RandomPolicy a(5);
-  RandomPolicy b(5);
-  CoherenceDirectory dir(4);
-  const std::vector<PlacementParam> none;
-  const PlacementQuery q = query_of(none, dir, nullptr, 4);
-  std::vector<std::size_t> counts(4, 0);
-  for (int i = 0; i < 400; ++i) {
-    const std::size_t pick = a.assign(q);
-    EXPECT_EQ(pick, b.assign(q));  // same seed, same stream
-    ASSERT_LT(pick, 4u);
-    ++counts[pick];
-  }
-  for (const std::size_t c : counts) EXPECT_GT(c, 50u);  // roughly uniform
-}
-
-TEST(LeastOutstandingPolicyTest, PicksLightestWorker) {
-  LeastOutstandingPolicy p;
-  CoherenceDirectory dir(3);
-  const std::vector<PlacementParam> none;
-  PlacementQuery q = query_of(none, dir, nullptr, 3);
-  const std::vector<std::uint64_t> outstanding{5, 1, 3};
-  q.outstanding = &outstanding;
-  EXPECT_EQ(p.assign(q), 1u);
-}
-
-TEST(LeastOutstandingPolicyTest, FallsBackToRoundRobinWithoutCounts) {
-  LeastOutstandingPolicy p;
-  CoherenceDirectory dir(2);
-  const std::vector<PlacementParam> none;
-  const PlacementQuery q = query_of(none, dir, nullptr, 2);
-  EXPECT_EQ(p.assign(q), 0u);
-  EXPECT_EQ(p.assign(q), 1u);
-  EXPECT_EQ(p.assign(q), 0u);
 }
 
 TEST(PolicyNamesTest, Strings) {
@@ -458,45 +421,6 @@ TEST(GroutRuntimeTest, MetricsCountDecisions) {
   EXPECT_EQ(rt.metrics().ces_scheduled, 6u);
   EXPECT_EQ(rt.metrics().decision_ns.count(), 6u);
   EXPECT_EQ(rt.metrics().assignments[0] + rt.metrics().assignments[1], 6u);
-}
-
-TEST(GroutRuntimeTest, LeastOutstandingBalancesAssignments) {
-  GroutConfig cfg = small_grout(PolicyKind::LeastOutstanding);
-  GroutRuntime rt(cfg);
-  const GlobalArrayId a = rt.alloc(1_MiB, "a");
-  rt.host_init(a);
-  for (int i = 0; i < 8; ++i) rt.launch(global_kernel(a, uvm::AccessMode::Read));
-  EXPECT_TRUE(rt.synchronize());
-  EXPECT_EQ(rt.metrics().assignments[0], 4u);
-  EXPECT_EQ(rt.metrics().assignments[1], 4u);
-}
-
-TEST(GroutRuntimeTest, LeastOutstandingTracksInFlightNotCumulative) {
-  // Regression: the policy used to consult cumulative assignment counts, so
-  // a worker that had long drained its queue still looked as loaded as one
-  // stuck behind a long kernel. It must consult in-flight CEs instead.
-  GroutRuntime rt(small_grout(PolicyKind::LeastOutstanding));
-  const GlobalArrayId slow_a = rt.alloc(1_MiB, "slow");
-  const GlobalArrayId fast_a = rt.alloc(1_MiB, "fast");
-  const GlobalArrayId third_a = rt.alloc(1_MiB, "third");
-
-  auto slow_spec = global_kernel(slow_a, uvm::AccessMode::Write, "slow");
-  slow_spec.flops = 1e15;  // ~80 s on a V100: keeps worker 0 busy
-  const CeTicket slow = rt.launch(std::move(slow_spec));
-  EXPECT_EQ(slow.worker, 0u);
-  const CeTicket fast = rt.launch(global_kernel(fast_a, uvm::AccessMode::Write, "fast"));
-  EXPECT_EQ(fast.worker, 1u);
-
-  // Let worker 1 drain its queue while worker 0 is still computing.
-  (void)rt.cluster().simulator().run_until(SimTime::from_seconds(1.0));
-  ASSERT_TRUE(fast.done->completed());
-  ASSERT_FALSE(slow.done->completed());
-
-  // Cumulative counts are tied 1-1 (the old behavior would pick worker 0);
-  // only in-flight load identifies the idle worker.
-  const CeTicket third = rt.launch(global_kernel(third_a, uvm::AccessMode::Write, "third"));
-  EXPECT_EQ(third.worker, 1u);
-  EXPECT_TRUE(rt.synchronize());
 }
 
 TEST(GroutRuntimeTest, CountsExplorationPlacements) {

@@ -131,17 +131,18 @@ TEST(Dag, ForgetClearsTheArraysFrontierState) {
   const VertexId w0 = dag.add("w0", {w(0)});
   const VertexId r0 = dag.add("r0", {r(0)});
   const VertexId w1 = dag.add("w1", {w(1)});
-  EXPECT_EQ(dag.last_writer_of(0), w0);
   EXPECT_EQ(dag.frontier(), (std::vector<VertexId>{w0, r0, w1}));
 
   dag.forget(0);
-  EXPECT_EQ(dag.last_writer_of(0), kNoVertex);
   EXPECT_EQ(dag.frontier(), std::vector<VertexId>{w1});
-  EXPECT_EQ(dag.last_writer_of(1), w1);
-  // Ids past the table: nothing wrote them, and forgetting them is a no-op.
-  EXPECT_EQ(dag.last_writer_of(1000), kNoVertex);
+  // Ids past the table: forgetting them is a no-op.
   dag.forget(1000);
   EXPECT_EQ(dag.frontier(), std::vector<VertexId>{w1});
+  // Nothing orders array 0's next writer any more; array 1 keeps its writer.
+  const VertexId next0 = dag.add("w0'", {w(0)});
+  EXPECT_TRUE(ancestors_of(dag, next0).empty());
+  const VertexId r1 = dag.add("r1", {r(1)});
+  EXPECT_EQ(ancestors_of(dag, r1), std::vector<VertexId>{w1});
 }
 
 TEST(Dag, SparseArrayIdsGetTheSameEdgesAsAdjacentOnes) {
@@ -156,13 +157,15 @@ TEST(Dag, SparseArrayIdsGetTheSameEdgesAsAdjacentOnes) {
     return dag;
   };
   const DependencyDag adjacent = build(1);
-  const DependencyDag sparse = build(100000);
+  DependencyDag sparse = build(100000);
   ASSERT_EQ(adjacent.size(), sparse.size());
   for (VertexId v = 0; v < adjacent.size(); ++v) {
     EXPECT_EQ(ancestors_of(adjacent, v), ancestors_of(sparse, v)) << "vertex " << v;
   }
   EXPECT_EQ(adjacent.frontier(), sparse.frontier());
-  EXPECT_EQ(sparse.last_writer_of(100000), 3u);
+  // The far array's last writer is "again".
+  const VertexId probe = sparse.add("probe", {r(100000)});
+  EXPECT_EQ(ancestors_of(sparse, probe), std::vector<VertexId>{3});
 }
 
 TEST(Dag, InvalidVertexThrows) {

@@ -1,6 +1,6 @@
 // End-to-end distributed-scheduler scenarios: multi-array CEs, cross-node
 // pipelines, control-message gating, advise propagation, and the
-// exploration-threshold override.
+// exploration threshold.
 #include <gtest/gtest.h>
 
 #include "core/grout_runtime.hpp"
@@ -128,9 +128,9 @@ TEST(GroutScenario, AdviseReachesExistingAndFutureWorkers) {
 
 TEST(GroutScenario, ExplorationOverrideChangesPlacement) {
   // With threshold 0 every node is viable immediately; min-transfer-size
-  // then gluess follow-up CEs to the first node that received anything.
+  // then glues follow-up CEs to the first node that received anything.
   GroutConfig cfg = scenario_config(PolicyKind::MinTransferSize);
-  cfg.exploration_threshold_override = 0.0;
+  cfg.exploration_threshold = 0.0;
   GroutRuntime rt(cfg);
   const GlobalArrayId a = rt.alloc(2_MiB, "a");
   const GlobalArrayId b = rt.alloc(2_MiB, "b");
@@ -150,7 +150,7 @@ TEST(GroutScenario, StrictOverrideExploitsOnlyFullHolders) {
   // byte. The first CE explores (round-robin -> worker 0); the second finds
   // worker 0 holding 100% of its input and sticks to it.
   GroutConfig cfg = scenario_config(PolicyKind::MinTransferSize);
-  cfg.exploration_threshold_override = 1.0;
+  cfg.exploration_threshold = 1.0;
   GroutRuntime rt(cfg);
   const GlobalArrayId a = rt.alloc(2_MiB, "a");
   rt.host_init(a);
@@ -163,15 +163,15 @@ TEST(GroutScenario, StrictOverrideExploitsOnlyFullHolders) {
 
 TEST(GroutScenario, InvalidOverrideRejectedAtConstruction) {
   GroutConfig cfg = scenario_config(PolicyKind::MinTransferSize);
-  cfg.exploration_threshold_override = 1.5;
+  cfg.exploration_threshold = 1.5;
   EXPECT_THROW(GroutRuntime rt(cfg), InvalidArgument);
 }
 
 TEST(GroutScenario, OverrideIgnoredForOfflinePolicies) {
-  // The override only parameterizes the min-transfer policies; a
+  // The threshold only parameterizes the min-transfer policies; a
   // round-robin run with one set must behave exactly like plain round-robin.
   GroutConfig cfg = scenario_config(PolicyKind::RoundRobin);
-  cfg.exploration_threshold_override = 0.9;
+  cfg.exploration_threshold = 0.9;
   GroutRuntime rt(cfg);
   EXPECT_EQ(rt.policy(), PolicyKind::RoundRobin);
   const GlobalArrayId a = rt.alloc(1_MiB, "a");

@@ -1,7 +1,7 @@
 // Seeded invariant-fuzz harness over the full runtime surface.
 //
 // Each seed deterministically generates a scenario — random DAG shapes,
-// all six placement policies, bounded or unbounded memory budgets — and
+// all four placement policies, bounded or unbounded memory budgets — and
 // asserts the runtime invariants in tests/support/invariant_checker.hpp
 // after every step. The default seed count (200) is a tier-1 smoke sweep;
 // nightly runs raise it via the GROUT_FUZZ_SEEDS environment variable (the
@@ -28,9 +28,10 @@ using core::GroutRuntime;
 using core::PolicyKind;
 
 constexpr PolicyKind kPolicies[] = {
-    PolicyKind::RoundRobin,      PolicyKind::VectorStep,
-    PolicyKind::MinTransferSize, PolicyKind::MinTransferTime,
-    PolicyKind::Random,          PolicyKind::LeastOutstanding,
+    PolicyKind::RoundRobin,
+    PolicyKind::VectorStep,
+    PolicyKind::MinTransferSize,
+    PolicyKind::MinTransferTime,
 };
 
 std::uint64_t fuzz_seed_count() {
@@ -61,10 +62,11 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace,
   cfg.cluster.worker_node.device.memory = 8_MiB;
   cfg.cluster.worker_node.tuning.page_size = 1_MiB;
   cfg.cluster.trace = trace;
-  cfg.policy = kPolicies[seed % 6];
-  if (cfg.policy == PolicyKind::VectorStep) {
-    cfg.step_vector = {static_cast<std::uint32_t>(1 + rng.next_below(3))};
-  }
+  // Seeds rotate through six slots, and slot 1 draws a step vector; the
+  // slots stay six so that every seed keeps its random stream.
+  const std::uint64_t slot = seed % 6;
+  cfg.policy = kPolicies[slot % 4];
+  if (slot == 1) cfg.step_vector = {static_cast<std::uint32_t>(1 + rng.next_below(3))};
   switch (rng.next_below(3)) {
     case 0: cfg.worker_mem = Bytes{0}; break;  // unbounded
     case 1: cfg.worker_mem = 20_MiB; break;
@@ -80,15 +82,14 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace,
   ScenarioOutcome out;
 
   // Every third seed serves two tenants through the same runtime: arrays
-  // get owners (or stay shared), tenants get quotas, and every CE is tagged
-  // with the tenant whose arrays it touches — the serving frontend's
-  // launch discipline.
+  // get owners (or stay shared), and every CE is tagged with the tenant
+  // whose arrays it touches — the serving frontend's launch discipline.
   const bool multi_tenant = seed % 3 == 1;
   constexpr std::size_t kTenants = 2;
   if (multi_tenant) {
+    // Drawn and unused: keeps the rest of each seed's scenario fixed.
     for (TenantId t = 0; t < kTenants; ++t) {
-      const Bytes quota = rng.next_below(2) == 0 ? Bytes{0} : (6 + rng.next_below(10)) * 1_MiB;
-      rt.set_tenant_quota(t, quota);
+      if (rng.next_below(2) != 0) (void)rng.next_below(10);
     }
   }
 
@@ -247,7 +248,6 @@ void expect_identical_outcomes(const ScenarioOutcome& a, const ScenarioOutcome& 
   EXPECT_EQ(a.trace_names, b.trace_names);
 
   EXPECT_EQ(a.metrics.assignments, b.metrics.assignments);
-  EXPECT_EQ(a.metrics.inflight, b.metrics.inflight);
   EXPECT_EQ(a.metrics.controller_sends, b.metrics.controller_sends);
   EXPECT_EQ(a.metrics.p2p_sends, b.metrics.p2p_sends);
   EXPECT_EQ(a.metrics.bytes_planned, b.metrics.bytes_planned);
@@ -273,9 +273,8 @@ void expect_identical_outcomes(const ScenarioOutcome& a, const ScenarioOutcome& 
 }
 
 TEST(DeterminismTest, SameSeedTwiceIsBitIdentical) {
-  // Seed 7 draws MinTransferTime with multi-tenant contention
-  // (7 % 3 == 1); any seed must reproduce, this one just covers the richest
-  // machinery.
+  // Seed 7 draws VectorStep with multi-tenant contention (7 % 3 == 1);
+  // any seed must reproduce, this one just covers the richest machinery.
   const ScenarioOutcome a = run_scenario(7, /*check=*/false, /*trace=*/true);
   const ScenarioOutcome b = run_scenario(7, /*check=*/false, /*trace=*/true);
   expect_identical_outcomes(a, b);

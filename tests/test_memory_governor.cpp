@@ -134,13 +134,13 @@ TEST(WorkerAllocations, ReleaseForgetsTheLocalState) {
   const uvm::ArrayId first = w.ensure_array(0, 2_MiB);
   const gpusim::EventPtr arrival = gpusim::make_event();
   const runtime::Submission adopt = w.accept_receive(0, arrival);
-  ASSERT_EQ(w.runtime().local_dag().last_writer_of(first), adopt.vertex);
+  ASSERT_EQ(w.runtime().local_dag().frontier(), std::vector<dag::VertexId>{adopt.vertex});
 
   w.release_array(0, adopt.done);
-  EXPECT_EQ(w.runtime().local_dag().last_writer_of(first), dag::kNoVertex);
+  EXPECT_TRUE(w.runtime().local_dag().frontier().empty());
   const uvm::ArrayId second = w.ensure_array(0, 2_MiB);
   EXPECT_NE(second, first);
-  EXPECT_EQ(w.runtime().local_dag().last_writer_of(second), dag::kNoVertex);
+  EXPECT_TRUE(w.runtime().local_dag().frontier().empty());
 
   arrival->complete(SimTime::zero());
   c.simulator().run_until(SimTime::max());
@@ -477,10 +477,9 @@ TEST(PlacementAdmission, FallsBackWhenNobodyIsAdmissible) {
   const std::size_t w = rr.assign(q);
   EXPECT_LT(w, 2u);
 
-  LeastOutstandingPolicy lo;
-  const std::vector<std::uint64_t> outstanding{3, 1};
-  q.outstanding = &outstanding;
-  EXPECT_EQ(lo.assign(q), 1u);
+  // Vector-step lands on its cursor's worker.
+  VectorStepPolicy vs({1});
+  EXPECT_EQ(vs.assign(q), 0u);
 
   // Unbounded budget: everyone is admissible again.
   q.mem_budget = 0;

@@ -126,16 +126,6 @@ TEST_F(RuntimeFixture, AdoptWaitsForExternalAndLocal) {
   EXPECT_TRUE(node->uvm().page_resident(a, 0, uvm::kHostDevice));
 }
 
-TEST_F(RuntimeFixture, QuiescentEventCoversAllSubmissions) {
-  const uvm::ArrayId a = alloc_populated(2_MiB);
-  const Submission s1 = rt->submit_kernel(kernel(a, uvm::AccessMode::ReadWrite));
-  const Submission s2 = rt->submit_kernel(kernel(a, uvm::AccessMode::ReadWrite));
-  auto quiescent = rt->quiescent_event();
-  sim.run();
-  EXPECT_TRUE(quiescent->completed());
-  EXPECT_GE(quiescent->when(), std::max(s1.done->when(), s2.done->when()));
-}
-
 TEST_F(RuntimeFixture, FinishedAncestorEnqueuesNoWait) {
   // Only pending vertices keep their end event: a kernel whose sole
   // Local-DAG ancestor already finished pushes no wait into its stream.
@@ -173,7 +163,6 @@ TEST_F(RuntimeFixture, DrainedRuntimeIsQuiescentAndHoldsNoEvents) {
   const Submission s1 = rt->submit_kernel(kernel(a, uvm::AccessMode::ReadWrite));
   const Submission s2 = rt->submit_host_access(a, uvm::AccessMode::Read);
   sim.run();
-  EXPECT_TRUE(rt->quiescent_event()->completed());
   EXPECT_EQ(rt->pending_event(s1.vertex), nullptr);
   EXPECT_EQ(rt->pending_event(s2.vertex), nullptr);
 }

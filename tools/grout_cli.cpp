@@ -56,7 +56,6 @@ struct Options {
   std::size_t tenants = 2;
   serve::ArrivalSpec arrival;            // closed:1
   std::vector<double> tenant_weights;    // cycled; empty = all 1.0
-  std::vector<double> tenant_quota_gib;  // cycled; empty/0 = unlimited
   std::size_t programs = 4;              // per tenant
   std::size_t max_outstanding = 0;       // 0 = 4 x workers
   std::optional<workloads::ContentionSpec> contention;  // shared-state scenario
@@ -71,8 +70,7 @@ struct Options {
                "  --sizes a,b,c                   (sweep; GiB list)\n"
                "  --backend grcuda|grout|both     (default grout)\n"
                "  --workers <n>                   (default 2)\n"
-               "  --policy round-robin|vector-step|min-transfer-size|\n"
-               "           min-transfer-time|random|least-outstanding\n"
+               "  --policy round-robin|vector-step|min-transfer-size|min-transfer-time\n"
                "  --step-vector a,b,c             (vector-step CE counts; default 1)\n"
                "  --exploration low|medium|high   (default medium)\n"
                "  --partitions <n>                (default 8)\n"
@@ -88,7 +86,6 @@ struct Options {
                "  --tenants <n>                   (default 2)\n"
                "  --arrival closed[:depth]|poisson:<rate_hz>   (default closed:1)\n"
                "  --tenant-weights a,b,c          (WFQ weights, cycled; default 1)\n"
-               "  --tenant-quota a,b,c            (GiB resident quota, cycled; 0 = none)\n"
                "  --programs <n>                  (programs per tenant; default 4)\n"
                "  --max-outstanding <n>           (CEs in flight; default 4 x workers)\n"
                "  --contention theta=<t>,rw=<r>,shared=<s>\n"
@@ -118,8 +115,6 @@ core::PolicyKind parse_policy(const std::string& s) {
       {"vector-step", core::PolicyKind::VectorStep},
       {"min-transfer-size", core::PolicyKind::MinTransferSize},
       {"min-transfer-time", core::PolicyKind::MinTransferTime},
-      {"random", core::PolicyKind::Random},
-      {"least-outstanding", core::PolicyKind::LeastOutstanding},
   };
   const auto it = table.find(s);
   if (it == table.end()) usage(("unknown policy: " + s).c_str());
@@ -162,8 +157,7 @@ std::size_t parse_count(const std::string& flag, const std::string& s) {
 }
 
 /// A GiB amount: positive, or non-negative where 0 is a documented value
-/// ("unbounded", "no quota"), and small enough that its byte count fits
-/// in Bytes.
+/// ("unbounded"), and small enough that its byte count fits in Bytes.
 double parse_gib(const std::string& flag, const std::string& s, bool allow_zero) {
   const double v = parse_number(flag, s);
   constexpr double kMaxGib = 8589934592.0;  // 2^33 GiB = 2^63 bytes
@@ -265,12 +259,6 @@ Options parse_args(int argc, char** argv) {
         }
         opt.tenant_weights.push_back(w);
       }
-    } else if (flag == "--tenant-quota") {
-      opt.tenant_quota_gib.clear();
-      const std::string list = next();  // split() views into it
-      for (const auto part : split(list, ',')) {
-        opt.tenant_quota_gib.push_back(parse_gib(flag, std::string(part), /*allow_zero=*/true));
-      }
     } else if (flag == "--programs") {
       opt.programs = parse_count(flag, next());
     } else if (flag == "--max-outstanding") {
@@ -322,7 +310,7 @@ core::GroutConfig grout_config_of(const Options& opt) {
   cfg.cluster.trace = opt.trace_path.has_value();
   cfg.policy = opt.policy;
   cfg.step_vector = opt.step_vector;
-  cfg.exploration = opt.exploration;
+  cfg.exploration_threshold = core::exploration_threshold(opt.exploration);
   cfg.run_cap = SimTime::from_seconds(9000.0);
   if (opt.worker_mem_gib) {
     cfg.worker_mem = static_cast<Bytes>(*opt.worker_mem_gib * 1073741824.0);
@@ -489,7 +477,6 @@ int cmd_policies(const Options& opt) {
   const core::PolicyKind kinds[] = {
       core::PolicyKind::RoundRobin,      core::PolicyKind::VectorStep,
       core::PolicyKind::MinTransferSize, core::PolicyKind::MinTransferTime,
-      core::PolicyKind::Random,          core::PolicyKind::LeastOutstanding,
   };
   report::Table table({"policy", "time [s]", "vs round-robin"});
   double baseline = 0.0;
@@ -519,10 +506,6 @@ int cmd_serve(const Options& opt) {
     t.name = "t" + std::to_string(k);
     if (!opt.tenant_weights.empty()) {
       t.weight = opt.tenant_weights[k % opt.tenant_weights.size()];
-    }
-    if (!opt.tenant_quota_gib.empty()) {
-      t.quota = static_cast<Bytes>(
-          opt.tenant_quota_gib[k % opt.tenant_quota_gib.size()] * 1073741824.0);
     }
     t.workload = opt.workload;
     t.params = params_of(opt, opt.size_gib);
@@ -569,8 +552,6 @@ int cmd_serve(const Options& opt) {
   std::printf("\n%s in %.3f s simulated; %zu programs completed, %zu shed\n",
               rep.drained ? "drained" : "HORIZON EXPIRED", rep.elapsed.seconds(),
               rep.total_completed, rep.total_shed);
-  std::printf("quota: %llu placement overflow rejections\n",
-              static_cast<unsigned long long>(m.quota_overflows));
   if (opt.contention) {
     std::printf("directory: %llu invalidations, %llu ownership transfers, "
                 "%llu coherence refetches (%s), %llu stale evictions\n",
