@@ -2,7 +2,7 @@
 // (Section III cites Chien/Knap/Allen: the advanced UVM features help or
 // hurt depending on the regime).
 //
-// Uses the CUDA-driver-style API directly on one simulated node:
+// Drives one simulated node directly (its UVM space and GPU streams):
 //   B.1 driver prefetcher on/off for a streaming first touch,
 //   B.2 explicit cudaMemPrefetchAsync before a kernel,
 //   B.3 cudaMemAdvise(ReadMostly) for a vector shared by both GPUs,
@@ -10,14 +10,12 @@
 //       avoids the storm, motivating scale-out (the paper's thesis).
 #include <cstdio>
 
-#include "driver/driver.hpp"
+#include "bench/bench_util.hpp"
 
 namespace {
 
 using namespace grout;
-using driver::Context;
-using driver::GrDeviceptr;
-using driver::GrStream;
+using bench::host_write;
 
 gpusim::GpuNodeConfig node_config(bool prefetcher, Bytes gpu_memory = 16_GiB) {
   gpusim::GpuNodeConfig cfg;
@@ -27,68 +25,61 @@ gpusim::GpuNodeConfig node_config(bool prefetcher, Bytes gpu_memory = 16_GiB) {
   return cfg;
 }
 
-gpusim::KernelLaunchSpec stream_kernel(Context& ctx, GrDeviceptr ptr,
-                                       uvm::AccessPattern pattern = uvm::StreamingPattern{}) {
+gpusim::KernelLaunchSpec stream_kernel(uvm::ArrayId array) {
   gpusim::KernelLaunchSpec spec;
   spec.name = "k";
   spec.flops = 1e10;
   spec.parallelism = uvm::Parallelism::High;
-  spec.params.push_back(
-      uvm::ParamAccess{ctx.array_of(ptr), uvm::ByteRange{}, uvm::AccessMode::Read, pattern});
+  spec.params.push_back(uvm::ParamAccess{array, uvm::ByteRange{}, uvm::AccessMode::Read,
+                                         uvm::StreamingPattern{}});
   return spec;
 }
 
 /// Stream a freshly initialized array once; returns simulated seconds.
 double first_touch_seconds(bool prefetcher, bool explicit_prefetch) {
-  Context ctx(node_config(prefetcher));
-  GrDeviceptr a = 0;
-  ctx.mem_alloc_managed(&a, 8_GiB, "a");
-  ctx.host_access(a, uvm::AccessMode::Write);
-  GrStream s = 0;
-  ctx.stream_create(&s, 0);
-  if (explicit_prefetch) ctx.mem_prefetch_async(a, 0, s);
-  ctx.launch_kernel(s, stream_kernel(ctx, a));
-  ctx.ctx_synchronize();
-  return ctx.now().seconds();
+  sim::Simulator sim;
+  gpusim::GpuNode node(sim, node_config(prefetcher));
+  const uvm::ArrayId a = node.uvm().alloc(8_GiB, "a");
+  host_write(sim, node.uvm(), a);
+  gpusim::Stream& s = node.gpu(0).create_stream();
+  if (explicit_prefetch) s.enqueue_prefetch(a, 0, nullptr);
+  s.enqueue_kernel(stream_kernel(a), nullptr);
+  sim.run();
+  return sim.now().seconds();
 }
 
 /// Both GPUs repeatedly read one shared vector; with/without ReadMostly.
 double shared_read_seconds(bool read_mostly) {
-  Context ctx(node_config(true));
-  GrDeviceptr v = 0;
-  ctx.mem_alloc_managed(&v, 2_GiB, "v");
-  ctx.host_access(v, uvm::AccessMode::Write);
-  if (read_mostly) ctx.mem_advise(v, uvm::Advise::ReadMostly);
-  GrStream s0 = 0;
-  GrStream s1 = 0;
-  ctx.stream_create(&s0, 0);
-  ctx.stream_create(&s1, 1);
+  sim::Simulator sim;
+  gpusim::GpuNode node(sim, node_config(true));
+  const uvm::ArrayId v = node.uvm().alloc(2_GiB, "v");
+  host_write(sim, node.uvm(), v);
+  if (read_mostly) node.uvm().advise(v, uvm::Advise::ReadMostly);
+  gpusim::Stream& s0 = node.gpu(0).create_stream();
+  gpusim::Stream& s1 = node.gpu(1).create_stream();
   for (int iter = 0; iter < 4; ++iter) {
-    ctx.launch_kernel(s0, stream_kernel(ctx, v));
-    ctx.launch_kernel(s1, stream_kernel(ctx, v));
+    s0.enqueue_kernel(stream_kernel(v), nullptr);
+    s1.enqueue_kernel(stream_kernel(v), nullptr);
   }
-  ctx.ctx_synchronize();
-  return ctx.now().seconds();
+  sim.run();
+  return sim.now().seconds();
 }
 
 /// 4x oversubscribed streaming with every optimization on.
 double oversubscribed_seconds(bool prefetcher, bool explicit_prefetch) {
-  Context ctx(node_config(prefetcher));
-  GrStream s = 0;
-  ctx.stream_create(&s, 0);
-  double total = 0.0;
+  sim::Simulator sim;
+  gpusim::GpuNode node(sim, node_config(prefetcher));
+  gpusim::Stream& s = node.gpu(0).create_stream();
   for (int part = 0; part < 8; ++part) {
-    GrDeviceptr a = 0;
-    ctx.mem_alloc_managed(&a, 16_GiB, "part");  // 8 x 16 GiB = 4x of 32 GiB
-    ctx.host_access(a, uvm::AccessMode::Write);
-    if (explicit_prefetch) ctx.mem_prefetch_async(a, part % 2, s);
-    gpusim::KernelLaunchSpec spec = stream_kernel(ctx, a);
+    const uvm::ArrayId a = node.uvm().alloc(16_GiB, "part");  // 8 x 16 GiB = 4x of 32 GiB
+    host_write(sim, node.uvm(), a);
+    if (explicit_prefetch) s.enqueue_prefetch(a, part % 2, nullptr);
+    gpusim::KernelLaunchSpec spec = stream_kernel(a);
     spec.parallelism = uvm::Parallelism::Massive;
-    ctx.launch_kernel(s, spec);
+    s.enqueue_kernel(spec, nullptr);
   }
-  ctx.ctx_synchronize();
-  total = ctx.now().seconds();
-  return total;
+  sim.run();
+  return sim.now().seconds();
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "driver/driver.hpp"
 
 namespace {
 
@@ -22,39 +21,38 @@ using namespace grout;
 using namespace grout::bench;
 
 // ---------------------------------------------------------------------------
-// A.1: hot/cold mix per eviction policy (driver-level synthetic).
+// A.1: hot/cold mix per eviction policy (node-level synthetic).
 // ---------------------------------------------------------------------------
 
 double hot_cold_seconds(uvm::EvictionPolicyKind eviction) {
   gpusim::GpuNodeConfig cfg = paper_node();
   cfg.gpu_count = 1;
   cfg.eviction = eviction;
-  driver::Context ctx(cfg);
+  sim::Simulator sim;
+  gpusim::GpuNode node(sim, cfg);
+  uvm::UvmSpace& uvm = node.uvm();
 
   // Hot: 6 GiB reused every kernel. Cold: 12 GiB streamed per iteration.
   // Together they exceed the 16 GiB device, so the victim choice decides
   // whether the hot set survives.
-  driver::GrDeviceptr hot = 0;
-  driver::GrDeviceptr cold = 0;
-  ctx.mem_alloc_managed(&hot, 6_GiB, "hot");
-  ctx.mem_alloc_managed(&cold, 12_GiB, "cold");
-  ctx.host_access(hot, uvm::AccessMode::Write);
-  ctx.host_access(cold, uvm::AccessMode::Write);
-  driver::GrStream s = 0;
-  ctx.stream_create(&s, 0);
+  const uvm::ArrayId hot = uvm.alloc(6_GiB, "hot");
+  const uvm::ArrayId cold = uvm.alloc(12_GiB, "cold");
+  host_write(sim, uvm, hot);
+  host_write(sim, uvm, cold);
+  gpusim::Stream& s = node.gpu(0).create_stream();
   for (int iter = 0; iter < 6; ++iter) {
     gpusim::KernelLaunchSpec spec;
     spec.name = "hotcold";
     spec.flops = 1e10;
     spec.parallelism = uvm::Parallelism::High;
-    spec.params.push_back(uvm::ParamAccess{ctx.array_of(hot), uvm::ByteRange{},
-                                           uvm::AccessMode::Read, uvm::HotReusePattern{}});
-    spec.params.push_back(uvm::ParamAccess{ctx.array_of(cold), uvm::ByteRange{},
-                                           uvm::AccessMode::Read, uvm::StreamingPattern{}});
-    ctx.launch_kernel(s, std::move(spec));
+    spec.params.push_back(uvm::ParamAccess{hot, uvm::ByteRange{}, uvm::AccessMode::Read,
+                                           uvm::HotReusePattern{}});
+    spec.params.push_back(uvm::ParamAccess{cold, uvm::ByteRange{}, uvm::AccessMode::Read,
+                                           uvm::StreamingPattern{}});
+    s.enqueue_kernel(std::move(spec), nullptr);
   }
-  ctx.ctx_synchronize();
-  return ctx.now().seconds();
+  sim.run();
+  return sim.now().seconds();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/grout_runtime.hpp"
+#include "gpusim/gpu_node.hpp"
 #include "polyglot/context.hpp"
 #include "workloads/workloads.hpp"
 
@@ -109,5 +110,16 @@ inline RunOutcome run_grout(workloads::WorkloadKind kind, Bytes footprint, std::
 }
 
 inline const char* oot_mark(const RunOutcome& o) { return o.completed ? " " : ">"; }
+
+/// Host-initialize a managed array on a node the caller drives directly: a
+/// CPU write first drains the GPUs' pending work, then the host blocks for
+/// the migration it triggers.
+inline void host_write(sim::Simulator& sim, uvm::UvmSpace& uvm, uvm::ArrayId array) {
+  sim.run();
+  const uvm::HostAccessReport report = uvm.host_access(array, uvm::AccessMode::Write);
+  const SimTime target = sim.now() + report.duration;
+  sim.schedule_at(target, [] {});
+  sim.run_until(target);
+}
 
 }  // namespace grout::bench

@@ -72,7 +72,7 @@ class GroutRuntime {
   /// controller copy becomes the single authoritative one.
   void host_init(GlobalArrayId array);
 
-  /// Record a device-agnostic memory advise (e.g. ReadMostly); it is
+  /// Record a memory advise (ReadMostly, or None to drop it); it is
   /// applied to every worker's local allocation, present and future.
   void advise(GlobalArrayId array, uvm::Advise advise);
 

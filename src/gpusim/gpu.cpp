@@ -21,45 +21,21 @@ void Stream::enqueue_wait(EventPtr event) {
   pump();
 }
 
-void Stream::enqueue_record(EventPtr event) {
-  GROUT_REQUIRE(static_cast<bool>(event), "recording a null event");
-  queue_.push_back(RecordOp{std::move(event)});
-  pump();
-}
-
-void Stream::enqueue_host(std::function<void()> fn) {
-  GROUT_REQUIRE(static_cast<bool>(fn), "null host callback");
-  queue_.push_back(HostOp{std::move(fn)});
-  pump();
-}
-
 void Stream::enqueue_prefetch(uvm::ArrayId array, uvm::DeviceId target, EventPtr end_event) {
   queue_.push_back(PrefetchOp{array, target, std::move(end_event)});
   pump();
 }
 
 void Stream::pump() {
-  if (pumping_) return;  // re-entrancy guard: host ops may enqueue more work
-  pumping_ = true;
   while (!busy_ && !queue_.empty()) {
     Op& front = queue_.front();
     if (auto* wait = std::get_if<WaitOp>(&front)) {
       if (!wait->event->completed()) {
         // Park until the event fires, then resume pumping.
-        EventPtr ev = wait->event;
-        pumping_ = false;
-        ev->on_complete([this] { pump(); });
+        wait->event->on_complete([this] { pump(); });
         return;
       }
       queue_.pop_front();
-    } else if (auto* rec = std::get_if<RecordOp>(&front)) {
-      EventPtr ev = std::move(rec->event);
-      queue_.pop_front();
-      ev->complete(gpu_.simulator().now());
-    } else if (auto* host = std::get_if<HostOp>(&front)) {
-      auto fn = std::move(host->fn);
-      queue_.pop_front();
-      fn();
     } else if (auto* kernel = std::get_if<KernelOp>(&front)) {
       KernelOp op = std::move(*kernel);
       queue_.pop_front();
@@ -84,7 +60,6 @@ void Stream::pump() {
       });
     }
   }
-  pumping_ = false;
 }
 
 // ---------------------------------------------------------------------------

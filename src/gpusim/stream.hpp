@@ -3,9 +3,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <memory>
-#include <string>
 #include <variant>
 
 #include "gpusim/event.hpp"
@@ -30,21 +27,12 @@ class Stream {
   /// Enqueue a wait: later ops do not start until `event` completes.
   void enqueue_wait(EventPtr event);
 
-  /// Enqueue an event record: completes when all prior ops finished.
-  void enqueue_record(EventPtr event);
-
-  /// Enqueue a host callback (fires in FIFO position, zero duration).
-  void enqueue_host(std::function<void()> fn);
-
   /// Enqueue a cudaMemPrefetchAsync of a whole array to this GPU or host.
   void enqueue_prefetch(uvm::ArrayId array, uvm::DeviceId target, EventPtr end_event);
 
   /// Virtual time at which the last enqueued op is currently known to end;
   /// grows as ops execute. Used by stream-selection policies.
   [[nodiscard]] SimTime last_known_end() const { return last_known_end_; }
-
-  /// True when no op is executing and the queue is empty.
-  [[nodiscard]] bool idle() const { return !busy_ && queue_.empty(); }
 
   [[nodiscard]] std::size_t queued_ops() const { return queue_.size(); }
 
@@ -58,18 +46,12 @@ class Stream {
   struct WaitOp {
     EventPtr event;
   };
-  struct RecordOp {
-    EventPtr event;
-  };
-  struct HostOp {
-    std::function<void()> fn;
-  };
   struct PrefetchOp {
     uvm::ArrayId array;
     uvm::DeviceId target;
     EventPtr end_event;
   };
-  using Op = std::variant<KernelOp, WaitOp, RecordOp, HostOp, PrefetchOp>;
+  using Op = std::variant<KernelOp, WaitOp, PrefetchOp>;
 
   /// Advance the FIFO as far as possible.
   void pump();
@@ -78,7 +60,6 @@ class Stream {
   std::uint32_t id_;
   std::deque<Op> queue_;
   bool busy_{false};
-  bool pumping_{false};
   SimTime last_known_end_{SimTime::zero()};
 };
 

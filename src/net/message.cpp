@@ -63,8 +63,8 @@ class Reader {
   std::size_t pos_{0};
 };
 
-/// Patterns travel as a tag; the detailed parameters (passes, fraction,
-/// stride) ride along as one f64.
+/// Patterns travel as a tag; the detailed parameter (passes or fraction)
+/// rides along as one f64.
 struct PatternWire {
   std::uint8_t tag;
   double arg;
@@ -77,9 +77,6 @@ PatternWire pattern_to_wire(const uvm::AccessPattern& pattern) {
     }
     PatternWire operator()(const uvm::HotReusePattern&) const { return {1, 0.0}; }
     PatternWire operator()(const uvm::RandomPattern& p) const { return {2, p.fraction}; }
-    PatternWire operator()(const uvm::StridedPattern& p) const {
-      return {3, static_cast<double>(p.stride)};
-    }
   };
   return std::visit(Visitor{}, pattern);
 }
@@ -89,7 +86,6 @@ uvm::AccessPattern wire_to_pattern(PatternWire wire) {
     case 0: return uvm::StreamingPattern{static_cast<std::uint32_t>(wire.arg)};
     case 1: return uvm::HotReusePattern{};
     case 2: return uvm::RandomPattern{wire.arg, 0};
-    case 3: return uvm::StridedPattern{static_cast<std::uint32_t>(wire.arg)};
     default: throw InvalidArgument("unknown access-pattern tag on the wire");
   }
 }

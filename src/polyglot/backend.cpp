@@ -33,8 +33,6 @@ void GrCudaBackend::notify_host_write(ArrayRef array) {
 }
 
 void GrCudaBackend::advise(ArrayRef array, uvm::Advise advise) {
-  GROUT_REQUIRE(advise == uvm::Advise::ReadMostly || advise == uvm::Advise::None,
-                "only device-agnostic advises are exposed at the polyglot level");
   runtime_->node().uvm().advise(array, advise);
 }
 
@@ -66,8 +64,6 @@ ArrayRef GroutBackend::alloc(Bytes bytes, std::string name) {
 void GroutBackend::notify_host_write(ArrayRef array) { runtime_->host_init(array); }
 
 void GroutBackend::advise(ArrayRef array, uvm::Advise advise) {
-  GROUT_REQUIRE(advise == uvm::Advise::ReadMostly || advise == uvm::Advise::None,
-                "only device-agnostic advises are exposed at the polyglot level");
   runtime_->advise(array, advise);
 }
 

@@ -65,7 +65,7 @@ class DeviceArray {
   /// Emit the pending host-write CE, if any.
   void flush_host_writes();
 
-  /// Apply a device-agnostic memory advise (cudaMemAdvise ReadMostly).
+  /// Apply a memory advise (cudaMemAdvise ReadMostly, or None).
   void advise(uvm::Advise advise);
 
   /// Host view for functional kernel execution; requires materialization.

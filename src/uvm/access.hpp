@@ -31,13 +31,7 @@ struct RandomPattern {
   std::uint64_t seed{0};
 };
 
-/// Touch every `stride`-th page once.
-struct StridedPattern {
-  std::uint32_t stride{2};
-};
-
-using AccessPattern =
-    std::variant<StreamingPattern, HotReusePattern, RandomPattern, StridedPattern>;
+using AccessPattern = std::variant<StreamingPattern, HotReusePattern, RandomPattern>;
 
 /// One kernel parameter access.
 struct ParamAccess {
@@ -55,7 +49,6 @@ struct AccessReport {
   Bytes evict_fetch{0};       ///< migrated after evicting a victim
   Bytes populate_alloc{0};    ///< first-touch of never-populated pages (no H2D copy)
   Bytes writeback{0};         ///< dirty victim traffic device->host
-  Bytes remote_access{0};     ///< served via remote mapping (AccessedBy)
   std::uint64_t faults{0};    ///< page-granular fault count
   std::uint64_t evictions{0};
   double eviction_intensity{0.0};  ///< evicted bytes / device capacity

@@ -52,15 +52,6 @@ struct UvmTuning {
   double replay_high = 24.0;
   double replay_massive = 700.0;
 
-  /// Bandwidth efficiency of remote (AccessedBy) mappings over PCIe.
-  double remote_access_efficiency = 0.5;
-
-  /// Volta-style access counters: a remote-mapped page touched this many
-  /// times is promoted (migrated) to the accessing device. 0 disables
-  /// promotion (pages stay remote forever). At most 255: the per-page
-  /// counter is 8 bits wide.
-  std::uint32_t access_counter_threshold = 3;
-
   /// Sequential-prefetcher on: coalesces healthy faults so batch latency is
   /// fully amortized and the link runs at full bandwidth. Off: healthy
   /// fetches pay one batch latency per `healthy_batch_pages` and only reach

@@ -51,9 +51,7 @@ struct ByteRange {
 /// cudaMemAdvise equivalents.
 enum class Advise : std::uint8_t {
   None,
-  ReadMostly,         ///< read-duplicate pages across devices
-  PreferredLocation,  ///< resist eviction from the preferred device
-  AccessedBy,         ///< map remotely instead of migrating
+  ReadMostly,  ///< read-duplicate pages across devices
 };
 
 const char* to_string(Advise a);

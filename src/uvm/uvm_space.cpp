@@ -21,8 +21,6 @@ UvmSpace::UvmSpace(sim::Simulator& simulator, UvmTuning tuning,
   GROUT_REQUIRE(devices.size() <= kMaxDevices,
                 "at most 15 devices per node (residency mask width)");
   GROUT_REQUIRE(tuning_.page_size > 0, "page size must be positive");
-  GROUT_REQUIRE(tuning_.access_counter_threshold <= 255,
-                "access_counter_threshold above 255 overflows the per-page access counter");
   devices_.reserve(devices.size());
   for (auto& cfg : devices) {
     DeviceState dev;
@@ -77,15 +75,7 @@ void UvmSpace::free_array(ArrayId id) {
 Bytes UvmSpace::array_bytes(ArrayId id) const { return array_ref(id).bytes; }
 const std::string& UvmSpace::array_name(ArrayId id) const { return array_ref(id).name; }
 
-void UvmSpace::advise(ArrayId id, Advise advise, DeviceId device) {
-  ArrayInfo& arr = array_ref(id);
-  if (advise == Advise::PreferredLocation || advise == Advise::AccessedBy) {
-    GROUT_REQUIRE(device >= 0 && device < static_cast<DeviceId>(devices_.size()),
-                  "advise requires a valid device");
-  }
-  arr.advise = advise;
-  arr.advise_device = device;
-}
+void UvmSpace::advise(ArrayId id, Advise advise) { array_ref(id).advise = advise; }
 
 // ---------------------------------------------------------------------------
 // Device access (the fault engine)
@@ -97,50 +87,23 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
   dev.current_epoch = ++epoch_counter_;
 
   TouchCounters c;
-  Bytes remote_bytes = 0;
-
   for (const ParamAccess& pa : params) {
     ArrayInfo& arr = array_ref(pa.array);
     const ByteRange range = normalize_range(arr, pa.range);
     if (range.empty()) continue;
     const PageRun run{dev, arr, pa.array, pa.mode};
-
-    // AccessedBy mapping for this device: pages are served remotely until
-    // the access counter promotes them (Volta-style hot-page migration).
-    if (arr.advise == Advise::AccessedBy && arr.advise_device == device) {
-      const std::uint32_t promote_at = tuning_.access_counter_threshold;
-      for_each_run(arr, range, pa.pattern, [&](std::uint32_t first, std::uint32_t last,
-                                                std::uint32_t stride, bool hot) {
-        for (std::uint32_t page = first; page < last; page += stride) {
-          PageState& st = arr.pages[page];
-          if (st.mask & dev.bit) {
-            // Already promoted: a plain local touch.
-            touch_page(run, page, hot, c);
-          } else if (promote_at > 0 && ++st.remote_hits >= promote_at) {
-            st.remote_hits = 0;
-            touch_page(run, page, hot, c);  // migrate
-          } else {
-            remote_bytes += page_bytes(arr, page);
-          }
-        }
-      });
-      continue;
-    }
-
-    for_each_run(arr, range, pa.pattern,
-                 [&](std::uint32_t first, std::uint32_t last, std::uint32_t stride, bool hot) {
-                   replay_run(run, first, last, stride, hot, c);
-                 });
+    for_each_run(arr, range, pa.pattern, [&](std::uint32_t first, std::uint32_t last, bool hot) {
+      replay_run(run, first, last, hot, c);
+    });
   }
 
   AccessReport r;
-  r.bytes_touched = c.touched + remote_bytes;
+  r.bytes_touched = c.touched;
   r.bytes_hit = c.hit;
   r.healthy_fetch = c.healthy_fetch;
   r.evict_fetch = c.evict_fetch;
   r.populate_alloc = c.populate_alloc;
   r.writeback = c.writeback;
-  r.remote_access = remote_bytes;
   r.faults = c.faults;
   r.evictions = c.evictions;
   const auto capacity_bytes = static_cast<double>(dev.capacity_pages) *
@@ -194,11 +157,6 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
                     static_cast<std::int64_t>(r.evictions);
     }
   }
-  if (remote_bytes > 0) {
-    const Bandwidth remote_bw =
-        Bandwidth::bytes_per_sec(pcie.bps() * tuning_.remote_access_efficiency);
-    fault_time += remote_bw.transfer_time(remote_bytes);
-  }
   r.fault_time = fault_time;
   r.writeback_time = r.writeback > 0 ? pcie.transfer_time(r.writeback) : SimTime::zero();
 
@@ -224,7 +182,7 @@ DeviceAccessResult UvmSpace::device_access(DeviceId device, std::span<const Para
 }
 
 void UvmSpace::replay_run(const PageRun& run, std::uint32_t first, std::uint32_t last,
-                          std::uint32_t stride, bool hot, TouchCounters& c) {
+                          bool hot, TouchCounters& c) {
   // A plain hit -- resident here, no pending prefetch and, for a write,
   // already this device's populated sole copy -- changes nothing but the
   // page's heat, so it is resolved here. Every other touch goes to
@@ -240,21 +198,21 @@ void UvmSpace::replay_run(const PageRun& run, std::uint32_t first, std::uint32_t
   std::uint32_t page = first;
   while (page < last) {
     const std::uint32_t run_start = page;
-    for (; page < last; page += stride) {
+    for (; page < last; ++page) {
       PageState& st = pages[page];
       if ((st.mask & must_match) != bit || st.prefetched || (write && !st.populated)) break;
       st.hot_epoch = hot_epoch;
     }
     if (page != run_start) {
-      hit_pages += (page - run_start - 1) / stride + 1;
+      hit_pages += page - run_start;
       // The tail page, possibly partial, is the last page of any run it is in.
-      if (page - stride == tail_page) {
+      if (page - 1 == tail_page) {
         tail_short = tuning_.page_size - page_bytes(run.arr, tail_page);
       }
     }
     if (page < last) {
       touch_page(run, page, hot, c);
-      page += stride;
+      ++page;
     }
   }
   const Bytes hit_bytes = hit_pages * tuning_.page_size - tail_short;
@@ -326,7 +284,6 @@ void UvmSpace::touch_page(const PageRun& run, std::uint32_t page, bool hot, Touc
 }
 
 bool UvmSpace::evict_one(DeviceState& dev, TouchCounters& c) {
-  const DeviceId device = static_cast<DeviceId>(&dev - devices_.data());
   const std::uint16_t bit = dev.bit;
   std::size_t second_chances = 0;
 
@@ -355,15 +312,12 @@ bool UvmSpace::evict_one(DeviceState& dev, TouchCounters& c) {
     PageState& st = arr.pages[entry.page];
     if (!(st.mask & bit)) continue;  // stale entry
 
-    if (eviction_ == EvictionPolicyKind::ClockLru && second_chances < kEvictionScanLimit) {
-      const bool protected_hot = st.hot_epoch != 0 && st.hot_epoch == dev.current_epoch;
-      const bool preferred_here =
-          arr.advise == Advise::PreferredLocation && arr.advise_device == device;
-      if (protected_hot || preferred_here) {
-        dev.ring.push_back(entry);
-        ++second_chances;
-        continue;
-      }
+    if (eviction_ == EvictionPolicyKind::ClockLru && second_chances < kEvictionScanLimit &&
+        st.hot_epoch != 0 && st.hot_epoch == dev.current_epoch) {
+      // A page the running kernel keeps re-touching gets a second chance.
+      dev.ring.push_back(entry);
+      ++second_chances;
+      continue;
     }
 
     drop_residency(arr, entry.page, dev, c);
@@ -496,9 +450,9 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
     while (dev.used_pages >= dev.capacity_pages) {
       if (!evict_one(dev, c)) break;
     }
-    // Prefetch is a hint: when the device is full and nothing is evictable
-    // (every resident page pinned by advice/heat), truncate the prefetch
-    // cleanly — later pages fault on demand — instead of aborting.
+    // Prefetch is a hint: when the device is full and nothing is evictable,
+    // truncate the prefetch cleanly — later pages fault on demand — instead
+    // of aborting.
     if (dev.used_pages >= dev.capacity_pages) break;
     if (arr.advise == Advise::ReadMostly) {
       st.mask |= bit;
@@ -642,19 +596,16 @@ void UvmSpace::for_each_run(const ArrayInfo& arr, ByteRange range, const AccessP
   const std::uint32_t n = last - first;
 
   if (const auto* s = std::get_if<StreamingPattern>(&pattern)) {
-    for (std::uint32_t pass = 0; pass < s->passes; ++pass) fn(first, last, 1u, false);
+    for (std::uint32_t pass = 0; pass < s->passes; ++pass) fn(first, last, false);
   } else if (std::get_if<HotReusePattern>(&pattern)) {
-    fn(first, last, 1u, true);
+    fn(first, last, true);
   } else if (const auto* r = std::get_if<RandomPattern>(&pattern)) {
     Rng rng(r->seed ^ (static_cast<std::uint64_t>(epoch_counter_) << 17));
     const auto touches = static_cast<std::uint64_t>(std::llround(r->fraction * n));
     for (std::uint64_t i = 0; i < touches; ++i) {
       const std::uint32_t page = first + static_cast<std::uint32_t>(rng.next_below(n));
-      fn(page, page + 1, 1u, false);
+      fn(page, page + 1, false);
     }
-  } else if (const auto* st = std::get_if<StridedPattern>(&pattern)) {
-    GROUT_REQUIRE(st->stride > 0, "zero stride");
-    fn(first, last, st->stride, false);
   }
 }
 
@@ -684,8 +635,6 @@ const char* to_string(Advise a) {
   switch (a) {
     case Advise::None: return "none";
     case Advise::ReadMostly: return "read-mostly";
-    case Advise::PreferredLocation: return "preferred-location";
-    case Advise::AccessedBy: return "accessed-by";
   }
   return "?";
 }

@@ -85,7 +85,7 @@ class UvmSpace {
   [[nodiscard]] std::size_t live_arrays() const { return live_arrays_; }
 
   /// Apply a cudaMemAdvise-style hint.
-  void advise(ArrayId id, Advise advise, DeviceId device = kHostDevice);
+  void advise(ArrayId id, Advise advise);
 
   // -- accesses ------------------------------------------------------------
 
@@ -140,7 +140,6 @@ class UvmSpace {
     /// 0. A hot page is protected from second-chance eviction while that
     /// epoch is its device's current one.
     std::uint32_t hot_epoch{0};
-    std::uint8_t remote_hits{0};  ///< access-counter value for AccessedBy pages
     /// False until the page holds real data (host init, device write, or a
     /// network arrival). First-touch of an unpopulated page allocates
     /// device-side directly — no host->device copy, like cudaMallocManaged
@@ -158,7 +157,6 @@ class UvmSpace {
     Bytes bytes{0};
     std::vector<PageState> pages;
     Advise advise{Advise::None};
-    DeviceId advise_device{kHostDevice};
     bool live{false};
   };
 
@@ -254,9 +252,9 @@ class UvmSpace {
   [[nodiscard]] Bytes page_bytes(const ArrayInfo& arr, std::uint32_t page) const;
   [[nodiscard]] ByteRange normalize_range(const ArrayInfo& arr, ByteRange range) const;
 
-  /// Touch pages first, first + stride, ... below last, in order.
-  void replay_run(const PageRun& run, std::uint32_t first, std::uint32_t last,
-                  std::uint32_t stride, bool hot, TouchCounters& c);
+  /// Touch pages first .. last - 1, in order.
+  void replay_run(const PageRun& run, std::uint32_t first, std::uint32_t last, bool hot,
+                  TouchCounters& c);
 
   /// Touch one page; classifies hit/miss, evicts if needed.
   void touch_page(const PageRun& run, std::uint32_t page, bool hot, TouchCounters& c);
@@ -273,7 +271,7 @@ class UvmSpace {
 
   void compact_ring(DeviceState& dev);
 
-  /// Call fn(first, last, stride, hot) for each run of pages `pattern`
+  /// Call fn(first, last, hot) for each run of contiguous pages `pattern`
   /// touches, in touch order (a random pattern is a run per touch).
   template <typename RunFn>
   void for_each_run(const ArrayInfo& arr, ByteRange range, const AccessPattern& pattern,

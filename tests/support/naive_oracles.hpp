@@ -426,10 +426,7 @@ class NaiveUvm {
     arr.pages.shrink_to_fit();
   }
 
-  void advise(ArrayId id, uvm::Advise advise, DeviceId device = uvm::kHostDevice) {
-    arrays_[id].advise = advise;
-    arrays_[id].advise_device = device;
-  }
+  void advise(ArrayId id, uvm::Advise advise) { arrays_[id].advise = advise; }
 
   uvm::DeviceAccessResult device_access(DeviceId device,
                                         std::span<const uvm::ParamAccess> params,
@@ -438,41 +435,22 @@ class NaiveUvm {
     dev.current_epoch = ++epoch_counter_;
 
     TouchCounters c;
-    Bytes remote_bytes = 0;
     for (const uvm::ParamAccess& pa : params) {
       ArrayInfo& arr = arrays_[pa.array];
       const uvm::ByteRange range = pa.range.empty() ? uvm::ByteRange{0, arr.bytes} : pa.range;
       if (range.empty()) continue;
-      if (arr.advise == uvm::Advise::AccessedBy && arr.advise_device == device) {
-        const std::uint32_t promote_at = tuning_.access_counter_threshold;
-        for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
-          PageState& st = arr.pages[page];
-          if (st.mask & device_bit(device)) {
-            touch_page(device, pa.array, page, pa.mode, hot, c);
-            return;
-          }
-          if (promote_at > 0 && ++st.remote_hits >= promote_at) {
-            st.remote_hits = 0;
-            touch_page(device, pa.array, page, pa.mode, hot, c);
-          } else {
-            remote_bytes += page_bytes(arr, page);
-          }
-        });
-        continue;
-      }
       for_each_page(arr, range, pa.pattern, [&](std::uint32_t page, bool hot) {
         touch_page(device, pa.array, page, pa.mode, hot, c);
       });
     }
 
     uvm::AccessReport r;
-    r.bytes_touched = c.touched + remote_bytes;
+    r.bytes_touched = c.touched;
     r.bytes_hit = c.hit;
     r.healthy_fetch = c.healthy_fetch;
     r.evict_fetch = c.evict_fetch;
     r.populate_alloc = c.populate_alloc;
     r.writeback = c.writeback;
-    r.remote_access = remote_bytes;
     r.faults = c.faults;
     r.evictions = c.evictions;
     const auto capacity_bytes =
@@ -513,11 +491,6 @@ class NaiveUvm {
         fault_time +=
             tuning_.eviction_overhead_per_page * static_cast<std::int64_t>(r.evictions);
       }
-    }
-    if (remote_bytes > 0) {
-      const Bandwidth remote_bw =
-          Bandwidth::bytes_per_sec(pcie.bps() * tuning_.remote_access_efficiency);
-      fault_time += remote_bw.transfer_time(remote_bytes);
     }
     r.fault_time = fault_time;
     r.writeback_time = r.writeback > 0 ? pcie.transfer_time(r.writeback) : SimTime::zero();
@@ -671,7 +644,6 @@ class NaiveUvm {
   struct PageState {
     std::uint16_t mask{1};
     std::uint16_t ever_mask{0};
-    std::uint8_t remote_hits{0};
     std::uint32_t touch_epoch{0};
     bool hot{false};
     bool populated{false};
@@ -683,7 +655,6 @@ class NaiveUvm {
     std::vector<PageState> pages;
     std::vector<std::size_t> sticky_per_device;
     uvm::Advise advise{uvm::Advise::None};
-    DeviceId advise_device{uvm::kHostDevice};
     bool live{false};
   };
   struct RingEntry {
@@ -838,16 +809,11 @@ class NaiveUvm {
       if (!arr.live || entry.page >= arr.pages.size()) continue;
       PageState& st = arr.pages[entry.page];
       if (!(st.mask & bit)) continue;
-      if (eviction_ == uvm::EvictionPolicyKind::ClockLru &&
-          second_chances < kEvictionScanLimit) {
-        const bool protected_hot = st.hot && st.touch_epoch == dev.current_epoch;
-        const bool preferred_here =
-            arr.advise == uvm::Advise::PreferredLocation && arr.advise_device == device;
-        if (protected_hot || preferred_here) {
-          dev.ring.push_back(entry);
-          ++second_chances;
-          continue;
-        }
+      if (eviction_ == uvm::EvictionPolicyKind::ClockLru && second_chances < kEvictionScanLimit &&
+          st.hot && st.touch_epoch == dev.current_epoch) {
+        dev.ring.push_back(entry);
+        ++second_chances;
+        continue;
       }
       drop_residency(entry.array, entry.page, device, c);
       ++c.evictions;
@@ -903,8 +869,6 @@ class NaiveUvm {
       for (std::uint64_t i = 0; i < touches; ++i) {
         fn(first + static_cast<std::uint32_t>(rng.next_below(n)), false);
       }
-    } else if (const auto* st = std::get_if<uvm::StridedPattern>(&pattern)) {
-      for (std::uint32_t p = first; p < last; p += st->stride) fn(p, false);
     }
   }
 

@@ -32,7 +32,7 @@ TEST(ClusterTest, NeedsAWorker) {
 
 TEST(ClusterTest, WorkerIndexValidated) {
   Cluster cluster(small_cluster(2));
-  EXPECT_THROW(cluster.worker(2), InvalidArgument);
+  EXPECT_THROW((void)cluster.worker(2), InvalidArgument);
 }
 
 TEST(WorkerTest, EnsureArrayIsIdempotent) {
@@ -44,7 +44,7 @@ TEST(WorkerTest, EnsureArrayIsIdempotent) {
   EXPECT_TRUE(w.has_array(7));
   EXPECT_FALSE(w.has_array(8));
   EXPECT_EQ(w.local_array(7), a);
-  EXPECT_THROW(w.local_array(8), InvalidArgument);
+  EXPECT_THROW((void)w.local_array(8), InvalidArgument);
 }
 
 TEST(WorkerTest, IdsPastTheTableAreNotHeld) {
@@ -54,8 +54,8 @@ TEST(WorkerTest, IdsPastTheTableAreNotHeld) {
   EXPECT_FALSE(w.has_array(2));  // inside the table, never ensured
   EXPECT_FALSE(w.has_array(4));  // past the table
   EXPECT_FALSE(w.has_array(100000));
-  EXPECT_THROW(w.local_array(4), InvalidArgument);
-  EXPECT_THROW(w.local_array(100000), InvalidArgument);
+  EXPECT_THROW((void)w.local_array(4), InvalidArgument);
+  EXPECT_THROW((void)w.local_array(100000), InvalidArgument);
   w.release_array(100000);  // not held: a no-op
   EXPECT_TRUE(w.has_array(3));
 }

@@ -103,7 +103,7 @@ TEST(DirectoryTest, CopyAndWriteTransitions) {
 
 TEST(DirectoryTest, UnknownArrayThrows) {
   CoherenceDirectory dir(1);
-  EXPECT_THROW(dir.bytes_of(0), InvalidArgument);
+  EXPECT_THROW((void)dir.bytes_of(0), InvalidArgument);
 }
 
 TEST(DirectoryTest, RandomTransitionsKeepInvariants) {

@@ -1,6 +1,7 @@
 // Unit tests for the simulated GPU: streams, events, kernel execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -208,36 +209,6 @@ TEST_F(GpuFixture, StreamWaitEventOrdersAcrossStreams) {
   EXPECT_GE(spans[1].begin, spans[0].end);
 }
 
-TEST_F(GpuFixture, RecordEventCompletesInFifoPosition) {
-  Gpu& gpu = node->gpu(0);
-  Stream& s = gpu.create_stream();
-  const uvm::ArrayId a = alloc_populated(2_MiB);
-  auto kernel_done = make_event();
-  auto marker = make_event();
-  s.enqueue_kernel(simple_kernel(a, 1.25e12), kernel_done);
-  s.enqueue_record(marker);
-  sim.run();
-  EXPECT_TRUE(marker->completed());
-  EXPECT_EQ(marker->when(), kernel_done->when());
-}
-
-TEST_F(GpuFixture, HostCallbackRunsInOrder) {
-  Gpu& gpu = node->gpu(0);
-  Stream& s = gpu.create_stream();
-  const uvm::ArrayId a = alloc_populated(2_MiB);
-  auto done = make_event();
-  bool callback_ran = false;
-  bool kernel_was_done = false;
-  s.enqueue_kernel(simple_kernel(a), done);
-  s.enqueue_host([&] {
-    callback_ran = true;
-    kernel_was_done = done->completed();
-  });
-  sim.run();
-  EXPECT_TRUE(callback_ran);
-  EXPECT_TRUE(kernel_was_done);
-}
-
 TEST_F(GpuFixture, PrefetchOpCompletesEvent) {
   Gpu& gpu = node->gpu(0);
   Stream& s = gpu.create_stream();
@@ -252,16 +223,45 @@ TEST_F(GpuFixture, PrefetchOpCompletesEvent) {
 TEST_F(GpuFixture, IdleAndQueueIntrospection) {
   Gpu& gpu = node->gpu(0);
   Stream& s = gpu.create_stream();
-  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.queued_ops(), 0u);
   auto gate = make_event();
   s.enqueue_wait(gate);
   const uvm::ArrayId a = alloc_populated(2_MiB);
-  s.enqueue_kernel(simple_kernel(a), make_event());
-  EXPECT_FALSE(s.idle());
+  auto done = make_event();
+  s.enqueue_kernel(simple_kernel(a), done);
   EXPECT_GE(s.queued_ops(), 1u);
   gate->complete(sim.now());
   sim.run();
-  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.queued_ops(), 0u);
+  ASSERT_TRUE(done->completed());
+  EXPECT_EQ(s.last_known_end(), done->when());
+}
+
+TEST_F(GpuFixture, WaitPipelineAlternatesGpus) {
+  // Four stages bounce one buffer between the GPUs; each stage waits on the
+  // previous stage's event, so the kernels run strictly one after another.
+  const uvm::ArrayId buf = alloc_populated(2_MiB);
+  Stream* streams[] = {&node->gpu(0).create_stream(), &node->gpu(1).create_stream()};
+  std::vector<EventPtr> done;
+  for (std::size_t stage = 0; stage < 4; ++stage) {
+    Stream& s = *streams[stage % 2];
+    if (stage > 0) s.enqueue_wait(done.back());
+    done.push_back(make_event());
+    s.enqueue_kernel(simple_kernel(buf, 1.25e11, uvm::AccessMode::ReadWrite), done.back());
+  }
+  sim.run();
+  std::vector<sim::TraceSpan> spans = kernel_spans(0);
+  for (const sim::TraceSpan& span : kernel_spans(1)) spans.push_back(span);
+  std::sort(spans.begin(), spans.end(),
+            [](const sim::TraceSpan& a, const sim::TraceSpan& b) { return a.begin < b.begin; });
+  ASSERT_EQ(spans.size(), 4u);
+  for (std::size_t stage = 0; stage < 4; ++stage) {
+    ASSERT_TRUE(done[stage]->completed());
+    EXPECT_EQ(done[stage]->when(), spans[stage].end);
+    if (stage > 0) {
+      EXPECT_GE(spans[stage].begin, spans[stage - 1].end);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -310,6 +310,49 @@ TEST_F(GpuFixture, TwoGpusShareTheUvmSpace) {
   // Plain read migrates the page across GPUs.
   EXPECT_TRUE(node->uvm().page_resident(a, 0, 1));
   EXPECT_FALSE(node->uvm().page_resident(a, 0, 0));
+}
+
+TEST_F(GpuFixture, HostAndDeviceTradeOwnership) {
+  // Host writes, a kernel updates on GPU 0, the host reads back: the pages
+  // move to the device and home again every round.
+  uvm::UvmSpace& uvm = node->uvm();
+  const uvm::ArrayId a = uvm.alloc(2_MiB, "a");
+  Stream& s = node->gpu(0).create_stream();
+  for (int round = 0; round < 5; ++round) {
+    uvm.host_access(a, uvm::AccessMode::Write);
+    EXPECT_FALSE(uvm.page_resident(a, 0, 0));
+    s.enqueue_kernel(simple_kernel(a, 1e9, uvm::AccessMode::ReadWrite), make_event());
+    sim.run();
+    EXPECT_TRUE(uvm.page_resident(a, 0, 0));
+    EXPECT_FALSE(uvm.page_resident(a, 0, uvm::kHostDevice));
+    EXPECT_GT(uvm.host_access(a, uvm::AccessMode::Read).duration, SimTime::zero());
+    EXPECT_TRUE(uvm.page_resident(a, 0, uvm::kHostDevice));
+  }
+  EXPECT_EQ(node->gpu(0).kernel_count(), 5u);
+  EXPECT_EQ(uvm.stats().bytes_fetched, 5 * 2_MiB);
+}
+
+TEST_F(GpuFixture, ReadMostlyPrefetchesLeaveKernelsFaultFree) {
+  // Advise, prefetch onto both GPUs, then launch: each GPU holds its own
+  // read-duplicate, so neither kernel faults.
+  uvm::UvmSpace& uvm = node->uvm();
+  const uvm::ArrayId v = alloc_populated(2_MiB);
+  uvm.advise(v, uvm::Advise::ReadMostly);
+  Stream& s0 = node->gpu(0).create_stream();
+  Stream& s1 = node->gpu(1).create_stream();
+  s0.enqueue_prefetch(v, 0, make_event());
+  s1.enqueue_prefetch(v, 1, make_event());
+  sim.run();
+  EXPECT_TRUE(uvm.page_resident(v, 0, 0));
+  EXPECT_TRUE(uvm.page_resident(v, 0, 1));
+  const std::uint64_t faults_before = uvm.stats().faults;
+  s0.enqueue_kernel(simple_kernel(v), make_event());
+  s1.enqueue_kernel(simple_kernel(v), make_event());
+  sim.run();
+  EXPECT_EQ(node->gpu(0).kernel_count(), 1u);
+  EXPECT_EQ(node->gpu(1).kernel_count(), 1u);
+  EXPECT_EQ(uvm.stats().faults, faults_before);
+  EXPECT_THROW(uvm.prefetch(v, 5), InvalidArgument);  // no such GPU
 }
 
 TEST_F(GpuFixture, NodeReportsTotalMemory) {

@@ -77,7 +77,7 @@ TEST_P(CliffShape, CliffAppearsBetween2xAnd3x) {
 INSTANTIATE_TEST_SUITE_P(Workloads, CliffShape,
                          ::testing::Values(WorkloadKind::Mle, WorkloadKind::Cg,
                                            WorkloadKind::Mv),
-                         [](const auto& info) { return std::string(to_string(info.param)); });
+                         [](const auto& p) { return std::string(to_string(p.param)); });
 
 // ---------------------------------------------------------------------------
 // Figure 7 shape: the single node wins pre-oversubscription; GrOUT wins at 3x.
@@ -100,7 +100,7 @@ TEST_P(CrossoverShape, GroutWinsAt3x) {
 INSTANTIATE_TEST_SUITE_P(Workloads, CrossoverShape,
                          ::testing::Values(WorkloadKind::Mle, WorkloadKind::Cg,
                                            WorkloadKind::Mv),
-                         [](const auto& info) { return std::string(to_string(info.param)); });
+                         [](const auto& p) { return std::string(to_string(p.param)); });
 
 // ---------------------------------------------------------------------------
 // Storm mechanics visible through the backends

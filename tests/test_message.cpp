@@ -24,7 +24,7 @@ gpusim::KernelLaunchSpec sample_spec() {
                                          uvm::AccessMode::Write,
                                          uvm::RandomPattern{0.25, 42}});
   spec.params.push_back(
-      uvm::ParamAccess{10, uvm::ByteRange{}, uvm::AccessMode::Read, uvm::StridedPattern{4}});
+      uvm::ParamAccess{10, uvm::ByteRange{}, uvm::AccessMode::Read, uvm::StreamingPattern{1}});
   return spec;
 }
 
@@ -100,6 +100,16 @@ TEST(Message, CorruptedEnumsThrow) {
   std::vector<std::byte> bad = wire;
   bad[parallelism_at] = std::byte{0xEE};
   EXPECT_THROW(decode_ce(bad), InvalidArgument);
+  // The first parameter's pattern tag follows the tenant (4 bytes), the
+  // parameter count (2), the array id (4) and the access mode (1). Tags 0-2
+  // are the streaming, hot-reuse and random patterns; no other tag decodes.
+  const std::size_t tag_at = parallelism_at + 1 + 4 + 2 + 4 + 1;
+  ASSERT_EQ(wire[tag_at], std::byte{0});
+  for (const std::byte tag : {std::byte{3}, std::byte{0xEE}}) {
+    bad = wire;
+    bad[tag_at] = tag;
+    EXPECT_THROW(decode_ce(bad), InvalidArgument) << "tag " << static_cast<int>(tag);
+  }
 }
 
 TEST(Message, FuzzDecodeNeverCrashes) {

@@ -375,9 +375,9 @@ TEST(ValueTest, NumberConversions) {
 }
 
 TEST(ValueTest, WrongKindThrows) {
-  EXPECT_THROW(Value("hi").as_number(), InvalidArgument);
-  EXPECT_THROW(Value(1.0).as_string(), InvalidArgument);
-  EXPECT_THROW(Value(1.0).as_array(), InvalidArgument);
+  EXPECT_THROW((void)Value("hi").as_number(), InvalidArgument);
+  EXPECT_THROW((void)Value(1.0).as_string(), InvalidArgument);
+  EXPECT_THROW((void)Value(1.0).as_array(), InvalidArgument);
   EXPECT_THROW(Value(1.0).call({}), InvalidArgument);
 }
 
@@ -433,9 +433,9 @@ TEST(ContextTest, EvalMultiDimArrays) {
 TEST(ContextTest, MultiDimBoundsChecked) {
   Context ctx = small_grcuda();
   auto arr = ctx.eval("float[4][8]").as_array();
-  EXPECT_THROW(arr->index_of({4, 0}), InvalidArgument);
-  EXPECT_THROW(arr->index_of({0, 8}), InvalidArgument);
-  EXPECT_THROW(arr->index_of({0}), InvalidArgument);  // rank mismatch
+  EXPECT_THROW((void)arr->index_of({4, 0}), InvalidArgument);
+  EXPECT_THROW((void)arr->index_of({0, 8}), InvalidArgument);
+  EXPECT_THROW((void)arr->index_of({0}), InvalidArgument);  // rank mismatch
 }
 
 TEST(ContextTest, EvalBadDslThrows) {
@@ -452,7 +452,7 @@ TEST(ContextTest, DeviceArrayGetSet) {
   arr->set(3, 1.5);
   EXPECT_DOUBLE_EQ(arr->get(3), 1.5);
   EXPECT_THROW(arr->set(10, 0.0), InvalidArgument);
-  EXPECT_THROW(arr->get(10), InvalidArgument);
+  EXPECT_THROW((void)arr->get(10), InvalidArgument);
 }
 
 TEST(ContextTest, DeviceArrayFillAndInit) {
@@ -471,7 +471,7 @@ TEST(ContextTest, LargeArraysNotMaterialized) {
   auto arr = ctx.alloc_array(ElemType::F32, 1024, "big");  // 4 KiB > limit
   EXPECT_FALSE(arr->materialized());
   EXPECT_NO_THROW(arr->fill(1.0));  // footprint-only write
-  EXPECT_THROW(arr->get(0), InvalidArgument);
+  EXPECT_THROW((void)arr->get(0), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

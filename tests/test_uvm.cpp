@@ -295,16 +295,6 @@ TEST_F(UvmFixture, FifoEvictsHotPagesToo) {
   EXPECT_FALSE(space->page_resident(hot, 0, 0));
 }
 
-TEST_F(UvmFixture, PreferredLocationResistsEviction) {
-  const ArrayId pinned = alloc_populated(2_MiB, "pinned");
-  space->advise(pinned, Advise::PreferredLocation, 0);
-  stream(0, pinned);
-  const ArrayId big = alloc_populated(12_MiB, "big");
-  stream(0, big);
-  EXPECT_TRUE(space->page_resident(pinned, 0, 0));
-  EXPECT_TRUE(space->page_resident(pinned, 1, 0));
-}
-
 TEST_F(UvmFixture, DevicesEvictIndependently) {
   const ArrayId a = alloc_populated(6_MiB, "a");
   const ArrayId b = alloc_populated(6_MiB, "b");
@@ -339,70 +329,6 @@ TEST_F(UvmFixture, ReadMostlyWriteCollapses) {
   EXPECT_FALSE(space->page_resident(id, 0, kHostDevice));
 }
 
-TEST_F(UvmFixture, AccessedByServesRemotely) {
-  const ArrayId id = alloc_populated(4_MiB, "a");
-  space->advise(id, Advise::AccessedBy, 0);
-  const AccessReport r = stream(0, id);
-  EXPECT_EQ(r.remote_access, 4_MiB);
-  EXPECT_EQ(r.faults, 0u);
-  EXPECT_FALSE(space->page_resident(id, 0, 0));  // no migration
-  EXPECT_GT(r.fault_time, SimTime::zero());      // remote traffic still costs
-}
-
-TEST_F(UvmFixture, AccessedByOnlyAffectsAdvisedDevice) {
-  const ArrayId id = alloc_populated(2_MiB, "a");
-  space->advise(id, Advise::AccessedBy, 0);
-  const AccessReport r = stream(1, id);
-  EXPECT_EQ(r.remote_access, 0u);
-  EXPECT_EQ(r.healthy_fetch, 2_MiB);
-}
-
-TEST_F(UvmFixture, AccessCountersPromoteHotRemotePages) {
-  // Threshold is 3: the first two streams stay remote, the third promotes.
-  const ArrayId id = alloc_populated(2_MiB, "a");
-  space->advise(id, Advise::AccessedBy, 0);
-  ASSERT_EQ(space->tuning().access_counter_threshold, 3u);
-  stream(0, id);
-  const AccessReport second = stream(0, id);
-  EXPECT_EQ(second.remote_access, 2_MiB);
-  EXPECT_FALSE(space->page_resident(id, 0, 0));
-  const AccessReport third = stream(0, id);
-  EXPECT_EQ(third.remote_access, 0u);
-  EXPECT_EQ(third.healthy_fetch, 2_MiB);  // promoted: migrated in
-  EXPECT_TRUE(space->page_resident(id, 0, 0));
-  // Once resident, further accesses are plain hits.
-  const AccessReport fourth = stream(0, id);
-  EXPECT_EQ(fourth.bytes_hit, 2_MiB);
-}
-
-TEST_F(UvmFixture, AccessCounterPromotionDisabled) {
-  UvmTuning t = small_tuning();
-  t.access_counter_threshold = 0;
-  rebuild(EvictionPolicyKind::ClockLru, 8_MiB, 2, t);
-  const ArrayId id = alloc_populated(2_MiB, "a");
-  space->advise(id, Advise::AccessedBy, 0);
-  for (int i = 0; i < 8; ++i) {
-    const AccessReport r = stream(0, id);
-    EXPECT_EQ(r.remote_access, 2_MiB);
-  }
-  EXPECT_FALSE(space->page_resident(id, 0, 0));
-}
-
-TEST_F(UvmFixture, AccessCounterThresholdAtCounterWidth) {
-  // The per-page counter is 8 bits: 255 still promotes, 256 would wrap
-  // before reaching the threshold and is rejected up front.
-  UvmTuning t = small_tuning();
-  t.access_counter_threshold = 256;
-  EXPECT_THROW(rebuild(EvictionPolicyKind::ClockLru, 8_MiB, 2, t), InvalidArgument);
-  t.access_counter_threshold = 255;
-  rebuild(EvictionPolicyKind::ClockLru, 8_MiB, 2, t);
-  const ArrayId id = alloc_populated(1_MiB, "a");
-  space->advise(id, Advise::AccessedBy, 0);
-  for (int i = 0; i < 254; ++i) EXPECT_EQ(stream(0, id).remote_access, 1_MiB);
-  EXPECT_EQ(stream(0, id).healthy_fetch, 1_MiB);
-  EXPECT_TRUE(space->page_resident(id, 0, 0));
-}
-
 TEST_F(UvmFixture, EvictionKeepsHighDeviceDuplicates) {
   // Eight one-page devices: device 7's residency bit is bit 8. Device 0
   // evicting its read-duplicate must leave device 7's copy alone.
@@ -420,12 +346,6 @@ TEST_F(UvmFixture, EvictionKeepsHighDeviceDuplicates) {
   EXPECT_TRUE(space->page_resident(a, 0, kHostDevice));
   EXPECT_EQ(space->resident_bytes(7), 1_MiB);
   EXPECT_EQ(space->resident_bytes_of(a, 7), 1_MiB);
-}
-
-TEST_F(UvmFixture, AdviseValidatesDevice) {
-  const ArrayId id = space->alloc(1_MiB, "a");
-  EXPECT_THROW(space->advise(id, Advise::PreferredLocation, 9), InvalidArgument);
-  EXPECT_NO_THROW(space->advise(id, Advise::ReadMostly));
 }
 
 // ---------------------------------------------------------------------------
@@ -471,26 +391,27 @@ TEST_F(UvmFixture, PrefetchLargerThanDeviceCyclesThroughEviction) {
 }
 
 TEST_F(UvmFixture, RepeatedPrefetchOfFullDeviceNeverAborts) {
-  // Regression for the former GROUT_CHECK(used_pages < capacity_pages)
-  // abort in prefetch(): prefetch ops can be issued under heavy
-  // oversubscription, where the device is persistently full and every new
-  // page must displace a victim — including advice-pinned and hot pages
-  // that the clock sweep second-chances. Hammering prefetches across
-  // oversubscribing arrays must complete (evicting per the normal victim
-  // path, truncating when nothing is evictable) and never exceed capacity.
+  // Prefetches issued under heavy oversubscription find the device full,
+  // so every new page must displace a victim -- including hot pages that
+  // the clock sweep second-chances and read-duplicated pages. Every
+  // prefetch must complete through the normal victim path, not abort, and
+  // keep the device exactly full, never beyond capacity.
   rebuild(EvictionPolicyKind::ClockLru, 2_MiB, 2);
   const ArrayId a = alloc_populated(4_MiB, "a");
   const ArrayId b = alloc_populated(4_MiB, "b");
   const ArrayId c = alloc_populated(4_MiB, "c");
-  space->advise(a, Advise::PreferredLocation, 0);  // pinned victims
-  space->advise(c, Advise::ReadMostly);            // duplicated residency
+  space->advise(c, Advise::ReadMostly);
+  space->prefetch(c, 1);  // c ends duplicated on the host and device 1
+  const ParamAccess heat{a, ByteRange{}, AccessMode::Read, HotReusePattern{}};
   for (int round = 0; round < 4; ++round) {
-    stream(0, a);  // heat a's pages so the clock protects them
+    // a's resident pages stay hot until device 0 runs its next access.
+    space->device_access(0, std::span(&heat, 1), Parallelism::High);
     for (const ArrayId id : {b, c, a}) {
       space->prefetch(id, 0);
-      EXPECT_LE(space->resident_bytes(0), space->capacity(0));
+      EXPECT_EQ(space->resident_bytes(0), space->capacity(0));
     }
   }
+  EXPECT_TRUE(space->page_resident(c, 3, 1));  // device 1 keeps its duplicate
   EXPECT_GT(space->stats().prefetch_issued, 0u);
   EXPECT_GT(space->stats().evictions, 0u);
 }

@@ -5,7 +5,7 @@
 // with pre-resolved references, keeps its eviction ring in a circular
 // buffer and compacts it with per-page marks. None of that may change a
 // single page's state. Both engines run side by side on one simulator,
-// driven by the same seeded stream of device accesses (all four patterns,
+// driven by the same seeded stream of device accesses (all three patterns,
 // partial ranges, multi-pass streams, every access mode), prefetches, host
 // accesses, network adoptions, frees and advises. After every call the
 // test compares the call's result, the statistics, every device's resident
@@ -28,7 +28,7 @@ struct Coverage {
   std::size_t faults{0};
   std::size_t evictions{0};
   std::size_t hits{0};
-  std::size_t remote{0};
+  std::size_t storms{0};
   std::size_t prefetch_useful{0};
   std::size_t compactions{0};
 };
@@ -40,7 +40,6 @@ void expect_same(const AccessReport& a, const AccessReport& b) {
   EXPECT_EQ(a.evict_fetch, b.evict_fetch);
   EXPECT_EQ(a.populate_alloc, b.populate_alloc);
   EXPECT_EQ(a.writeback, b.writeback);
-  EXPECT_EQ(a.remote_access, b.remote_access);
   EXPECT_EQ(a.faults, b.faults);
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.eviction_intensity, b.eviction_intensity);
@@ -73,7 +72,6 @@ class UvmRig {
     // batch-latency path in play on these tiny devices.
     tuning.storm_oversubscription_threshold = 1.5;
     tuning.prefetcher_enabled = rng_.next_below(2) == 0;
-    tuning.access_counter_threshold = static_cast<std::uint32_t>(rng_.next_below(4));
     std::vector<DeviceConfig> configs;
     for (std::size_t d = 0; d < devices; ++d) {
       DeviceConfig dc;
@@ -149,12 +147,11 @@ class UvmRig {
   }
 
   AccessPattern pick_pattern() {
-    switch (rng_.next_below(4)) {
+    switch (rng_.next_below(3)) {
       case 0: return StreamingPattern{static_cast<std::uint32_t>(1 + rng_.next_below(3))};
       case 1: return HotReusePattern{};
-      case 2: return RandomPattern{0.25 * static_cast<double>(1 + rng_.next_below(6)),
-                                   rng_.next_u64()};
-      default: return StridedPattern{static_cast<std::uint32_t>(1 + rng_.next_below(4))};
+      default: return RandomPattern{0.25 * static_cast<double>(1 + rng_.next_below(6)),
+                                    rng_.next_u64()};
     }
   }
 
@@ -179,7 +176,7 @@ class UvmRig {
     coverage_.faults += want.report.faults;
     coverage_.evictions += want.report.evictions;
     if (want.report.bytes_hit > 0) ++coverage_.hits;
-    if (want.report.remote_access > 0) ++coverage_.remote;
+    if (want.report.storm) ++coverage_.storms;
   }
 
   void prefetch() {
@@ -201,12 +198,9 @@ class UvmRig {
 
   void advise() {
     const ArrayId id = pick();
-    const auto advise = static_cast<Advise>(rng_.next_below(4));
-    const DeviceId device = advise == Advise::PreferredLocation || advise == Advise::AccessedBy
-                                ? pick_device()
-                                : kHostDevice;
-    space_->advise(id, advise, device);
-    naive_->advise(id, advise, device);
+    const auto advise = static_cast<Advise>(rng_.next_below(2));
+    space_->advise(id, advise);
+    naive_->advise(id, advise);
   }
 
   void compare_state() {
@@ -259,13 +253,13 @@ Coverage run_streams(EvictionPolicyKind policy, std::size_t devices, std::size_t
     total.faults += c.faults;
     total.evictions += c.evictions;
     total.hits += c.hits;
-    total.remote += c.remote;
+    total.storms += c.storms;
     total.prefetch_useful += c.prefetch_useful;
     total.compactions += c.compactions;
   }
   EXPECT_GT(total.faults, 0u);
   EXPECT_GT(total.hits, 0u);
-  EXPECT_GT(total.remote, 0u);
+  EXPECT_GT(total.storms, 0u);
   EXPECT_GT(total.prefetch_useful, 0u);
   return total;
 }

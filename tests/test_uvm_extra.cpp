@@ -50,15 +50,6 @@ struct UvmExtra : ::testing::Test {
 // Patterns
 // ---------------------------------------------------------------------------
 
-TEST_F(UvmExtra, StridedPatternTouchesEveryNthPage) {
-  const ArrayId id = alloc_populated(8_MiB);
-  const AccessReport r = access(0, id, StridedPattern{2});
-  EXPECT_EQ(r.faults, 4u);
-  EXPECT_TRUE(space->page_resident(id, 0, 0));
-  EXPECT_FALSE(space->page_resident(id, 1, 0));
-  EXPECT_TRUE(space->page_resident(id, 2, 0));
-}
-
 TEST_F(UvmExtra, RandomPatternIsSeedDeterministicPerEpoch) {
   const ArrayId a = alloc_populated(8_MiB, "a");
   const AccessReport r1 = access(0, a, RandomPattern{0.5, 99});
@@ -72,11 +63,6 @@ TEST_F(UvmExtra, RandomPatternFullFractionTouchesAtMostAll) {
   const AccessReport r = access(0, a, RandomPattern{1.0, 7});
   EXPECT_LE(r.healthy_fetch + r.evict_fetch, 4_MiB);
   EXPECT_EQ(r.bytes_touched, 4_MiB);  // 4 draws over 4 pages
-}
-
-TEST_F(UvmExtra, ZeroStrideRejected) {
-  const ArrayId a = alloc_populated(2_MiB);
-  EXPECT_THROW(access(0, a, StridedPattern{0}), InvalidArgument);
 }
 
 TEST_F(UvmExtra, PartialLastPageAccountedExactly) {

@@ -88,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadKindTest,
                          ::testing::Values(WorkloadKind::BlackScholes, WorkloadKind::Mle,
                                            WorkloadKind::Cg, WorkloadKind::Mv,
                                            WorkloadKind::Irregular),
-                         [](const auto& info) { return std::string(to_string(info.param)); });
+                         [](const auto& p) { return std::string(to_string(p.param)); });
 
 TEST(WorkloadTest, CeCountsMatchStructure) {
   Context ctx = grcuda();
