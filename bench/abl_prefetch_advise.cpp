@@ -26,13 +26,13 @@ gpusim::GpuNodeConfig node_config(bool prefetcher, Bytes gpu_memory = 16_GiB) {
 }
 
 gpusim::KernelLaunchSpec stream_kernel(uvm::ArrayId array) {
-  gpusim::KernelLaunchSpec spec;
-  spec.name = "k";
-  spec.flops = 1e10;
-  spec.parallelism = uvm::Parallelism::High;
-  spec.params.push_back(uvm::ParamAccess{array, uvm::ByteRange{}, uvm::AccessMode::Read,
-                                         uvm::StreamingPattern{}});
-  return spec;
+  return gpusim::KernelLaunchSpec{
+      .name = "k",
+      .flops = 1e10,
+      .parallelism = uvm::Parallelism::High,
+      .params = {uvm::ParamAccess{array, uvm::ByteRange{}, uvm::AccessMode::Read,
+                                  uvm::StreamingPattern{}}},
+  };
 }
 
 /// Stream a freshly initialized array once; returns simulated seconds.

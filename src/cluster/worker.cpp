@@ -41,12 +41,11 @@ void Worker::release_array(GlobalArrayId global, gpusim::EventPtr after) {
   }
 }
 
-runtime::Submission Worker::execute_kernel(gpusim::KernelLaunchSpec spec,
-                                           gpusim::EventPtr ready) {
+runtime::Submission Worker::execute_kernel(gpusim::KernelLaunchSpec spec) {
   for (auto& p : spec.params) {
     p.array = local_array(static_cast<GlobalArrayId>(p.array));
   }
-  return runtime_.submit_kernel(std::move(spec), std::move(ready));
+  return runtime_.submit_kernel(std::move(spec));
 }
 
 runtime::Submission Worker::stage_send(GlobalArrayId global) {

@@ -44,10 +44,8 @@ class Worker {
   void release_array(GlobalArrayId global, gpusim::EventPtr after = nullptr);
 
   /// Execute a kernel CE whose params refer to *global* array ids; they are
-  /// translated to this node's local allocations. When `ready` is set the
-  /// kernel waits for it (the controller's control-message arrival).
-  runtime::Submission execute_kernel(gpusim::KernelLaunchSpec spec,
-                                     gpusim::EventPtr ready = nullptr);
+  /// translated to this node's local allocations.
+  runtime::Submission execute_kernel(gpusim::KernelLaunchSpec spec);
 
   /// Prepare an array for sending: gathers GPU-resident pages to host
   /// memory after local writers finish. The returned submission's event

@@ -250,12 +250,11 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
   const bool tracing = cluster_->tracer().enabled();
 
   gpusim::EventPtr arrival;
-  if (holders.controller() &&
-      cluster_->fabric().bandwidth(cluster::Cluster::controller_id(), dst_fid).valid()) {
-    // Controller holds a current copy and the route is up: direct send
-    // (Algorithm 1's scheduledNode.send(param) branch). A copy the
-    // controller holds only because of an in-flight spill is not readable
-    // until that spill lands. The CE bundle's adopt waits on the last byte.
+  if (holders.controller()) {
+    // Controller holds a current copy: direct send (Algorithm 1's
+    // scheduledNode.send(param) branch). A copy the controller holds only
+    // because of an in-flight spill is not readable until that spill
+    // lands. The CE bundle's adopt waits on the last byte.
     arrival = cluster_->fabric().transfer(
         cluster::Cluster::controller_id(), dst_fid, param.bytes,
         tracing ? "ctl->" + std::to_string(worker) + ":" + directory_.name_of(id)
@@ -293,10 +292,9 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
 }
 
 std::size_t GroutRuntime::fastest_holder(GlobalArrayId id, net::NodeId dst_fid) const {
-  // A zero-bandwidth (degraded/down) link disqualifies a source: it must
-  // never be silently picked as a fallback.
   const LocationSet& holders = directory_.holders(id);
-  GROUT_CHECK(holders.any(), "no up-to-date holder for array");
+  GROUT_CHECK(holders.holder_count() > (holders.controller() ? 1u : 0u),
+              "no up-to-date worker holds the array");
   std::size_t best = 0;
   double best_bps = 0.0;
   holders.for_each_worker([&](std::size_t s) {
@@ -307,8 +305,6 @@ std::size_t GroutRuntime::fastest_holder(GlobalArrayId id, net::NodeId dst_fid) 
       best = s;
     }
   });
-  GROUT_CHECK(best_bps > 0.0,
-              "array unreachable: every route from an up-to-date holder has zero bandwidth");
   return best;
 }
 

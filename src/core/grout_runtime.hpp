@@ -114,7 +114,7 @@ class GroutRuntime {
   /// protocol (Cluster::send_staged).
   gpusim::EventPtr plan_movement(const PlacementParam& param, std::size_t worker);
   /// The up-to-date worker holding `id` with the fastest route to
-  /// fabric node `dst_fid`; fails loudly when every such route is down.
+  /// fabric node `dst_fid`; at least one worker must hold it.
   [[nodiscard]] std::size_t fastest_holder(GlobalArrayId id, net::NodeId dst_fid) const;
 
   /// Place, stage data for, and send the CE of Global-DAG vertex `v` to a

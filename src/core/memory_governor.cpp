@@ -1,7 +1,6 @@
 #include "core/memory_governor.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace grout::core {
 
@@ -199,16 +198,14 @@ void MemoryGovernor::evict_while(std::size_t w, std::span<const PlacementParam> 
 void MemoryGovernor::rank_victims(std::size_t w, std::span<const PlacementParam> keep,
                                   TenantId requester) const {
   // One pass over the worker's contiguous replica table. The bandwidth
-  // matrix is read in place (entry [from * n + to]); the uplink and
-  // downlink of `w` are fixed for the whole scan.
+  // matrix is read in place (entry [from * n + to]); the downlink of `w`
+  // is fixed for the whole scan.
   const net::NetworkFabric& fabric = cluster_.fabric();
   const double* bw = fabric.bandwidth_matrix().data();
   const std::size_t n = fabric.node_count();
   const std::size_t dst = cluster::Cluster::worker_fabric_id(w);
   const std::size_t ctl = cluster::Cluster::controller_id();
-  const double uplink_bps = bw[dst * n + ctl];
   const double downlink_bps = bw[ctl * n + dst];
-  constexpr double kInf = std::numeric_limits<double>::infinity();
 
   victims_.clear();
   for (const Replica& rep : replicas_[w].rows) {
@@ -236,9 +233,7 @@ void MemoryGovernor::rank_victims(std::size_t w, std::span<const PlacementParam>
     if (holder) {
       double best_bps = 0.0;
       if (sole) {
-        // A sole copy must be spilled first; a dead uplink makes it
-        // unevictable, not silently droppable.
-        if (uplink_bps <= 0.0) continue;
+        // A sole copy is spilled first, then refetched from the controller.
         best_bps = downlink_bps;
       } else {
         if (holders.controller()) best_bps = downlink_bps;
@@ -247,9 +242,7 @@ void MemoryGovernor::rank_victims(std::size_t w, std::span<const PlacementParam>
           best_bps = std::max(best_bps, bw[cluster::Cluster::worker_fabric_id(s) * n + dst]);
         });
       }
-      cost = best_bps > 0.0
-                 ? static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps)
-                 : kInf;
+      cost = static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps);
     }
     victims_.push_back(Victim{id, sole, cost, rep.last_use});
   }

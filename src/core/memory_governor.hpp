@@ -143,11 +143,11 @@ class MemoryGovernor {
   /// The replica `make_room`/`enforce` would evict from `w` next (nullopt
   /// when nothing is evictable): the cheapest to refetch — 0 when stale,
   /// else bytes x bytes over the best live source's bandwidth, where a sole
-  /// copy's source is the controller uplink — then least recently used,
-  /// then lowest id. Pinned replicas and `keep`'s arrays are skipped; so is
-  /// a sole copy whose uplink is down (it could not be spilled) and, when
-  /// `requester` is a serving tenant, another tenant's up-to-date copy
-  /// (stale ones are fair game: the worker would refetch them anyway).
+  /// copy's source is the controller it is spilled to — then least
+  /// recently used, then lowest id. Pinned replicas and `keep`'s arrays are
+  /// skipped; so is, when `requester` is a serving tenant, another tenant's
+  /// up-to-date copy (stale ones are fair game: the worker would refetch
+  /// them anyway).
   [[nodiscard]] std::optional<GlobalArrayId> next_victim(
       std::size_t w, std::span<const PlacementParam> keep = {},
       TenantId requester = kNoTenant) const;

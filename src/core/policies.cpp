@@ -206,23 +206,14 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
       if (!placement_admissible(q, w)) continue;
       Bytes available = 0;
       double cost = 0.0;
-      bool reachable = true;
       for (std::size_t pi = 0; pi < input_params_.size(); ++pi) {
         const PlacementParam& p = *input_params_[pi];
         if (holder_sets_[pi]->worker(w)) {
           available += p.bytes;
           continue;
         }
-        const double best_bps = best_bps_[pi * q.workers + w];
-        if (best_bps <= 0.0) {
-          // Every route to this candidate is down: it cannot stage the
-          // input, so it is not a viable exploitation target.
-          reachable = false;
-          break;
-        }
-        cost += static_cast<double>(p.bytes) / best_bps;
+        cost += static_cast<double>(p.bytes) / best_bps_[pi * q.workers + w];
       }
-      if (!reachable) continue;
       // Exploration heuristic: only nodes already holding enough of the
       // inputs are viable for exploitation.
       const double avail_fraction =

@@ -52,13 +52,6 @@ using EventPtr = std::shared_ptr<CudaEvent>;
 
 inline EventPtr make_event() { return std::make_shared<CudaEvent>(); }
 
-/// An already-completed event at time `t` (useful as a neutral dependency).
-inline EventPtr make_completed_event(SimTime t) {
-  auto e = make_event();
-  e->complete(t);
-  return e;
-}
-
 /// Invoke `cb` once every event in `events` has completed (immediately when
 /// the list is empty or all are already done).
 inline void when_all(const std::vector<EventPtr>& events, CudaEvent::Callback cb) {

@@ -8,8 +8,6 @@ namespace grout::gpusim {
 // Stream
 // ---------------------------------------------------------------------------
 
-Stream::Stream(Gpu& gpu, std::uint32_t id) : gpu_{gpu}, id_{id} {}
-
 void Stream::enqueue_kernel(KernelLaunchSpec spec, EventPtr end_event) {
   queue_.push_back(KernelOp{std::move(spec), std::move(end_event)});
   pump();
@@ -80,7 +78,7 @@ Gpu::Gpu(sim::Simulator& simulator, uvm::UvmSpace& uvm_space, uvm::DeviceId devi
 }
 
 Stream& Gpu::create_stream() {
-  streams_.push_back(std::make_unique<Stream>(*this, static_cast<std::uint32_t>(streams_.size())));
+  streams_.push_back(std::make_unique<Stream>(*this));
   return *streams_.back();
 }
 

@@ -14,12 +14,10 @@ class Gpu;  // owner; executes kernel ops
 
 class Stream {
  public:
-  Stream(Gpu& gpu, std::uint32_t id);
+  explicit Stream(Gpu& gpu) : gpu_{gpu} {}
 
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
-
-  [[nodiscard]] std::uint32_t id() const { return id_; }
 
   /// Enqueue a kernel; `end_event` completes when it finishes.
   void enqueue_kernel(KernelLaunchSpec spec, EventPtr end_event);
@@ -57,7 +55,6 @@ class Stream {
   void pump();
 
   Gpu& gpu_;
-  std::uint32_t id_;
   std::deque<Op> queue_;
   bool busy_{false};
   SimTime last_known_end_{SimTime::zero()};

@@ -63,7 +63,7 @@ SimTime NetworkFabric::latency(NodeId from, NodeId to) const {
 }
 
 void NetworkFabric::set_link_override(NodeId a, NodeId b, Bandwidth bw) {
-  GROUT_REQUIRE(bw.bps() >= 0.0, "invalid override bandwidth");
+  GROUT_REQUIRE(bw.valid(), "link override requires positive bandwidth");
   node_ref(a);
   node_ref(b);
   overrides_[{std::min(a, b), std::max(a, b)}] = bw;
@@ -89,9 +89,6 @@ gpusim::EventPtr NetworkFabric::transfer(NodeId from, NodeId to, Bytes size, std
 
 void NetworkFabric::start_transfer(NodeId from, NodeId to, Bytes size, const std::string& label,
                                    const gpusim::EventPtr& done, SimTime min_deliver_delay) {
-  // The data-movement planner skips zero-bandwidth routes; reaching this
-  // point on a dead link is a scheduling bug, not a slow transfer.
-  GROUT_CHECK(bandwidth(from, to).valid(), "bulk transfer scheduled on a zero-bandwidth link");
   const SimTime begin = sim_.now();
   const SimTime duration = latency(from, to) + bandwidth(from, to).transfer_time(size);
   // Occupy both endpoints; completion is whichever queue drains last. The
@@ -121,11 +118,9 @@ void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size,
   GROUT_REQUIRE(static_cast<bool>(deliver), "null command callback");
   SimTime end = sim_.now() + latency(from, to);
   if (ce_bundle) {
-    const Bandwidth bw = bandwidth(from, to);
-    GROUT_CHECK(bw.valid(), "CE bundle sent on a zero-bandwidth link");
     ++control_sends_;
     total_bytes_ += size;
-    end += bw.transfer_time(size);
+    end += bandwidth(from, to).transfer_time(size);
   }
   // In-order delivery: never behind the previous command on this lane.
   SimTime& last = lane_last_delivery_[{from, to}];

@@ -59,8 +59,8 @@ class NetworkFabric {
   /// One-way latency between two nodes.
   [[nodiscard]] SimTime latency(NodeId from, NodeId to) const;
 
-  /// Install a per-pair bandwidth override (both directions). Zero is
-  /// allowed and means the link is down until a later override restores it.
+  /// Install a per-pair bandwidth override (both directions). The
+  /// bandwidth must be positive: a link is never down.
   void set_link_override(NodeId a, NodeId b, Bandwidth bw);
 
   /// Start a transfer when `ready` completes (nullptr = immediately);
@@ -79,8 +79,7 @@ class NetworkFabric {
   /// the link latency allows. The lane rides a prioritized QoS class, so a
   /// command does not queue behind bulk transfers. Two cost classes:
   ///   - CE bundles (`ce_bundle = true`): counted in `control_sends` and
-  ///     pay latency + serialization. A bundle on a zero-bandwidth link is
-  ///     a scheduling bug and fails loudly, as a bulk transfer does;
+  ///     pay latency + serialization;
   ///   - internal cluster operations (eviction, staging, releases): pay the
   ///     raw link latency only.
   /// The in-order guarantee is per (from, to) pair.

@@ -23,9 +23,6 @@ namespace grout::net {
 
 enum class MessageKind : std::uint8_t {
   ExecuteCe = 1,
-  StageSend = 2,
-  ArrayData = 3,
-  Ack = 4,
 };
 
 /// Serialize a kernel CE into `out` (cleared first); returns the wire size.

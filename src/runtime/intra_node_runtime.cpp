@@ -27,8 +27,7 @@ IntraNodeRuntime::IntraNodeRuntime(gpusim::GpuNode& node, StreamPolicyKind polic
   }
 }
 
-Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec,
-                                           gpusim::EventPtr external) {
+Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec) {
   std::vector<dag::AccessSummary> accesses;
   accesses.reserve(spec.params.size());
   for (const auto& p : spec.params) {
@@ -38,7 +37,6 @@ Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec,
 
   StreamRef& ref = select_stream(spec);
   // Algorithm 2: async waits on every ancestor's end event, then execute.
-  if (external) ref.stream->enqueue_wait(std::move(external));
   for (const gpusim::EventPtr& ev : ancestor_events(v)) {
     ref.stream->enqueue_wait(ev);
   }
@@ -48,26 +46,15 @@ Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec,
   return Submission{v, std::move(done)};
 }
 
-Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessMode mode,
-                                                SimTime extra_duration) {
+Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessMode mode) {
   const dag::VertexId v = dag_.add({}, {dag::AccessSummary{array, uvm::writes(mode)}});
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
-  gpusim::when_all(ancestor_events(v), [this, &sim, array, mode, extra_duration, done] {
+  gpusim::when_all(ancestor_events(v), [this, &sim, array, mode, done] {
     const uvm::HostAccessReport report = node_.uvm().host_access(array, mode);
-    const SimTime end = sim.now() + report.duration + extra_duration;
+    const SimTime end = sim.now() + report.duration;
     sim.schedule_at(end, [done, end] { done->complete(end); });
   });
-  track(v, done);
-  return Submission{v, std::move(done)};
-}
-
-Submission IntraNodeRuntime::submit_fence(std::vector<dag::AccessSummary> accesses) {
-  const dag::VertexId v = dag_.add({}, std::move(accesses));
-  gpusim::EventPtr done = gpusim::make_event();
-  sim::Simulator& sim = node_.simulator();
-  gpusim::when_all(ancestor_events(v),
-                   [&sim, done] { done->complete(sim.now()); });
   track(v, done);
   return Submission{v, std::move(done)};
 }

@@ -33,22 +33,13 @@ class IntraNodeRuntime {
   IntraNodeRuntime(const IntraNodeRuntime&) = delete;
   IntraNodeRuntime& operator=(const IntraNodeRuntime&) = delete;
 
-  /// Submit a kernel CE. Dependencies are derived from `spec.params`; when
-  /// `external` is set, the kernel additionally waits for it (e.g. the
-  /// arrival of the controller's control message carrying this CE).
-  Submission submit_kernel(gpusim::KernelLaunchSpec spec,
-                           gpusim::EventPtr external = nullptr);
+  /// Submit a kernel CE. Dependencies are derived from `spec.params`.
+  Submission submit_kernel(gpusim::KernelLaunchSpec spec);
 
-  /// Submit a host access CE (array initialization, result read-back, or a
-  /// network send/receive landing in host memory). Executes once every DAG
-  /// ancestor finished; `extra_duration` models work beyond the migration
-  /// itself (e.g. the host-side loop body or a network serialization cost).
-  Submission submit_host_access(uvm::ArrayId array, uvm::AccessMode mode,
-                                SimTime extra_duration = SimTime::zero());
-
-  /// Submit a host-side barrier CE over explicit arrays without touching
-  /// memory (used by the distributed layer to order sends).
-  Submission submit_fence(std::vector<dag::AccessSummary> accesses);
+  /// Submit a host access CE (array initialization, result read-back, or
+  /// the gather before a network send). Executes once every DAG ancestor
+  /// finished.
+  Submission submit_host_access(uvm::ArrayId array, uvm::AccessMode mode);
 
   /// Submit a CE that waits for the local DAG ancestors AND an external
   /// event (e.g. a network arrival), then installs the received bytes as

@@ -238,11 +238,8 @@ void UvmSpace::touch_page(const PageRun& run, std::uint32_t page, bool hot, Touc
     // Make room first: faulting into a full device evicts on the critical
     // path (the classification below depends on whether that happened).
     const std::uint64_t evictions_before = c.evictions;
-    while (dev.used_pages >= dev.capacity_pages) {
-      if (!evict_one(dev, c)) break;
-    }
+    make_room(dev, c);
     const bool evicted_now = c.evictions != evictions_before;
-    GROUT_CHECK(dev.used_pages < dev.capacity_pages, "device full and nothing evictable");
     const bool needs_copy = st.populated;
 
     if (!writes(run.mode) && run.arr.advise == Advise::ReadMostly) {
@@ -281,6 +278,13 @@ void UvmSpace::touch_page(const PageRun& run, std::uint32_t page, bool hot, Touc
   }
 
   st.hot_epoch = hot ? dev.current_epoch : 0;
+}
+
+void UvmSpace::make_room(DeviceState& dev, TouchCounters& c) {
+  while (dev.used_pages >= dev.capacity_pages) {
+    if (!evict_one(dev, c)) break;
+  }
+  GROUT_CHECK(dev.used_pages < dev.capacity_pages, "device full and nothing evictable");
 }
 
 bool UvmSpace::evict_one(DeviceState& dev, TouchCounters& c) {
@@ -447,13 +451,7 @@ SimTime UvmSpace::prefetch(ArrayId id, DeviceId device, ByteRange range) {
     PageState& st = arr.pages[p];
     const std::uint16_t bit = dev.bit;
     if (st.mask & bit) continue;
-    while (dev.used_pages >= dev.capacity_pages) {
-      if (!evict_one(dev, c)) break;
-    }
-    // Prefetch is a hint: when the device is full and nothing is evictable,
-    // truncate the prefetch cleanly — later pages fault on demand — instead
-    // of aborting.
-    if (dev.used_pages >= dev.capacity_pages) break;
+    make_room(dev, c);
     if (arr.advise == Advise::ReadMostly) {
       st.mask |= bit;
     } else {

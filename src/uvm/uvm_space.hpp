@@ -262,6 +262,9 @@ class UvmSpace {
   /// Evict one page from `dev`; returns false if nothing evictable.
   bool evict_one(DeviceState& dev, TouchCounters& c);
 
+  /// Evict until `dev` has a free frame; fails loudly if it cannot.
+  void make_room(DeviceState& dev, TouchCounters& c);
+
   /// Remove `dev`'s residency bit; write back if it held the only copy.
   void drop_residency(ArrayInfo& arr, std::uint32_t page, DeviceState& dev, TouchCounters& c);
 

@@ -167,7 +167,6 @@ class OracleMinTransferPolicy {
       if (!core::placement_admissible(q, w)) continue;
       Bytes available = 0;
       double cost = 0.0;
-      bool reachable = true;
       for (const core::PlacementParam& p : *q.params) {
         if (!p.needs_data) continue;
         const core::LocationSet& holders = q.directory->holders(p.array);
@@ -185,16 +184,11 @@ class OracleMinTransferPolicy {
             best_bps = std::max(
                 best_bps, q.fabric->bandwidth_uncached(net::worker_node_id(src), dst).bps());
           }
-          if (best_bps <= 0.0) {
-            reachable = false;
-            break;
-          }
           cost += static_cast<double>(p.bytes) / best_bps;
         } else {
           cost += static_cast<double>(p.bytes);
         }
       }
-      if (!reachable) continue;
       const double avail_fraction =
           static_cast<double>(available) / static_cast<double>(total_input);
       if (avail_fraction + 1e-12 < threshold_) continue;
@@ -301,11 +295,10 @@ class NaiveGovernor {
                  TenantId requester = kNoTenant) {
     const net::NodeId dst = cluster::Cluster::worker_fabric_id(w);
     const net::NetworkFabric& fabric = cluster_.fabric();
-    constexpr double kInf = std::numeric_limits<double>::infinity();
 
     bool found = false;
     core::GlobalArrayId victim = 0;
-    double victim_cost = kInf;
+    double victim_cost = std::numeric_limits<double>::infinity();
     SimTime victim_use = SimTime::max();
     bool victim_sole = false;
     for (const auto& [id, rep] : replicas_[w]) {
@@ -321,7 +314,6 @@ class NaiveGovernor {
       if (holder) {
         double best_bps = 0.0;
         if (sole) {
-          if (fabric.bandwidth(dst, cluster::Cluster::controller_id()).bps() <= 0.0) continue;
           best_bps = fabric.bandwidth(cluster::Cluster::controller_id(), dst).bps();
         } else {
           if (holders.controller()) {
@@ -333,9 +325,7 @@ class NaiveGovernor {
                 best_bps, fabric.bandwidth(cluster::Cluster::worker_fabric_id(s), dst).bps());
           }
         }
-        cost = best_bps > 0.0
-                   ? static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps)
-                   : kInf;
+        cost = static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps);
       }
       const bool better =
           !found || cost < victim_cost ||

@@ -281,19 +281,6 @@ TEST(GovernorVictims, SoleHolderIsSpilledNotDropped) {
   EXPECT_EQ(rig.cluster.worker(0).node().uvm().live_arrays(), 0u);
 }
 
-TEST(GovernorVictims, SoleHolderWithDeadUplinkIsUnevictable) {
-  GovernorRig rig(1_MiB);
-  const GlobalArrayId a = rig.add(0, 2_MiB, "a");
-  rig.directory.written_on_worker(a, 0);
-  rig.cluster.fabric().set_link_override(cluster::Cluster::worker_fabric_id(0),
-                                         cluster::Cluster::controller_id(),
-                                         Bandwidth::mbit_per_sec(0.0));
-  rig.governor.enforce(0);  // nowhere to spill: the copy must survive
-  EXPECT_TRUE(rig.cluster.worker(0).has_array(a));
-  EXPECT_EQ(rig.metrics.evictions, 0u);
-  EXPECT_TRUE(rig.directory.up_to_date_on_worker(a, 0));
-}
-
 TEST(GovernorVictims, RefetchAfterEvictionIsCounted) {
   GovernorRig rig(3_MiB);
   const GlobalArrayId a = rig.add(0, 2_MiB, "a");

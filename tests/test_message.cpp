@@ -88,7 +88,7 @@ TEST(Message, TrailingBytesThrow) {
 TEST(Message, WrongKindThrows) {
   std::vector<std::byte> wire;
   encode_ce(sample_spec(), wire);
-  wire[0] = static_cast<std::byte>(MessageKind::Ack);
+  wire[0] = std::byte{4};  // any byte but ExecuteCe's
   EXPECT_THROW(decode_ce(wire), InvalidArgument);
 }
 

@@ -1,8 +1,6 @@
 // Tests for the simulated network fabric.
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "sim/simulator.hpp"
 #include "net/fabric.hpp"
 
@@ -38,6 +36,13 @@ TEST_F(FabricFixture, LinkOverrideAppliesBothDirections) {
   EXPECT_DOUBLE_EQ(fabric->bandwidth(2, 1).bps(), 125e6);
   // The controller pair is untouched.
   EXPECT_DOUBLE_EQ(fabric->bandwidth(0, 1).bps(), 500e6);
+}
+
+TEST_F(FabricFixture, ZeroOverrideIsRejected) {
+  fabric->set_link_override(1, 2, Bandwidth::mbit_per_sec(1000.0));
+  const std::vector<double> before = fabric->bandwidth_matrix();
+  EXPECT_THROW(fabric->set_link_override(1, 2, Bandwidth{}), InvalidArgument);
+  EXPECT_EQ(fabric->bandwidth_matrix(), before);
 }
 
 TEST_F(FabricFixture, TransferTiming) {
@@ -105,38 +110,6 @@ TEST(FabricConstruction, PaperBandwidths) {
   // 4000 Mbit/s == 500 MB/s; 8000 Mbit/s == 1 GB/s (decimal convention).
   EXPECT_DOUBLE_EQ(Bandwidth::mbit_per_sec(4000.0).bps(), 500e6);
   EXPECT_DOUBLE_EQ(Bandwidth::mbit_per_sec(8000.0).bps(), 1000e6);
-}
-
-// ---------------------------------------------------------------------------
-// Zero-bandwidth links
-// ---------------------------------------------------------------------------
-
-struct ControlLaneFixture : ::testing::Test {
-  ControlLaneFixture() {
-    std::vector<NicSpec> nics;
-    nics.push_back(NicSpec{"ctl", Bandwidth::mbit_per_sec(8000.0), SimTime::from_us(50.0)});
-    nics.push_back(NicSpec{"w0", Bandwidth::mbit_per_sec(4000.0), SimTime::from_us(50.0)});
-    fabric = std::make_unique<NetworkFabric>(sim, std::move(nics));
-  }
-
-  sim::Simulator sim;
-  std::unique_ptr<NetworkFabric> fabric;
-};
-
-TEST_F(ControlLaneFixture, CeBundleOnZeroBandwidthLinkFailsLoudly) {
-  fabric->set_link_override(0, 1, Bandwidth{});  // link down
-  std::optional<SimTime> delivered;
-  EXPECT_THROW(fabric->send_command(0, 1, 256, [&] { delivered = sim.now(); },
-                                    /*ce_bundle=*/true),
-               InternalError);
-  sim.run();
-  EXPECT_FALSE(delivered.has_value());
-  EXPECT_EQ(fabric->control_sends(), 0u);
-}
-
-TEST_F(ControlLaneFixture, BulkTransferOnDownedLinkFailsLoudly) {
-  fabric->set_link_override(0, 1, Bandwidth{});
-  EXPECT_THROW((void)fabric->transfer(0, 1, 1_MiB, "doomed"), InternalError);
 }
 
 }  // namespace

@@ -559,6 +559,8 @@ core::GroutConfig small_grout_cfg() {
   return cfg;
 }
 
+// Two independent launches, a host read-back, then a second launch on the
+// same array: it must see the first launch's output on either backend.
 TEST(ContextTest, SameProgramRunsOnBothBackends) {
   for (int backend = 0; backend < 2; ++backend) {
     Context ctx = backend == 0 ? small_grcuda() : Context::grout(small_grout_cfg());
@@ -567,10 +569,25 @@ TEST(ContextTest, SameProgramRunsOnBothBackends) {
     Value build = ctx.eval("buildkernel");
     Value square = build(Value(kSquare), Value("square(x: inout pointer float, n: sint32)"));
     Value x = ctx.eval("float[64]");
+    Value y = ctx.eval("float[64]");
     x.as_array()->init([](std::size_t i) { return static_cast<double>(i); });
+    y.as_array()->init([](std::size_t i) { return static_cast<double>(i + 100); });
     square(Value(1), Value(64))(x, Value(64));
+    square(Value(1), Value(64))(y, Value(64));
     EXPECT_TRUE(ctx.synchronize());
     EXPECT_DOUBLE_EQ(x.as_array()->get(7), 49.0);
+    EXPECT_DOUBLE_EQ(y.as_array()->get(2), 10404.0);
+    if (backend == 1) {
+      // The default vector-step policy puts one CE on each worker.
+      const auto& assignments =
+          dynamic_cast<GroutBackend&>(ctx.backend()).grout().metrics().assignments;
+      EXPECT_EQ(assignments[0], 1u);
+      EXPECT_EQ(assignments[1], 1u);
+    }
+
+    square(Value(1), Value(64))(x, Value(64));
+    EXPECT_TRUE(ctx.synchronize());
+    EXPECT_DOUBLE_EQ(x.as_array()->get(7), 2401.0);
   }
 }
 

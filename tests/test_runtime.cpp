@@ -96,22 +96,6 @@ TEST_F(RuntimeFixture, HostAccessWaitsForWriter) {
   EXPECT_TRUE(node->uvm().page_resident(a, 0, uvm::kHostDevice));
 }
 
-TEST_F(RuntimeFixture, HostAccessExtraDurationCharged) {
-  const uvm::ArrayId a = alloc_populated(2_MiB);
-  const Submission s =
-      rt->submit_host_access(a, uvm::AccessMode::Write, SimTime::from_ms(5.0));
-  sim.run();
-  EXPECT_GE(s.done->when(), SimTime::from_ms(5.0));
-}
-
-TEST_F(RuntimeFixture, FenceWaitsForAccessSet) {
-  const uvm::ArrayId a = alloc_populated(2_MiB);
-  const Submission w = rt->submit_kernel(kernel(a, uvm::AccessMode::Write));
-  const Submission fence = rt->submit_fence({dag::AccessSummary{a, false}});
-  sim.run();
-  EXPECT_EQ(fence.done->when(), w.done->when());
-}
-
 TEST_F(RuntimeFixture, AdoptWaitsForExternalAndLocal) {
   const uvm::ArrayId a = alloc_populated(2_MiB);
   const Submission reader = rt->submit_kernel(kernel(a, uvm::AccessMode::Read));
@@ -267,19 +251,6 @@ gpusim::KernelLaunchSpec kernel(std::string name,
   return spec;
 }
 
-TEST(DegradedLinkTest, HostFetchRefusesUnreachableSoleSource) {
-  GroutRuntime rt(two_worker_config());
-  const GlobalArrayId in = rt.alloc(1_MiB, "in");
-  const GlobalArrayId a = rt.alloc(1_MiB, "a");
-  rt.host_init(in);
-  rt.launch(kernel("writer", {{in, uvm::AccessMode::Read}, {a, uvm::AccessMode::Write}}));
-  ASSERT_TRUE(rt.synchronize());
-  // Sole holder is worker 0; cut its route to the controller.
-  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
-                                          cluster::Cluster::worker_fabric_id(0), Bandwidth{});
-  EXPECT_THROW((void)rt.host_fetch(a), InternalError);
-}
-
 TEST(DegradedLinkTest, HostFetchPicksTheReachableHolder) {
   GroutRuntime rt(two_worker_config());
   const GlobalArrayId in = rt.alloc(1_MiB, "in");
@@ -288,25 +259,19 @@ TEST(DegradedLinkTest, HostFetchPicksTheReachableHolder) {
   rt.launch(kernel("writer", {{in, uvm::AccessMode::Read}, {a, uvm::AccessMode::Write}}));
   rt.launch(kernel("reader", {{a, uvm::AccessMode::Read}}));  // copies a to worker 1
   ASSERT_TRUE(rt.synchronize());
+  ASSERT_TRUE(rt.directory().up_to_date_on_worker(a, 0));
   ASSERT_TRUE(rt.directory().up_to_date_on_worker(a, 1));
-  // Worker 0's controller route is down, worker 1's is fine: the fetch must
-  // route around the dead link instead of defaulting to the first source.
-  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
-                                          cluster::Cluster::worker_fabric_id(0), Bandwidth{});
+  // Worker 0's controller route is slow, worker 1's is fine: the fetch must
+  // take the faster source instead of defaulting to the first one.
+  net::NetworkFabric& fabric = rt.cluster().fabric();
+  fabric.set_link_override(cluster::Cluster::controller_id(),
+                           cluster::Cluster::worker_fabric_id(0), Bandwidth::mbit_per_sec(1.0));
+  const Bytes sent0 = fabric.bytes_sent_by(cluster::Cluster::worker_fabric_id(0));
+  const Bytes sent1 = fabric.bytes_sent_by(cluster::Cluster::worker_fabric_id(1));
   EXPECT_TRUE(rt.host_fetch(a));
   EXPECT_TRUE(rt.directory().up_to_date_on_controller(a));
-}
-
-TEST(DegradedLinkTest, PlanMovementFailsLoudlyWhenAllRoutesAreDown) {
-  GroutRuntime rt(two_worker_config());
-  const GlobalArrayId a = rt.alloc(1_MiB, "a");
-  rt.host_init(a);
-  // Controller holds the only copy, but its links to both workers are down.
-  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
-                                          cluster::Cluster::worker_fabric_id(0), Bandwidth{});
-  rt.cluster().fabric().set_link_override(cluster::Cluster::controller_id(),
-                                          cluster::Cluster::worker_fabric_id(1), Bandwidth{});
-  EXPECT_THROW((void)rt.launch(kernel("k", {{a, uvm::AccessMode::Read}})), InternalError);
+  EXPECT_EQ(fabric.bytes_sent_by(cluster::Cluster::worker_fabric_id(0)), sent0);
+  EXPECT_EQ(fabric.bytes_sent_by(cluster::Cluster::worker_fabric_id(1)), sent1 + 1_MiB);
 }
 
 TEST(HostFetchCapTest, ReportsOutOfTimeInsteadOfSpinning) {

@@ -3,17 +3,21 @@
 //   grout_cli run    --workload mv --size-gib 96 --backend grout --workers 2
 //   grout_cli sweep  --workload cg --sizes 4,8,16,32,64,96
 //   grout_cli policies --workload mle --size-gib 96
+//   grout_cli serve  --workload bs --tenants 4 --arrival poisson:2
+//   grout_cli dag    --workload mle --partitions 2
 //   grout_cli info
 //
 // `run` executes one workload and reports timing, UVM pressure and
-// scheduler metrics; `sweep` produces Fig-6-style slowdown tables; and
-// `policies` compares every inter-node policy at one size. Optional
-// --trace writes a chrome://tracing JSON of the distributed execution.
+// scheduler metrics; `sweep` produces Fig-6-style slowdown tables;
+// `policies` compares every inter-node policy at one size; `serve` runs
+// the multi-tenant frontend; and `dag` prints the Global DAG as Graphviz
+// DOT. Optional --trace writes a chrome://tracing JSON of the distributed
+// execution. The paper's Listing 1/2 programming surface is the C++
+// polyglot::Context (see examples/quickstart.cpp), not this CLI.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,7 +26,6 @@
 
 #include "common/strings.hpp"
 #include "report/table.hpp"
-#include "script/script.hpp"
 #include "serve/serve.hpp"
 #include "workloads/workloads.hpp"
 
@@ -36,7 +39,6 @@ using namespace grout;
 
 struct Options {
   std::string command;
-  std::string script_path;
   workloads::WorkloadKind workload = workloads::WorkloadKind::Mv;
   double size_gib = 32.0;
   std::vector<double> sizes = {4, 8, 16, 32, 64, 96, 128, 160};
@@ -64,7 +66,7 @@ struct Options {
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr, "error: %s\n\n", why);
   std::fprintf(stderr,
-               "usage: grout_cli <script FILE|run|sweep|policies|serve|dag|info> [options]\n"
+               "usage: grout_cli <run|sweep|policies|serve|dag|info> [options]\n"
                "  --workload bs|mle|cg|mv|irr     (default mv)\n"
                "  --size-gib <float>              (run/policies; default 32)\n"
                "  --sizes a,b,c                   (sweep; GiB list)\n"
@@ -185,13 +187,7 @@ Options parse_args(int argc, char** argv) {
   if (argc < 2) usage("missing command");
   Options opt;
   opt.command = argv[1];
-  int first_flag = 2;
-  if (opt.command == "script") {
-    if (argc < 3) usage("script needs a file argument");
-    opt.script_path = argv[2];
-    first_flag = 3;
-  }
-  for (int i = first_flag; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage(("missing value for " + flag).c_str());
@@ -601,27 +597,6 @@ int cmd_dag(const Options& opt) {
   return 0;
 }
 
-/// Run a GrScript program (the paper's guest-language surface). The target
-/// backend is taken from the language id inside the script: a program
-/// calling polyglot.eval(GrCUDA, ...) runs single-node, GrOUT distributed —
-/// the Listing 2 one-line migration, end to end.
-int cmd_script(const Options& opt) {
-  std::ifstream in(opt.script_path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", opt.script_path.c_str());
-    return 1;
-  }
-  std::string source((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const bool grcuda = source.find("polyglot.eval(GrCUDA") != std::string::npos;
-  polyglot::Context ctx = make_context(opt, grcuda ? "grcuda" : "grout");
-  std::fprintf(stderr, "# running %s on the %s backend\n", opt.script_path.c_str(),
-               grcuda ? "GrCUDA (single node)" : "GrOUT (distributed)");
-  script::run_script(ctx, source, std::cout);
-  ctx.synchronize();
-  std::fprintf(stderr, "# simulated time: %s\n", format_time(ctx.now()).c_str());
-  return 0;
-}
-
 int cmd_info() {
   const gpusim::DeviceSpec spec = gpusim::v100();
   const uvm::UvmTuning tuning;
@@ -649,7 +624,6 @@ int main(int argc, char** argv) {
     if (opt.command == "policies") return cmd_policies(opt);
     if (opt.command == "serve") return cmd_serve(opt);
     if (opt.command == "dag") return cmd_dag(opt);
-    if (opt.command == "script") return cmd_script(opt);
     if (opt.command == "info") return cmd_info();
     usage(("unknown command: " + opt.command).c_str());
   } catch (const grout::Error& e) {
