@@ -139,7 +139,8 @@ void bench_min_time(benchmark::State& s) {
 }
 
 /// Same measured path, but through the pre-fast-path oracle policy (the
-/// original per-candidate-worker loop probing the override map per pair).
+/// original per-candidate-worker loop with a checked bandwidth() probe per
+/// (holder, worker) pair).
 /// The fast-path speedup is bench_min_*_prepr / bench_min_* at equal node
 /// counts, measured in one build.
 void run_oracle_policy_bench(benchmark::State& state, bool by_time) {

@@ -104,13 +104,4 @@ class SampleSet {
   bool sorted_{true};
 };
 
-/// Arithmetic mean of a container (the paper averages runs arithmetically).
-template <typename Container>
-double arithmetic_mean(const Container& xs) {
-  GROUT_REQUIRE(!xs.empty(), "mean of empty container");
-  double sum = 0.0;
-  for (const double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 }  // namespace grout

@@ -1,8 +1,6 @@
 #include "common/strings.hpp"
 
 #include <cctype>
-#include <cstdarg>
-#include <cstdio>
 
 namespace grout {
 
@@ -23,26 +21,6 @@ std::vector<std::string_view> split(std::string_view s, char delim) {
       start = i + 1;
     }
   }
-  return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-std::string strprintf(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
-  std::string out;
-  if (needed > 0) {
-    out.resize(static_cast<std::size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
-  }
-  va_end(args_copy);
   return out;
 }
 

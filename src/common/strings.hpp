@@ -13,10 +13,4 @@ std::string_view trim(std::string_view s);
 /// Split on a delimiter character; empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char delim);
 
-/// True if `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
-/// printf-style formatting into a std::string.
-std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
 }  // namespace grout

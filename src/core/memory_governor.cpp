@@ -197,15 +197,12 @@ void MemoryGovernor::evict_while(std::size_t w, std::span<const PlacementParam> 
 
 void MemoryGovernor::rank_victims(std::size_t w, std::span<const PlacementParam> keep,
                                   TenantId requester) const {
-  // One pass over the worker's contiguous replica table. The bandwidth
-  // matrix is read in place (entry [from * n + to]); the downlink of `w`
-  // is fixed for the whole scan.
+  // One pass over the worker's contiguous replica table. The downlink of
+  // `w` is fixed for the whole scan.
   const net::NetworkFabric& fabric = cluster_.fabric();
-  const double* bw = fabric.bandwidth_matrix().data();
-  const std::size_t n = fabric.node_count();
-  const std::size_t dst = cluster::Cluster::worker_fabric_id(w);
-  const std::size_t ctl = cluster::Cluster::controller_id();
-  const double downlink_bps = bw[ctl * n + dst];
+  const double downlink_bps =
+      fabric.bandwidth(cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w))
+          .bps();
 
   victims_.clear();
   for (const Replica& rep : replicas_[w].rows) {
@@ -231,17 +228,8 @@ void MemoryGovernor::rank_victims(std::size_t w, std::span<const PlacementParam>
     // replicas would be refetched regardless, so they cost nothing.
     double cost = 0.0;
     if (holder) {
-      double best_bps = 0.0;
-      if (sole) {
-        // A sole copy is spilled first, then refetched from the controller.
-        best_bps = downlink_bps;
-      } else {
-        if (holders.controller()) best_bps = downlink_bps;
-        holders.for_each_worker([&](std::size_t s) {
-          if (s == w) return;
-          best_bps = std::max(best_bps, bw[cluster::Cluster::worker_fabric_id(s) * n + dst]);
-        });
-      }
+      // A sole copy is spilled first, then refetched from the controller.
+      const double best_bps = sole ? downlink_bps : best_source_bps(holders, fabric, w);
       cost = static_cast<double>(rep.bytes) * (static_cast<double>(rep.bytes) / best_bps);
     }
     victims_.push_back(Victim{id, sole, cost, rep.last_use});

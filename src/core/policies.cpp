@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "net/topology.hpp"
-
 namespace grout::core {
 
 namespace {
@@ -23,6 +21,19 @@ std::size_t next_placement_rr(const PlacementQuery& q, std::size_t& cursor) {
   const std::size_t node = cursor;
   cursor = (cursor + 1) % q.workers;
   return node;
+}
+
+/// Estimated time to move the CE inputs worker `w` lacks, each from its
+/// best source, summed in param order.
+double transfer_seconds(const PlacementQuery& q, std::size_t w) {
+  double seconds = 0.0;
+  for (const PlacementParam& p : *q.params) {
+    if (!p.needs_data) continue;
+    const LocationSet& holders = q.directory->holders(p.array);
+    if (holders.worker(w)) continue;
+    seconds += static_cast<double>(p.bytes) / best_source_bps(holders, *q.fabric, w);
+  }
+  return seconds;
 }
 
 }  // namespace
@@ -133,9 +144,17 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
     GROUT_REQUIRE(q.fabric != nullptr, "min-transfer-time needs the bandwidth matrix");
   }
 
+  // One holder-side pass: the CE's input bytes, and how many of them each
+  // worker already holds — O(params x holders), so the viability test
+  // below is O(1) per worker.
   Bytes total_input = 0;
+  avail_bytes_.assign(q.workers, 0);
   for (const PlacementParam& p : *q.params) {
-    if (p.needs_data) total_input += p.bytes;
+    if (!p.needs_data) continue;
+    total_input += p.bytes;
+    q.directory->holders(p.array).for_each_worker([&](const std::size_t w) {
+      if (w < q.workers) avail_bytes_[w] += p.bytes;
+    });
   }
 
   // Pure-output CEs carry no locality signal: explore.
@@ -144,131 +163,24 @@ std::size_t MinTransferPolicy::assign(const PlacementQuery& q) {
     return next_placement_rr(q, rr_cursor_);
   }
 
-  // Per-CE precompute, hoisted out of the candidate-worker loop: each input
-  // param's holder set once, and (for min-transfer-time) its best-source
-  // bandwidth per destination worker — rows of the fabric's dense matrix
-  // max-combined over the holders. The candidate scan below is then
-  // O(workers x params) flat-array work instead of O(workers x params x
-  // holders) hash-probing allocations per worker.
-  input_params_.clear();
-  holder_sets_.clear();
-  for (const PlacementParam& p : *q.params) {
-    if (!p.needs_data) continue;
-    input_params_.push_back(&p);
-    holder_sets_.push_back(&q.directory->holders(p.array));
-  }
-  if (by_time_) {
-    const std::vector<double>& matrix = q.fabric->bandwidth_matrix();
-    const std::size_t nodes = q.fabric->node_count();
-    best_bps_.assign(input_params_.size() * q.workers, 0.0);
-    for (std::size_t pi = 0; pi < input_params_.size(); ++pi) {
-      const LocationSet& holders = *holder_sets_[pi];
-      double* row = best_bps_.data() + pi * q.workers;
-      if (holders.controller()) {
-        const double* src =
-            matrix.data() + static_cast<std::size_t>(net::controller_node_id()) * nodes;
-        for (std::size_t w = 0; w < q.workers; ++w) {
-          row[w] = src[static_cast<std::size_t>(net::worker_node_id(w))];
-        }
-      }
-      // Fabric ids come from net/topology.hpp — the one mapping the whole
-      // stack shares (Cluster::worker_fabric_id delegates to it too).
-      holders.for_each_worker([&](const std::size_t src) {
-        const double* srow =
-            matrix.data() + static_cast<std::size_t>(net::worker_node_id(src)) * nodes;
-        for (std::size_t w = 0; w < q.workers; ++w) {
-          row[w] = std::max(row[w], srow[static_cast<std::size_t>(net::worker_node_id(w))]);
-        }
-      });
-    }
-  } else {
-    // Size variant: accumulate each worker's already-resident input bytes
-    // holder-side — O(params x holders) — so the candidate scan below is
-    // O(1) per worker. The sums are integers, so `total_input - avail`
-    // below is bit-identical to summing the missing params' bytes in
-    // param order as the original implementation did.
-    avail_bytes_.assign(q.workers, 0);
-    for (std::size_t pi = 0; pi < input_params_.size(); ++pi) {
-      const Bytes bytes = input_params_[pi]->bytes;
-      holder_sets_[pi]->for_each_worker([&](const std::size_t w) {
-        if (w < q.workers) avail_bytes_[w] += bytes;
-      });
-    }
-  }
-
   std::size_t best_node = q.workers;  // sentinel: none viable yet
-  if (by_time_) {
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (std::size_t w = 0; w < q.workers; ++w) {
-      // Capacity admission: a worker whose post-placement footprint
-      // exceeds budget is not viable for exploitation (the fallback still
-      // reaches it when every node is over budget).
-      if (!placement_admissible(q, w)) continue;
-      Bytes available = 0;
-      double cost = 0.0;
-      for (std::size_t pi = 0; pi < input_params_.size(); ++pi) {
-        const PlacementParam& p = *input_params_[pi];
-        if (holder_sets_[pi]->worker(w)) {
-          available += p.bytes;
-          continue;
-        }
-        cost += static_cast<double>(p.bytes) / best_bps_[pi * q.workers + w];
-      }
-      // Exploration heuristic: only nodes already holding enough of the
-      // inputs are viable for exploitation.
-      const double avail_fraction =
-          static_cast<double>(available) / static_cast<double>(total_input);
-      if (avail_fraction + 1e-12 < threshold_) continue;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_node = w;
-      }
-    }
-  } else {
-    // The viability check `avail/total + 1e-12 < threshold` is monotone in
-    // the (integer) available bytes, so its cutover point can be found
-    // once per CE by binary search over the identical float expression —
-    // viability per worker is then one integer compare, bit-equivalent to
-    // evaluating the float check per worker. Likewise minimizing cost =
-    // double(total - avail) (exact: the sums stay far below 2^53) with
-    // first-minimum-wins equals maximizing avail with first-maximum-wins.
-    const auto viable = [&](Bytes avail) {
-      return !(static_cast<double>(avail) / static_cast<double>(total_input) + 1e-12 <
-               threshold_);
-    };
-    Bytes lo = 0;
-    Bytes hi = total_input;  // avail_fraction 1.0 is always viable
-    // The cutover sits within a couple of bytes of threshold x total (the
-    // float error of the expression is far below one byte), so try a
-    // +/-4-byte window first; when the window brackets the cutover the
-    // search needs ~3 probes instead of ~log2(total). The window test uses
-    // the exact predicate, so a miss just falls back to the full range.
-    const double guess = threshold_ * static_cast<double>(total_input);
-    if (guess > 8.0 && guess + 8.0 < static_cast<double>(total_input)) {
-      const Bytes g = static_cast<Bytes>(guess);
-      if (!viable(g - 4) && viable(g + 4)) {
-        lo = g - 3;
-        hi = g + 4;
-      }
-    }
-    while (lo < hi) {
-      const Bytes mid = lo + (hi - lo) / 2;
-      if (viable(mid)) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    const Bytes min_avail = lo;
-    Bytes best_avail = 0;
-    for (std::size_t w = 0; w < q.workers; ++w) {
-      if (!placement_admissible(q, w)) continue;
-      const Bytes available = avail_bytes_[w];
-      if (available < min_avail) continue;
-      if (best_node == q.workers || available > best_avail) {
-        best_avail = available;
-        best_node = w;
-      }
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (std::size_t w = 0; w < q.workers; ++w) {
+    // Exploration heuristic: only nodes already holding enough of the
+    // inputs are viable for exploitation.
+    const double avail_fraction =
+        static_cast<double>(avail_bytes_[w]) / static_cast<double>(total_input);
+    if (avail_fraction + 1e-12 < threshold_) continue;
+    // Capacity admission: a worker whose post-placement footprint exceeds
+    // budget is not viable for exploitation (the fallback still reaches it
+    // when every node is over budget).
+    if (!placement_admissible(q, w)) continue;
+    // Byte sums stay far below 2^53, so the size cost is exact.
+    const double cost = by_time_ ? transfer_seconds(q, w)
+                                 : static_cast<double>(total_input - avail_bytes_[w]);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_node = w;
     }
   }
 

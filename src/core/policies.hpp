@@ -14,6 +14,7 @@
 // the policy falls back to round-robin (exploration).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/units.hpp"
 #include "core/directory.hpp"
 #include "net/fabric.hpp"
+#include "net/topology.hpp"
 
 namespace grout::core {
 
@@ -75,6 +77,24 @@ struct PlacementQuery {
 /// governor evicts to make room.
 bool placement_admissible(const PlacementQuery& q, std::size_t w);
 
+/// Best bandwidth into worker `w` from an up-to-date copy: the highest
+/// entry of the fabric's bandwidth matrix into `w` from the controller, if
+/// it holds a copy, or from any worker holder. The diagonal entry is 0, so
+/// `w`'s own copy never counts. 0 when no other location holds a copy.
+inline double best_source_bps(const LocationSet& holders, const net::NetworkFabric& fabric,
+                              std::size_t w) {
+  const double* matrix = fabric.bandwidth_matrix().data();
+  const std::size_t n = fabric.node_count();
+  const auto into = [&](net::NodeId from) {
+    return matrix[static_cast<std::size_t>(from) * n +
+                  static_cast<std::size_t>(net::worker_node_id(w))];
+  };
+  double best = holders.controller() ? into(net::controller_node_id()) : 0.0;
+  holders.for_each_worker(
+      [&](const std::size_t s) { best = std::max(best, into(net::worker_node_id(s))); });
+  return best;
+}
+
 class InterNodePolicy {
  public:
   virtual ~InterNodePolicy() = default;
@@ -121,13 +141,8 @@ class MinTransferPolicy final : public InterNodePolicy {
   bool by_time_;
   double threshold_;
   std::size_t rr_cursor_{0};  ///< exploration fallback state
-  // Per-CE scratch reused across assign() calls (no steady-state
-  // allocation): input params, their holder sets, the best-source bps per
-  // (param, destination worker) for the time variant, and the per-worker
-  // resident input bytes for the size variant.
-  std::vector<const PlacementParam*> input_params_;
-  std::vector<const LocationSet*> holder_sets_;
-  std::vector<double> best_bps_;
+  /// Per-worker bytes of the CE's inputs already held there; scratch
+  /// reused across assign() calls.
   std::vector<Bytes> avail_bytes_;
 };
 

@@ -16,31 +16,6 @@ NetworkFabric::NetworkFabric(sim::Simulator& simulator, std::vector<NicSpec> nic
     n.nic = std::move(nic);
     nodes_.push_back(std::move(n));
   }
-}
-
-Bandwidth NetworkFabric::bandwidth(NodeId from, NodeId to) const {
-  node_ref(from);
-  node_ref(to);
-  GROUT_REQUIRE(from != to, "self transfer");
-  if (matrix_dirty_) rebuild_matrix();
-  return Bandwidth::bytes_per_sec(
-      bps_matrix_[static_cast<std::size_t>(from) * nodes_.size() +
-                  static_cast<std::size_t>(to)]);
-}
-
-Bandwidth NetworkFabric::bandwidth_uncached(NodeId from, NodeId to) const {
-  GROUT_REQUIRE(from != to, "self transfer");
-  const auto it = overrides_.find({std::min(from, to), std::max(from, to)});
-  if (it != overrides_.end()) return it->second;
-  return std::min(node_ref(from).nic.bw, node_ref(to).nic.bw);
-}
-
-const std::vector<double>& NetworkFabric::bandwidth_matrix() const {
-  if (matrix_dirty_) rebuild_matrix();
-  return bps_matrix_;
-}
-
-void NetworkFabric::rebuild_matrix() const {
   const std::size_t n = nodes_.size();
   bps_matrix_.assign(n * n, 0.0);
   for (std::size_t from = 0; from < n; ++from) {
@@ -49,13 +24,15 @@ void NetworkFabric::rebuild_matrix() const {
       bps_matrix_[from * n + to] = std::min(nodes_[from].nic.bw, nodes_[to].nic.bw).bps();
     }
   }
-  for (const auto& [pair, bw] : overrides_) {
-    const auto a = static_cast<std::size_t>(pair.first);
-    const auto b = static_cast<std::size_t>(pair.second);
-    bps_matrix_[a * n + b] = bw.bps();
-    bps_matrix_[b * n + a] = bw.bps();
-  }
-  matrix_dirty_ = false;
+}
+
+Bandwidth NetworkFabric::bandwidth(NodeId from, NodeId to) const {
+  node_ref(from);
+  node_ref(to);
+  GROUT_REQUIRE(from != to, "self transfer");
+  return Bandwidth::bytes_per_sec(
+      bps_matrix_[static_cast<std::size_t>(from) * nodes_.size() +
+                  static_cast<std::size_t>(to)]);
 }
 
 SimTime NetworkFabric::latency(NodeId from, NodeId to) const {
@@ -64,10 +41,13 @@ SimTime NetworkFabric::latency(NodeId from, NodeId to) const {
 
 void NetworkFabric::set_link_override(NodeId a, NodeId b, Bandwidth bw) {
   GROUT_REQUIRE(bw.valid(), "link override requires positive bandwidth");
+  GROUT_REQUIRE(a != b, "self link override");
   node_ref(a);
   node_ref(b);
-  overrides_[{std::min(a, b), std::max(a, b)}] = bw;
-  matrix_dirty_ = true;
+  const auto ia = static_cast<std::size_t>(a);
+  const auto ib = static_cast<std::size_t>(b);
+  bps_matrix_[ia * nodes_.size() + ib] = bw.bps();
+  bps_matrix_[ib * nodes_.size() + ia] = bw.bps();
 }
 
 gpusim::EventPtr NetworkFabric::transfer(NodeId from, NodeId to, Bytes size, std::string label,

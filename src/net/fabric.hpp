@@ -41,26 +41,19 @@ class NetworkFabric {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
   /// Effective bandwidth between two nodes (the interconnection matrix).
-  /// O(1): served from the dense matrix cache.
   [[nodiscard]] Bandwidth bandwidth(NodeId from, NodeId to) const;
 
-  /// Reference implementation of `bandwidth` probing the per-pair override
-  /// map directly (the pre-cache code path). Kept for the differential
-  /// suite and the scheduling-overhead benches; production callers use
-  /// `bandwidth`.
-  [[nodiscard]] Bandwidth bandwidth_uncached(NodeId from, NodeId to) const;
-
   /// Dense row-major bps matrix over all fabric nodes (entry [from *
-  /// node_count() + to]; diagonal entries are 0). Rebuilt lazily after
-  /// `set_link_override` invalidates it. The min-transfer-time
-  /// policy reads rows of this directly instead of probing per pair.
-  [[nodiscard]] const std::vector<double>& bandwidth_matrix() const;
+  /// node_count() + to]; diagonal entries are 0). The placement policies
+  /// and the memory governor read it in place instead of probing per pair.
+  [[nodiscard]] const std::vector<double>& bandwidth_matrix() const { return bps_matrix_; }
 
   /// One-way latency between two nodes.
   [[nodiscard]] SimTime latency(NodeId from, NodeId to) const;
 
-  /// Install a per-pair bandwidth override (both directions). The
-  /// bandwidth must be positive: a link is never down.
+  /// Override one pair's bandwidth (both directions). The bandwidth must
+  /// be positive (a link is never down) and the pair distinct, so the
+  /// matrix diagonal stays 0.
   void set_link_override(NodeId a, NodeId b, Bandwidth bw);
 
   /// Start a transfer when `ready` completes (nullptr = immediately);
@@ -101,18 +94,15 @@ class NetworkFabric {
 
   void start_transfer(NodeId from, NodeId to, Bytes size, const std::string& label,
                       const gpusim::EventPtr& done, SimTime min_deliver_delay);
-  void rebuild_matrix() const;
   const Node& node_ref(NodeId id) const;
   Node& node_ref(NodeId id);
 
   sim::Simulator& sim_;
   sim::Tracer* tracer_;
   std::vector<Node> nodes_;
-  std::map<std::pair<NodeId, NodeId>, Bandwidth> overrides_;
-  /// Dense bps cache over (from, to); invalidated by set_link_override,
-  /// rebuilt on the next query (`mutable`: queries are const).
-  mutable std::vector<double> bps_matrix_;
-  mutable bool matrix_dirty_{true};
+  /// Dense bps over (from, to): min of the endpoints' NICs unless a link
+  /// override replaced the pair.
+  std::vector<double> bps_matrix_;
   /// Last delivery time per command lane: the next command on the lane
   /// never lands before it.
   std::map<std::pair<NodeId, NodeId>, SimTime> lane_last_delivery_;

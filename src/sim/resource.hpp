@@ -31,9 +31,7 @@ class Resource {
                           Simulator::Callback on_done = nullptr) {
     const SimTime start = busy_until_ > sim_.now() ? busy_until_ : sim_.now();
     busy_until_ = start + duration;
-    busy_time_ += duration;
     bytes_moved_ += accounted_bytes;
-    ++requests_;
     if (on_done) sim_.schedule_at(busy_until_, std::move(on_done));
     return busy_until_;
   }
@@ -45,8 +43,6 @@ class Resource {
 
   [[nodiscard]] SimTime busy_until() const { return busy_until_; }
   [[nodiscard]] Bytes bytes_moved() const { return bytes_moved_; }
-  [[nodiscard]] SimTime busy_time() const { return busy_time_; }
-  [[nodiscard]] std::uint64_t requests() const { return requests_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Bandwidth bandwidth() const { return bandwidth_; }
   [[nodiscard]] SimTime latency() const { return latency_; }
@@ -57,9 +53,7 @@ class Resource {
   Bandwidth bandwidth_;
   SimTime latency_;
   SimTime busy_until_{SimTime::zero()};
-  SimTime busy_time_{SimTime::zero()};
   Bytes bytes_moved_{0};
-  std::uint64_t requests_{0};
 };
 
 }  // namespace grout::sim

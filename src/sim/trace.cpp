@@ -90,14 +90,6 @@ void Tracer::clear() {
   sorted_ = true;
 }
 
-std::map<TraceCategory, SimTime> Tracer::totals_by_category() const {
-  std::map<TraceCategory, SimTime> totals;
-  for (const auto& s : spans()) {
-    totals[s.category] += s.end - s.begin;
-  }
-  return totals;
-}
-
 std::string Tracer::to_chrome_json() const {
   std::ostringstream os;
   os << "[";

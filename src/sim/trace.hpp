@@ -1,8 +1,8 @@
 // Execution tracing for the simulated system.
 //
 // Every interesting span (kernel, migration, network transfer, scheduling
-// decision) can be recorded; benches aggregate per-category totals and tests
-// assert on ordering properties.
+// decision) can be recorded; tests assert on ordering properties and
+// `to_chrome_json` exports the timeline.
 //
 // `spans()` presents a *canonical* order: spans sorted by full content
 // (begin, end, category, name, location, tenant), so the presented vector
@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -57,9 +56,6 @@ class Tracer {
   /// next record/clear).
   [[nodiscard]] const std::vector<TraceSpan>& spans() const;
   void clear();
-
-  /// Total busy time per category (spans may overlap; this is a plain sum).
-  [[nodiscard]] std::map<TraceCategory, SimTime> totals_by_category() const;
 
   /// Serialize to Chrome trace-event JSON (load in chrome://tracing).
   [[nodiscard]] std::string to_chrome_json() const;

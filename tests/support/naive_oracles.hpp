@@ -8,9 +8,10 @@
 //                            transitive ancestor set as a bit set, so one
 //                            ancestor test is a bit lookup.
 //   OracleMinTransferPolicy — MinTransferPolicy::assign with the original
-//                            O(workers x params x holders) inner loop and
-//                            per-pair bandwidth probes through the override
-//                            map (NetworkFabric::bandwidth_uncached).
+//                            O(workers x params x holders) inner loop: a
+//                            per-param holder lookup, the byte and cost sums
+//                            in param order, and a checked bandwidth()
+//                            probe per (holder, worker) pair.
 //   NaiveGovernor          — MemoryGovernor's replica accounting with the
 //                            original victim scan: a node-based map per
 //                            worker, a per-CE `needed` hash set, a
@@ -178,11 +179,11 @@ class OracleMinTransferPolicy {
           const net::NodeId dst = net::worker_node_id(w);
           double best_bps = 0.0;
           if (holders.controller()) {
-            best_bps = q.fabric->bandwidth_uncached(net::controller_node_id(), dst).bps();
+            best_bps = q.fabric->bandwidth(net::controller_node_id(), dst).bps();
           }
           for (const std::size_t src : holders.worker_holders()) {
             best_bps = std::max(
-                best_bps, q.fabric->bandwidth_uncached(net::worker_node_id(src), dst).bps());
+                best_bps, q.fabric->bandwidth(net::worker_node_id(src), dst).bps());
           }
           cost += static_cast<double>(p.bytes) / best_bps;
         } else {

@@ -333,13 +333,6 @@ TEST(ZipfTest, RejectsBadParameters) {
   EXPECT_THROW(ZipfGenerator(8, -0.1), InvalidArgument);
 }
 
-TEST(StatsTest, ArithmeticMean) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(arithmetic_mean(xs), 2.0);
-  const std::vector<double> empty;
-  EXPECT_THROW((void)arithmetic_mean(empty), InvalidArgument);
-}
-
 // ---------------------------------------------------------------------------
 // strings
 // ---------------------------------------------------------------------------
@@ -365,17 +358,6 @@ TEST(StringsTest, SplitSingle) {
   const auto parts = split("abc", ',');
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], "abc");
-}
-
-TEST(StringsTest, StartsWith) {
-  EXPECT_TRUE(starts_with("hello world", "hello"));
-  EXPECT_FALSE(starts_with("hello", "hello world"));
-  EXPECT_TRUE(starts_with("abc", ""));
-}
-
-TEST(StringsTest, Strprintf) {
-  EXPECT_EQ(strprintf("%d-%s", 42, "x"), "42-x");
-  EXPECT_EQ(strprintf("%.2f", 1.5), "1.50");
 }
 
 }  // namespace

@@ -42,6 +42,9 @@ TEST_F(FabricFixture, ZeroOverrideIsRejected) {
   fabric->set_link_override(1, 2, Bandwidth::mbit_per_sec(1000.0));
   const std::vector<double> before = fabric->bandwidth_matrix();
   EXPECT_THROW(fabric->set_link_override(1, 2, Bandwidth{}), InvalidArgument);
+  // A self override would write the diagonal, which must stay 0.
+  EXPECT_THROW(fabric->set_link_override(1, 1, Bandwidth::mbit_per_sec(1000.0)),
+               InvalidArgument);
   EXPECT_EQ(fabric->bandwidth_matrix(), before);
 }
 

@@ -14,14 +14,17 @@
 // DOT. Optional --trace writes a chrome://tracing JSON of the distributed
 // execution. The paper's Listing 1/2 programming surface is the C++
 // polyglot::Context (see examples/quickstart.cpp), not this CLI.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -187,6 +190,12 @@ Options parse_args(int argc, char** argv) {
   if (argc < 2) usage("missing command");
   Options opt;
   opt.command = argv[1];
+  // Name a mistyped or removed command before its arguments can be taken
+  // for unknown flags.
+  const std::string_view commands[] = {"run", "sweep", "policies", "serve", "dag", "info"};
+  if (std::find(std::begin(commands), std::end(commands), opt.command) == std::end(commands)) {
+    usage(("unknown command: " + opt.command).c_str());
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto next = [&]() -> std::string {
@@ -624,8 +633,7 @@ int main(int argc, char** argv) {
     if (opt.command == "policies") return cmd_policies(opt);
     if (opt.command == "serve") return cmd_serve(opt);
     if (opt.command == "dag") return cmd_dag(opt);
-    if (opt.command == "info") return cmd_info();
-    usage(("unknown command: " + opt.command).c_str());
+    return cmd_info();  // parse_args admits no other command
   } catch (const grout::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
