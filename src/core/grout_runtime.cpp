@@ -52,8 +52,10 @@ void GroutRuntime::host_init(GlobalArrayId array) {
   // Controller-side writes touch only controller memory; the directory
   // update invalidates every worker copy for future CEs. Worker-side CEs
   // already scheduled keep their own (consistent) snapshots.
-  global_dag_.add("host-init:" + directory_.name_of(array),
-                  {dag::AccessSummary{array, true}});
+  label_.assign("host-init:");
+  label_ += directory_.name_of(array);
+  accesses_.assign(1, dag::AccessSummary{array, true});
+  global_dag_.add(label_, accesses_);
   directory_.written_on_controller(array);
   // The host write supersedes any spilled copy: its bytes are free.
   governor_->release_spilled(array);
@@ -82,12 +84,11 @@ void GroutRuntime::advise(GlobalArrayId array, uvm::Advise advise) {
 
 CeTicket GroutRuntime::launch(gpusim::KernelLaunchSpec spec) {
   // Global DAG insertion (frontier scan + redundant-edge filtering).
-  std::vector<dag::AccessSummary> accesses;
-  accesses.reserve(spec.params.size());
+  accesses_.clear();
   for (const auto& p : spec.params) {
-    accesses.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
+    accesses_.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
   }
-  const dag::VertexId v = global_dag_.add(spec.name, std::move(accesses));
+  const dag::VertexId v = global_dag_.add(spec.name, accesses_);
   return dispatch(v, std::move(spec));
 }
 

@@ -136,6 +136,10 @@ class GroutRuntime {
   CoherenceDirectory directory_;
   std::unique_ptr<MemoryGovernor> governor_;
   dag::DependencyDag global_dag_;
+  /// Global-DAG insert scratch, reused across inserts (the DAG copies
+  /// both into its pools).
+  std::string label_;
+  std::vector<dag::AccessSummary> accesses_;
   std::unique_ptr<InterNodePolicy> policy_;
   SchedulerMetrics metrics_;
   /// CE wire buffer reused across dispatches (encode_ce resets it).

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 namespace grout::dag {
 
-VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> accesses) {
-  const VertexId v = vertices_.size();
+VertexId DependencyDag::add(std::string_view label, const std::vector<AccessSummary>& accesses) {
+  const VertexId v = size();
 
   // Grow the table over every accessed id first: the loops below hold
   // references into it, which a resize would invalidate.
@@ -49,10 +50,17 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
   }
 
   ancestor_pool_.insert(ancestor_pool_.end(), kept_.begin(), kept_.end());
-  ancestor_begin_.push_back(ancestor_pool_.size());
+  access_pool_.insert(access_pool_.end(), accesses.begin(), accesses.end());
+  label_pool_.append(label);
+  constexpr std::size_t kMaxOffset = std::numeric_limits<std::uint32_t>::max();
+  GROUT_CHECK(ancestor_pool_.size() <= kMaxOffset && access_pool_.size() <= kMaxOffset &&
+                  label_pool_.size() <= kMaxOffset,
+              "DAG pool outgrew its 32-bit offsets");
+  runs_.push_back(Runs{static_cast<std::uint32_t>(ancestor_pool_.size()),
+                       static_cast<std::uint32_t>(access_pool_.size()),
+                       static_cast<std::uint32_t>(label_pool_.size())});
   visited_epoch_.push_back(0);
   if (v % 64 == 0) pending_.push_back(0);
-  edges_ += kept_.size();
 
   // Update the frontier state.
   for (const AccessSummary& a : accesses) {
@@ -68,18 +76,14 @@ VertexId DependencyDag::add(std::string label, std::vector<AccessSummary> access
         // WAR edge to them would be filtered as redundant anyway, so the
         // final edge set is unchanged. Keeps the list proportional to the
         // array's *concurrent* reader width instead of its full history.
-        filter_redundant(track.readers_since_write, {}, v + 1, reach_scratch_, kept_);
+        ReachBits reach_union{};  // filled by filter_redundant, then unused
+        filter_redundant(track.readers_since_write, {}, v + 1, reach_union, kept_);
         track.readers_since_write.assign(kept_.begin(), kept_.end());
         track.reader_compact_at =
             std::max(kReaderCompactMin, 2 * track.readers_since_write.size());
       }
     }
   }
-
-  Vertex vertex;
-  vertex.label = std::move(label);
-  vertex.accesses = std::move(accesses);
-  vertices_.push_back(std::move(vertex));
   return v;
 }
 
@@ -95,7 +99,7 @@ std::vector<VertexId> DependencyDag::frontier() const {
 }
 
 bool DependencyDag::is_ancestor(VertexId ancestor, VertexId v) const {
-  GROUT_REQUIRE(ancestor < vertices_.size() && v < vertices_.size(), "unknown vertex");
+  GROUT_REQUIRE(ancestor < size() && v < size(), "unknown vertex");
   if (ancestor >= v) return false;  // edges only point forward in insertion order
   // DFS along direct ancestors over the epoch-stamped scratch: no per-call
   // allocation, and vertex ids are insertion-ordered so the search space is
@@ -118,7 +122,7 @@ bool DependencyDag::is_ancestor(VertexId ancestor, VertexId v) const {
 }
 
 bool DependencyDag::edges_respect_insertion_order() const {
-  for (VertexId v = 0; v < vertices_.size(); ++v) {
+  for (VertexId v = 0; v < size(); ++v) {
     for (const VertexId a : packed_ancestors(v)) {
       if (a >= v) return false;
     }
@@ -130,7 +134,7 @@ namespace {
 
 /// Append `text` to a double-quoted DOT string, escaping the characters
 /// that would end the string or start an escape sequence.
-void append_dot_escaped(std::string& dot, const std::string& text) {
+void append_dot_escaped(std::string& dot, std::string_view text) {
   for (const char c : text) {
     if (c == '"' || c == '\\') dot += '\\';
     dot += c;
@@ -142,9 +146,9 @@ void append_dot_escaped(std::string& dot, const std::string& text) {
 std::string DependencyDag::to_dot(
     const std::function<std::string(VertexId)>& node_annotation) const {
   std::string dot = "digraph ces {\n  rankdir=TB;\n  node [shape=circle, fontsize=10];\n";
-  for (VertexId v = 0; v < vertices_.size(); ++v) {
+  for (VertexId v = 0; v < size(); ++v) {
     dot += "  n" + std::to_string(v) + " [label=\"";
-    append_dot_escaped(dot, vertices_[v].label);
+    append_dot_escaped(dot, packed_label(v));
     if (node_annotation) {
       const std::string extra = node_annotation(v);
       if (!extra.empty()) {
@@ -154,7 +158,7 @@ std::string DependencyDag::to_dot(
     }
     dot += "\"];\n";
   }
-  for (VertexId v = 0; v < vertices_.size(); ++v) {
+  for (VertexId v = 0; v < size(); ++v) {
     for (const VertexId a : packed_ancestors(v)) {
       dot += "  n" + std::to_string(a) + " -> n" + std::to_string(v) + ";\n";
     }

@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -33,13 +34,16 @@ struct AccessSummary {
 
 class DependencyDag {
  public:
+  /// A copy of one inserted CE: what vertex() hands out. The DAG itself
+  /// keeps no object per vertex, only runs of shared pools.
   struct Vertex {
     std::string label;
     std::vector<AccessSummary> accesses;
   };
 
-  /// Insert a CE; computes and returns its filtered direct ancestors.
-  VertexId add(std::string label, std::vector<AccessSummary> accesses);
+  /// Insert a CE (its label and accesses are copied into the pools);
+  /// computes and returns its filtered direct ancestors.
+  VertexId add(std::string_view label, const std::vector<AccessSummary>& accesses);
 
   /// Drop `array`'s frontier state (its last writer and readers). Only for
   /// an array no later CE will name: a Worker forgets a local allocation it
@@ -49,18 +53,20 @@ class DependencyDag {
     if (array < per_array_.size()) per_array_[array] = ArrayTrack{};
   }
 
-  [[nodiscard]] const Vertex& vertex(VertexId v) const {
-    GROUT_REQUIRE(v < vertices_.size(), "unknown vertex");
-    return vertices_[v];
+  /// Vertex `v`'s label and accesses, copied out of the pools.
+  [[nodiscard]] Vertex vertex(VertexId v) const {
+    GROUT_REQUIRE(v < size(), "unknown vertex");
+    const std::span<const AccessSummary> accesses = packed_accesses(v);
+    return Vertex{std::string{packed_label(v)}, {accesses.begin(), accesses.end()}};
   }
-  [[nodiscard]] std::size_t size() const { return vertices_.size(); }
-  [[nodiscard]] std::size_t edge_count() const { return edges_; }
+  [[nodiscard]] std::size_t size() const { return runs_.size(); }
+  [[nodiscard]] std::size_t edge_count() const { return ancestor_pool_.size(); }
 
   /// The filtered direct ancestors computed for vertex `v` at insertion
   /// time, ascending. A view into the packed pool: the next add() may
   /// invalidate it.
   [[nodiscard]] std::span<const VertexId> ancestors(VertexId v) const {
-    GROUT_REQUIRE(v < vertices_.size(), "unknown vertex");
+    GROUT_REQUIRE(v < size(), "unknown vertex");
     return packed_ancestors(v);
   }
 
@@ -98,10 +104,28 @@ class DependencyDag {
   static constexpr std::size_t kReachWindow = 1024;
   using ReachBits = std::array<std::uint64_t, kReachWindow / 64>;
 
-  /// Vertex `v`'s run of ancestor_pool_.
+  /// Offsets into ancestor_pool_, access_pool_ and label_pool_. runs_[v]
+  /// holds where vertex v's runs end; runs_begin(v), where they begin.
+  struct Runs {
+    std::uint32_t ancestors{0};
+    std::uint32_t accesses{0};
+    std::uint32_t label{0};
+  };
+  [[nodiscard]] const Runs& runs_begin(VertexId v) const {
+    static constexpr Runs kFirst{};
+    return v == 0 ? kFirst : runs_[v - 1];
+  }
   [[nodiscard]] std::span<const VertexId> packed_ancestors(VertexId v) const {
-    return {ancestor_pool_.data() + ancestor_begin_[v],
-            ancestor_begin_[v + 1] - ancestor_begin_[v]};
+    const std::uint32_t begin = runs_begin(v).ancestors;
+    return {ancestor_pool_.data() + begin, runs_[v].ancestors - begin};
+  }
+  [[nodiscard]] std::span<const AccessSummary> packed_accesses(VertexId v) const {
+    const std::uint32_t begin = runs_begin(v).accesses;
+    return {access_pool_.data() + begin, runs_[v].accesses - begin};
+  }
+  [[nodiscard]] std::string_view packed_label(VertexId v) const {
+    const std::uint32_t begin = runs_begin(v).label;
+    return std::string_view{label_pool_}.substr(begin, runs_[v].label - begin);
   }
 
   /// A candidate that is the last writer W of an array X the new CE
@@ -141,17 +165,15 @@ class DependencyDag {
 
   /// True if `v` accesses `array`.
   [[nodiscard]] bool touches(VertexId v, uvm::ArrayId array) const {
-    const std::vector<AccessSummary>& accesses = vertices_[v].accesses;
+    const std::span<const AccessSummary> accesses = packed_accesses(v);
     return std::any_of(accesses.begin(), accesses.end(),
                        [&](const AccessSummary& a) { return a.array == array; });
   }
 
-  std::vector<Vertex> vertices_;
   /// Frontier state indexed by array id. Ids are handed out densely (the
   /// controller's GlobalArrayId, a UvmSpace's local id), so the table is
   /// as long as the highest id any CE named; an untouched slot is empty.
   std::vector<ArrayTrack> per_array_;
-  std::size_t edges_{0};
 
   // Epoch-stamped scratch reused by is_ancestor/filter_redundant. Bumping
   // the epoch invalidates all marks at once, so queries never clear or
@@ -163,17 +185,23 @@ class DependencyDag {
   mutable std::vector<std::uint64_t> pending_;
   mutable std::uint64_t epoch_{0};
 
-  // Every vertex's ancestors, packed back to back in insertion order
-  // (vertex v's run is [ancestor_begin_[v], ancestor_begin_[v + 1])). One
-  // pool rather than a vector per vertex: a heap block per vertex would
-  // scatter the reachability walks over memory, and their cost would then
-  // depend on how other allocations interleaved with the inserts.
-  std::vector<std::size_t> ancestor_begin_{0};
+  // Every vertex's ancestors, accesses and label, each packed back to back
+  // in insertion order: runs_[v] holds where vertex v's runs end in
+  // ancestor_pool_, access_pool_ and label_pool_, and they begin where
+  // vertex v - 1's end (at 0 for vertex 0). One pool each rather than heap
+  // blocks per vertex: a vertex costs its packed entries plus three 32-bit
+  // offsets, the reachability walks stay in one block of memory, and their
+  // cost does not depend on how other allocations interleaved with the
+  // inserts. add() checks that every pool stays indexable by a 32-bit
+  // offset. The offsets share one array and an empty DAG holds none, so a
+  // new DAG allocates nothing.
+  std::vector<Runs> runs_;
   std::vector<VertexId> ancestor_pool_;
+  std::vector<AccessSummary> access_pool_;
+  std::string label_pool_;
   // Reach sets of the last kReachWindow vertices (vertex c's at
-  // c % kReachWindow), and the union a reader-list compaction builds.
+  // c % kReachWindow).
   std::vector<ReachBits> reach_ring_;
-  ReachBits reach_scratch_{};
 
   // Scratch reused by add(): the candidate ancestors, the last writers among
   // them, and the filtered result.

@@ -8,13 +8,13 @@
 // Layout (little-endian):
 //   u8  kind                    u16 kernel-name length, bytes
 //   f64 flops                   u8  parallelism
-//   u16 param count, then per param:
-//     u32 array  u8 mode  u8 pattern-tag  u64 range begin  u64 range end
+//   u32 tenant                  u16 param count, then per param:
+//     u32 array  u8 mode  u8 pattern-tag  f64 pattern-arg
+//     u64 range begin  u64 range end
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "gpusim/kernel.hpp"
@@ -26,12 +26,8 @@ enum class MessageKind : std::uint8_t {
 };
 
 /// Serialize a kernel CE into `out` (cleared first); returns the wire size.
+/// The simulated worker acts on the CE's spec directly, so nothing decodes
+/// the buffer: its size is what the control message costs on the network.
 Bytes encode_ce(const gpusim::KernelLaunchSpec& spec, std::vector<std::byte>& out);
-
-/// Inverse of encode_ce; throws grout::InvalidArgument on malformed input.
-gpusim::KernelLaunchSpec decode_ce(std::span<const std::byte> wire);
-
-/// Wire size without materializing the buffer (for cost accounting).
-Bytes encoded_ce_size(const gpusim::KernelLaunchSpec& spec);
 
 }  // namespace grout::net

@@ -28,12 +28,11 @@ IntraNodeRuntime::IntraNodeRuntime(gpusim::GpuNode& node, StreamPolicyKind polic
 }
 
 Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec) {
-  std::vector<dag::AccessSummary> accesses;
-  accesses.reserve(spec.params.size());
+  accesses_.clear();
   for (const auto& p : spec.params) {
-    accesses.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
+    accesses_.push_back(dag::AccessSummary{p.array, uvm::writes(p.mode)});
   }
-  const dag::VertexId v = dag_.add({}, std::move(accesses));
+  const dag::VertexId v = dag_.add({}, accesses_);
 
   StreamRef& ref = select_stream(spec);
   // Algorithm 2: async waits on every ancestor's end event, then execute.
@@ -47,7 +46,8 @@ Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec) {
 }
 
 Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessMode mode) {
-  const dag::VertexId v = dag_.add({}, {dag::AccessSummary{array, uvm::writes(mode)}});
+  accesses_.assign(1, dag::AccessSummary{array, uvm::writes(mode)});
+  const dag::VertexId v = dag_.add({}, accesses_);
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
   gpusim::when_all(ancestor_events(v), [this, &sim, array, mode, done] {
@@ -61,7 +61,8 @@ Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessM
 
 Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr external) {
   GROUT_REQUIRE(static_cast<bool>(external), "adopt requires an external event");
-  const dag::VertexId v = dag_.add({}, {dag::AccessSummary{array, true}});
+  accesses_.assign(1, dag::AccessSummary{array, true});
+  const dag::VertexId v = dag_.add({}, accesses_);
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
   std::vector<gpusim::EventPtr> waits = ancestor_events(v);
@@ -139,19 +140,32 @@ IntraNodeRuntime::StreamRef& IntraNodeRuntime::select_stream(
 std::vector<gpusim::EventPtr> IntraNodeRuntime::ancestor_events(dag::VertexId v) const {
   std::vector<gpusim::EventPtr> events;
   for (const dag::VertexId a : dag_.ancestors(v)) {
-    GROUT_CHECK(a < vertex_events_.size(), "ancestor without a tracked event");
-    // A released slot is a finished ancestor: waiting on it is a no-op.
-    if (vertex_events_[a]) events.push_back(vertex_events_[a]);
+    GROUT_CHECK(a < events_base_ + vertex_events_.size(), "ancestor without a tracked event");
+    // An ancestor below the window or in a released slot has finished:
+    // waiting on it is a no-op.
+    if (a >= events_base_ && vertex_events_[a - events_base_]) {
+      events.push_back(vertex_events_[a - events_base_]);
+    }
   }
   return events;
 }
 
 void IntraNodeRuntime::track(dag::VertexId v, gpusim::EventPtr done) {
-  GROUT_CHECK(v == vertex_events_.size(), "vertex events out of sync with DAG");
+  GROUT_CHECK(v == events_base_ + vertex_events_.size(), "vertex events out of sync with DAG");
   vertex_events_.push_back(done);
-  // The completion releases the slot; whoever completes the event holds
-  // its own reference, so this never destroys the event mid-completion.
-  done->on_complete([this, v] { vertex_events_[v] = nullptr; });
+  // The completion releases the slot and drops the finished prefix of the
+  // window; whoever completes the event holds its own reference, so this
+  // never destroys the event mid-completion.
+  done->on_complete([this, v] {
+    vertex_events_[v - events_base_] = nullptr;
+    while (events_head_ < vertex_events_.size() && !vertex_events_[events_head_]) ++events_head_;
+    if (2 * events_head_ >= vertex_events_.size()) {
+      vertex_events_.erase(vertex_events_.begin(),
+                           vertex_events_.begin() + static_cast<std::ptrdiff_t>(events_head_));
+      events_base_ += events_head_;
+      events_head_ = 0;
+    }
+  });
 }
 
 }  // namespace grout::runtime

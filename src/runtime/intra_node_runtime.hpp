@@ -54,11 +54,10 @@ class IntraNodeRuntime {
   [[nodiscard]] gpusim::GpuNode& node() { return node_; }
   [[nodiscard]] StreamPolicyKind policy() const { return policy_; }
 
-  /// End event of Local-DAG vertex `v` while it is pending; null once it
-  /// completed.
-  [[nodiscard]] const gpusim::EventPtr& pending_event(dag::VertexId v) const {
-    GROUT_REQUIRE(v < vertex_events_.size(), "unknown vertex");
-    return vertex_events_[v];
+  /// Slots in the end-event window: from the oldest pending Local-DAG
+  /// vertex to the newest vertex; 0 once every submitted CE completed.
+  [[nodiscard]] std::size_t event_window() const {
+    return vertex_events_.size() - events_head_;
   }
 
  private:
@@ -77,9 +76,17 @@ class IntraNodeRuntime {
   std::vector<StreamRef> streams_;
   std::size_t rr_cursor_{0};
   dag::DependencyDag dag_;
-  /// End event of each Local-DAG vertex while it is pending, indexed by
-  /// VertexId; null once it completed (nothing waits on a finished CE).
+  /// Local-DAG insert scratch, reused across submissions.
+  std::vector<dag::AccessSummary> accesses_;
+  /// End events of a window of Local-DAG vertices, in id order: slot i
+  /// holds vertex events_base_ + i. A slot is null once its CE completed
+  /// (nothing waits on a finished CE). Slots below events_head_ are all
+  /// null; they are erased once they are at least half the window, so the
+  /// vector stays within twice the span from the oldest pending vertex to
+  /// the newest. A vertex below events_base_ has completed.
   std::vector<gpusim::EventPtr> vertex_events_;
+  std::size_t events_head_{0};
+  dag::VertexId events_base_{0};
   /// Schedule-time data locality (DataLocal only): the GPU of each local
   /// array's last placement, indexed by UvmSpace id, kNoGpu if none yet
   /// (like GrCUDA, locality is tracked logically, not via residency).

@@ -204,6 +204,9 @@ class ServeScheduler {
   /// runtime ids of the pool arrays, indexed by key. Owned by no tenant, so
   /// every tenant's CEs may legally touch them.
   std::vector<core::GlobalArrayId> shared_pool_;
+  /// Key sampler of every contention program, built on the first submit
+  /// (its constructor sums pool_arrays powers).
+  std::unique_ptr<const ZipfGenerator> contention_zipf_;
   /// Owning store of admitted, unfinished programs (stable addresses for
   /// callbacks). finish_program swap-removes a program through its slot.
   std::vector<std::unique_ptr<Program>> admitted_;

@@ -171,11 +171,17 @@ std::string to_string(const ContentionSpec& spec) {
 
 ProgramShape make_contention_shape(const ContentionSpec& spec, std::uint64_t seed) {
   GROUT_REQUIRE(spec.pool_arrays >= 1, "contention pool must be non-empty");
+  return make_contention_shape(spec, ZipfGenerator{spec.pool_arrays, spec.theta}, seed);
+}
+
+ProgramShape make_contention_shape(const ContentionSpec& spec, const ZipfGenerator& zipf,
+                                   std::uint64_t seed) {
+  GROUT_REQUIRE(zipf.n() == spec.pool_arrays && zipf.theta() == spec.theta,
+                "contention sampler does not match the spec's pool and skew");
   GROUT_REQUIRE(spec.ops >= 1, "contention program needs at least one op");
   GROUT_REQUIRE(spec.keys_per_op >= 1 && spec.keys_per_op <= spec.pool_arrays,
                 "contention keys_per_op out of range");
   Rng rng{seed};
-  const ZipfGenerator zipf{spec.pool_arrays, spec.theta};
 
   ProgramShape shape;
   // Private side: a couple of host-initialized locals standing in for the

@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "uvm/access.hpp"
 #include "workloads/workloads.hpp"
@@ -97,7 +98,13 @@ ContentionSpec parse_contention(std::string_view text);
 std::string to_string(const ContentionSpec& spec);
 
 /// Build one contention program shape. `seed` pins the key sequence, so the
-/// same (spec, seed) always yields a bit-identical shape.
+/// same (spec, seed) always yields a bit-identical shape. `zipf` draws the
+/// pool keys: it must cover spec.pool_arrays keys with skew spec.theta. A
+/// serving run builds it once, since its constructor sums pool_arrays terms.
+ProgramShape make_contention_shape(const ContentionSpec& spec, const ZipfGenerator& zipf,
+                                   std::uint64_t seed);
+
+/// As above, with a sampler built for this one shape.
 ProgramShape make_contention_shape(const ContentionSpec& spec, std::uint64_t seed);
 
 }  // namespace grout::workloads

@@ -131,6 +131,31 @@ TEST(ContentionShapeTest, SameSeedIsBitIdentical) {
   EXPECT_TRUE(differs);
 }
 
+TEST(ContentionShapeTest, OneSamplerPerRunDrawsTheSameShapes) {
+  // A serving run builds one sampler and reuses it for every program: the
+  // shapes must match those built with a fresh sampler each.
+  const ContentionSpec spec = small_spec();
+  const ZipfGenerator zipf{spec.pool_arrays, spec.theta};
+  for (const std::uint64_t seed : {1u, 1234u, 99999u}) {
+    const ProgramShape a = workloads::make_contention_shape(spec, seed);
+    const ProgramShape b = workloads::make_contention_shape(spec, zipf, seed);
+    ASSERT_EQ(a.ces.size(), b.ces.size());
+    for (std::size_t i = 0; i < a.ces.size(); ++i) {
+      EXPECT_EQ(a.ces[i].name, b.ces[i].name);
+      ASSERT_EQ(a.ces[i].params.size(), b.ces[i].params.size());
+      for (std::size_t j = 0; j < a.ces[i].params.size(); ++j) {
+        EXPECT_EQ(a.ces[i].params[j].array, b.ces[i].params[j].array);
+        EXPECT_EQ(a.ces[i].params[j].shared, b.ces[i].params[j].shared);
+        EXPECT_EQ(a.ces[i].params[j].mode, b.ces[i].params[j].mode);
+      }
+    }
+  }
+  EXPECT_THROW(workloads::make_contention_shape(spec, ZipfGenerator{spec.pool_arrays + 1, 0.9}, 1),
+               InvalidArgument);
+  EXPECT_THROW(workloads::make_contention_shape(spec, ZipfGenerator{spec.pool_arrays, 0.5}, 1),
+               InvalidArgument);
+}
+
 TEST(ContentionShapeTest, SharedKeysStayInPoolAndWritesLandOnFirstSharedKey) {
   const ContentionSpec spec = small_spec();
   const ProgramShape shape = workloads::make_contention_shape(spec, 99);

@@ -3,12 +3,38 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dag/dependency_dag.hpp"
+
+// Every heap allocation of this test binary is counted, so a test can check
+// how often a stretch of DAG inserts reaches the allocator.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// The replacements pair malloc with free; GCC flags free() of a pointer
+// that came from operator new even when both are replaced together.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t bytes) {
+  ++g_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t bytes) { return ::operator new(bytes); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace grout::dag {
 namespace {
@@ -220,6 +246,62 @@ TEST(Dag, DotEscapesQuotesAndBackslashes) {
   dag.add("host-init:a\"b\\c", {w(0)});
   const std::string dot = dag.to_dot([](VertexId) { return std::string("w\"0"); });
   EXPECT_NE(dot.find("[label=\"host-init:a\\\"b\\\\c\\nw\\\"0\"];"), std::string::npos) << dot;
+}
+
+TEST(Dag, InsertsAllocateOnlyWhenAPoolGrows) {
+  // A vertex is runs of shared pools, not heap objects of its own: 10^4
+  // inserts reach the allocator O(log n) times, as the pools and scratch
+  // vectors double, not once per insert.
+  constexpr std::size_t kInserts = 10000;
+  constexpr uvm::ArrayId kArrays = 16;
+  DependencyDag dag;
+  std::vector<AccessSummary> accesses;
+  accesses.reserve(3);
+  const std::size_t before = g_allocations;
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    const auto a = static_cast<uvm::ArrayId>(i % kArrays);
+    accesses.clear();
+    accesses.push_back(r(a));
+    accesses.push_back(r((a + 5) % kArrays));
+    accesses.push_back(i % 3 == 0 ? w((a + 11) % kArrays) : r((a + 11) % kArrays));
+    dag.add(i % 2 == 0 ? std::string_view{} : "a-label-longer-than-sso", accesses);
+  }
+  const std::size_t allocations = g_allocations - before;
+  ASSERT_EQ(dag.size(), kInserts);
+  EXPECT_LT(allocations, 32 * std::bit_width(kInserts)) << allocations << " allocations";
+}
+
+TEST(Dag, VertexRoundTripsLabelsAndAccesses) {
+  Rng rng(2024);
+  DependencyDag dag;
+  std::vector<DependencyDag::Vertex> inserted;
+  for (int step = 0; step < 500; ++step) {
+    DependencyDag::Vertex ce;
+    // Empty, short and heap-sized labels, with quotes and backslashes.
+    switch (rng.next_below(3)) {
+      case 0: break;
+      case 1: ce.label = "k" + std::to_string(step); break;
+      default: ce.label = "host-init:\"array\\" + std::to_string(step) + std::string(20, 'x');
+    }
+    std::set<uvm::ArrayId> used;
+    const std::size_t n = rng.next_below(5);
+    while (used.size() < n) {
+      const auto a = static_cast<uvm::ArrayId>(rng.next_below(40));
+      if (used.insert(a).second) ce.accesses.push_back(AccessSummary{a, rng.next_below(2) == 0});
+    }
+    ASSERT_EQ(dag.add(ce.label, ce.accesses), static_cast<VertexId>(step));
+    inserted.push_back(std::move(ce));
+  }
+  ASSERT_EQ(dag.size(), inserted.size());
+  for (VertexId v = 0; v < dag.size(); ++v) {
+    const DependencyDag::Vertex got = dag.vertex(v);
+    EXPECT_EQ(got.label, inserted[v].label) << "vertex " << v;
+    ASSERT_EQ(got.accesses.size(), inserted[v].accesses.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < got.accesses.size(); ++i) {
+      EXPECT_EQ(got.accesses[i].array, inserted[v].accesses[i].array) << "vertex " << v;
+      EXPECT_EQ(got.accesses[i].write, inserted[v].accesses[i].write) << "vertex " << v;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

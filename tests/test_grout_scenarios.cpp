@@ -98,7 +98,8 @@ TEST(GroutScenario, ControlBytesMatchEncodedSize) {
   GroutRuntime rt(scenario_config());
   const GlobalArrayId out = rt.alloc(1_MiB, "out");
   gpusim::KernelLaunchSpec spec = kernel("writer", {{out, uvm::AccessMode::Write}});
-  const Bytes wire = net::encoded_ce_size(spec);
+  std::vector<std::byte> buffer;
+  const Bytes wire = net::encode_ce(spec, buffer);
   rt.launch(std::move(spec));
   EXPECT_TRUE(rt.synchronize());
   EXPECT_EQ(rt.cluster().fabric().total_bytes(), wire);

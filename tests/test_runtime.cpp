@@ -59,7 +59,7 @@ TEST_F(RuntimeFixture, SubmissionCompletes) {
   const Submission sub = rt->submit_kernel(kernel(a, uvm::AccessMode::Read));
   sim.run();
   EXPECT_TRUE(sub.done->completed());
-  EXPECT_EQ(rt->pending_event(sub.vertex), nullptr);
+  EXPECT_EQ(rt->event_window(), 0u);
 }
 
 TEST_F(RuntimeFixture, RawDependencySerializes) {
@@ -124,9 +124,9 @@ TEST_F(RuntimeFixture, FinishedAncestorEnqueuesNoWait) {
   };
   const uvm::ArrayId a = alloc_populated(2_MiB, "a");
   const Submission writer = rt->submit_kernel(kernel(a, uvm::AccessMode::Write));
-  EXPECT_EQ(rt->pending_event(writer.vertex), writer.done);
+  EXPECT_EQ(rt->event_window(), 1u);
   sim.run();
-  EXPECT_EQ(rt->pending_event(writer.vertex), nullptr);
+  EXPECT_EQ(rt->event_window(), 0u);
 
   // Occupy every stream, so whatever the next CE enqueues stays queued.
   for (int i = 0; i < 4; ++i) {
@@ -142,13 +142,38 @@ TEST_F(RuntimeFixture, FinishedAncestorEnqueuesNoWait) {
   sim.run();
 }
 
+TEST_F(RuntimeFixture, EventWindowSpansOnlyPendingVertices) {
+  // The window runs from the oldest pending vertex to the newest: a CE
+  // that finished behind a pending one keeps its released slot until the
+  // pending one finishes, then both leave.
+  const uvm::ArrayId a = alloc_populated(2_MiB, "a");
+  const uvm::ArrayId b = alloc_populated(2_MiB, "b");
+  const Submission slow = rt->submit_kernel(kernel(a, uvm::AccessMode::Write, 1.25e14));
+  const Submission fast = rt->submit_kernel(kernel(b, uvm::AccessMode::Write));
+  EXPECT_EQ(rt->event_window(), 2u);
+  ASSERT_TRUE(sim.run_until_done(
+      SimTime::max(), [&] { return fast.done->completed(); }, "fast kernel"));
+  EXPECT_FALSE(slow.done->completed());
+  EXPECT_EQ(rt->event_window(), 2u);
+  sim.run();
+  EXPECT_EQ(rt->event_window(), 0u);
+  // A reader of b still gets its edge to the writer, whose slot is gone.
+  const Submission reader = rt->submit_kernel(kernel(b, uvm::AccessMode::Read));
+  EXPECT_EQ(ancestors_of(reader.vertex), std::vector<dag::VertexId>{fast.vertex});
+  EXPECT_EQ(rt->event_window(), 1u);
+  sim.run();
+  EXPECT_TRUE(reader.done->completed());
+  EXPECT_EQ(rt->event_window(), 0u);
+}
+
 TEST_F(RuntimeFixture, DrainedRuntimeIsQuiescentAndHoldsNoEvents) {
   const uvm::ArrayId a = alloc_populated(2_MiB);
   const Submission s1 = rt->submit_kernel(kernel(a, uvm::AccessMode::ReadWrite));
   const Submission s2 = rt->submit_host_access(a, uvm::AccessMode::Read);
   sim.run();
-  EXPECT_EQ(rt->pending_event(s1.vertex), nullptr);
-  EXPECT_EQ(rt->pending_event(s2.vertex), nullptr);
+  EXPECT_TRUE(s1.done->completed());
+  EXPECT_TRUE(s2.done->completed());
+  EXPECT_EQ(rt->event_window(), 0u);
 }
 
 // ---------------------------------------------------------------------------

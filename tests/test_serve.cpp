@@ -223,7 +223,7 @@ TEST(ServeShapeTest, ProgramsOfOneTenantDispatchTheSameCes) {
   std::map<std::string, std::vector<std::string>> ces_of;
   const dag::DependencyDag& dag = rt.global_dag();
   for (dag::VertexId v = 0; v < dag.size(); ++v) {
-    const dag::DependencyDag::Vertex& vertex = dag.vertex(v);
+    const dag::DependencyDag::Vertex vertex = dag.vertex(v);
     if (vertex.label.rfind("host-init:", 0) == 0) continue;
     std::string program;
     std::string ce = vertex.label;

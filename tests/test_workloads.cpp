@@ -197,7 +197,7 @@ TEST(WorkloadDag, MlePipelinesChainAndJoin) {
   const auto& dag = global_dag_of(ctx);
   std::size_t a2_with_single_dep = 0;
   for (dag::VertexId v = 0; v < dag.size(); ++v) {
-    const auto& vertex = dag.vertex(v);
+    const auto vertex = dag.vertex(v);
     const std::span<const dag::VertexId> ancestors = dag.ancestors(v);
     if (vertex.label == "mle-a2") {
       // Stage 2 of pipeline A depends exactly on stage 1 (u is its input).

@@ -596,7 +596,7 @@ int cmd_dag(const Options& opt) {
     // Re-derive placements by replaying the policy is overkill; the DAG
     // label prefix distinguishes controller-side vertices instead.
     for (dag::VertexId v = 0; v < dag.size(); ++v) {
-      const auto& label = dag.vertex(v).label;
+      const std::string label = dag.vertex(v).label;
       where[v] = label.rfind("host-init", 0) == 0 ? "ctl" : "";
     }
   }
