@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/strings.hpp"
 
 namespace {
 
@@ -77,8 +78,8 @@ PointOutcome run_point(double ratio) {
   std::vector<core::GlobalArrayId> a;
   std::vector<core::GlobalArrayId> b;
   for (std::size_t j = 0; j < pairs; ++j) {
-    a.push_back(rt.alloc(kPart, "a" + std::to_string(j)));
-    b.push_back(rt.alloc(kPart, "b" + std::to_string(j)));
+    a.push_back(rt.alloc(kPart, str_cat("a", std::to_string(j))));
+    b.push_back(rt.alloc(kPart, str_cat("b", std::to_string(j))));
     rt.host_init(a.back());
   }
 
@@ -87,7 +88,7 @@ PointOutcome run_point(double ratio) {
     const std::vector<core::GlobalArrayId>& in = pass % 2 == 0 ? a : b;
     const std::vector<core::GlobalArrayId>& out = pass % 2 == 0 ? b : a;
     for (std::size_t j = 0; j < pairs && o.completed; ++j) {
-      rt.launch(pingpong_kernel("p" + std::to_string(pass) + ":" + std::to_string(j),
+      rt.launch(pingpong_kernel(str_cat("p", std::to_string(pass), ":", std::to_string(j)),
                                 in[j], out[j]));
       // Paced launching: pins lapse at the wave boundary, and the next
       // wave's dispatches pay the eviction bill.

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/strings.hpp"
 
 namespace {
 
@@ -61,15 +62,15 @@ GovernedOutcome run_with_budget(Bytes budget) {
   std::vector<core::GlobalArrayId> in;
   std::vector<core::GlobalArrayId> out;
   for (std::size_t j = 0; j < kParts; ++j) {
-    in.push_back(rt.alloc(part, "x" + std::to_string(j)));
-    out.push_back(rt.alloc(part, "y" + std::to_string(j)));
+    in.push_back(rt.alloc(part, str_cat("x", std::to_string(j))));
+    out.push_back(rt.alloc(part, str_cat("y", std::to_string(j))));
     rt.host_init(in.back());
   }
 
   GovernedOutcome o;
   for (int pass = 0; pass < 2 && o.completed; ++pass) {
     for (std::size_t j = 0; j < kParts; ++j) {
-      rt.launch(stream_kernel("p" + std::to_string(pass) + ":" + std::to_string(j),
+      rt.launch(stream_kernel(str_cat("p", std::to_string(pass), ":", std::to_string(j)),
                               in[j], out[j]));
     }
     o.completed = rt.synchronize();  // pins lapse here; the governor reclaims

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/strings.hpp"
 #include "serve/serve.hpp"
 
 namespace {
@@ -40,7 +41,7 @@ serve::ServeReport run_point(const SweepPoint& point, workloads::WorkloadKind ki
   scfg.max_outstanding_ces = point.max_outstanding;
   for (std::size_t k = 0; k < point.tenants; ++k) {
     serve::TenantSpec t;
-    t.name = "t" + std::to_string(k);
+    t.name = str_cat("t", std::to_string(k));
     if (!point.weights.empty()) t.weight = point.weights[k % point.weights.size()];
     t.workload = kind;
     t.params.footprint = bench::gib(size_gib);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/strings.hpp"
 #include "serve/serve.hpp"
 
 namespace {
@@ -70,7 +71,7 @@ PointResult run_point(const ContentionPoint& point) {
   scfg.contention = c;
   for (std::size_t k = 0; k < kTenants; ++k) {
     serve::TenantSpec t;
-    t.name = "t" + std::to_string(k);
+    t.name = str_cat("t", std::to_string(k));
     t.arrival = serve::parse_arrival("closed:2");
     t.programs = kPrograms;
     scfg.tenants.push_back(std::move(t));

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/grout_runtime.hpp"
 #include "core/policies.hpp"
 #include "dag/dependency_dag.hpp"
@@ -63,14 +64,14 @@ struct Fixture {
     nics.push_back(net::NicSpec{"controller", Bandwidth::mbit_per_sec(8000.0),
                                 SimTime::from_us(50.0)});
     for (std::size_t i = 0; i < workers; ++i) {
-      nics.push_back(net::NicSpec{"worker" + std::to_string(i),
+      nics.push_back(net::NicSpec{str_cat("worker", std::to_string(i)),
                                   Bandwidth::mbit_per_sec(4000.0), SimTime::from_us(50.0)});
     }
     fabric = std::make_unique<net::NetworkFabric>(sim, std::move(nics));
 
     Rng rng(0xf19u);
     for (std::size_t a = 0; a < arrays; ++a) {
-      const auto id = directory.register_array(1_GiB + a * 16_MiB, "a" + std::to_string(a));
+      const auto id = directory.register_array(1_GiB + a * 16_MiB, str_cat("a", std::to_string(a)));
       // Scatter 1-3 worker copies per array.
       const std::size_t copies = 1 + rng.next_below(3);
       for (std::size_t c = 0; c < copies; ++c) {
@@ -196,7 +197,7 @@ void run_launch_bench(benchmark::State& state, core::PolicyKind kind) {
   std::vector<core::GlobalArrayId> arrays;
   arrays.reserve(kArrays);
   for (std::size_t a = 0; a < kArrays; ++a) {
-    arrays.push_back(rt.alloc(16_MiB, "a" + std::to_string(a)));
+    arrays.push_back(rt.alloc(16_MiB, str_cat("a", std::to_string(a))));
     rt.host_init(arrays.back());
   }
   std::vector<gpusim::KernelLaunchSpec> specs;

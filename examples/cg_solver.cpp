@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/strings.hpp"
 #include "polyglot/context.hpp"
 #include "polyglot/kernel_args.hpp"
 
@@ -102,7 +103,7 @@ int main() {
 
   std::vector<polyglot::KernelParamInfo> step_params;
   for (std::size_t j = 0; j < kPartitions; ++j) {
-    step_params.push_back(pointer("t" + std::to_string(j), uvm::AccessMode::Read));
+    step_params.push_back(pointer(str_cat("t", std::to_string(j)), uvm::AccessMode::Read));
   }
   step_params.push_back(pointer("r", uvm::AccessMode::ReadWrite));
   step_params.push_back(pointer("p", uvm::AccessMode::ReadWrite));
@@ -117,12 +118,12 @@ int main() {
   std::vector<std::shared_ptr<polyglot::DeviceArray>> t_blocks;
   for (std::size_t j = 0; j < kPartitions; ++j) {
     a_blocks.push_back(ctx.alloc_array(polyglot::ElemType::F64, kRows * kN,
-                                       "A" + std::to_string(j)));
+                                       str_cat("A", std::to_string(j))));
     const std::size_t row0 = j * kRows;
     a_blocks[j]->init(
         [row0](std::size_t i) { return matrix_entry(row0 + i / kN, i % kN); });
     t_blocks.push_back(
-        ctx.alloc_array(polyglot::ElemType::F64, kRows, "t" + std::to_string(j)));
+        ctx.alloc_array(polyglot::ElemType::F64, kRows, str_cat("t", std::to_string(j))));
   }
   auto r = ctx.alloc_array(polyglot::ElemType::F64, kN, "r");
   auto p = ctx.alloc_array(polyglot::ElemType::F64, kN, "p");

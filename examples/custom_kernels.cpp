@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "polyglot/context.hpp"
 
 namespace {
@@ -74,10 +75,10 @@ int main() {
   std::vector<std::shared_ptr<polyglot::DeviceArray>> a_blocks;
   std::vector<std::shared_ptr<polyglot::DeviceArray>> y_blocks;
   for (std::size_t j = 0; j < kPartitions; ++j) {
-    a_blocks.push_back(
-        ctx.alloc_array(polyglot::ElemType::F32, kRows * kN, "A" + std::to_string(j)));
+    a_blocks.push_back(ctx.alloc_array(polyglot::ElemType::F32, kRows * kN,
+                                       grout::str_cat("A", std::to_string(j))));
     y_blocks.push_back(
-        ctx.alloc_array(polyglot::ElemType::F32, kRows, "y" + std::to_string(j)));
+        ctx.alloc_array(polyglot::ElemType::F32, kRows, grout::str_cat("y", std::to_string(j))));
     a_blocks[j]->init([j](std::size_t i) {
       return static_cast<double>((i * 13 + j * 101) % 32) / 32.0;
     });
@@ -92,7 +93,8 @@ int main() {
   auto norms = ctx.eval("float[4]").as_array();
   std::vector<std::shared_ptr<polyglot::DeviceArray>> partials;
   for (std::size_t j = 0; j < kPartitions; ++j) {
-    partials.push_back(ctx.alloc_array(polyglot::ElemType::F32, 1, "n" + std::to_string(j)));
+    partials.push_back(
+        ctx.alloc_array(polyglot::ElemType::F32, 1, grout::str_cat("n", std::to_string(j))));
     dot(Value(1), Value(32))(Value(y_blocks[j]), Value(y_blocks[j]), Value(partials[j]),
                              Value(static_cast<std::int64_t>(kRows)));
   }

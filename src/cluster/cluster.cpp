@@ -1,5 +1,7 @@
 #include "cluster/cluster.hpp"
 
+#include "common/strings.hpp"
+
 namespace grout::cluster {
 
 Cluster::Cluster(ClusterConfig config) : config_{std::move(config)} {
@@ -20,7 +22,7 @@ Cluster::Cluster(ClusterConfig config) : config_{std::move(config)} {
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     gpusim::GpuNodeConfig node_cfg = config_.worker_node;
-    node_cfg.name = "node" + std::to_string(i);
+    node_cfg.name = str_cat("node", std::to_string(i));
     node_cfg.seed = node_cfg.seed + i * 0x9e37ULL;
     workers_.push_back(std::make_unique<Worker>(sim_, std::move(node_cfg),
                                                 worker_fabric_id(i), config_.stream_policy,
@@ -34,33 +36,35 @@ SimTime Cluster::controller_edge(std::size_t i) const {
 }
 
 void Cluster::send_staged(std::size_t src, GlobalArrayId id, Bytes bytes, net::NodeId dst,
-                          std::string label, bool free_source,
-                          std::function<void()> on_landed) {
-  Worker& source = worker(src);
-  const net::NodeId src_fid = worker_fabric_id(src);
-  const SimTime src_edge = controller_edge(src);
+                          std::string label, bool free_source, sim::Callback on_landed) {
+  GROUT_REQUIRE(src < workers_.size(), "worker index out of range");
+  const std::uint32_t s = staged_.acquire();
+  staged_[s] = StagedSend{src, id, bytes, dst, free_source, std::move(label), std::move(on_landed)};
+  fabric_->send_command(controller_id(), worker_fabric_id(src), 0,
+                        [this, s] { stage_at_source(s); }, /*ce_bundle=*/false);
+}
+
+void Cluster::stage_at_source(std::uint32_t s) {
+  const StagedSend& send = staged_[s];
+  Worker& source = worker(send.src);
+  const runtime::Submission staged = source.stage_send(send.id);
+  if (send.free_source) source.release_array(send.id, staged.done);
+  staged.done->on_complete([this, s] { ack_staged(s); });
+}
+
+void Cluster::ack_staged(std::uint32_t s) {
+  sim_.schedule_at(sim_.now() + controller_edge(staged_[s].src),
+                   [this, s] { start_staged_transfer(s); });
+}
+
+void Cluster::start_staged_transfer(std::uint32_t s) {
+  StagedSend send = std::move(staged_[s]);
+  staged_.release(s);
   const SimTime dst_edge =
-      dst == controller_id() ? SimTime::zero() : fabric_->latency(controller_id(), dst);
-  // Each stage runs once, so it hands its captures on by move.
-  fabric_->send_command(
-      controller_id(), src_fid, 0,
-      [this, &source, src_fid, src_edge, dst, dst_edge, id, bytes, free_source,
-       label = std::move(label), on_landed = std::move(on_landed)]() mutable {
-        const runtime::Submission staged = source.stage_send(id);
-        if (free_source) source.release_array(id, staged.done);
-        staged.done->on_complete([this, src_fid, src_edge, dst, dst_edge, bytes,
-                                  label = std::move(label),
-                                  on_landed = std::move(on_landed)]() mutable {
-          sim_.schedule_at(sim_.now() + src_edge,
-                           [this, src_fid, dst, dst_edge, bytes, label = std::move(label),
-                            on_landed = std::move(on_landed)]() mutable {
-                             fabric_->transfer(src_fid, dst, bytes, std::move(label), nullptr,
-                                               dst_edge)
-                                 ->on_complete(std::move(on_landed));
-                           });
-        });
-      },
-      /*ce_bundle=*/false);
+      send.dst == controller_id() ? SimTime::zero() : fabric_->latency(controller_id(), send.dst);
+  fabric_->transfer(worker_fabric_id(send.src), send.dst, send.bytes, std::move(send.label),
+                    nullptr, dst_edge)
+      ->on_complete(std::move(send.on_landed));
 }
 
 Worker& Cluster::worker(std::size_t i) {

@@ -9,13 +9,14 @@
 // serial sim::Simulator owned by the Cluster.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/worker.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "sim/trace.hpp"
 
 namespace grout::cluster {
@@ -65,7 +66,7 @@ class Cluster {
   /// `on_landed` runs when the last byte lands. Pins and directory updates
   /// are the caller's: this only moves bytes.
   void send_staged(std::size_t src, GlobalArrayId id, Bytes bytes, net::NodeId dst,
-                   std::string label, bool free_source, std::function<void()> on_landed);
+                   std::string label, bool free_source, sim::Callback on_landed);
 
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] Worker& worker(std::size_t i);
@@ -84,11 +85,30 @@ class Cluster {
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
  private:
+  /// One staged copy in flight, from the command to the wire transfer's
+  /// start; each protocol stage captures only its index.
+  struct StagedSend {
+    std::size_t src{0};
+    GlobalArrayId id{0};
+    Bytes bytes{0};
+    net::NodeId dst{0};
+    bool free_source{false};
+    std::string label;
+    sim::Callback on_landed;
+  };
+
+  /// The three stages of send_staged; `s` indexes staged_.
+  void stage_at_source(std::uint32_t s);
+  void ack_staged(std::uint32_t s);
+  void start_staged_transfer(std::uint32_t s);
+
   ClusterConfig config_;
   sim::Simulator sim_;
   sim::Tracer tracer_;
   std::unique_ptr<net::NetworkFabric> fabric_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Staged copies in flight.
+  sim::Slab<StagedSend> staged_;
 };
 
 }  // namespace grout::cluster

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "uvm/tuning.hpp"
 #include "uvm/uvm_space.hpp"
 
@@ -67,8 +68,8 @@ class KpiAutoscaler {
                                   static_cast<double>(current_workers) * factor))));
     d.scale_out = target > current_workers;
     d.recommended_workers = target;
-    d.reason = "peak device oversubscription " + std::to_string(peak_intensity_) +
-               " exceeds KPI " + std::to_string(intensity_kpi_);
+    d.reason = str_cat("peak device oversubscription ", std::to_string(peak_intensity_),
+                       " exceeds KPI ", std::to_string(intensity_kpi_));
     return d;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/strings.hpp"
 #include "net/message.hpp"
 
 namespace grout::core {
@@ -14,19 +15,6 @@ using WallClock = std::chrono::steady_clock;
 /// GroutConfig::worker_mem).
 constexpr double kWorkerMemHeadroom = 8.0;
 
-/// One array the CE bundle materializes on the worker at delivery time.
-struct EnsureOp {
-  GlobalArrayId id{0};
-  Bytes bytes{0};
-  std::optional<uvm::Advise> advise;
-};
-
-/// One inbound copy the CE bundle adopts (Worker::accept_receive) at
-/// delivery time.
-struct AdoptOp {
-  GlobalArrayId id{0};
-  gpusim::EventPtr arrival;
-};
 }  // namespace
 
 GroutRuntime::GroutRuntime(GroutConfig config)
@@ -96,8 +84,8 @@ CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) 
   const auto t0 = WallClock::now();
 
   // 1. Node-level policy decision.
-  std::vector<PlacementParam> params;
-  params.reserve(spec.params.size());
+  std::vector<PlacementParam>& params = params_;
+  params.clear();
   for (const auto& p : spec.params) {
     params.push_back(PlacementParam{static_cast<GlobalArrayId>(p.array),
                                     directory_.bytes_of(static_cast<GlobalArrayId>(p.array)),
@@ -120,27 +108,28 @@ CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) 
   //    (Algorithm 1, last loop). Cold replicas are evicted *before* the
   //    allocations so the worker never overshoots its budget. The
   //    controller only updates its own accounting here; the worker-side
-  //    allocations (and advises) are collected into the CE bundle and
+  //    allocations (and advises) are collected into the CE's record and
   //    materialize on the worker at delivery time.
   governor_->make_room(w, params, spec.tenant);
-  cluster::Worker& worker = cluster_->worker(w);
-  std::vector<EnsureOp> ensures;
-  ensures.reserve(spec.params.size());
+  const std::uint32_t c = ces_.acquire();
+  CeRecord& ce = ces_[c];
+  ce.worker = w;
+  ce.ensures.clear();
   for (const auto& p : spec.params) {
     const auto id = static_cast<GlobalArrayId>(p.array);
     const bool fresh = governor_->note_ensure(w, id);
     governor_->note_use(w, id);
     EnsureOp op{id, directory_.bytes_of(id), std::nullopt};
     if (fresh && id < advises_.size()) op.advise = advises_[id];
-    ensures.push_back(std::move(op));
+    ce.ensures.push_back(op);
   }
-  std::vector<GlobalArrayId> pins = unique_arrays(spec);
-  for (const GlobalArrayId id : pins) governor_->pin(w, id);
-  std::vector<AdoptOp> adopts;
+  unique_arrays(spec, ce.pins);
+  for (const GlobalArrayId id : ce.pins) governor_->pin(w, id);
+  ce.adopts.clear();
   for (const PlacementParam& p : params) {
     if (!p.needs_data) continue;
     if (gpusim::EventPtr arrival = plan_movement(p, w)) {
-      adopts.push_back(AdoptOp{p.array, std::move(arrival)});
+      ce.adopts.push_back(AdoptOp{p.array, std::move(arrival)});
     }
   }
 
@@ -171,12 +160,11 @@ CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) 
       // Invalidation storm visibility: one span per shared write that
       // dropped replicas, tenant-tagged like the dispatch span below.
       const SimTime at = cluster_->simulator().now();
-      cluster_->tracer().record(
-          sim::TraceCategory::Scheduling,
-          "invalidate:" + directory_.name_of(id) + "(x" +
-              std::to_string(effect.invalidations) +
-              (effect.ownership_transfer ? ",xfer)" : ")"),
-          "controller", at, at, spec.tenant);
+      cluster_->tracer().record(sim::TraceCategory::Scheduling,
+                                str_cat("invalidate:", directory_.name_of(id), "(x",
+                                        std::to_string(effect.invalidations),
+                                        effect.ownership_transfer ? ",xfer)" : ")"),
+                                "controller", at, at, spec.tenant);
     }
   }
 
@@ -185,58 +173,59 @@ CeTicket GroutRuntime::dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec) 
     // can be filtered into per-tenant timelines.
     const SimTime at = cluster_->simulator().now();
     cluster_->tracer().record(sim::TraceCategory::Scheduling,
-                              "dispatch:" + spec.name + "->worker" + std::to_string(w),
+                              str_cat("dispatch:", spec.name, "->worker", std::to_string(w)),
                               "controller", at, at, spec.tenant);
   }
 
-  // The spec moves into the bundle; the completion ack carries the rest of
-  // the CE's controller state (its worker, pins and `done`), so nothing of
-  // the CE outlives its completion.
-  gpusim::EventPtr done = gpusim::make_event();
-  CeTicket ticket{v, w, done};
-  sim::Simulator& engine = cluster_->simulator();
-  const SimTime edge = cluster_->controller_edge(w);
-  cluster_->fabric().send_command(
-      cluster::Cluster::controller_id(), cluster::Cluster::worker_fabric_id(w), message_bytes,
-      [this, &worker, &engine, edge, w, spec = std::move(spec), ensures = std::move(ensures),
-       adopts = std::move(adopts), pins = std::move(pins), done = std::move(done)]() mutable {
-        for (const EnsureOp& e : ensures) {
-          const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes);
-          if (e.advise) worker.node().uvm().advise(local, *e.advise);
-        }
-        for (AdoptOp& a : adopts) worker.accept_receive(a.id, std::move(a.arrival));
-        runtime::Submission sub = worker.execute_kernel(std::move(spec));
-        // The completion acks back to the controller one fabric edge later;
-        // the pin bookkeeping runs there.
-        sub.done->on_complete([this, &engine, edge, w, pins = std::move(pins),
-                               done = std::move(done)]() mutable {
-          engine.schedule_at(engine.now() + edge,
-                             [this, w, pins = std::move(pins), done = std::move(done)] {
-                               on_ce_complete(w, pins, done);
-                             });
-        });
-      },
-      /*ce_bundle=*/true);
+  // The spec moves into the record; the completion ack releases the rest
+  // of the CE's controller state (its pins and `done`), so nothing of the
+  // CE outlives its completion.
+  ce.spec = std::move(spec);
+  ce.done = gpusim::make_event();
+  CeTicket ticket{v, w, ce.done};
+  cluster_->fabric().send_command(cluster::Cluster::controller_id(),
+                                  cluster::Cluster::worker_fabric_id(w), message_bytes,
+                                  [this, c] { deliver_ce(c); }, /*ce_bundle=*/true);
   return ticket;
 }
 
-void GroutRuntime::on_ce_complete(std::size_t w, const std::vector<GlobalArrayId>& pins,
-                                  const gpusim::EventPtr& done) {
+void GroutRuntime::deliver_ce(std::uint32_t c) {
+  CeRecord& ce = ces_[c];
+  cluster::Worker& worker = cluster_->worker(ce.worker);
+  for (const EnsureOp& e : ce.ensures) {
+    const uvm::ArrayId local = worker.ensure_array(e.id, e.bytes);
+    if (e.advise) worker.node().uvm().advise(local, *e.advise);
+  }
+  for (AdoptOp& a : ce.adopts) worker.accept_receive(a.id, std::move(a.arrival));
+  const runtime::Submission sub = worker.execute_kernel(std::move(ce.spec));
+  // The completion acks back to the controller one fabric edge later; the
+  // pin bookkeeping runs there.
+  sub.done->on_complete([this, c] {
+    sim::Simulator& engine = cluster_->simulator();
+    engine.schedule_at(engine.now() + cluster_->controller_edge(ces_[c].worker),
+                       [this, c] { on_ce_complete(c); });
+  });
+}
+
+void GroutRuntime::on_ce_complete(std::uint32_t c) {
   // The CE's pins lapse: re-establish the worker's budget now that its
   // replicas are evictable again.
-  for (const GlobalArrayId id : pins) governor_->unpin(w, id);
-  governor_->enforce(w);
+  CeRecord& ce = ces_[c];
+  for (const GlobalArrayId id : ce.pins) governor_->unpin(ce.worker, id);
+  governor_->enforce(ce.worker);
+  // The record is free before `done` fires: its waiters may dispatch.
+  const gpusim::EventPtr done = std::move(ce.done);
+  ces_.release(c);
   done->complete(cluster_->simulator().now());
 }
 
-std::vector<GlobalArrayId> GroutRuntime::unique_arrays(const gpusim::KernelLaunchSpec& spec) {
-  std::vector<GlobalArrayId> ids;
-  ids.reserve(spec.params.size());
+void GroutRuntime::unique_arrays(const gpusim::KernelLaunchSpec& spec,
+                                 std::vector<GlobalArrayId>& ids) {
+  ids.clear();
   for (const auto& p : spec.params) {
     const auto id = static_cast<GlobalArrayId>(p.array);
     if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
   }
-  return ids;
 }
 
 gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::size_t worker) {
@@ -258,7 +247,7 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
     // lands. The CE bundle's adopt waits on the last byte.
     arrival = cluster_->fabric().transfer(
         cluster::Cluster::controller_id(), dst_fid, param.bytes,
-        tracing ? "ctl->" + std::to_string(worker) + ":" + directory_.name_of(id)
+        tracing ? str_cat("ctl->", std::to_string(worker), ":", directory_.name_of(id))
                 : std::string{},
         governor_->acquire_controller_copy(id), dst_edge);
     ++metrics_.controller_sends;
@@ -271,20 +260,21 @@ gpusim::EventPtr GroutRuntime::plan_movement(const PlacementParam& param, std::s
     const std::size_t src = fastest_holder(id, dst_fid);
     governor_->pin(src, id);
     arrival = gpusim::make_event();
-    sim::Simulator& engine = cluster_->simulator();
-    MemoryGovernor* gov = governor_.get();
-    cluster_->send_staged(
-        src, id, param.bytes, dst_fid,
-        tracing ? "p2p" + std::to_string(src) + "->" + std::to_string(worker) + ":" +
-                      directory_.name_of(id)
-                : std::string{},
-        /*free_source=*/false, [&engine, gov, dst_edge, id, arrival, src] {
-          arrival->complete(engine.now());
-          engine.schedule_at(engine.now() + dst_edge, [gov, id, src] {
-            gov->unpin(src, id);
-            gov->enforce(src);
-          });
-        });
+    std::string label = tracing ? str_cat("p2p", std::to_string(src), "->",
+                                          std::to_string(worker), ":", directory_.name_of(id))
+                                : std::string{};
+    const auto src32 = static_cast<std::uint32_t>(src);
+    const auto dst32 = static_cast<std::uint32_t>(worker);
+    cluster_->send_staged(src, id, param.bytes, dst_fid, std::move(label), /*free_source=*/false,
+                          [this, arrival, id, src32, dst32] {
+                            sim::Simulator& engine = cluster_->simulator();
+                            arrival->complete(engine.now());
+                            engine.schedule_at(engine.now() + cluster_->controller_edge(dst32),
+                                               [this, id, src32] {
+                                                 governor_->unpin(src32, id);
+                                                 governor_->enforce(src32);
+                                               });
+                          });
     ++metrics_.p2p_sends;
   }
   metrics_.bytes_planned += param.bytes;
@@ -327,16 +317,15 @@ bool GroutRuntime::host_fetch(GlobalArrayId array) {
   const std::size_t src = fastest_holder(array, cluster::Cluster::controller_id());
   governor_->pin(src, array);
   const gpusim::EventPtr landed = gpusim::make_event();
-  sim::Simulator& engine = cluster_->simulator();
-  MemoryGovernor* gov = governor_.get();
-  cluster_->send_staged(
-      src, array, directory_.bytes_of(array), cluster::Cluster::controller_id(),
-      cluster_->tracer().enabled() ? "fetch:" + directory_.name_of(array) : std::string{},
-      /*free_source=*/false, [&engine, gov, array, landed, src] {
-        gov->unpin(src, array);
-        gov->enforce(src);
-        landed->complete(engine.now());
-      });
+  std::string label =
+      cluster_->tracer().enabled() ? str_cat("fetch:", directory_.name_of(array)) : std::string{};
+  const auto src32 = static_cast<std::uint32_t>(src);
+  cluster_->send_staged(src, array, directory_.bytes_of(array), cluster::Cluster::controller_id(),
+                        std::move(label), /*free_source=*/false, [this, array, landed, src32] {
+                          governor_->unpin(src32, array);
+                          governor_->enforce(src32);
+                          landed->complete(cluster_->simulator().now());
+                        });
 
   // Drive the event loop, but never past the run cap: an unbounded wait
   // here could spin a stalled run forever instead of reporting out-of-time.

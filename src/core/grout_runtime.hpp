@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,6 +28,7 @@
 #include "core/metrics.hpp"
 #include "core/policies.hpp"
 #include "dag/dependency_dag.hpp"
+#include "sim/slab.hpp"
 
 namespace grout::core {
 
@@ -117,19 +119,48 @@ class GroutRuntime {
   /// fabric node `dst_fid`; at least one worker must hold it.
   [[nodiscard]] std::size_t fastest_holder(GlobalArrayId id, net::NodeId dst_fid) const;
 
+  /// One array a CE bundle materializes on the worker at delivery time.
+  struct EnsureOp {
+    GlobalArrayId id{0};
+    Bytes bytes{0};
+    std::optional<uvm::Advise> advise;
+  };
+  /// One inbound copy a CE bundle adopts (Worker::accept_receive) at
+  /// delivery time.
+  struct AdoptOp {
+    GlobalArrayId id{0};
+    gpusim::EventPtr arrival;
+  };
+  /// A dispatched CE, from its dispatch to its completion ack: the bundle
+  /// the worker runs on delivery and the controller state the ack
+  /// releases. The bundle's callbacks capture only the record's index.
+  struct CeRecord {
+    std::size_t worker{0};
+    gpusim::KernelLaunchSpec spec;
+    std::vector<EnsureOp> ensures;
+    std::vector<AdoptOp> adopts;
+    /// The CE's arrays, deduplicated, in the order they were pinned.
+    std::vector<GlobalArrayId> pins;
+    gpusim::EventPtr done;
+  };
+
   /// Place, stage data for, and send the CE of Global-DAG vertex `v` to a
   /// worker.
   CeTicket dispatch(dag::VertexId v, gpusim::KernelLaunchSpec spec);
-  /// The CE on worker `w` completed: release its `pins` (the order they
-  /// were pinned in), re-enforce the worker's budget and fire `done`. The
-  /// controller keeps nothing of a CE past this call.
-  void on_ce_complete(std::size_t w, const std::vector<GlobalArrayId>& pins,
-                      const gpusim::EventPtr& done);
+  /// The bundle of CE record `c` reached its worker: materialize, adopt,
+  /// submit the kernel and ack its completion.
+  void deliver_ce(std::uint32_t c);
+  /// CE record `c` completed: release its pins, re-enforce its worker's
+  /// budget, free the record and fire `done`. The controller keeps nothing
+  /// of a CE past this call.
+  void on_ce_complete(std::uint32_t c);
   /// Drive the event loop (never past the run cap) until a pending spill
   /// backing the controller's copy of `array` has landed, if any.
   bool wait_controller_copy(GlobalArrayId array);
-  /// The CE's global array ids, deduplicated (pin/unpin bookkeeping).
-  static std::vector<GlobalArrayId> unique_arrays(const gpusim::KernelLaunchSpec& spec);
+  /// The CE's global array ids, deduplicated, into `ids` (pin/unpin
+  /// bookkeeping).
+  static void unique_arrays(const gpusim::KernelLaunchSpec& spec,
+                            std::vector<GlobalArrayId>& ids);
 
   GroutConfig config_;
   std::unique_ptr<cluster::Cluster> cluster_;
@@ -142,6 +173,11 @@ class GroutRuntime {
   std::vector<dag::AccessSummary> accesses_;
   std::unique_ptr<InterNodePolicy> policy_;
   SchedulerMetrics metrics_;
+  /// Placement-query scratch, reused across dispatches.
+  std::vector<PlacementParam> params_;
+  /// Records of the dispatched CEs; a reused record keeps its vectors'
+  /// capacity.
+  sim::Slab<CeRecord> ces_;
   /// CE wire buffer reused across dispatches (encode_ce resets it).
   std::vector<std::byte> wire_buffer_;
   /// Device-agnostic advises to apply to worker-local allocations, indexed

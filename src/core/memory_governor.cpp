@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/strings.hpp"
+
 namespace grout::core {
 
 MemoryGovernor::MemoryGovernor(cluster::Cluster& cluster, CoherenceDirectory& directory,
@@ -278,9 +280,9 @@ void MemoryGovernor::evict(std::size_t w, GlobalArrayId id, bool sole_holder) {
     // Victim id + byte count in the span name so per-tier timelines are
     // attributable in to_chrome_json output (not just "which worker").
     cluster_.tracer().record(sim::TraceCategory::Eviction,
-                             "evict:" + directory_.name_of(id) + "(a" + std::to_string(id) +
-                                 "," + std::to_string(rep.bytes) + "B)",
-                             "worker" + std::to_string(w), now, now);
+                             str_cat("evict:", directory_.name_of(id), "(a", std::to_string(id),
+                                     ",", std::to_string(rep.bytes), "B)"),
+                             str_cat("worker", std::to_string(w)), now, now);
   }
 }
 
@@ -310,18 +312,18 @@ void MemoryGovernor::spill_to_controller(std::size_t w, GlobalArrayId id, Bytes 
   ++metrics_.spills;
   metrics_.bytes_spilled += bytes;
 
-  sim::Tracer& tracer = cluster_.tracer();
-  if (tracer.enabled()) {
-    sim::Tracer* tp = &tracer;
-    sim::Simulator* simp = &engine;
-    const SimTime begin = simp->now();
-    const std::string name = "spill:" + directory_.name_of(id) + "(a" + std::to_string(id) +
-                             "," + std::to_string(bytes) + "B)";
-    const std::string loc = "worker" + std::to_string(w);
-    landed->on_complete(
-        [tp, simp, begin, name, loc] {
-          tp->record(sim::TraceCategory::Eviction, name, loc, begin, simp->now());
-        });
+  if (cluster_.tracer().enabled()) {
+    // The span is named when it closes, from state the closure carries in
+    // four words.
+    const SimTime begin = engine.now();
+    const auto w32 = static_cast<std::uint32_t>(w);
+    landed->on_complete([this, begin, id, w32, bytes] {
+      cluster_.tracer().record(sim::TraceCategory::Eviction,
+                               str_cat("spill:", directory_.name_of(id), "(a", std::to_string(id),
+                                       ",", std::to_string(bytes), "B)"),
+                               str_cat("worker", std::to_string(w32)), begin,
+                               cluster_.simulator().now());
+    });
   }
 }
 

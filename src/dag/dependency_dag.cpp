@@ -4,6 +4,8 @@
 #include <bit>
 #include <limits>
 
+#include "common/strings.hpp"
+
 namespace grout::dag {
 
 VertexId DependencyDag::add(std::string_view label, const std::vector<AccessSummary>& accesses) {
@@ -147,7 +149,7 @@ std::string DependencyDag::to_dot(
     const std::function<std::string(VertexId)>& node_annotation) const {
   std::string dot = "digraph ces {\n  rankdir=TB;\n  node [shape=circle, fontsize=10];\n";
   for (VertexId v = 0; v < size(); ++v) {
-    dot += "  n" + std::to_string(v) + " [label=\"";
+    dot += str_cat("  n", std::to_string(v), " [label=\"");
     append_dot_escaped(dot, packed_label(v));
     if (node_annotation) {
       const std::string extra = node_annotation(v);
@@ -160,7 +162,7 @@ std::string DependencyDag::to_dot(
   }
   for (VertexId v = 0; v < size(); ++v) {
     for (const VertexId a : packed_ancestors(v)) {
-      dot += "  n" + std::to_string(a) + " -> n" + std::to_string(v) + ";\n";
+      dot += str_cat("  n", std::to_string(a), " -> n", std::to_string(v), ";\n");
     }
   }
   dot += "}\n";

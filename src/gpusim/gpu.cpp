@@ -9,54 +9,55 @@ namespace grout::gpusim {
 // ---------------------------------------------------------------------------
 
 void Stream::enqueue_kernel(KernelLaunchSpec spec, EventPtr end_event) {
-  queue_.push_back(KernelOp{std::move(spec), std::move(end_event)});
+  queue_.push_back(Op{OpKind::Kernel, std::move(spec), 0, 0, std::move(end_event)});
   pump();
 }
 
 void Stream::enqueue_wait(EventPtr event) {
   GROUT_REQUIRE(static_cast<bool>(event), "waiting on a null event");
-  queue_.push_back(WaitOp{std::move(event)});
+  queue_.push_back(Op{OpKind::Wait, {}, 0, 0, std::move(event)});
   pump();
 }
 
 void Stream::enqueue_prefetch(uvm::ArrayId array, uvm::DeviceId target, EventPtr end_event) {
-  queue_.push_back(PrefetchOp{array, target, std::move(end_event)});
+  queue_.push_back(Op{OpKind::Prefetch, {}, array, target, std::move(end_event)});
   pump();
 }
 
 void Stream::pump() {
-  while (!busy_ && !queue_.empty()) {
-    Op& front = queue_.front();
-    if (auto* wait = std::get_if<WaitOp>(&front)) {
-      if (!wait->event->completed()) {
+  while (!busy_ && head_ < queue_.size()) {
+    Op& front = queue_[head_];
+    if (front.kind == OpKind::Wait) {
+      if (!front.event->completed()) {
         // Park until the event fires, then resume pumping.
-        wait->event->on_complete([this] { pump(); });
+        front.event->on_complete([this] { pump(); });
         return;
       }
-      queue_.pop_front();
-    } else if (auto* kernel = std::get_if<KernelOp>(&front)) {
-      KernelOp op = std::move(*kernel);
-      queue_.pop_front();
-      busy_ = true;
-      const SimTime end = gpu_.execute_kernel(op.spec);
-      last_known_end_ = std::max(last_known_end_, end);
-      gpu_.simulator().schedule_at(end, [this, ev = std::move(op.end_event)] {
-        busy_ = false;
-        if (ev) ev->complete(gpu_.simulator().now());
-        pump();
-      });
-    } else if (auto* pf = std::get_if<PrefetchOp>(&front)) {
-      PrefetchOp op = std::move(*pf);
-      queue_.pop_front();
-      busy_ = true;
-      const SimTime end = gpu_.uvm().prefetch(op.array, op.target);
-      last_known_end_ = std::max(last_known_end_, end);
-      gpu_.simulator().schedule_at(end, [this, ev = std::move(op.end_event)] {
-        busy_ = false;
-        if (ev) ev->complete(gpu_.simulator().now());
-        pump();
-      });
+      pop_front();
+      continue;
     }
+    Op op = std::move(front);
+    pop_front();
+    busy_ = true;
+    const SimTime end = op.kind == OpKind::Kernel ? gpu_.execute_kernel(op.spec)
+                                                  : gpu_.uvm().prefetch(op.array, op.target);
+    last_known_end_ = std::max(last_known_end_, end);
+    gpu_.simulator().schedule_at(end, [this, ev = std::move(op.event)] {
+      busy_ = false;
+      if (ev) ev->complete(gpu_.simulator().now());
+      pump();
+    });
+  }
+}
+
+void Stream::pop_front() {
+  queue_[head_].event = nullptr;  // release the op's event now
+  if (++head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  } else if (2 * head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
 }
 

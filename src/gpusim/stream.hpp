@@ -2,8 +2,9 @@
 // cross-stream synchronization via CudaEvents (cudaStreamWaitEvent).
 #pragma once
 
-#include <deque>
-#include <variant>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "gpusim/event.hpp"
 #include "gpusim/kernel.hpp"
@@ -32,30 +33,32 @@ class Stream {
   /// grows as ops execute. Used by stream-selection policies.
   [[nodiscard]] SimTime last_known_end() const { return last_known_end_; }
 
-  [[nodiscard]] std::size_t queued_ops() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queued_ops() const { return queue_.size() - head_; }
 
  private:
   friend class Gpu;
 
-  struct KernelOp {
-    KernelLaunchSpec spec;
-    EventPtr end_event;
-  };
-  struct WaitOp {
+  enum class OpKind : std::uint8_t { Kernel, Wait, Prefetch };
+  struct Op {
+    OpKind kind{OpKind::Wait};
+    KernelLaunchSpec spec;      ///< Kernel
+    uvm::ArrayId array{0};      ///< Prefetch
+    uvm::DeviceId target{0};    ///< Prefetch
+    /// Wait: the awaited event; Kernel/Prefetch: the end event (may be null).
     EventPtr event;
   };
-  struct PrefetchOp {
-    uvm::ArrayId array;
-    uvm::DeviceId target;
-    EventPtr end_event;
-  };
-  using Op = std::variant<KernelOp, WaitOp, PrefetchOp>;
 
   /// Advance the FIFO as far as possible.
   void pump();
+  /// Drop the front op.
+  void pop_front();
 
   Gpu& gpu_;
-  std::deque<Op> queue_;
+  /// The FIFO: queue_[head_..] in order. A popped slot is emptied at once;
+  /// the popped prefix is erased once it is half the vector, and nothing
+  /// is allocated before the first op.
+  std::vector<Op> queue_;
+  std::size_t head_{0};
   bool busy_{false};
   SimTime last_known_end_{SimTime::zero()};
 };

@@ -57,10 +57,13 @@ gpusim::EventPtr NetworkFabric::transfer(NodeId from, NodeId to, Bytes size, std
   GROUT_REQUIRE(from != to, "self transfer");
   gpusim::EventPtr done = gpusim::make_event();
   if (ready) {
-    ready->on_complete(
-        [this, from, to, size, min_deliver_delay, label = std::move(label), done] {
-          start_transfer(from, to, size, label, done, min_deliver_delay);
-        });
+    const std::uint32_t slot = pending_.acquire();
+    pending_[slot] = PendingTransfer{from, to, size, min_deliver_delay, std::move(label), done};
+    ready->on_complete([this, slot] {
+      const PendingTransfer p = std::move(pending_[slot]);
+      pending_.release(slot);
+      start_transfer(p.from, p.to, p.size, p.label, p.done, p.min_deliver_delay);
+    });
   } else {
     start_transfer(from, to, size, label, done, min_deliver_delay);
   }
@@ -90,8 +93,8 @@ void NetworkFabric::start_transfer(NodeId from, NodeId to, Bytes size, const std
   sim_.schedule_at(end, [done, end] { done->complete(end); });
 }
 
-void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size,
-                                 std::function<void()> deliver, bool ce_bundle) {
+void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size, sim::Callback deliver,
+                                 bool ce_bundle) {
   node_ref(from);
   node_ref(to);
   GROUT_REQUIRE(from != to, "self command");
@@ -103,7 +106,10 @@ void NetworkFabric::send_command(NodeId from, NodeId to, Bytes size,
     end += bandwidth(from, to).transfer_time(size);
   }
   // In-order delivery: never behind the previous command on this lane.
-  SimTime& last = lane_last_delivery_[{from, to}];
+  const std::size_t n = nodes_.size();
+  if (lane_last_delivery_.empty()) lane_last_delivery_.assign(n * n, SimTime::zero());
+  SimTime& last =
+      lane_last_delivery_[static_cast<std::size_t>(from) * n + static_cast<std::size_t>(to)];
   last = std::max(end, last);
   sim_.schedule_at(last, std::move(deliver));
 }

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +17,7 @@
 #include "net/topology.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "sim/trace.hpp"
 
 namespace grout::net {
@@ -76,8 +75,7 @@ class NetworkFabric {
   ///   - internal cluster operations (eviction, staging, releases): pay the
   ///     raw link latency only.
   /// The in-order guarantee is per (from, to) pair.
-  void send_command(NodeId from, NodeId to, Bytes size, std::function<void()> deliver,
-                    bool ce_bundle);
+  void send_command(NodeId from, NodeId to, Bytes size, sim::Callback deliver, bool ce_bundle);
 
   [[nodiscard]] Bytes total_bytes() const { return total_bytes_; }
   [[nodiscard]] Bytes bytes_sent_by(NodeId node) const;
@@ -92,6 +90,16 @@ class NetworkFabric {
     std::unique_ptr<sim::Resource> rx;
   };
 
+  /// A transfer parked on its `ready` event; the wait captures its index.
+  struct PendingTransfer {
+    NodeId from{0};
+    NodeId to{0};
+    Bytes size{0};
+    SimTime min_deliver_delay;
+    std::string label;
+    gpusim::EventPtr done;
+  };
+
   void start_transfer(NodeId from, NodeId to, Bytes size, const std::string& label,
                       const gpusim::EventPtr& done, SimTime min_deliver_delay);
   const Node& node_ref(NodeId id) const;
@@ -103,9 +111,12 @@ class NetworkFabric {
   /// Dense bps over (from, to): min of the endpoints' NICs unless a link
   /// override replaced the pair.
   std::vector<double> bps_matrix_;
-  /// Last delivery time per command lane: the next command on the lane
-  /// never lands before it.
-  std::map<std::pair<NodeId, NodeId>, SimTime> lane_last_delivery_;
+  /// Last delivery time per command lane, indexed like bps_matrix_ and
+  /// sized by the first send: the next command on a lane never lands
+  /// before it.
+  std::vector<SimTime> lane_last_delivery_;
+  /// Transfers waiting on their `ready` event.
+  sim::Slab<PendingTransfer> pending_;
   Bytes total_bytes_{0};
   std::uint64_t transfers_{0};
   std::uint64_t control_sends_{0};

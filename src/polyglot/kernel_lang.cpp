@@ -185,7 +185,10 @@ class Parser {
     }
     p.type = lex_.expect_ident();
     if (!is_type_name(p.type)) lex_.fail("unsupported parameter type '" + p.type + "'");
-    if (lex_.at_ident("long")) p.type += " " + lex_.take().text;  // "long long" etc.
+    if (lex_.at_ident("long")) {  // "long long" etc.
+      p.type += ' ';
+      p.type += lex_.take().text;
+    }
     while (lex_.at_punct("*")) {
       p.pointer = true;
       lex_.take();

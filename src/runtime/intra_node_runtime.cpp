@@ -36,9 +36,9 @@ Submission IntraNodeRuntime::submit_kernel(gpusim::KernelLaunchSpec spec) {
 
   StreamRef& ref = select_stream(spec);
   // Algorithm 2: async waits on every ancestor's end event, then execute.
-  for (const gpusim::EventPtr& ev : ancestor_events(v)) {
-    ref.stream->enqueue_wait(ev);
-  }
+  collect_waits(v);
+  for (gpusim::EventPtr& ev : waits_) ref.stream->enqueue_wait(std::move(ev));
+  waits_.clear();
   gpusim::EventPtr done = gpusim::make_event();
   ref.stream->enqueue_kernel(std::move(spec), done);
   track(v, done);
@@ -50,11 +50,13 @@ Submission IntraNodeRuntime::submit_host_access(uvm::ArrayId array, uvm::AccessM
   const dag::VertexId v = dag_.add({}, accesses_);
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
-  gpusim::when_all(ancestor_events(v), [this, &sim, array, mode, done] {
+  collect_waits(v);
+  gpusim::when_all(waits_, [this, &sim, array, mode, done] {
     const uvm::HostAccessReport report = node_.uvm().host_access(array, mode);
     const SimTime end = sim.now() + report.duration;
     sim.schedule_at(end, [done, end] { done->complete(end); });
   });
+  waits_.clear();
   track(v, done);
   return Submission{v, std::move(done)};
 }
@@ -65,12 +67,13 @@ Submission IntraNodeRuntime::submit_adopt(uvm::ArrayId array, gpusim::EventPtr e
   const dag::VertexId v = dag_.add({}, accesses_);
   gpusim::EventPtr done = gpusim::make_event();
   sim::Simulator& sim = node_.simulator();
-  std::vector<gpusim::EventPtr> waits = ancestor_events(v);
-  waits.push_back(std::move(external));
-  gpusim::when_all(waits, [this, &sim, array, done] {
+  collect_waits(v);
+  waits_.push_back(std::move(external));
+  gpusim::when_all(waits_, [this, &sim, array, done] {
     node_.uvm().adopt_host_copy(array);
     done->complete(sim.now());
   });
+  waits_.clear();
   track(v, done);
   return Submission{v, std::move(done)};
 }
@@ -137,17 +140,16 @@ IntraNodeRuntime::StreamRef& IntraNodeRuntime::select_stream(
   return streams_.front();
 }
 
-std::vector<gpusim::EventPtr> IntraNodeRuntime::ancestor_events(dag::VertexId v) const {
-  std::vector<gpusim::EventPtr> events;
+void IntraNodeRuntime::collect_waits(dag::VertexId v) {
+  waits_.clear();
   for (const dag::VertexId a : dag_.ancestors(v)) {
     GROUT_CHECK(a < events_base_ + vertex_events_.size(), "ancestor without a tracked event");
     // An ancestor below the window or in a released slot has finished:
     // waiting on it is a no-op.
     if (a >= events_base_ && vertex_events_[a - events_base_]) {
-      events.push_back(vertex_events_[a - events_base_]);
+      waits_.push_back(vertex_events_[a - events_base_]);
     }
   }
-  return events;
 }
 
 void IntraNodeRuntime::track(dag::VertexId v, gpusim::EventPtr done) {

@@ -68,7 +68,8 @@ class IntraNodeRuntime {
 
   StreamRef& select_stream(const gpusim::KernelLaunchSpec& spec);
   StreamRef& least_loaded_stream(std::size_t gpu_filter);  // SIZE_MAX = any gpu
-  std::vector<gpusim::EventPtr> ancestor_events(dag::VertexId v) const;
+  /// Fill waits_ with the end events of `v`'s pending ancestors.
+  void collect_waits(dag::VertexId v);
   void track(dag::VertexId v, gpusim::EventPtr done);
 
   gpusim::GpuNode& node_;
@@ -78,6 +79,9 @@ class IntraNodeRuntime {
   dag::DependencyDag dag_;
   /// Local-DAG insert scratch, reused across submissions.
   std::vector<dag::AccessSummary> accesses_;
+  /// Events a submission waits on, reused across submissions and cleared
+  /// after each so it holds no event past its submission.
+  std::vector<gpusim::EventPtr> waits_;
   /// End events of a window of Local-DAG vertices, in id order: slot i
   /// holds vertex events_base_ + i. A slot is null once its CE completed
   /// (nothing waits on a finished CE). Slots below events_head_ are all

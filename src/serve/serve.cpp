@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "sim/trace.hpp"
 
 namespace grout::serve {
@@ -42,9 +43,9 @@ ArrivalSpec parse_arrival(const std::string& text) {
 
 std::string to_string(const ArrivalSpec& a) {
   if (a.kind == ArrivalSpec::Kind::Closed) {
-    return "closed:" + std::to_string(a.depth);
+    return str_cat("closed:", std::to_string(a.depth));
   }
-  return "poisson:" + std::to_string(a.rate_hz);
+  return str_cat("poisson:", std::to_string(a.rate_hz));
 }
 
 ServeScheduler::ServeScheduler(core::GroutRuntime& runtime, ServeConfig config)
@@ -68,7 +69,7 @@ ServeScheduler::ServeScheduler(core::GroutRuntime& runtime, ServeConfig config)
     } else {
       GROUT_REQUIRE(t.spec.arrival.depth >= 1, "closed-loop depth must be >= 1");
     }
-    if (t.spec.name.empty()) t.spec.name = "tenant" + std::to_string(k);
+    if (t.spec.name.empty()) t.spec.name = str_cat("tenant", std::to_string(k));
     // Distinct deterministic arrival streams per tenant.
     t.arrivals.reseed(config_.seed ^ ((k + 1) * 0x9e3779b97f4a7c15ULL));
     t.latency_ms =
@@ -82,7 +83,7 @@ ServeScheduler::ServeScheduler(core::GroutRuntime& runtime, ServeConfig config)
     shared_pool_.reserve(c.pool_arrays);
     for (std::size_t i = 0; i < c.pool_arrays; ++i) {
       const core::GlobalArrayId id =
-          runtime_.alloc(c.array_bytes, "shared/k" + std::to_string(i), kNoTenant);
+          runtime_.alloc(c.array_bytes, str_cat("shared/k", std::to_string(i)), kNoTenant);
       runtime_.host_init(id);
       shared_pool_.push_back(id);
     }
@@ -146,7 +147,7 @@ void ServeScheduler::submit(std::size_t t) {
     sim::Tracer& tracer = runtime_.cluster().tracer();
     if (tracer.enabled()) {
       tracer.record(sim::TraceCategory::Scheduling,
-                    "shed:" + tenant.spec.name + "/p" + std::to_string(p->seq), "serve",
+                    str_cat("shed:", tenant.spec.name, "/p", std::to_string(p->seq)), "serve",
                     p->arrived, p->arrived, static_cast<TenantId>(t));
     }
     return;
@@ -182,7 +183,7 @@ bool ServeScheduler::try_admit(std::unique_ptr<Program>& p) {
   sim::Tracer& tracer = runtime_.cluster().tracer();
   if (tracer.enabled()) {
     tracer.record(sim::TraceCategory::Scheduling,
-                  "admit:" + tenant.spec.name + "/p" + std::to_string(p->seq), "serve",
+                  str_cat("admit:", tenant.spec.name, "/p", std::to_string(p->seq)), "serve",
                   p->arrived, p->admitted_at, tenant_id);
   }
   p->slot = admitted_.size();
@@ -294,7 +295,7 @@ void ServeScheduler::finish_program(Program* p) {
   sim::Tracer& tracer = runtime_.cluster().tracer();
   if (tracer.enabled()) {
     tracer.record(sim::TraceCategory::Scheduling,
-                  "program-done:" + tenant.spec.name + "/p" + std::to_string(p->seq),
+                  str_cat("program-done:", tenant.spec.name, "/p", std::to_string(p->seq)),
                   "serve", p->admitted_at, now, static_cast<TenantId>(p->tenant));
   }
   const std::size_t t = p->tenant;

@@ -22,13 +22,13 @@ class Resource {
 
   /// Enqueue a transfer of `size` bytes; returns its completion time and,
   /// if `on_done` is non-null, schedules it at that time.
-  SimTime submit(Bytes size, Simulator::Callback on_done = nullptr) {
+  SimTime submit(Bytes size, Callback on_done = nullptr) {
     return submit_duration(latency_ + bandwidth_.transfer_time(size), size, std::move(on_done));
   }
 
   /// Enqueue an occupancy of a fixed duration (e.g. a fault-handling stall).
   SimTime submit_duration(SimTime duration, Bytes accounted_bytes = 0,
-                          Simulator::Callback on_done = nullptr) {
+                          Callback on_done = nullptr) {
     const SimTime start = busy_until_ > sim_.now() ? busy_until_ : sim_.now();
     busy_until_ = start + duration;
     bytes_moved_ += accounted_bytes;

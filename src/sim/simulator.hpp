@@ -5,23 +5,26 @@
 // time fire in the order they were scheduled, whether they were scheduled
 // from inside an event callback or from outside execution. All simulated
 // subsystems (GPUs, UVM, network, cluster nodes) hang off one Simulator.
+//
+// The heap holds (time, seq, slot) triples; a pending event's callback sits
+// in a slot array whose freed slots are reused, so a heap sift moves 24-byte
+// plain structs and a warm engine schedules and runs events without touching
+// the allocator.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "sim/callback.hpp"
 
 namespace grout::sim {
 
 class Simulator {
  public:
-  using Callback = std::function<void()>;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -57,8 +60,8 @@ class Simulator {
   /// Returns true when `done()` held; false when the deadline cut the wait
   /// short. Throws InternalError (tagged with `what`) if the queue drains
   /// while `done()` is still false — that is a deadlock, not a timeout.
-  bool run_until_done(SimTime deadline, const std::function<bool()>& done,
-                      std::string_view what) {
+  template <typename Done>
+  bool run_until_done(SimTime deadline, Done&& done, std::string_view what) {
     while (!done()) {
       GROUT_CHECK(pending_events() > 0, what);
       if (next_event_time() > deadline) return false;
@@ -81,12 +84,11 @@ class Simulator {
   struct Event {
     SimTime time;
     std::uint64_t seq;
-    Callback fn;
+    std::uint32_t slot;  ///< index into slots_
   };
   // std::push_heap/pop_heap build a max-heap, so "later fires last" means
   // the comparator orders by the *later* key: the heap front is the
-  // earliest event. An explicit vector (instead of std::priority_queue)
-  // lets pop_heap move the callback out of the element legitimately.
+  // earliest event.
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -98,6 +100,9 @@ class Simulator {
   std::uint64_t executed_{0};
   std::uint64_t next_seq_{0};
   std::vector<Event> heap_;
+  /// Callbacks of pending events; a slot is free once its event ran.
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace grout::sim

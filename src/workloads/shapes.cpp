@@ -190,7 +190,8 @@ ProgramShape make_contention_shape(const ContentionSpec& spec, const ZipfGenerat
   std::vector<std::size_t> locals(kLocals);
   for (std::size_t j = 0; j < kLocals; ++j) {
     locals[j] = shape.arrays.size();
-    shape.arrays.push_back({"local" + std::to_string(j), spec.array_bytes, /*host_init=*/true});
+    shape.arrays.push_back(
+        {str_cat("local", std::to_string(j)), spec.array_bytes, /*host_init=*/true});
   }
   const std::size_t scratch = shape.arrays.size();
   shape.arrays.push_back({"scratch", spec.array_bytes, /*host_init=*/false});

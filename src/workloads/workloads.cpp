@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace grout::workloads {
 
@@ -114,11 +115,11 @@ class BlackScholesWorkload final : public Workload {
 
     for (std::size_t j = 0; j < params_.partitions; ++j) {
       spot_.push_back(ctx.alloc_array(ElemType::F32, elems_per_part_,
-                                      "spot" + std::to_string(j)));
+                                      str_cat("spot", std::to_string(j))));
       call_.push_back(ctx.alloc_array(ElemType::F32, elems_per_part_,
-                                      "call" + std::to_string(j)));
+                                      str_cat("call", std::to_string(j))));
       put_.push_back(ctx.alloc_array(ElemType::F32, elems_per_part_,
-                                     "put" + std::to_string(j)));
+                                     str_cat("put", std::to_string(j))));
       // Spot prices clustered around the strike.
       spot_[j]->init([](std::size_t i) {
         return 60.0 + static_cast<double>((i * 2654435761u) % 8000) / 100.0;
@@ -219,12 +220,12 @@ class MvWorkload final : public Workload {
     for (std::size_t j = 0; j < params_.partitions; ++j) {
       if (!params_.shared_matrix) {
         a_.push_back(ctx.alloc_array(ElemType::F32, rows_per_part_ * n_,
-                                     "A" + std::to_string(j)));
+                                     str_cat("A", std::to_string(j))));
         a_[j]->init([j](std::size_t i) {
           return static_cast<double>((i * 31 + j * 17) % 100) / 100.0;
         });
       }
-      y_.push_back(ctx.alloc_array(ElemType::F32, rows_per_part_, "y" + std::to_string(j)));
+      y_.push_back(ctx.alloc_array(ElemType::F32, rows_per_part_, str_cat("y", std::to_string(j))));
     }
   }
 
@@ -344,7 +345,7 @@ class CgWorkload final : public Workload {
 
     std::vector<KernelParamInfo> step_params;
     for (std::size_t j = 0; j < params_.partitions; ++j) {
-      step_params.push_back(pointer_param("t" + std::to_string(j), uvm::AccessMode::Read));
+      step_params.push_back(pointer_param(str_cat("t", std::to_string(j)), uvm::AccessMode::Read));
     }
     step_params.push_back(pointer_param("r", uvm::AccessMode::ReadWrite));
     step_params.push_back(pointer_param("p", uvm::AccessMode::ReadWrite));
@@ -357,8 +358,8 @@ class CgWorkload final : public Workload {
     // A block row j of a symmetric positive-definite matrix.
     for (std::size_t j = 0; j < params_.partitions; ++j) {
       a_.push_back(ctx.alloc_array(ElemType::F32, rows_per_part_ * n_,
-                                   "A" + std::to_string(j)));
-      t_.push_back(ctx.alloc_array(ElemType::F32, rows_per_part_, "t" + std::to_string(j)));
+                                   str_cat("A", std::to_string(j))));
+      t_.push_back(ctx.alloc_array(ElemType::F32, rows_per_part_, str_cat("t", std::to_string(j))));
       const std::size_t row0 = j * rows_per_part_;
       const std::size_t n = n_;
       a_[j]->init([row0, n](std::size_t i) {
@@ -509,10 +510,12 @@ class MleWorkload final : public Workload {
 
     std::vector<KernelParamInfo> combine_params;
     for (std::size_t j = 0; j < params_.partitions; ++j) {
-      combine_params.push_back(pointer_param("v" + std::to_string(j), uvm::AccessMode::Read));
+      combine_params.push_back(
+          pointer_param(str_cat("v", std::to_string(j)), uvm::AccessMode::Read));
     }
     for (std::size_t j = 0; j < params_.partitions; ++j) {
-      combine_params.push_back(pointer_param("w" + std::to_string(j), uvm::AccessMode::Read));
+      combine_params.push_back(
+          pointer_param(str_cat("w", std::to_string(j)), uvm::AccessMode::Read));
     }
     combine_params.push_back(pointer_param("res", uvm::AccessMode::Write));
     combine_params.push_back(scalar_param("per_part"));
@@ -520,10 +523,14 @@ class MleWorkload final : public Workload {
                                           host_combine, 16.0, uvm::Parallelism::Moderate);
 
     for (std::size_t j = 0; j < params_.partitions; ++j) {
-      x_.push_back(ctx.alloc_array(ElemType::F32, elems_per_part_, "X" + std::to_string(j)));
-      u_.push_back(ctx.alloc_array(ElemType::F32, elems_per_part_, "u" + std::to_string(j)));
-      v_.push_back(ctx.alloc_array(ElemType::F32, elems_per_part_, "v" + std::to_string(j)));
-      w_.push_back(ctx.alloc_array(ElemType::F32, elems_per_part_, "w" + std::to_string(j)));
+      x_.push_back(
+          ctx.alloc_array(ElemType::F32, elems_per_part_, str_cat("X", std::to_string(j))));
+      u_.push_back(
+          ctx.alloc_array(ElemType::F32, elems_per_part_, str_cat("u", std::to_string(j))));
+      v_.push_back(
+          ctx.alloc_array(ElemType::F32, elems_per_part_, str_cat("v", std::to_string(j))));
+      w_.push_back(
+          ctx.alloc_array(ElemType::F32, elems_per_part_, str_cat("w", std::to_string(j))));
       x_[j]->init([j](std::size_t i) {
         return std::sin(static_cast<double>(i + j * 131)) * 2.0;
       });
@@ -624,9 +631,9 @@ class IrregularWorkload final : public Workload {
     table_->init([](std::size_t i) { return static_cast<double>(i % 1000); });
     for (std::size_t j = 0; j < params_.partitions; ++j) {
       idx_.push_back(ctx.alloc_array(ElemType::F32, lookups_per_part_,
-                                     "idx" + std::to_string(j)));
+                                     str_cat("idx", std::to_string(j))));
       out_.push_back(ctx.alloc_array(ElemType::F32, lookups_per_part_,
-                                     "out" + std::to_string(j)));
+                                     str_cat("out", std::to_string(j))));
       idx_[j]->init([j](std::size_t i) {
         return static_cast<double>((i * 7919 + j * 104729) % 1000000);
       });

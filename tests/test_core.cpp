@@ -2,6 +2,7 @@
 // hierarchical scheduler, autoscaler.
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "sim/simulator.hpp"
 #include "core/autoscaler.hpp"
 #include "core/grout_runtime.hpp"
@@ -114,7 +115,7 @@ TEST(DirectoryTest, RandomTransitionsKeepInvariants) {
   CoherenceDirectory dir(kWorkers);
   std::vector<GlobalArrayId> arrays;
   for (int i = 0; i < 8; ++i) {
-    arrays.push_back(dir.register_array((i + 1) * 1_MiB, "a" + std::to_string(i)));
+    arrays.push_back(dir.register_array((i + 1) * 1_MiB, str_cat("a", std::to_string(i))));
   }
   for (int step = 0; step < 500; ++step) {
     const GlobalArrayId id = arrays[rng.next_below(arrays.size())];
@@ -205,7 +206,7 @@ struct MinTransferFixture : ::testing::Test {
     std::vector<net::NicSpec> nics;
     nics.push_back(net::NicSpec{"ctl", Bandwidth::mbit_per_sec(8000.0), SimTime::zero()});
     for (int i = 0; i < 3; ++i) {
-      nics.push_back(net::NicSpec{"w" + std::to_string(i), Bandwidth::mbit_per_sec(4000.0),
+      nics.push_back(net::NicSpec{str_cat("w", std::to_string(i)), Bandwidth::mbit_per_sec(4000.0),
                                   SimTime::zero()});
     }
     fabric = std::make_unique<net::NetworkFabric>(sim, std::move(nics));
@@ -430,7 +431,7 @@ TEST(GroutRuntimeTest, CountsExplorationPlacements) {
   GroutRuntime rt(small_grout(PolicyKind::MinTransferSize));
   std::vector<std::size_t> placed;
   for (int i = 0; i < 4; ++i) {
-    const GlobalArrayId out = rt.alloc(1_MiB, "out" + std::to_string(i));
+    const GlobalArrayId out = rt.alloc(1_MiB, str_cat("out", std::to_string(i)));
     placed.push_back(rt.launch(global_kernel(out, uvm::AccessMode::Write)).worker);
   }
   EXPECT_EQ(rt.metrics().exploration_placements, 4u);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "dag/dependency_dag.hpp"
 
 // Every heap allocation of this test binary is counted, so a test can check
@@ -118,7 +119,7 @@ TEST(Dag, LongChainTransitiveReduction) {
   DependencyDag dag;
   VertexId prev = dag.add("k0", {w(0)});
   for (int i = 1; i < 20; ++i) {
-    const VertexId v = dag.add("k" + std::to_string(i), {w(0)});
+    const VertexId v = dag.add(str_cat("k", std::to_string(i)), {w(0)});
     EXPECT_EQ(dag.ancestors(v).size(), 1u);
     EXPECT_TRUE(has_ancestor(dag, v, prev));
     prev = v;
@@ -280,8 +281,9 @@ TEST(Dag, VertexRoundTripsLabelsAndAccesses) {
     // Empty, short and heap-sized labels, with quotes and backslashes.
     switch (rng.next_below(3)) {
       case 0: break;
-      case 1: ce.label = "k" + std::to_string(step); break;
-      default: ce.label = "host-init:\"array\\" + std::to_string(step) + std::string(20, 'x');
+      case 1: ce.label = str_cat("k", std::to_string(step)); break;
+      default:
+        ce.label = str_cat("host-init:\"array\\", std::to_string(step), std::string(20, 'x'));
     }
     std::set<uvm::ArrayId> used;
     const std::size_t n = rng.next_below(5);
@@ -330,7 +332,7 @@ TEST_P(DagProperty, RandomStreamsKeepInvariants) {
         accesses.push_back(AccessSummary{a, rng.next_below(2) == 0});
       }
     }
-    const VertexId v = dag.add("ce" + std::to_string(step), accesses);
+    const VertexId v = dag.add(str_cat("ce", std::to_string(step)), accesses);
 
     // Every conflicting predecessor must be an ancestor (directly or
     // transitively).

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "dag/dependency_dag.hpp"
 #include "tests/support/naive_oracles.hpp"
 
@@ -40,7 +41,7 @@ void expect_equivalent(const std::vector<std::vector<AccessSummary>>& stream) {
   DependencyDag fast;
   oracle::NaiveDag naive;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const VertexId fv = fast.add("ce" + std::to_string(i), stream[i]);
+    const VertexId fv = fast.add(str_cat("ce", std::to_string(i)), stream[i]);
     const VertexId nv = naive.add(stream[i]);
     ASSERT_EQ(fv, nv);
     ASSERT_EQ(ancestors_of(fast, fv), naive.ancestors(nv)) << "edge sets diverge at CE " << i;
@@ -135,7 +136,7 @@ TEST(DagDifferential, WideFanOutPastCompactionThreshold) {
 
   DependencyDag dag;
   dag.add("init", {wr(0)});
-  for (int i = 0; i < 300; ++i) dag.add("r" + std::to_string(i), {rd(0)});
+  for (int i = 0; i < 300; ++i) dag.add(str_cat("r", std::to_string(i)), {rd(0)});
   const VertexId barrier = dag.add("barrier", {wr(0)});
   EXPECT_EQ(dag.ancestors(barrier).size(), 300u);
 }
@@ -261,7 +262,7 @@ TEST(DagDifferential, IsAncestorEquivalenceSweep) {
   DependencyDag fast;
   oracle::NaiveDag naive;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    fast.add("ce" + std::to_string(i), stream[i]);
+    fast.add(str_cat("ce", std::to_string(i)), stream[i]);
     naive.add(stream[i]);
   }
   // Dense sweep over a sample grid plus every adjacent pair.
@@ -285,7 +286,7 @@ TEST(DagDifferential, ReaderListsStayBoundedOnRollingReads) {
   dag.add("init", {wr(0)});
   dag.add("chain0", {wr(1)});
   for (std::size_t i = 0; i < 5000; ++i) {
-    dag.add("r" + std::to_string(i), {rd(0), rd(1), wr(1)});
+    dag.add(str_cat("r", std::to_string(i)), {rd(0), rd(1), wr(1)});
   }
   // The final writer of X sees a compacted candidate list: exactly the
   // frontier chain tail plus the last writer, not 5000 readers.

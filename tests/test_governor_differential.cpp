@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/memory_governor.hpp"
 #include "tests/support/naive_oracles.hpp"
 
@@ -57,7 +58,7 @@ class DifferentialRig {
         workers_{workers} {
     for (std::size_t i = 0; i < kArrays; ++i) {
       const Bytes bytes = (1 + rng_.next_below(3)) * 1_MiB;
-      const std::string name = "a" + std::to_string(i);
+      const std::string name = str_cat("a", std::to_string(i));
       const GlobalArrayId id = real_dir_.register_array(bytes, name);
       EXPECT_EQ(naive_dir_.register_array(bytes, name), id);
       // Two arrays in three belong to one of three tenants; the rest are

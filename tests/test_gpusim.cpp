@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "sim/simulator.hpp"
 #include "gpusim/gpu_node.hpp"
 
@@ -23,7 +25,7 @@ struct GpuFixture : ::testing::Test {
 
   /// Kernel spans recorded on `gpu`, in start order.
   std::vector<sim::TraceSpan> kernel_spans(std::size_t gpu) const {
-    const std::string location = "test-node/gpu" + std::to_string(gpu);
+    const std::string location = str_cat("test-node/gpu", std::to_string(gpu));
     std::vector<sim::TraceSpan> out;
     for (const sim::TraceSpan& span : tracer.spans()) {
       if (span.category == sim::TraceCategory::Kernel && span.location == location) {
@@ -101,6 +103,61 @@ TEST(CudaEventTest, WhenAllWaitsForEverything) {
 TEST(CudaEventTest, WhenAllEmptyFiresImmediately) {
   int fired = 0;
   when_all({}, [&] { ++fired; });
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(CudaEventTest, ManyWaitersFireInSubscriptionOrder) {
+  // The first waiter is stored in the event, the rest in a growing array;
+  // completion runs them all in the order they subscribed.
+  auto e = make_event();
+  std::vector<int> order;
+  for (int i = 0; i < 9; ++i) e->on_complete([&order, i] { order.push_back(i); });
+  e->complete(SimTime::zero());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(CudaEventTest, HandleCountsOwnership) {
+  // The last handle deletes the event, and with it the captures of waiters
+  // that never ran (including a when_all's shared state).
+  auto alive = std::make_shared<int>(0);
+  {
+    EventPtr a = make_event();
+    EventPtr b = a;
+    EXPECT_EQ(a, b);
+    EXPECT_NE(a, nullptr);
+    EventPtr other = make_event();
+    for (int i = 0; i < 3; ++i) a->on_complete([alive] {});
+    when_all({a, other}, [alive] {});
+    EXPECT_EQ(alive.use_count(), 5);
+    a = nullptr;
+    EXPECT_FALSE(b->completed());  // b still holds the event
+    EXPECT_EQ(alive.use_count(), 5);
+  }
+  EXPECT_EQ(alive.use_count(), 1);
+}
+
+TEST(CudaEventTest, WhenAllSkipsCompletedEvents) {
+  auto a = make_event();
+  auto b = make_event();
+  auto c = make_event();
+  b->complete(SimTime::zero());
+  int fired = 0;
+  when_all({a, b, c}, [&] { ++fired; });
+  c->complete(SimTime::zero());
+  EXPECT_EQ(fired, 0);
+  a->complete(SimTime::zero());
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(CudaEventTest, AWaiterMayDropTheLastHandle) {
+  // Completion must not touch the event after a waiter released it.
+  EventPtr e = make_event();
+  CudaEvent* raw = e.get();
+  int fired = 0;
+  raw->on_complete([&e] { e = nullptr; });
+  raw->on_complete([&fired] { ++fired; });
+  raw->complete(SimTime::zero());
+  EXPECT_EQ(e, nullptr);
   EXPECT_EQ(fired, 1);
 }
 

@@ -3,6 +3,7 @@
 // exploration threshold.
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "core/grout_runtime.hpp"
 #include "net/message.hpp"
 
@@ -65,8 +66,8 @@ TEST(GroutScenario, FanOutFanIn) {
   rt.host_init(in);
   std::vector<GlobalArrayId> outs;
   for (int i = 0; i < 4; ++i) {
-    outs.push_back(rt.alloc(1_MiB, "out" + std::to_string(i)));
-    rt.launch(kernel("branch" + std::to_string(i),
+    outs.push_back(rt.alloc(1_MiB, str_cat("out", std::to_string(i))));
+    rt.launch(kernel(str_cat("branch", std::to_string(i)),
                      {{in, uvm::AccessMode::Read},
                       {outs.back(), uvm::AccessMode::Write}}));
   }
@@ -138,7 +139,7 @@ TEST(GroutScenario, ExplorationOverrideChangesPlacement) {
   rt.host_init(a);
   rt.host_init(b);
   for (int i = 0; i < 4; ++i) {
-    rt.launch(kernel("k" + std::to_string(i),
+    rt.launch(kernel(str_cat("k", std::to_string(i)),
                      {{a, uvm::AccessMode::Read}, {b, uvm::AccessMode::Read}}));
   }
   EXPECT_TRUE(rt.synchronize());
@@ -189,8 +190,8 @@ TEST(GroutScenario, PureOutputCEsExploreRoundRobin) {
   // spread them round-robin instead of clumping them on one node.
   GroutRuntime rt(scenario_config(PolicyKind::MinTransferSize));
   for (int i = 0; i < 4; ++i) {
-    const GlobalArrayId out = rt.alloc(1_MiB, "out" + std::to_string(i));
-    const CeTicket t = rt.launch(kernel("gen" + std::to_string(i),
+    const GlobalArrayId out = rt.alloc(1_MiB, str_cat("out", std::to_string(i)));
+    const CeTicket t = rt.launch(kernel(str_cat("gen", std::to_string(i)),
                                         {{out, uvm::AccessMode::Write}}));
     EXPECT_EQ(t.worker, static_cast<std::size_t>(i % 2));
   }
@@ -218,7 +219,7 @@ TEST(GroutScenario, HostFetchAfterEveryWriterSeesLatestOwner) {
   const GlobalArrayId a = rt.alloc(2_MiB, "a");
   rt.host_init(a);
   for (int round = 0; round < 3; ++round) {
-    rt.launch(kernel("w" + std::to_string(round), {{a, uvm::AccessMode::ReadWrite}}));
+    rt.launch(kernel(str_cat("w", std::to_string(round)), {{a, uvm::AccessMode::ReadWrite}}));
     EXPECT_TRUE(rt.host_fetch(a));
     EXPECT_TRUE(rt.directory().up_to_date_on_controller(a));
   }

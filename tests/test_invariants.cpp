@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/grout_runtime.hpp"
 #include "tests/support/invariant_checker.hpp"
 
@@ -103,7 +104,7 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace,
     const std::uint64_t cat = i < 3 ? i : rng.next_below(3);
     const TenantId owner =
         multi_tenant && cat < kTenants ? static_cast<TenantId>(cat) : kNoTenant;
-    arrays.push_back(rt.alloc(sizes[i], "a" + std::to_string(i), owner));
+    arrays.push_back(rt.alloc(sizes[i], str_cat("a", std::to_string(i)), owner));
     owners.push_back(owner);
     rt.host_init(arrays.back());
     if (multi_tenant && owner == kNoTenant) chk.note_shared(arrays.back());
@@ -118,7 +119,7 @@ ScenarioOutcome run_scenario(std::uint64_t seed, bool check, bool trace,
     const std::uint64_t roll = rng.next_below(100);
     if (roll < 70) {
       gpusim::KernelLaunchSpec spec;
-      spec.name = "ce" + std::to_string(s);
+      spec.name = str_cat("ce", std::to_string(s));
       spec.flops = 1e8 * static_cast<double>(1 + rng.next_below(50));
       // Multi-tenant seeds tag the CE and restrict it to the tenant's own
       // arrays plus shared ones (the frontend never crosses tenants).
@@ -203,7 +204,7 @@ TEST_P(InvariantFuzz, InvariantsHoldAcrossSeeds) {
   const std::uint64_t shard = GetParam();
   const std::uint64_t total = fuzz_seed_count();
   for (std::uint64_t seed = shard; seed < total; seed += 4) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
+    SCOPED_TRACE(str_cat("seed=", std::to_string(seed)));
     run_scenario(seed, /*check=*/true, /*trace=*/false);
     if (::testing::Test::HasFailure()) break;  // one seed's dump is enough
   }
@@ -223,7 +224,7 @@ TEST_P(TightBudgetFuzz, InvariantsHoldAcrossSeeds) {
   std::uint64_t evicting = 0;
   std::uint64_t spilling = 0;
   for (std::uint64_t seed = shard; seed < total; seed += 4) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
+    SCOPED_TRACE(str_cat("seed=", std::to_string(seed)));
     const ScenarioOutcome out = run_scenario(seed, /*check=*/true, /*trace=*/false, 8_MiB);
     if (::testing::Test::HasFailure()) return;  // one seed's dump is enough
     ++seeds;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/policies.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulator.hpp"
@@ -31,14 +32,14 @@ struct Scenario {
     for (std::size_t i = 0; i < workers; ++i) {
       // Heterogeneous NICs so min(src, dst) actually varies.
       const double mbit = 1000.0 + 500.0 * static_cast<double>(rng.next_below(8));
-      nics.push_back(net::NicSpec{"worker" + std::to_string(i),
+      nics.push_back(net::NicSpec{str_cat("worker", std::to_string(i)),
                                   Bandwidth::mbit_per_sec(mbit), SimTime::from_us(50.0)});
     }
     fabric = std::make_unique<net::NetworkFabric>(sim, std::move(nics));
 
     for (std::size_t a = 0; a < arrays; ++a) {
       const auto id =
-          directory.register_array(64_MiB + a * 16_MiB, "a" + std::to_string(a));
+          directory.register_array(64_MiB + a * 16_MiB, str_cat("a", std::to_string(a)));
       const std::size_t copies = rng.next_below(4);
       for (std::size_t c = 0; c < copies; ++c) {
         directory.add_worker_copy(id, rng.next_below(workers));

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "core/grout_runtime.hpp"
 #include "sim/simulator.hpp"
 #include "runtime/intra_node_runtime.hpp"
@@ -188,7 +189,7 @@ TEST_F(RoundRobinFixture, SpreadsKernelsOverAllStreams) {
   // 4 independent kernels over 2 GPUs x 2 streams: every GPU runs two.
   std::vector<uvm::ArrayId> arrays;
   for (int i = 0; i < 4; ++i) {
-    arrays.push_back(alloc_populated(1_MiB, "a" + std::to_string(i)));
+    arrays.push_back(alloc_populated(1_MiB, str_cat("a", std::to_string(i))));
     rt->submit_kernel(kernel(arrays.back(), uvm::AccessMode::Read));
   }
   sim.run();

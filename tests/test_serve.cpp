@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "core/grout_runtime.hpp"
 #include "serve/serve.hpp"
 
@@ -231,8 +232,8 @@ TEST(ServeShapeTest, ProgramsOfOneTenantDispatchTheSameCes) {
       const std::string& name = rt.directory().name_of(a.array);
       const std::size_t cut = name.find('/', name.find('/') + 1);
       program = name.substr(0, cut);
-      ce += " " + name.substr(cut + 1) + "/" + std::to_string(rt.directory().bytes_of(a.array)) +
-            (a.write ? "/w" : "/r");
+      ce += str_cat(" ", name.substr(cut + 1), "/",
+                    std::to_string(rt.directory().bytes_of(a.array)), a.write ? "/w" : "/r");
     }
     ces_of[program].push_back(ce);
   }
@@ -320,7 +321,8 @@ TEST(ServeAdmissionTest, BoundedQueueShedsOverflow) {
   // The closed window submits every program at t=0: one admits, a full
   // admission queue waits behind it, and the rest shed.
   const std::size_t programs = serve::kMaxQueuedPrograms + 4;
-  cfg.tenants.push_back(bs_tenant("burst", 1.0, programs, "closed:" + std::to_string(programs)));
+  cfg.tenants.push_back(
+      bs_tenant("burst", 1.0, programs, str_cat("closed:", std::to_string(programs))));
   ServeScheduler sched(rt, cfg);
   const ServeReport rep = sched.run();
 

@@ -1,18 +1,68 @@
 // Unit tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "gpusim/event.hpp"
+#include "sim/callback.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
+// Every heap allocation of this test binary is counted, so a test can check
+// that a warm event path never reaches the allocator.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// The replacements pair malloc with free; GCC flags free() of a pointer
+// that came from operator new even when both are replaced together.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t bytes) {
+  ++g_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t bytes) { return ::operator new(bytes); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace grout::sim {
 namespace {
+
+// The inline-capture limit is a compile-time property: a capture of up to
+// kCapacity bytes at pointer alignment is accepted, anything larger or
+// over-aligned is not constructible at all (there is no heap fallback).
+struct AtLimit {
+  std::uint64_t words[Callback::kCapacity / sizeof(std::uint64_t)];
+  void operator()() {}
+};
+struct Oversized {
+  std::uint64_t words[Callback::kCapacity / sizeof(std::uint64_t) + 1];
+  void operator()() {}
+};
+struct alignas(2 * Callback::kAlignment) OverAligned {
+  void operator()() {}
+};
+static_assert(std::is_constructible_v<Callback, AtLimit>);
+static_assert(!std::is_constructible_v<Callback, Oversized>);
+static_assert(!std::is_constructible_v<Callback, OverAligned>);
+static_assert(std::is_constructible_v<Callback, std::function<void()>>);
+static_assert(!std::is_copy_constructible_v<Callback>);
 
 TEST(Simulator, StartsAtZero) {
   Simulator sim;
@@ -175,6 +225,168 @@ TEST(Simulator, CascadingEventsStress) {
   EXPECT_TRUE(monotone);
   EXPECT_EQ(remaining, 0);
   EXPECT_EQ(sim.executed_events(), 2000u);
+}
+
+TEST(Callback, MovesAndDestroysItsCaptureOnce) {
+  int alive = 0;
+  int calls = 0;
+  struct Probe {
+    int* alive;
+    int* calls;
+    Probe(int* a, int* c) : alive{a}, calls{c} { ++*alive; }
+    Probe(Probe&& o) noexcept : alive{o.alive}, calls{o.calls} { ++*alive; }
+    Probe(const Probe&) = delete;
+    ~Probe() { --*alive; }
+    void operator()() { ++*calls; }
+  };
+  {
+    Callback a{Probe{&alive, &calls}};
+    EXPECT_EQ(alive, 1);
+    Callback b = std::move(a);
+    EXPECT_FALSE(static_cast<bool>(a));
+    ASSERT_TRUE(static_cast<bool>(b));
+    EXPECT_EQ(alive, 1);
+    b();
+    EXPECT_EQ(calls, 1);
+    a = std::move(b);
+    EXPECT_EQ(alive, 1);
+    a = nullptr;
+    EXPECT_EQ(alive, 0);
+  }
+  EXPECT_EQ(alive, 0);
+}
+
+TEST(Simulator, WarmEventPathDoesNotAllocate) {
+  Simulator sim;
+  gpusim::CudaEvent* seen = nullptr;
+  std::uint64_t fired = 0;
+  // Warm-up grows the heap, the slot array and its free list to the depth
+  // the measured loop keeps pending.
+  for (int i = 0; i < 64; ++i) sim.schedule_after(SimTime::from_ns(i), [&fired] { ++fired; });
+  sim.run();
+
+  // 10^4 schedule/step cycles with a few events pending and captures of
+  // up to four words, the most the engine's closures carry.
+  std::vector<gpusim::EventPtr> events;
+  for (int i = 0; i < 10000; ++i) events.push_back(gpusim::make_event());
+  std::vector<gpusim::EventPtr> single(1);
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 10000; ++i) {
+    const gpusim::EventPtr& ev = events[static_cast<std::size_t>(i)];
+    sim.schedule_after(SimTime::from_ns(i % 7), [&fired, &seen, ev, i] {
+      fired += static_cast<std::uint64_t>(i);
+      seen = ev.get();
+    });
+    sim.schedule_after(SimTime::from_ns(i % 3), [&fired] { ++fired; });
+    sim.step();
+    sim.step();
+  }
+  // 10^4 subscribe/complete rounds, every other one through a one-event
+  // when_all: an event stores its first waiter in place.
+  for (int i = 0; i < 10000; ++i) {
+    const gpusim::EventPtr& ev = events[static_cast<std::size_t>(i)];
+    if (i % 2 == 0) {
+      ev->on_complete([&fired, &sim, ev] {
+        fired += static_cast<std::uint64_t>(ev->when().ns() + sim.now().ns());
+      });
+    } else {
+      single[0] = ev;
+      gpusim::when_all(single, [&fired] { ++fired; });
+    }
+    ev->complete(sim.now());
+  }
+  sim.run();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_NE(seen, nullptr);
+  EXPECT_GT(fired, 0u);
+}
+
+TEST(Simulator, FiringOrderMatchesANaiveTimeSeqReference) {
+  // Random schedules: events scheduled from outside between steps and from
+  // inside callbacks (at now() too, so same-time ties are common), enough
+  // churn that slots are reused many times over. The engine must fire them
+  // exactly in the order of a reference that keeps every pending event in
+  // a flat list and picks the smallest (time, seq).
+  struct Plan {
+    SimTime t;
+    int id;
+  };
+  // What event `id` schedules when it fires: a pure function of its id, so
+  // the engine and the reference issue identical calls.
+  const auto children = [](int id, SimTime now, int& next_id, std::vector<Plan>& out) {
+    grout::Rng rng(static_cast<std::uint64_t>(id) * 7919u + 1u);
+    const auto k = static_cast<int>(rng.next_below(3));
+    for (int c = 0; c < k && next_id < 6000; ++c) {
+      out.push_back(Plan{now + SimTime::from_ns(static_cast<std::int64_t>(rng.next_below(4))),
+                         next_id++});
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    // Outside schedule: batches of events issued between steps.
+    grout::Rng outer(seed);
+    std::vector<std::vector<Plan>> batches(200);
+    int next_outside = 100000;
+    SimTime horizon = SimTime::zero();
+    for (auto& batch : batches) {
+      const auto n = static_cast<int>(outer.next_below(4));
+      horizon += SimTime::from_ns(static_cast<std::int64_t>(outer.next_below(3)));
+      for (int i = 0; i < n; ++i) {
+        batch.push_back(
+            Plan{horizon + SimTime::from_ns(static_cast<std::int64_t>(outer.next_below(5))),
+                 next_outside++});
+      }
+    }
+
+    // The engine.
+    std::vector<int> engine_order;
+    {
+      Simulator sim;
+      int next_id = 0;
+      std::function<void(int)> fire = [&](int id) {
+        engine_order.push_back(id);
+        std::vector<Plan> out;
+        children(id, sim.now(), next_id, out);
+        for (const Plan& p : out) sim.schedule_at(p.t, [&fire, child = p.id] { fire(child); });
+      };
+      for (const auto& batch : batches) {
+        for (const Plan& p : batch) {
+          const SimTime t = std::max(p.t, sim.now());
+          sim.schedule_at(t, [&fire, child = p.id] { fire(child); });
+        }
+        sim.step();
+      }
+      sim.run();
+    }
+
+    // The reference: (time, seq, id) in a flat list, smallest key first.
+    std::vector<int> reference_order;
+    {
+      std::vector<std::tuple<SimTime, std::uint64_t, int>> pending;
+      std::uint64_t seq = 0;
+      SimTime now = SimTime::zero();
+      int next_id = 0;
+      const auto step = [&] {
+        if (pending.empty()) return;
+        const auto it = std::min_element(pending.begin(), pending.end());
+        const auto [t, s, id] = *it;
+        (void)s;
+        pending.erase(it);
+        now = t;
+        reference_order.push_back(id);
+        std::vector<Plan> out;
+        children(id, now, next_id, out);
+        for (const Plan& p : out) pending.emplace_back(p.t, seq++, p.id);
+      };
+      for (const auto& batch : batches) {
+        for (const Plan& p : batch) pending.emplace_back(std::max(p.t, now), seq++, p.id);
+        step();
+      }
+      while (!pending.empty()) step();
+    }
+
+    ASSERT_EQ(engine_order, reference_order) << "seed " << seed;
+    EXPECT_GT(engine_order.size(), 500u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "sim/simulator.hpp"
 #include "uvm/uvm_space.hpp"
 
@@ -20,7 +21,7 @@ struct UvmFixture : ::testing::Test {
     std::vector<DeviceConfig> configs;
     for (std::size_t i = 0; i < devices; ++i) {
       DeviceConfig dc;
-      dc.name = "gpu" + std::to_string(i);
+      dc.name = str_cat("gpu", std::to_string(i));
       dc.capacity = device_capacity;
       dc.pcie_bw = Bandwidth::gib_per_sec(16.0);
       dc.pcie_latency = SimTime::zero();
@@ -539,7 +540,8 @@ TEST_P(EvictionPolicyProperty, InvariantsUnderRandomWorkload) {
   Rng rng(2024 + static_cast<std::uint64_t>(GetParam()));
   std::vector<ArrayId> arrays;
   for (int i = 0; i < 6; ++i) {
-    arrays.push_back(space.alloc((1 + rng.next_below(6)) * 1_MiB, "arr" + std::to_string(i)));
+    arrays.push_back(
+        space.alloc((1 + rng.next_below(6)) * 1_MiB, str_cat("arr", std::to_string(i))));
     if (rng.next_below(2) == 0) space.host_access(arrays.back(), AccessMode::Write);
   }
 

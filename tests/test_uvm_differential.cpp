@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "sim/simulator.hpp"
 #include "tests/support/naive_oracles.hpp"
 #include "uvm/uvm_space.hpp"
@@ -75,7 +76,7 @@ class UvmRig {
     std::vector<DeviceConfig> configs;
     for (std::size_t d = 0; d < devices; ++d) {
       DeviceConfig dc;
-      dc.name = "gpu" + std::to_string(d);
+      dc.name = str_cat("gpu", std::to_string(d));
       dc.capacity = capacity_pages * tuning.page_size;
       configs.push_back(dc);
     }
@@ -120,7 +121,7 @@ class UvmRig {
     const Bytes pages = 1 + rng_.next_below(12);
     const Bytes trim = rng_.next_below(2) == 0 ? 0 : rng_.next_below(1_MiB - 1) + 1;
     const Bytes bytes = pages * 1_MiB - trim;
-    const std::string name = "a" + std::to_string(allocated_++);
+    const std::string name = str_cat("a", std::to_string(allocated_++));
     const ArrayId id = space_->alloc(bytes, name);
     ASSERT_EQ(naive_->alloc(bytes, name), id);
     live_.push_back(id);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "sim/simulator.hpp"
 #include "uvm/uvm_space.hpp"
 
@@ -17,7 +18,7 @@ struct UvmExtra : ::testing::Test {
   void rebuild(UvmTuning t = tuning_1mib(), Bytes capacity = 8_MiB, std::size_t devices = 2) {
     std::vector<DeviceConfig> configs;
     for (std::size_t i = 0; i < devices; ++i) {
-      configs.push_back(DeviceConfig{"g" + std::to_string(i), capacity,
+      configs.push_back(DeviceConfig{str_cat("g", std::to_string(i)), capacity,
                                      Bandwidth::gib_per_sec(16.0), SimTime::zero()});
     }
     space = std::make_unique<UvmSpace>(sim, t, std::move(configs));
@@ -223,7 +224,7 @@ TEST_F(UvmExtra, RingCompactionSurvivesChurn) {
 TEST_F(UvmExtra, ManySmallArrays) {
   std::vector<ArrayId> ids;
   for (int i = 0; i < 64; ++i) {
-    ids.push_back(alloc_populated(1_MiB, "s" + std::to_string(i)));
+    ids.push_back(alloc_populated(1_MiB, str_cat("s", std::to_string(i))));
   }
   for (const ArrayId id : ids) access(0, id, StreamingPattern{});
   EXPECT_EQ(space->resident_bytes(0), space->capacity(0));

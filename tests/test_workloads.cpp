@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "workloads/shapes.hpp"
 #include "workloads/workloads.hpp"
 
@@ -368,7 +369,7 @@ TEST(RecordedShapeTest, MatchesTheLivePolyglotCeStream) {
     ASSERT_EQ(names.size(), shape.arrays.size()) << "array names must be unique";
 
     for (std::size_t k = 0; k < shape.ces.size(); ++k) {
-      SCOPED_TRACE("CE " + std::to_string(k));
+      SCOPED_TRACE(str_cat("CE ", std::to_string(k)));
       const ShapeCe& ce = shape.ces[k];
       const gpusim::KernelLaunchSpec& spec = live.launches[k];
       EXPECT_EQ(ce.name, spec.name);

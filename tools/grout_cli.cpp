@@ -508,7 +508,7 @@ int cmd_serve(const Options& opt) {
   const serve::ArrivalSpec& arrival = opt.arrival;
   for (std::size_t k = 0; k < opt.tenants; ++k) {
     serve::TenantSpec t;
-    t.name = "t" + std::to_string(k);
+    t.name = str_cat("t", std::to_string(k));
     if (!opt.tenant_weights.empty()) {
       t.weight = opt.tenant_weights[k % opt.tenant_weights.size()];
     }
